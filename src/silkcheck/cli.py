@@ -16,13 +16,15 @@ from . import rewrite as rw
 from .kernel import MODE_LKE, check_proof, count_inferences
 from .parser import (
     ParseError,
+    _workspace_roots,
+    check_arities,
     load_theory,
     parse_proof,
     parse_schema,
     parse_script,
 )
 from .printer import print_proof_tree, print_schema, print_script, stats_table
-from .schema import check_schema, evaluate, evaluate_and_check
+from .schema import MatchFailure, check_schema, evaluate, evaluate_and_check
 from .silk import NotAProof, SiLKScript, SilkError, check_script
 from .translate import interpret, silk_to_schema, to_ppsnf
 
@@ -47,8 +49,6 @@ def _load_with_theory(args, parse_fn):
         theory = load_theory(Path(args.file).parent / theory_path, args.fuel)
     else:
         theory = rw.EquationalTheory((), args.fuel)
-    from .parser import _workspace_roots, check_arities
-
     issues = check_arities(*_workspace_roots(value, theory))
     if issues:
         raise ParseError("; ".join(issues))
@@ -200,9 +200,20 @@ def _cmd_interpret(args) -> int:
     return 0
 
 
-def _parse_range(spec: str) -> range:
+def _alpha(text: str) -> int:
+    """An instance: a non-negative decimal integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return value
+
+
+def _alpha_range(spec: str) -> range:
     lo, _, hi = spec.partition("..")
-    return range(int(lo), int(hi) + 1)
+    return range(_alpha(lo), _alpha(hi) + 1)
 
 
 def _cmd_stats(args) -> int:
@@ -212,7 +223,7 @@ def _cmd_stats(args) -> int:
     else:
         schema, theory, _ = _load_with_theory(args, parse_schema)
     rows = []
-    for alpha in _parse_range(args.alpha_range):
+    for alpha in args.alpha_range:
         trace = evaluate(schema, alpha, theory, fuel=args.fuel)
         rows.append((alpha, count_inferences(trace.expanded), count_inferences(trace.proof)))
     if args.json:
@@ -262,7 +273,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("unroll", help="instantiate a schema at a numeral")
     _add_common(p)
-    p.add_argument("--alpha", type=int, required=True)
+    p.add_argument("--alpha", type=_alpha, required=True)
     p.add_argument("--lk", action="store_true", help="print the rewritten normal form instead")
     p.add_argument("--check", action="store_true", help="also run the full soundness check")
     p.add_argument("--quiet", action="store_true", help="suppress the proof tree (large instances)")
@@ -284,7 +295,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("stats", help="inference counts over a range of instances")
     _add_common(p)
-    p.add_argument("--alpha-range", required=True, metavar="A..B")
+    p.add_argument("--alpha-range", type=_alpha_range, required=True, metavar="A..B")
     p.set_defaults(func=_cmd_stats)
 
     try:
@@ -302,7 +313,7 @@ def main(argv=None) -> int:
     except NotAProof as exc:
         print(f"not a proof: {exc}", file=sys.stderr)
         return 1
-    except (SilkError, rw.FuelExhausted, rw.StuckTerm) as exc:
+    except (SilkError, MatchFailure, rw.FuelExhausted, rw.StuckTerm) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -487,16 +487,6 @@ def count_inferences(proof: Proof) -> dict:
     return counts
 
 
-def proof_size(proof: Proof) -> int:
-    n = 0
-    stack = [proof]
-    while stack:
-        node = stack.pop()
-        n += 1
-        stack.extend(node.premises)
-    return n
-
-
 def iter_nodes(proof: Proof):
     """(node, path) pairs in pre-order."""
     stack = [(proof, ())]

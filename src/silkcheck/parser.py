@@ -17,7 +17,7 @@ Conventions the grammar fixes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import rewrite as rw
@@ -46,6 +46,7 @@ from .syntax import (
     Succ,
     node_at,
     numeral,
+    walk,
 )
 
 
@@ -622,9 +623,7 @@ def _parse_proof_node(ts: TokenStream) -> Proof:
             old = node_at(side[data.idx], data.path)
         except (IndexError, TypeError):
             raise ParseError(f"rewrite path {data.path} does not address a node", tok.line, tok.col)
-        from dataclasses import replace as _dreplace
-
-        data = _dreplace(data, repl=parse_replacement(raw_to, isinstance(old, Formula)))
+        data = replace(data, repl=parse_replacement(raw_to, isinstance(old, Formula)))
     return Proof(seq, rule, tuple(premises), data)
 
 
@@ -802,8 +801,6 @@ class Signature:
         self.issues: list = []
 
     def collect(self, *roots):
-        from .syntax import walk
-
         for root in roots:
             nodes = root.formulas() if isinstance(root, Sequent) else (root,)
             for formula in nodes:
@@ -839,10 +836,6 @@ def check_arities(*roots) -> list:
 
 
 def _workspace_roots(value, theory) -> list:
-    from .kernel import Proof
-    from .schema import ProofSchema
-    from .silk import SiLKScript
-
     roots = [r.lhs for r in theory.rules] + [r.rhs for r in theory.rules]
 
     def add_proof(proof):

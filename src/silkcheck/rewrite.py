@@ -8,8 +8,9 @@ innermost: children are normalized before the head is rewritten.  Numeric
 addition is built in (0 + b -> b, s(a) + b -> s(a + b) and the symmetric
 absorptions), so successor towers and +-numerals meet in one normal form.
 
-Normal forms are cached on the theory, keyed by structural equality, which
-keeps repeated unrollings of the same schema linear instead of quadratic.
+Normal forms are cached on the theory.  Nodes are hash-consed, so the cache
+is keyed by node identity, and it keeps repeated unrollings of the same
+schema linear instead of quadratic.
 """
 
 from __future__ import annotations
@@ -31,10 +32,13 @@ from .syntax import (
     Succ,
     Zero,
     formula_eq,
+    free_params,
     numeral,
     numeral_value,
     rebuild,
     split_succs,
+    subst,
+    walk,
 )
 
 DEFAULT_FUEL = 100_000
@@ -118,20 +122,12 @@ class TheoryReport:
 
 def _rule_vars(node: Node) -> frozenset:
     out = set()
-    for sub in _walk_all(node):
+    for sub in walk(node):
         if isinstance(sub, Param):
             out.add(("p", sub.name))
         elif isinstance(sub, FreeVar):
             out.add(("v", sub.name))
     return frozenset(out)
-
-
-def _walk_all(node: Node):
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        stack.extend(cur.kids())
 
 
 def validate_theory(theory: EquationalTheory) -> TheoryReport:
@@ -152,7 +148,7 @@ def validate_theory(theory: EquationalTheory) -> TheoryReport:
             issues.append(TheoryIssue(i, "numeric + is built in and cannot be redefined"))
             continue
         for arg in rule.lhs.kids():
-            for sub in _walk_all(arg):
+            for sub in walk(arg):
                 sub_key = _head_key(sub)
                 if sub_key is None or sub_key == ("n", "+"):
                     continue
@@ -250,8 +246,6 @@ def _instantiate(rhs: Node, binding: dict) -> Node:
         {name: v for (kind, name), v in binding.items() if kind == "p"},
         {name: v for (kind, name), v in binding.items() if kind == "v"},
     )
-    from .syntax import subst
-
     return subst(rhs, sub)
 
 
@@ -307,23 +301,25 @@ def _try_head(node: Node, theory: EquationalTheory, budget: _Budget) -> Node | N
 
 def _normalize(root: Node, theory: EquationalTheory, budget: _Budget) -> Node:
     cache = theory._nf_cache
-    chosen: dict[int, Node] = {}
-    stack = [root]
+    # Each frame is [node, head-step target]; the target lives in the frame,
+    # not in a table keyed by node, because a rewrite cycle revisits the same
+    # shared node and every trip around it must open a new frame and spend
+    # fuel.
+    stack = [[root, None]]
     while stack:
-        cur = stack[-1]
+        frame = stack[-1]
+        cur, target = frame
         if cur in cache:
             stack.pop()
             continue
-        target = chosen.get(id(cur))
         if target is not None:
             # The head step was taken on a previous visit; its target has
             # been fully normalized by now.
-            nf = cache[target]
-            cache[cur] = nf
+            cache[cur] = cache[target]
             stack.pop()
             continue
         kids = cur.kids()
-        pending = [k for k in kids if k not in cache]
+        pending = [[k, None] for k in kids if k not in cache]
         if pending:
             stack.extend(pending)
             continue
@@ -345,8 +341,8 @@ def _normalize(root: Node, theory: EquationalTheory, budget: _Budget) -> Node:
             cache[reb] = nf
             stack.pop()
         else:
-            chosen[id(cur)] = target
-            stack.append(target)
+            frame[1] = target
+            stack.append([target, None])
     return cache[root]
 
 
@@ -381,8 +377,6 @@ def eval_numeric(e: NumExpr, theory: EquationalTheory, fuel: int | None = None) 
     """Normal form of a ground numeric expression, which must be a numeral."""
     if numeral_value(e) is not None:
         return e
-    from .syntax import free_params
-
     params = free_params(e)
     if params:
         raise ValueError(f"numeric expression {e} is not ground: {sorted(params)}")

@@ -16,7 +16,7 @@ proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import rewrite as rw
 from .kernel import (
@@ -39,6 +39,7 @@ from .syntax import (
     Substitution,
     canon_num,
     free_params,
+    is_subterm,
     numeral,
     numeral_value,
     split_succs,
@@ -184,8 +185,6 @@ def _check_links(report, ci, comp, proof, kind, order, step_links, offset=0):
 
 
 def _is_subterm_of_param(small, big) -> bool:
-    from .syntax import is_subterm
-
     return is_subterm(canon_num(small), canon_num(big)) or is_subterm(small, big)
 
 
@@ -219,8 +218,6 @@ def _subst_data(data: RuleData, sub: Substitution) -> RuleData:
         changed["terms"] = tuple(subst(t, sub) for t in data.terms)
     if not changed:
         return data
-    from dataclasses import replace
-
     return replace(data, **changed)
 
 
@@ -298,7 +295,8 @@ def evaluate(
         new_links: list = []
         expansion = _instantiate(template, sub, new_links)
         trace.expansions.append((comp.name, value, data.param))
-        if _tuple_seq_eq(expansion.conclusion, node.conclusion):
+        concl = expansion.conclusion
+        if concl.ante == node.conclusion.ante and concl.succ == node.conclusion.succ:
             # The morph below keeps the parent's reference valid; if the
             # expansion root is itself a link, track the morphed node.
             new_links = [node if ln is expansion else ln for ln in new_links]
@@ -319,14 +317,6 @@ def evaluate(
     trace.expanded = _freeze(root)
     trace.proof = _normal_proof(trace.expanded, theory, fuel, trace)
     return trace
-
-
-def _tuple_seq_eq(a: Sequent, b: Sequent) -> bool:
-    return (
-        len(a.ante) == len(b.ante)
-        and len(a.succ) == len(b.succ)
-        and all(x == y for x, y in zip(a.formulas(), b.formulas()))
-    )
 
 
 def _freeze(root: _MNode) -> Proof:
@@ -377,15 +367,13 @@ def _normal_proof(proof: Proof, theory: rw.EquationalTheory, fuel: int, trace: U
             # node's formula order so witnesses above keep their positions
             # (witness indices only ever address premise tuples).
             child = kids[0]
-            if _tuple_seq_eq(child.conclusion, concl):
+            if child.conclusion.ante == concl.ante and child.conclusion.succ == concl.succ:
                 done[id(cur)] = child
             else:
                 done[id(cur)] = Proof(concl, child.rule, child.premises, child.data)
             continue
         data = cur.data
         if data is not None and (data.formula is not None or data.term is not None or data.repl is not None):
-            from dataclasses import replace
-
             changed = {}
             if data.formula is not None:
                 changed["formula"] = norm_expr(data.formula)

@@ -7,9 +7,11 @@ index (x[e]), and function applications; numeric expressions may sit in
 individual argument positions (the zero produced by a rule like S^0 == 0 is
 the same node wherever it occurs).
 
-Equality and hashing are structural but iterative, so successor towers and
-f(f(...f(0)...)) chains thousands deep never hit the recursion limit.  Hashes
-are cached per node.
+Every node is hash-consed: constructing a node whose class and fields match
+an existing one returns that node, so structurally equal nodes are the same
+object and == and hash are object identity.  Traversals are iterative, so
+successor towers and f(f(...f(0)...)) chains thousands deep never hit the
+recursion limit.
 """
 
 from __future__ import annotations
@@ -26,26 +28,24 @@ class SortMismatch(Exception):
 # Nodes
 
 
-class Node:
-    __hash_cache__ = None
+_NODES: dict = {}
 
+
+class _HashConsed(type):
+    """Looks a node up by its class and positional fields before building
+    it, so each distinct node exists once per process."""
+
+    def __call__(cls, *fields):
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = super().__call__(*fields)
+        return node
+
+
+class Node(metaclass=_HashConsed):
     def kids(self) -> tuple:
         return ()
-
-    def _scalar(self) -> tuple:
-        return (type(self).__name__,)
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = _hash_node(self)
-        return h
-
-    def __eq__(self, other) -> bool:
-        return _node_eq(self, other)
-
-    def __ne__(self, other) -> bool:
-        return not _node_eq(self, other)
 
     def _render(self, kids: list) -> str:
         raise NotImplementedError
@@ -74,44 +74,6 @@ def render(root: Node) -> str:
         memo[id(cur)] = cur._render([memo[id(k)] for k in kids])
         stack.pop()
     return memo[id(root)]
-
-
-def _hash_node(root: Node) -> int:
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if node.__dict__.get("_h") is not None:
-            stack.pop()
-            continue
-        pending = [k for k in node.kids() if k.__dict__.get("_h") is None]
-        if pending:
-            stack.extend(pending)
-            continue
-        h = hash(node._scalar() + tuple(k.__dict__["_h"] for k in node.kids()))
-        object.__setattr__(node, "_h", h)
-        stack.pop()
-    return root.__dict__["_h"]
-
-
-def _node_eq(a, b) -> bool:
-    if a is b:
-        return True
-    if not isinstance(b, Node):
-        return NotImplemented
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        if type(x) is not type(y) or x._scalar() != y._scalar():
-            return False
-        if hash(x) != hash(y):
-            return False
-        xk, yk = x.kids(), y.kids()
-        if len(xk) != len(yk):
-            return False
-        stack.extend(zip(xk, yk))
-    return True
 
 
 def walk(root: Node) -> Iterator[Node]:
@@ -154,9 +116,6 @@ class Succ(NumExpr):
 class Param(NumExpr):
     name: str
 
-    def _scalar(self):
-        return ("Param", self.name)
-
     def _render(self, kids):
         return self.name
 
@@ -171,9 +130,6 @@ class NumFn(NumExpr):
 
     sym: str
     args: tuple
-
-    def _scalar(self):
-        return ("NumFn", self.sym)
 
     def kids(self):
         return self.args
@@ -203,8 +159,10 @@ _NUMERALS: list = [ZERO]
 
 
 def numeral(k: int) -> NumExpr:
-    # Interned, so repeated instantiations share towers and compare by
-    # identity.
+    # Towers are built once and indexed by value; building numeral(k) from
+    # k hash-consed Succ calls on every request costs far more.
+    if k < 0:
+        raise ValueError(f"no numeral for {k}")
     while len(_NUMERALS) <= k:
         _NUMERALS.append(Succ(_NUMERALS[-1]))
     return _NUMERALS[k]
@@ -232,10 +190,6 @@ def numeral_value(e) -> int | None:
             value += 1
         object.__setattr__(node, "_nv", value)
     return value if value >= 0 else None
-
-
-def num_plus(a: NumExpr, b: NumExpr) -> NumExpr:
-    return NumFn("+", (a, b))
 
 
 def split_succs(e: NumExpr) -> tuple[NumExpr | None, int]:
@@ -299,9 +253,6 @@ class Term(Node):
 class FreeVar(Term):
     name: str
 
-    def _scalar(self):
-        return ("FreeVar", self.name)
-
     def _render(self, kids):
         return self.name
 
@@ -312,9 +263,6 @@ class SVar(Term):
 
     name: str
     index: NumExpr
-
-    def _scalar(self):
-        return ("SVar", self.name)
 
     def kids(self):
         return (self.index,)
@@ -330,9 +278,6 @@ class Fn(Term):
 
     sym: str
     args: tuple
-
-    def _scalar(self):
-        return ("Fn", self.sym)
 
     def kids(self):
         return self.args
@@ -366,9 +311,6 @@ class Formula(Node):
 class Atom(Formula):
     pred: str
     args: tuple
-
-    def _scalar(self):
-        return ("Atom", self.pred)
 
     def kids(self):
         return self.args
@@ -448,9 +390,6 @@ class Forall(Formula):
     var: str
     body: Formula
 
-    def _scalar(self):
-        return ("Forall", self.var)
-
     def kids(self):
         return (self.body,)
 
@@ -465,9 +404,6 @@ class Forall(Formula):
 class Exists(Formula):
     var: str
     body: Formula
-
-    def _scalar(self):
-        return ("Exists", self.var)
 
     def kids(self):
         return (self.body,)
@@ -486,9 +422,6 @@ class OmegaAll(Formula):
 
     var: str
     body: Formula
-
-    def _scalar(self):
-        return ("OmegaAll", self.var)
 
     def kids(self):
         return (self.body,)
@@ -652,15 +585,6 @@ def sequent_eq(a: Sequent, b: Sequent) -> bool:
     return multiset_eq(a.ante, b.ante) and multiset_eq(a.succ, b.succ)
 
 
-def seq_struct_eq(a: Sequent, b: Sequent) -> bool:
-    """Order-sensitive comparison, used when tests pin an exact rendering."""
-    return (
-        len(a.ante) == len(b.ante)
-        and len(a.succ) == len(b.succ)
-        and all(x == y for x, y in zip(a.formulas(), b.formulas()))
-    )
-
-
 # ---------------------------------------------------------------------------
 # Rebuilding, free symbols
 
@@ -783,9 +707,8 @@ def subst(x, sub: Substitution):
 
 
 def _subst_formula(f: Formula, sub: Substitution):
-    # Untouched sub-formulas come back as the same objects, so repeated
-    # instantiation of one template shares structure (and the structural
-    # comparisons downstream short-circuit on identity).
+    # Untouched sub-formulas come back as they are, without a lookup in the
+    # hash-consing table.
     if isinstance(f, Atom):
         args = tuple(_subst_expr(a, sub) for a in f.args)
         return f if all(a is b for a, b in zip(f.args, args)) else Atom(f.pred, args)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from silkcheck import corpus_path
 from silkcheck.cli import main
 
@@ -159,3 +161,37 @@ def test_lenient_flag_gates_whole_sequent_steps(capsys, tmp_path):
     )
     assert run(capsys, "check-lk", str(good))[0] == 1
     assert run(capsys, "check-lk", str(good), "--lenient-erule")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("unroll", "schema_shat.sch", "--alpha", "-1", "--lk", "--json"),
+        ("unroll", "schema_shat.sch", "--alpha", "1.5"),
+        ("unroll", "schema_shat.sch", "--alpha", "x"),
+        ("stats", "schema_shat.sch", "--alpha-range", "0.."),
+        ("stats", "schema_shat.sch", "--alpha-range", "..3"),
+        ("stats", "schema_shat.sch", "--alpha-range", "3"),
+        ("stats", "schema_shat.sch", "--alpha-range", "0..-1"),
+        ("stats", "schema_shat.sch", "--alpha-range", "0..2.5"),
+    ],
+)
+def test_negative_or_malformed_alpha_exits_two(capsys, argv):
+    command, name, *rest = argv
+    code, out, err = run(capsys, command, p(name), *rest)
+    assert code == 2 and not out
+    assert "non-negative integer" in err
+
+
+def test_step_parameter_mismatch_reports_error(capsys, tmp_path):
+    schema = tmp_path / "shat2.sch"
+    schema.write_text(
+        corpus_path("schema_shat.sch")
+        .read_text()
+        .replace('step-param "n + 1"', 'step-param "n + 2"')
+        .replace('theory "theory_shat.thy"', f'theory "{p("theory_shat.thy")}"')
+    )
+    for argv in (("unroll", "--alpha", "1"), ("stats", "--alpha-range", "0..1")):
+        code, _, err = run(capsys, argv[0], str(schema), *argv[1:])
+        assert code == 1
+        assert err == "error: link to phi at 1 cannot match step parameter n + 2\n"

@@ -142,6 +142,19 @@ def test_defined_symbol_inside_pattern_rejected():
     assert any("gd" in str(i) for i in report.issues)
 
 
+def test_defined_symbols_inside_one_argument_reported_left_to_right():
+    x = FreeVar("x")
+    theory = EquationalTheory((
+        RewriteRule(Fn("fd", (Fn("pair", (Fn("gd", (x,)), Fn("hd", (x,)))),)), x),
+        RewriteRule(Fn("gd", (x,)), x),
+        RewriteRule(Fn("hd", (x,)), x),
+    ))
+    assert [str(i) for i in validate_theory(theory).issues] == [
+        "rule 1: defined symbol gd(x) occurs inside the argument pair(gd(x), hd(x))",
+        "rule 1: defined symbol hd(x) occurs inside the argument pair(gd(x), hd(x))",
+    ]
+
+
 def test_unbound_rhs_variable_rejected():
     theory = EquationalTheory((RewriteRule(Fn("fd", (FreeVar("x"),)), Fn("g", (FreeVar("y"),))),))
     report = validate_theory(theory)
@@ -260,6 +273,16 @@ def test_fuel_exhaustion():
     loop = EquationalTheory((RewriteRule(Fn("w", (FreeVar("x"),)), Fn("w", (FreeVar("x"),))),))
     with pytest.raises(FuelExhausted):
         normalize(Fn("w", (FreeVar("c"),)), loop, fuel=25)
+
+
+def test_fuel_exhaustion_two_rule_cycle():
+    x = FreeVar("x")
+    cycle = EquationalTheory((
+        RewriteRule(Fn("g", (x,)), Fn("h", (x,))),
+        RewriteRule(Fn("h", (x,)), Fn("g", (x,))),
+    ))
+    with pytest.raises(FuelExhausted):
+        normalize(Fn("g", (FreeVar("c"),)), cycle, fuel=25)
 
 
 # --- iterated disjunction structure

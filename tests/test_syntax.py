@@ -133,6 +133,7 @@ def test_sequent_hash_respects_eq():
 
 def test_canon_identifies_plus_one_with_successor():
     assert canon_num(t("n + 1")) == Succ(Param("n"))
+    assert canon_num(t("n + 1")) is canon_num(t("s(n)")) is Succ(Param("n"))
     assert num_eq(t("n + 1"), t("s(n)"))
     assert num_eq(t("1 + n"), t("s(n)"))
     assert not num_eq(t("n + 1"), t("n"))
@@ -141,6 +142,19 @@ def test_canon_identifies_plus_one_with_successor():
 def test_numerals_are_interned():
     assert numeral(40) is numeral(40)
     assert numeral(3) == t("3")
+    assert numeral(3) is t("3") is t("s(s(s(0)))")
+    assert numeral(2) is Succ(Succ(ZERO))
+
+
+def test_nodes_take_positional_fields_only():
+    with pytest.raises(TypeError):
+        Fn(sym="f", args=())
+
+
+def test_numeral_rejects_negative():
+    numeral(7)  # numerals built earlier must not be handed back for -1
+    with pytest.raises(ValueError):
+        numeral(-1)
 
 
 # --- deep structures stay usable
@@ -154,6 +168,7 @@ def test_deep_terms_hash_eq_print():
     for _ in range(4000):
         again = Fn("f", (again,))
     assert deep == again
+    assert deep is again
     assert hash(deep) == hash(again)
     assert str(Atom("P", (deep,))).count("f(") == 4000
     assert subst(deep, subst_vars({"q": FreeVar("r")})) is deep
