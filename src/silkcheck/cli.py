@@ -212,8 +212,12 @@ def _alpha(text: str) -> int:
 
 
 def _alpha_range(spec: str) -> range:
+    """A..B: both ends instances, with A <= B."""
     lo, _, hi = spec.partition("..")
-    return range(_alpha(lo), _alpha(hi) + 1)
+    lo, hi = _alpha(lo), _alpha(hi)
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"{spec!r} is an empty range: {hi} is below {lo}")
+    return range(lo, hi + 1)
 
 
 def _cmd_stats(args) -> int:

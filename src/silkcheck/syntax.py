@@ -12,11 +12,18 @@ an existing one returns that node, so structurally equal nodes are the same
 object and == and hash are object identity.  Traversals are iterative, so
 successor towers and f(f(...f(0)...)) chains thousands deep never hit the
 recursion limit.
+
+Since nodes are immutable and shared, a Substitution memoizes its result per
+input node in a dict that lives and dies with the Substitution object; there
+is no module-level substitution cache, so results never depend on what an
+earlier call left behind.  Unrolling one link applies one Substitution to the
+whole template, so each distinct template subnode is rebuilt once per
+expansion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 
@@ -194,14 +201,17 @@ def numeral_value(e) -> int | None:
 
 def split_succs(e: NumExpr) -> tuple[NumExpr | None, int]:
     """Peel outer successors and pure-numeral summands: returns (base, offset)
-    with base None for a pure numeral."""
+    with base None for a pure numeral.  A numeral is answered from its cached
+    value, so the cost is O(1) on numerals however tall, and otherwise linear
+    in the successors and summands peeled."""
     offset = 0
     while True:
+        value = numeral_value(e)
+        if value is not None:
+            return None, offset + value
         if isinstance(e, Succ):
             offset += 1
             e = e.prev
-        elif isinstance(e, Zero):
-            return None, offset
         elif _is_plus(e):
             a, b = e.args
             kb = numeral_value(b)
@@ -664,10 +674,17 @@ def is_subterm(small: NumExpr, big: NumExpr) -> bool:
 class Substitution:
     """Simultaneous replacement of parameter symbols by numeric expressions
     and of free/schematic variables by terms; capture-avoiding with respect
-    to individual-sort binders."""
+    to individual-sort binders.
+
+    Each substitution memoizes its results, keyed by the hash-consed input
+    node, for as long as the object lives: applying one substitution to
+    every sequent of a proof rebuilds each distinct subnode once.  Binders
+    apply fresh substitutions to their bodies, which keep their own memos.
+    """
 
     params: Mapping[str, NumExpr]
     vars: Mapping[str, Node]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for k, v in self.params.items():
@@ -707,6 +724,13 @@ def subst(x, sub: Substitution):
 
 
 def _subst_formula(f: Formula, sub: Substitution):
+    out = sub._memo.get(f)
+    if out is None:
+        out = sub._memo[f] = _subst_formula_once(f, sub)
+    return out
+
+
+def _subst_formula_once(f: Formula, sub: Substitution):
     # Untouched sub-formulas come back as they are, without a lookup in the
     # hash-consing table.
     if isinstance(f, Atom):
@@ -758,42 +782,40 @@ def _fresh_name(base: str, taken: frozenset[str]) -> str:
 
 def _subst_expr(e, sub: Substitution):
     # Terms and numeric expressions contain no binders, so a bottom-up
-    # iterative rebuild is safe at any depth.
-    done: dict[int, Node] = {}
+    # iterative rebuild is safe at any depth.  The substitution's memo is
+    # the table of finished nodes, shared by every call with this sub.
+    done = sub._memo
     stack = [e]
     while stack:
         cur = stack[-1]
-        if id(cur) in done:
+        if cur in done:
             stack.pop()
             continue
         if isinstance(cur, Param):
-            done[id(cur)] = sub.params.get(cur.name, cur)
+            done[cur] = sub.params.get(cur.name, cur)
             stack.pop()
             continue
         if isinstance(cur, FreeVar):
-            done[id(cur)] = sub.vars.get(cur.name, cur)
+            done[cur] = sub.vars.get(cur.name, cur)
             stack.pop()
             continue
         kids = cur.kids()
-        pending = [k for k in kids if id(k) not in done]
+        pending = [k for k in kids if k not in done]
         if pending:
             stack.extend(pending)
             continue
-        new_kids = tuple(done[id(k)] for k in kids)
+        new_kids = tuple(done[k] for k in kids)
         if isinstance(cur, SVar) and cur.name in sub.vars:
             repl = sub.vars[cur.name]
-            if isinstance(repl, SVar):
-                done[id(cur)] = SVar(repl.name, new_kids[0])
-            elif isinstance(repl, FreeVar):
-                done[id(cur)] = SVar(repl.name, new_kids[0])
-            else:
+            if not isinstance(repl, (SVar, FreeVar)):
                 raise SortMismatch(f"schematic variable {cur.name} must map to a variable, got {repl!r}")
+            done[cur] = SVar(repl.name, new_kids[0])
         elif all(old is new for old, new in zip(kids, new_kids)):
-            done[id(cur)] = cur
+            done[cur] = cur
         else:
-            done[id(cur)] = rebuild(cur, new_kids)
+            done[cur] = rebuild(cur, new_kids)
         stack.pop()
-    return done[id(e)]
+    return done[e]
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,13 @@ def test_negative_or_malformed_alpha_exits_two(capsys, argv):
     assert "non-negative integer" in err
 
 
+@pytest.mark.parametrize("spec", ["5..2", "1..0"])
+def test_reversed_alpha_range_exits_two(capsys, spec):
+    code, out, err = run(capsys, "stats", p("schema_shat.sch"), "--alpha-range", spec)
+    assert code == 2 and not out
+    assert f"{spec!r} is an empty range" in err
+
+
 def test_step_parameter_mismatch_reports_error(capsys, tmp_path):
     schema = tmp_path / "shat2.sch"
     schema.write_text(

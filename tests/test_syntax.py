@@ -16,6 +16,7 @@ from silkcheck.syntax import (
     num_eq,
     numeral,
     sequent_eq,
+    split_succs,
     subst,
     subst_param,
     subst_vars,
@@ -58,6 +59,27 @@ def test_subst_capture_avoided():
     a = f("forall x. P(y)")
     out = subst(a, subst_vars({"y": t("x")}))
     assert formula_eq(out, f("forall z. P(x)"))
+
+
+def test_one_substitution_reused_across_a_sequent():
+    seq = s("A, forall x. P(x, y), Q(y, S^n) |- P(y + S^n, n), Q(y, S^n)")
+    sub = Substitution({"n": numeral(3)}, {"y": t("g(a, 2)")})
+    whole = subst(seq, sub)
+    assert all(subst(a, sub) is b for a, b in zip(seq.formulas(), whole.formulas()))
+    fresh = Substitution({"n": numeral(3)}, {"y": t("g(a, 2)")})
+    assert fresh == sub  # the memo takes no part in comparison
+    again = subst(seq, fresh)
+    assert all(a is b for a, b in zip(whole.formulas(), again.formulas()))
+    assert again == s("A, forall x. P(x, g(a, 2)), Q(g(a, 2), S^3) |- P(g(a, 2) + S^3, 3), Q(g(a, 2), S^3)")
+
+
+def test_capture_avoided_alike_at_every_occurrence():
+    seq = s("forall x. Q(y) |- forall x. Q(y)")
+    sub = subst_vars({"y": t("x")})
+    out = subst(seq, sub)
+    assert out.ante[0] is out.succ[0]
+    assert out.ante[0].var != "x"
+    assert formula_eq(out.ante[0], f("forall z. Q(x)"))
 
 
 def test_subst_sort_mismatch():
@@ -137,6 +159,12 @@ def test_canon_identifies_plus_one_with_successor():
     assert num_eq(t("n + 1"), t("s(n)"))
     assert num_eq(t("1 + n"), t("s(n)"))
     assert not num_eq(t("n + 1"), t("n"))
+
+
+def test_split_succs_reads_numeral_value():
+    assert split_succs(numeral(100_000)) == (None, 100_000)
+    assert split_succs(Succ(Succ(t("n + 3")))) == (Param("n"), 5)
+    assert split_succs(Succ(t("3 + n"))) == (Param("n"), 4)
 
 
 def test_numerals_are_interned():
