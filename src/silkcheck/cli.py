@@ -24,16 +24,18 @@ from .parser import (
     parse_script,
 )
 from .printer import print_proof_tree, print_schema, print_script, stats_table
-from .schema import MatchFailure, check_schema, evaluate, evaluate_and_check
+from .schema import MatchFailure, UnrollMemo, check_schema, evaluate, evaluate_and_check
 from .silk import NotAProof, SiLKScript, SilkError, check_script
 from .translate import interpret, silk_to_schema, to_ppsnf
 
 
 def _default_fuel() -> int:
+    """SILK_FUEL when it is a non-negative integer, else DEFAULT_FUEL."""
     try:
-        return int(os.environ.get("SILK_FUEL", rw.DEFAULT_FUEL))
+        fuel = int(os.environ.get("SILK_FUEL", rw.DEFAULT_FUEL))
     except ValueError:
         return rw.DEFAULT_FUEL
+    return fuel if fuel >= 0 else rw.DEFAULT_FUEL
 
 
 def _emit_json(payload: dict):
@@ -41,7 +43,7 @@ def _emit_json(payload: dict):
 
 
 def _load_with_theory(args, parse_fn):
-    text = Path(args.file).read_text()
+    text = Path(args.file).read_text(encoding="utf-8")
     value, theory_path = parse_fn(text)
     if args.theory:
         theory = load_theory(args.theory, args.fuel)
@@ -81,7 +83,7 @@ def _cmd_check_lk(args) -> int:
     env = {}
     allowed = frozenset()
     if args.env:
-        schema, _ = parse_schema(Path(args.env).read_text())
+        schema, _ = parse_schema(Path(args.env).read_text(encoding="utf-8"))
         env = schema.link_env()
         allowed = frozenset({"n"})
     report = check_proof(
@@ -200,8 +202,8 @@ def _cmd_interpret(args) -> int:
     return 0
 
 
-def _alpha(text: str) -> int:
-    """An instance: a non-negative decimal integer."""
+def _natural(text: str) -> int:
+    """An instance or a fuel: a non-negative decimal integer."""
     try:
         value = int(text)
     except ValueError:
@@ -214,7 +216,7 @@ def _alpha(text: str) -> int:
 def _alpha_range(spec: str) -> range:
     """A..B: both ends instances, with A <= B."""
     lo, _, hi = spec.partition("..")
-    lo, hi = _alpha(lo), _alpha(hi)
+    lo, hi = _natural(lo), _natural(hi)
     if hi < lo:
         raise argparse.ArgumentTypeError(f"{spec!r} is an empty range: {hi} is below {lo}")
     return range(lo, hi + 1)
@@ -227,8 +229,9 @@ def _cmd_stats(args) -> int:
     else:
         schema, theory, _ = _load_with_theory(args, parse_schema)
     rows = []
+    memo = UnrollMemo()
     for alpha in args.alpha_range:
-        trace = evaluate(schema, alpha, theory, fuel=args.fuel)
+        trace = evaluate(schema, alpha, theory, fuel=args.fuel, memo=memo)
         rows.append((alpha, count_inferences(trace.expanded), count_inferences(trace.proof)))
     if args.json:
         _emit_json(
@@ -249,7 +252,7 @@ def _add_common(sub, theory=True):
     sub.add_argument("file", help="input file")
     if theory:
         sub.add_argument("--theory", help="theory file overriding the file's directive")
-    sub.add_argument("--fuel", type=int, default=_default_fuel(), help="rewrite step budget")
+    sub.add_argument("--fuel", type=_natural, default=_default_fuel(), help="rewrite step budget")
     sub.add_argument("--json", action="store_true", help="machine readable report")
 
 
@@ -277,7 +280,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("unroll", help="instantiate a schema at a numeral")
     _add_common(p)
-    p.add_argument("--alpha", type=_alpha, required=True)
+    p.add_argument("--alpha", type=_natural, required=True)
     p.add_argument("--lk", action="store_true", help="print the rewritten normal form instead")
     p.add_argument("--check", action="store_true", help="also run the full soundness check")
     p.add_argument("--quiet", action="store_true", help="suppress the proof tree (large instances)")
@@ -313,6 +316,12 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"input is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     except NotAProof as exc:
         print(f"not a proof: {exc}", file=sys.stderr)

@@ -869,7 +869,7 @@ def _workspace_roots(value, theory) -> list:
 
 
 def load_theory(path: str | Path, fuel: int = rw.DEFAULT_FUEL) -> rw.EquationalTheory:
-    return parse_theory(Path(path).read_text(), fuel)
+    return parse_theory(Path(path).read_text(encoding="utf-8"), fuel)
 
 
 def _resolve_theory(theory_path, base: Path, override, fuel):

@@ -8,6 +8,14 @@ subproof's end-sequent is not literally the sequent the link displayed, a
 whole-sequent rewrite inference bridges the two; the bottommost such bridge
 is visible in the unrolled figure as the final numeral-cleanup step.
 
+Unrolling is one iterative pass that builds frozen proof nodes bottom-up.
+Each link instance, keyed by its target, value, terms, displayed sequent
+and parameter expression, is expanded once per ``UnrollMemo``; a recurring
+instance is the same node, so the unrolled proof is a DAG, and its trace
+records are replayed rather than recomputed.  A memo lives for one
+``evaluate`` call unless the caller passes one to several calls, as
+``stats`` does across its range of numerals.
+
 The trace keeps both stages: the expanded proof with its rewrite inferences
 intact (what the unrolled figure shows) and the normal form with every
 sequent rewritten and trivial rewrite steps collapsed, which is a plain LK
@@ -192,16 +200,6 @@ def _is_subterm_of_param(small, big) -> bool:
 # Evaluation
 
 
-class _MNode:
-    __slots__ = ("rule", "conclusion", "data", "kids")
-
-    def __init__(self, rule, conclusion, data, kids):
-        self.rule = rule
-        self.conclusion = conclusion
-        self.data = data
-        self.kids = kids
-
-
 def _subst_data(data: RuleData, sub: Substitution) -> RuleData:
     if data is None:
         return data
@@ -221,16 +219,7 @@ def _subst_data(data: RuleData, sub: Substitution) -> RuleData:
     return replace(data, **changed)
 
 
-def _instantiate(proof: Proof, sub: Substitution, links: list) -> _MNode:
-    node = _MNode(
-        proof.rule,
-        subst(proof.conclusion, sub),
-        _subst_data(proof.data, sub),
-        [_instantiate(p, sub, links) for p in proof.premises],
-    )
-    if proof.rule is RuleName.LINK:
-        links.append(node)
-    return node
+_WHOLE = RuleData(whole=True)
 
 
 @dataclass
@@ -243,43 +232,98 @@ class UnrollTrace:
     proof: Proof | None = None
 
 
+@dataclass
+class UnrollMemo:
+    """Work that evaluations of one schema, under one theory and fuel, share.
+
+    ``links`` maps a link instance to ``(proof, records, lo, hi)``: its
+    expanded proof, and the span ``records[lo:hi]`` of trace records its
+    expansion produced.  The key is (target, value, link terms, displayed
+    antecedent, displayed succedent, parameter expression); every part is
+    hash-consed or a tuple of hash-consed nodes, so hashing and comparison
+    are by identity.  The displayed sequent belongs to the key because it
+    decides whether the expansion is spliced literally or under a
+    whole-sequent rewrite bridge; it enters as its two formula tuples
+    because ``Sequent`` equality ignores formula order and bound names,
+    which the splice and the printed figure do not.  ``normal`` maps each
+    expanded node to its normal form.
+    """
+
+    links: dict = field(default_factory=dict)
+    normal: dict = field(default_factory=dict)
+
+
 def evaluate(
     schema: ProofSchema,
     alpha: int | NumExpr,
     theory: rw.EquationalTheory,
     fuel: int | None = None,
+    memo: UnrollMemo | None = None,
 ) -> UnrollTrace:
     """Unroll the schema at a numeral.
 
     Expansion replaces every link leaf by the instantiated base or step of
     its target component, inserting a whole-sequent rewrite bridge whenever
-    the splice is not literal.  Afterwards all sequents are rewritten to
-    normal form and trivial rewrite inferences are removed, leaving the LK
-    proof the evaluation denotes.
+    the splice is not literal.  One pass builds the expanded proof bottom-up
+    and expands each link instance once, so a subproof that recurs is one
+    shared node and the expanded proof is a DAG (tree walkers still see
+    every occurrence).  Afterwards all sequents are rewritten to normal form
+    and trivial rewrite inferences are removed, leaving the LK proof the
+    evaluation denotes.
+
+    ``memo`` defaults to a fresh one that lives for this call.  A caller
+    that evaluates the same schema, theory and fuel at several numerals may
+    pass one memo to all of them: ``g@k`` expanded for one numeral is then
+    reused inside ``g@k+1`` for the next.  Trace records and fuel verdicts
+    are the same either way.
     """
     if isinstance(alpha, int):
         alpha = numeral(alpha)
     if numeral_value(alpha) is None:
         raise MatchFailure(f"evaluation needs a numeral, got {alpha}")
     fuel = theory.fuel_default if fuel is None else fuel
+    memo = UnrollMemo() if memo is None else memo
     trace = UnrollTrace()
 
     lead = schema.components[0]
-    root = _MNode(
-        RuleName.LINK,
+    root = (
         subst(lead.pattern, Substitution({"n": alpha}, {})),
         RuleData(target=lead.name, param=alpha, terms=tuple(FreeVar(v) for v in lead.vars)),
-        [],
     )
-    worklist = [root]
-    while worklist:
-        if len(trace.expansions) > fuel:
+    trace.expanded = _expand(schema, root, theory, fuel, memo.links, trace.expansions)
+    trace.proof = _normal_proof(trace.expanded, theory, fuel, trace, memo.normal)
+    return trace
+
+
+def _expand(schema, root, theory, fuel, links: dict, records: list) -> Proof:
+    """Expand the link ``root``, a (displayed sequent, link data) pair.
+
+    Links are visited depth first and right to left, so records, fuel
+    verdicts and the first error come in the order a last-in-first-out
+    worklist gives.  The loop keeps its own stack: a chain of self-links is
+    as deep as the numeral is large.
+    """
+    # Frames: (key, displayed sequent, first record, instantiated template,
+    # link leaves not yet visited, expansions of the visited ones).
+    stack: list = []
+
+    def visit(concl, data):
+        # Fuel is the number of link expansions.  A fresh link is checked
+        # before it expands; a reused one after its records are replayed,
+        # which is when a per-expansion check inside the replayed subtree
+        # would first have fired.
+        if len(records) > fuel:
             raise rw.FuelExhausted(fuel)
-        node = worklist.pop()
-        data = node.data
         comp = schema[data.target]
-        beta = rw.eval_numeric(data.param, theory, fuel)
-        value = numeral_value(beta)
+        value = numeral_value(rw.eval_numeric(data.param, theory, fuel))
+        key = (data.target, value, data.terms, concl.ante, concl.succ, data.param)
+        hit = links.get(key)
+        if hit is not None:
+            proof, src, lo, hi = hit
+            records.extend(src[lo:hi])
+            if len(records) > fuel + 1:
+                raise rw.FuelExhausted(fuel)
+            return proof
         var_map = dict(zip(comp.vars, data.terms))
         if value == 0 or comp.step is None:
             sub = Substitution({}, var_map)
@@ -292,52 +336,76 @@ def evaluate(
                 )
             sub = Substitution({"n": numeral(value - offset)}, var_map)
             template = comp.step
-        new_links: list = []
-        expansion = _instantiate(template, sub, new_links)
-        trace.expansions.append((comp.name, value, data.param))
-        concl = expansion.conclusion
-        if concl.ante == node.conclusion.ante and concl.succ == node.conclusion.succ:
-            # The morph below keeps the parent's reference valid; if the
-            # expansion root is itself a link, track the morphed node.
-            new_links = [node if ln is expansion else ln for ln in new_links]
-            node.rule = expansion.rule
-            node.data = expansion.data
-            node.kids = expansion.kids
-            node.conclusion = expansion.conclusion
-            worklist.extend(new_links)
-        else:
-            # The spliced subproof ends at an equal-modulo-rewriting sequent
-            # (for instance S^(0+1) against S^1); keep the displayed sequent
-            # and justify the gap with one whole-sequent rewrite inference.
-            node.rule = RuleName.ERULE
-            node.data = RuleData(whole=True)
-            node.kids = [expansion]
-            worklist.extend(new_links)
+        inst, leaves = _instance(template, sub)
+        records.append((comp.name, value, data.param))
+        stack.append((key, concl, len(records) - 1, inst, leaves, []))
+        return None
 
-    trace.expanded = _freeze(root)
-    trace.proof = _normal_proof(trace.expanded, theory, fuel, trace)
-    return trace
-
-
-def _freeze(root: _MNode) -> Proof:
-    done: dict[int, Proof] = {}
-    stack = [root]
+    result = visit(*root)
     while stack:
-        cur = stack[-1]
-        pending = [k for k in cur.kids if id(k) not in done]
-        if pending:
-            stack.extend(pending)
+        key, concl, lo, inst, leaves, expanded = stack[-1]
+        if leaves:
+            proof = visit(*leaves.pop())
+            if proof is not None:
+                expanded.append(proof)
             continue
         stack.pop()
-        if id(cur) in done:
-            continue
-        done[id(cur)] = Proof(cur.conclusion, cur.rule, tuple(done[id(k)] for k in cur.kids), cur.data)
-    return done[id(root)]
+        proof = _assemble(inst, expanded, concl)
+        links[key] = (proof, records, lo, len(records))
+        if stack:
+            stack[-1][5].append(proof)
+        else:
+            result = proof
+    return result
 
 
-def _normal_proof(proof: Proof, theory: rw.EquationalTheory, fuel: int, trace: UnrollTrace) -> Proof:
+def _instance(template: Proof, sub: Substitution) -> tuple[list, list]:
+    """The template's nodes in pre-order as (sequent, rule, data, arity),
+    and its link leaves from left to right as (sequent, data) pairs."""
+    inst, leaves = [], []
+    stack = [template]
+    while stack:
+        node = stack.pop()
+        concl = subst(node.conclusion, sub)
+        data = _subst_data(node.data, sub)
+        inst.append((concl, node.rule, data, len(node.premises)))
+        if node.rule is RuleName.LINK:
+            leaves.append((concl, data))
+        stack.extend(reversed(node.premises))
+    return inst, leaves
+
+
+def _assemble(inst: list, expanded: list, concl: Sequent) -> Proof:
+    """Build the instantiated template bottom-up, with its link leaves
+    replaced by their expansions (given right to left), and splice it under
+    the displayed sequent ``concl``."""
+    # Reversed pre-order puts every node after its premises, the last
+    # premise first, so a node's premises are the top ``arity`` values,
+    # the first premise on top.
+    values: list = []
+    expanded = iter(expanded)
+    for seq, rule, data, arity in reversed(inst):
+        kids = ()
+        if arity:
+            kids = tuple(values[: -arity - 1 : -1])
+            del values[-arity:]
+        values.append(next(expanded) if rule is RuleName.LINK else Proof(seq, rule, kids, data))
+    top = inst[0][0]
+    if top.ante == concl.ante and top.succ == concl.succ:
+        return values[0]
+    # The spliced subproof ends at an equal-modulo-rewriting sequent (for
+    # instance S^(0+1) against S^1); keep the displayed sequent and justify
+    # the gap with one whole-sequent rewrite inference.
+    return Proof(concl, RuleName.ERULE, (values[0],), _WHOLE)
+
+
+def _normal_proof(proof: Proof, theory: rw.EquationalTheory, fuel: int, trace: UnrollTrace, done: dict) -> Proof:
     """Normalize every sequent and witness, then drop rewrite inferences that
-    became trivial; the result is link-free and redex-free."""
+    became trivial; the result is link-free and redex-free.
+
+    ``done`` maps expanded nodes to their normal forms; a node already in it
+    is not normalized again.  Nodes are keys themselves, not their ids,
+    which a node that died could pass on to a new one."""
 
     def norm_seq(s: Sequent) -> Sequent:
         res = rw.normalize(s, theory, fuel)
@@ -349,18 +417,17 @@ def _normal_proof(proof: Proof, theory: rw.EquationalTheory, fuel: int, trace: U
         trace.steps_used += res.steps_used
         return res.value
 
-    done: dict[int, Proof] = {}
     stack = [proof]
     while stack:
         cur = stack[-1]
-        pending = [k for k in cur.premises if id(k) not in done]
+        pending = [k for k in cur.premises if k not in done]
         if pending:
             stack.extend(pending)
             continue
         stack.pop()
-        if id(cur) in done:
+        if cur in done:
             continue
-        kids = tuple(done[id(k)] for k in cur.premises)
+        kids = tuple(done[k] for k in cur.premises)
         concl = norm_seq(cur.conclusion)
         if cur.rule is RuleName.ERULE and kids and kids[0].conclusion == concl:
             # The step became trivial; splice the child, retupled to this
@@ -368,9 +435,9 @@ def _normal_proof(proof: Proof, theory: rw.EquationalTheory, fuel: int, trace: U
             # (witness indices only ever address premise tuples).
             child = kids[0]
             if child.conclusion.ante == concl.ante and child.conclusion.succ == concl.succ:
-                done[id(cur)] = child
+                done[cur] = child
             else:
-                done[id(cur)] = Proof(concl, child.rule, child.premises, child.data)
+                done[cur] = Proof(concl, child.rule, child.premises, child.data)
             continue
         data = cur.data
         if data is not None and (data.formula is not None or data.term is not None or data.repl is not None):
@@ -382,8 +449,8 @@ def _normal_proof(proof: Proof, theory: rw.EquationalTheory, fuel: int, trace: U
             if data.repl is not None:
                 changed["repl"] = norm_expr(data.repl)
             data = replace(data, **changed)
-        done[id(cur)] = Proof(concl, cur.rule, kids, data)
-    return done[id(proof)]
+        done[cur] = Proof(concl, cur.rule, kids, data)
+    return done[proof]
 
 
 def evaluate_and_check(

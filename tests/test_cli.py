@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from silkcheck import corpus_path
+from silkcheck import corpus_path, load_schema
 from silkcheck.cli import main
+from silkcheck.rewrite import DEFAULT_FUEL, FuelExhausted, StuckTerm
+from silkcheck.schema import MatchFailure, evaluate
 
 
 def run(capsys, *argv):
@@ -202,3 +204,78 @@ def test_step_parameter_mismatch_reports_error(capsys, tmp_path):
         code, _, err = run(capsys, argv[0], str(schema), *argv[1:])
         assert code == 1
         assert err == "error: link to phi at 1 cannot match step parameter n + 2\n"
+
+
+@pytest.mark.parametrize("case", ["directory", "env directory", "not utf-8"])
+def test_unreadable_input_exits_two(capsys, tmp_path, case):
+    if case == "directory":
+        argv = ("check-schema", str(tmp_path))
+    elif case == "env directory":
+        argv = ("check-lk", p("lk_nu_shat.lkp"), "--mode", "lks", "--env", str(tmp_path))
+    else:
+        bad = tmp_path / "latin1.sch"
+        bad.write_bytes(corpus_path("schema_shat.sch").read_bytes().replace(b"phi", b"\xe9"))
+        argv = ("check-schema", str(bad))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("unroll", "schema_shat.sch", "--alpha", "1", "--fuel", "-1"),
+        ("stats", "schema_shat.sch", "--alpha-range", "0..2", "--fuel", "-3"),
+        ("check-lk", "lk_pi_shat.lkp", "--fuel", "-1"),
+        ("check-silk", "silk_fhat.slk", "--fuel", "1.5"),
+    ],
+)
+def test_negative_or_malformed_fuel_exits_two(capsys, argv):
+    command, name, *rest = argv
+    code, out, err = run(capsys, command, p(name), *rest)
+    assert code == 2 and not out
+    assert "non-negative integer" in err
+
+
+@pytest.mark.parametrize("value", ["-3", "-1", "x"])
+def test_negative_or_malformed_fuel_env_falls_back(capsys, monkeypatch, value):
+    monkeypatch.setenv("SILK_FUEL", value)
+    code, out, _ = run(capsys, "check-lk", p("lk_pi_shat.lkp"), "--json")
+    assert code == 0
+    assert json.loads(out)["params"]["fuel"] == DEFAULT_FUEL
+
+
+@pytest.mark.parametrize(
+    "name, top",
+    [
+        ("schema_shat.sch", 12),
+        ("schema_svar.sch", 12),
+        ("schema_fhat.sch", 12),
+        ("schema_exp.sch", 9),
+        ("silk_fhat.slk", 12),
+        ("silk_exp.slk", 9),
+    ],
+)
+def test_stats_range_rows_match_single_instances(capsys, name, top):
+    def rows(spec):
+        code, out, _ = run(capsys, "stats", p(name), "--alpha-range", spec, "--json")
+        assert code == 0
+        return [json.dumps(row, sort_keys=True) for row in json.loads(out)["rows"]]
+
+    assert rows(f"0..{top}") == [rows(f"{a}..{a}")[0] for a in range(top + 1)]
+
+
+def _fresh_evaluations(fuel, top):
+    schema, theory = load_schema(corpus_path("schema_shat.sch"), fuel=fuel)
+    try:
+        for alpha in range(top + 1):
+            evaluate(schema, alpha, theory, fuel=fuel)
+    except (MatchFailure, FuelExhausted, StuckTerm) as exc:
+        return 1, f"error: {exc}\n"
+    return 0, ""
+
+
+@pytest.mark.parametrize("fuel", range(45))
+def test_stats_range_fuel_verdict_matches_fresh_evaluations(capsys, fuel):
+    code, _, err = run(capsys, "stats", p("schema_shat.sch"), "--alpha-range", "0..30", "--fuel", str(fuel))
+    assert (code, err) == _fresh_evaluations(fuel, 30)

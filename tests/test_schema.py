@@ -2,19 +2,22 @@
 
 import pytest
 
-from silkcheck import corpus_path, load_schema
-from silkcheck.kernel import Proof, RuleName as R, count_inferences
+from silkcheck import corpus_path, load_schema, load_script
+from silkcheck.kernel import Proof, RuleName as R, count_inferences, iter_nodes
 from silkcheck.parser import parse_numexpr, parse_sequent
 from silkcheck.schema import (
     MatchFailure,
     ProofSchema,
     SchemaComponent,
+    UnrollMemo,
     check_schema,
     evaluate,
     evaluate_and_check,
 )
-from silkcheck.rewrite import normalize
+from silkcheck.printer import print_proof_tree
+from silkcheck.rewrite import FuelExhausted, normalize
 from silkcheck.syntax import Substitution, numeral, subst
+from silkcheck.translate import silk_to_schema
 
 
 def replace_step_link_param(proof, new_param):
@@ -182,3 +185,85 @@ def test_all_corpus_schemata_normalize_up_to_twelve():
         for alpha in range(13):
             trace = evaluate(schema, alpha, theory)
             assert all(n.rule is not RuleName.LINK for n, _ in iter_nodes(trace.proof)), name
+
+
+def _schema_and_theory(name):
+    if name.endswith(".slk"):
+        script = load_script(corpus_path(name))
+        return silk_to_schema(script), script.theory
+    return load_schema(corpus_path(name))
+
+
+def _fingerprint(trace):
+    return (
+        print_proof_tree(trace.expanded),
+        print_proof_tree(trace.proof),
+        count_inferences(trace.expanded),
+        count_inferences(trace.proof),
+        trace.expansions,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, top",
+    [
+        ("schema_shat.sch", 12),
+        ("schema_svar.sch", 12),
+        ("schema_fhat.sch", 12),
+        ("schema_exp.sch", 9),
+        ("silk_fhat.slk", 12),
+        ("silk_exp.slk", 9),
+    ],
+)
+def test_shared_memo_unrolls_like_a_fresh_one(name, top):
+    schema, theory = _schema_and_theory(name)
+    memo = UnrollMemo()
+    for alpha in range(top + 1):
+        shared = evaluate(schema, alpha, theory, memo=memo)
+        assert _fingerprint(shared) == _fingerprint(evaluate(schema, alpha, theory)), (name, alpha)
+
+
+def test_shared_memo_expands_each_instance_once(shat):
+    schema, theory = shat
+    memo = UnrollMemo()
+    top = 12
+    for alpha in range(top + 1):
+        evaluate(schema, alpha, theory, memo=memo)
+    # phi@0 .. phi@top, each expanded once however many ranges reuse it.
+    assert len(memo.links) == top + 1
+
+
+def test_deep_unrolling_needs_no_recursion():
+    schema, theory = load_schema(corpus_path("schema_fhat.sch"))
+    trace = evaluate(schema, 3000, theory)
+    assert len(trace.expansions) > 3000
+
+
+def _double_links(proof):
+    """The proof with each premise beside a link replaced by that link."""
+    kids = tuple(_double_links(p) for p in proof.premises)
+    links = [k for k in kids if k.rule is R.LINK]
+    if links:
+        kids = tuple(links[0] for _ in kids)
+    return Proof(proof.conclusion, proof.rule, kids, proof.data)
+
+
+def test_repeated_link_instance_is_one_node(shat):
+    schema, theory = shat
+    comp = schema.components[0]
+    twice = ProofSchema(
+        (SchemaComponent(comp.name, comp.pattern, comp.vars, comp.step_param, comp.base, _double_links(comp.step)),)
+    )
+    memo = UnrollMemo()
+    trace = evaluate(twice, 5, theory, memo=memo)
+    # phi@k links to phi@k-1 twice: 2^6 - 1 expansions, 6 instances.
+    assert len(trace.expansions) == 63 and len(memo.links) == 6
+    assert trace.expansions[1:32] == trace.expansions[32:]
+    imp = next(n for n, _ in iter_nodes(trace.expanded) if n.rule is R.IMP_L)
+    assert imp.premises[0] is imp.premises[1]
+    assert count_inferences(trace.expanded)["->:l"] == 31
+    # Fuel counts replayed expansions too: the worklist checked before each
+    # of the 63, so 62 is the least fuel that passes.
+    with pytest.raises(FuelExhausted):
+        evaluate(twice, 5, theory, fuel=61)
+    assert len(evaluate(twice, 5, theory, fuel=62).expansions) == 63
