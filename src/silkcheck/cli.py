@@ -14,18 +14,10 @@ from pathlib import Path
 
 from . import rewrite as rw
 from .kernel import MODE_LKE, check_proof, count_inferences
-from .parser import (
-    ParseError,
-    _workspace_roots,
-    check_arities,
-    load_theory,
-    parse_proof,
-    parse_schema,
-    parse_script,
-)
+from .parser import ParseError, load_file, parse_proof, parse_schema, parse_script
 from .printer import print_proof_tree, print_schema, print_script, stats_table
 from .schema import MatchFailure, UnrollMemo, check_schema, evaluate, evaluate_and_check
-from .silk import NotAProof, SiLKScript, SilkError, check_script
+from .silk import NotAProof, SilkError, check_script
 from .translate import interpret, silk_to_schema, to_ppsnf
 
 
@@ -42,39 +34,20 @@ def _emit_json(payload: dict):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _load_with_theory(args, parse_fn):
-    text = Path(args.file).read_text(encoding="utf-8")
-    value, theory_path = parse_fn(text)
-    if args.theory:
-        theory = load_theory(args.theory, args.fuel)
-    elif theory_path:
-        theory = load_theory(Path(args.file).parent / theory_path, args.fuel)
-    else:
-        theory = rw.EquationalTheory((), args.fuel)
-    issues = check_arities(*_workspace_roots(value, theory))
-    if issues:
-        raise ParseError("; ".join(issues))
-    return value, theory, theory_path
-
-
-def _report_exit(report, extra: dict | None = None, as_json: bool = False) -> int:
+def _report_exit(report, as_json: bool) -> int:
     if as_json:
-        payload = report.to_dict()
-        payload.update(extra or {})
-        _emit_json(payload)
+        _emit_json(report.to_dict())
     else:
         print(report.status)
         for f in report.failures:
             print(f"  {f}")
         if report.counts:
             print("inferences:", ", ".join(f"{k}={v}" for k, v in sorted(report.counts.items())))
-        for key, value in (extra or {}).items():
-            print(f"{key}: {value}")
     return 0 if report.accepted else 1
 
 
 def _cmd_check_lk(args) -> int:
-    proof, theory, _ = _load_with_theory(args, parse_proof)
+    proof, theory, _ = load_file(args.file, parse_proof, args.theory, args.fuel)
     issues = rw.validate_theory(theory)
     if not issues.ok:
         for issue in issues.issues:
@@ -86,28 +59,19 @@ def _cmd_check_lk(args) -> int:
         schema, _ = parse_schema(Path(args.env).read_text(encoding="utf-8"))
         env = schema.link_env()
         allowed = frozenset({"n"})
-    report = check_proof(
-        proof,
-        args.mode,
-        theory,
-        env,
-        allowed,
-        lenient_erule=args.lenient_erule,
-        fuel=args.fuel,
-    )
-    return _report_exit(report, as_json=args.json)
+    report = check_proof(proof, args.mode, theory, env, allowed, lenient_erule=args.lenient_erule)
+    return _report_exit(report, args.json)
 
 
 def _cmd_check_schema(args) -> int:
-    schema, theory, _ = _load_with_theory(args, parse_schema)
-    report = check_schema(schema, theory, fuel=args.fuel)
-    return _report_exit(report, as_json=args.json)
+    schema, theory, _ = load_file(args.file, parse_schema, args.theory, args.fuel)
+    report = check_schema(schema, theory)
+    return _report_exit(report, args.json)
 
 
 def _cmd_check_silk(args) -> int:
-    script, theory, _ = _load_with_theory(args, parse_script)
-    script = SiLKScript(theory, script.steps)
-    state, verdict, report = check_script(script, fuel=args.fuel)
+    script, _, _ = load_file(args.file, parse_script, args.theory, args.fuel)
+    state, verdict, report = check_script(script)
     if args.json:
         payload = report.to_dict()
         payload["verdict"] = verdict
@@ -122,8 +86,8 @@ def _cmd_check_silk(args) -> int:
 
 
 def _cmd_unroll(args) -> int:
-    schema, theory, _ = _load_with_theory(args, parse_schema)
-    trace = evaluate(schema, args.alpha, theory, fuel=args.fuel)
+    schema, theory, _ = load_file(args.file, parse_schema, args.theory, args.fuel)
+    trace = evaluate(schema, args.alpha, theory)
     proof = trace.proof if args.lk else trace.expanded
     counts = count_inferences(proof)
     if args.json:
@@ -143,19 +107,17 @@ def _cmd_unroll(args) -> int:
             print()
         print("inferences:", ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     if args.check:
-        report = evaluate_and_check(schema, args.alpha, theory, fuel=args.fuel)
+        report = evaluate_and_check(schema, args.alpha, theory)
         print(f"check: {report.status}")
         return 0 if report.accepted else 1
     return 0
 
 
 def _cmd_ppsnf(args) -> int:
-    script, theory, theory_path = _load_with_theory(args, parse_script)
-    script = SiLKScript(theory, script.steps)
-    normal = to_ppsnf(script, fuel=args.fuel)
-    text = print_script(normal, theory_path)
+    script, _, theory_path = load_file(args.file, parse_script, args.theory, args.fuel)
+    text = print_script(to_ppsnf(script), theory_path)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
     elif args.json:
         _emit_json({"format_version": 1, "steps": [line for line in text.splitlines() if line]})
@@ -165,12 +127,11 @@ def _cmd_ppsnf(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    script, theory, theory_path = _load_with_theory(args, parse_script)
-    script = SiLKScript(theory, script.steps)
-    schema = silk_to_schema(script, fuel=args.fuel)
+    script, _, theory_path = load_file(args.file, parse_script, args.theory, args.fuel)
+    schema = silk_to_schema(script)
     text = print_schema(schema, theory_path)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
     elif args.json:
         _emit_json(
@@ -186,9 +147,8 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_interpret(args) -> int:
-    script, theory, _ = _load_with_theory(args, parse_script)
-    script = SiLKScript(theory, script.steps)
-    state, verdict, report = check_script(script, fuel=args.fuel)
+    script, _, _ = load_file(args.file, parse_script, args.theory, args.fuel)
+    state, verdict, report = check_script(script)
     if verdict != "proof":
         print(f"not a proof (verdict: {verdict})", file=sys.stderr)
         for f in report.failures:
@@ -224,14 +184,14 @@ def _alpha_range(spec: str) -> range:
 
 def _cmd_stats(args) -> int:
     if args.file.endswith(".slk"):
-        script, theory, _ = _load_with_theory(args, parse_script)
-        schema = silk_to_schema(SiLKScript(theory, script.steps), fuel=args.fuel)
+        script, theory, _ = load_file(args.file, parse_script, args.theory, args.fuel)
+        schema = silk_to_schema(script)
     else:
-        schema, theory, _ = _load_with_theory(args, parse_schema)
+        schema, theory, _ = load_file(args.file, parse_schema, args.theory, args.fuel)
     rows = []
     memo = UnrollMemo()
     for alpha in args.alpha_range:
-        trace = evaluate(schema, alpha, theory, fuel=args.fuel, memo=memo)
+        trace = evaluate(schema, alpha, theory, memo=memo)
         rows.append((alpha, count_inferences(trace.expanded), count_inferences(trace.proof)))
     if args.json:
         _emit_json(
@@ -248,10 +208,9 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _add_common(sub, theory=True):
+def _add_common(sub):
     sub.add_argument("file", help="input file")
-    if theory:
-        sub.add_argument("--theory", help="theory file overriding the file's directive")
+    sub.add_argument("--theory", help="theory file overriding the file's directive")
     sub.add_argument("--fuel", type=_natural, default=_default_fuel(), help="rewrite step budget")
     sub.add_argument("--json", action="store_true", help="machine readable report")
 

@@ -136,7 +136,6 @@ def bridge_to(proof: Proof, want: Sequent) -> Proof:
 class LinkPattern:
     pattern: Sequent
     vars: tuple = ()
-    param: str = "n"
 
 
 LinkEnv = Mapping[str, LinkPattern]
@@ -173,7 +172,6 @@ def apply_rule(
     premises: tuple,
     data: RuleData,
     theory: rw.EquationalTheory = rw.EMPTY_THEORY,
-    fuel: int | None = None,
 ) -> Sequent:
     """Conclusion of one inference from premise sequents and its witness."""
     n = ARITY.get(rule, 1)
@@ -301,7 +299,7 @@ def apply_rule(
         except (IndexError, TypeError) as exc:
             raise RuleError(f"bad rewrite path {data.path}: {exc}") from None
         _need(
-            rw.equivalent(old, data.repl, theory, fuel),
+            rw.equivalent(old, data.repl, theory),
             "%s and %s are not equal under the theory", old, data.repl,
         )
         new = _put(side, data.idx, new_host)
@@ -319,7 +317,7 @@ def link_sequent(env: LinkEnv, data: RuleData) -> Sequent:
         "link to %s carries %s terms for %s variables", data.target, len(data.terms), len(pat.vars),
     )
     _need(data.param is not None, "link without a parameter expression")
-    sub = Substitution({pat.param: data.param}, dict(zip(pat.vars, data.terms)))
+    sub = Substitution({"n": data.param}, dict(zip(pat.vars, data.terms)))
     return subst(pat.pattern, sub)
 
 
@@ -389,7 +387,6 @@ def check_proof(
     env: LinkEnv | None = None,
     allowed_link_params: frozenset = frozenset(),
     lenient_erule: bool = False,
-    fuel: int | None = None,
 ) -> CheckReport:
     """Verify every node of a proof tree against the rule table.
 
@@ -401,7 +398,7 @@ def check_proof(
     report = CheckReport(
         params={
             "mode": mode,
-            "fuel": theory.fuel_default if fuel is None else fuel,
+            "fuel": theory.fuel,
             "strategy": "leftmost-innermost",
             "lenient_erule": lenient_erule,
         }
@@ -422,7 +419,7 @@ def check_proof(
             fail(path, rule, f"expected {want} premises, found {len(node.premises)}")
             continue
         try:
-            _check_node(node, theory, env, allowed_link_params, lenient_erule, fuel)
+            _check_node(node, theory, env, allowed_link_params, lenient_erule)
         except RuleError as exc:
             fail(path, rule, str(exc))
         except rw.FuelExhausted as exc:
@@ -433,7 +430,7 @@ def check_proof(
     return report
 
 
-def _check_node(node, theory, env, allowed_link_params, lenient_erule, fuel):
+def _check_node(node, theory, env, allowed_link_params, lenient_erule):
     rule = node.rule
     concl = node.conclusion
     if rule is R.AX:
@@ -463,11 +460,11 @@ def _check_node(node, theory, env, allowed_link_params, lenient_erule, fuel):
         _need(lenient_erule, "whole-sequent rewrite witness requires the lenient flag")
         (p,) = node.premises
         _need(
-            rw.sequent_equivalent(p.conclusion, concl, theory, fuel),
+            rw.sequent_equivalent(p.conclusion, concl, theory),
             "%s and %s have different normal forms", p.conclusion, concl,
         )
         return
-    computed = apply_rule(rule, tuple(p.conclusion for p in node.premises), node.data, theory, fuel)
+    computed = apply_rule(rule, tuple(p.conclusion for p in node.premises), node.data, theory)
     _need(
         computed == concl,
         "conclusion %s does not match the rule instance %s", concl, computed,

@@ -86,9 +86,9 @@ def _is_ident_char(c: str) -> bool:
     return c.isalnum() or c in "_'"
 
 
-def tokenize(text: str, line0: int = 1) -> list:
+def tokenize(text: str) -> list:
     out = []
-    i, line, col = 0, line0, 1
+    i, line, col = 0, 1, 1
     n = len(text)
     while i < n:
         c = text[i]
@@ -408,31 +408,33 @@ def _complete(ts: TokenStream, what: str):
         raise ParseError(f"trailing input after {what}: {tok.text!r}", tok.line, tok.col)
 
 
-def parse_numexpr(text: str) -> NumExpr:
+def _parse_text(text: str, parse, what: str):
+    """Parse all of ``text`` with ``parse``.  Expressions recurse, so text
+    nested deeper than Python's stack allows is a ParseError."""
     ts = TokenStream(tokenize(text))
-    e = _parse_num(ts)
-    _complete(ts, "numeric expression")
-    return e
+    try:
+        value = parse(ts)
+    except RecursionError:
+        tok = ts.peek()
+        raise ParseError(f"{what} nested too deep to parse", tok.line, tok.col) from None
+    _complete(ts, what)
+    return value
+
+
+def parse_numexpr(text: str) -> NumExpr:
+    return _parse_text(text, _parse_num, "numeric expression")
 
 
 def parse_term(text: str) -> Node:
-    ts = TokenStream(tokenize(text))
-    e = _parse_term(ts)
-    _complete(ts, "term")
-    return e
+    return _parse_text(text, _parse_term, "term")
 
 
 def parse_formula(text: str) -> Formula:
-    ts = TokenStream(tokenize(text))
-    f = _parse_formula(ts)
-    _complete(ts, "formula")
-    return f
+    return _parse_text(text, _parse_formula, "formula")
 
 
 def parse_sequent(text: str) -> Sequent:
-    ts = TokenStream(tokenize(text))
-    s = _parse_sequent(ts)
-    _complete(ts, "sequent")
+    s = _parse_text(text, _parse_sequent, "sequent")
     if isinstance(s, AnnSequent):
         raise ParseError("annotations belong to stepcase sequents only")
     return s
@@ -594,24 +596,42 @@ _NODE_KEYS = frozenset(
 
 
 def _parse_proof_node(ts: TokenStream) -> Proof:
+    """One rule block.  Blocks nest as deep as the proof is tall, so open
+    blocks live on an explicit stack."""
+    heads: list = []  # open blocks, innermost last
+    premises: list = [[]]  # premises parsed so far, per open block and the root
+    while True:
+        if heads and ts.eat_sym("}"):
+            node = _proof_node(*heads.pop(), premises.pop())
+        else:
+            head = _parse_proof_head(ts)
+            if ts.eat_sym("{"):
+                heads.append(head)
+                premises.append([])
+                continue
+            node = _proof_node(*head, [])
+        premises[-1].append(node)
+        if not heads:
+            return node
+
+
+def _parse_proof_head(ts: TokenStream) -> tuple:
     tok = ts.peek()
     if tok.kind != "sym" and tok.kind != "ident":
         ts.fail("expected an inference rule")
-    name = tok.text
-    if name not in RULE_TOKENS:
-        ts.fail(f"unknown inference rule {name!r}")
+    if tok.text not in RULE_TOKENS:
+        ts.fail(f"unknown inference rule {tok.text!r}")
     ts.next()
-    rule = RULE_TOKENS[name]
     seq = parse_sequent(ts.expect("str").text)
     kv = _parse_kv(ts, _NODE_KEYS)
     raw_to = kv.pop("to", None)
     if isinstance(kv.get("target"), int):
         kv["target"] = f"g{kv['target']}"
-    premises: list = []
-    if ts.eat_sym("{"):
-        while not ts.at_sym("}"):
-            premises.append(_parse_proof_node(ts))
-        ts.expect_sym("}")
+    return tok, seq, kv, raw_to
+
+
+def _proof_node(tok: Token, seq: Sequent, kv: dict, raw_to: str | None, premises: list) -> Proof:
+    rule = RULE_TOKENS[tok.text]
     data = RuleData(**kv) if kv else RuleData()
     if rule is RuleName.ERULE and raw_to is not None:
         if not premises:
@@ -636,11 +656,12 @@ def _parse_theory_directive(ts: TokenStream) -> str | None:
 
 def parse_proof(text: str) -> tuple:
     """Returns (proof, theory_path or None)."""
-    ts = TokenStream(tokenize(text))
+    return _parse_text(text, _proof_file, "proof")
+
+
+def _proof_file(ts: TokenStream) -> tuple:
     theory_path = _parse_theory_directive(ts)
-    proof = _parse_proof_node(ts)
-    _complete(ts, "proof")
-    return proof, theory_path
+    return _parse_proof_node(ts), theory_path
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +669,10 @@ def parse_proof(text: str) -> tuple:
 
 
 def parse_schema(text: str) -> tuple:
-    ts = TokenStream(tokenize(text))
+    return _parse_text(text, _schema_file, "schema")
+
+
+def _schema_file(ts: TokenStream) -> tuple:
     theory_path = _parse_theory_directive(ts)
     components = []
     while ts.peek().kind == "ident" and ts.peek().text == "component":
@@ -687,7 +711,6 @@ def parse_schema(text: str) -> tuple:
         if pattern is None or base is None:
             ts.fail(f"component {name} needs a pattern and a base proof")
         components.append(SchemaComponent(name, pattern, vars_, step_param, base, step))
-    _complete(ts, "schema")
     return ProofSchema(tuple(components)), theory_path
 
 
@@ -724,10 +747,12 @@ _STEP_WORDS = frozenset(
 )
 
 
-def parse_script(text: str, theory: rw.EquationalTheory | None = None) -> tuple:
-    """Returns (SiLKScript with a placeholder theory when none is given,
-    theory_path or None)."""
-    ts = TokenStream(tokenize(text))
+def parse_script(text: str) -> tuple:
+    """Returns (SiLKScript with a placeholder theory, theory_path or None)."""
+    return _parse_text(text, _script_file, "script")
+
+
+def _script_file(ts: TokenStream) -> tuple:
     theory_path = _parse_theory_directive(ts)
     steps = []
     while ts.peek().kind != "eof":
@@ -762,8 +787,7 @@ def parse_script(text: str, theory: rw.EquationalTheory | None = None) -> tuple:
             continue
         kv = _parse_kv(ts, _STEP_KEYS)
         steps.append(SiLKStep(word, line=line, **_step_fields(kv)))
-    _complete(ts, "script")
-    return SiLKScript(theory or rw.EMPTY_THEORY, tuple(steps)), theory_path
+    return SiLKScript(rw.EMPTY_THEORY, tuple(steps)), theory_path
 
 
 def _step_fields(kv: dict) -> dict:
@@ -872,28 +896,33 @@ def load_theory(path: str | Path, fuel: int = rw.DEFAULT_FUEL) -> rw.EquationalT
     return parse_theory(Path(path).read_text(encoding="utf-8"), fuel)
 
 
-def _resolve_theory(theory_path, base: Path, override, fuel):
-    if override is not None:
-        return override
-    if theory_path is not None:
-        return load_theory(base.parent / theory_path, fuel)
-    return rw.EquationalTheory((), fuel)
+def load_file(path: str | Path, parse, theory: str | Path | None = None, fuel: int = rw.DEFAULT_FUEL) -> tuple:
+    """Read a UTF-8 file with ``parse`` (``parse_proof``, ``parse_schema`` or
+    ``parse_script``) and bind it to a theory with the given fuel, read from
+    the theory file ``theory`` when given, else from the file's directive,
+    relative to the file, else with no rules.  Raises ParseError when the
+    value and its theory disagree on an arity.  Returns (value, theory,
+    directive); a script comes back bound to the theory."""
+    path = Path(path)
+    value, directive = parse(path.read_text(encoding="utf-8"))
+    if not theory and directive:
+        theory = path.parent / directive
+    theory = load_theory(theory, fuel) if theory else rw.EquationalTheory((), fuel)
+    issues = check_arities(*_workspace_roots(value, theory))
+    if issues:
+        raise ParseError("; ".join(issues))
+    if isinstance(value, SiLKScript):
+        value = SiLKScript(theory, value.steps)
+    return value, theory, directive
 
 
-def load_proof(path: str | Path, theory=None, fuel: int = rw.DEFAULT_FUEL):
-    p = Path(path)
-    proof, theory_path = parse_proof(p.read_text())
-    return proof, _resolve_theory(theory_path, p, theory, fuel)
+def load_proof(path: str | Path, fuel: int = rw.DEFAULT_FUEL) -> tuple:
+    return load_file(path, parse_proof, fuel=fuel)[:2]
 
 
-def load_schema(path: str | Path, theory=None, fuel: int = rw.DEFAULT_FUEL):
-    p = Path(path)
-    schema, theory_path = parse_schema(p.read_text())
-    return schema, _resolve_theory(theory_path, p, theory, fuel)
+def load_schema(path: str | Path, fuel: int = rw.DEFAULT_FUEL) -> tuple:
+    return load_file(path, parse_schema, fuel=fuel)[:2]
 
 
-def load_script(path: str | Path, theory=None, fuel: int = rw.DEFAULT_FUEL) -> SiLKScript:
-    p = Path(path)
-    script, theory_path = parse_script(p.read_text())
-    resolved = _resolve_theory(theory_path, p, theory, fuel)
-    return SiLKScript(resolved, script.steps)
+def load_script(path: str | Path, fuel: int = rw.DEFAULT_FUEL) -> SiLKScript:
+    return load_file(path, parse_script, fuel=fuel)[0]

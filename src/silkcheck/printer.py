@@ -3,7 +3,7 @@ tree display the CLI uses for unrolled proofs."""
 
 from __future__ import annotations
 
-from .kernel import Proof, RuleData, RuleName
+from .kernel import Proof, RuleData
 from .rewrite import EquationalTheory
 from .schema import ProofSchema
 from .silk import SiLKScript, SiLKStep
@@ -18,7 +18,7 @@ def print_theory(theory: EquationalTheory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _data_fields(rule: RuleName, data: RuleData) -> str:
+def _data_fields(data: RuleData) -> str:
     parts = []
     if data.a is not None:
         parts.append(f"a={data.a}")
@@ -49,15 +49,24 @@ def _data_fields(rule: RuleName, data: RuleData) -> str:
 
 def print_proof(proof: Proof, indent: int = 0) -> str:
     """Nested rule blocks; parses back to the same tree."""
-    pad = "  " * indent
-    head = f'{pad}{proof.rule} "{proof.conclusion}"'
-    fields = _data_fields(proof.rule, proof.data)
-    if fields:
-        head += " " + fields
-    if not proof.premises:
-        return head
-    inner = "\n".join(print_proof(p, indent + 1) for p in proof.premises)
-    return f"{head} {{\n{inner}\n{pad}}}"
+    lines = []
+    stack: list = [(proof, indent)]  # nodes to print and closing braces
+    while stack:
+        node, depth = stack.pop()
+        pad = "  " * depth
+        if isinstance(node, str):
+            lines.append(pad + node)
+            continue
+        head = f'{pad}{node.rule} "{node.conclusion}"'
+        fields = _data_fields(node.data)
+        if fields:
+            head += " " + fields
+        if node.premises:
+            head += " {"
+            stack.append(("}", depth))
+            stack.extend((p, depth + 1) for p in reversed(node.premises))
+        lines.append(head)
+    return "\n".join(lines)
 
 
 def print_proof_tree(proof: Proof) -> str:

@@ -8,9 +8,10 @@ innermost: children are normalized before the head is rewritten.  Numeric
 addition is built in (0 + b -> b, s(a) + b -> s(a + b) and the symmetric
 absorptions), so successor towers and +-numerals meet in one normal form.
 
-Normal forms are cached on the theory.  Nodes are hash-consed, so the cache
-is keyed by node identity, and it keeps repeated unrollings of the same
-schema linear instead of quadratic.
+The theory carries the fuel, the rewrite-step budget of one normalization,
+and caches normal forms.  Nodes are hash-consed, so the cache is keyed by
+node identity, and it keeps repeated unrollings of the same schema linear
+instead of quadratic.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def _head_key(node: Node) -> tuple | None:
 @dataclass
 class EquationalTheory:
     rules: tuple = ()
-    fuel_default: int = DEFAULT_FUEL
+    fuel: int = DEFAULT_FUEL
     _index: dict = field(default_factory=dict, repr=False, compare=False)
     _nf_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -90,9 +91,6 @@ class EquationalTheory:
 
     def defined_heads(self) -> frozenset:
         return frozenset(self._index)
-
-    def extended(self, more: tuple) -> "EquationalTheory":
-        return EquationalTheory(self.rules + tuple(more), self.fuel_default)
 
 
 EMPTY_THEORY = EquationalTheory()
@@ -346,9 +344,9 @@ def _normalize(root: Node, theory: EquationalTheory, budget: _Budget) -> Node:
     return cache[root]
 
 
-def normalize(x, theory: EquationalTheory, fuel: int | None = None) -> NormalizationResult:
+def normalize(x, theory: EquationalTheory) -> NormalizationResult:
     """Rewrite to normal form; sequents are normalized formula by formula."""
-    budget = _Budget(theory.fuel_default if fuel is None else fuel)
+    budget = _Budget(theory.fuel)
     if isinstance(x, Sequent):
         value: Node | Sequent = Sequent(
             tuple(_normalize(f, theory, budget) for f in x.ante),
@@ -359,28 +357,28 @@ def normalize(x, theory: EquationalTheory, fuel: int | None = None) -> Normaliza
     return NormalizationResult(value, budget.used)
 
 
-def equivalent(a: Node, b: Node, theory: EquationalTheory, fuel: int | None = None) -> bool:
+def equivalent(a: Node, b: Node, theory: EquationalTheory) -> bool:
     """Whether the theory proves a == b, decided by joinability of normal
     forms (complete for convergent theories)."""
-    na = normalize(a, theory, fuel).value
-    nb = normalize(b, theory, fuel).value
+    na = normalize(a, theory).value
+    nb = normalize(b, theory).value
     if isinstance(na, Formula) and isinstance(nb, Formula):
         return formula_eq(na, nb)
     return na == nb
 
 
-def sequent_equivalent(a: Sequent, b: Sequent, theory: EquationalTheory, fuel: int | None = None) -> bool:
-    return normalize(a, theory, fuel).value == normalize(b, theory, fuel).value
+def sequent_equivalent(a: Sequent, b: Sequent, theory: EquationalTheory) -> bool:
+    return normalize(a, theory).value == normalize(b, theory).value
 
 
-def eval_numeric(e: NumExpr, theory: EquationalTheory, fuel: int | None = None) -> NumExpr:
+def eval_numeric(e: NumExpr, theory: EquationalTheory) -> NumExpr:
     """Normal form of a ground numeric expression, which must be a numeral."""
     if numeral_value(e) is not None:
         return e
     params = free_params(e)
     if params:
         raise ValueError(f"numeric expression {e} is not ground: {sorted(params)}")
-    nf = normalize(e, theory, fuel).value
+    nf = normalize(e, theory).value
     if numeral_value(nf) is None:
         raise StuckTerm(f"{e} evaluates to {nf}, which is not a numeral")
     return nf

@@ -13,8 +13,8 @@ Each link instance, keyed by its target, value, terms, displayed sequent
 and parameter expression, is expanded once per ``UnrollMemo``; a recurring
 instance is the same node, so the unrolled proof is a DAG, and its trace
 records are replayed rather than recomputed.  A memo lives for one
-``evaluate`` call unless the caller passes one to several calls, as
-``stats`` does across its range of numerals.
+``evaluate`` call unless the caller passes one to several calls under one
+theory, as ``stats`` does across its range of numerals.
 
 The trace keeps both stages: the expanded proof with its rewrite inferences
 intact (what the unrolled figure shows) and the normal form with every
@@ -56,7 +56,8 @@ from .syntax import (
 
 
 class MatchFailure(Exception):
-    """A link's numeral cannot be matched against the step parameter shape."""
+    """A link cannot be expanded: its target is not declared, or its numeral
+    cannot be matched against the step parameter shape."""
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,9 @@ class ProofSchema:
 # Well-formedness
 
 
-def check_schema(schema: ProofSchema, theory: rw.EquationalTheory, fuel: int | None = None) -> CheckReport:
+def check_schema(schema: ProofSchema, theory: rw.EquationalTheory) -> CheckReport:
     """Component invariants plus the link ordering and descent constraints."""
-    report = CheckReport(params={"fuel": theory.fuel_default if fuel is None else fuel})
+    report = CheckReport(params={"fuel": theory.fuel})
     fail = lambda ci, kind, msg: report.failures.append(Failure((ci,), kind, msg))
     names = [c.name for c in schema.components]
     if len(set(names)) != len(names):
@@ -116,7 +117,7 @@ def check_schema(schema: ProofSchema, theory: rw.EquationalTheory, fuel: int | N
             fail(ci, "component", f"base of {comp.name} concludes {comp.base.conclusion}, expected {base_concl}")
         # Translated components justify pattern mismatches with whole-sequent
         # rewrite bridges, so schema proofs get the lenient witness form.
-        sub_report = check_proof(comp.base, MODE_LKS, theory, env, frozenset(), lenient_erule=True, fuel=fuel)
+        sub_report = check_proof(comp.base, MODE_LKS, theory, env, frozenset(), lenient_erule=True)
         for f in sub_report.failures:
             report.failures.append(Failure((ci,) + f.path, f.rule, f"base of {comp.name}: {f.message}"))
         _check_links(report, ci, comp, comp.base, "base", order, step_links=False)
@@ -133,7 +134,7 @@ def check_schema(schema: ProofSchema, theory: rw.EquationalTheory, fuel: int | N
         step_concl = subst(comp.pattern, Substitution({"n": comp.step_param}, {}))
         if not comp.step.conclusion == step_concl:
             fail(ci, "component", f"step of {comp.name} concludes {comp.step.conclusion}, expected {step_concl}")
-        sub_report = check_proof(comp.step, MODE_LKS, theory, env, frozenset({"n"}), lenient_erule=True, fuel=fuel)
+        sub_report = check_proof(comp.step, MODE_LKS, theory, env, frozenset({"n"}), lenient_erule=True)
         for f in sub_report.failures:
             report.failures.append(Failure((ci,) + f.path, f.rule, f"step of {comp.name}: {f.message}"))
         _check_links(report, ci, comp, comp.step, "step", order, step_links=True, offset=offset)
@@ -200,23 +201,15 @@ def _is_subterm_of_param(small, big) -> bool:
 # Evaluation
 
 
-def _subst_data(data: RuleData, sub: Substitution) -> RuleData:
-    if data is None:
-        return data
+def _map_data(data: RuleData, fn) -> RuleData:
+    """The witness with ``fn`` applied to every expression it carries."""
     changed = {}
-    if data.formula is not None:
-        changed["formula"] = subst(data.formula, sub)
-    if data.term is not None:
-        changed["term"] = subst(data.term, sub)
-    if data.repl is not None:
-        changed["repl"] = subst(data.repl, sub)
-    if data.param is not None:
-        changed["param"] = subst(data.param, sub)
+    for key in ("formula", "term", "repl", "param"):
+        if getattr(data, key) is not None:
+            changed[key] = fn(getattr(data, key))
     if data.terms:
-        changed["terms"] = tuple(subst(t, sub) for t in data.terms)
-    if not changed:
-        return data
-    return replace(data, **changed)
+        changed["terms"] = tuple(fn(t) for t in data.terms)
+    return replace(data, **changed) if changed else data
 
 
 _WHOLE = RuleData(whole=True)
@@ -234,7 +227,7 @@ class UnrollTrace:
 
 @dataclass
 class UnrollMemo:
-    """Work that evaluations of one schema, under one theory and fuel, share.
+    """Work that evaluations of one schema, under one theory, share.
 
     ``links`` maps a link instance to ``(proof, records, lo, hi)``: its
     expanded proof, and the span ``records[lo:hi]`` of trace records its
@@ -257,7 +250,6 @@ def evaluate(
     schema: ProofSchema,
     alpha: int | NumExpr,
     theory: rw.EquationalTheory,
-    fuel: int | None = None,
     memo: UnrollMemo | None = None,
 ) -> UnrollTrace:
     """Unroll the schema at a numeral.
@@ -272,7 +264,7 @@ def evaluate(
     evaluation denotes.
 
     ``memo`` defaults to a fresh one that lives for this call.  A caller
-    that evaluates the same schema, theory and fuel at several numerals may
+    that evaluates the same schema and theory at several numerals may
     pass one memo to all of them: ``g@k`` expanded for one numeral is then
     reused inside ``g@k+1`` for the next.  Trace records and fuel verdicts
     are the same either way.
@@ -281,7 +273,6 @@ def evaluate(
         alpha = numeral(alpha)
     if numeral_value(alpha) is None:
         raise MatchFailure(f"evaluation needs a numeral, got {alpha}")
-    fuel = theory.fuel_default if fuel is None else fuel
     memo = UnrollMemo() if memo is None else memo
     trace = UnrollTrace()
 
@@ -290,12 +281,12 @@ def evaluate(
         subst(lead.pattern, Substitution({"n": alpha}, {})),
         RuleData(target=lead.name, param=alpha, terms=tuple(FreeVar(v) for v in lead.vars)),
     )
-    trace.expanded = _expand(schema, root, theory, fuel, memo.links, trace.expansions)
-    trace.proof = _normal_proof(trace.expanded, theory, fuel, trace, memo.normal)
+    trace.expanded = _expand(schema, root, theory, memo.links, trace.expansions)
+    trace.proof = _normal_proof(trace.expanded, theory, trace, memo.normal)
     return trace
 
 
-def _expand(schema, root, theory, fuel, links: dict, records: list) -> Proof:
+def _expand(schema, root, theory, links: dict, records: list) -> Proof:
     """Expand the link ``root``, a (displayed sequent, link data) pair.
 
     Links are visited depth first and right to left, so records, fuel
@@ -306,6 +297,7 @@ def _expand(schema, root, theory, fuel, links: dict, records: list) -> Proof:
     # Frames: (key, displayed sequent, first record, instantiated template,
     # link leaves not yet visited, expansions of the visited ones).
     stack: list = []
+    fuel = theory.fuel
 
     def visit(concl, data):
         # Fuel is the number of link expansions.  A fresh link is checked
@@ -314,8 +306,11 @@ def _expand(schema, root, theory, fuel, links: dict, records: list) -> Proof:
         # would first have fired.
         if len(records) > fuel:
             raise rw.FuelExhausted(fuel)
-        comp = schema[data.target]
-        value = numeral_value(rw.eval_numeric(data.param, theory, fuel))
+        try:
+            comp = schema[data.target]
+        except KeyError:
+            raise MatchFailure(f"link target {data.target} is not declared") from None
+        value = numeral_value(rw.eval_numeric(data.param, theory))
         key = (data.target, value, data.terms, concl.ante, concl.succ, data.param)
         hit = links.get(key)
         if hit is not None:
@@ -364,10 +359,11 @@ def _instance(template: Proof, sub: Substitution) -> tuple[list, list]:
     and its link leaves from left to right as (sequent, data) pairs."""
     inst, leaves = [], []
     stack = [template]
+    fn = lambda e: subst(e, sub)
     while stack:
         node = stack.pop()
         concl = subst(node.conclusion, sub)
-        data = _subst_data(node.data, sub)
+        data = _map_data(node.data, fn)
         inst.append((concl, node.rule, data, len(node.premises)))
         if node.rule is RuleName.LINK:
             leaves.append((concl, data))
@@ -399,7 +395,7 @@ def _assemble(inst: list, expanded: list, concl: Sequent) -> Proof:
     return Proof(concl, RuleName.ERULE, (values[0],), _WHOLE)
 
 
-def _normal_proof(proof: Proof, theory: rw.EquationalTheory, fuel: int, trace: UnrollTrace, done: dict) -> Proof:
+def _normal_proof(proof: Proof, theory: rw.EquationalTheory, trace: UnrollTrace, done: dict) -> Proof:
     """Normalize every sequent and witness, then drop rewrite inferences that
     became trivial; the result is link-free and redex-free.
 
@@ -407,13 +403,8 @@ def _normal_proof(proof: Proof, theory: rw.EquationalTheory, fuel: int, trace: U
     is not normalized again.  Nodes are keys themselves, not their ids,
     which a node that died could pass on to a new one."""
 
-    def norm_seq(s: Sequent) -> Sequent:
-        res = rw.normalize(s, theory, fuel)
-        trace.steps_used += res.steps_used
-        return res.value
-
-    def norm_expr(e):
-        res = rw.normalize(e, theory, fuel)
+    def norm(x):
+        res = rw.normalize(x, theory)
         trace.steps_used += res.steps_used
         return res.value
 
@@ -428,7 +419,7 @@ def _normal_proof(proof: Proof, theory: rw.EquationalTheory, fuel: int, trace: U
         if cur in done:
             continue
         kids = tuple(done[k] for k in cur.premises)
-        concl = norm_seq(cur.conclusion)
+        concl = norm(cur.conclusion)
         if cur.rule is RuleName.ERULE and kids and kids[0].conclusion == concl:
             # The step became trivial; splice the child, retupled to this
             # node's formula order so witnesses above keep their positions
@@ -439,17 +430,7 @@ def _normal_proof(proof: Proof, theory: rw.EquationalTheory, fuel: int, trace: U
             else:
                 done[cur] = Proof(concl, child.rule, child.premises, child.data)
             continue
-        data = cur.data
-        if data is not None and (data.formula is not None or data.term is not None or data.repl is not None):
-            changed = {}
-            if data.formula is not None:
-                changed["formula"] = norm_expr(data.formula)
-            if data.term is not None:
-                changed["term"] = norm_expr(data.term)
-            if data.repl is not None:
-                changed["repl"] = norm_expr(data.repl)
-            data = replace(data, **changed)
-        done[cur] = Proof(concl, cur.rule, kids, data)
+        done[cur] = Proof(concl, cur.rule, kids, _map_data(cur.data, norm))
     return done[proof]
 
 
@@ -457,20 +438,19 @@ def evaluate_and_check(
     schema: ProofSchema,
     alpha: int | NumExpr,
     theory: rw.EquationalTheory,
-    fuel: int | None = None,
 ) -> CheckReport:
     """Unroll, check the normal form as a plain LK proof, and verify the
     end-sequent is the instantiated pattern in normal form."""
     try:
-        trace = evaluate(schema, alpha, theory, fuel)
+        trace = evaluate(schema, alpha, theory)
     except (MatchFailure, rw.FuelExhausted, rw.StuckTerm) as exc:
         report = CheckReport()
         report.failures.append(Failure((), "evaluate", str(exc)))
         return report
-    report = check_proof(trace.proof, MODE_LK, theory, fuel=fuel)
+    report = check_proof(trace.proof, MODE_LK, theory)
     lead = schema.components[0]
     a = numeral(alpha) if isinstance(alpha, int) else alpha
-    expected = rw.normalize(subst(lead.pattern, Substitution({"n": a}, {})), theory, fuel).value
+    expected = rw.normalize(subst(lead.pattern, Substitution({"n": a}, {})), theory).value
     if not trace.proof.conclusion == expected:
         report.failures.append(
             Failure((), "end-sequent", f"evaluation ends at {trace.proof.conclusion}, expected {expected}")

@@ -293,7 +293,6 @@ def apply_step(
     state: ComponentCollection,
     step: SiLKStep,
     theory: rw.EquationalTheory,
-    fuel: int | None = None,
 ) -> ComponentCollection:
     """One inference of the calculus; raises a SilkError subclass when the
     step does not apply."""
@@ -382,7 +381,7 @@ def apply_step(
             proofs.append(p2.base_proof)
         data = _resolve_rewrite(step, premises[0])
         try:
-            concl = apply_rule(step.lk_rule, tuple(premises), data, theory, fuel)
+            concl = apply_rule(step.lk_rule, tuple(premises), data, theory)
         except RuleError as exc:
             raise SilkError(str(exc)) from None
         new = replace(
@@ -423,7 +422,7 @@ def apply_step(
             proofs.append(p2.step_proof)
         data = _resolve_rewrite(step, premises[0])
         try:
-            concl = apply_rule(step.lk_rule, tuple(premises), data, theory, fuel)
+            concl = apply_rule(step.lk_rule, tuple(premises), data, theory)
         except RuleError as exc:
             raise SilkError(str(exc)) from None
         new = replace(
@@ -456,7 +455,7 @@ def apply_step(
                 f"{sorted(free_vars(pattern))}"
             )
         instance = subst(pattern, Substitution({"n": numeral(0)}, {}))
-        if not rw.sequent_equivalent(instance, p.base.sequent, theory, fuel):
+        if not rw.sequent_equivalent(instance, p.base.sequent, theory):
             raise PatternMismatch(
                 f"basecase {p.base.sequent} is not the pattern instance {instance} up to rewriting"
             )
@@ -487,7 +486,7 @@ def apply_step(
         if g.pattern is None:
             raise SilkError("the group pattern was never declared")
         target = subst(g.pattern, Substitution({"n": Succ(Param("n"))}, {}))
-        if not rw.sequent_equivalent(p.step.sequent.sequent, target, theory, fuel):
+        if not rw.sequent_equivalent(p.step.sequent.sequent, target, theory):
             raise PatternMismatch(
                 f"stepcase {p.step.sequent.sequent} is not the pattern instance {target} up to rewriting"
             )
@@ -513,7 +512,7 @@ def apply_step(
                 f"cycle carries {len(step.terms)} terms for {len(g.pattern_vars)} pattern variables"
             )
         base_instance = subst(g.pattern, Substitution({"n": numeral(0)}, {}))
-        if not rw.sequent_equivalent(base_instance, p.base.sequent, theory, fuel):
+        if not rw.sequent_equivalent(base_instance, p.base.sequent, theory):
             raise PatternMismatch(
                 f"basecase {p.base.sequent} is not the pattern instance {base_instance} up to rewriting"
             )
@@ -573,22 +572,19 @@ def apply_step(
 # Script checking
 
 
-def check_script(
-    script: SiLKScript,
-    fuel: int | None = None,
-) -> tuple[ComponentCollection, str, CheckReport]:
+def check_script(script: SiLKScript) -> tuple[ComponentCollection, str, CheckReport]:
     """Replay a script from the empty collection.
 
     The verdict is "proof" when every group ends closed, "derivation" when
     steps all apply but open groups remain, and "rejected" at the first
     failing step.
     """
-    report = CheckReport(params={"fuel": script.theory.fuel_default if fuel is None else fuel})
+    report = CheckReport(params={"fuel": script.theory.fuel})
     state = EMPTY_COLLECTION
     for i, step in enumerate(script.steps):
         report.counts[step.rule] = report.counts.get(step.rule, 0) + 1
         try:
-            state = apply_step(state, step, script.theory, fuel)
+            state = apply_step(state, step, script.theory)
         except (SilkError, rw.FuelExhausted, rw.StuckTerm) as exc:
             report.failures.append(Failure((i,), step.rule, str(exc)))
             return state, "rejected", report

@@ -59,10 +59,10 @@ def ancestor_map(script: SiLKScript) -> dict:
     return {gid: tuple(idxs) for gid, idxs in out.items()}
 
 
-def to_ppsnf(script: SiLKScript, fuel: int | None = None) -> SiLKScript:
+def to_ppsnf(script: SiLKScript) -> SiLKScript:
     """Reorder a proof so each group is fully built, in closure order, before
     the next group starts; idempotent on scripts already in that shape."""
-    collection, verdict, report = check_script(script, fuel)
+    collection, verdict, report = check_script(script)
     if verdict != "proof":
         raise NotAProof(f"normal form is defined for proofs only, got {verdict}: {report}")
     ancestors = ancestor_map(script)
@@ -100,7 +100,7 @@ def to_ppsnf(script: SiLKScript, fuel: int | None = None) -> SiLKScript:
 # Schema extraction
 
 
-def silk_to_schema(script: SiLKScript, fuel: int | None = None) -> ProofSchema:
+def silk_to_schema(script: SiLKScript) -> ProofSchema:
     """One schema component per closed group with a non-empty stepcase,
     leading component first so every call becomes a forward link.
 
@@ -108,8 +108,8 @@ def silk_to_schema(script: SiLKScript, fuel: int | None = None) -> ProofSchema:
     rewrite-extended proof; it is returned as a single component with no
     step, whose evaluation at any numeral is that proof.
     """
-    normal = to_ppsnf(script, fuel)
-    collection, verdict, report = check_script(normal, fuel)
+    normal = to_ppsnf(script)
+    collection, verdict, report = check_script(normal)
     if verdict != "proof":
         raise NotAProof(f"translation is defined for proofs only, got {verdict}")
     lead = leading_group(collection)

@@ -111,17 +111,17 @@ def roundtrip_property(max_examples):
     return check
 
 
-def idempotence_property(max_examples, theory=None):
-    theory = theory or merged_theory()
+def idempotence_property(max_examples):
+    theory = EquationalTheory(merged_theory().rules, 2000)
 
     @settings(max_examples=max_examples, deadline=None)
     @given(st.one_of(terms, formulas))
     def check(expr):
         try:
-            once = normalize(expr, theory, fuel=2000).value
+            once = normalize(expr, theory).value
         except FuelExhausted:
             assume(False)
-        assert normalize(once, theory, fuel=2000).value == once
+        assert normalize(once, theory).value == once
 
     return check
 

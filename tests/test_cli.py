@@ -1,10 +1,16 @@
 """The command line surface: exit codes, output shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from silkcheck import corpus_path, load_schema
+import silkcheck
+from silkcheck import corpus_path, load_schema, load_script, to_ppsnf
 from silkcheck.cli import main
 from silkcheck.rewrite import DEFAULT_FUEL, FuelExhausted, StuckTerm
 from silkcheck.schema import MatchFailure, evaluate
@@ -192,16 +198,22 @@ def test_reversed_alpha_range_exits_two(capsys, spec):
     assert f"{spec!r} is an empty range" in err
 
 
-def test_step_parameter_mismatch_reports_error(capsys, tmp_path):
-    schema = tmp_path / "shat2.sch"
+def _shat_copy(tmp_path, old, new):
+    """schema_shat.sch with one edit, its theory directive made absolute."""
+    schema = tmp_path / "shat.sch"
     schema.write_text(
         corpus_path("schema_shat.sch")
         .read_text()
-        .replace('step-param "n + 1"', 'step-param "n + 2"')
+        .replace(old, new)
         .replace('theory "theory_shat.thy"', f'theory "{p("theory_shat.thy")}"')
     )
+    return str(schema)
+
+
+def test_step_parameter_mismatch_reports_error(capsys, tmp_path):
+    schema = _shat_copy(tmp_path, 'step-param "n + 1"', 'step-param "n + 2"')
     for argv in (("unroll", "--alpha", "1"), ("stats", "--alpha-range", "0..1")):
-        code, _, err = run(capsys, argv[0], str(schema), *argv[1:])
+        code, _, err = run(capsys, argv[0], schema, *argv[1:])
         assert code == 1
         assert err == "error: link to phi at 1 cannot match step parameter n + 2\n"
 
@@ -269,7 +281,7 @@ def _fresh_evaluations(fuel, top):
     schema, theory = load_schema(corpus_path("schema_shat.sch"), fuel=fuel)
     try:
         for alpha in range(top + 1):
-            evaluate(schema, alpha, theory, fuel=fuel)
+            evaluate(schema, alpha, theory)
     except (MatchFailure, FuelExhausted, StuckTerm) as exc:
         return 1, f"error: {exc}\n"
     return 0, ""
@@ -279,3 +291,78 @@ def _fresh_evaluations(fuel, top):
 def test_stats_range_fuel_verdict_matches_fresh_evaluations(capsys, fuel):
     code, _, err = run(capsys, "stats", p("schema_shat.sch"), "--alpha-range", "0..30", "--fuel", str(fuel))
     assert (code, err) == _fresh_evaluations(fuel, 30)
+
+
+def test_undeclared_link_target_reports_error(capsys, tmp_path):
+    schema = _shat_copy(tmp_path, "target=phi", "target=psi")
+    for argv in (("unroll", "--alpha", "1"), ("unroll", "--alpha", "1", "--check"), ("stats", "--alpha-range", "0..1")):
+        code, _, err = run(capsys, argv[0], schema, *argv[1:])
+        assert (code, err) == (1, "error: link target psi is not declared\n")
+
+
+def _long_script() -> str:
+    """A valid script of 1,203 steps whose basecase proof is 1,201 inferences tall."""
+    lines = ['ax1r "P |- P"']
+    for _ in range(600):
+        lines.append('rho bc 1 w:r group=1 pair=1 formula="P"')
+        lines.append("rho bc 1 c:r group=1 pair=1 a=0 b=1")
+    lines += ['clbc group=1 pair=1 pattern="P |- P" vars ()', "cllke group=1"]
+    return "\n".join(lines) + "\n"
+
+
+def test_tall_translation_prints_and_parses_back(capsys, tmp_path):
+    script = tmp_path / "long.slk"
+    script.write_text(_long_script())
+    schema = tmp_path / "long.sch"
+    code, out, err = run(capsys, "translate", str(script), "-o", str(schema))
+    assert (code, out, err) == (0, f"wrote {schema}\n", "")
+    code, out, _ = run(capsys, "check-schema", str(schema))
+    assert (code, out) == (0, "accepted\n")
+    code, out, _ = run(capsys, "unroll", str(schema), "--alpha", "0", "--lk", "--quiet", "--json")
+    assert code == 0
+    assert json.loads(out)["counts"] == {"c:r": 600, "w:r": 600}
+
+
+@pytest.mark.parametrize("where", ["input", "env"])
+def test_deeply_nested_formula_exits_two(capsys, tmp_path, where):
+    deep = "(" * 300 + "P" + ")" * 300
+    if where == "input":
+        path = tmp_path / "deep.lkp"
+        path.write_text(f'ax "{deep} |- P"\n')
+        argv = ("check-lk", str(path))
+    else:
+        path = tmp_path / "deep.sch"
+        path.write_text(f'component phi pattern "{deep} |- P" vars () {{ base {{ ax "P |- P" }} }}\n')
+        argv = ("check-lk", p("lk_nu_shat.lkp"), "--mode", "lks", "--env", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("parse error: sequent nested too deep to parse at 1:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["P(" + "f(" * 150 + "0" + ")" * 150 + ")", " -> ".join(["P"] * 150)],
+    ids=["term", "arrows"],
+)
+def test_deep_formula_within_the_stack_still_checks(capsys, tmp_path, formula):
+    path = tmp_path / "deep.lkp"
+    path.write_text(f'ax "{formula} |- {formula}"\n')
+    assert run(capsys, "check-lk", str(path)) == (0, "accepted\n", "")
+
+
+@pytest.mark.parametrize("command", ["ppsnf", "translate"])
+def test_output_file_is_utf8_in_any_locale(tmp_path, command):
+    source = tmp_path / "conj.slk"
+    source.write_text(corpus_path("silk_conj_comm.slk").read_text().replace("A", "Aé"), encoding="utf-8")
+    out = tmp_path / "out.txt"
+    package_root = Path(silkcheck.__file__).parent.parent
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": str(package_root)}
+    argv = [sys.executable, "-m", "silkcheck.cli", command, str(source), "-o", str(out)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    if command == "ppsnf":
+        unlined = lambda script: [replace(step, line=0) for step in script.steps]
+        assert unlined(load_script(out)) == unlined(to_ppsnf(load_script(source)))
+    else:
+        assert "Aé /\\ B |- B /\\ Aé" in out.read_text(encoding="utf-8")

@@ -1,0 +1,47 @@
+"""Import hygiene of the package sources, read with the standard library's
+``ast``: every module-level import is used, and the only import inside a
+function is the one that breaks the ``silk`` -> ``parser`` import cycle."""
+
+import ast
+from pathlib import Path
+
+import silkcheck
+
+SOURCES = sorted(Path(silkcheck.__file__).parent.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _bound(node) -> list:
+    return [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+
+
+def _exported(tree) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in SOURCES:
+        tree = _tree(path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                unused += [f"{path.stem}: {name}" for name in _bound(node) if name not in used]
+    assert unused == []
+
+
+def test_only_import_inside_a_function_guards_the_parser_cycle():
+    local = []
+    for path in SOURCES:
+        for fn in ast.walk(_tree(path)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        local.append((path.stem, fn.name, getattr(node, "module", None), tuple(_bound(node))))
+    assert local == [("silk", "_resolve_rewrite", None, ("parser",))]

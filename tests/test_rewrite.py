@@ -270,9 +270,9 @@ def test_eval_numeric_stuck(exp):
 
 
 def test_fuel_exhaustion():
-    loop = EquationalTheory((RewriteRule(Fn("w", (FreeVar("x"),)), Fn("w", (FreeVar("x"),))),))
+    loop = EquationalTheory((RewriteRule(Fn("w", (FreeVar("x"),)), Fn("w", (FreeVar("x"),))),), 25)
     with pytest.raises(FuelExhausted):
-        normalize(Fn("w", (FreeVar("c"),)), loop, fuel=25)
+        normalize(Fn("w", (FreeVar("c"),)), loop)
 
 
 def test_fuel_exhaustion_two_rule_cycle():
@@ -280,9 +280,9 @@ def test_fuel_exhaustion_two_rule_cycle():
     cycle = EquationalTheory((
         RewriteRule(Fn("g", (x,)), Fn("h", (x,))),
         RewriteRule(Fn("h", (x,)), Fn("g", (x,))),
-    ))
+    ), 25)
     with pytest.raises(FuelExhausted):
-        normalize(Fn("g", (FreeVar("c"),)), cycle, fuel=25)
+        normalize(Fn("g", (FreeVar("c"),)), cycle)
 
 
 # --- iterated disjunction structure

@@ -15,7 +15,7 @@ from silkcheck.schema import (
     evaluate_and_check,
 )
 from silkcheck.printer import print_proof_tree
-from silkcheck.rewrite import FuelExhausted, normalize
+from silkcheck.rewrite import EquationalTheory, FuelExhausted, normalize
 from silkcheck.syntax import Substitution, numeral, subst
 from silkcheck.translate import silk_to_schema
 
@@ -265,5 +265,20 @@ def test_repeated_link_instance_is_one_node(shat):
     # Fuel counts replayed expansions too: the worklist checked before each
     # of the 63, so 62 is the least fuel that passes.
     with pytest.raises(FuelExhausted):
-        evaluate(twice, 5, theory, fuel=61)
-    assert len(evaluate(twice, 5, theory, fuel=62).expansions) == 63
+        evaluate(twice, 5, EquationalTheory(theory.rules, 61))
+    assert len(evaluate(twice, 5, EquationalTheory(theory.rules, 62)).expansions) == 63
+
+
+def test_undeclared_link_target_is_an_evaluation_failure(shat):
+    schema, theory = shat
+    comp = schema.components[0]
+    retargeted = ProofSchema(
+        (SchemaComponent(comp.name, comp.pattern, comp.vars, comp.step_param, comp.base, _retarget(comp.step, "psi")),)
+    )
+    with pytest.raises(MatchFailure, match="link target psi is not declared"):
+        evaluate(retargeted, 1, theory)
+    report = evaluate_and_check(retargeted, 1, theory)
+    assert not report.accepted
+    assert [(f.rule, f.message) for f in report.failures] == [("evaluate", "link target psi is not declared")]
+    # At 0 only the base unrolls, and it has no link.
+    assert evaluate_and_check(retargeted, 0, theory).accepted
