@@ -87,7 +87,8 @@ def _cmd_check_silk(args) -> int:
 
 def _cmd_unroll(args) -> int:
     schema, theory, _ = load_file(args.file, parse_schema, args.theory, args.fuel)
-    trace = evaluate(schema, args.alpha, theory)
+    memo = UnrollMemo()
+    trace = evaluate(schema, args.alpha, theory, memo=memo)
     proof = trace.proof if args.lk else trace.expanded
     counts = count_inferences(proof)
     if args.json:
@@ -107,15 +108,23 @@ def _cmd_unroll(args) -> int:
             print()
         print("inferences:", ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     if args.check:
-        report = evaluate_and_check(schema, args.alpha, theory)
+        report = evaluate_and_check(schema, args.alpha, theory, memo=memo)
         print(f"check: {report.status}")
         return 0 if report.accepted else 1
     return 0
 
 
+def _written_directive(args, directive: str | None) -> str | None:
+    """The input's theory directive as the output file must say it: a
+    relative path is rebased from the input's directory to the output's."""
+    if not args.out or not directive or os.path.isabs(directive):
+        return directive
+    return os.path.relpath(Path(args.file).parent / directive, Path(args.out).parent)
+
+
 def _cmd_ppsnf(args) -> int:
-    script, _, theory_path = load_file(args.file, parse_script, args.theory, args.fuel)
-    text = print_script(to_ppsnf(script), theory_path)
+    script, _, directive = load_file(args.file, parse_script, args.theory, args.fuel)
+    text = print_script(to_ppsnf(script), _written_directive(args, directive))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
@@ -127,9 +136,9 @@ def _cmd_ppsnf(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    script, _, theory_path = load_file(args.file, parse_script, args.theory, args.fuel)
+    script, _, directive = load_file(args.file, parse_script, args.theory, args.fuel)
     schema = silk_to_schema(script)
-    text = print_schema(schema, theory_path)
+    text = print_schema(schema, _written_directive(args, directive))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")

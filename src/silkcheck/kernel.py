@@ -404,13 +404,17 @@ def check_proof(
         }
     )
     allowed = _allowed_rules(mode)
-    fail = lambda path, rule, msg: report.failures.append(Failure(path, str(rule), msg))
+    fail = lambda path, rule, msg: report.failures.append(Failure(_flatten(path), str(rule), msg))
+    counts: dict = {}
 
-    stack = [(proof, ())]
+    # Paths are linked, (parent path, premise index), and flattened only for
+    # a failure; copying a tuple per premise is quadratic in the depth.
+    stack = [(proof, None)]
     while stack:
         node, path = stack.pop()
         rule = node.rule
-        report.counts[str(rule)] = report.counts.get(str(rule), 0) + (0 if rule in LEAVES else 1)
+        if rule not in LEAVES:
+            counts[rule] = counts.get(rule, 0) + 1
         if rule not in allowed:
             fail(path, rule, f"rule not permitted in mode {mode}")
             continue
@@ -425,9 +429,18 @@ def check_proof(
         except rw.FuelExhausted as exc:
             fail(path, rule, str(exc))
         for i, premise in enumerate(node.premises):
-            stack.append((premise, path + (i,)))
-    report.counts = {k: v for k, v in report.counts.items() if v}
+            stack.append((premise, (path, i)))
+    report.counts = {str(k): v for k, v in counts.items()}
     return report
+
+
+def _flatten(path) -> tuple:
+    """The premise indices, root first, of a linked path."""
+    indices = []
+    while path is not None:
+        path, i = path
+        indices.append(i)
+    return tuple(reversed(indices))
 
 
 def _check_node(node, theory, env, allowed_link_params, lenient_erule):

@@ -14,7 +14,8 @@ and parameter expression, is expanded once per ``UnrollMemo``; a recurring
 instance is the same node, so the unrolled proof is a DAG, and its trace
 records are replayed rather than recomputed.  A memo lives for one
 ``evaluate`` call unless the caller passes one to several calls under one
-theory, as ``stats`` does across its range of numerals.
+theory, as ``stats`` does across its range of numerals and ``unroll --check``
+for the unrolling it prints and the one it checks.
 
 The trace keeps both stages: the expanded proof with its rewrite inferences
 intact (what the unrolled figure shows) and the normal form with every
@@ -227,7 +228,8 @@ class UnrollTrace:
 
 @dataclass
 class UnrollMemo:
-    """Work that evaluations of one schema, under one theory, share.
+    """Work that evaluations of one schema, under one theory, share: those
+    of a ``stats`` range, or the two of ``unroll --check``.
 
     ``links`` maps a link instance to ``(proof, records, lo, hi)``: its
     expanded proof, and the span ``records[lo:hi]`` of trace records its
@@ -266,13 +268,16 @@ def evaluate(
     ``memo`` defaults to a fresh one that lives for this call.  A caller
     that evaluates the same schema and theory at several numerals may
     pass one memo to all of them: ``g@k`` expanded for one numeral is then
-    reused inside ``g@k+1`` for the next.  Trace records and fuel verdicts
-    are the same either way.
+    reused inside ``g@k+1`` for the next, and a second call at the same
+    numeral returns the first call's proofs.  Trace records and fuel
+    verdicts are the same either way.
     """
     if isinstance(alpha, int):
         alpha = numeral(alpha)
     if numeral_value(alpha) is None:
         raise MatchFailure(f"evaluation needs a numeral, got {alpha}")
+    if not schema.components:
+        raise MatchFailure("a proof schema needs at least one component")
     memo = UnrollMemo() if memo is None else memo
     trace = UnrollTrace()
 
@@ -438,11 +443,15 @@ def evaluate_and_check(
     schema: ProofSchema,
     alpha: int | NumExpr,
     theory: rw.EquationalTheory,
+    memo: UnrollMemo | None = None,
 ) -> CheckReport:
     """Unroll, check the normal form as a plain LK proof, and verify the
-    end-sequent is the instantiated pattern in normal form."""
+    end-sequent is the instantiated pattern in normal form.
+
+    ``memo`` is passed to ``evaluate``; given the memo of an earlier
+    evaluation at the same numeral, the check reuses that proof."""
     try:
-        trace = evaluate(schema, alpha, theory)
+        trace = evaluate(schema, alpha, theory, memo)
     except (MatchFailure, rw.FuelExhausted, rw.StuckTerm) as exc:
         report = CheckReport()
         report.failures.append(Failure((), "evaluate", str(exc)))

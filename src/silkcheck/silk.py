@@ -596,26 +596,3 @@ def check_script(script: SiLKScript) -> tuple[ComponentCollection, str, CheckRep
         verdict = "derivation"
     return state, verdict, report
 
-
-def collection_signature(collection: ComponentCollection):
-    """Canonical shape of a closed collection, for structural comparison:
-    groups keyed by closure order, pairs by their sequents."""
-    groups = sorted(collection.groups, key=lambda g: (g.closure_index is None, g.closure_index))
-    sig = []
-    for g in groups:
-        pairs = frozenset((str(type(p.step).__name__), hash_pair(p)) for p in g.pairs)
-        pattern = hash(g.pattern) if g.pattern is not None else None
-        sig.append((g.closure_index, pattern, tuple(sorted(g.pattern_vars)), pairs))
-    return tuple(sig)
-
-
-def hash_pair(p: ComponentPair) -> int:
-    parts = []
-    for case in (p.step, p.base):
-        if isinstance(case, (OpenBase, ClosedBase, ClosedStep)):
-            parts.append(hash(case.sequent))
-        elif isinstance(case, OpenStep):
-            parts.append(hash(case.sequent.sequent))
-        else:
-            parts.append(hash(type(case).__name__))
-    return hash(tuple(parts))

@@ -1,5 +1,6 @@
 """Hypothesis generators over the corpus signatures, shared by the property
-suite and the acceptance gate."""
+suite and the acceptance gate, and the structural signature of a component
+collection that replay tests compare."""
 
 import hypothesis.strategies as st
 from hypothesis import assume, given, settings
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from silkcheck import corpus_path, load_theory
 from silkcheck.parser import parse_sequent
 from silkcheck.rewrite import EquationalTheory, FuelExhausted, normalize
+from silkcheck.silk import ClosedBase, ClosedStep, ComponentCollection, ComponentPair, OpenBase, OpenStep
 from silkcheck.syntax import (
     And,
     Atom,
@@ -95,6 +97,30 @@ def merged_theory() -> EquationalTheory:
     for name in ("theory_shat.thy", "theory_exp.thy", "theory_bigjunct.thy", "theory_wedge.thy"):
         rules += load_theory(corpus_path(name)).rules
     return EquationalTheory(rules)
+
+
+def collection_signature(collection: ComponentCollection):
+    """Canonical shape of a closed collection, for structural comparison:
+    groups keyed by closure order, pairs by their sequents."""
+    groups = sorted(collection.groups, key=lambda g: (g.closure_index is None, g.closure_index))
+    sig = []
+    for g in groups:
+        pairs = frozenset((str(type(p.step).__name__), hash_pair(p)) for p in g.pairs)
+        pattern = hash(g.pattern) if g.pattern is not None else None
+        sig.append((g.closure_index, pattern, tuple(sorted(g.pattern_vars)), pairs))
+    return tuple(sig)
+
+
+def hash_pair(p: ComponentPair) -> int:
+    parts = []
+    for case in (p.step, p.base):
+        if isinstance(case, (OpenBase, ClosedBase, ClosedStep)):
+            parts.append(hash(case.sequent))
+        elif isinstance(case, OpenStep):
+            parts.append(hash(case.sequent.sequent))
+        else:
+            parts.append(hash(type(case).__name__))
+    return hash(tuple(parts))
 
 
 # --- the properties, reusable at chosen example counts

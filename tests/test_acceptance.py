@@ -9,7 +9,7 @@ from silkcheck.cli import main as cli_main
 from silkcheck.kernel import count_inferences
 from silkcheck.parser import parse_formula, parse_sequent
 from silkcheck.schema import check_schema, evaluate, evaluate_and_check
-from silkcheck.silk import check_script, collection_signature, leading_group
+from silkcheck.silk import check_script, leading_group
 from silkcheck.syntax import And, Imp, OmegaAll, formula_eq
 from silkcheck.translate import interpret, silk_to_schema, to_ppsnf
 
@@ -151,7 +151,7 @@ def test_criterion_6_construction_order_normal_form():
     normal = to_ppsnf(script)
     replayed, verdict2, _ = check_script(normal)
     assert verdict2 == "proof"
-    assert collection_signature(original) == collection_signature(replayed)
+    assert gen.collection_signature(original) == gen.collection_signature(replayed)
     closes_seen = 0
     for step in normal.steps:
         if step.rule == "ax1r":

@@ -366,3 +366,50 @@ def test_output_file_is_utf8_in_any_locale(tmp_path, command):
         assert unlined(load_script(out)) == unlined(to_ppsnf(load_script(source)))
     else:
         assert "Aé /\\ B |- B /\\ Aé" in out.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("unroll", "--alpha", "1"), ("unroll", "--alpha", "1", "--check"), ("stats", "--alpha-range", "0..1")],
+    ids=["unroll", "unroll-check", "stats"],
+)
+def test_empty_schema_reports_error(capsys, tmp_path, argv):
+    empty = tmp_path / "empty.sch"
+    empty.write_text("")
+    code, out, err = run(capsys, argv[0], str(empty), *argv[1:])
+    assert (code, out, err) == (1, "", "error: a proof schema needs at least one component\n")
+
+
+@pytest.mark.parametrize(
+    "command, source, check",
+    [("translate", "silk_exp.slk", "check-schema"), ("ppsnf", "silk_interleaved.slk", "check-silk")],
+)
+def test_output_file_in_another_directory_finds_its_theory(capsys, tmp_path, command, source, check):
+    out = tmp_path / "sub" / "out"
+    out.parent.mkdir()
+    code, _, err = run(capsys, command, p(source), "-o", str(out))
+    assert (code, err) == (0, "")
+    code, _, err = run(capsys, check, str(out))
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("name, alpha", [("schema_exp.sch", 6), ("schema_shat.sch", 5), ("schema_fhat.sch", 6)])
+def test_unroll_check_expands_each_link_instance_once(capsys, monkeypatch, name, alpha):
+    calls = []
+    instance = silkcheck.schema._instance
+
+    def counted(template, sub):
+        calls.append(template)
+        return instance(template, sub)
+
+    monkeypatch.setattr(silkcheck.schema, "_instance", counted)
+
+    def instances(*flags):
+        calls.clear()
+        code, _, _ = run(capsys, "unroll", p(name), "--alpha", str(alpha), "--lk", "--quiet", *flags)
+        assert code == 0
+        return len(calls)
+
+    plain = instances()
+    assert plain > alpha
+    assert instances("--check") == plain

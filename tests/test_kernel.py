@@ -230,6 +230,42 @@ def test_failure_paths_locate_nodes(pi):
     assert any(fl.where() == "0" for fl in report.failures)
 
 
+
+def _deep_chain(top_witness):
+    """P |- P under 6,000 unary inferences (w:r then c:r, 3,000 times) with a
+    cut after every tenth c:r that keeps the chain as its first or second
+    premise in turn.  The topmost inference, a w:r, adds ``top_witness`` while it
+    claims to add P.  Returns the proof and the path of that inference."""
+    p = s("P |- P")
+    weakened = s("P |- P, P")
+    side = ax(p)
+    cur = Proof(weakened, R.WEAK_R, (ax(p),), RuleData(formula=top_witness))
+    path = []
+    for k in range(3000):
+        if k:
+            cur = Proof(weakened, R.WEAK_R, (cur,), RuleData(formula=f("P")))
+            path.append(0)
+        cur = Proof(p, R.CONTR_R, (cur,), RuleData(a=0, b=1))
+        path.append(0)
+        if k % 10 == 9:
+            i = (k // 10) % 2
+            cur = Proof(p, R.CUT, (cur, side) if i == 0 else (side, cur), RuleData(a=0, b=0))
+            path.append(i)
+    return cur, tuple(reversed(path))
+
+
+def test_failure_path_at_depth_is_the_premise_indices():
+    intact, _ = _deep_chain(f("P"))
+    report = check_proof(intact, MODE_LK)
+    assert report.accepted
+    assert report.counts == {"cut": 300, "c:r": 3000, "w:r": 3000}
+
+    broken, path = _deep_chain(f("Q"))
+    assert len(path) == 6299 and path.count(1) == 150
+    report = check_proof(broken, MODE_LK)
+    assert [(fl.path, fl.rule) for fl in report.failures] == [(path, "w:r")]
+    assert report.failures[0].where() == ".".join(map(str, path))
+
 def test_cut_round_trips_through_files():
     from silkcheck.parser import parse_proof
     from silkcheck.printer import print_proof

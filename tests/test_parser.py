@@ -17,7 +17,9 @@ from silkcheck.parser import (
     parse_theory,
 )
 from silkcheck.printer import print_proof, print_schema, print_script, print_theory
-from silkcheck.silk import check_script, collection_signature
+from silkcheck.silk import check_script
+
+from gen import collection_signature
 
 THEORIES = ["theory_shat.thy", "theory_fhat.thy", "theory_exp.thy", "theory_bigjunct.thy", "theory_wedge.thy"]
 SCHEMAS = ["schema_shat.sch", "schema_svar.sch", "schema_fhat.sch", "schema_exp.sch"]

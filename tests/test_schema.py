@@ -282,3 +282,24 @@ def test_undeclared_link_target_is_an_evaluation_failure(shat):
     assert [(f.rule, f.message) for f in report.failures] == [("evaluate", "link target psi is not declared")]
     # At 0 only the base unrolls, and it has no link.
     assert evaluate_and_check(retargeted, 0, theory).accepted
+
+
+def test_empty_schema_is_an_evaluation_failure(shat):
+    _, theory = shat
+    empty = ProofSchema(())
+    with pytest.raises(MatchFailure, match="a proof schema needs at least one component"):
+        evaluate(empty, 1, theory)
+    report = evaluate_and_check(empty, 1, theory)
+    assert [(f.rule, f.message) for f in report.failures] == [
+        ("evaluate", "a proof schema needs at least one component")
+    ]
+
+
+def test_check_with_the_memo_of_an_evaluation_reuses_its_proof(shat):
+    schema, theory = shat
+    memo = UnrollMemo()
+    trace = evaluate(schema, 4, theory, memo=memo)
+    again = evaluate(schema, 4, theory, memo=memo)
+    assert again.proof is trace.proof and again.expanded is trace.expanded
+    assert again.expansions == trace.expansions
+    assert evaluate_and_check(schema, 4, theory, memo=memo).accepted

@@ -15,9 +15,10 @@ from silkcheck.silk import (
     Top,
     apply_step,
     check_script,
-    collection_signature,
     leading_group,
 )
+
+from gen import collection_signature
 
 
 def replay(script):

@@ -6,9 +6,11 @@ from silkcheck import corpus_path, load_script
 from silkcheck.kernel import RuleName as R, count_inferences, iter_nodes
 from silkcheck.parser import parse_formula, parse_numexpr, parse_sequent
 from silkcheck.schema import check_schema, evaluate, evaluate_and_check
-from silkcheck.silk import NotAProof, SiLKScript, check_script, collection_signature
+from silkcheck.silk import NotAProof, SiLKScript, check_script
 from silkcheck.syntax import OmegaAll, formula_eq
 from silkcheck.translate import ancestor_map, interpret, silk_to_schema, to_ppsnf
+
+from gen import collection_signature
 
 
 def test_single_group_script_is_already_normal(fhat_script):
