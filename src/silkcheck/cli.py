@@ -18,6 +18,7 @@ from .parser import ParseError, load_file, parse_proof, parse_schema, parse_scri
 from .printer import print_proof_tree, print_schema, print_script, stats_table
 from .schema import MatchFailure, UnrollMemo, check_schema, evaluate, evaluate_and_check
 from .silk import NotAProof, SilkError, check_script
+from .syntax import SortMismatch
 from .translate import interpret, silk_to_schema, to_ppsnf
 
 
@@ -115,11 +116,18 @@ def _cmd_unroll(args) -> int:
 
 
 def _written_directive(args, directive: str | None) -> str | None:
-    """The input's theory directive as the output file must say it: a
-    relative path is rebased from the input's directory to the output's."""
-    if not args.out or not directive or os.path.isabs(directive):
+    """The theory directive the output must carry.  On stdout it is the
+    input's own; in an output file it names the theory the input was read
+    under, --theory (relative to the working directory) or else the input's
+    directive (relative to the input), rebased to the output's directory."""
+    if not args.out:
         return directive
-    return os.path.relpath(Path(args.file).parent / directive, Path(args.out).parent)
+    base = Path(args.file).parent
+    if args.theory:
+        base, directive = Path(), args.theory
+    if not directive or os.path.isabs(directive):
+        return directive
+    return os.path.relpath(base / directive, Path(args.out).parent)
 
 
 def _cmd_ppsnf(args) -> int:
@@ -294,7 +302,7 @@ def main(argv=None) -> int:
     except NotAProof as exc:
         print(f"not a proof: {exc}", file=sys.stderr)
         return 1
-    except (SilkError, MatchFailure, rw.FuelExhausted, rw.StuckTerm) as exc:
+    except (SilkError, SortMismatch, MatchFailure, rw.FuelExhausted, rw.StuckTerm) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,6 +28,7 @@ from .syntax import (
     NumExpr,
     Or,
     Sequent,
+    SortMismatch,
     Substitution,
     formula_eq,
     free_params,
@@ -424,9 +425,7 @@ def check_proof(
             continue
         try:
             _check_node(node, theory, env, allowed_link_params, lenient_erule)
-        except RuleError as exc:
-            fail(path, rule, str(exc))
-        except rw.FuelExhausted as exc:
+        except (RuleError, SortMismatch, rw.FuelExhausted) as exc:
             fail(path, rule, str(exc))
         for i, premise in enumerate(node.premises):
             stack.append((premise, (path, i)))

@@ -45,6 +45,7 @@ from .syntax import (
     NumExpr,
     Param,
     Sequent,
+    SortMismatch,
     Substitution,
     canon_num,
     free_params,
@@ -218,10 +219,9 @@ _WHOLE = RuleData(whole=True)
 
 @dataclass
 class UnrollTrace:
-    """Link expansions performed, rewrite effort, and both proof stages."""
+    """Link expansions performed and both proof stages."""
 
     expansions: list = field(default_factory=list)
-    steps_used: int = 0
     expanded: Proof | None = None
     proof: Proof | None = None
 
@@ -287,7 +287,7 @@ def evaluate(
         RuleData(target=lead.name, param=alpha, terms=tuple(FreeVar(v) for v in lead.vars)),
     )
     trace.expanded = _expand(schema, root, theory, memo.links, trace.expansions)
-    trace.proof = _normal_proof(trace.expanded, theory, trace, memo.normal)
+    trace.proof = _normal_proof(trace.expanded, theory, memo.normal)
     return trace
 
 
@@ -400,7 +400,7 @@ def _assemble(inst: list, expanded: list, concl: Sequent) -> Proof:
     return Proof(concl, RuleName.ERULE, (values[0],), _WHOLE)
 
 
-def _normal_proof(proof: Proof, theory: rw.EquationalTheory, trace: UnrollTrace, done: dict) -> Proof:
+def _normal_proof(proof: Proof, theory: rw.EquationalTheory, done: dict) -> Proof:
     """Normalize every sequent and witness, then drop rewrite inferences that
     became trivial; the result is link-free and redex-free.
 
@@ -408,10 +408,7 @@ def _normal_proof(proof: Proof, theory: rw.EquationalTheory, trace: UnrollTrace,
     is not normalized again.  Nodes are keys themselves, not their ids,
     which a node that died could pass on to a new one."""
 
-    def norm(x):
-        res = rw.normalize(x, theory)
-        trace.steps_used += res.steps_used
-        return res.value
+    norm = lambda x: rw.normalize(x, theory).value
 
     stack = [proof]
     while stack:
@@ -452,7 +449,7 @@ def evaluate_and_check(
     evaluation at the same numeral, the check reuses that proof."""
     try:
         trace = evaluate(schema, alpha, theory, memo)
-    except (MatchFailure, rw.FuelExhausted, rw.StuckTerm) as exc:
+    except (MatchFailure, SortMismatch, rw.FuelExhausted, rw.StuckTerm) as exc:
         report = CheckReport()
         report.failures.append(Failure((), "evaluate", str(exc)))
         return report

@@ -36,6 +36,7 @@ from .syntax import (
     NumFn,
     Param,
     Sequent,
+    SortMismatch,
     Substitution,
     Succ,
     formula_eq,
@@ -585,7 +586,7 @@ def check_script(script: SiLKScript) -> tuple[ComponentCollection, str, CheckRep
         report.counts[step.rule] = report.counts.get(step.rule, 0) + 1
         try:
             state = apply_step(state, step, script.theory)
-        except (SilkError, rw.FuelExhausted, rw.StuckTerm) as exc:
+        except (SilkError, SortMismatch, rw.FuelExhausted, rw.StuckTerm) as exc:
             report.failures.append(Failure((i,), step.rule, str(exc)))
             return state, "rejected", report
     if not state.groups:

@@ -9,9 +9,16 @@ the same node wherever it occurs).
 
 Every node is hash-consed: constructing a node whose class and fields match
 an existing one returns that node, so structurally equal nodes are the same
-object and == and hash are object identity.  Traversals are iterative, so
-successor towers and f(f(...f(0)...)) chains thousands deep never hit the
-recursion limit.
+object and == and hash are object identity.  Every traversal is iterative;
+the only recursion is once per nested binder, whose body substitution
+rebuilds apart (canon_num also recurses once per nested numeric function
+symbol).  So successor towers, long conjunctions and f(f(...f(0)...)) chains
+thousands deep never hit the recursion limit.
+
+A binder binds the free and the schematic variables of its name alike, in
+equality, substitution and free variables.  Equality up to bound names
+compares canonical forms that name each bound variable after its binder's
+height, the most binders nested inside its body.
 
 Since nodes are immutable and shared, a Substitution memoizes its result per
 input node in a dict that lives and dies with the Substitution object; there
@@ -519,51 +526,43 @@ def _side_key(side: tuple) -> frozenset:
 
 
 def canon_alpha(f: Formula) -> Formula:
-    """Rename bound variables to canonical names in traversal order; the
-    result is only used for comparison and hashing, never printed."""
+    """The alpha-variant of f that names each bound variable $h, h being the
+    height of its binder (the most binders nested inside its body); alpha-
+    variants share it.  It is only compared and hashed, never printed."""
     cached = f.__dict__.get("_ca")
-    if cached is None:
-        cached = _canon(f, {}, [0])
-        object.__setattr__(f, "_ca", cached)
-    return cached
-
-
-def _canon(f: Formula, env: dict, counter: list) -> Formula:
-    if isinstance(f, Atom):
-        if not env:
-            return f
-        return Atom(f.pred, tuple(_rename(a, env) for a in f.args))
-    if isinstance(f, Not):
-        return Not(_canon(f.body, env, counter))
-    if isinstance(f, (And, Or, Imp)):
-        return type(f)(_canon(f.lhs, env, counter), _canon(f.rhs, env, counter))
-    if isinstance(f, (Forall, Exists)):
-        fresh = f"$b{counter[0]}"
-        counter[0] += 1
-        inner = dict(env)
-        inner[("v", f.var)] = fresh
-        return type(f)(fresh, _canon(f.body, inner, counter))
-    if isinstance(f, OmegaAll):
-        fresh = f"$w{counter[0]}"
-        counter[0] += 1
-        inner = dict(env)
-        inner[("p", f.var)] = fresh
-        return OmegaAll(fresh, _canon(f.body, inner, counter))
-    raise TypeError(f)
-
-
-def _rename(node, env: dict):
-    def one(x):
-        if isinstance(x, FreeVar):
-            return FreeVar(env.get(("v", x.name), x.name))
-        if isinstance(x, Param):
-            return Param(env.get(("p", x.name), x.name))
-        kids = x.kids()
-        if not kids:
-            return x
-        return rebuild(x, tuple(one(k) for k in kids))
-
-    return one(node)
+    if cached is not None:
+        return cached
+    # Bottom-up: done maps a subformula to its canonical form and its height.
+    # A binder renames its variable in the canonical body with subst; every
+    # binder inside is lower and named below $h, so the rename captures
+    # nothing, and schematic variables of the bound name are renamed too.
+    done: dict = {}
+    stack = [f]
+    while stack:
+        cur = stack.pop()
+        if cur in done:
+            continue
+        cls = type(cur)
+        if cls is Atom:
+            done[cur] = (cur, 0)
+            continue
+        kids = cur.kids()
+        pending = [k for k in kids if k not in done]
+        if pending:
+            stack.append(cur)
+            stack.extend(pending)
+            continue
+        if cls is Forall or cls is Exists or cls is OmegaAll:
+            body, height = done[cur.body]
+            name = f"${height}"
+            rename = subst_param(cur.var, Param(name)) if cls is OmegaAll else subst_vars({cur.var: FreeVar(name)})
+            done[cur] = (cls(name, subst(body, rename)), height + 1)
+        else:
+            canon = tuple(done[k][0] for k in kids)
+            height = max(done[k][1] for k in kids)
+            done[cur] = (cur if canon == kids else rebuild(cur, canon), height)
+    object.__setattr__(f, "_ca", done[f][0])
+    return done[f][0]
 
 
 def formula_eq(a: Formula, b: Formula) -> bool:
@@ -611,9 +610,7 @@ def rebuild(node: Node, kids: tuple) -> Node:
         return Fn(node.sym, kids)
     if cls is Atom:
         return Atom(node.pred, kids)
-    if cls is Not:
-        return Not(*kids)
-    if cls in (And, Or, Imp):
+    if cls in (Not, And, Or, Imp):
         return cls(*kids)
     if cls in (Forall, Exists, OmegaAll):
         return cls(node.var, kids[0])
@@ -625,40 +622,35 @@ def rebuild(node: Node, kids: tuple) -> Node:
 def free_params(x) -> frozenset[str]:
     """Parameter symbols occurring in a node, sequent, or annotated sequent."""
     if isinstance(x, Sequent):
-        out: frozenset = frozenset()
-        for f in x.formulas():
-            out |= free_params(f)
-        return out
+        return frozenset().union(*map(free_params, x.formulas()))
     if isinstance(x, AnnSequent):
         return free_params(x.sequent) | free_params(x.annotation)
     return frozenset(n.name for n in walk(x) if isinstance(n, Param))
 
 
 def free_vars(x) -> frozenset[str]:
-    """Free individual variables (schematic variable names included)."""
-    if isinstance(x, Sequent):
-        out: frozenset = frozenset()
-        for f in x.formulas():
-            out |= free_vars(f)
-        return out
-    return frozenset(_free_vars(x, frozenset()))
-
-
-def _free_vars(node, bound):
-    out = set()
-    if isinstance(node, FreeVar):
-        if node.name not in bound:
-            out.add(node.name)
-        return out
-    if isinstance(node, SVar):
-        if node.name not in bound:
-            out.add(node.name)
-        return out
-    if isinstance(node, (Forall, Exists)):
-        return _free_vars(node.body, bound | {node.var})
-    for k in node.kids():
-        out |= _free_vars(k, bound)
-    return out
+    """Free individual variables (schematic variable names included) of a
+    node or sequent, bottom-up: a binder removes its name from its body's."""
+    roots = x.formulas() if isinstance(x, Sequent) else (x,)
+    done: dict = {}
+    stack = list(roots)
+    while stack:
+        cur = stack.pop()
+        if cur in done:
+            continue
+        cls = type(cur)
+        if cls is FreeVar or cls is SVar:
+            done[cur] = frozenset((cur.name,))
+            continue
+        kids = cur.kids()
+        pending = [k for k in kids if k not in done]
+        if pending:
+            stack.append(cur)
+            stack.extend(pending)
+            continue
+        out = frozenset().union(*(done[k] for k in kids))
+        done[cur] = out - {cur.var} if cls is Forall or cls is Exists else out
+    return frozenset().union(*(done[r] for r in roots))
 
 
 def is_subterm(small: NumExpr, big: NumExpr) -> bool:
@@ -712,110 +704,75 @@ def subst(x, sub: Substitution):
     if sub.is_empty():
         return x
     if isinstance(x, Sequent):
-        return Sequent(
-            tuple(_subst_formula(f, sub) for f in x.ante),
-            tuple(_subst_formula(f, sub) for f in x.succ),
-        )
+        return Sequent(tuple(_subst(f, sub) for f in x.ante), tuple(_subst(f, sub) for f in x.succ))
     if isinstance(x, AnnSequent):
-        return AnnSequent(subst(x.sequent, sub), _subst_expr(x.annotation, sub))
-    if isinstance(x, Formula):
-        return _subst_formula(x, sub)
-    return _subst_expr(x, sub)
+        return AnnSequent(subst(x.sequent, sub), _subst(x.annotation, sub))
+    return _subst(x, sub)
 
 
-def _subst_formula(f: Formula, sub: Substitution):
-    out = sub._memo.get(f)
-    if out is None:
-        out = sub._memo[f] = _subst_formula_once(f, sub)
-    return out
-
-
-def _subst_formula_once(f: Formula, sub: Substitution):
-    # Untouched sub-formulas come back as they are, without a lookup in the
-    # hash-consing table.
-    if isinstance(f, Atom):
-        args = tuple(_subst_expr(a, sub) for a in f.args)
-        return f if all(a is b for a, b in zip(f.args, args)) else Atom(f.pred, args)
-    if isinstance(f, Not):
-        body = _subst_formula(f.body, sub)
-        return f if body is f.body else Not(body)
-    if isinstance(f, (And, Or, Imp)):
-        lhs = _subst_formula(f.lhs, sub)
-        rhs = _subst_formula(f.rhs, sub)
-        return f if lhs is f.lhs and rhs is f.rhs else type(f)(lhs, rhs)
-    if isinstance(f, (Forall, Exists)):
-        inner_vars = {k: v for k, v in sub.vars.items() if k != f.var}
-        inner = Substitution(sub.params, inner_vars)
-        if inner.is_empty():
-            return f
-        var = f.var
-        body = f.body
-        if any(var in free_vars(v) for v in inner_vars.values() if isinstance(v, (Term, NumExpr))):
-            fresh = _fresh_name(var, free_vars(body) | _range_vars(inner))
-            body = _subst_formula(body, subst_vars({var: FreeVar(fresh)}))
-            var = fresh
-        new_body = _subst_formula(body, inner)
-        return f if var is f.var and new_body is f.body else type(f)(var, new_body)
-    if isinstance(f, OmegaAll):
-        inner_params = {k: v for k, v in sub.params.items() if k != f.var}
-        inner = Substitution(inner_params, sub.vars)
-        if inner.is_empty():
-            return f
-        new_body = _subst_formula(f.body, inner)
-        return f if new_body is f.body else OmegaAll(f.var, new_body)
-    raise TypeError(f)
-
-
-def _range_vars(sub: Substitution) -> frozenset[str]:
-    out: frozenset = frozenset()
-    for v in sub.vars.values():
-        out |= free_vars(v)
-    return out
-
-
-def _fresh_name(base: str, taken: frozenset[str]) -> str:
-    i = 1
-    while f"{base}{i}" in taken:
-        i += 1
-    return f"{base}{i}"
-
-
-def _subst_expr(e, sub: Substitution):
-    # Terms and numeric expressions contain no binders, so a bottom-up
-    # iterative rebuild is safe at any depth.  The substitution's memo is
-    # the table of finished nodes, shared by every call with this sub.
+def _subst(e, sub: Substitution):
+    # One bottom-up rebuild of terms and formulas.  The substitution's memo
+    # is the table of finished nodes, shared by every call with this sub.  A
+    # binder is a leaf of the loop: _subst_binder substitutes its body apart,
+    # so the only recursion is once per nested binder.
     done = sub._memo
     stack = [e]
     while stack:
-        cur = stack[-1]
+        cur = stack.pop()
         if cur in done:
-            stack.pop()
             continue
-        if isinstance(cur, Param):
+        cls = type(cur)
+        if cls is Param:
             done[cur] = sub.params.get(cur.name, cur)
-            stack.pop()
             continue
-        if isinstance(cur, FreeVar):
+        if cls is FreeVar:
             done[cur] = sub.vars.get(cur.name, cur)
-            stack.pop()
+            continue
+        if cls is Forall or cls is Exists or cls is OmegaAll:
+            done[cur] = _subst_binder(cur, sub)
             continue
         kids = cur.kids()
         pending = [k for k in kids if k not in done]
         if pending:
+            stack.append(cur)
             stack.extend(pending)
             continue
         new_kids = tuple(done[k] for k in kids)
-        if isinstance(cur, SVar) and cur.name in sub.vars:
+        if cls is SVar and cur.name in sub.vars:
             repl = sub.vars[cur.name]
             if not isinstance(repl, (SVar, FreeVar)):
                 raise SortMismatch(f"schematic variable {cur.name} must map to a variable, got {repl!r}")
             done[cur] = SVar(repl.name, new_kids[0])
-        elif all(old is new for old, new in zip(kids, new_kids)):
+        elif new_kids == kids:
+            # Untouched nodes come back as they are, without a lookup in the
+            # hash-consing table.
             done[cur] = cur
         else:
             done[cur] = rebuild(cur, new_kids)
-        stack.pop()
     return done[e]
+
+
+def _subst_binder(f: Formula, sub: Substitution) -> Formula:
+    """The binder f under sub: its bound name is dropped from sub, and an
+    individual binder is renamed first when a substituted term would be
+    captured."""
+    var, body = f.var, f.body
+    if type(f) is OmegaAll:
+        inner = Substitution({k: v for k, v in sub.params.items() if k != var}, sub.vars)
+    else:
+        inner = Substitution(sub.params, {k: v for k, v in sub.vars.items() if k != var})
+        ranges = frozenset().union(*(free_vars(v) for v in inner.vars.values()))
+        if var in ranges:
+            taken = free_vars(body) | ranges
+            i = 1
+            while f"{var}{i}" in taken:
+                i += 1
+            var = f"{var}{i}"
+            body = _subst(body, subst_vars({f.var: FreeVar(var)}))
+    if inner.is_empty():
+        return f
+    new_body = _subst(body, inner)
+    return f if var is f.var and new_body is f.body else type(f)(var, new_body)
 
 
 # ---------------------------------------------------------------------------
@@ -833,11 +790,16 @@ def node_at(root: Node, path: tuple) -> Node:
 
 
 def replace_at(root: Node, path: tuple, new: Node) -> Node:
-    if not path:
-        return new
-    kids = list(root.kids())
-    i = path[0]
-    if i >= len(kids):
-        raise IndexError(f"no child {i} at {root}")
-    kids[i] = replace_at(kids[i], path[1:], new)
-    return rebuild(root, tuple(kids))
+    """root with the node at path replaced by new: walk down, then rebuild
+    the spine on the way back up."""
+    spine = []
+    cur = root
+    for i in path:
+        kids = cur.kids()
+        if i >= len(kids):
+            raise IndexError(f"no child {i} at {cur}")
+        spine.append((cur, kids, i))
+        cur = kids[i]
+    for node, kids, i in reversed(spine):
+        new = rebuild(node, kids[:i] + (new,) + kids[i + 1 :])
+    return new

@@ -20,6 +20,7 @@ from silkcheck.syntax import (
     Not,
     NumExpr,
     NumFn,
+    OmegaAll,
     Or,
     Param,
     Sequent,
@@ -27,12 +28,19 @@ from silkcheck.syntax import (
     SVar,
     Succ,
     ZERO,
+    formula_eq,
+    free_vars,
     numeral,
+    rebuild,
     sequent_eq,
     subst,
+    subst_vars,
+    walk,
 )
 
 VAR_NAMES = ["a", "b", "c", "alpha"]
+# x is also a schematic variable name: a binder of it binds x[e] too.
+BINDER_NAMES = ["a", "b", "x"]
 
 num_leaves = st.sampled_from([ZERO, numeral(1), numeral(2), Param("n")])
 nums = st.recursive(
@@ -80,8 +88,8 @@ formulas = st.recursive(
         st.tuples(ch, ch).map(lambda ab: And(*ab)),
         st.tuples(ch, ch).map(lambda ab: Or(*ab)),
         st.tuples(ch, ch).map(lambda ab: Imp(*ab)),
-        st.tuples(st.sampled_from(["a", "b"]), ch).map(lambda p: Forall(*p)),
-        st.tuples(st.sampled_from(["a", "b"]), ch).map(lambda p: Exists(*p)),
+        st.tuples(st.sampled_from(BINDER_NAMES), ch).map(lambda p: Forall(*p)),
+        st.tuples(st.sampled_from(BINDER_NAMES), ch).map(lambda p: Exists(*p)),
     ),
     max_leaves=6,
 )
@@ -190,6 +198,85 @@ def sequent_eq_property(max_examples):
         assert sequent_eq(seq, shuffled) and sequent_eq(shuffled, seq)
         extended = Sequent(seq.ante + (Atom("Q", ()),), seq.succ)
         assert not sequent_eq(seq, extended)
+
+    return check
+
+
+def _reference_canon(f, env: dict, counter: list):
+    """Alpha-canonical form as the formula layer once computed it, recursively
+    and with names in traversal order, a binder renaming free variables only;
+    kept as an oracle for formula_eq."""
+    if isinstance(f, Atom):
+        if not env:
+            return f
+        return Atom(f.pred, tuple(_reference_rename(a, env) for a in f.args))
+    if isinstance(f, Not):
+        return Not(_reference_canon(f.body, env, counter))
+    if isinstance(f, (And, Or, Imp)):
+        return type(f)(_reference_canon(f.lhs, env, counter), _reference_canon(f.rhs, env, counter))
+    if isinstance(f, (Forall, Exists)):
+        fresh = f"$b{counter[0]}"
+        counter[0] += 1
+        inner = dict(env)
+        inner[("v", f.var)] = fresh
+        return type(f)(fresh, _reference_canon(f.body, inner, counter))
+    if isinstance(f, OmegaAll):
+        fresh = f"$w{counter[0]}"
+        counter[0] += 1
+        inner = dict(env)
+        inner[("p", f.var)] = fresh
+        return OmegaAll(fresh, _reference_canon(f.body, inner, counter))
+    raise TypeError(f)
+
+
+def _reference_rename(node, env: dict):
+    def one(x):
+        if isinstance(x, FreeVar):
+            return FreeVar(env.get(("v", x.name), x.name))
+        if isinstance(x, Param):
+            return Param(env.get(("p", x.name), x.name))
+        kids = x.kids()
+        if not kids:
+            return x
+        return rebuild(x, tuple(one(k) for k in kids))
+
+    return one(node)
+
+
+def reference_eq(a, b) -> bool:
+    return _reference_canon(a, {}, [0]) == _reference_canon(b, {}, [0])
+
+
+def binds_a_schematic_name(f) -> bool:
+    """Whether some binder of f shares its name with a schematic variable."""
+    bound = {n.var for n in walk(f) if isinstance(n, (Forall, Exists))}
+    return any(isinstance(n, SVar) and n.name in bound for n in walk(f))
+
+
+def rename_bound(f, fresh):
+    """f with every individual binder renamed to a name drawn from the
+    iterator fresh, which must not occur in f."""
+    if isinstance(f, (Forall, Exists)):
+        var = next(fresh)
+        body = subst(rename_bound(f.body, fresh), subst_vars({f.var: FreeVar(var)}))
+        return type(f)(var, body)
+    if isinstance(f, Atom):
+        return f
+    return rebuild(f, tuple(rename_bound(k, fresh) for k in f.kids()))
+
+
+def formula_eq_property(max_examples):
+    """formula_eq agrees with the reference on formulas in which no binder
+    shares a schematic variable's name, where the two notions coincide."""
+
+    @settings(max_examples=max_examples, deadline=None)
+    @given(formulas, formulas)
+    def check(a, b):
+        assume(not binds_a_schematic_name(a) and not binds_a_schematic_name(b))
+        assert formula_eq(a, b) == reference_eq(a, b)
+        renamed = rename_bound(a, (f"v{i}" for i in range(1000)))
+        assert formula_eq(a, renamed) and reference_eq(a, renamed)
+        assert free_vars(renamed) == free_vars(a)
 
     return check
 

@@ -342,8 +342,13 @@ def test_deeply_nested_formula_exits_two(capsys, tmp_path, where):
 
 @pytest.mark.parametrize(
     "formula",
-    ["P(" + "f(" * 150 + "0" + ")" * 150 + ")", " -> ".join(["P"] * 150)],
-    ids=["term", "arrows"],
+    [
+        "P(" + "f(" * 150 + "0" + ")" * 150 + ")",
+        " -> ".join(["P"] * 150),
+        " /\\ ".join(["P"] * 2000),
+        " /\\ ".join(["P"] * 20000),
+    ],
+    ids=["term", "arrows", "conjuncts-2000", "conjuncts-20000"],
 )
 def test_deep_formula_within_the_stack_still_checks(capsys, tmp_path, formula):
     path = tmp_path / "deep.lkp"
@@ -413,3 +418,127 @@ def test_unroll_check_expands_each_link_instance_once(capsys, monkeypatch, name,
     plain = instances()
     assert plain > alpha
     assert instances("--check") == plain
+
+
+def _conj(atom, n):
+    return " /\\ ".join([atom] * n)
+
+
+DEEP_PROOFS = {
+    "forall-r-tall-context": (
+        'forall:r "Q(1500) |- forall x. P(x) -> P(x)" a=0 formula="forall x. P(x) -> P(x)" eigen=b {\n'
+        '  w:l "Q(1500) |- P(b) -> P(b)" formula="Q(1500)" {\n'
+        '    ->:r "|- P(b) -> P(b)" a=0 b=0 {\n'
+        '      ax "P(b) |- P(b)"\n'
+        "    }\n"
+        "  }\n"
+        "}\n"
+    ),
+    "forall-l-2000-conjuncts": (
+        f'forall:l "forall x. {_conj("P(x)", 2000)} |- {_conj("P(b)", 2000)}" a=0 '
+        f'formula="forall x. {_conj("P(x)", 2000)}" term="b" {{\n'
+        f'  ax "{_conj("P(b)", 2000)} |- {_conj("P(b)", 2000)}"\n'
+        "}\n"
+    ),
+    "rewrite-path-2000-deep": (
+        f'E "P(2000) |- P(2000)" at=L.0 path={".".join(["0"] * 2000)} to="1" {{\n'
+        '  ax "P(2000) |- P(2000)"\n'
+        "}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_PROOFS)
+def test_deep_formulas_check_without_recursion(capsys, tmp_path, name):
+    path = tmp_path / "deep.lkp"
+    path.write_text(DEEP_PROOFS[name])
+    code, out, err = run(capsys, "check-lk", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("accepted\n")
+
+
+def test_binder_binds_the_schematic_variable_of_its_name(capsys, tmp_path):
+    # forall a. P(x[0]) says P(x[0]); forall x. P(x[0]) says P of every
+    # x[0]. An axiom that identifies the two would prove P(x[0]) |- P(y[0]).
+    path = tmp_path / "capture.lkp"
+    path.write_text(
+        'cut "forall a. P(x[0]) |- P(y[0])" a=0 b=0 {\n'
+        '  ax "forall a. P(x[0]) |- forall x. P(x[0])"\n'
+        '  forall:l "forall x. P(x[0]) |- P(y[0])" a=0 formula="forall x. P(x[0])" term="y" {\n'
+        '    ax "P(y[0]) |- P(y[0])"\n'
+        "  }\n"
+        "}\n"
+    )
+    code, out, err = run(capsys, "check-lk", str(path))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[:2] == [
+        "rejected",
+        "  [0] ax: axiom sides differ: forall a. P(x[0]) vs forall x. P(x[0])",
+    ]
+
+
+SORT_MISMATCH = "schematic variable x must map to a variable, got <Fn f(a)>"
+SORT_MISMATCH_PROOF = (
+    'forall:l "forall x. P(x[0]) |- P(f(a))" a=0 formula="forall x. P(x[0])" term="f(a)" {\n'
+    '  ax "P(f(a)) |- P(f(a))"\n'
+    "}\n"
+)
+SORT_MISMATCH_SCRIPT = (
+    'ax1r "P(f(a)) |- P(f(a))"\n'
+    'rho bc 1 forall:l group=1 pair=1 a=0 formula="forall x. P(x[0])" term="f(a)"\n'
+)
+# The self-link passes the term f(a) for x, which the pattern uses as x[n].
+SORT_MISMATCH_SCHEMA = """component psi
+  pattern "Q(x[n]) |- Q(x[n])"
+  vars (x)
+  step-param "n + 1"
+{
+  base {
+    ax "Q(x[0]) |- Q(x[0])"
+  }
+  step {
+    link "Q(x[n + 1]) |- Q(x[n + 1])" target=psi param="n" terms=(f(a))
+  }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, want",
+    [
+        ("bad.lkp", SORT_MISMATCH_PROOF, ("check-lk",), f"rejected\n  [root] forall:l: {SORT_MISMATCH}\n"),
+        ("bad.slk", SORT_MISMATCH_SCRIPT, ("check-silk",), "verdict: rejected\n"),
+        ("bad.sch", SORT_MISMATCH_SCHEMA, ("check-schema",), "rejected\n"),
+        ("bad.sch", SORT_MISMATCH_SCHEMA, ("unroll", "--alpha", "2"), ""),
+        ("bad.sch", SORT_MISMATCH_SCHEMA, ("unroll", "--alpha", "2", "--lk", "--check"), ""),
+    ],
+    ids=["check-lk", "check-silk", "check-schema", "unroll", "unroll-check"],
+)
+def test_sort_mismatch_is_a_reported_failure(capsys, tmp_path, name, text, argv, want):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1 and out.startswith(want)
+    if argv[0] == "unroll":
+        assert (out, err) == ("", f"error: {SORT_MISMATCH}\n")
+    else:
+        assert err == "" and SORT_MISMATCH in out
+
+
+@pytest.mark.parametrize(
+    "command, source, check",
+    [("translate", "silk_fhat.slk", "check-schema"), ("ppsnf", "silk_fhat.slk", "check-silk")],
+)
+def test_output_file_names_the_theory_option(capsys, tmp_path, monkeypatch, command, source, check):
+    (tmp_path / "other.thy").write_text(corpus_path("theory_fhat.thy").read_text())
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, command, p(source), "--theory", "other.thy", "-o", "sub/x")
+    assert (code, err) == (0, "")
+    assert (tmp_path / "sub" / "x").read_text().startswith('theory "../other.thy"\n')
+    code, _, err = run(capsys, check, "sub/x")
+    assert (code, err) == (0, "")
+    # Without -o the input's own directive is printed, as before.
+    plain = run(capsys, command, p(source))
+    assert run(capsys, command, p(source), "--theory", "other.thy") == plain
+    assert plain[1].startswith('theory "theory_fhat.thy"\n')

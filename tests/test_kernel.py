@@ -18,7 +18,7 @@ from silkcheck.kernel import (
     check_proof,
     count_inferences,
 )
-from silkcheck.parser import parse_formula, parse_sequent, parse_term
+from silkcheck.parser import parse_formula, parse_proof, parse_sequent, parse_term
 from silkcheck.syntax import FreeVar, Param, Sequent
 
 
@@ -292,3 +292,19 @@ def test_remaining_rules_from_files():
     for name in ("lk_exists_rename.lkp", "lk_or_contract.lkp"):
         proof, theory = load_proof(corpus_path(name))
         assert check_proof(proof, MODE_LK, theory).accepted, name
+
+
+def test_sort_mismatch_is_a_failure_at_its_node():
+    # The witness instantiates x, used as the schematic variable x[0], with
+    # the term f(a), which is not a variable.
+    proof, _ = parse_proof(
+        'w:l "Q, forall x. P(x[0]) |- P(f(a))" formula="Q" {\n'
+        '  forall:l "forall x. P(x[0]) |- P(f(a))" a=0 formula="forall x. P(x[0])" term="f(a)" {\n'
+        '    ax "P(f(a)) |- P(f(a))"\n'
+        "  }\n"
+        "}\n"
+    )
+    report = check_proof(proof, MODE_LK)
+    assert [(f.path, f.rule, f.message) for f in report.failures] == [
+        ((0,), "forall:l", "schematic variable x must map to a variable, got <Fn f(a)>")
+    ]

@@ -28,6 +28,10 @@ def test_sequent_eq_shuffle_invariant():
     gen.sequent_eq_property(CASES)()
 
 
+def test_formula_eq_agrees_with_the_reference():
+    gen.formula_eq_property(CASES)()
+
+
 def test_corpus_files_round_trip_through_print():
     # The whole bundled corpus survives print-then-parse.
     from silkcheck import corpus_path, load_schema, load_script, load_theory

@@ -4,7 +4,7 @@ import pytest
 
 from silkcheck import corpus_path, load_schema, load_script
 from silkcheck.kernel import Proof, RuleName as R, count_inferences, iter_nodes
-from silkcheck.parser import parse_numexpr, parse_sequent
+from silkcheck.parser import parse_numexpr, parse_schema, parse_sequent
 from silkcheck.schema import (
     MatchFailure,
     ProofSchema,
@@ -16,7 +16,7 @@ from silkcheck.schema import (
 )
 from silkcheck.printer import print_proof_tree
 from silkcheck.rewrite import EquationalTheory, FuelExhausted, normalize
-from silkcheck.syntax import Substitution, numeral, subst
+from silkcheck.syntax import SortMismatch, Substitution, numeral, subst
 from silkcheck.translate import silk_to_schema
 
 
@@ -303,3 +303,20 @@ def test_check_with_the_memo_of_an_evaluation_reuses_its_proof(shat):
     assert again.proof is trace.proof and again.expanded is trace.expanded
     assert again.expansions == trace.expansions
     assert evaluate_and_check(schema, 4, theory, memo=memo).accepted
+
+
+def test_sort_mismatch_is_an_evaluation_failure():
+    # The self-link passes the term f(a) for x, which the pattern uses as x[n].
+    schema, _ = parse_schema(
+        'component psi pattern "Q(x[n]) |- Q(x[n])" vars (x) step-param "n + 1" {\n'
+        '  base { ax "Q(x[0]) |- Q(x[0])" }\n'
+        '  step { link "Q(x[n + 1]) |- Q(x[n + 1])" target=psi param="n" terms=(f(a)) }\n'
+        "}\n"
+    )
+    theory = EquationalTheory(())
+    message = "schematic variable x must map to a variable, got <Fn f(a)>"
+    with pytest.raises(SortMismatch, match="schematic variable x"):
+        evaluate(schema, 2, theory)
+    report = evaluate_and_check(schema, 2, theory)
+    assert [(f.rule, f.message) for f in report.failures] == [("evaluate", message)]
+    assert evaluate_and_check(schema, 0, theory).accepted

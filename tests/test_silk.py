@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from silkcheck.kernel import MODE_LKS, check_proof
-from silkcheck.parser import parse_formula, parse_sequent
+from silkcheck.parser import parse_formula, parse_script, parse_sequent
 from silkcheck.silk import (
     ClosedBase,
     ClosedStep,
@@ -239,3 +239,15 @@ def test_annotation_recorded_at_closure(fhat_script, exp_script):
         assert seen.keys() == expected.keys()
         for gid, text in expected.items():
             assert num_eq(seen[gid], parse_numexpr(text))
+
+
+def test_sort_mismatch_rejects_the_step():
+    script, _ = parse_script(
+        'ax1r "P(f(a)) |- P(f(a))"\n'
+        'rho bc 1 forall:l group=1 pair=1 a=0 formula="forall x. P(x[0])" term="f(a)"\n'
+    )
+    _, verdict, report = replay(script)
+    assert verdict == "rejected"
+    assert [(f.path, f.message) for f in report.failures] == [
+        ((1,), "schematic variable x must map to a variable, got <Fn f(a)>")
+    ]
