@@ -1,7 +1,8 @@
 """Concrete syntax for the whole toolbox.
 
 One lexer serves expressions, theory files, proof files, schema files, and
-script files.  Expressions embedded in the structured formats are quoted.
+script files: a single compiled pattern, `_TOKEN`, matched once per token.
+Expressions embedded in the structured formats are quoted.
 
 Conventions the grammar fixes:
   * `n` is the free parameter, everywhere; `s(e)` is the numeric successor;
@@ -17,8 +18,10 @@ Conventions the grammar fixes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import re
+from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import rewrite as rw
 from .kernel import Proof, RuleData, RuleName, RULE_TOKENS
@@ -70,89 +73,59 @@ _MULTI = ["|-{", "|-", "==", "->", "/\\", "\\/"]
 _SINGLE = "()[]{},.^+~;=:-"
 
 
-@dataclass(frozen=True)
-class Token:
+def _symbol(sym: str) -> str:
+    # A symbol ending in a letter is no symbol inside a longer word: `w:lx`
+    # is `w`, `:`, `lx`.
+    return re.escape(sym) + (r"(?![\w'])" if sym[-1].isalnum() else "")
+
+
+# Tried in order at each position, the first alternative that matches wins.
+# Single characters come last among the symbols; none of them can start a
+# string, a numeral or an identifier.  Identifiers with an ASCII start take
+# the fast path; any other character lands in `other`, where tokenize keeps
+# a word that starts with a letter and reports the rest.
+_TOKEN = re.compile(
+    "|".join(
+        [
+            r"(?P<newline>\n)",
+            r"(?P<skip>[ \t\r]+|\#[^\n]*)",
+            "(?P<sym>" + "|".join(map(_symbol, _RULE_SYMBOLS + _MULTI)) + f"|[{re.escape(_SINGLE)}])",
+            r'"(?P<str>[^"]*)"',
+            r"(?P<num>[0-9]+)",
+            r"(?P<ident>[A-Za-z_][\w']*)",
+            r"(?P<other>[^\W\d][\w']*|.)",
+        ]
+    )
+)
+
+
+class Token(NamedTuple):
     kind: str  # ident, num, str, sym, eof
     text: str
     line: int
     col: int
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c in "_'"
-
-
 def tokenize(text: str) -> list:
     out = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    line, line_start = 1, 0
+    for mo in _TOKEN.finditer(text):
+        kind = mo.lastgroup
+        if kind == "skip":
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = mo.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        matched = None
-        for sym in _RULE_SYMBOLS:
-            if text.startswith(sym, i) and not (
-                i + len(sym) < n and sym[-1].isalnum() and _is_ident_char(text[i + len(sym)])
-            ):
-                matched = sym
-                break
-        if matched is None:
-            for sym in _MULTI:
-                if text.startswith(sym, i):
-                    matched = sym
-                    break
-        if matched is not None:
-            out.append(Token("sym", matched, line, col))
-            i += len(matched)
-            col += len(matched)
-            continue
-        if c == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ParseError("unterminated string", line, col)
-            out.append(Token("str", text[i + 1 : j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            out.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _SINGLE:
-            out.append(Token("sym", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"stray character {c!r}", line, col)
-    out.append(Token("eof", "", line, col))
+        col = mo.start() - line_start + 1
+        value = mo.group(kind)
+        if kind == "other":
+            c = value[0]
+            if not c.isalpha():
+                raise ParseError("unterminated string" if c == '"' else f"stray character {c!r}", line, col)
+            kind = "ident"
+        out.append(Token(kind, value, line, col))
+    out.append(Token("eof", "", line, len(text) - line_start + 1))
     return out
 
 
@@ -161,8 +134,8 @@ class TokenStream:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.peek()

@@ -1,12 +1,15 @@
 """Hypothesis generators over the corpus signatures, shared by the property
-suite and the acceptance gate, and the structural signature of a component
-collection that replay tests compare."""
+suite and the acceptance gate, the structural signature of a component
+collection that replay tests compare, earlier implementations kept as
+oracles, and a strategy that damages corpus files for the CLI fuzz."""
+
+import re
 
 import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
 from silkcheck import corpus_path, load_theory
-from silkcheck.parser import parse_sequent
+from silkcheck.parser import _MULTI, _RULE_SYMBOLS, _SINGLE, ParseError, parse_sequent, tokenize
 from silkcheck.rewrite import EquationalTheory, FuelExhausted, normalize
 from silkcheck.silk import ClosedBase, ClosedStep, ComponentCollection, ComponentPair, OpenBase, OpenStep
 from silkcheck.syntax import (
@@ -279,6 +282,153 @@ def formula_eq_property(max_examples):
         assert free_vars(renamed) == free_vars(a)
 
     return check
+
+
+def _is_ident_start(c: str) -> bool:
+    return c.isalpha() or c == "_"
+
+
+def _is_ident_char(c: str) -> bool:
+    return c.isalnum() or c in "_'"
+
+
+def reference_tokenize(text: str) -> list:
+    """The lexer as it once was, a character loop trying every symbol with
+    startswith; kept as an oracle for tokenize.  Tokens are plain
+    (kind, text, line, col) tuples."""
+    out = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        matched = None
+        for sym in _RULE_SYMBOLS:
+            if text.startswith(sym, i) and not (
+                i + len(sym) < n and sym[-1].isalnum() and _is_ident_char(text[i + len(sym)])
+            ):
+                matched = sym
+                break
+        if matched is None:
+            for sym in _MULTI:
+                if text.startswith(sym, i):
+                    matched = sym
+                    break
+        if matched is not None:
+            out.append(("sym", matched, line, col))
+            i += len(matched)
+            col += len(matched)
+            continue
+        if c == '"':
+            j = text.find('"', i + 1)
+            if j < 0:
+                raise ParseError("unterminated string", line, col)
+            out.append(("str", text[i + 1 : j], line, col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            out.append(("num", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if _is_ident_start(c):
+            j = i
+            while j < n and _is_ident_char(text[j]):
+                j += 1
+            out.append(("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c in _SINGLE:
+            out.append(("sym", c, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"stray character {c!r}", line, col)
+    out.append(("eof", "", line, col))
+    return out
+
+
+def _lexed(lex, text):
+    try:
+        return [tuple(tok) for tok in lex(text)]
+    except ParseError as exc:
+        return str(exc)
+
+
+def same_tokens(text: str) -> bool:
+    """tokenize agrees with the reference on text, except that after a
+    trailing comment with no newline the reference leaves the eof column at
+    the '#' while tokenize points past the comment."""
+    new, old = _lexed(tokenize, text), _lexed(reference_tokenize, text)
+    if new != old and isinstance(new, list) and isinstance(old, list) and new[:-1] == old[:-1]:
+        (_, _, line, col), (_, _, old_line, old_col) = new[-1], old[-1]
+        comment = text[len(text) - (col - old_col) :]
+        return line == old_line and comment.startswith("#") and "\n" not in comment
+    return new == old
+
+
+# Whole symbols as units, so that rule tokens and their guards come up often.
+lexer_texts = st.lists(
+    st.one_of(
+        st.characters(min_codepoint=32, max_codepoint=126),
+        st.sampled_from(["\t", "\r", "\n", "\n", " ", '"']),
+        st.sampled_from(_RULE_SYMBOLS + _MULTI),
+        st.sampled_from(["\u00e9", "\u01c5", "\u03bb", "\u0416"]),
+    ),
+    max_size=40,
+).map("".join)
+
+
+def lexer_oracle_property(max_examples):
+    @settings(max_examples=max_examples, deadline=None)
+    @given(lexer_texts)
+    def check(text):
+        assert same_tokens(text)
+
+    return check
+
+
+# Replacements that once broke the lexer or that stress what follows it.
+FUZZ_REPLACEMENTS = ["\u00b2", '"', "{", "}", "9999"]
+_PIECE = re.compile(r"([\w']+|[^\w\s])")
+
+
+@st.composite
+def mutated_corpus_files(draw, names):
+    """(name, text): a corpus file with one to three of its pieces (words and
+    single other characters) deleted, duplicated, swapped with the next
+    piece, or replaced by a fuzz replacement or another piece of the file."""
+    name = draw(st.sampled_from(names))
+    parts = _PIECE.split(corpus_path(name).read_text(encoding="utf-8"))
+    spots = st.sampled_from(range(1, len(parts), 2))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i, edit = draw(spots), draw(st.sampled_from(["delete", "duplicate", "swap", "replace"]))
+        if edit == "delete":
+            parts[i] = ""
+        elif edit == "duplicate":
+            parts[i] = f"{parts[i]} {parts[i]}"
+        elif edit == "swap" and i + 2 < len(parts):
+            parts[i], parts[i + 2] = parts[i + 2], parts[i]
+        elif edit == "replace":
+            parts[i] = draw(st.sampled_from(FUZZ_REPLACEMENTS) | st.sampled_from(parts[1::2]))
+    return name, "".join(parts)
 
 
 def build_proof_pool():

@@ -8,12 +8,15 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import silkcheck
 from silkcheck import corpus_path, load_schema, load_script, to_ppsnf
 from silkcheck.cli import main
 from silkcheck.rewrite import DEFAULT_FUEL, FuelExhausted, StuckTerm
 from silkcheck.schema import MatchFailure, evaluate
+
+import gen
 
 
 def run(capsys, *argv):
@@ -120,6 +123,19 @@ def test_parse_error_exits_two(capsys, tmp_path):
     bad.write_text('ax1r "A |- |- B"\n')
     code, _, err = run(capsys, "check-silk", str(bad))
     assert code == 2 and "parse error" in err
+
+
+# A superscript two once ended in a ValueError from int(); an Arabic-Indic
+# three once read as the numeral 3, so that axiom was accepted.
+@pytest.mark.parametrize(
+    "text, char", [("P(\u00b2) |- P(\u00b2)", "\u00b2"), ("P(\u0663) |- P(3)", "\u0663")], ids=["sup2", "arabic3"]
+)
+def test_non_ascii_digit_is_a_parse_error(capsys, tmp_path, text, char):
+    path = tmp_path / "digit.lkp"
+    path.write_text(f'ax "{text}"\n', encoding="utf-8")
+    code, out, err = run(capsys, "check-lk", str(path))
+    assert code == 2 and not out
+    assert err == f"parse error: stray character {char!r} at 1:3\n"
 
 
 def test_missing_file_exits_two(capsys):
@@ -542,3 +558,47 @@ def test_output_file_names_the_theory_option(capsys, tmp_path, monkeypatch, comm
     plain = run(capsys, command, p(source))
     assert run(capsys, command, p(source), "--theory", "other.thy") == plain
     assert plain[1].startswith('theory "theory_fhat.thy"\n')
+
+
+FUZZ_COMMANDS = {
+    ".lkp": [["check-lk", "{}"]],
+    ".sch": [
+        ["check-schema", "{}"],
+        ["unroll", "{}", "--alpha", "2", "--lk", "--check"],
+        ["stats", "{}", "--alpha-range", "0..2"],
+        ["check-lk", p("lk_nu_shat.lkp"), "--mode", "lks", "--env", "{}"],
+    ],
+    ".slk": [
+        ["check-silk", "{}"],
+        ["ppsnf", "{}"],
+        ["translate", "{}"],
+        ["interpret", "{}"],
+        ["stats", "{}", "--alpha-range", "0..2"],
+    ],
+}
+FUZZ_FILES = sorted(
+    path.name for path in corpus_path("schema_shat.sch").parent.iterdir() if path.suffix in FUZZ_COMMANDS
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory holding copies of the corpus theories, which the mutated
+    files name by relative path."""
+    where = tmp_path_factory.mktemp("fuzz")
+    for path in corpus_path("theory_shat.thy").parent.glob("*.thy"):
+        (where / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    return where
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(gen.mutated_corpus_files(FUZZ_FILES))
+def test_mutated_corpus_files_end_in_an_exit_code(capsys, fuzz_dir, case):
+    # Every command on a damaged input ends in exit 0, 1 or 2, never an
+    # exception.
+    name, text = case
+    path = fuzz_dir / name
+    path.write_text(text, encoding="utf-8")
+    for argv in FUZZ_COMMANDS[path.suffix]:
+        code, _, _ = run(capsys, *(arg.format(path) for arg in argv))
+        assert code in (0, 1, 2)

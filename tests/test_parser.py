@@ -15,10 +15,12 @@ from silkcheck.parser import (
     parse_sequent,
     parse_term,
     parse_theory,
+    tokenize,
 )
 from silkcheck.printer import print_proof, print_schema, print_script, print_theory
 from silkcheck.silk import check_script
 
+import gen
 from gen import collection_signature
 
 THEORIES = ["theory_shat.thy", "theory_fhat.thy", "theory_exp.thy", "theory_bigjunct.thy", "theory_wedge.thy"]
@@ -115,6 +117,21 @@ def test_unterminated_string():
         parse_script('ax1r "A |- A')
 
 
+@pytest.mark.parametrize("text", ["P(\u00b2) |- P(\u00b2)", "P(\u0663) |- P(3)", "P(1\u00b2) |- P(1)"])
+def test_non_ascii_digits_are_stray_characters(text):
+    # Numerals are ASCII decimal: a superscript two or an Arabic-Indic
+    # three is neither a numeral nor the start of an identifier.
+    with pytest.raises(ParseError, match="stray character"):
+        parse_sequent(text)
+
+
+@pytest.mark.parametrize("name", ["b\u00e9", "\u00e9", "\u01c50", "x\u00b2", "_a'"])
+def test_unicode_letters_stay_legal_in_identifiers(name):
+    seq = parse_sequent(f"P({name}) |- P({name})")
+    assert str(seq.ante[0]) == f"P({name})"
+    assert parse_sequent(str(seq)) == seq
+
+
 def test_trailing_garbage():
     with pytest.raises(ParseError):
         parse_term("f(x))")
@@ -167,3 +184,49 @@ def test_bracketed_vector_syntax():
     script, _ = parse_script('clbc group=1 pair=1 pattern="A |- A" vars []\ncycle group=1 pair=1 terms []')
     assert script.steps[0].vars == ()
     assert script.steps[1].terms == ()
+
+
+def _lex(text):
+    return [tuple(tok) for tok in tokenize(text)]
+
+
+@pytest.mark.parametrize(
+    "text, tokens",
+    [
+        ("w:lx", [("ident", "w", 1, 1), ("sym", ":", 1, 2), ("ident", "lx", 1, 3), ("eof", "", 1, 5)]),
+        ("w:l x", [("sym", "w:l", 1, 1), ("ident", "x", 1, 5), ("eof", "", 1, 6)]),
+        (
+            "|-{s(n)}",
+            [("sym", "|-{", 1, 1), ("ident", "s", 1, 4), ("sym", "(", 1, 5), ("ident", "n", 1, 6),
+             ("sym", ")", 1, 7), ("sym", "}", 1, 8), ("eof", "", 1, 9)],
+        ),
+        # A string spanning a newline keeps the line it starts on and counts
+        # its characters into the columns after it, up to the next newline.
+        (
+            'ax "A\n|- A" x\ny',
+            [("ident", "ax", 1, 1), ("str", "A\n|- A", 1, 4), ("ident", "x", 1, 13),
+             ("ident", "y", 2, 1), ("eof", "", 2, 2)],
+        ),
+    ],
+    ids=["guarded-rule", "rule", "annotated-turnstile", "multiline-string"],
+)
+def test_lexer_cases(text, tokens):
+    assert _lex(text) == tokens
+    assert gen.reference_tokenize(text) == tokens
+
+
+def test_unterminated_string_position():
+    for lex in (tokenize, gen.reference_tokenize):
+        with pytest.raises(ParseError) as err:
+            lex('w:l "A |- A"\n  ax "A |- A')
+        assert str(err.value) == "unterminated string at 2:6"
+
+
+def test_eof_after_a_trailing_comment_points_past_it():
+    assert _lex("x # note")[-1] == ("eof", "", 1, 9)
+    assert gen.reference_tokenize("x # note")[-1] == ("eof", "", 1, 3)
+    assert gen.same_tokens("x # note")
+
+
+def test_lexer_agrees_with_the_reference():
+    gen.lexer_oracle_property(200)()
