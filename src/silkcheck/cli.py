@@ -49,11 +49,6 @@ def _report_exit(report, as_json: bool) -> int:
 
 def _cmd_check_lk(args) -> int:
     proof, theory, _ = load_file(args.file, parse_proof, args.theory, args.fuel)
-    issues = rw.validate_theory(theory)
-    if not issues.ok:
-        for issue in issues.issues:
-            print(f"theory: {issue}", file=sys.stderr)
-        return 2
     env = {}
     allowed = frozenset()
     if args.env:

@@ -19,16 +19,14 @@ Conventions the grammar fixes:
 from __future__ import annotations
 
 import re
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
 from . import rewrite as rw
 from .kernel import Proof, RuleData, RuleName, RULE_TOKENS
 from .schema import ProofSchema, SchemaComponent
-from .silk import SiLKScript, SiLKStep
 from .syntax import (
-    AnnSequent,
     Atom,
     Exists,
     Fn,
@@ -106,9 +104,11 @@ class Token(NamedTuple):
     col: int
 
 
-def tokenize(text: str) -> list:
+def tokenize(text: str, line: int = 1, col: int = 1) -> list:
+    """Tokens of ``text``, positioned as if it started at ``line``:``col``
+    of its file."""
     out = []
-    line, line_start = 1, 0
+    line_start = 1 - col
     for mo in _TOKEN.finditer(text):
         kind = mo.lastgroup
         if kind == "skip":
@@ -352,27 +352,19 @@ def _parse_fatom(ts: TokenStream) -> Formula:
     ts.fail("expected a formula")
 
 
-def _parse_sequent(ts: TokenStream) -> Sequent | AnnSequent:
+def _parse_sequent(ts: TokenStream) -> Sequent:
     ante: list = []
     if not (ts.at_sym("|-") or ts.at_sym("|-{")):
         ante.append(_parse_formula(ts))
         while ts.eat_sym(","):
             ante.append(_parse_formula(ts))
-    annotation = None
-    if ts.eat_sym("|-{"):
-        annotation = _parse_num(ts)
-        ts.expect_sym("}")
-    else:
-        ts.expect_sym("|-")
+    ts.expect_sym("|-")
     succ: list = []
     if ts.peek().kind != "eof" and not ts.at_sym(")"):
         succ.append(_parse_formula(ts))
         while ts.eat_sym(","):
             succ.append(_parse_formula(ts))
-    seq = Sequent(tuple(ante), tuple(succ))
-    if annotation is not None:
-        return AnnSequent(seq, annotation)
-    return seq
+    return Sequent(tuple(ante), tuple(succ))
 
 
 def _complete(ts: TokenStream, what: str):
@@ -381,10 +373,11 @@ def _complete(ts: TokenStream, what: str):
         raise ParseError(f"trailing input after {what}: {tok.text!r}", tok.line, tok.col)
 
 
-def _parse_text(text: str, parse, what: str):
-    """Parse all of ``text`` with ``parse``.  Expressions recurse, so text
-    nested deeper than Python's stack allows is a ParseError."""
-    ts = TokenStream(tokenize(text))
+def _parse_text(text: str, parse, what: str, line: int = 1, col: int = 1):
+    """Parse all of ``text``, which starts at ``line``:``col`` of its file,
+    with ``parse``.  Expressions recurse, so text nested deeper than
+    Python's stack allows is a ParseError."""
+    ts = TokenStream(tokenize(text, line, col))
     try:
         value = parse(ts)
     except RecursionError:
@@ -407,14 +400,18 @@ def parse_formula(text: str) -> Formula:
 
 
 def parse_sequent(text: str) -> Sequent:
-    s = _parse_text(text, _parse_sequent, "sequent")
-    if isinstance(s, AnnSequent):
-        raise ParseError("annotations belong to stepcase sequents only")
-    return s
+    return _parse_text(text, _parse_sequent, "sequent")
 
 
 def parse_replacement(text: str, want_formula: bool) -> Node:
     return parse_formula(text) if want_formula else parse_term(text)
+
+
+def _quoted(ts: TokenStream, parse, what: str):
+    """The next token, a string, parsed with ``parse``; errors point into
+    the file."""
+    tok = ts.expect("str")
+    return _parse_text(tok.text, parse, what, tok.line, tok.col + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -426,46 +423,52 @@ def parse_theory(text: str, fuel: int = rw.DEFAULT_FUEL) -> rw.EquationalTheory:
     reading when a rule would also parse as a term rewrite."""
     rules = []
     pred_heads: set = set()
-    pending = []  # (line_no, lhs_text, rhs_text, forced_pred)
+    pending = []  # (line_no, sides, forced_pred); a side is (text, col)
     for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
         if not line.endswith(";"):
             raise ParseError("rule lines end with ';'", line_no, len(raw))
         line = line[:-1]
+        col = len(code) - len(code.lstrip()) + 1
         forced = False
         if line.startswith("pred "):
             forced = True
             line = line[5:]
+            col += 5
         if "==" not in line:
             raise ParseError("a rule needs '=='", line_no, 1)
         lhs_text, rhs_text = line.split("==", 1)
-        pending.append((line_no, lhs_text.strip(), rhs_text.strip(), forced))
+        sides = (_side(lhs_text, col), _side(rhs_text, col + len(lhs_text) + 2))
+        pending.append((line_no, sides, forced))
 
-    def as_term_rule(lhs_text, rhs_text):
-        return parse_term(lhs_text), parse_term(rhs_text)
-
-    def as_pred_rule(lhs_text, rhs_text):
-        return parse_formula(lhs_text), parse_formula(rhs_text)
+    def as_rule(parse, what, line_no, sides):
+        return tuple(_parse_text(text, parse, what, line_no, col) for text, col in sides)
 
     drafts = []
-    for line_no, lhs_text, rhs_text, forced in pending:
+    for line_no, sides, forced in pending:
         if forced:
-            lhs, rhs = as_pred_rule(lhs_text, rhs_text)
+            lhs, rhs = as_rule(_parse_formula, "formula", line_no, sides)
             pred_heads.add(_head_name(lhs))
         else:
             try:
-                lhs, rhs = as_term_rule(lhs_text, rhs_text)
+                lhs, rhs = as_rule(_parse_term, "term", line_no, sides)
             except ParseError:
-                lhs, rhs = as_pred_rule(lhs_text, rhs_text)
+                lhs, rhs = as_rule(_parse_formula, "formula", line_no, sides)
                 pred_heads.add(_head_name(lhs))
-        drafts.append((line_no, lhs_text, rhs_text, lhs, rhs))
-    for line_no, lhs_text, rhs_text, lhs, rhs in drafts:
+        drafts.append((line_no, sides, lhs, rhs))
+    for line_no, sides, lhs, rhs in drafts:
         if not isinstance(lhs, Formula) and _head_name(lhs) in pred_heads:
-            lhs, rhs = as_pred_rule(lhs_text, rhs_text)
+            lhs, rhs = as_rule(_parse_formula, "formula", line_no, sides)
         rules.append(rw.RewriteRule(lhs, rhs, line_no))
     return rw.EquationalTheory(tuple(rules), fuel)
+
+
+def _side(text: str, col: int) -> tuple:
+    """One side of a rule without its blanks, and the column it starts at."""
+    return text.strip(), col + len(text) - len(text.lstrip())
 
 
 def _head_name(node) -> str | None:
@@ -481,9 +484,12 @@ def _head_name(node) -> str | None:
 
 
 _INT_KEYS = {"a", "b", "group", "pair", "pair2", "target"}
-_FORMULA_KEYS = {"formula"}
-_TERM_KEYS = {"term"}
-_NUM_KEYS = {"param", "ann", "g", "f"}
+_QUOTED_KEYS = {
+    "formula": (_parse_formula, "formula"),
+    "term": (_parse_term, "term"),
+    "pattern": (_parse_sequent, "sequent"),
+    **{key: (_parse_num, "numeric expression") for key in ("param", "ann", "g", "f")},
+}
 
 
 def _parse_kv(ts: TokenStream, keys: frozenset) -> dict:
@@ -505,12 +511,8 @@ def _parse_kv(ts: TokenStream, keys: frozenset) -> dict:
                 out[key] = ts.expect("ident").text
         elif key in _INT_KEYS:
             out[key] = int(ts.expect("num").text)
-        elif key in _FORMULA_KEYS:
-            out[key] = parse_formula(ts.expect("str").text)
-        elif key in _TERM_KEYS:
-            out[key] = parse_term(ts.expect("str").text)
-        elif key in _NUM_KEYS:
-            out[key] = parse_numexpr(ts.expect("str").text)
+        elif key in _QUOTED_KEYS:
+            out[key] = _quoted(ts, *_QUOTED_KEYS[key])
         elif key == "eigen":
             out[key] = ts.expect("ident").text
         elif key == "at":
@@ -525,10 +527,6 @@ def _parse_kv(ts: TokenStream, keys: frozenset) -> dict:
             while ts.eat_sym("."):
                 path.append(int(ts.expect("num").text))
             out["path"] = tuple(path)
-        elif key == "to":
-            out["to"] = ts.expect("str").text
-        elif key == "pattern":
-            out["pattern"] = parse_sequent(ts.expect("str").text)
         elif key == "vars":
             out["vars"] = _parse_name_list(ts)
         elif key == "terms":
@@ -540,7 +538,7 @@ def _parse_kv(ts: TokenStream, keys: frozenset) -> dict:
                     terms.append(_parse_term(ts))
             ts.expect_sym(close)
             out["terms"] = tuple(terms)
-        else:
+        else:  # to: resolved against the premise it rewrites
             out[key] = ts.expect("str").text
 
 
@@ -595,7 +593,7 @@ def _parse_proof_head(ts: TokenStream) -> tuple:
     if tok.text not in RULE_TOKENS:
         ts.fail(f"unknown inference rule {tok.text!r}")
     ts.next()
-    seq = parse_sequent(ts.expect("str").text)
+    seq = _quoted(ts, _parse_sequent, "sequent")
     kv = _parse_kv(ts, _NODE_KEYS)
     raw_to = kv.pop("to", None)
     if isinstance(kv.get("target"), int):
@@ -657,7 +655,7 @@ def _schema_file(ts: TokenStream) -> tuple:
         while ts.peek().kind == "ident" and ts.peek().text in ("pattern", "vars", "step"):
             word = ts.next().text
             if word == "pattern":
-                pattern = parse_sequent(ts.expect("str").text)
+                pattern = _quoted(ts, _parse_sequent, "sequent")
             elif word == "vars":
                 vars_ = _parse_name_list(ts)
             else:
@@ -665,7 +663,7 @@ def _schema_file(ts: TokenStream) -> tuple:
                 word2 = ts.expect("ident")
                 if word2.text != "param":
                     raise ParseError("expected step-param", word2.line, word2.col)
-                step_param = parse_numexpr(ts.expect("str").text)
+                step_param = _quoted(ts, _parse_num, "numeric expression")
         base = None
         step = None
         ts.expect_sym("{")
@@ -689,6 +687,35 @@ def _schema_file(ts: TokenStream) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Script files
+
+
+@dataclass(frozen=True)
+class SiLKStep:
+    """One parsed script step: a rule of the calculus and its arguments."""
+
+    rule: str
+    sequent: Sequent | None = None
+    group: int | None = None
+    pair: int | None = None
+    pair2: int | None = None
+    formula: Formula | None = None
+    ann: NumExpr | None = None
+    lk_rule: RuleName | None = None
+    data: RuleData = RuleData()
+    raw_to: str | None = None
+    pattern: Sequent | None = None
+    vars: tuple = ()
+    target: int | None = None
+    g: NumExpr | None = None
+    f: NumExpr | None = None
+    terms: tuple = ()
+    line: int = 0
+
+
+@dataclass(frozen=True)
+class SiLKScript:
+    theory: rw.EquationalTheory
+    steps: tuple
 
 
 _STEP_KEYS = frozenset(
@@ -736,7 +763,7 @@ def _script_file(ts: TokenStream) -> tuple:
         line = tok.line
         if word in ("ax1r", "ax2r"):
             kv = _parse_kv(ts, _STEP_KEYS)
-            seq = parse_sequent(ts.expect("str").text) if ts.peek().kind == "str" else None
+            seq = _quoted(ts, _parse_sequent, "sequent") if ts.peek().kind == "str" else None
             kv2 = _parse_kv(ts, _STEP_KEYS)
             kv.update(kv2)
             steps.append(SiLKStep(word, sequent=seq, line=line, **_step_fields(kv)))
@@ -874,14 +901,16 @@ def load_file(path: str | Path, parse, theory: str | Path | None = None, fuel: i
     ``parse_script``) and bind it to a theory with the given fuel, read from
     the theory file ``theory`` when given, else from the file's directive,
     relative to the file, else with no rules.  Raises ParseError when the
-    value and its theory disagree on an arity.  Returns (value, theory,
-    directive); a script comes back bound to the theory."""
+    value and its theory disagree on an arity, or when a theory rule breaks
+    the shape rewriting needs.  Returns (value, theory, directive); a script
+    comes back bound to the theory."""
     path = Path(path)
     value, directive = parse(path.read_text(encoding="utf-8"))
     if not theory and directive:
         theory = path.parent / directive
     theory = load_theory(theory, fuel) if theory else rw.EquationalTheory((), fuel)
     issues = check_arities(*_workspace_roots(value, theory))
+    issues += [f"theory {issue}" for issue in rw.validate_theory(theory).issues]
     if issues:
         raise ParseError("; ".join(issues))
     if isinstance(value, SiLKScript):

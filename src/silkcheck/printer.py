@@ -4,9 +4,9 @@ tree display the CLI uses for unrolled proofs."""
 from __future__ import annotations
 
 from .kernel import Proof, RuleData
+from .parser import SiLKScript, SiLKStep
 from .rewrite import EquationalTheory
 from .schema import ProofSchema
-from .silk import SiLKScript, SiLKStep
 from .syntax import Formula, render
 
 

@@ -6,7 +6,15 @@ left), a group a list of pairs plus its closure status and, once the first
 basecase is closed, its declared pattern.  Every pair carries the proof
 fragments built so far; stepcase fragments grow link leaves when the cycle
 or call rules fire, which is what the translation to proof schemata later
-harvests.
+harvests.  An open stepcase records the instance expression it claims next
+to its sequent, and displays it as `A |-{e} B`.
+
+`apply_step` has one branch per rule shape, each checking its side
+conditions in a fixed order so the first one that fails names the step's
+rejection: the axioms, the contractions, branching, `rho` over either the
+basecase or the stepcase slot, basecase closure, opening a stepcase (the
+stepcase axiom, cycle and call), and closing a group (with or without a
+stepcase).  Every rule but `ax1r` works in an open group named by the step.
 
 Groups and pairs are addressed by stable creation ids, so scripts survive
 reordering.
@@ -29,8 +37,8 @@ from .kernel import (
     ax,
     bridge_to,
 )
+from .parser import ParseError, SiLKScript, SiLKStep, parse_replacement
 from .syntax import (
-    AnnSequent,
     Formula,
     NumExpr,
     NumFn,
@@ -45,35 +53,12 @@ from .syntax import (
     node_at,
     num_eq,
     numeral,
+    render,
     subst,
 )
 
 
 class SilkError(Exception):
-    pass
-
-
-class ClosedGroupTouched(SilkError):
-    pass
-
-
-class PatternMismatch(SilkError):
-    pass
-
-
-class AnnotationMismatch(SilkError):
-    pass
-
-
-class ArityMismatch(SilkError):
-    pass
-
-
-class UnknownGroup(SilkError):
-    pass
-
-
-class UnknownPair(SilkError):
     pass
 
 
@@ -93,10 +78,13 @@ class Top:
 
 @dataclass(frozen=True)
 class OpenStep:
-    sequent: AnnSequent
+    sequent: Sequent
+    annotation: NumExpr
 
     def __str__(self):
-        return str(self.sequent)
+        left = ", ".join(render(f) for f in self.sequent.ante)
+        right = ", ".join(render(f) for f in self.sequent.succ)
+        return f"{left} |-{{{render(self.annotation)}}} {right}".strip()
 
 
 @dataclass(frozen=True)
@@ -159,7 +147,7 @@ class ComponentGroup:
         for p in self.pairs:
             if p.pid == pid:
                 return p
-        raise UnknownPair(f"group {self.gid} has no pair {pid}")
+        raise SilkError(f"group {self.gid} has no pair {pid}")
 
     def with_pair(self, new: ComponentPair) -> "ComponentGroup":
         return replace(self, pairs=tuple(new if p.pid == new.pid else p for p in self.pairs))
@@ -184,7 +172,7 @@ class ComponentCollection:
         for g in self.groups:
             if g.gid == gid:
                 return g
-        raise UnknownGroup(f"no group {gid}")
+        raise SilkError(f"no group {gid}")
 
     def with_group(self, new: ComponentGroup) -> "ComponentCollection":
         return replace(self, groups=tuple(new if g.gid == new.gid else g for g in self.groups))
@@ -222,39 +210,21 @@ def leading_group(collection: ComponentCollection) -> ComponentGroup:
 # Steps
 
 
-@dataclass(frozen=True)
-class SiLKStep:
-    rule: str
-    sequent: Sequent | None = None
-    group: int | None = None
-    pair: int | None = None
-    pair2: int | None = None
-    formula: Formula | None = None
-    ann: NumExpr | None = None
-    lk_rule: RuleName | None = None
-    data: RuleData = RuleData()
-    raw_to: str | None = None
-    pattern: Sequent | None = None
-    vars: tuple = ()
-    target: int | None = None
-    g: NumExpr | None = None
-    f: NumExpr | None = None
-    terms: tuple = ()
-    line: int = 0
+_RULES = frozenset(
+    {"ax1r", "ax2r", "axl", "ccr", "ccl", "br", "rho_bc", "rho_sc", "clbc", "cllke", "clsc", "cycle", "call"}
+)
 
-
-@dataclass(frozen=True)
-class SiLKScript:
-    theory: rw.EquationalTheory
-    steps: tuple
+# The rules that open a stepcase, named as their closed-basecase rejection
+# names them.
+_OPENER = {"axl": "stepcase work", "cycle": "the cycle rule", "call": "the call rule"}
 
 
 def _open_group(state: ComponentCollection, gid: int | None) -> ComponentGroup:
     if gid is None:
-        raise UnknownGroup("step names no group")
+        raise SilkError("step names no group")
     g = state.group(gid)
     if g.closed:
-        raise ClosedGroupTouched(f"group {gid} is closed")
+        raise SilkError(f"group {gid} is closed")
     return g
 
 
@@ -284,10 +254,26 @@ def _resolve_rewrite(step: SiLKStep, premise: Sequent) -> RuleData:
         old = node_at(side[data.idx], data.path)
     except (IndexError, TypeError) as exc:
         raise SilkError(f"bad rewrite path {data.path}: {exc}") from None
-    from . import parser
-
-    repl = parser.parse_replacement(step.raw_to, want_formula=isinstance(old, Formula))
+    try:
+        repl = parse_replacement(step.raw_to, want_formula=isinstance(old, Formula))
+    except ParseError as exc:
+        raise SilkError(f"bad replacement {step.raw_to!r}: {exc}") from None
     return replace(data, repl=repl)
+
+
+def _pattern_instance(pattern: Sequent, n: NumExpr, built: Sequent, case: str, theory) -> Sequent:
+    """The pattern at ``n``, which the ``case`` sequent ``built`` must equal
+    up to rewriting.  The normal-form cache is shared by the whole theory, so
+    the side normalized first pays the fuel: a basecase is compared from the
+    instance, a stepcase from the built sequent."""
+    instance = subst(pattern, Substitution({"n": n}, {}))
+    if case == "basecase":
+        same = rw.sequent_equivalent(instance, built, theory)
+    else:
+        same = rw.sequent_equivalent(built, instance, theory)
+    if not same:
+        raise SilkError(f"{case} {built} is not the pattern instance {instance} up to rewriting")
+    return instance
 
 
 def apply_step(
@@ -295,8 +281,8 @@ def apply_step(
     step: SiLKStep,
     theory: rw.EquationalTheory,
 ) -> ComponentCollection:
-    """One inference of the calculus; raises a SilkError subclass when the
-    step does not apply."""
+    """One inference of the calculus; raises a SilkError when the step does
+    not apply."""
     rule = step.rule
 
     if rule == "ax1r":
@@ -304,140 +290,84 @@ def apply_step(
         pair = ComponentPair(1, TOP, OpenBase(s), ax(s))
         group = ComponentGroup(state.next_gid, (pair,), next_pid=2)
         return ComponentCollection((group,) + state.groups, state.next_gid + 1, state.closures)
+    if rule not in _RULES:
+        raise SilkError(f"unknown rule {rule}")
+    g = _open_group(state, step.group)
 
     if rule == "ax2r":
-        g = _open_group(state, step.group)
         s = _axiom_sequent(step)
         pair = ComponentPair(g.next_pid, TOP, OpenBase(s), ax(s))
-        g = replace(g, pairs=(pair,) + g.pairs, next_pid=g.next_pid + 1)
-        return state.with_group(g)
-
-    if rule == "axl":
-        g = _open_group(state, step.group)
-        p = g.pair(step.pair)
-        if not isinstance(p.step, Top):
-            raise SilkError(f"pair {p.pid} already has a stepcase")
-        if not isinstance(p.base, ClosedBase):
-            raise SilkError("stepcase work requires a closed basecase")
-        if step.formula is None or step.ann is None:
-            raise SilkError("the stepcase axiom needs a formula and an annotation")
-        s = Sequent((step.formula,), (step.formula,))
-        p = replace(p, step=OpenStep(AnnSequent(s, step.ann)), step_proof=ax(s))
-        return state.with_group(g.with_pair(p))
+        return state.with_group(replace(g, pairs=(pair,) + g.pairs, next_pid=g.next_pid + 1))
 
     if rule in ("ccr", "ccl"):
-        g = _open_group(state, step.group)
         p1, p2 = g.pair(step.pair), g.pair(step.pair2)
         if p1.pid == p2.pid:
             raise SilkError("contraction needs two distinct pairs")
-        if rule == "ccr":
-            ok = (
-                isinstance(p1.step, Top)
-                and isinstance(p2.step, Top)
-                and isinstance(p1.base, OpenBase)
-                and isinstance(p2.base, OpenBase)
-                and p1.base.sequent == p2.base.sequent
-            )
-            if not ok:
-                raise SilkError("component contraction needs two identical open-basecase pairs")
-        else:
-            if isinstance(p1.step, OpenStep) or isinstance(p2.step, OpenStep):
-                raise SilkError("contraction of pairs with open stepcases is not licensed")
-            ok = (
-                isinstance(p1.base, ClosedBase)
-                and isinstance(p2.base, ClosedBase)
-                and p1.base.sequent == p2.base.sequent
-                and type(p1.step) is type(p2.step)
-                and (not isinstance(p1.step, ClosedStep) or p1.step.sequent == p2.step.sequent)
-            )
-            if not ok:
-                raise SilkError("component contraction needs two identical closed-basecase pairs")
+        # ccr merges two pairs before stepcase work, ccl two after it.
+        if rule == "ccl" and (isinstance(p1.step, OpenStep) or isinstance(p2.step, OpenStep)):
+            raise SilkError("contraction of pairs with open stepcases is not licensed")
+        base, which = (OpenBase, "open") if rule == "ccr" else (ClosedBase, "closed")
+        ok = (
+            isinstance(p1.base, base)
+            and isinstance(p2.base, base)
+            and p1.base.sequent == p2.base.sequent
+            and type(p1.step) is type(p2.step)
+            and (rule == "ccl" or isinstance(p1.step, Top))
+            and (not isinstance(p1.step, ClosedStep) or p1.step.sequent == p2.step.sequent)
+        )
+        if not ok:
+            raise SilkError(f"component contraction needs two identical {which}-basecase pairs")
         return state.with_group(g.drop_pair(p2.pid))
 
     if rule == "br":
-        g = _open_group(state, step.group)
         p = g.pair(step.pair)
         if not isinstance(p.base, ClosedBase):
             raise SilkError("branching duplicates a pair with a closed basecase")
         copy = ComponentPair(g.next_pid, TOP, p.base, p.base_proof)
-        g = replace(g, pairs=(copy,) + g.pairs, next_pid=g.next_pid + 1)
-        return state.with_group(g)
+        return state.with_group(replace(g, pairs=(copy,) + g.pairs, next_pid=g.next_pid + 1))
 
-    if rule == "rho_bc":
-        g = _open_group(state, step.group)
+    if rule in ("rho_bc", "rho_sc"):
+        # One LK inference on the basecase slot, before any stepcase work, or
+        # on an open stepcase; a binary one consumes the second pair.
+        slot = "step" if rule == "rho_sc" else "base"
         p1 = g.pair(step.pair)
-        if not isinstance(p1.step, Top):
-            raise SilkError("basecase rules apply only while the stepcase is open territory")
-        if not isinstance(p1.base, OpenBase):
-            raise SilkError(f"basecase of pair {p1.pid} is closed")
-        premises = [p1.base.sequent]
-        proofs = [p1.base_proof]
-        if step.pair2 is not None:
-            p2 = g.pair(step.pair2)
-            if p1.pid == p2.pid:
-                raise SilkError("binary rule needs two distinct pairs")
-            if not isinstance(p2.step, Top) or not isinstance(p2.base, OpenBase):
-                raise SilkError(f"pair {p2.pid} cannot feed a basecase rule")
-            premises.append(p2.base.sequent)
-            proofs.append(p2.base_proof)
-        data = _resolve_rewrite(step, premises[0])
-        try:
-            concl = apply_rule(step.lk_rule, tuple(premises), data, theory)
-        except RuleError as exc:
-            raise SilkError(str(exc)) from None
-        new = replace(
-            p1,
-            base=OpenBase(concl),
-            base_proof=Proof(concl, step.lk_rule, tuple(proofs), data),
-        )
-        g = g.with_pair(new)
-        if step.pair2 is not None:
-            g = g.drop_pair(step.pair2)
-        return state.with_group(g)
-
-    if rule == "rho_sc":
-        g = _open_group(state, step.group)
-        p1 = g.pair(step.pair)
-        if not isinstance(p1.step, OpenStep):
+        if slot == "step" and not isinstance(p1.step, OpenStep):
             raise SilkError(f"pair {p1.pid} has no open stepcase")
-        premises = [p1.step.sequent.sequent]
-        proofs = [p1.step_proof]
-        ann = p1.step.sequent.annotation
+        if slot == "base" and not isinstance(p1.step, Top):
+            raise SilkError("basecase rules apply only while the stepcase is open territory")
+        if slot == "base" and not isinstance(p1.base, OpenBase):
+            raise SilkError(f"basecase of pair {p1.pid} is closed")
+        pairs = (p1,)
         if step.pair2 is not None:
             p2 = g.pair(step.pair2)
             if p1.pid == p2.pid:
                 raise SilkError("binary rule needs two distinct pairs")
-            if not isinstance(p2.step, OpenStep):
-                raise SilkError(f"pair {p2.pid} has no open stepcase")
-            if not num_eq(ann, p2.step.sequent.annotation):
-                raise AnnotationMismatch(
-                    f"stepcase annotations differ: {ann} vs {p2.step.sequent.annotation}"
-                )
-            if not (
-                isinstance(p1.base, ClosedBase)
-                and isinstance(p2.base, ClosedBase)
-                and p1.base.sequent == p2.base.sequent
-            ):
-                raise SilkError("binary stepcase rules need the same closed basecase in both pairs")
-            premises.append(p2.step.sequent.sequent)
-            proofs.append(p2.step_proof)
+            if slot == "base" and not (isinstance(p2.step, Top) and isinstance(p2.base, OpenBase)):
+                raise SilkError(f"pair {p2.pid} cannot feed a basecase rule")
+            if slot == "step":
+                if not isinstance(p2.step, OpenStep):
+                    raise SilkError(f"pair {p2.pid} has no open stepcase")
+                if not num_eq(p1.step.annotation, p2.step.annotation):
+                    ann1, ann2 = p1.step.annotation, p2.step.annotation
+                    raise SilkError(f"stepcase annotations differ: {ann1} vs {ann2}")
+                same = isinstance(p1.base, ClosedBase) and isinstance(p2.base, ClosedBase)
+                if not (same and p1.base.sequent == p2.base.sequent):
+                    raise SilkError("binary stepcase rules need the same closed basecase in both pairs")
+            pairs += (p2,)
+        premises = tuple(getattr(p, slot).sequent for p in pairs)
         data = _resolve_rewrite(step, premises[0])
         try:
-            concl = apply_rule(step.lk_rule, tuple(premises), data, theory)
+            concl = apply_rule(step.lk_rule, premises, data, theory)
         except RuleError as exc:
             raise SilkError(str(exc)) from None
-        new = replace(
-            p1,
-            step=OpenStep(AnnSequent(concl, ann)),
-            step_proof=Proof(concl, step.lk_rule, tuple(proofs), data),
-        )
-        g = g.with_pair(new)
+        proof = Proof(concl, step.lk_rule, tuple(getattr(p, slot + "_proof") for p in pairs), data)
+        built = {slot: replace(getattr(p1, slot), sequent=concl), slot + "_proof": proof}
+        g = g.with_pair(replace(p1, **built))
         if step.pair2 is not None:
             g = g.drop_pair(step.pair2)
         return state.with_group(g)
 
     if rule == "clbc":
-        g = _open_group(state, step.group)
         p = g.pair(step.pair)
         if not isinstance(p.step, Top):
             raise SilkError("only pairs without stepcase work can close their basecase")
@@ -446,7 +376,7 @@ def apply_step(
         pattern, pvars = g.pattern, g.pattern_vars
         if step.pattern is not None:
             if pattern is not None and not (pattern == step.pattern and pvars == step.vars):
-                raise PatternMismatch(f"group {g.gid} already declared the pattern {pattern}")
+                raise SilkError(f"group {g.gid} already declared the pattern {pattern}")
             pattern, pvars = step.pattern, step.vars
         if pattern is None:
             raise SilkError("the first basecase closure must declare the group pattern")
@@ -455,11 +385,7 @@ def apply_step(
                 f"declared variables {sorted(pvars)} do not list the pattern's free variables "
                 f"{sorted(free_vars(pattern))}"
             )
-        instance = subst(pattern, Substitution({"n": numeral(0)}, {}))
-        if not rw.sequent_equivalent(instance, p.base.sequent, theory):
-            raise PatternMismatch(
-                f"basecase {p.base.sequent} is not the pattern instance {instance} up to rewriting"
-            )
+        instance = _pattern_instance(pattern, numeral(0), p.base.sequent, "basecase", theory)
         # The bracket displays the pattern instance, mirroring the stepcase
         # closure; the built sequent is equal to it up to rewriting, and the
         # pair's proof is adapted so it still concludes the bracket.
@@ -467,106 +393,75 @@ def apply_step(
         p = replace(p, base=ClosedBase(instance), base_proof=bridge_to(p.base_proof, instance))
         return state.with_group(g.with_pair(p))
 
+    if rule in _OPENER:
+        p = g.pair(step.pair)
+        if not isinstance(p.step, Top):
+            raise SilkError(f"pair {p.pid} already has a stepcase")
+        if not isinstance(p.base, ClosedBase):
+            raise SilkError(f"{_OPENER[rule]} requires a closed basecase")
+        if rule == "axl":
+            if step.formula is None or step.ann is None:
+                raise SilkError("the stepcase axiom needs a formula and an annotation")
+            opened = Sequent((step.formula,), (step.formula,))
+            ann, proof = step.ann, ax(opened)
+        else:
+            target, n, ann = _link_target(state, g, step, p, theory)
+            opened = subst(target.pattern, Substitution({"n": n}, dict(zip(target.pattern_vars, step.terms))))
+            link = RuleData(target=target.link_name(), param=n, terms=step.terms)
+            proof = Proof(opened, RuleName.LINK, (), link)
+        return state.with_group(g.with_pair(replace(p, step=OpenStep(opened, ann), step_proof=proof)))
+
+    # cllke or clsc: a single pair closes the group.
+    if len(g.pairs) != 1:
+        raise SilkError("only single-pair groups can close")
+    p = g.pairs[0]
     if rule == "cllke":
-        g = _open_group(state, step.group)
-        if len(g.pairs) != 1:
-            raise SilkError("only single-pair groups can close")
-        p = g.pairs[0]
         if not isinstance(p.step, Top) or not isinstance(p.base, ClosedBase):
             raise SilkError("closing without a stepcase needs a closed basecase and no stepcase work")
-        g = replace(g, pairs=(replace(p, step=EMPTY_STEP),), closed=True, closure_index=state.closures + 1)
-        return replace(state.with_group(g), closures=state.closures + 1)
-
-    if rule == "clsc":
-        g = _open_group(state, step.group)
-        if len(g.pairs) != 1:
-            raise SilkError("only single-pair groups can close")
-        p = g.pairs[0]
+        p = replace(p, step=EMPTY_STEP)
+    else:
         if not isinstance(p.step, OpenStep) or not isinstance(p.base, ClosedBase):
             raise SilkError("closing the stepcase needs an open stepcase over a closed basecase")
         if g.pattern is None:
             raise SilkError("the group pattern was never declared")
-        target = subst(g.pattern, Substitution({"n": Succ(Param("n"))}, {}))
-        if not rw.sequent_equivalent(p.step.sequent.sequent, target, theory):
-            raise PatternMismatch(
-                f"stepcase {p.step.sequent.sequent} is not the pattern instance {target} up to rewriting"
-            )
-        if step.ann is not None and not num_eq(step.ann, p.step.sequent.annotation):
-            raise AnnotationMismatch(
-                f"declared instance expression {step.ann} differs from the recorded {p.step.sequent.annotation}"
+        target = _pattern_instance(g.pattern, Succ(Param("n")), p.step.sequent, "stepcase", theory)
+        if step.ann is not None and not num_eq(step.ann, p.step.annotation):
+            raise SilkError(
+                f"declared instance expression {step.ann} differs from the recorded {p.step.annotation}"
             )
         p = replace(p, step=ClosedStep(target), step_proof=bridge_to(p.step_proof, target))
-        g = replace(g, pairs=(p,), closed=True, closure_index=state.closures + 1)
-        return replace(state.with_group(g), closures=state.closures + 1)
+    g = replace(g, pairs=(p,), closed=True, closure_index=state.closures + 1)
+    return replace(state.with_group(g), closures=state.closures + 1)
 
-    if rule == "cycle":
-        g = _open_group(state, step.group)
-        p = g.pair(step.pair)
-        if not isinstance(p.step, Top):
-            raise SilkError(f"pair {p.pid} already has a stepcase")
-        if not isinstance(p.base, ClosedBase):
-            raise SilkError("the cycle rule requires a closed basecase")
+
+def _link_target(state, g: ComponentGroup, step: SiLKStep, p: ComponentPair, theory) -> tuple:
+    """The group a cycle or call step links to, the parameter it links at,
+    and the annotation of the stepcase it opens."""
+    if step.rule == "cycle":
         if g.pattern is None:
             raise SilkError("the cycle rule requires the group pattern, declared at basecase closure")
         if len(step.terms) != len(g.pattern_vars):
-            raise ArityMismatch(
-                f"cycle carries {len(step.terms)} terms for {len(g.pattern_vars)} pattern variables"
-            )
-        base_instance = subst(g.pattern, Substitution({"n": numeral(0)}, {}))
-        if not rw.sequent_equivalent(base_instance, p.base.sequent, theory):
-            raise PatternMismatch(
-                f"basecase {p.base.sequent} is not the pattern instance {base_instance} up to rewriting"
-            )
-        var_sub = Substitution({}, dict(zip(g.pattern_vars, step.terms)))
-        opened = subst(g.pattern, var_sub)
-        ann = NumFn("+", (Param("n"), numeral(1)))
-        link = Proof(
-            opened,
-            RuleName.LINK,
-            (),
-            RuleData(target=g.link_name(), param=Param("n"), terms=step.terms),
-        )
-        p = replace(p, step=OpenStep(AnnSequent(opened, ann)), step_proof=link)
-        return state.with_group(g.with_pair(p))
-
-    if rule == "call":
-        g = _open_group(state, step.group)
-        p = g.pair(step.pair)
-        if not isinstance(p.step, Top):
-            raise SilkError(f"pair {p.pid} already has a stepcase")
-        if not isinstance(p.base, ClosedBase):
-            raise SilkError("the call rule requires a closed basecase")
-        if step.target is None:
-            raise UnknownGroup("call without a target group")
-        aux = state.group(step.target)
-        if not aux.closed:
-            raise SilkError(f"call target group {aux.gid} is not closed")
-        if not isinstance(aux.pairs[0].step, ClosedStep):
-            raise SilkError(f"call target group {aux.gid} has an empty stepcase")
-        if aux.pattern is None:
-            raise SilkError(f"call target group {aux.gid} has no pattern")
-        if step.g is None:
-            raise SilkError("the call rule needs its parameter expression g")
-        extra = free_params(step.g) - {"n"}
-        if extra:
-            raise SilkError(f"call parameter {step.g} uses parameters {sorted(extra)}")
-        if len(step.terms) != len(aux.pattern_vars):
-            raise ArityMismatch(
-                f"call carries {len(step.terms)} terms for {len(aux.pattern_vars)} variables"
-            )
-        sub = Substitution({"n": step.g}, dict(zip(aux.pattern_vars, step.terms)))
-        opened = subst(aux.pattern, sub)
-        ann = step.f if step.f is not None else step.g
-        link = Proof(
-            opened,
-            RuleName.LINK,
-            (),
-            RuleData(target=aux.link_name(), param=step.g, terms=step.terms),
-        )
-        p = replace(p, step=OpenStep(AnnSequent(opened, ann)), step_proof=link)
-        return state.with_group(g.with_pair(p))
-
-    raise SilkError(f"unknown rule {rule}")
+            counts = f"{len(step.terms)} terms for {len(g.pattern_vars)}"
+            raise SilkError(f"cycle carries {counts} pattern variables")
+        _pattern_instance(g.pattern, numeral(0), p.base.sequent, "basecase", theory)
+        return g, Param("n"), NumFn("+", (Param("n"), numeral(1)))
+    if step.target is None:
+        raise SilkError("call without a target group")
+    aux = state.group(step.target)
+    if not aux.closed:
+        raise SilkError(f"call target group {aux.gid} is not closed")
+    if not isinstance(aux.pairs[0].step, ClosedStep):
+        raise SilkError(f"call target group {aux.gid} has an empty stepcase")
+    if aux.pattern is None:
+        raise SilkError(f"call target group {aux.gid} has no pattern")
+    if step.g is None:
+        raise SilkError("the call rule needs its parameter expression g")
+    extra = free_params(step.g) - {"n"}
+    if extra:
+        raise SilkError(f"call parameter {step.g} uses parameters {sorted(extra)}")
+    if len(step.terms) != len(aux.pattern_vars):
+        raise SilkError(f"call carries {len(step.terms)} terms for {len(aux.pattern_vars)} variables")
+    return aux, step.g, step.f if step.f is not None else step.g
 
 
 # ---------------------------------------------------------------------------

@@ -489,30 +489,6 @@ class Sequent:
         return h
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class AnnSequent:
-    """A stepcase sequent carrying the instance expression it claims."""
-
-    sequent: Sequent
-    annotation: NumExpr
-
-    def __str__(self):
-        left = ", ".join(render(f) for f in self.sequent.ante)
-        right = ", ".join(render(f) for f in self.sequent.succ)
-        return f"{left} |-{{{render(self.annotation)}}} {right}".strip()
-
-    def __repr__(self):
-        return f"<AnnSequent {self}>"
-
-    def __eq__(self, other):
-        if not isinstance(other, AnnSequent):
-            return NotImplemented
-        return self.sequent == other.sequent and num_eq(self.annotation, other.annotation)
-
-    def __hash__(self):
-        return hash((hash(self.sequent), hash(canon_num(self.annotation))))
-
-
 # ---------------------------------------------------------------------------
 # Alpha renaming and equality
 
@@ -620,11 +596,9 @@ def rebuild(node: Node, kids: tuple) -> Node:
 
 
 def free_params(x) -> frozenset[str]:
-    """Parameter symbols occurring in a node, sequent, or annotated sequent."""
+    """Parameter symbols occurring in a node or sequent."""
     if isinstance(x, Sequent):
         return frozenset().union(*map(free_params, x.formulas()))
-    if isinstance(x, AnnSequent):
-        return free_params(x.sequent) | free_params(x.annotation)
     return frozenset(n.name for n in walk(x) if isinstance(n, Param))
 
 
@@ -699,14 +673,12 @@ def subst_vars(mapping: Mapping[str, Node]) -> Substitution:
 
 
 def subst(x, sub: Substitution):
-    """Apply a substitution to a numeric expression, term, formula, sequent,
-    or annotated sequent."""
+    """Apply a substitution to a numeric expression, term, formula or
+    sequent."""
     if sub.is_empty():
         return x
     if isinstance(x, Sequent):
         return Sequent(tuple(_subst(f, sub) for f in x.ante), tuple(_subst(f, sub) for f in x.succ))
-    if isinstance(x, AnnSequent):
-        return AnnSequent(subst(x.sequent, sub), _subst(x.annotation, sub))
     return _subst(x, sub)
 
 

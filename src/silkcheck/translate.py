@@ -14,16 +14,9 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .kernel import bridge_to
+from .parser import SiLKScript
 from .schema import ProofSchema, SchemaComponent
-from .silk import (
-    ClosedStep,
-    ComponentCollection,
-    EmptyStep,
-    NotAProof,
-    SiLKScript,
-    check_script,
-    leading_group,
-)
+from .silk import ClosedStep, ComponentCollection, EmptyStep, NotAProof, check_script, leading_group
 from .syntax import (
     And,
     Formula,
@@ -68,24 +61,11 @@ def to_ppsnf(script: SiLKScript) -> SiLKScript:
     ancestors = ancestor_map(script)
     closure_of = {g.gid: g.closure_index for g in collection.groups}
     ordered_gids = sorted(ancestors, key=lambda gid: closure_of[gid])
-    new_order = [i for gid in ordered_gids for i in ancestors[gid]]
-
-    # Group ids are creation ordinals, so renumber references to match the
-    # new creation order.
-    original_gid = {}
-    next_gid = 1
-    for i, step in enumerate(script.steps):
-        if step.rule == "ax1r":
-            original_gid[i] = next_gid
-            next_gid += 1
-    remap: dict[int, int] = {}
-    next_gid = 1
-    for i in new_order:
-        if i in original_gid:
-            remap[original_gid[i]] = next_gid
-            next_gid += 1
+    # Group ids are creation ordinals.  Each group's steps start with the
+    # ax1r that creates it, so its new id is its place in the new order.
+    remap = {gid: new for new, gid in enumerate(ordered_gids, 1)}
     new_steps = []
-    for i in new_order:
+    for i in (i for gid in ordered_gids for i in ancestors[gid]):
         step = script.steps[i]
         changes = {}
         if step.group is not None:

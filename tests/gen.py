@@ -125,10 +125,8 @@ def collection_signature(collection: ComponentCollection):
 def hash_pair(p: ComponentPair) -> int:
     parts = []
     for case in (p.step, p.base):
-        if isinstance(case, (OpenBase, ClosedBase, ClosedStep)):
+        if isinstance(case, (OpenBase, ClosedBase, OpenStep, ClosedStep)):
             parts.append(hash(case.sequent))
-        elif isinstance(case, OpenStep):
-            parts.append(hash(case.sequent.sequent))
         else:
             parts.append(hash(type(case).__name__))
     return hash(tuple(parts))

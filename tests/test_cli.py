@@ -118,6 +118,9 @@ def test_json_output_is_byte_identical(capsys):
     assert payload["status"] == "accepted"
 
 
+CONJ_SCRIPT = corpus_path("silk_conj_comm.slk").read_text()
+
+
 def test_parse_error_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.slk"
     bad.write_text('ax1r "A |- |- B"\n')
@@ -135,7 +138,7 @@ def test_non_ascii_digit_is_a_parse_error(capsys, tmp_path, text, char):
     path.write_text(f'ax "{text}"\n', encoding="utf-8")
     code, out, err = run(capsys, "check-lk", str(path))
     assert code == 2 and not out
-    assert err == f"parse error: stray character {char!r} at 1:3\n"
+    assert err == f"parse error: stray character {char!r} at 1:7\n"
 
 
 def test_missing_file_exits_two(capsys):
@@ -602,3 +605,108 @@ def test_mutated_corpus_files_end_in_an_exit_code(capsys, fuzz_dir, case):
     for argv in FUZZ_COMMANDS[path.suffix]:
         code, _, _ = run(capsys, *(arg.format(path) for arg in argv))
         assert code in (0, 1, 2)
+
+
+# A script's replacement expression is parsed at replay, against the
+# premise; one that does not parse once escaped replay as a ParseError.
+MALFORMED_TO = (
+    'theory "%s"\n'
+    'ax1r "P(0) |- P(0)"\n'
+    'rho bc 1 E group=1 pair=1 at=R.0 path=0 to="f(("\n'
+)
+
+
+def test_malformed_replacement_rejects_the_step(capsys, tmp_path):
+    path = tmp_path / "bad_to.slk"
+    path.write_text(MALFORMED_TO % p("theory_fhat.thy"))
+    code, out, err = run(capsys, "check-silk", str(path))
+    assert code == 1 and not err
+    assert out.splitlines()[0] == "verdict: rejected"
+    assert out.splitlines()[-1] == "  step 1: [rho_bc] bad replacement 'f((': expected a term at 1:4"
+
+
+@pytest.mark.parametrize("command", ["ppsnf", "translate", "interpret", "stats"])
+def test_malformed_replacement_is_not_a_proof(capsys, tmp_path, command):
+    path = tmp_path / "bad_to.slk"
+    path.write_text(MALFORMED_TO % p("theory_fhat.thy"))
+    extra = ("--alpha-range", "0..1") if command == "stats" else ()
+    code, out, err = run(capsys, command, str(path), *extra)
+    assert code == 1 and not out
+    assert err.startswith("not a proof")
+
+
+# f(g(x)) == x puts the defined symbol g inside an argument.
+BAD_THEORY = "f(g(x)) == x;\ng(x) == x;\n"
+BAD_THEORY_ERR = "parse error: theory rule 1: defined symbol g(x) occurs inside the argument g(x)\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("a.lkp", 'ax "P |- P"\n', ("check-lk",)),
+        ("a.sch", 'component phi pattern "P |- P" vars () { base { ax "P |- P" } }\n', ("check-schema",)),
+        ("a.sch", 'component phi pattern "P |- P" vars () { base { ax "P |- P" } }\n', ("unroll", "--alpha", "1")),
+        ("a.slk", CONJ_SCRIPT, ("check-silk",)),
+        ("a.slk", CONJ_SCRIPT, ("ppsnf",)),
+        ("a.slk", CONJ_SCRIPT, ("translate",)),
+        ("a.slk", CONJ_SCRIPT, ("interpret",)),
+        ("a.slk", CONJ_SCRIPT, ("stats", "--alpha-range", "0..1")),
+    ],
+)
+def test_every_command_validates_the_theory(capsys, tmp_path, name, text, argv):
+    (tmp_path / "bad.thy").write_text(BAD_THEORY)
+    path = tmp_path / name
+    path.write_text('theory "bad.thy"\n' + text)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (2, "", BAD_THEORY_ERR)
+
+
+def test_theory_option_is_validated(capsys, tmp_path):
+    (tmp_path / "bad.thy").write_text(BAD_THEORY)
+    code, out, err = run(capsys, "check-silk", p("silk_conj_comm.slk"), "--theory", str(tmp_path / "bad.thy"))
+    assert (code, out, err) == (2, "", BAD_THEORY_ERR)
+
+
+# Parse errors inside quoted expressions and theory rules are reported at
+# their place in the file, not in the quoted text.
+@pytest.mark.parametrize(
+    "name, text, argv, where",
+    [
+        ("a.lkp", '# a comment\n\n\nax "P( |- P"\n', ("check-lk",), "expected a term at 4:8"),
+        ("a.slk", 'ax1r "A |- A"\n  ax2r group=1 "B |- |- B"\n', ("check-silk",), "expected a formula at 2:22"),
+        ("a.slk", 'ax1r "A |- A"\naxl group=1 pair=1 formula="A" ann="s("\n', ("check-silk",), "expected a numeric expression at 2:39"),
+        (
+            "a.sch",
+            'component phi\n  pattern "P(n |- P" vars () { base { ax "P |- P" } }\n',
+            ("check-schema",),
+            "expected ')', found '|-' at 2:16",
+        ),
+        (
+            "a.sch",
+            'component phi pattern "P |- P" vars () step-param "s(n" { base { ax "P |- P" } }\n',
+            ("check-schema",),
+            "expected ')', found '' at 1:55",
+        ),
+    ],
+)
+def test_parse_errors_carry_file_positions(capsys, tmp_path, name, text, argv, where):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (2, "", f"parse error: {where}\n")
+
+
+@pytest.mark.parametrize(
+    "rules, where",
+    [
+        ("f(x) == x;\n\nf(s(x)) == g(x,;\n", "expected a term at 3:16"),
+        ("f(x) == x;\n\n  pred  Q( == P;\n", "expected a term at 3:11"),
+        ("\tf( == x;\n", "expected a term at 1:4"),
+    ],
+)
+def test_theory_parse_errors_carry_file_positions(capsys, tmp_path, rules, where):
+    (tmp_path / "t.thy").write_text(rules)
+    path = tmp_path / "a.lkp"
+    path.write_text('theory "t.thy"\nax "P |- P"\n')
+    code, out, err = run(capsys, "check-lk", str(path))
+    assert (code, out, err) == (2, "", f"parse error: {where}\n")

@@ -1,6 +1,6 @@
 """Import hygiene of the package sources, read with the standard library's
-``ast``: every module-level import is used, and the only import inside a
-function is the one that breaks the ``silk`` -> ``parser`` import cycle."""
+``ast``: every module-level import is used, and no function imports
+anything."""
 
 import ast
 from pathlib import Path
@@ -36,7 +36,7 @@ def test_every_module_level_import_is_used():
     assert unused == []
 
 
-def test_only_import_inside_a_function_guards_the_parser_cycle():
+def test_no_import_inside_a_function():
     local = []
     for path in SOURCES:
         for fn in ast.walk(_tree(path)):
@@ -44,4 +44,4 @@ def test_only_import_inside_a_function_guards_the_parser_cycle():
                 for node in ast.walk(fn):
                     if isinstance(node, (ast.Import, ast.ImportFrom)):
                         local.append((path.stem, fn.name, getattr(node, "module", None), tuple(_bound(node))))
-    assert local == [("silk", "_resolve_rewrite", None, ("parser",))]
+    assert local == []

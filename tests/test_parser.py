@@ -112,6 +112,17 @@ def test_double_turnstile_is_an_error():
     assert err.value.col == 6
 
 
+@pytest.mark.parametrize(
+    "text, where", [("A |-{s(n)} A", "1:3"), ("|-{s(n)} A", "1:1")], ids=["antecedent", "empty"]
+)
+def test_annotated_turnstile_is_no_sequent(text, where):
+    # Input files give a stepcase annotation as ann="..."; only the display
+    # of an open stepcase writes it into the turnstile.
+    with pytest.raises(ParseError) as err:
+        parse_sequent(text)
+    assert str(err.value) == f"expected '|-', found '|-{{' at {where}"
+
+
 def test_unterminated_string():
     with pytest.raises(ParseError):
         parse_script('ax1r "A |- A')

@@ -4,14 +4,18 @@ from dataclasses import replace
 
 import pytest
 
+from silkcheck import corpus_path
 from silkcheck.kernel import MODE_LKS, check_proof
 from silkcheck.parser import parse_formula, parse_script, parse_sequent
 from silkcheck.silk import (
+    EMPTY_COLLECTION,
     ClosedBase,
     ClosedStep,
+    NotAProof,
     OpenStep,
     SilkError,
     SiLKScript,
+    SiLKStep,
     Top,
     apply_step,
     check_script,
@@ -146,8 +150,7 @@ def test_embedded_proofs_stay_coherent(all_scripts):
                 )
                 assert rep.accepted, (name, [str(x) for x in rep.failures])
                 if isinstance(pair.step, (OpenStep, ClosedStep)):
-                    seq = pair.step.sequent.sequent if isinstance(pair.step, OpenStep) else pair.step.sequent
-                    assert pair.step_proof.conclusion == seq, name
+                    assert pair.step_proof.conclusion == pair.step.sequent, name
                     rep = check_proof(
                         pair.step_proof,
                         MODE_LKS,
@@ -234,7 +237,7 @@ def test_annotation_recorded_at_closure(fhat_script, exp_script):
         for step in script.steps:
             if step.rule == "clsc":
                 pair = state.group(step.group).pairs[0]
-                seen[step.group] = pair.step.sequent.annotation
+                seen[step.group] = pair.step.annotation
             state = apply_step(state, step, script.theory)
         assert seen.keys() == expected.keys()
         for gid, text in expected.items():
@@ -251,3 +254,214 @@ def test_sort_mismatch_rejects_the_step():
     assert [(f.path, f.message) for f in report.failures] == [
         ((1,), "schematic variable x must map to a variable, got <Fn f(a)>")
     ]
+
+
+# --- every rejection of the replay, with its exact message and step index
+
+_FHAT = corpus_path("silk_fhat.slk").read_text().splitlines()[2:]
+_EXP = [line for line in corpus_path("silk_exp.slk").read_text().splitlines()[2:] if line and line[0] != "#"]
+_CONJ = corpus_path("silk_conj_comm.slk").read_text().splitlines()[1:]
+_AX = ['ax1r "P(0) |- P(0)"']
+
+# (script lines, message of the failure at the last line)
+REJECTIONS = {
+    "unknown pair": (_AX + ["clbc group=1 pair=5"], "group 1 has no pair 5"),
+    "unknown group": (_AX + ["br group=9 pair=1"], "no group 9"),
+    "no group named": (_AX + ["br pair=1"], "step names no group"),
+    "closed group": (_CONJ + ['ax2r group=1 "A |- A"'], "group 1 is closed"),
+    "axiom without sequent": (["ax1r"], "axiom step needs its sequent"),
+    "axiom shape": (['ax1r "A |- B"'], "axiom sequent must be of the shape A |- A, got A |- B"),
+    "rewrite without to": (_AX + ["rho bc 1 E group=1 pair=1 at=R.0 path=0"], "rewrite step needs its replacement expression"),
+    "rewrite without position": (_AX + ['rho bc 1 E group=1 pair=1 to="f^0(0)"'], "rewrite step needs a position"),
+    "rewrite index": (_AX + ['rho bc 1 E group=1 pair=1 at=R.3 path=0 to="f^0(0)"'], "rewrite index 3 out of range"),
+    "rewrite path": (
+        _AX + ['rho bc 1 E group=1 pair=1 at=R.0 path=5 to="f^0(0)"'],
+        "bad rewrite path (5,): no child 5 at P(0)",
+    ),
+    "axl over a stepcase": (_FHAT[:5] + ['axl group=1 pair=1 formula="P(0)" ann="s(n)"'], "pair 1 already has a stepcase"),
+    "axl over an open basecase": (
+        _AX + ['axl group=1 pair=1 formula="P(0)" ann="s(n)"'],
+        "stepcase work requires a closed basecase",
+    ),
+    "axl without annotation": (
+        _FHAT[:4] + ['axl group=1 pair=1 formula="P(0)"'],
+        "the stepcase axiom needs a formula and an annotation",
+    ),
+    "ccr one pair": (_AX + ["ccr group=1 pair=1 pair2=1"], "contraction needs two distinct pairs"),
+    "ccr different pairs": (
+        _AX + ['ax2r group=1 "B |- B"', "ccr group=1 pair=1 pair2=2"],
+        "component contraction needs two identical open-basecase pairs",
+    ),
+    "ccl open stepcase": (
+        _FHAT[:6] + ["ccl group=1 pair=2 pair2=1"],
+        "contraction of pairs with open stepcases is not licensed",
+    ),
+    "ccl open basecase": (
+        _AX + ['ax2r group=1 "P(0) |- P(0)"', "ccl group=1 pair=1 pair2=2"],
+        "component contraction needs two identical closed-basecase pairs",
+    ),
+    "br open basecase": (_AX + ["br group=1 pair=1"], "branching duplicates a pair with a closed basecase"),
+    "rho bc under a stepcase": (
+        _FHAT[:5] + ['rho bc 1 w:l group=1 pair=1 formula="Q"'],
+        "basecase rules apply only while the stepcase is open territory",
+    ),
+    "rho bc closed basecase": (_FHAT[:4] + ['rho bc 1 w:l group=1 pair=1 formula="Q"'], "basecase of pair 1 is closed"),
+    "rho bc one pair": (_AX + ["rho bc 2 /\\:r group=1 pair=1 pair2=1 a=0 b=0"], "binary rule needs two distinct pairs"),
+    "rho bc second pair closed": (
+        _FHAT[:4] + ['ax2r group=1 "Q |- Q"', "rho bc 2 /\\:r group=1 pair=2 pair2=1 a=0 b=0"],
+        "pair 1 cannot feed a basecase rule",
+    ),
+    "rho bc inference": (_AX + ["rho bc 1 /\\:l group=1 pair=1 a=5 b=0"], "index 5 out of range for first conjunct"),
+    "rho sc without stepcase": (_AX + ['rho sc 1 w:l group=1 pair=1 formula="Q"'], "pair 1 has no open stepcase"),
+    "rho sc one pair": (_FHAT[:5] + ["rho sc 2 ->:l group=1 pair=1 pair2=1 a=0 b=0"], "binary rule needs two distinct pairs"),
+    "rho sc second pair": (_FHAT[:6] + ["rho sc 2 ->:l group=1 pair=1 pair2=2 a=0 b=0"], "pair 2 has no open stepcase"),
+    "rho sc annotations": (
+        _FHAT[:4] + ['axl group=1 pair=1 formula="P(f(f^n(0)))" ann="n + 2"'] + _FHAT[5:8],
+        "stepcase annotations differ: n + 1 vs n + 2",
+    ),
+    "rho sc inference": (_FHAT[:5] + ["rho sc 1 /\\:l group=1 pair=1 a=5 b=0"], "index 5 out of range for first conjunct"),
+    "clbc under a stepcase": (
+        _FHAT[:5] + ["clbc group=1 pair=1"],
+        "only pairs without stepcase work can close their basecase",
+    ),
+    "clbc closed basecase": (_FHAT[:4] + ["clbc group=1 pair=1"], "basecase of pair 1 is already closed"),
+    "clbc second pattern": (
+        _FHAT[:4] + ['ax2r group=1 "P(0) |- P(0)"', 'clbc group=1 pair=2 pattern="P(0) |- P(n)" vars ()'],
+        "group 1 already declared the pattern P(0), forall x. P(x) -> P(f(x)) |- P(f^n(0))",
+    ),
+    "clbc without pattern": (_AX + ["clbc group=1 pair=1"], "the first basecase closure must declare the group pattern"),
+    "clbc vars": (
+        _AX + ['clbc group=1 pair=1 pattern="P(0) |- P(0)" vars (x)'],
+        "declared variables ['x'] do not list the pattern's free variables []",
+    ),
+    "clbc instance": (
+        _AX + ['clbc group=1 pair=1 pattern="P(n) |- P(s(n))" vars ()'],
+        "basecase P(0) |- P(0) is not the pattern instance P(0) |- P(1) up to rewriting",
+    ),
+    "cllke two pairs": (_AX + ['ax2r group=1 "B |- B"', "cllke group=1"], "only single-pair groups can close"),
+    "cllke open basecase": (
+        _AX + ["cllke group=1"],
+        "closing without a stepcase needs a closed basecase and no stepcase work",
+    ),
+    "clsc two pairs": (_FHAT[:6] + ["clsc group=1"], "only single-pair groups can close"),
+    "clsc without stepcase": (
+        _FHAT[:4] + ["clsc group=1"],
+        "closing the stepcase needs an open stepcase over a closed basecase",
+    ),
+    "clsc instance": (
+        _FHAT[:9] + ["clsc group=1"],
+        "stepcase forall x. P(x) -> P(f(x)), P(0), forall x. P(x) -> P(f(x)) |- P(f(f^n(0))) is not the pattern "
+        "instance P(0), forall x. P(x) -> P(f(x)) |- P(f^(s(n))(0)) up to rewriting",
+    ),
+    "clsc annotation": (
+        _FHAT[:10] + ['clsc group=1 ann="n"'],
+        "declared instance expression n differs from the recorded n + 1",
+    ),
+    "cycle over a stepcase": (_FHAT[:5] + ["cycle group=1 pair=1 terms ()"], "pair 1 already has a stepcase"),
+    "cycle over an open basecase": (_AX + ["cycle group=1 pair=1 terms ()"], "the cycle rule requires a closed basecase"),
+    "cycle terms": (_FHAT[:6] + ["cycle group=1 pair=2 terms (a)"], "cycle carries 1 terms for 0 pattern variables"),
+    "call over a stepcase": (
+        _FHAT[:5] + ['call group=1 pair=1 target=1 g="n" terms ()'],
+        "pair 1 already has a stepcase",
+    ),
+    "call over an open basecase": (
+        _AX + ['call group=1 pair=1 target=1 g="n" terms ()'],
+        "the call rule requires a closed basecase",
+    ),
+    "call without target": (_FHAT[:4] + ['call group=1 pair=1 g="n" terms ()'], "call without a target group"),
+    "call unknown target": (_FHAT[:4] + ['call group=1 pair=1 target=7 g="n" terms ()'], "no group 7"),
+    "call open target": (_EXP[:17] + ['call group=2 pair=2 target=2 g="n" terms ()'], "call target group 2 is not closed"),
+    "call empty stepcase": (
+        _CONJ
+        + [
+            'ax1r "P(0) |- P(0)"',
+            'clbc group=2 pair=1 pattern="P(0) |- P(0)" vars ()',
+            'call group=2 pair=1 target=1 g="n" terms ()',
+        ],
+        "call target group 1 has an empty stepcase",
+    ),
+    "call without g": (_EXP[:17] + ["call group=2 pair=2 target=1 terms ()"], "the call rule needs its parameter expression g"),
+    "call g parameters": (
+        _EXP[:17] + ['call group=2 pair=2 target=1 g="k" terms ()'],
+        "call parameter k uses parameters ['k']",
+    ),
+    "call terms": (_EXP[:17] + ['call group=2 pair=2 target=1 g="n" terms (a)'], "call carries 1 terms for 0 variables"),
+}
+
+
+@pytest.mark.parametrize("name", REJECTIONS)
+def test_every_rejection_names_its_step(exp_script, name):
+    lines, message = REJECTIONS[name]
+    script, _ = parse_script("\n".join(lines) + "\n")
+    _, verdict, report = check_script(SiLKScript(exp_script.theory, script.steps))
+    assert verdict == "rejected"
+    assert [(f.path, f.message) for f in report.failures] == [((len(lines) - 1,), message)]
+
+
+def test_unknown_rule_is_rejected(exp_script):
+    script, _ = parse_script("\n".join(_AX) + "\n")
+    steps = script.steps + (SiLKStep("frob", group=1),)
+    _, verdict, report = check_script(SiLKScript(exp_script.theory, steps))
+    assert [(f.path, f.message) for f in report.failures] == [((1,), "unknown rule frob")]
+
+
+def _without_pattern(state, gid):
+    return state.with_group(replace(state.group(gid), pattern=None))
+
+
+def _other_closed_base(state, gid, pid):
+    g = state.group(gid)
+    return state.with_group(g.with_pair(replace(g.pair(pid), base=ClosedBase(parse_sequent("Q |- Q")))))
+
+
+# Guards no script reaches: each replays a corpus script up to a step, breaks
+# one invariant of the state, and applies that step.
+INVARIANT_GUARDS = {
+    "clsc without pattern": ("fhat", 10, lambda s: _without_pattern(s, 1), "the group pattern was never declared"),
+    "rho sc closed basecases": (
+        "fhat",
+        7,
+        lambda s: _other_closed_base(s, 1, 1),
+        "binary stepcase rules need the same closed basecase in both pairs",
+    ),
+    "cycle without pattern": (
+        "fhat",
+        6,
+        lambda s: _without_pattern(s, 1),
+        "the cycle rule requires the group pattern, declared at basecase closure",
+    ),
+    "cycle basecase": (
+        "fhat",
+        6,
+        lambda s: _other_closed_base(s, 1, 2),
+        "basecase Q |- Q is not the pattern instance P(0), forall x. P(x) -> P(f(x)) |- P(f^0(0)) up to rewriting",
+    ),
+    "call without pattern": ("exp", 17, lambda s: _without_pattern(s, 1), "call target group 1 has no pattern"),
+}
+
+
+@pytest.mark.parametrize("name", INVARIANT_GUARDS)
+def test_invariant_guards_reject_hand_built_states(fhat_script, exp_script, name):
+    which, index, breaks, message = INVARIANT_GUARDS[name]
+    script = fhat_script if which == "fhat" else exp_script
+    state = EMPTY_COLLECTION
+    for step in script.steps[:index]:
+        state = apply_step(state, step, script.theory)
+    with pytest.raises(SilkError) as exc:
+        apply_step(breaks(state), script.steps[index], script.theory)
+    assert str(exc.value) == message
+
+
+def test_leading_group_messages(fhat_script):
+    cut = SiLKScript(fhat_script.theory, fhat_script.steps[:-1])
+    for collection, message in ((replay(cut)[0], "group 1 is still open"), (EMPTY_COLLECTION, "empty collection")):
+        with pytest.raises(NotAProof) as exc:
+            leading_group(collection)
+        assert str(exc.value) == message
+
+
+def test_malformed_replacement_rejects_the_step(fhat_script):
+    script, _ = parse_script('ax1r "P(0) |- P(0)"\nrho bc 1 E group=1 pair=1 at=R.0 path=0 to="f(("\n')
+    _, verdict, report = check_script(SiLKScript(fhat_script.theory, script.steps))
+    assert verdict == "rejected"
+    assert [(f.path, f.message) for f in report.failures] == [((1,), "bad replacement 'f((': expected a term at 1:4")]
