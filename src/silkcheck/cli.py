@@ -227,57 +227,79 @@ def _add_common(sub):
     sub.add_argument("--json", action="store_true", help="machine readable report")
 
 
-def main(argv=None) -> int:
+# name: (help, handler, options after the common ones), in the order of the
+# top-level help.
+_COMMANDS = {
+    "check-lk": (
+        "check a proof file in LK, LKE, or LKS mode",
+        _cmd_check_lk,
+        [
+            (("--mode",), {"choices": ["lk", "lke", "lks"], "default": MODE_LKE}),
+            (("--env",), {"help": "schema file supplying link targets for LKS mode"}),
+            (("--lenient-erule",), {"action": "store_true", "help": "accept whole-sequent rewrite witnesses"}),
+        ],
+    ),
+    "check-schema": ("check schema well-formedness", _cmd_check_schema, []),
+    "check-silk": ("replay a script and report the verdict", _cmd_check_silk, []),
+    "unroll": (
+        "instantiate a schema at a numeral",
+        _cmd_unroll,
+        [
+            (("--alpha",), {"type": _natural, "required": True}),
+            (("--lk",), {"action": "store_true", "help": "print the rewritten normal form instead"}),
+            (("--check",), {"action": "store_true", "help": "also run the full soundness check"}),
+            (("--quiet",), {"action": "store_true", "help": "suppress the proof tree (large instances)"}),
+        ],
+    ),
+    "ppsnf": (
+        "rewrite a proof script into construction-order normal form",
+        _cmd_ppsnf,
+        [(("-o", "--out"), {"help": "write the reordered script here"})],
+    ),
+    "translate": (
+        "extract the proof schema from a script",
+        _cmd_translate,
+        [(("-o", "--out"), {"help": "write the schema file here"})],
+    ),
+    "interpret": ("emit the induction statement a proof establishes", _cmd_interpret, []),
+    "stats": (
+        "inference counts over a range of instances",
+        _cmd_stats,
+        [(("--alpha-range",), {"type": _alpha_range, "required": True, "metavar": "A..B"})],
+    ),
+}
+
+
+def _parser(argv: list) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  When its first word names a command, only
+    that command's parser is built, under the metavar argparse would spell
+    from all of them, so usage lines read the same; anything else (help, no
+    command, an unknown one, a leading option) gets every command.  It is
+    built on each call, so the --fuel default reads SILK_FUEL each time."""
     top = argparse.ArgumentParser(
         prog="silkcheck",
         description="Check, unroll, normalize, and translate schematic sequent proofs.",
     )
-    sub = top.add_subparsers(dest="command", required=True)
+    if argv and argv[0] in _COMMANDS:
+        names = argv[:1]
+        metavar = "{" + ",".join(_COMMANDS) + "}"
+    else:
+        names, metavar = _COMMANDS, None
+    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_, handler, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        _add_common(p)
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=handler)
+    return top
 
-    p = sub.add_parser("check-lk", help="check a proof file in LK, LKE, or LKS mode")
-    _add_common(p)
-    p.add_argument("--mode", choices=["lk", "lke", "lks"], default=MODE_LKE)
-    p.add_argument("--env", help="schema file supplying link targets for LKS mode")
-    p.add_argument("--lenient-erule", action="store_true", help="accept whole-sequent rewrite witnesses")
-    p.set_defaults(func=_cmd_check_lk)
 
-    p = sub.add_parser("check-schema", help="check schema well-formedness")
-    _add_common(p)
-    p.set_defaults(func=_cmd_check_schema)
-
-    p = sub.add_parser("check-silk", help="replay a script and report the verdict")
-    _add_common(p)
-    p.set_defaults(func=_cmd_check_silk)
-
-    p = sub.add_parser("unroll", help="instantiate a schema at a numeral")
-    _add_common(p)
-    p.add_argument("--alpha", type=_natural, required=True)
-    p.add_argument("--lk", action="store_true", help="print the rewritten normal form instead")
-    p.add_argument("--check", action="store_true", help="also run the full soundness check")
-    p.add_argument("--quiet", action="store_true", help="suppress the proof tree (large instances)")
-    p.set_defaults(func=_cmd_unroll)
-
-    p = sub.add_parser("ppsnf", help="rewrite a proof script into construction-order normal form")
-    _add_common(p)
-    p.add_argument("-o", "--out", help="write the reordered script here")
-    p.set_defaults(func=_cmd_ppsnf)
-
-    p = sub.add_parser("translate", help="extract the proof schema from a script")
-    _add_common(p)
-    p.add_argument("-o", "--out", help="write the schema file here")
-    p.set_defaults(func=_cmd_translate)
-
-    p = sub.add_parser("interpret", help="emit the induction statement a proof establishes")
-    _add_common(p)
-    p.set_defaults(func=_cmd_interpret)
-
-    p = sub.add_parser("stats", help="inference counts over a range of instances")
-    _add_common(p)
-    p.add_argument("--alpha-range", type=_alpha_range, required=True, metavar="A..B")
-    p.set_defaults(func=_cmd_stats)
-
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = top.parse_args(argv)
+        args = _parser(argv).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

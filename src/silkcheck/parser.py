@@ -125,6 +125,9 @@ def tokenize(text: str, line: int = 1, col: int = 1) -> list:
                 raise ParseError("unterminated string" if c == '"' else f"stray character {c!r}", line, col)
             kind = "ident"
         out.append(Token(kind, value, line, col))
+        if kind == "str" and "\n" in value:
+            line += value.count("\n")
+            line_start = mo.start(kind) + value.rindex("\n") + 1
     out.append(Token("eof", "", line, len(text) - line_start + 1))
     return out
 
@@ -391,20 +394,21 @@ def parse_numexpr(text: str) -> NumExpr:
     return _parse_text(text, _parse_num, "numeric expression")
 
 
-def parse_term(text: str) -> Node:
-    return _parse_text(text, _parse_term, "term")
+def parse_term(text: str, line: int = 1, col: int = 1) -> Node:
+    return _parse_text(text, _parse_term, "term", line, col)
 
 
-def parse_formula(text: str) -> Formula:
-    return _parse_text(text, _parse_formula, "formula")
+def parse_formula(text: str, line: int = 1, col: int = 1) -> Formula:
+    return _parse_text(text, _parse_formula, "formula", line, col)
 
 
 def parse_sequent(text: str) -> Sequent:
     return _parse_text(text, _parse_sequent, "sequent")
 
 
-def parse_replacement(text: str, want_formula: bool) -> Node:
-    return parse_formula(text) if want_formula else parse_term(text)
+def parse_replacement(text: str, want_formula: bool, line: int = 1, col: int = 1) -> Node:
+    """A `to=` replacement, a formula or a term, starting at ``line``:``col``."""
+    return parse_formula(text, line, col) if want_formula else parse_term(text, line, col)
 
 
 def _quoted(ts: TokenStream, parse, what: str):
@@ -538,8 +542,8 @@ def _parse_kv(ts: TokenStream, keys: frozenset) -> dict:
                     terms.append(_parse_term(ts))
             ts.expect_sym(close)
             out["terms"] = tuple(terms)
-        else:  # to: resolved against the premise it rewrites
-            out[key] = ts.expect("str").text
+        else:  # to: resolved against the premise it rewrites, so kept as its token
+            out[key] = ts.expect("str")
 
 
 def _open_list(ts: TokenStream) -> str:
@@ -601,12 +605,12 @@ def _parse_proof_head(ts: TokenStream) -> tuple:
     return tok, seq, kv, raw_to
 
 
-def _proof_node(tok: Token, seq: Sequent, kv: dict, raw_to: str | None, premises: list) -> Proof:
+def _proof_node(tok: Token, seq: Sequent, kv: dict, raw_to: Token | None, premises: list) -> Proof:
     rule = RULE_TOKENS[tok.text]
     data = RuleData(**kv) if kv else RuleData()
     if rule is RuleName.ERULE and raw_to is not None:
         if not premises:
-            raise ParseError("a rewrite step needs its premise before the replacement resolves")
+            raise ParseError("a rewrite step needs its premise before the replacement resolves", tok.line, tok.col)
         side = premises[0].conclusion.ante if data.side == "L" else premises[0].conclusion.succ
         if data.idx is None or not 0 <= data.idx < len(side):
             raise ParseError(f"rewrite index {data.idx} out of range", tok.line, tok.col)
@@ -614,7 +618,8 @@ def _proof_node(tok: Token, seq: Sequent, kv: dict, raw_to: str | None, premises
             old = node_at(side[data.idx], data.path)
         except (IndexError, TypeError):
             raise ParseError(f"rewrite path {data.path} does not address a node", tok.line, tok.col)
-        data = replace(data, repl=parse_replacement(raw_to, isinstance(old, Formula)))
+        repl = parse_replacement(raw_to.text, isinstance(old, Formula), raw_to.line, raw_to.col + 1)
+        data = replace(data, repl=repl)
     return Proof(seq, rule, tuple(premises), data)
 
 
@@ -803,7 +808,7 @@ def _step_fields(kv: dict) -> dict:
         fields["formula"] = kv["formula"]
         data_kv["formula"] = kv["formula"]
     if "to" in kv:
-        fields["raw_to"] = kv["to"]
+        fields["raw_to"] = kv["to"].text
     if data_kv:
         fields["data"] = RuleData(**data_kv)
     return fields

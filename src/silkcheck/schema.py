@@ -58,8 +58,9 @@ from .syntax import (
 
 
 class MatchFailure(Exception):
-    """A link cannot be expanded: its target is not declared, or its numeral
-    cannot be matched against the step parameter shape."""
+    """A link cannot be expanded: its target is not declared, its parameter
+    is not ground, or its numeral cannot be matched against the step
+    parameter shape."""
 
 
 @dataclass(frozen=True)
@@ -315,7 +316,10 @@ def _expand(schema, root, theory, links: dict, records: list) -> Proof:
             comp = schema[data.target]
         except KeyError:
             raise MatchFailure(f"link target {data.target} is not declared") from None
-        value = numeral_value(rw.eval_numeric(data.param, theory))
+        try:
+            value = numeral_value(rw.eval_numeric(data.param, theory))
+        except ValueError as exc:  # a parameter other than n outlives the substitution
+            raise MatchFailure(f"link to {data.target}: {exc}") from None
         key = (data.target, value, data.terms, concl.ante, concl.succ, data.param)
         hit = links.get(key)
         if hit is not None:

@@ -292,7 +292,8 @@ def _is_ident_char(c: str) -> bool:
 
 def reference_tokenize(text: str) -> list:
     """The lexer as it once was, a character loop trying every symbol with
-    startswith; kept as an oracle for tokenize.  Tokens are plain
+    startswith, except that a string spanning lines now moves the positions
+    after it down; kept as an oracle for tokenize.  Tokens are plain
     (kind, text, line, col) tuples."""
     out = []
     i, line, col = 0, 1, 1
@@ -333,8 +334,13 @@ def reference_tokenize(text: str) -> list:
             j = text.find('"', i + 1)
             if j < 0:
                 raise ParseError("unterminated string", line, col)
-            out.append(("str", text[i + 1 : j], line, col))
-            col += j + 1 - i
+            value = text[i + 1 : j]
+            out.append(("str", value, line, col))
+            if "\n" in value:
+                line += value.count("\n")
+                col = len(value) - value.rindex("\n") + 1
+            else:
+                col += j + 1 - i
             i = j + 1
             continue
         if c.isdigit():
@@ -406,22 +412,26 @@ def lexer_oracle_property(max_examples):
 # Replacements that once broke the lexer or that stress what follows it.
 FUZZ_REPLACEMENTS = ["\u00b2", '"', "{", "}", "9999"]
 _PIECE = re.compile(r"([\w']+|[^\w\s])")
+_LINE = re.compile(r"([^\n]*\n)")
 
 
 @st.composite
 def mutated_corpus_files(draw, names):
     """(name, text): a corpus file with one to three of its pieces (words and
-    single other characters) deleted, duplicated, swapped with the next
-    piece, or replaced by a fuzz replacement or another piece of the file."""
+    single other characters), or of its whole lines, deleted, duplicated,
+    swapped with the next one, or, for pieces, replaced by a fuzz
+    replacement or another piece of the file."""
     name = draw(st.sampled_from(names))
-    parts = _PIECE.split(corpus_path(name).read_text(encoding="utf-8"))
+    lines = draw(st.booleans())
+    parts = (_LINE if lines else _PIECE).split(corpus_path(name).read_text(encoding="utf-8"))
     spots = st.sampled_from(range(1, len(parts), 2))
+    edits = ["delete", "duplicate", "swap"] + ([] if lines else ["replace"])
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        i, edit = draw(spots), draw(st.sampled_from(["delete", "duplicate", "swap", "replace"]))
+        i, edit = draw(spots), draw(st.sampled_from(edits))
         if edit == "delete":
             parts[i] = ""
         elif edit == "duplicate":
-            parts[i] = f"{parts[i]} {parts[i]}"
+            parts[i] = parts[i] + ("" if lines else " ") + parts[i]
         elif edit == "swap" and i + 2 < len(parts):
             parts[i], parts[i + 2] = parts[i + 2], parts[i]
         elif edit == "replace":

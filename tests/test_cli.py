@@ -319,6 +319,15 @@ def test_undeclared_link_target_reports_error(capsys, tmp_path):
         assert (code, err) == (1, "error: link target psi is not declared\n")
 
 
+# A link parameter naming something other than n stays unevaluable after
+# the step substitutes n; it once escaped unroll and stats as a ValueError.
+def test_link_parameter_that_is_not_ground_reports_error(capsys, tmp_path):
+    schema = _shat_copy(tmp_path, 'param="n"', 'param="f"')
+    for argv in (("unroll", "--alpha", "1"), ("unroll", "--alpha", "1", "--check"), ("stats", "--alpha-range", "0..1")):
+        code, out, err = run(capsys, argv[0], schema, *argv[1:])
+        assert (code, out, err) == (1, "", "error: link to phi: numeric expression f is not ground: ['f']\n")
+
+
 def _long_script() -> str:
     """A valid script of 1,203 steps whose basecase proof is 1,201 inferences tall."""
     lines = ['ax1r "P |- P"']
@@ -579,18 +588,35 @@ FUZZ_COMMANDS = {
         ["stats", "{}", "--alpha-range", "0..2"],
     ],
 }
+# A mutated theory goes to --theory of commands on corpus files that name it.
+FUZZ_THEORY_COMMANDS = {
+    "theory_shat.thy": [["check-lk", p("lk_pi_shat.lkp")], ["unroll", p("schema_shat.sch"), "--alpha", "2", "--lk", "--check"]],
+    "theory_fhat.thy": [["check-silk", p("silk_fhat.slk")], ["stats", p("schema_fhat.sch"), "--alpha-range", "0..2"]],
+    "theory_exp.thy": [["translate", p("silk_exp.slk")], ["unroll", p("schema_exp.sch"), "--alpha", "2", "--check"]],
+    "theory_wedge.thy": [["interpret", p("silk_wedge.slk")], ["ppsnf", p("silk_interleaved.slk")]],
+}
 FUZZ_FILES = sorted(
-    path.name for path in corpus_path("schema_shat.sch").parent.iterdir() if path.suffix in FUZZ_COMMANDS
+    path.name
+    for path in corpus_path("schema_shat.sch").parent.iterdir()
+    if path.suffix in FUZZ_COMMANDS or path.name in FUZZ_THEORY_COMMANDS
 )
+
+
+def _fuzz_commands(path):
+    if path.suffix == ".thy":
+        return [argv + ["--theory", "{}"] for argv in FUZZ_THEORY_COMMANDS[path.name]]
+    return FUZZ_COMMANDS[path.suffix]
 
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     """A directory holding copies of the corpus theories, which the mutated
-    files name by relative path."""
+    files name by relative path, and a directory `thy` for mutated
+    theories."""
     where = tmp_path_factory.mktemp("fuzz")
     for path in corpus_path("theory_shat.thy").parent.glob("*.thy"):
         (where / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    (where / "thy").mkdir()
     return where
 
 
@@ -600,9 +626,9 @@ def test_mutated_corpus_files_end_in_an_exit_code(capsys, fuzz_dir, case):
     # Every command on a damaged input ends in exit 0, 1 or 2, never an
     # exception.
     name, text = case
-    path = fuzz_dir / name
+    path = fuzz_dir / "thy" / name if name.endswith(".thy") else fuzz_dir / name
     path.write_text(text, encoding="utf-8")
-    for argv in FUZZ_COMMANDS[path.suffix]:
+    for argv in _fuzz_commands(path):
         code, _, _ = run(capsys, *(arg.format(path) for arg in argv))
         assert code in (0, 1, 2)
 
@@ -686,6 +712,20 @@ def test_theory_option_is_validated(capsys, tmp_path):
             'component phi pattern "P |- P" vars () step-param "s(n" { base { ax "P |- P" } }\n',
             ("check-schema",),
             "expected ')', found '' at 1:55",
+        ),
+        ("a.slk", 'ax1r "A\n|- A"\n\nfrob\n', ("check-silk",), "unknown step 'frob' at 4:1"),
+        ("a.slk", 'ax1r "A\n|- A"\nax2r group=1 "B |-\n  |- B"\n', ("check-silk",), "expected a formula at 4:3"),
+        (
+            "a.lkp",
+            '# a comment\n\nE "P(0) |- P(0)" at=R.0 path=0 to="f((" {\n  ax "P(0) |- P(0)"\n}\n',
+            ("check-lk",),
+            "expected a term at 3:39",
+        ),
+        (
+            "a.lkp",
+            '\n  E "P(0) |- P(0)" at=R.0 path=0 to="0"\n',
+            ("check-lk",),
+            "a rewrite step needs its premise before the replacement resolves at 2:3",
         ),
     ],
 )

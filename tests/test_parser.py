@@ -211,12 +211,12 @@ def _lex(text):
             [("sym", "|-{", 1, 1), ("ident", "s", 1, 4), ("sym", "(", 1, 5), ("ident", "n", 1, 6),
              ("sym", ")", 1, 7), ("sym", "}", 1, 8), ("eof", "", 1, 9)],
         ),
-        # A string spanning a newline keeps the line it starts on and counts
-        # its characters into the columns after it, up to the next newline.
+        # A string spanning a newline starts where its quote is; what follows
+        # it is on the line where it ends.
         (
             'ax "A\n|- A" x\ny',
-            [("ident", "ax", 1, 1), ("str", "A\n|- A", 1, 4), ("ident", "x", 1, 13),
-             ("ident", "y", 2, 1), ("eof", "", 2, 2)],
+            [("ident", "ax", 1, 1), ("str", "A\n|- A", 1, 4), ("ident", "x", 2, 7),
+             ("ident", "y", 3, 1), ("eof", "", 3, 2)],
         ),
     ],
     ids=["guarded-rule", "rule", "annotated-turnstile", "multiline-string"],
