@@ -2,7 +2,10 @@
 
 One lexer serves expressions, theory files, proof files, schema files, and
 script files: a single compiled pattern, `_TOKEN`, matched once per token.
-Expressions embedded in the structured formats are quoted.
+Expressions embedded in the structured formats are quoted.  One loop reads
+every expression, formula, term or numeric, by precedence climbing over an
+explicit stack, so expressions nest without limit except binders, which
+nest at most MAX_BINDER_DEPTH deep.
 
 Conventions the grammar fixes:
   * `n` is the free parameter, everywhere; `s(e)` is the numeric successor;
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -157,15 +161,13 @@ class TokenStream:
         return False
 
     def expect_sym(self, text: str) -> Token:
-        tok = self.peek()
         if not self.at_sym(text):
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
+            _expected(repr(text), self.peek())
         return self.next()
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind}, found {tok.text!r}", tok.line, tok.col)
+        if self.peek().kind != kind:
+            _expected(kind, self.peek())
         return self.next()
 
     def fail(self, msg: str):
@@ -178,232 +180,211 @@ class TokenStream:
 
 PARAM_NAME = "n"
 
+# The sorts an expression is read in; each names itself in error messages.
+FORMULA, TERM, NUM, SUP = "formula", "term", "numeric expression", "superscript"
 
-def _parse_num(ts: TokenStream) -> NumExpr:
-    e = _parse_num_atom(ts)
-    while ts.at_sym("+"):
-        ts.next()
-        e = NumFn("+", (e, _parse_num_atom(ts)))
-    return e
-
-
-def _parse_num_atom(ts: TokenStream) -> NumExpr:
-    tok = ts.peek()
-    if tok.kind == "num":
-        ts.next()
-        if ts.eat_sym("^"):
-            return NumFn(tok.text + "^", (_parse_sup(ts),))
-        return numeral(int(tok.text))
-    if tok.kind == "ident":
-        ts.next()
-        if tok.text == "s" and ts.at_sym("("):
-            ts.next()
-            inner = _parse_num(ts)
-            ts.expect_sym(")")
-            return Succ(inner)
-        if ts.eat_sym("^"):
-            return NumFn(tok.text + "^", (_parse_sup(ts),))
-        return Param(tok.text)
-    if ts.eat_sym("("):
-        e = _parse_num(ts)
-        ts.expect_sym(")")
-        return e
-    ts.fail("expected a numeric expression")
+# Binders nest at most this deep in one formula.  Substitution recurses once
+# per nested binder (syntax._subst_binder), and this depth keeps it well
+# inside Python's stack; unrolling only instantiates templates, so it never
+# nests binders deeper than its input does.
+MAX_BINDER_DEPTH = 256
 
 
-def _parse_sup(ts: TokenStream) -> NumExpr:
-    tok = ts.peek()
-    if tok.kind == "num":
-        ts.next()
-        return numeral(int(tok.text))
-    if tok.kind == "ident":
-        ts.next()
-        return Param(tok.text)
-    if ts.eat_sym("("):
-        e = _parse_num(ts)
-        ts.expect_sym(")")
-        return e
-    ts.fail("expected a superscript")
+def _plus(a: Node, b: Node) -> Node:
+    if isinstance(a, NumExpr) and isinstance(b, NumExpr):
+        return NumFn("+", (a, b))
+    return Fn("+", (a, b))
 
 
-def _parse_term(ts: TokenStream) -> Node:
-    e = _parse_term_atom(ts)
-    while ts.at_sym("+"):
-        ts.next()
-        rhs = _parse_term_atom(ts)
-        if isinstance(e, NumExpr) and isinstance(rhs, NumExpr):
-            e = NumFn("+", (e, rhs))
+def _no_numeric_exists(tok: Token, var: str, body: Formula):
+    raise ParseError("only universal numeric quantifiers exist", tok.line, tok.col)
+
+
+# The infix operators of each sort: precedence, right-associative, builder.
+_INFIX = {
+    FORMULA: {"->": (1, True, Imp), "\\/": (2, False, Or), "/\\": (3, False, And)},
+    TERM: {"+": (1, False, _plus)},
+    NUM: {"+": (1, False, _plus)},
+    SUP: {},
+}
+# What a name applied to arguments or to a superscript builds, per sort.
+_APPLY = {FORMULA: Atom, TERM: Fn, NUM: NumFn}
+
+
+def _expected(what: str, tok: Token):
+    raise ParseError(f"expected {what}, found {tok.text!r}", tok.line, tok.col)
+
+
+def _parse_expr(ts: TokenStream, sort: str) -> Node:
+    """One expression of ``sort`` read from ``ts`` by precedence climbing
+    over an explicit stack, so nesting costs no Python stack.  The stack
+    holds operators, (precedence, builder, leading arguments), and frames,
+    (-1, kind, enclosing sort, ...), one per open bracket, argument list or
+    superscript.  ~ binds tightest; a binder is an operator of precedence
+    0, so its body extends to the end of the expression it stands in."""
+    tokens = ts.tokens
+    pos = ts.pos
+    stack: list = [(-1, "root")]
+    binders = 0
+    while True:
+        # One operand: a leaf, or an opening token that pushes its entry and
+        # reads on.
+        tok = tokens[pos]
+        kind, text = tok.kind, tok.text
+        if kind == "ident" and sort == FORMULA and text in ("forall", "exists"):
+            binders += 1
+            if binders > MAX_BINDER_DEPTH:
+                raise ParseError(f"binders nested more than {MAX_BINDER_DEPTH} deep", tok.line, tok.col)
+            ts.pos = pos + 1
+            var = ts.expect("ident").text
+            build = Forall if text == "forall" else Exists
+            if ts.eat_sym(":"):
+                name = ts.expect("ident")
+                if name.text != "omega":
+                    raise ParseError(f"unknown sort {name.text!r}", name.line, name.col)
+                build = OmegaAll if text == "forall" else partial(_no_numeric_exists, tok)
+            ts.expect_sym(".")
+            pos = ts.pos
+            stack.append((0, build, (var,)))
+            continue
+        if kind == "sym" and (text == "(" or text == "~" and sort == FORMULA):
+            pos += 1
+            if text == "~":
+                stack.append((4, Not, ()))
+            else:
+                stack.append((-1, "close", sort, ")", None))
+                sort = NUM if sort == SUP else sort
+            continue
+        if kind == "ident" or (kind == "num" and sort != FORMULA):
+            pos += 1
+            after = tokens[pos].text if tokens[pos].kind == "sym" else None
+            if sort == SUP:
+                value = Param(text) if kind == "ident" else numeral(int(text))
+            elif after == "^":
+                pos += 1
+                stack.append((-1, "sup", sort, NumFn if kind == "num" else _APPLY[sort], text + "^"))
+                sort = SUP
+                continue
+            elif kind == "num":
+                value = numeral(int(text))
+            elif (after == "(" and text == "s" and sort != FORMULA) or (after == "[" and sort == TERM):
+                # s(e) and x[e] read a numeric expression.
+                pos += 1
+                wrap, close = (Succ, ")") if after == "(" else (partial(SVar, text), "]")
+                stack.append((-1, "close", sort, close, wrap))
+                sort = NUM
+                continue
+            elif after == "(" and sort != NUM:
+                pos += 1
+                stack.append((-1, "args", sort, _APPLY[sort], text, []))
+                sort = TERM
+                if tokens[pos].kind != "sym" or tokens[pos].text != ")":
+                    continue
+                value = None  # no arguments: the frame closes at once
+            elif sort == FORMULA:
+                value = Atom(text, ())
+            elif sort == TERM and text != PARAM_NAME:
+                value = FreeVar(text)
+            else:
+                value = Param(text)
         else:
-            e = Fn("+", (e, rhs))
-    return e
+            raise ParseError(f"expected a {sort}", tok.line, tok.col)
 
-
-def _parse_term_atom(ts: TokenStream) -> Node:
-    tok = ts.peek()
-    if tok.kind == "num":
-        ts.next()
-        if ts.eat_sym("^"):
-            sup = _parse_sup(ts)
-            return NumFn(tok.text + "^", (sup,))
-        return numeral(int(tok.text))
-    if tok.kind == "ident":
-        ts.next()
-        name = tok.text
-        if name == "s" and ts.at_sym("("):
-            ts.next()
-            inner = _parse_num(ts)
-            ts.expect_sym(")")
-            return Succ(inner)
-        if ts.eat_sym("^"):
-            sup = _parse_sup(ts)
-            args: tuple = (sup,)
-            if ts.eat_sym("("):
-                args += _parse_term_args(ts)
-                ts.expect_sym(")")
-            return Fn(name + "^", args)
-        if ts.eat_sym("["):
-            idx = _parse_num(ts)
-            ts.expect_sym("]")
-            return SVar(name, idx)
-        if ts.eat_sym("("):
-            args = _parse_term_args(ts)
-            ts.expect_sym(")")
-            return Fn(name, args)
-        if name == PARAM_NAME:
-            return Param(name)
-        return FreeVar(name)
-    if ts.eat_sym("("):
-        e = _parse_term(ts)
-        ts.expect_sym(")")
-        return e
-    ts.fail("expected a term")
-
-
-def _parse_term_args(ts: TokenStream) -> tuple:
-    if ts.at_sym(")"):
-        return ()
-    args = [_parse_term(ts)]
-    while ts.eat_sym(","):
-        args.append(_parse_term(ts))
-    return tuple(args)
-
-
-def _parse_formula(ts: TokenStream) -> Formula:
-    lhs = _parse_disj(ts)
-    if ts.eat_sym("->"):
-        return Imp(lhs, _parse_formula(ts))
-    return lhs
-
-
-def _parse_disj(ts: TokenStream) -> Formula:
-    f = _parse_conj(ts)
-    while ts.eat_sym("\\/"):
-        f = Or(f, _parse_conj(ts))
-    return f
-
-
-def _parse_conj(ts: TokenStream) -> Formula:
-    f = _parse_neg(ts)
-    while ts.eat_sym("/\\"):
-        f = And(f, _parse_neg(ts))
-    return f
-
-
-def _parse_neg(ts: TokenStream) -> Formula:
-    if ts.eat_sym("~"):
-        return Not(_parse_neg(ts))
-    return _parse_fatom(ts)
-
-
-def _parse_fatom(ts: TokenStream) -> Formula:
-    tok = ts.peek()
-    if tok.kind == "ident" and tok.text in ("forall", "exists"):
-        ts.next()
-        var = ts.expect("ident").text
-        omega = False
-        if ts.eat_sym(":"):
-            sort = ts.expect("ident")
-            if sort.text != "omega":
-                raise ParseError(f"unknown sort {sort.text!r}", sort.line, sort.col)
-            omega = True
-        ts.expect_sym(".")
-        body = _parse_formula(ts)
-        if omega:
-            if tok.text != "forall":
-                raise ParseError("only universal numeric quantifiers exist", tok.line, tok.col)
-            return OmegaAll(var, body)
-        return Forall(var, body) if tok.text == "forall" else Exists(var, body)
-    if ts.eat_sym("("):
-        f = _parse_formula(ts)
-        ts.expect_sym(")")
-        return f
-    if tok.kind == "ident":
-        ts.next()
-        name = tok.text
-        if ts.eat_sym("^"):
-            sup = _parse_sup(ts)
-            args: tuple = (sup,)
-            if ts.eat_sym("("):
-                args += _parse_term_args(ts)
-                ts.expect_sym(")")
-            return Atom(name + "^", args)
-        if ts.eat_sym("("):
-            args = _parse_term_args(ts)
-            ts.expect_sym(")")
-            return Atom(name, args)
-        return Atom(name, ())
-    ts.fail("expected a formula")
+        # After an operand: take an infix operator and read its right operand,
+        # or end the expression and close its frame.
+        while True:
+            tok = tokens[pos]
+            sym = tok.text if tok.kind == "sym" else None
+            op = _INFIX[sort].get(sym)
+            if op is not None:
+                prec, right, build = op
+                while stack[-1][0] > prec or (stack[-1][0] == prec and not right):
+                    _, done, args = stack.pop()
+                    value = done(*args, value)
+                pos += 1
+                stack.append((prec, build, (value,)))
+                break
+            while stack[-1][0] >= 0:
+                prec, done, args = stack.pop()
+                if prec == 0:
+                    binders -= 1
+                value = done(*args, value)
+            frame = stack[-1]
+            what = frame[1]
+            if what == "root":
+                ts.pos = pos
+                return value
+            if what == "sup" and (sym != "(" or frame[3] is NumFn):
+                stack.pop()
+                sort = frame[2]
+                value = frame[3](frame[4], (value,))
+                continue
+            if what == "sup":
+                # A superscripted name applied to arguments: f^n(x).
+                pos += 1
+                stack[-1] = (-1, "args", frame[2], frame[3], frame[4], [value])
+                sort, value = TERM, None
+                if tokens[pos].kind != "sym" or tokens[pos].text != ")":
+                    break
+                continue
+            if what == "args":
+                if value is not None:
+                    frame[5].append(value)
+                if sym == ",":
+                    pos += 1
+                    break
+            close = ")" if what == "args" else frame[3]
+            if sym != close:
+                _expected(repr(close), tok)
+            pos += 1
+            stack.pop()
+            sort = frame[2]
+            if what == "args":
+                value = frame[3](frame[4], tuple(frame[5]))
+            elif frame[4] is not None:
+                value = frame[4](value)
 
 
 def _parse_sequent(ts: TokenStream) -> Sequent:
     ante: list = []
     if not (ts.at_sym("|-") or ts.at_sym("|-{")):
-        ante.append(_parse_formula(ts))
+        ante.append(_parse_expr(ts, FORMULA))
         while ts.eat_sym(","):
-            ante.append(_parse_formula(ts))
+            ante.append(_parse_expr(ts, FORMULA))
     ts.expect_sym("|-")
     succ: list = []
     if ts.peek().kind != "eof" and not ts.at_sym(")"):
-        succ.append(_parse_formula(ts))
+        succ.append(_parse_expr(ts, FORMULA))
         while ts.eat_sym(","):
-            succ.append(_parse_formula(ts))
+            succ.append(_parse_expr(ts, FORMULA))
     return Sequent(tuple(ante), tuple(succ))
 
 
-def _complete(ts: TokenStream, what: str):
+def _parse_text(text: str, what: str, line: int = 1, col: int = 1, read=None):
+    """Parse all of ``text``, which starts at ``line``:``col`` of its file,
+    with ``read``, by default as an expression of the sort ``what``."""
+    ts = TokenStream(tokenize(text, line, col))
+    value = _parse_expr(ts, what) if read is None else read(ts)
     tok = ts.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input after {what}: {tok.text!r}", tok.line, tok.col)
-
-
-def _parse_text(text: str, parse, what: str, line: int = 1, col: int = 1):
-    """Parse all of ``text``, which starts at ``line``:``col`` of its file,
-    with ``parse``.  Expressions recurse, so text nested deeper than
-    Python's stack allows is a ParseError."""
-    ts = TokenStream(tokenize(text, line, col))
-    try:
-        value = parse(ts)
-    except RecursionError:
-        tok = ts.peek()
-        raise ParseError(f"{what} nested too deep to parse", tok.line, tok.col) from None
-    _complete(ts, what)
     return value
 
 
 def parse_numexpr(text: str) -> NumExpr:
-    return _parse_text(text, _parse_num, "numeric expression")
+    return _parse_text(text, NUM)
 
 
 def parse_term(text: str, line: int = 1, col: int = 1) -> Node:
-    return _parse_text(text, _parse_term, "term", line, col)
+    return _parse_text(text, TERM, line, col)
 
 
 def parse_formula(text: str, line: int = 1, col: int = 1) -> Formula:
-    return _parse_text(text, _parse_formula, "formula", line, col)
+    return _parse_text(text, FORMULA, line, col)
 
 
 def parse_sequent(text: str) -> Sequent:
-    return _parse_text(text, _parse_sequent, "sequent")
+    return _parse_text(text, "sequent", read=_parse_sequent)
 
 
 def parse_replacement(text: str, want_formula: bool, line: int = 1, col: int = 1) -> Node:
@@ -411,11 +392,11 @@ def parse_replacement(text: str, want_formula: bool, line: int = 1, col: int = 1
     return parse_formula(text, line, col) if want_formula else parse_term(text, line, col)
 
 
-def _quoted(ts: TokenStream, parse, what: str):
-    """The next token, a string, parsed with ``parse``; errors point into
-    the file."""
+def _quoted(ts: TokenStream, what: str, read=None):
+    """The next token, a string, parsed as ``_parse_text`` does; errors
+    point into the file."""
     tok = ts.expect("str")
-    return _parse_text(tok.text, parse, what, tok.line, tok.col + 1)
+    return _parse_text(tok.text, what, tok.line, tok.col + 1, read)
 
 
 # ---------------------------------------------------------------------------
@@ -448,24 +429,24 @@ def parse_theory(text: str, fuel: int = rw.DEFAULT_FUEL) -> rw.EquationalTheory:
         sides = (_side(lhs_text, col), _side(rhs_text, col + len(lhs_text) + 2))
         pending.append((line_no, sides, forced))
 
-    def as_rule(parse, what, line_no, sides):
-        return tuple(_parse_text(text, parse, what, line_no, col) for text, col in sides)
+    def as_rule(sort, line_no, sides):
+        return tuple(_parse_text(text, sort, line_no, col) for text, col in sides)
 
     drafts = []
     for line_no, sides, forced in pending:
         if forced:
-            lhs, rhs = as_rule(_parse_formula, "formula", line_no, sides)
+            lhs, rhs = as_rule(FORMULA, line_no, sides)
             pred_heads.add(_head_name(lhs))
         else:
             try:
-                lhs, rhs = as_rule(_parse_term, "term", line_no, sides)
+                lhs, rhs = as_rule(TERM, line_no, sides)
             except ParseError:
-                lhs, rhs = as_rule(_parse_formula, "formula", line_no, sides)
+                lhs, rhs = as_rule(FORMULA, line_no, sides)
                 pred_heads.add(_head_name(lhs))
         drafts.append((line_no, sides, lhs, rhs))
     for line_no, sides, lhs, rhs in drafts:
         if not isinstance(lhs, Formula) and _head_name(lhs) in pred_heads:
-            lhs, rhs = as_rule(_parse_formula, "formula", line_no, sides)
+            lhs, rhs = as_rule(FORMULA, line_no, sides)
         rules.append(rw.RewriteRule(lhs, rhs, line_no))
     return rw.EquationalTheory(tuple(rules), fuel)
 
@@ -488,12 +469,7 @@ def _head_name(node) -> str | None:
 
 
 _INT_KEYS = {"a", "b", "group", "pair", "pair2", "target"}
-_QUOTED_KEYS = {
-    "formula": (_parse_formula, "formula"),
-    "term": (_parse_term, "term"),
-    "pattern": (_parse_sequent, "sequent"),
-    **{key: (_parse_num, "numeric expression") for key in ("param", "ann", "g", "f")},
-}
+_QUOTED_KEYS = {"formula": FORMULA, "term": TERM, "param": NUM, "ann": NUM, "g": NUM, "f": NUM}
 
 
 def _parse_kv(ts: TokenStream, keys: frozenset) -> dict:
@@ -516,7 +492,9 @@ def _parse_kv(ts: TokenStream, keys: frozenset) -> dict:
         elif key in _INT_KEYS:
             out[key] = int(ts.expect("num").text)
         elif key in _QUOTED_KEYS:
-            out[key] = _quoted(ts, *_QUOTED_KEYS[key])
+            out[key] = _quoted(ts, _QUOTED_KEYS[key])
+        elif key == "pattern":
+            out[key] = _quoted(ts, "sequent", _parse_sequent)
         elif key == "eigen":
             out[key] = ts.expect("ident").text
         elif key == "at":
@@ -537,9 +515,9 @@ def _parse_kv(ts: TokenStream, keys: frozenset) -> dict:
             close = _open_list(ts)
             terms = []
             if not ts.at_sym(close):
-                terms.append(_parse_term(ts))
+                terms.append(_parse_expr(ts, TERM))
                 while ts.eat_sym(","):
-                    terms.append(_parse_term(ts))
+                    terms.append(_parse_expr(ts, TERM))
             ts.expect_sym(close)
             out["terms"] = tuple(terms)
         else:  # to: resolved against the premise it rewrites, so kept as its token
@@ -597,7 +575,7 @@ def _parse_proof_head(ts: TokenStream) -> tuple:
     if tok.text not in RULE_TOKENS:
         ts.fail(f"unknown inference rule {tok.text!r}")
     ts.next()
-    seq = _quoted(ts, _parse_sequent, "sequent")
+    seq = _quoted(ts, "sequent", _parse_sequent)
     kv = _parse_kv(ts, _NODE_KEYS)
     raw_to = kv.pop("to", None)
     if isinstance(kv.get("target"), int):
@@ -632,7 +610,7 @@ def _parse_theory_directive(ts: TokenStream) -> str | None:
 
 def parse_proof(text: str) -> tuple:
     """Returns (proof, theory_path or None)."""
-    return _parse_text(text, _proof_file, "proof")
+    return _parse_text(text, "proof", read=_proof_file)
 
 
 def _proof_file(ts: TokenStream) -> tuple:
@@ -645,7 +623,7 @@ def _proof_file(ts: TokenStream) -> tuple:
 
 
 def parse_schema(text: str) -> tuple:
-    return _parse_text(text, _schema_file, "schema")
+    return _parse_text(text, "schema", read=_schema_file)
 
 
 def _schema_file(ts: TokenStream) -> tuple:
@@ -660,7 +638,7 @@ def _schema_file(ts: TokenStream) -> tuple:
         while ts.peek().kind == "ident" and ts.peek().text in ("pattern", "vars", "step"):
             word = ts.next().text
             if word == "pattern":
-                pattern = _quoted(ts, _parse_sequent, "sequent")
+                pattern = _quoted(ts, "sequent", _parse_sequent)
             elif word == "vars":
                 vars_ = _parse_name_list(ts)
             else:
@@ -668,7 +646,7 @@ def _schema_file(ts: TokenStream) -> tuple:
                 word2 = ts.expect("ident")
                 if word2.text != "param":
                     raise ParseError("expected step-param", word2.line, word2.col)
-                step_param = _quoted(ts, _parse_num, "numeric expression")
+                step_param = _quoted(ts, NUM)
         base = None
         step = None
         ts.expect_sym("{")
@@ -708,6 +686,7 @@ class SiLKStep:
     lk_rule: RuleName | None = None
     data: RuleData = RuleData()
     raw_to: str | None = None
+    to_at: tuple = (1, 1)  # line and column of raw_to in its file
     pattern: Sequent | None = None
     vars: tuple = ()
     target: int | None = None
@@ -754,7 +733,7 @@ _STEP_WORDS = frozenset(
 
 def parse_script(text: str) -> tuple:
     """Returns (SiLKScript with a placeholder theory, theory_path or None)."""
-    return _parse_text(text, _script_file, "script")
+    return _parse_text(text, "script", read=_script_file)
 
 
 def _script_file(ts: TokenStream) -> tuple:
@@ -768,7 +747,7 @@ def _script_file(ts: TokenStream) -> tuple:
         line = tok.line
         if word in ("ax1r", "ax2r"):
             kv = _parse_kv(ts, _STEP_KEYS)
-            seq = _quoted(ts, _parse_sequent, "sequent") if ts.peek().kind == "str" else None
+            seq = _quoted(ts, "sequent", _parse_sequent) if ts.peek().kind == "str" else None
             kv2 = _parse_kv(ts, _STEP_KEYS)
             kv.update(kv2)
             steps.append(SiLKStep(word, sequent=seq, line=line, **_step_fields(kv)))
@@ -809,6 +788,7 @@ def _step_fields(kv: dict) -> dict:
         data_kv["formula"] = kv["formula"]
     if "to" in kv:
         fields["raw_to"] = kv["to"].text
+        fields["to_at"] = (kv["to"].line, kv["to"].col + 1)
     if data_kv:
         fields["data"] = RuleData(**data_kv)
     return fields

@@ -171,62 +171,49 @@ def validate_theory(theory: EquationalTheory) -> TheoryReport:
 
 
 def match(pattern: Node, subject: Node, binding: dict) -> bool:
-    if isinstance(pattern, FreeVar):
-        if not isinstance(subject, (NumExpr, Node)):
+    """Whether subject instantiates pattern, extending binding.  One worklist
+    of (pattern, subject) pairs; a variable binds on first sight and must
+    recur with an equal value, so the order of the pairs does not matter."""
+    todo = [(pattern, subject)]
+    while todo:
+        p, s = todo.pop()
+        if isinstance(p, FreeVar):
+            if not _bind(binding, ("v", p.name), s):
+                return False
+            continue
+        if isinstance(p, NumExpr):
+            # Patterns like k + 1 match any expression with at least one
+            # successor, so s(n), n + 1 and numerals all instantiate the
+            # same step rule.
+            if not isinstance(s, NumExpr):
+                return False
+            p, po = split_succs(p)
+            s, so = split_succs(s)
+            if p is None:
+                if s is None and so == po:
+                    continue
+                return False
+            if isinstance(p, Param):
+                if so < po:
+                    return False
+                if s is None:
+                    s = numeral(so - po)
+                else:
+                    for _ in range(so - po):
+                        s = Succ(s)
+                if not _bind(binding, ("p", p.name), s):
+                    return False
+                continue
+            if so != po:
+                return False
+        if isinstance(p, SVar) and isinstance(s, SVar) and p.name == s.name:
+            todo.append((p.index, s.index))
+            continue
+        key = _head_key(p)
+        if key is None or key != _head_key(s) or len(p.args) != len(s.args):
             return False
-        return _bind(binding, ("v", pattern.name), subject)
-    if isinstance(pattern, NumExpr):
-        return _match_num(pattern, subject, binding)
-    if isinstance(pattern, Fn):
-        return (
-            isinstance(subject, Fn)
-            and subject.sym == pattern.sym
-            and len(subject.args) == len(pattern.args)
-            and all(match(p, s, binding) for p, s in zip(pattern.args, subject.args))
-        )
-    if isinstance(pattern, SVar):
-        return (
-            isinstance(subject, SVar)
-            and subject.name == pattern.name
-            and _match_num(pattern.index, subject.index, binding)
-        )
-    if isinstance(pattern, Atom):
-        return (
-            isinstance(subject, Atom)
-            and subject.pred == pattern.pred
-            and len(subject.args) == len(pattern.args)
-            and all(match(p, s, binding) for p, s in zip(pattern.args, subject.args))
-        )
-    return False
-
-
-def _match_num(pattern: NumExpr, subject: Node, binding: dict) -> bool:
-    # Patterns like k + 1 match any expression with at least one successor,
-    # so s(n), n + 1 and numerals all instantiate the same step rule.
-    if not isinstance(subject, NumExpr):
-        return False
-    pb, po = split_succs(pattern)
-    sb, so = split_succs(subject)
-    if pb is None:
-        return sb is None and so == po
-    if isinstance(pb, Param):
-        if so < po:
-            return False
-        leftover = so - po
-        if sb is None:
-            value: NumExpr = numeral(leftover)
-        else:
-            value = sb
-            for _ in range(leftover):
-                value = Succ(value)
-        return _bind(binding, ("p", pb.name), value)
-    if so != po or sb is None or not isinstance(sb, NumFn) or not isinstance(pb, NumFn):
-        return False
-    return (
-        pb.sym == sb.sym
-        and len(pb.args) == len(sb.args)
-        and all(match(p, s, binding) for p, s in zip(pb.args, sb.args))
-    )
+        todo.extend(zip(p.args, s.args))
+    return True
 
 
 def _bind(binding: dict, key: tuple, value: Node) -> bool:

@@ -255,7 +255,7 @@ def _resolve_rewrite(step: SiLKStep, premise: Sequent) -> RuleData:
     except (IndexError, TypeError) as exc:
         raise SilkError(f"bad rewrite path {data.path}: {exc}") from None
     try:
-        repl = parse_replacement(step.raw_to, want_formula=isinstance(old, Formula))
+        repl = parse_replacement(step.raw_to, isinstance(old, Formula), *step.to_at)
     except ParseError as exc:
         raise SilkError(f"bad replacement {step.raw_to!r}: {exc}") from None
     return replace(data, repl=repl)

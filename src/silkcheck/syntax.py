@@ -11,9 +11,9 @@ Every node is hash-consed: constructing a node whose class and fields match
 an existing one returns that node, so structurally equal nodes are the same
 object and == and hash are object identity.  Every traversal is iterative;
 the only recursion is once per nested binder, whose body substitution
-rebuilds apart (canon_num also recurses once per nested numeric function
-symbol).  So successor towers, long conjunctions and f(f(...f(0)...)) chains
-thousands deep never hit the recursion limit.
+rebuilds apart, and the parser caps binder nesting (MAX_BINDER_DEPTH).  So
+successor towers, long conjunctions and f(f(...f(0)...)) chains thousands
+deep never hit the recursion limit.
 
 A binder binds the free and the schematic variables of its name alike, in
 equality, substitution and free variables.  Equality up to bound names
@@ -238,19 +238,28 @@ def split_succs(e: NumExpr) -> tuple[NumExpr | None, int]:
 
 def canon_num(e: NumExpr) -> NumExpr:
     """Canonical form of the +/s fragment: numeral summands become successor
-    applications, so s(n), n+1 and 1+n all coincide."""
-    base, offset = split_succs(e)
-    if base is None:
-        return numeral(offset)
-    if _is_plus(base):
-        a, b = base.args
-        base = NumFn("+", (canon_num(a), canon_num(b)))
-    elif isinstance(base, NumFn):
-        base = NumFn(base.sym, tuple(canon_num(a) if isinstance(a, NumExpr) else a for a in base.args))
-    out = base
-    for _ in range(offset):
-        out = Succ(out)
-    return out
+    applications, so s(n), n+1 and 1+n all coincide.  Built bottom-up: an
+    application's numeric arguments are canonical before it is."""
+    done: dict = {}
+    stack = [e]
+    while stack:
+        cur = stack[-1]
+        base, offset = split_succs(cur)
+        args = base.args if isinstance(base, NumFn) else ()
+        pending = [a for a in args if isinstance(a, NumExpr) and a not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if base is None:
+            done[cur] = numeral(offset)
+            continue
+        if args:
+            base = NumFn(base.sym, tuple(done.get(a, a) for a in args))
+        for _ in range(offset):
+            base = Succ(base)
+        done[cur] = base
+    return done[e]
 
 
 def num_eq(a: NumExpr, b: NumExpr) -> bool:

@@ -3,13 +3,32 @@ suite and the acceptance gate, the structural signature of a component
 collection that replay tests compare, earlier implementations kept as
 oracles, and a strategy that damages corpus files for the CLI fuzz."""
 
+import dataclasses
 import re
+from contextlib import contextmanager
 
 import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
 from silkcheck import corpus_path, load_theory
-from silkcheck.parser import _MULTI, _RULE_SYMBOLS, _SINGLE, ParseError, parse_sequent, tokenize
+from silkcheck import parser
+from silkcheck.parser import (
+    _MULTI,
+    _RULE_SYMBOLS,
+    _SINGLE,
+    FORMULA,
+    NUM,
+    PARAM_NAME,
+    SUP,
+    TERM,
+    ParseError,
+    TokenStream,
+    parse_formula,
+    parse_numexpr,
+    parse_sequent,
+    parse_term,
+    tokenize,
+)
 from silkcheck.rewrite import EquationalTheory, FuelExhausted, normalize
 from silkcheck.silk import ClosedBase, ClosedStep, ComponentCollection, ComponentPair, OpenBase, OpenStep
 from silkcheck.syntax import (
@@ -18,8 +37,10 @@ from silkcheck.syntax import (
     Exists,
     Fn,
     Forall,
+    Formula,
     FreeVar,
     Imp,
+    Node,
     Not,
     NumExpr,
     NumFn,
@@ -405,6 +426,295 @@ def lexer_oracle_property(max_examples):
     @given(lexer_texts)
     def check(text):
         assert same_tokens(text)
+
+    return check
+
+
+
+# --- the recursive-descent expression readers, kept as an oracle
+
+
+def reference_parse_num(ts: TokenStream) -> NumExpr:
+    e = reference_parse_num_atom(ts)
+    while ts.at_sym("+"):
+        ts.next()
+        e = NumFn("+", (e, reference_parse_num_atom(ts)))
+    return e
+
+
+def reference_parse_num_atom(ts: TokenStream) -> NumExpr:
+    tok = ts.peek()
+    if tok.kind == "num":
+        ts.next()
+        if ts.eat_sym("^"):
+            return NumFn(tok.text + "^", (reference_parse_sup(ts),))
+        return numeral(int(tok.text))
+    if tok.kind == "ident":
+        ts.next()
+        if tok.text == "s" and ts.at_sym("("):
+            ts.next()
+            inner = reference_parse_num(ts)
+            ts.expect_sym(")")
+            return Succ(inner)
+        if ts.eat_sym("^"):
+            return NumFn(tok.text + "^", (reference_parse_sup(ts),))
+        return Param(tok.text)
+    if ts.eat_sym("("):
+        e = reference_parse_num(ts)
+        ts.expect_sym(")")
+        return e
+    ts.fail("expected a numeric expression")
+
+
+def reference_parse_sup(ts: TokenStream) -> NumExpr:
+    tok = ts.peek()
+    if tok.kind == "num":
+        ts.next()
+        return numeral(int(tok.text))
+    if tok.kind == "ident":
+        ts.next()
+        return Param(tok.text)
+    if ts.eat_sym("("):
+        e = reference_parse_num(ts)
+        ts.expect_sym(")")
+        return e
+    ts.fail("expected a superscript")
+
+
+def reference_parse_term(ts: TokenStream) -> Node:
+    e = reference_parse_term_atom(ts)
+    while ts.at_sym("+"):
+        ts.next()
+        rhs = reference_parse_term_atom(ts)
+        if isinstance(e, NumExpr) and isinstance(rhs, NumExpr):
+            e = NumFn("+", (e, rhs))
+        else:
+            e = Fn("+", (e, rhs))
+    return e
+
+
+def reference_parse_term_atom(ts: TokenStream) -> Node:
+    tok = ts.peek()
+    if tok.kind == "num":
+        ts.next()
+        if ts.eat_sym("^"):
+            sup = reference_parse_sup(ts)
+            return NumFn(tok.text + "^", (sup,))
+        return numeral(int(tok.text))
+    if tok.kind == "ident":
+        ts.next()
+        name = tok.text
+        if name == "s" and ts.at_sym("("):
+            ts.next()
+            inner = reference_parse_num(ts)
+            ts.expect_sym(")")
+            return Succ(inner)
+        if ts.eat_sym("^"):
+            sup = reference_parse_sup(ts)
+            args: tuple = (sup,)
+            if ts.eat_sym("("):
+                args += reference_parse_term_args(ts)
+                ts.expect_sym(")")
+            return Fn(name + "^", args)
+        if ts.eat_sym("["):
+            idx = reference_parse_num(ts)
+            ts.expect_sym("]")
+            return SVar(name, idx)
+        if ts.eat_sym("("):
+            args = reference_parse_term_args(ts)
+            ts.expect_sym(")")
+            return Fn(name, args)
+        if name == PARAM_NAME:
+            return Param(name)
+        return FreeVar(name)
+    if ts.eat_sym("("):
+        e = reference_parse_term(ts)
+        ts.expect_sym(")")
+        return e
+    ts.fail("expected a term")
+
+
+def reference_parse_term_args(ts: TokenStream) -> tuple:
+    if ts.at_sym(")"):
+        return ()
+    args = [reference_parse_term(ts)]
+    while ts.eat_sym(","):
+        args.append(reference_parse_term(ts))
+    return tuple(args)
+
+
+def reference_parse_formula(ts: TokenStream) -> Formula:
+    lhs = reference_parse_disj(ts)
+    if ts.eat_sym("->"):
+        return Imp(lhs, reference_parse_formula(ts))
+    return lhs
+
+
+def reference_parse_disj(ts: TokenStream) -> Formula:
+    f = reference_parse_conj(ts)
+    while ts.eat_sym("\\/"):
+        f = Or(f, reference_parse_conj(ts))
+    return f
+
+
+def reference_parse_conj(ts: TokenStream) -> Formula:
+    f = reference_parse_neg(ts)
+    while ts.eat_sym("/\\"):
+        f = And(f, reference_parse_neg(ts))
+    return f
+
+
+def reference_parse_neg(ts: TokenStream) -> Formula:
+    if ts.eat_sym("~"):
+        return Not(reference_parse_neg(ts))
+    return reference_parse_fatom(ts)
+
+
+def reference_parse_fatom(ts: TokenStream) -> Formula:
+    tok = ts.peek()
+    if tok.kind == "ident" and tok.text in ("forall", "exists"):
+        ts.next()
+        var = ts.expect("ident").text
+        omega = False
+        if ts.eat_sym(":"):
+            sort = ts.expect("ident")
+            if sort.text != "omega":
+                raise ParseError(f"unknown sort {sort.text!r}", sort.line, sort.col)
+            omega = True
+        ts.expect_sym(".")
+        body = reference_parse_formula(ts)
+        if omega:
+            if tok.text != "forall":
+                raise ParseError("only universal numeric quantifiers exist", tok.line, tok.col)
+            return OmegaAll(var, body)
+        return Forall(var, body) if tok.text == "forall" else Exists(var, body)
+    if ts.eat_sym("("):
+        f = reference_parse_formula(ts)
+        ts.expect_sym(")")
+        return f
+    if tok.kind == "ident":
+        ts.next()
+        name = tok.text
+        if ts.eat_sym("^"):
+            sup = reference_parse_sup(ts)
+            args: tuple = (sup,)
+            if ts.eat_sym("("):
+                args += reference_parse_term_args(ts)
+                ts.expect_sym(")")
+            return Atom(name + "^", args)
+        if ts.eat_sym("("):
+            args = reference_parse_term_args(ts)
+            ts.expect_sym(")")
+            return Atom(name, args)
+        return Atom(name, ())
+    ts.fail("expected a formula")
+
+
+_REFERENCE_READERS = {
+    FORMULA: reference_parse_formula,
+    TERM: reference_parse_term,
+    NUM: reference_parse_num,
+    SUP: reference_parse_sup,
+}
+
+
+def reference_parse_expr(ts: TokenStream, sort: str):
+    """The expression readers as they once were, one recursive function per
+    grammar level, as a drop-in for ``parser._parse_expr``.  They recurse,
+    so text nested deeper than Python's stack allows is a ParseError whose
+    message says so."""
+    try:
+        return _REFERENCE_READERS[sort](ts)
+    except RecursionError:
+        tok = ts.peek()
+        raise ParseError(f"{sort} nested too deep to parse", tok.line, tok.col) from None
+
+
+@contextmanager
+def reference_parser():
+    """Every parse_* function reads its expressions with the oracle."""
+    saved = parser._parse_expr
+    parser._parse_expr = reference_parse_expr
+    try:
+        yield
+    finally:
+        parser._parse_expr = saved
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.col)
+
+
+def same_parse(parse, text) -> bool:
+    """``parse`` gives the very same value, or the same error message and
+    position, with the expression loop as with the oracle, unless the oracle
+    gives up for depth."""
+    new = _outcome(parse, text)
+    with reference_parser():
+        old = _outcome(parse, text)
+    if isinstance(old, tuple) and "nested too deep" in old[0]:
+        return True
+    return identical(new, old)
+
+
+def identical(a, b) -> bool:
+    """Structural equality in which nodes must be the same object."""
+    if isinstance(a, Node) or isinstance(b, Node):
+        return a is b
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(identical, a, b))
+    if dataclasses.is_dataclass(a) and not isinstance(a, type):
+        return type(a) is type(b) and all(
+            identical(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a) if f.compare
+        )
+    return a == b
+
+
+# Tokens an expression mutant may gain: every expression symbol, the
+# binder words and a few names and numerals.
+EXPRESSION_TOKENS = ["(", ")", ",", "^", "+", "~", "->", "/\\", "\\/", "[", "]", ".", ":", "|-"]
+EXPRESSION_TOKENS += ["forall", "exists", "omega", "x", "n", "s", "f", "P", "0", "2"]
+
+
+@st.composite
+def token_mutants(draw, printed):
+    """A printed expression with one to three of its tokens deleted,
+    duplicated, swapped with the next one or replaced, the tokens joined by
+    blanks."""
+    toks = [tok.text for tok in tokenize(draw(printed))[:-1]]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if not toks:
+            break
+        i = draw(st.integers(min_value=0, max_value=len(toks) - 1))
+        edit = draw(st.sampled_from(["delete", "duplicate", "swap", "replace"]))
+        if edit == "delete":
+            del toks[i]
+        elif edit == "duplicate":
+            toks.insert(i, toks[i])
+        elif edit == "swap" and i + 1 < len(toks):
+            toks[i], toks[i + 1] = toks[i + 1], toks[i]
+        elif edit == "replace":
+            toks[i] = draw(st.sampled_from(EXPRESSION_TOKENS))
+    return " ".join(toks)
+
+
+def parser_oracle_property(max_examples, sort):
+    """The expression loop agrees with the oracle on printed expressions of
+    ``sort`` and on their token mutants."""
+    strategy, parse = {
+        FORMULA: (formulas, parse_formula),
+        TERM: (terms, parse_term),
+        NUM: (nums, parse_numexpr),
+    }[sort]
+    printed = strategy.map(str)
+
+    @settings(max_examples=max_examples, deadline=None)
+    @given(st.one_of(printed, token_mutants(printed)))
+    def check(text):
+        assert same_parse(parse, text)
 
     return check
 

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 import silkcheck
 from silkcheck import corpus_path, load_schema, load_script, to_ppsnf
 from silkcheck.cli import main
+from silkcheck.parser import MAX_BINDER_DEPTH
 from silkcheck.rewrite import DEFAULT_FUEL, FuelExhausted, StuckTerm
 from silkcheck.schema import MatchFailure, evaluate
 
@@ -351,21 +352,63 @@ def test_tall_translation_prints_and_parses_back(capsys, tmp_path):
     assert json.loads(out)["counts"] == {"c:r": 600, "w:r": 600}
 
 
-@pytest.mark.parametrize("where", ["input", "env"])
-def test_deeply_nested_formula_exits_two(capsys, tmp_path, where):
-    deep = "(" * 300 + "P" + ")" * 300
+def _formula_input(tmp_path, where, formula) -> tuple:
+    """(argv, file) of a command that reads ``formula`` from a proof, from a
+    schema pattern given as its link environment, or from a script."""
     if where == "input":
         path = tmp_path / "deep.lkp"
-        path.write_text(f'ax "{deep} |- P"\n')
-        argv = ("check-lk", str(path))
-    else:
+        path.write_text(f'ax "{formula} |- {formula}"\n')
+        return ("check-lk", str(path)), path
+    if where == "env":
         path = tmp_path / "deep.sch"
-        path.write_text(f'component phi pattern "{deep} |- P" vars () {{ base {{ ax "P |- P" }} }}\n')
-        argv = ("check-lk", p("lk_nu_shat.lkp"), "--mode", "lks", "--env", str(path))
+        path.write_text(f'component phi pattern "{formula} |- P" vars () {{ base {{ ax "P |- P" }} }}\n')
+        proof = tmp_path / "plain.lkp"
+        proof.write_text('ax "P |- P"\n')
+        return ("check-lk", str(proof), "--env", str(path)), path
+    path = tmp_path / "deep.slk"
+    sequent = f"{formula} |- {formula}"
+    path.write_text(f'ax1r "{sequent}"\nclbc group=1 pair=1 pattern="{sequent}" vars ()\ncllke group=1\n')
+    return ("check-silk", str(path)), path
+
+
+WHERE = ["input", "env", "script"]
+
+
+def _nested(opening, leaf, closing, depth=10_000):
+    return opening * depth + leaf + closing * depth
+
+
+@pytest.mark.parametrize("where", WHERE)
+@pytest.mark.parametrize(
+    "formula",
+    [_nested("(", "P", ")", 300), "forall x. " * MAX_BINDER_DEPTH + "P(x)"],
+    ids=["parentheses-300", "binders-at-the-cap"],
+)
+def test_deeply_nested_formula_checks(capsys, tmp_path, where, formula):
+    argv, _ = _formula_input(tmp_path, where, formula)
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("where", WHERE)
+def test_deeply_nested_formula_exits_two(capsys, tmp_path, where):
+    # One binder more than the cap is a parse error at that binder.
+    argv, path = _formula_input(tmp_path, where, "forall x. " * (MAX_BINDER_DEPTH + 1) + "P(x)")
     code, out, err = run(capsys, *argv)
-    assert code == 2 and not out
-    assert err.startswith("parse error: sequent nested too deep to parse at 1:")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    col = path.read_text().index("forall") + 1 + len("forall x. ") * MAX_BINDER_DEPTH
+    assert (code, out) == (2, "")
+    assert err == f"parse error: binders nested more than {MAX_BINDER_DEPTH} deep at 1:{col}\n"
+
+
+def test_deep_link_parameter_is_rejected_not_raised(capsys, tmp_path):
+    # The parser reads a numeric expression of any depth, so the layers
+    # after it (canon_num here) must not recurse on it either.
+    text = corpus_path("schema_fhat.sch").read_text().replace('theory "', f'theory "{corpus_path("")}/')
+    path = tmp_path / "deep.sch"
+    path.write_text(text.replace('param="n"', 'param="' + _nested("2^(", "n", ")", 600) + '"'))
+    code, out, err = run(capsys, "check-schema", str(path))
+    assert (code, err) == (1, "")
+    assert out.startswith("rejected\n")
 
 
 @pytest.mark.parametrize(
@@ -375,8 +418,25 @@ def test_deeply_nested_formula_exits_two(capsys, tmp_path, where):
         " -> ".join(["P"] * 150),
         " /\\ ".join(["P"] * 2000),
         " /\\ ".join(["P"] * 20000),
+        _nested("(", "P", ")"),
+        "P(" + _nested("g(", "0", ")") + ")",
+        "P(" + _nested("s(", "n", ")") + ")",
+        _nested("~", "P", ""),
+        " -> ".join(["P"] * 10_000),
+        "P(" + _nested("2^(", "n", ")") + ")",
     ],
-    ids=["term", "arrows", "conjuncts-2000", "conjuncts-20000"],
+    ids=[
+        "term",
+        "arrows",
+        "conjuncts-2000",
+        "conjuncts-20000",
+        "parentheses-10000",
+        "applications-10000",
+        "successors-10000",
+        "negations-10000",
+        "arrows-10000",
+        "powers-10000",
+    ],
 )
 def test_deep_formula_within_the_stack_still_checks(capsys, tmp_path, formula):
     path = tmp_path / "deep.lkp"
@@ -648,7 +708,7 @@ def test_malformed_replacement_rejects_the_step(capsys, tmp_path):
     code, out, err = run(capsys, "check-silk", str(path))
     assert code == 1 and not err
     assert out.splitlines()[0] == "verdict: rejected"
-    assert out.splitlines()[-1] == "  step 1: [rho_bc] bad replacement 'f((': expected a term at 1:4"
+    assert out.splitlines()[-1] == "  step 1: [rho_bc] bad replacement 'f((': expected a term at 3:48"
 
 
 @pytest.mark.parametrize("command", ["ppsnf", "translate", "interpret", "stats"])

@@ -1,9 +1,15 @@
 """Round trips and parse errors for every file format."""
 
+import contextlib
+
 import pytest
 
 from silkcheck import corpus_path
+from silkcheck.kernel import iter_nodes
 from silkcheck.parser import (
+    FORMULA,
+    NUM,
+    TERM,
     ParseError,
     load_schema,
     load_script,
@@ -18,6 +24,8 @@ from silkcheck.parser import (
     tokenize,
 )
 from silkcheck.printer import print_proof, print_schema, print_script, print_theory
+from silkcheck.rewrite import EquationalTheory
+from silkcheck.schema import evaluate
 from silkcheck.silk import check_script
 
 import gen
@@ -241,3 +249,86 @@ def test_eof_after_a_trailing_comment_points_past_it():
 
 def test_lexer_agrees_with_the_reference():
     gen.lexer_oracle_property(200)()
+
+
+@pytest.mark.parametrize("sort", [FORMULA, TERM, NUM])
+def test_expression_loop_agrees_with_the_reference(sort):
+    gen.parser_oracle_property(300, sort)()
+
+
+CORPUS_READERS = {".thy": parse_theory, ".sch": parse_schema, ".slk": parse_script, ".lkp": parse_proof}
+
+
+@pytest.mark.parametrize("name", THEORIES + SCHEMAS + SCRIPTS + PROOFS)
+def test_corpus_parses_as_with_the_reference(name):
+    text = corpus_path(name).read_text(encoding="utf-8")
+    read = CORPUS_READERS[corpus_path(name).suffix]
+    new = read(text)
+    with gen.reference_parser():
+        old = read(text)
+    if isinstance(new, EquationalTheory):
+        new, old = new.rules, old.rules
+    assert gen.identical(new, old)
+
+
+def test_reference_gives_up_for_depth_where_the_loop_does_not():
+    deep = "(" * 300 + "P" + ")" * 300
+    assert parse_formula(deep) is parse_formula("P")
+    with gen.reference_parser(), pytest.raises(ParseError, match="nested too deep"):
+        parse_formula(deep)
+    assert gen.same_parse(parse_formula, deep)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("exists x:omega. (", "expected a formula at 1:18"),
+        ("exists x:omega. P", "only universal numeric quantifiers exist at 1:1"),
+        ("forall x:nat. P", "unknown sort 'nat' at 1:10"),
+        ("forall (", "expected ident, found '(' at 1:8"),
+        ("P(f^n(x], y)", "expected ')', found ']' at 1:8"),
+        ("P(x[n)", "expected ']', found ')' at 1:6"),
+        ("P(s(f(x)))", "expected ')', found '(' at 1:6"),
+        ("P(2^~)", "expected a superscript at 1:5"),
+    ],
+)
+def test_expression_errors_match_the_reference(text, message):
+    assert gen.same_parse(parse_formula, text)
+    for reading in (contextlib.nullcontext(), gen.reference_parser()):
+        with reading, pytest.raises(ParseError) as err:
+            parse_formula(text)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, same",
+    [
+        ("A -> B -> C", "A -> (B -> C)"),
+        ("A \\/ B \\/ C", "(A \\/ B) \\/ C"),
+        ("~A /\\ B \\/ C -> D", "(((~A) /\\ B) \\/ C) -> D"),
+        ("A /\\ forall x. B \\/ C", "A /\\ (forall x. (B \\/ C))"),
+        ("~forall x. A -> B", "~(forall x. (A -> B))"),
+        ("P(a + b + c)", "P((a + b) + c)"),
+        ("P(f^n + 1)", "P((f^n) + 1)"),
+    ],
+)
+def test_precedence_and_associativity(text, same):
+    assert parse_formula(text) is parse_formula(same)
+    assert gen.same_parse(parse_formula, text)
+
+
+@pytest.mark.parametrize("text", ["P()", "P(f(), g^n(), h^2())", "W^n() /\\ W2^(n + 1)(x)", "P(x[s(n) + 1])"])
+def test_empty_and_superscripted_applications(text):
+    assert gen.same_parse(parse_formula, text)
+    assert parse_formula(str(parse_formula(text))) is parse_formula(text)
+
+
+def test_longest_unrolled_fhat_sequent_parses_back_to_itself():
+    # An unrolled instance nests f as deep as alpha; the printed sequent must
+    # read back as the very object the unrolling built.
+    schema, theory = load_schema(corpus_path("schema_fhat.sch"))
+    proof = evaluate(schema, 1000, theory).proof
+    longest = max((node.conclusion for node, _ in iter_nodes(proof)), key=lambda seq: len(str(seq)))
+    assert len(str(longest)) > 9000
+    again = parse_sequent(str(longest))
+    assert gen.identical((again.ante, again.succ), (longest.ante, longest.succ))

@@ -315,3 +315,19 @@ def test_equivalent_transitive_on_normalizing_inputs(shat):
 
 def test_linear_iteration_theory_has_two_rules(fhat):
     assert len(fhat.rules) == 2 and validate_theory(fhat).ok
+
+
+@pytest.mark.parametrize("depth", [600, 10_000])
+def test_deep_rule_patterns_match(depth):
+    # h(g(...g(x)...)) == x and H(2^(...2^(k)...)) == k, each nested depth deep.
+    pattern, subject = FreeVar("x"), Fn("c", ())
+    num_pattern, num_subject = Param("k"), numeral(3)
+    for _ in range(depth):
+        pattern, subject = Fn("g", (pattern,)), Fn("g", (subject,))
+        num_pattern, num_subject = NumFn("2^", (num_pattern,)), NumFn("2^", (num_subject,))
+    theory = EquationalTheory(
+        (RewriteRule(Fn("h", (pattern,)), FreeVar("x")), RewriteRule(Fn("H", (num_pattern,)), Param("k")))
+    )
+    assert normalize(Fn("h", (subject,)), theory).value is Fn("c", ())
+    assert normalize(Fn("H", (num_subject,)), theory).value is numeral(3)
+    assert not match(Fn("h", (pattern,)), Fn("h", subject.args), {})

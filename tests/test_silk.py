@@ -464,4 +464,4 @@ def test_malformed_replacement_rejects_the_step(fhat_script):
     script, _ = parse_script('ax1r "P(0) |- P(0)"\nrho bc 1 E group=1 pair=1 at=R.0 path=0 to="f(("\n')
     _, verdict, report = check_script(SiLKScript(fhat_script.theory, script.steps))
     assert verdict == "rejected"
-    assert [(f.path, f.message) for f in report.failures] == [((1,), "bad replacement 'f((': expected a term at 1:4")]
+    assert [(f.path, f.message) for f in report.failures] == [((1,), "bad replacement 'f((': expected a term at 2:48")]

@@ -3,6 +3,7 @@ from silkcheck.syntax import (
     Atom,
     Fn,
     FreeVar,
+    NumFn,
     Param,
     SortMismatch,
     Substitution,
@@ -215,3 +216,15 @@ def test_schematic_variable_renaming():
     assert out == t("y[n + 1]")
     with pytest.raises(SortMismatch):
         subst(t("x[n]"), subst_vars({"x": t("f(a)")}))
+
+
+def test_deep_numeric_functions_canonicalize():
+    # Reachable from a script's ann= and a schema's param=.
+    deep = Param("n")
+    for _ in range(10_000):
+        deep = NumFn("2^", (deep,))
+    assert canon_num(deep) is deep
+    shifted = NumFn("+", (Param("n"), numeral(1)))
+    for _ in range(10_000):
+        shifted = NumFn("2^", (shifted,))
+    assert num_eq(shifted, subst(deep, subst_param("n", Succ(Param("n")))))
