@@ -309,19 +309,6 @@ def apply_rule(
     raise RuleError(f"{rule} cannot be applied forward")
 
 
-def link_sequent(env: LinkEnv, data: RuleData) -> Sequent:
-    _need(data.target is not None, "link without a target")
-    pat = env.get(data.target)
-    _need(pat is not None, "link target %s is not declared", data.target)
-    _need(
-        len(data.terms) == len(pat.vars),
-        "link to %s carries %s terms for %s variables", data.target, len(data.terms), len(pat.vars),
-    )
-    _need(data.param is not None, "link without a parameter expression")
-    sub = Substitution({"n": data.param}, dict(zip(pat.vars, data.terms)))
-    return subst(pat.pattern, sub)
-
-
 # ---------------------------------------------------------------------------
 # Checking
 
@@ -405,11 +392,10 @@ def check_proof(
         }
     )
     allowed = _allowed_rules(mode)
-    fail = lambda path, rule, msg: report.failures.append(Failure(_flatten(path), str(rule), msg))
+    fail = lambda path, rule, msg: report.failures.append(Failure(flatten_path(path), str(rule), msg))
     counts: dict = {}
 
-    # Paths are linked, (parent path, premise index), and flattened only for
-    # a failure; copying a tuple per premise is quadratic in the depth.
+    # Linked paths: copying a tuple per premise is quadratic in the depth.
     stack = [(proof, None)]
     while stack:
         node, path = stack.pop()
@@ -433,8 +419,9 @@ def check_proof(
     return report
 
 
-def _flatten(path) -> tuple:
-    """The premise indices, root first, of a linked path."""
+def flatten_path(path) -> tuple:
+    """The premise indices, root first, of a linked path: (parent path,
+    premise index), or ``None`` at the root."""
     indices = []
     while path is not None:
         path, i = path
@@ -456,16 +443,25 @@ def _check_node(node, theory, env, allowed_link_params, lenient_erule):
         )
         return
     if rule is R.LINK:
-        expected = link_sequent(env, node.data)
+        data = node.data
+        _need(data.target is not None, "link without a target")
+        pat = env.get(data.target)
+        _need(pat is not None, "link target %s is not declared", data.target)
+        _need(
+            len(data.terms) == len(pat.vars),
+            "link to %s carries %s terms for %s variables", data.target, len(data.terms), len(pat.vars),
+        )
+        _need(data.param is not None, "link without a parameter expression")
+        expected = subst(pat.pattern, Substitution({"n": data.param}, dict(zip(pat.vars, data.terms))))
         _need(
             concl == expected,
             "link conclusion %s differs from declared instance %s", concl, expected,
         )
-        params = free_params(node.data.param)
+        params = free_params(data.param)
         _need(
             params <= allowed_link_params,
             "link parameter %s uses parameters %s outside %s",
-            node.data.param, sorted(params), sorted(allowed_link_params),
+            data.param, sorted(params), sorted(allowed_link_params),
         )
         return
     if rule is R.ERULE and node.data.whole:
@@ -497,13 +493,13 @@ def count_inferences(proof: Proof) -> dict:
 
 
 def iter_nodes(proof: Proof):
-    """(node, path) pairs in pre-order."""
-    stack = [(proof, ())]
+    """(node, linked path) pairs in pre-order; see ``flatten_path``."""
+    stack = [(proof, None)]
     while stack:
         node, path = stack.pop()
         yield node, path
         for i, p in enumerate(node.premises):
-            stack.append((p, path + (i,)))
+            stack.append((p, (path, i)))
 
 
 RULE_TOKENS = {r.value: r for r in RuleName}

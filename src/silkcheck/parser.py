@@ -632,39 +632,37 @@ def _schema_file(ts: TokenStream) -> tuple:
     while ts.peek().kind == "ident" and ts.peek().text == "component":
         ts.next()
         name = ts.expect("ident").text
-        pattern = None
-        vars_: tuple = ()
-        step_param = None
+        clauses: dict = {}  # SchemaComponent fields, each given at most once
         while ts.peek().kind == "ident" and ts.peek().text in ("pattern", "vars", "step"):
-            word = ts.next().text
-            if word == "pattern":
-                pattern = _quoted(ts, "sequent", _parse_sequent)
-            elif word == "vars":
-                vars_ = _parse_name_list(ts)
+            tok = ts.next()
+            key = "step_param" if tok.text == "step" else tok.text
+            if key in clauses:
+                raise ParseError(f"component {name} repeats its {key.replace('_', '-')}", tok.line, tok.col)
+            if key == "pattern":
+                clauses[key] = _quoted(ts, "sequent", _parse_sequent)
+            elif key == "vars":
+                clauses[key] = _parse_name_list(ts)
             else:
                 ts.expect_sym("-")
                 word2 = ts.expect("ident")
                 if word2.text != "param":
                     raise ParseError("expected step-param", word2.line, word2.col)
-                step_param = _quoted(ts, NUM)
-        base = None
-        step = None
+                clauses[key] = _quoted(ts, NUM)
         ts.expect_sym("{")
         while not ts.at_sym("}"):
-            word = ts.expect("ident").text
+            tok = ts.expect("ident")
+            if tok.text in ("base", "step") and tok.text in clauses:
+                raise ParseError(f"component {name} repeats its {tok.text}", tok.line, tok.col)
             ts.expect_sym("{")
             node = _parse_proof_node(ts)
             ts.expect_sym("}")
-            if word == "base":
-                base = node
-            elif word == "step":
-                step = node
-            else:
-                ts.fail(f"expected base or step, found {word!r}")
+            if tok.text not in ("base", "step"):
+                ts.fail(f"expected base or step, found {tok.text!r}")
+            clauses[tok.text] = node
         ts.expect_sym("}")
-        if pattern is None or base is None:
+        if "pattern" not in clauses or "base" not in clauses:
             ts.fail(f"component {name} needs a pattern and a base proof")
-        components.append(SchemaComponent(name, pattern, vars_, step_param, base, step))
+        components.append(SchemaComponent(name, **clauses))
     return ProofSchema(tuple(components)), theory_path
 
 
@@ -798,50 +796,29 @@ def _step_fields(kv: dict) -> dict:
 # Name resolution
 
 
-class Signature:
-    """Symbol table collected from parsed values: arities per function,
-    predicate, and numeric function, plus the schematic variables seen.
-    Defined and uninterpreted symbols share one namespace per kind, so a
-    name resolves the same way wherever it occurs."""
-
-    def __init__(self):
-        self.arities: dict = {}
-        self.schematic: set = set()
-        self.issues: list = []
-
-    def collect(self, *roots):
-        for root in roots:
-            nodes = root.formulas() if isinstance(root, Sequent) else (root,)
-            for formula in nodes:
-                for node in walk(formula):
-                    key = None
-                    if isinstance(node, Fn):
-                        key = ("function", node.sym)
-                        arity = len(node.args)
-                    elif isinstance(node, Atom):
-                        key = ("predicate", node.pred)
-                        arity = len(node.args)
-                    elif isinstance(node, NumFn) and node.sym != "+":
-                        key = ("numeric function", node.sym)
-                        arity = len(node.args)
-                    elif isinstance(node, SVar):
-                        self.schematic.add(node.name)
-                        continue
-                    if key is None:
-                        continue
-                    seen = self.arities.setdefault(key, arity)
-                    if seen != arity:
-                        self.issues.append(
-                            f"{key[0]} {key[1]} used with {arity} arguments and with {seen}"
-                        )
-        return self
-
-
 def check_arities(*roots) -> list:
-    """Arity-consistency issues across a workspace's parsed values."""
-    sig = Signature()
-    sig.collect(*roots)
-    return sig.issues
+    """Arity-consistency issues across a workspace's parsed values.
+    Defined and uninterpreted symbols share one namespace per kind
+    (function, predicate, numeric function), so a name resolves the same way
+    wherever it occurs."""
+    arities: dict = {}
+    issues: list = []
+    for root in roots:
+        for formula in root.formulas() if isinstance(root, Sequent) else (root,):
+            for node in walk(formula):
+                if isinstance(node, Fn):
+                    key = ("function", node.sym)
+                elif isinstance(node, Atom):
+                    key = ("predicate", node.pred)
+                elif isinstance(node, NumFn) and node.sym != "+":
+                    key = ("numeric function", node.sym)
+                else:
+                    continue
+                arity = len(node.args)
+                seen = arities.setdefault(key, arity)
+                if seen != arity:
+                    issues.append(f"{key[0]} {key[1]} used with {arity} arguments and with {seen}")
+    return issues
 
 
 def _workspace_roots(value, theory) -> list:

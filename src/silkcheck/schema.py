@@ -38,6 +38,7 @@ from .kernel import (
     RuleData,
     RuleName,
     check_proof,
+    flatten_path,
     iter_nodes,
 )
 from .syntax import (
@@ -48,7 +49,6 @@ from .syntax import (
     SortMismatch,
     Substitution,
     canon_num,
-    free_params,
     is_subterm,
     numeral,
     numeral_value,
@@ -61,6 +61,16 @@ class MatchFailure(Exception):
     """A link cannot be expanded: its target is not declared, its parameter
     is not ground, or its numeral cannot be matched against the step
     parameter shape."""
+
+
+class ExpansionsExhausted(rw.FuelExhausted):
+    """Unrolling needs more link expansions than the fuel.  It is a
+    ``FuelExhausted``, so whatever handles fuel handles it, but its message
+    names the expansions, not rewrite steps."""
+
+    def __init__(self, fuel: int):
+        Exception.__init__(self, f"no unrolling within {fuel} link expansions")
+        self.steps = fuel
 
 
 @dataclass(frozen=True)
@@ -123,7 +133,7 @@ def check_schema(schema: ProofSchema, theory: rw.EquationalTheory) -> CheckRepor
         sub_report = check_proof(comp.base, MODE_LKS, theory, env, frozenset(), lenient_erule=True)
         for f in sub_report.failures:
             report.failures.append(Failure((ci,) + f.path, f.rule, f"base of {comp.name}: {f.message}"))
-        _check_links(report, ci, comp, comp.base, "base", order, step_links=False)
+        _check_links(report, ci, comp, comp.base, "base", order)
 
         if comp.step is None:
             if comp.step_param is not None:
@@ -140,60 +150,39 @@ def check_schema(schema: ProofSchema, theory: rw.EquationalTheory) -> CheckRepor
         sub_report = check_proof(comp.step, MODE_LKS, theory, env, frozenset({"n"}), lenient_erule=True)
         for f in sub_report.failures:
             report.failures.append(Failure((ci,) + f.path, f.rule, f"step of {comp.name}: {f.message}"))
-        _check_links(report, ci, comp, comp.step, "step", order, step_links=True, offset=offset)
+        _check_links(report, ci, comp, comp.step, "step", order, offset)
     return report
 
 
-def _check_links(report, ci, comp, proof, kind, order, step_links, offset=0):
+def _check_links(report, ci, comp, proof, kind, order, offset=0):
+    """The link rules that need the component order, which the kernel does
+    not see; it rejects an undeclared target and a parameter outside n."""
+    i = order[comp.name]
     for node, path in iter_nodes(proof):
-        if node.rule is not RuleName.LINK:
-            continue
-        data = node.data
-        where = f"{kind} of {comp.name}"
-        if data.target not in order:
-            report.failures.append(Failure((ci,) + path, "link", f"{where}: unknown target {data.target}"))
-            continue
-        j, i = order[data.target], order[comp.name]
-        if not step_links:
-            if j <= i:
-                report.failures.append(
-                    Failure((ci,) + path, "link", f"{where}: base links must call later components, not {data.target}")
-                )
-            continue
-        if j == i:
-            # Self-links must be subterms of the step parameter and strictly
-            # descend at every numeral instantiation.
-            kp = canon_num(data.param)
-            base, off = split_succs(kp)
-            decreases = (isinstance(base, Param) and base.name == "n" and off == 0) or (
-                base is None and off < offset
-            )
-            if not _is_subterm_of_param(data.param, comp.step_param):
-                report.failures.append(
-                    Failure(
-                        (ci,) + path,
-                        "link",
-                        f"{where}: self-link parameter {data.param} is not a subterm of {comp.step_param}",
-                    )
-                )
-            elif not decreases:
-                report.failures.append(
-                    Failure(
-                        (ci,) + path,
-                        "link",
-                        f"{where}: self-link parameter {data.param} does not strictly decrease below {comp.step_param}",
-                    )
-                )
-        elif j < i:
-            report.failures.append(
-                Failure((ci,) + path, "link", f"{where}: forward links must target later components, not {data.target}")
-            )
-        else:
-            extra = free_params(data.param) - {"n"}
-            if extra:
-                report.failures.append(
-                    Failure((ci,) + path, "link", f"{where}: link parameter {data.param} uses parameters {sorted(extra)}")
-                )
+        if node.rule is RuleName.LINK and node.data.target in order:
+            message = _link_fault(comp, node.data, order[node.data.target] - i, kind, offset)
+            if message:
+                where = (ci,) + flatten_path(path)
+                report.failures.append(Failure(where, "link", f"{kind} of {comp.name}: {message}"))
+
+
+def _link_fault(comp, data, ahead, kind, offset) -> str | None:
+    """Why a link ``ahead`` components after its own breaks the order:
+    base links call later components, forward links go forward, and a
+    self-link is a subterm of the step parameter that strictly descends at
+    every numeral instantiation."""
+    if kind == "base":
+        return None if ahead > 0 else f"base links must call later components, not {data.target}"
+    if ahead < 0:
+        return f"forward links must target later components, not {data.target}"
+    if ahead > 0:
+        return None
+    if not _is_subterm_of_param(data.param, comp.step_param):
+        return f"self-link parameter {data.param} is not a subterm of {comp.step_param}"
+    base, off = split_succs(canon_num(data.param))
+    if (isinstance(base, Param) and base.name == "n" and off == 0) or (base is None and off < offset):
+        return None
+    return f"self-link parameter {data.param} does not strictly decrease below {comp.step_param}"
 
 
 def _is_subterm_of_param(small, big) -> bool:
@@ -311,7 +300,7 @@ def _expand(schema, root, theory, links: dict, records: list) -> Proof:
         # which is when a per-expansion check inside the replayed subtree
         # would first have fired.
         if len(records) > fuel:
-            raise rw.FuelExhausted(fuel)
+            raise ExpansionsExhausted(fuel)
         try:
             comp = schema[data.target]
         except KeyError:
@@ -326,7 +315,7 @@ def _expand(schema, root, theory, links: dict, records: list) -> Proof:
             proof, src, lo, hi = hit
             records.extend(src[lo:hi])
             if len(records) > fuel + 1:
-                raise rw.FuelExhausted(fuel)
+                raise ExpansionsExhausted(fuel)
             return proof
         var_map = dict(zip(comp.vars, data.terms))
         if value == 0 or comp.step is None:

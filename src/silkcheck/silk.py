@@ -328,7 +328,9 @@ def apply_step(
 
     if rule in ("rho_bc", "rho_sc"):
         # One LK inference on the basecase slot, before any stepcase work, or
-        # on an open stepcase; a binary one consumes the second pair.
+        # on an open stepcase; a binary one consumes the second pair.  Two open
+        # stepcases of a group share its closed basecase: clbc closes each at
+        # the pattern at 0, and br and ccl only copy it.
         slot = "step" if rule == "rho_sc" else "base"
         p1 = g.pair(step.pair)
         if slot == "step" and not isinstance(p1.step, OpenStep):
@@ -350,9 +352,6 @@ def apply_step(
                 if not num_eq(p1.step.annotation, p2.step.annotation):
                     ann1, ann2 = p1.step.annotation, p2.step.annotation
                     raise SilkError(f"stepcase annotations differ: {ann1} vs {ann2}")
-                same = isinstance(p1.base, ClosedBase) and isinstance(p2.base, ClosedBase)
-                if not (same and p1.base.sequent == p2.base.sequent):
-                    raise SilkError("binary stepcase rules need the same closed basecase in both pairs")
             pairs += (p2,)
         premises = tuple(getattr(p, slot).sequent for p in pairs)
         data = _resolve_rewrite(step, premises[0])
@@ -405,7 +404,7 @@ def apply_step(
             opened = Sequent((step.formula,), (step.formula,))
             ann, proof = step.ann, ax(opened)
         else:
-            target, n, ann = _link_target(state, g, step, p, theory)
+            target, n, ann = _link_target(state, g, step)
             opened = subst(target.pattern, Substitution({"n": n}, dict(zip(target.pattern_vars, step.terms))))
             link = RuleData(target=target.link_name(), param=n, terms=step.terms)
             proof = Proof(opened, RuleName.LINK, (), link)
@@ -434,7 +433,7 @@ def apply_step(
     return replace(state.with_group(g), closures=state.closures + 1)
 
 
-def _link_target(state, g: ComponentGroup, step: SiLKStep, p: ComponentPair, theory) -> tuple:
+def _link_target(state, g: ComponentGroup, step: SiLKStep) -> tuple:
     """The group a cycle or call step links to, the parameter it links at,
     and the annotation of the stepcase it opens."""
     if step.rule == "cycle":
@@ -443,7 +442,6 @@ def _link_target(state, g: ComponentGroup, step: SiLKStep, p: ComponentPair, the
         if len(step.terms) != len(g.pattern_vars):
             counts = f"{len(step.terms)} terms for {len(g.pattern_vars)}"
             raise SilkError(f"cycle carries {counts} pattern variables")
-        _pattern_instance(g.pattern, numeral(0), p.base.sequent, "basecase", theory)
         return g, Param("n"), NumFn("+", (Param("n"), numeral(1)))
     if step.target is None:
         raise SilkError("call without a target group")

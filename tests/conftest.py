@@ -39,3 +39,15 @@ def all_scripts():
 @pytest.fixture(scope="session")
 def shat_theory():
     return load_theory(corpus_path("theory_shat.thy"))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory holding copies of the corpus theories, which the mutated
+    files name by relative path, and a directory `thy` for mutated
+    theories."""
+    where = tmp_path_factory.mktemp("fuzz")
+    for path in corpus_path("theory_shat.thy").parent.glob("*.thy"):
+        (where / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    (where / "thy").mkdir()
+    return where

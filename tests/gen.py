@@ -841,7 +841,7 @@ MUTATION_KINDS = ["drop-premise", "swap-premises", "corrupt-axiom", "capture-eig
 def mutation_fuzz_property(max_examples):
     """Any single mutation of a checked corpus proof flips its verdict."""
     from silkcheck import corpus_path, load_proof, load_schema
-    from silkcheck.kernel import MODE_LKE, MODE_LKS, check_proof, iter_nodes
+    from silkcheck.kernel import MODE_LKE, MODE_LKS, check_proof, flatten_path, iter_nodes
     from silkcheck.schema import evaluate
 
     pool = []
@@ -856,10 +856,10 @@ def mutation_fuzz_property(max_examples):
         assert check_proof(proof, mode, th, e, allowed, lenient_erule=True).accepted
     # Most (node, kind) pairs admit no mutation; drawing only the ones that
     # do keeps Hypothesis from filtering most of its inputs away.
+    nodes = [(entry, node, flatten_path(path)) for entry in pool for node, path in iter_nodes(entry[0])]
     sites = [
         (entry, node, path, kind)
-        for entry in pool
-        for node, path in iter_nodes(entry[0])
+        for entry, node, path in nodes
         for kind in MUTATION_KINDS
         if _mutate(entry[0], node, path, kind) is not None
     ]

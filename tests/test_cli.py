@@ -218,16 +218,18 @@ def test_reversed_alpha_range_exits_two(capsys, spec):
     assert f"{spec!r} is an empty range" in err
 
 
+def _corpus_copy(tmp_path, name, old, new):
+    """A corpus file with one edit, its theory directive made absolute."""
+    text = corpus_path(name).read_text()
+    assert old in text
+    theory = text.split('"')[1]
+    edited = tmp_path / name
+    edited.write_text(text.replace(old, new).replace(f'theory "{theory}"', f'theory "{p(theory)}"', 1))
+    return str(edited)
+
+
 def _shat_copy(tmp_path, old, new):
-    """schema_shat.sch with one edit, its theory directive made absolute."""
-    schema = tmp_path / "shat.sch"
-    schema.write_text(
-        corpus_path("schema_shat.sch")
-        .read_text()
-        .replace(old, new)
-        .replace('theory "theory_shat.thy"', f'theory "{p("theory_shat.thy")}"')
-    )
-    return str(schema)
+    return _corpus_copy(tmp_path, "schema_shat.sch", old, new)
 
 
 def test_step_parameter_mismatch_reports_error(capsys, tmp_path):
@@ -318,6 +320,40 @@ def test_undeclared_link_target_reports_error(capsys, tmp_path):
     for argv in (("unroll", "--alpha", "1"), ("unroll", "--alpha", "1", "--check"), ("stats", "--alpha-range", "0..1")):
         code, _, err = run(capsys, argv[0], schema, *argv[1:])
         assert (code, err) == (1, "error: link target psi is not declared\n")
+
+
+# The kernel owns both link faults below; check-schema once repeated them
+# at the same path.
+def test_check_schema_reports_an_undeclared_target_once(capsys, tmp_path):
+    schema = _corpus_copy(tmp_path, "schema_fhat.sch", "target=g1", "target=g9")
+    code, out, _ = run(capsys, "check-schema", schema)
+    assert (code, out) == (1, "rejected\n  [0.0.0.0.0] link: step of g1: link target g9 is not declared\n")
+
+
+def test_check_schema_reports_a_foreign_link_parameter_once(capsys, tmp_path):
+    link = 'P(f^(2^(s(n)))(0))" target=g1 param="2^(s(n))"'
+    schema = _corpus_copy(tmp_path, "schema_exp.sch", link, link.replace("s(n)", "s(m)"))
+    code, out, _ = run(capsys, "check-schema", schema)
+    pattern = "P(0), forall x. P(x) -> P(f(x)) |- P(f^(2^(s({})))(0))"
+    assert (code, out.splitlines()) == (
+        1,
+        [
+            "rejected",
+            f"  [0] component: step of g2 concludes {pattern.format('m')}, expected {pattern.format('n')}",
+            "  [0] link: step of g2: link parameter 2^(s(m)) uses parameters ['m'] outside ['n']",
+        ],
+    )
+
+
+# A base that links to itself never bottoms out; its error once blamed
+# rewrite steps, though no rewriting ran out.
+@pytest.mark.parametrize("fuel", [None, "50"])
+def test_link_expansion_fuel_names_the_expansions(capsys, tmp_path, fuel):
+    schema = tmp_path / "loop.sch"
+    schema.write_text('component g1\n  pattern "P |- P"\n{\n  base {\n    link "P |- P" target=g1 param="0"\n  }\n}\n')
+    argv = ["unroll", str(schema), "--alpha", "0"] + (["--fuel", fuel] if fuel else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: no unrolling within {fuel or DEFAULT_FUEL} link expansions\n")
 
 
 # A link parameter naming something other than n stays unevaluable after
@@ -668,18 +704,6 @@ def _fuzz_commands(path):
     return FUZZ_COMMANDS[path.suffix]
 
 
-@pytest.fixture(scope="module")
-def fuzz_dir(tmp_path_factory):
-    """A directory holding copies of the corpus theories, which the mutated
-    files name by relative path, and a directory `thy` for mutated
-    theories."""
-    where = tmp_path_factory.mktemp("fuzz")
-    for path in corpus_path("theory_shat.thy").parent.glob("*.thy"):
-        (where / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
-    (where / "thy").mkdir()
-    return where
-
-
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(gen.mutated_corpus_files(FUZZ_FILES))
 def test_mutated_corpus_files_end_in_an_exit_code(capsys, fuzz_dir, case):
@@ -810,3 +834,28 @@ def test_theory_parse_errors_carry_file_positions(capsys, tmp_path, rules, where
     path.write_text('theory "t.thy"\nax "P |- P"\n')
     code, out, err = run(capsys, "check-lk", str(path))
     assert (code, out, err) == (2, "", f"parse error: {where}\n")
+
+
+# A repeated clause of a component once silently replaced the first one.
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ('component phi pattern "P |- P" pattern "Q |- Q" { base { ax "P |- P" } }\n', "pattern at 1:32"),
+        ('component phi pattern "P |- P" vars () vars (a) { base { ax "P |- P" } }\n', "vars at 1:40"),
+        (
+            'component phi pattern "P |- P" step-param "n + 1" step-param "n + 2" { base { ax "P |- P" } }\n',
+            "step-param at 1:51",
+        ),
+        ('component phi pattern "P |- P" {\n  base { ax "P |- P" }\n  base { ax "P |- P" }\n}\n', "base at 3:3"),
+        (
+            'component phi pattern "P |- P" {\n  base { ax "P |- P" }\n  step { ax "P |- P" }\n  step { ax "P |- P" }\n}\n',
+            "step at 4:3",
+        ),
+    ],
+    ids=["pattern", "vars", "step-param", "base", "step"],
+)
+def test_repeated_component_clause_is_a_parse_error(capsys, tmp_path, text, where):
+    path = tmp_path / "a.sch"
+    path.write_text(text)
+    code, out, err = run(capsys, "check-schema", str(path))
+    assert (code, out, err) == (2, "", f"parse error: component phi repeats its {where}\n")

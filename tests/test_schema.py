@@ -1,9 +1,11 @@
 """Schema well-formedness and unrolling, pinned to the worked example."""
 
+import tracemalloc
+
 import pytest
 
 from silkcheck import corpus_path, load_schema, load_script
-from silkcheck.kernel import Proof, RuleName as R, count_inferences, iter_nodes
+from silkcheck.kernel import Proof, RuleData, RuleName as R, count_inferences, iter_nodes
 from silkcheck.parser import parse_numexpr, parse_schema, parse_sequent
 from silkcheck.schema import (
     MatchFailure,
@@ -320,3 +322,38 @@ def test_sort_mismatch_is_an_evaluation_failure():
     report = evaluate_and_check(schema, 2, theory)
     assert [(f.rule, f.message) for f in report.failures] == [("evaluate", message)]
     assert evaluate_and_check(schema, 0, theory).accepted
+
+
+def test_check_schema_walks_a_deep_proof_in_linear_memory():
+    # A chain of 3,000 cuts whose left premises are axioms: a walk that
+    # copies a tuple path per node keeps every pending axiom's full path,
+    # about 36 MB at this depth.
+    p = parse_sequent("P |- P")
+    proof = Proof(p, R.AX)
+    for _ in range(3000):
+        proof = Proof(p, R.CUT, (Proof(p, R.AX), proof), RuleData(a=0, b=0))
+    schema = ProofSchema((SchemaComponent("g1", p, base=proof),))
+    theory = EquationalTheory(())
+    tracemalloc.start()
+    try:
+        report = check_schema(schema, theory)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.accepted
+    assert peak < 4_000_000
+
+
+def test_undeclared_link_below_a_node_the_kernel_skips_stays_rejected(shat):
+    # The kernel does not enter a node with the wrong number of premises, so
+    # it never sees the undeclared link above it; the node's own failure
+    # still rejects the schema.
+    schema, theory = shat
+    comp = schema.components[0]
+    link = Proof(comp.base.conclusion, R.LINK, (), RuleData(target="psi", param=numeral(0)))
+    base = Proof(comp.base.conclusion, R.WEAK_L, (comp.base, link), comp.base.data)
+    broken = ProofSchema((SchemaComponent(comp.name, comp.pattern, comp.vars, comp.step_param, base, comp.step),))
+    report = check_schema(broken, theory)
+    assert [(f.path, f.rule, f.message) for f in report.failures] == [
+        ((0,), "w:l", "base of phi: expected 1 premises, found 2")
+    ]

@@ -3,10 +3,12 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
-from silkcheck import corpus_path
+from silkcheck import corpus_path, load_script
 from silkcheck.kernel import MODE_LKS, check_proof
-from silkcheck.parser import parse_formula, parse_script, parse_sequent
+from silkcheck.parser import ParseError, parse_formula, parse_script, parse_sequent
+from silkcheck.rewrite import FuelExhausted, StuckTerm
 from silkcheck.silk import (
     EMPTY_COLLECTION,
     ClosedBase,
@@ -21,7 +23,10 @@ from silkcheck.silk import (
     check_script,
     leading_group,
 )
+from silkcheck.syntax import SortMismatch, Substitution, numeral, subst
 
+import gen
+from conftest import SCRIPT_NAMES
 from gen import collection_signature
 
 
@@ -409,32 +414,15 @@ def _without_pattern(state, gid):
     return state.with_group(replace(state.group(gid), pattern=None))
 
 
-def _other_closed_base(state, gid, pid):
-    g = state.group(gid)
-    return state.with_group(g.with_pair(replace(g.pair(pid), base=ClosedBase(parse_sequent("Q |- Q")))))
-
-
 # Guards no script reaches: each replays a corpus script up to a step, breaks
 # one invariant of the state, and applies that step.
 INVARIANT_GUARDS = {
     "clsc without pattern": ("fhat", 10, lambda s: _without_pattern(s, 1), "the group pattern was never declared"),
-    "rho sc closed basecases": (
-        "fhat",
-        7,
-        lambda s: _other_closed_base(s, 1, 1),
-        "binary stepcase rules need the same closed basecase in both pairs",
-    ),
     "cycle without pattern": (
         "fhat",
         6,
         lambda s: _without_pattern(s, 1),
         "the cycle rule requires the group pattern, declared at basecase closure",
-    ),
-    "cycle basecase": (
-        "fhat",
-        6,
-        lambda s: _other_closed_base(s, 1, 2),
-        "basecase Q |- Q is not the pattern instance P(0), forall x. P(x) -> P(f(x)) |- P(f^0(0)) up to rewriting",
     ),
     "call without pattern": ("exp", 17, lambda s: _without_pattern(s, 1), "call target group 1 has no pattern"),
 }
@@ -450,6 +438,45 @@ def test_invariant_guards_reject_hand_built_states(fhat_script, exp_script, name
     with pytest.raises(SilkError) as exc:
         apply_step(breaks(state), script.steps[index], script.theory)
     assert str(exc.value) == message
+
+
+def _assert_closed_basecases_are_the_pattern_at_zero(state):
+    # clbc closes a basecase at its group's pattern at 0, and br and ccl only
+    # copy it, so neither rho sc nor cycle compares closed basecases.
+    for g in state.groups:
+        closed = [p.base.sequent for p in g.pairs if isinstance(p.base, ClosedBase)]
+        if closed:
+            assert g.pattern is not None
+            zero = subst(g.pattern, Substitution({"n": numeral(0)}, {}))
+            assert all(sequent == zero for sequent in closed)
+
+
+def _replay_asserting_the_invariant(script):
+    state = EMPTY_COLLECTION
+    for step in script.steps:
+        try:
+            state = apply_step(state, step, script.theory)
+        except (SilkError, SortMismatch, FuelExhausted, StuckTerm):
+            return
+        _assert_closed_basecases_are_the_pattern_at_zero(state)
+
+
+@pytest.mark.parametrize("name", SCRIPT_NAMES)
+def test_closed_basecases_are_the_pattern_at_zero(all_scripts, name):
+    _replay_asserting_the_invariant(all_scripts[name])
+
+
+@settings(max_examples=300, deadline=None)
+@given(gen.mutated_corpus_files(SCRIPT_NAMES))
+def test_closed_basecases_are_the_pattern_at_zero_in_mutants(fuzz_dir, case):
+    name, text = case
+    path = fuzz_dir / name
+    path.write_text(text, encoding="utf-8")
+    try:
+        script = load_script(path)
+    except (ParseError, OSError, UnicodeDecodeError):
+        return
+    _replay_asserting_the_invariant(script)
 
 
 def test_leading_group_messages(fhat_script):
