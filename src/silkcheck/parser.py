@@ -184,9 +184,9 @@ PARAM_NAME = "n"
 FORMULA, TERM, NUM, SUP = "formula", "term", "numeric expression", "superscript"
 
 # Binders nest at most this deep in one formula.  Substitution recurses once
-# per nested binder (syntax._subst_binder), and this depth keeps it well
-# inside Python's stack; unrolling only instantiates templates, so it never
-# nests binders deeper than its input does.
+# per nested binder (syntax.Substitution._combine folds the body), and this
+# depth keeps it well inside Python's stack; unrolling only instantiates
+# templates, so it never nests binders deeper than its input does.
 MAX_BINDER_DEPTH = 256
 
 

@@ -49,6 +49,7 @@ from .syntax import (
     SortMismatch,
     Substitution,
     canon_num,
+    fold,
     is_subterm,
     numeral,
     numeral_value,
@@ -403,17 +404,7 @@ def _normal_proof(proof: Proof, theory: rw.EquationalTheory, done: dict) -> Proo
 
     norm = lambda x: rw.normalize(x, theory).value
 
-    stack = [proof]
-    while stack:
-        cur = stack[-1]
-        pending = [k for k in cur.premises if k not in done]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        if cur in done:
-            continue
-        kids = tuple(done[k] for k in cur.premises)
+    def combine(cur: Proof, kids: tuple) -> Proof:
         concl = norm(cur.conclusion)
         if cur.rule is RuleName.ERULE and kids and kids[0].conclusion == concl:
             # The step became trivial; splice the child, retupled to this
@@ -421,12 +412,11 @@ def _normal_proof(proof: Proof, theory: rw.EquationalTheory, done: dict) -> Proo
             # (witness indices only ever address premise tuples).
             child = kids[0]
             if child.conclusion.ante == concl.ante and child.conclusion.succ == concl.succ:
-                done[cur] = child
-            else:
-                done[cur] = Proof(concl, child.rule, child.premises, child.data)
-            continue
-        done[cur] = Proof(concl, cur.rule, kids, _map_data(cur.data, norm))
-    return done[proof]
+                return child
+            return Proof(concl, child.rule, child.premises, child.data)
+        return Proof(concl, cur.rule, kids, _map_data(cur.data, norm))
+
+    return fold(proof, combine, done)
 
 
 def evaluate_and_check(

@@ -9,11 +9,17 @@ the same node wherever it occurs).
 
 Every node is hash-consed: constructing a node whose class and fields match
 an existing one returns that node, so structurally equal nodes are the same
-object and == and hash are object identity.  Every traversal is iterative;
-the only recursion is once per nested binder, whose body substitution
-rebuilds apart, and the parser caps binder nesting (MAX_BINDER_DEPTH).  So
-successor towers, long conjunctions and f(f(...f(0)...)) chains thousands
-deep never hit the recursion limit.
+object and == and hash are object identity.
+
+No traversal recurses per node.  fold is the one post-order pass: render,
+canon_alpha, free_vars, substitution and schema's normal proof run on it.
+canon_num keeps its own loop, as its children are the arguments of a
+split_succs base, which skips a successor tower in one step; so does
+rewrite._normalize, whose frames hold head-step targets and spend fuel on
+every trip round a rewrite cycle.  The only recursion is one fold per nested
+binder, from Substitution._combine, and the parser caps binder nesting
+(MAX_BINDER_DEPTH).  So successor towers, long conjunctions and
+f(f(...f(0)...)) chains thousands deep never hit the recursion limit.
 
 A binder binds the free and the schematic variables of its name alike, in
 equality, substitution and free variables.  Equality up to bound names
@@ -71,23 +77,35 @@ class Node(metaclass=_HashConsed):
         return f"<{type(self).__name__} {self}>"
 
 
-def render(root: Node) -> str:
-    """Concrete syntax, built bottom-up so deep chains never recurse."""
-    memo: dict[int, str] = {}
+def fold(root, combine, done: dict, leaves=()):
+    """The value of root, built bottom-up: every node under root that done
+    lacks gets done[node] = combine(node, the tuple of its kids' values),
+    kids first, each distinct node once, on an explicit stack.  A node whose
+    type is in leaves is combined with no kid values and its kids are not
+    visited.  Any object with a kids() method is a node."""
     stack = [root]
     while stack:
         cur = stack[-1]
-        if id(cur) in memo:
+        if cur in done:
+            stack.pop()
+            continue
+        if type(cur) in leaves:
+            done[cur] = combine(cur, ())
             stack.pop()
             continue
         kids = cur.kids()
-        pending = [k for k in kids if id(k) not in memo]
+        pending = [k for k in kids if k not in done]
         if pending:
             stack.extend(pending)
             continue
-        memo[id(cur)] = cur._render([memo[id(k)] for k in kids])
         stack.pop()
-    return memo[id(root)]
+        done[cur] = combine(cur, tuple(map(done.__getitem__, kids)))
+    return done[root]
+
+
+def render(root: Node) -> str:
+    """Concrete syntax."""
+    return fold(root, lambda node, kids: node._render(kids), {})
 
 
 def walk(root: Node) -> Iterator[Node]:
@@ -515,39 +533,27 @@ def canon_alpha(f: Formula) -> Formula:
     height of its binder (the most binders nested inside its body); alpha-
     variants share it.  It is only compared and hashed, never printed."""
     cached = f.__dict__.get("_ca")
-    if cached is not None:
-        return cached
-    # Bottom-up: done maps a subformula to its canonical form and its height.
-    # A binder renames its variable in the canonical body with subst; every
-    # binder inside is lower and named below $h, so the rename captures
-    # nothing, and schematic variables of the bound name are renamed too.
-    done: dict = {}
-    stack = [f]
-    while stack:
-        cur = stack.pop()
-        if cur in done:
-            continue
-        cls = type(cur)
-        if cls is Atom:
-            done[cur] = (cur, 0)
-            continue
-        kids = cur.kids()
-        pending = [k for k in kids if k not in done]
-        if pending:
-            stack.append(cur)
-            stack.extend(pending)
-            continue
-        if cls is Forall or cls is Exists or cls is OmegaAll:
-            body, height = done[cur.body]
-            name = f"${height}"
-            rename = subst_param(cur.var, Param(name)) if cls is OmegaAll else subst_vars({cur.var: FreeVar(name)})
-            done[cur] = (cls(name, subst(body, rename)), height + 1)
-        else:
-            canon = tuple(done[k][0] for k in kids)
-            height = max(done[k][1] for k in kids)
-            done[cur] = (cur if canon == kids else rebuild(cur, canon), height)
-    object.__setattr__(f, "_ca", done[f][0])
-    return done[f][0]
+    if cached is None:
+        cached = fold(f, _canon_alpha, {}, (Atom,))[0]
+        object.__setattr__(f, "_ca", cached)
+    return cached
+
+
+def _canon_alpha(f: Formula, kids: tuple) -> tuple:
+    # A subformula's canonical form and its height.  A binder renames its
+    # variable in the canonical body with subst; every binder inside is
+    # lower and named below $h, so the rename captures nothing, and
+    # schematic variables of the bound name are renamed too.
+    cls = type(f)
+    if cls is Atom:
+        return f, 0
+    if cls is Forall or cls is Exists or cls is OmegaAll:
+        body, height = kids[0]
+        name = f"${height}"
+        rename = subst_param(f.var, Param(name)) if cls is OmegaAll else subst_vars({f.var: FreeVar(name)})
+        return cls(name, subst(body, rename)), height + 1
+    canon = tuple(k[0] for k in kids)
+    return (f if canon == f.kids() else rebuild(f, canon)), max(k[1] for k in kids)
 
 
 def formula_eq(a: Formula, b: Formula) -> bool:
@@ -606,9 +612,8 @@ def rebuild(node: Node, kids: tuple) -> Node:
 
 def free_params(x) -> frozenset[str]:
     """Parameter symbols occurring in a node or sequent."""
-    if isinstance(x, Sequent):
-        return frozenset().union(*map(free_params, x.formulas()))
-    return frozenset(n.name for n in walk(x) if isinstance(n, Param))
+    roots = x.formulas() if isinstance(x, Sequent) else (x,)
+    return frozenset(n.name for r in roots for n in walk(r) if isinstance(n, Param))
 
 
 def free_vars(x) -> frozenset[str]:
@@ -616,24 +621,15 @@ def free_vars(x) -> frozenset[str]:
     node or sequent, bottom-up: a binder removes its name from its body's."""
     roots = x.formulas() if isinstance(x, Sequent) else (x,)
     done: dict = {}
-    stack = list(roots)
-    while stack:
-        cur = stack.pop()
-        if cur in done:
-            continue
-        cls = type(cur)
-        if cls is FreeVar or cls is SVar:
-            done[cur] = frozenset((cur.name,))
-            continue
-        kids = cur.kids()
-        pending = [k for k in kids if k not in done]
-        if pending:
-            stack.append(cur)
-            stack.extend(pending)
-            continue
-        out = frozenset().union(*(done[k] for k in kids))
-        done[cur] = out - {cur.var} if cls is Forall or cls is Exists else out
-    return frozenset().union(*(done[r] for r in roots))
+    return frozenset().union(*[fold(r, _free_vars, done, (FreeVar, SVar)) for r in roots])
+
+
+def _free_vars(node: Node, kids: tuple) -> frozenset[str]:
+    cls = type(node)
+    if cls is FreeVar or cls is SVar:
+        return frozenset((node.name,))
+    out = frozenset().union(*kids)
+    return out - {node.var} if cls is Forall or cls is Exists else out
 
 
 def is_subterm(small: NumExpr, big: NumExpr) -> bool:
@@ -672,6 +668,47 @@ class Substitution:
     def is_empty(self) -> bool:
         return not self.params and not self.vars
 
+    def _combine(self, node: Node, kids: tuple) -> Node:
+        """node under self, given its kids under self; fold's combine.  A
+        binder, a leaf, folds its body under self less its name, renamed
+        first if a substituted term would be captured."""
+        cls = type(node)
+        if cls is FreeVar:
+            return self.vars.get(node.name, node)
+        if cls is Param:
+            return self.params.get(node.name, node)
+        if cls is Forall or cls is Exists or cls is OmegaAll:
+            var, body = node.var, node.body
+            if cls is OmegaAll:
+                inner = Substitution({k: v for k, v in self.params.items() if k != var}, self.vars)
+            else:
+                inner = Substitution(self.params, {k: v for k, v in self.vars.items() if k != var})
+                ranges = frozenset().union(*[free_vars(v) for v in inner.vars.values()])
+                if var in ranges:
+                    # A key of inner would substitute the fresh name too.
+                    taken = free_vars(body) | ranges | set(inner.vars)
+                    i = 1
+                    while f"{var}{i}" in taken:
+                        i += 1
+                    var = f"{var}{i}"
+                    rename = subst_vars({node.var: FreeVar(var)})
+                    body = fold(body, rename._combine, rename._memo, _BINDERS)
+            if inner.is_empty():
+                return node
+            new_body = fold(body, inner._combine, inner._memo, _BINDERS)
+            return node if var is node.var and new_body is node.body else cls(var, new_body)
+        if cls is SVar and node.name in self.vars:
+            repl = self.vars[node.name]
+            if not isinstance(repl, (SVar, FreeVar)):
+                raise SortMismatch(f"schematic variable {node.name} must map to a variable, got {repl!r}")
+            return SVar(repl.name, kids[0])
+        # Untouched nodes come back as they are, without a lookup in the
+        # hash-consing table.
+        return node if kids == node.kids() else rebuild(node, kids)
+
+
+_BINDERS = frozenset((Forall, Exists, OmegaAll))
+
 
 def subst_param(name: str, value: NumExpr) -> Substitution:
     return Substitution({name: value}, {})
@@ -692,68 +729,10 @@ def subst(x, sub: Substitution):
 
 
 def _subst(e, sub: Substitution):
-    # One bottom-up rebuild of terms and formulas.  The substitution's memo
-    # is the table of finished nodes, shared by every call with this sub.  A
-    # binder is a leaf of the loop: _subst_binder substitutes its body apart,
-    # so the only recursion is once per nested binder.
-    done = sub._memo
-    stack = [e]
-    while stack:
-        cur = stack.pop()
-        if cur in done:
-            continue
-        cls = type(cur)
-        if cls is Param:
-            done[cur] = sub.params.get(cur.name, cur)
-            continue
-        if cls is FreeVar:
-            done[cur] = sub.vars.get(cur.name, cur)
-            continue
-        if cls is Forall or cls is Exists or cls is OmegaAll:
-            done[cur] = _subst_binder(cur, sub)
-            continue
-        kids = cur.kids()
-        pending = [k for k in kids if k not in done]
-        if pending:
-            stack.append(cur)
-            stack.extend(pending)
-            continue
-        new_kids = tuple(done[k] for k in kids)
-        if cls is SVar and cur.name in sub.vars:
-            repl = sub.vars[cur.name]
-            if not isinstance(repl, (SVar, FreeVar)):
-                raise SortMismatch(f"schematic variable {cur.name} must map to a variable, got {repl!r}")
-            done[cur] = SVar(repl.name, new_kids[0])
-        elif new_kids == kids:
-            # Untouched nodes come back as they are, without a lookup in the
-            # hash-consing table.
-            done[cur] = cur
-        else:
-            done[cur] = rebuild(cur, new_kids)
-    return done[e]
-
-
-def _subst_binder(f: Formula, sub: Substitution) -> Formula:
-    """The binder f under sub: its bound name is dropped from sub, and an
-    individual binder is renamed first when a substituted term would be
-    captured."""
-    var, body = f.var, f.body
-    if type(f) is OmegaAll:
-        inner = Substitution({k: v for k, v in sub.params.items() if k != var}, sub.vars)
-    else:
-        inner = Substitution(sub.params, {k: v for k, v in sub.vars.items() if k != var})
-        ranges = frozenset().union(*(free_vars(v) for v in inner.vars.values()))
-        if var in ranges:
-            taken = free_vars(body) | ranges
-            i = 1
-            while f"{var}{i}" in taken:
-                i += 1
-            var = f"{var}{i}"
-            body = _subst(body, subst_vars({f.var: FreeVar(var)}))
-    if inner.is_empty():
-        return f
-    new_body = _subst(body, inner)
-    return f if var is f.var and new_body is f.body else type(f)(var, new_body)
+    # The memo is fold's table for every call with this sub, and most calls
+    # find their answer there.
+    hit = sub._memo.get(e)
+    return hit if hit is not None else fold(e, sub._combine, sub._memo, _BINDERS)
 
 
 # ---------------------------------------------------------------------------

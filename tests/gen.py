@@ -11,7 +11,8 @@ import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
 from silkcheck import corpus_path, load_theory
-from silkcheck import parser
+from silkcheck import parser, schema
+from silkcheck.kernel import Proof, RuleName
 from silkcheck.parser import (
     _MULTI,
     _RULE_SYMBOLS,
@@ -30,6 +31,7 @@ from silkcheck.parser import (
     tokenize,
 )
 from silkcheck.rewrite import EquationalTheory, FuelExhausted, normalize
+from silkcheck.schema import _map_data
 from silkcheck.silk import ClosedBase, ClosedStep, ComponentCollection, ComponentPair, OpenBase, OpenStep
 from silkcheck.syntax import (
     And,
@@ -49,13 +51,16 @@ from silkcheck.syntax import (
     Param,
     Sequent,
     Substitution,
+    SortMismatch,
     SVar,
     Succ,
     ZERO,
+    canon_alpha,
     formula_eq,
     free_vars,
     numeral,
     rebuild,
+    render,
     sequent_eq,
     subst,
     subst_vars,
@@ -208,6 +213,44 @@ def subst_composition_property(max_examples):
     return check
 
 
+# The names a binder of BINDER_NAMES or of a schematic variable is renamed
+# to first, so that a substitution's keys can clash with a fresh name.
+SUBST_KEYS = VAR_NAMES + ["a1", "b1", "x1"]
+# Values that often mention a bound name, which forces the rename, and
+# formulas that often use the name they bind.
+binder_terms = st.one_of(st.sampled_from(BINDER_NAMES).map(FreeVar), terms)
+binding_formulas = st.builds(
+    lambda v, f: Forall(v, And(Atom("P", (FreeVar(v),)), f)), st.sampled_from(BINDER_NAMES), formulas
+)
+
+
+def subst_capture_property(max_examples):
+    """subst agrees, up to bound names, with substituting into the formula
+    after every bound name is renamed apart to a name the generators never
+    draw, where no capture can happen; or both raise SortMismatch."""
+
+    def outcome(expr, mapping):
+        try:
+            return subst(expr, subst_vars(mapping))
+        except SortMismatch:
+            return SortMismatch
+
+    @settings(max_examples=max_examples, deadline=None)
+    @given(
+        st.one_of(formulas, binding_formulas),
+        st.dictionaries(st.sampled_from(SUBST_KEYS), binder_terms, min_size=1, max_size=4),
+    )
+    def check(f, mapping):
+        got = outcome(f, mapping)
+        want = outcome(rename_bound(f, (f"v{i}" for i in range(1000))), mapping)
+        if got is SortMismatch or want is SortMismatch:
+            assert got is want
+        else:
+            assert formula_eq(got, want)
+
+    return check
+
+
 def sequent_eq_property(max_examples):
     @settings(max_examples=max_examples, deadline=None)
     @given(sequents, st.randoms(use_true_random=False))
@@ -299,6 +342,218 @@ def formula_eq_property(max_examples):
         renamed = rename_bound(a, (f"v{i}" for i in range(1000)))
         assert formula_eq(a, renamed) and reference_eq(a, renamed)
         assert free_vars(renamed) == free_vars(a)
+
+    return check
+
+
+# --- the post-order loops that syntax.fold and schema._normal_proof
+# replaced, each as it last stood (substitution with the fresh name kept off
+# the substitution's domain), kept as oracles.  They keep their own tables
+# and set no cache on a node.
+
+
+def reference_render(root: Node) -> str:
+    memo: dict[int, str] = {}
+    stack = [root]
+    while stack:
+        cur = stack[-1]
+        if id(cur) in memo:
+            stack.pop()
+            continue
+        kids = cur.kids()
+        pending = [k for k in kids if id(k) not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        memo[id(cur)] = cur._render([memo[id(k)] for k in kids])
+        stack.pop()
+    return memo[id(root)]
+
+
+def reference_canon_alpha(f: Formula) -> Formula:
+    done: dict = {}
+    stack = [f]
+    while stack:
+        cur = stack.pop()
+        if cur in done:
+            continue
+        cls = type(cur)
+        if cls is Atom:
+            done[cur] = (cur, 0)
+            continue
+        kids = cur.kids()
+        pending = [k for k in kids if k not in done]
+        if pending:
+            stack.append(cur)
+            stack.extend(pending)
+            continue
+        if cls is Forall or cls is Exists or cls is OmegaAll:
+            body, height = done[cur.body]
+            name = f"${height}"
+            rename = Substitution({cur.var: Param(name)}, {}) if cls is OmegaAll else subst_vars({cur.var: FreeVar(name)})
+            done[cur] = (cls(name, reference_subst(body, rename)), height + 1)
+        else:
+            canon = tuple(done[k][0] for k in kids)
+            height = max(done[k][1] for k in kids)
+            done[cur] = (cur if canon == kids else rebuild(cur, canon), height)
+    return done[f][0]
+
+
+def reference_free_vars(x) -> frozenset:
+    roots = x.formulas() if isinstance(x, Sequent) else (x,)
+    done: dict = {}
+    stack = list(roots)
+    while stack:
+        cur = stack.pop()
+        if cur in done:
+            continue
+        cls = type(cur)
+        if cls is FreeVar or cls is SVar:
+            done[cur] = frozenset((cur.name,))
+            continue
+        kids = cur.kids()
+        pending = [k for k in kids if k not in done]
+        if pending:
+            stack.append(cur)
+            stack.extend(pending)
+            continue
+        out = frozenset().union(*(done[k] for k in kids))
+        done[cur] = out - {cur.var} if cls is Forall or cls is Exists else out
+    return frozenset().union(*(done[r] for r in roots))
+
+
+def reference_subst(x, sub: Substitution):
+    """Substitution with a memo of its own, not the one ``sub`` carries."""
+    if sub.is_empty():
+        return x
+    done: dict = {}
+    if isinstance(x, Sequent):
+        return Sequent(
+            tuple(_reference_subst(f, sub, done) for f in x.ante), tuple(_reference_subst(f, sub, done) for f in x.succ)
+        )
+    return _reference_subst(x, sub, done)
+
+
+def _reference_subst(e, sub: Substitution, done: dict):
+    stack = [e]
+    while stack:
+        cur = stack.pop()
+        if cur in done:
+            continue
+        cls = type(cur)
+        if cls is Param:
+            done[cur] = sub.params.get(cur.name, cur)
+            continue
+        if cls is FreeVar:
+            done[cur] = sub.vars.get(cur.name, cur)
+            continue
+        if cls is Forall or cls is Exists or cls is OmegaAll:
+            done[cur] = _reference_subst_binder(cur, sub)
+            continue
+        kids = cur.kids()
+        pending = [k for k in kids if k not in done]
+        if pending:
+            stack.append(cur)
+            stack.extend(pending)
+            continue
+        new_kids = tuple(done[k] for k in kids)
+        if cls is SVar and cur.name in sub.vars:
+            repl = sub.vars[cur.name]
+            if not isinstance(repl, (SVar, FreeVar)):
+                raise SortMismatch(f"schematic variable {cur.name} must map to a variable, got {repl!r}")
+            done[cur] = SVar(repl.name, new_kids[0])
+        elif new_kids == kids:
+            done[cur] = cur
+        else:
+            done[cur] = rebuild(cur, new_kids)
+    return done[e]
+
+
+def _reference_subst_binder(f: Formula, sub: Substitution) -> Formula:
+    var, body = f.var, f.body
+    if type(f) is OmegaAll:
+        inner = Substitution({k: v for k, v in sub.params.items() if k != var}, sub.vars)
+    else:
+        inner = Substitution(sub.params, {k: v for k, v in sub.vars.items() if k != var})
+        ranges = frozenset().union(*(reference_free_vars(v) for v in inner.vars.values()))
+        if var in ranges:
+            taken = reference_free_vars(body) | ranges | set(inner.vars)
+            i = 1
+            while f"{var}{i}" in taken:
+                i += 1
+            var = f"{var}{i}"
+            body = _reference_subst(body, subst_vars({f.var: FreeVar(var)}), {})
+    if inner.is_empty():
+        return f
+    new_body = _reference_subst(body, inner, {})
+    return f if var is f.var and new_body is f.body else type(f)(var, new_body)
+
+
+def reference_normal_proof(proof: Proof, theory: EquationalTheory, done: dict) -> Proof:
+    """A drop-in for ``schema._normal_proof``."""
+    norm = lambda x: normalize(x, theory).value
+
+    stack = [proof]
+    while stack:
+        cur = stack[-1]
+        pending = [k for k in cur.premises if k not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if cur in done:
+            continue
+        kids = tuple(done[k] for k in cur.premises)
+        concl = norm(cur.conclusion)
+        if cur.rule is RuleName.ERULE and kids and kids[0].conclusion == concl:
+            child = kids[0]
+            if child.conclusion.ante == concl.ante and child.conclusion.succ == concl.succ:
+                done[cur] = child
+            else:
+                done[cur] = Proof(concl, child.rule, child.premises, child.data)
+            continue
+        done[cur] = Proof(concl, cur.rule, kids, _map_data(cur.data, norm))
+    return done[proof]
+
+
+@contextmanager
+def reference_normal_form():
+    """``schema.evaluate`` normalizes its unrolled proof with the oracle."""
+    saved = schema._normal_proof
+    schema._normal_proof = reference_normal_proof
+    try:
+        yield
+    finally:
+        schema._normal_proof = saved
+
+
+def fold_oracle_property(max_examples):
+    """render, free_vars, canon_alpha and subst give what the loops they
+    replaced gave, the same node, on formulas, terms and sequents; subst
+    under a substitution that may rename binders."""
+
+    @settings(max_examples=max_examples, deadline=None)
+    @given(
+        st.one_of(formulas, terms, sequents),
+        st.dictionaries(st.sampled_from(SUBST_KEYS), binder_terms, max_size=3),
+        nums,
+    )
+    def check(x, mapping, k):
+        for node in x.formulas() if isinstance(x, Sequent) else (x,):
+            assert render(node) == reference_render(node)
+            if isinstance(node, Formula):
+                assert canon_alpha(node) is reference_canon_alpha(node)
+        assert free_vars(x) == reference_free_vars(x)
+        for sub in (Substitution({"n": k}, {}), subst_vars(mapping), Substitution({"n": k}, mapping)):
+            try:
+                want = reference_subst(x, sub)
+            except SortMismatch:
+                want = SortMismatch
+            try:
+                got = subst(x, sub)
+            except SortMismatch:
+                got = SortMismatch
+            assert identical(got, want)
 
     return check
 

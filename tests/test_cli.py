@@ -57,6 +57,32 @@ def test_check_lk_mode_flag(capsys):
     assert code == 1 and "rejected" in out
 
 
+# The end sequent is false (P true at one individual and false at
+# another); exists:r accepted it while substitution renamed the inner binder
+# to y1, a key of the very substitution it was applying.
+CAPTURED_BY_THE_FRESH_NAME = (
+    'forall:r "|- forall y. (P(y) -> exists y1. forall y. P(y))" a=0 '
+    'formula="forall y. (P(y) -> exists y1. forall y. P(y))" eigen=y {\n'
+    '  ->:r "|- P(y) -> exists y1. forall y. P(y)" a=0 b=0 {\n'
+    '    exists:r "P(y) |- exists y1. forall y. P(y)" a=0 formula="exists y1. forall y. P(y)" term="y" {\n'
+    '      forall:r "P(y) |- forall y1. P(y)" a=0 formula="forall y1. P(y)" eigen=y1 {\n'
+    '        ax "P(y) |- P(y)"\n'
+    "      }\n"
+    "    }\n"
+    "  }\n"
+    "}\n"
+)
+
+
+def test_a_fresh_binder_name_never_captures_the_substitution(capsys, tmp_path):
+    path = tmp_path / "captured.lkp"
+    path.write_text(CAPTURED_BY_THE_FRESH_NAME)
+    code, out, _ = run(capsys, "check-lk", str(path), "--mode", "lk")
+    assert code == 1
+    assert out.startswith("rejected\n")
+    assert "exists:r: premise formula forall y1. P(y) is not exists y1. forall y. P(y) instantiated with y" in out
+
+
 def test_check_schema(capsys):
     code, out, _ = run(capsys, "check-schema", p("schema_shat.sch"))
     assert code == 0 and "accepted" in out

@@ -24,6 +24,10 @@ def test_subst_composition():
     gen.subst_composition_property(CASES)()
 
 
+def test_subst_agrees_with_substituting_after_renaming_apart():
+    gen.subst_capture_property(CASES)()
+
+
 def test_sequent_eq_shuffle_invariant():
     gen.sequent_eq_property(CASES)()
 
@@ -54,3 +58,7 @@ def test_corpus_files_round_trip_through_print():
 
 def test_single_mutations_flip_the_verdict():
     gen.mutation_fuzz_property(CASES)()
+
+
+def test_the_fold_agrees_with_the_loops_it_replaced():
+    gen.fold_oracle_property(CASES)()

@@ -21,6 +21,8 @@ from silkcheck.rewrite import EquationalTheory, FuelExhausted, normalize
 from silkcheck.syntax import SortMismatch, Substitution, numeral, subst
 from silkcheck.translate import silk_to_schema
 
+import gen
+
 
 def replace_step_link_param(proof, new_param):
     from dataclasses import replace
@@ -357,3 +359,16 @@ def test_undeclared_link_below_a_node_the_kernel_skips_stays_rejected(shat):
     assert [(f.path, f.rule, f.message) for f in report.failures] == [
         ((0,), "w:l", "base of phi: expected 1 premises, found 2")
     ]
+
+
+@pytest.mark.parametrize("name", ["schema_exp.sch", "schema_fhat.sch", "schema_shat.sch", "schema_svar.sch"])
+def test_normal_form_agrees_with_the_loop_it_replaced(name):
+    # Each evaluation loads its own theory, so no rewrite cache is shared.
+    for alpha in range(7):
+        schema, theory = load_schema(corpus_path(name))
+        new = evaluate(schema, alpha, theory).proof
+        schema, theory = load_schema(corpus_path(name))
+        with gen.reference_normal_form():
+            old = evaluate(schema, alpha, theory).proof
+        assert count_inferences(new) == count_inferences(old)
+        assert gen.identical(new.conclusion, old.conclusion)

@@ -1,8 +1,13 @@
+from silkcheck import corpus_path, load_schema
+from silkcheck.kernel import iter_nodes
 from silkcheck.parser import parse_formula, parse_sequent, parse_term
+from silkcheck.schema import evaluate
 from silkcheck.syntax import (
     Atom,
     Fn,
+    Forall,
     FreeVar,
+    Not,
     NumFn,
     Param,
     SortMismatch,
@@ -12,6 +17,7 @@ from silkcheck.syntax import (
     canon_num,
     formula_eq,
     free_params,
+    fold,
     free_vars,
     is_subterm,
     num_eq,
@@ -21,6 +27,7 @@ from silkcheck.syntax import (
     subst,
     subst_param,
     subst_vars,
+    walk,
 )
 
 import pytest
@@ -60,6 +67,13 @@ def test_subst_capture_avoided():
     a = f("forall x. P(y)")
     out = subst(a, subst_vars({"y": t("x")}))
     assert formula_eq(out, f("forall z. P(x)"))
+
+
+def test_capture_avoiding_rename_avoids_the_substitution_domain():
+    # The fresh name for x must not be a key of the substitution, or the
+    # renamed binder's variable is substituted as well.
+    out = subst(f("forall x. P(x, y)"), subst_vars({"y": t("x"), "x1": t("c")}))
+    assert formula_eq(out, f("forall z. P(z, x)"))
 
 
 def test_one_substitution_reused_across_a_sequent():
@@ -228,3 +242,34 @@ def test_deep_numeric_functions_canonicalize():
     for _ in range(10_000):
         shifted = NumFn("2^", (shifted,))
     assert num_eq(shifted, subst(deep, subst_param("n", Succ(Param("n")))))
+
+
+def test_fold_combines_each_distinct_node_once_without_recursing():
+    # The sequents of the unrolled schema_exp proof share their subterms
+    # f(...f(0)...) many times over; one table shared by all their formulas
+    # combines each distinct node once.
+    schema, theory = load_schema(corpus_path("schema_exp.sch"))
+    proof = evaluate(schema, 8, theory).proof
+    formulas = [f for node, _ in iter_nodes(proof) for f in node.conclusion.formulas()]
+    combined, done = [], {}
+    size = lambda node, kids: combined.append(id(node)) or 1 + sum(kids)
+    sizes = [fold(f, size, done) for f in formulas]
+    assert sizes == [sum(1 for _ in walk(f)) for f in formulas]
+    distinct = {id(n) for f in formulas for n in walk(f)}
+    assert sorted(combined) == sorted(distinct)
+    assert 100 * len(distinct) < sum(sizes)
+    assert fold(proof, lambda node, kids: 1 + sum(kids), {}) == sum(1 for _ in iter_nodes(proof))
+    chain = Atom("Q", ())
+    for _ in range(100_000):
+        chain = Not(chain)
+    assert fold(chain, lambda node, kids: 1 + sum(kids), {}) == 100_001
+
+
+def test_fold_does_not_open_a_leaf_or_a_finished_node():
+    a = f("(forall x. P(x)) /\\ Q")
+    done = {a.rhs: "rhs"}
+    assert fold(a, lambda node, kids: (type(node).__name__, kids), done, (Forall,)) == (
+        "And",
+        (("Forall", ()), "rhs"),
+    )
+    assert set(done) == {a, a.lhs, a.rhs}
