@@ -12,7 +12,6 @@ Modes: plain LK; LKE adds the rewrite inference; LKS also admits link leaves.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import rewrite as rw
@@ -27,6 +26,7 @@ from .syntax import (
     Not,
     NumExpr,
     Or,
+    Record,
     Sequent,
     SortMismatch,
     Substitution,
@@ -67,6 +67,7 @@ class RuleName(enum.Enum):
 
 
 R = RuleName
+_setattr = object.__setattr__  # sets a field in a record's own constructor
 
 ARITY = {
     R.AX: 0,
@@ -88,8 +89,7 @@ class RuleError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RuleData:
+class RuleData(Record):
     """Instantiation witness; which fields are read depends on the rule."""
 
     a: int | None = None
@@ -110,12 +110,17 @@ class RuleData:
 EMPTY_DATA = RuleData()
 
 
-@dataclass(frozen=True, eq=False)
-class Proof:
+class Proof(Record, eq=False):
     conclusion: Sequent
     rule: RuleName
     premises: tuple = ()
     data: RuleData = EMPTY_DATA
+
+    def __init__(self, conclusion, rule, premises=(), data=EMPTY_DATA):
+        _setattr(self, "conclusion", conclusion)
+        _setattr(self, "rule", rule)
+        _setattr(self, "premises", premises)
+        _setattr(self, "data", data)
 
     def kids(self) -> tuple:  # what syntax.fold walks
         return self.premises
@@ -136,8 +141,7 @@ def bridge_to(proof: Proof, want: Sequent) -> Proof:
     return Proof(want, R.ERULE, (proof,), RuleData(whole=True))
 
 
-@dataclass(frozen=True)
-class LinkPattern:
+class LinkPattern(Record):
     pattern: Sequent
     vars: tuple = ()
 
@@ -316,8 +320,7 @@ def apply_rule(
 # Checking
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(Record):
     path: tuple
     rule: str
     message: str
@@ -329,11 +332,14 @@ class Failure:
         return f"[{self.where()}] {self.rule}: {self.message}"
 
 
-@dataclass
 class CheckReport:
-    failures: list = field(default_factory=list)
-    counts: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
+    _fields = ("failures", "counts", "params")
+    __eq__, __repr__ = Record.__eq__, Record.__repr__  # value equality, so unhashable
+
+    def __init__(self, failures=None, counts=None, params=None):
+        self.failures = [] if failures is None else failures
+        self.counts = {} if counts is None else counts
+        self.params = {} if params is None else params
 
     @property
     def accepted(self) -> bool:

@@ -22,7 +22,6 @@ Conventions the grammar fixes:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
@@ -46,11 +45,13 @@ from .syntax import (
     Or,
     And,
     Param,
+    Record,
     Sequent,
     SVar,
     Succ,
     node_at,
     numeral,
+    replace,
     walk,
 )
 
@@ -670,8 +671,7 @@ def _schema_file(ts: TokenStream) -> tuple:
 # Script files
 
 
-@dataclass(frozen=True)
-class SiLKStep:
+class SiLKStep(Record):
     """One parsed script step: a rule of the calculus and its arguments."""
 
     rule: str
@@ -694,8 +694,7 @@ class SiLKStep:
     line: int = 0
 
 
-@dataclass(frozen=True)
-class SiLKScript:
+class SiLKScript(Record):
     theory: rw.EquationalTheory
     steps: tuple
 

@@ -16,8 +16,6 @@ instead of quadratic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .syntax import (
     Atom,
     Fn,
@@ -27,6 +25,7 @@ from .syntax import (
     NumExpr,
     NumFn,
     Param,
+    Record,
     Sequent,
     SVar,
     Substitution,
@@ -43,6 +42,7 @@ from .syntax import (
 )
 
 DEFAULT_FUEL = 100_000
+_setattr = object.__setattr__  # sets a field in a record's own constructor
 
 
 class FuelExhausted(Exception):
@@ -55,8 +55,7 @@ class StuckTerm(Exception):
     """A ground defined application matched no rule during numeric evaluation."""
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(Record):
     lhs: Node
     rhs: Node
     line: int = 0
@@ -75,15 +74,14 @@ def _head_key(node: Node) -> tuple | None:
     return None
 
 
-@dataclass
 class EquationalTheory:
-    rules: tuple = ()
-    fuel: int = DEFAULT_FUEL
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
-    _nf_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _fields = ("rules", "fuel")
+    __eq__, __repr__ = Record.__eq__, Record.__repr__  # value equality, so unhashable
 
-    def __post_init__(self):
-        self.rules = tuple(self.rules)
+    def __init__(self, rules: tuple = (), fuel: int = DEFAULT_FUEL):
+        self.rules = tuple(rules)
+        self.fuel = fuel
+        self._index, self._nf_cache = {}, {}
         for rule in self.rules:
             key = _head_key(rule.lhs)
             if key is not None:
@@ -100,8 +98,7 @@ EMPTY_THEORY = EquationalTheory()
 # Validation
 
 
-@dataclass(frozen=True)
-class TheoryIssue:
+class TheoryIssue(Record):
     rule_index: int
     message: str
 
@@ -109,8 +106,7 @@ class TheoryIssue:
         return f"rule {self.rule_index + 1}: {self.message}"
 
 
-@dataclass(frozen=True)
-class TheoryReport:
+class TheoryReport(Record):
     issues: tuple
 
     @property
@@ -238,10 +234,13 @@ def _instantiate(rhs: Node, binding: dict) -> Node:
 # Normalization
 
 
-@dataclass(frozen=True)
-class NormalizationResult:
+class NormalizationResult(Record):
     value: Node
     steps_used: int
+
+    def __init__(self, value, steps_used):
+        _setattr(self, "value", value)
+        _setattr(self, "steps_used", steps_used)
 
 
 class _Budget:

@@ -25,8 +25,6 @@ proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from . import rewrite as rw
 from .kernel import (
     CheckReport,
@@ -45,6 +43,7 @@ from .syntax import (
     FreeVar,
     NumExpr,
     Param,
+    Record,
     Sequent,
     SortMismatch,
     Substitution,
@@ -53,6 +52,7 @@ from .syntax import (
     is_subterm,
     numeral,
     numeral_value,
+    replace,
     split_succs,
     subst,
 )
@@ -74,8 +74,7 @@ class ExpansionsExhausted(rw.FuelExhausted):
         self.steps = fuel
 
 
-@dataclass(frozen=True)
-class SchemaComponent:
+class SchemaComponent(Record):
     name: str
     pattern: Sequent
     vars: tuple = ()
@@ -91,8 +90,7 @@ class SchemaComponent:
         raise MatchFailure(f"step parameter {self.step_param} is not of the shape n + c")
 
 
-@dataclass(frozen=True)
-class ProofSchema:
+class ProofSchema(Record):
     components: tuple
 
     def __getitem__(self, name: str) -> SchemaComponent:
@@ -208,16 +206,18 @@ def _map_data(data: RuleData, fn) -> RuleData:
 _WHOLE = RuleData(whole=True)
 
 
-@dataclass
 class UnrollTrace:
     """Link expansions performed and both proof stages."""
 
-    expansions: list = field(default_factory=list)
-    expanded: Proof | None = None
-    proof: Proof | None = None
+    _fields = ("expansions", "expanded", "proof")
+    __eq__, __repr__ = Record.__eq__, Record.__repr__  # value equality, so unhashable
+
+    def __init__(self, expansions=None, expanded: Proof | None = None, proof: Proof | None = None):
+        self.expansions = [] if expansions is None else expansions
+        self.expanded = expanded
+        self.proof = proof
 
 
-@dataclass
 class UnrollMemo:
     """Work that evaluations of one schema, under one theory, share: those
     of a ``stats`` range, or the two of ``unroll --check``.
@@ -235,8 +235,12 @@ class UnrollMemo:
     expanded node to its normal form.
     """
 
-    links: dict = field(default_factory=dict)
-    normal: dict = field(default_factory=dict)
+    _fields = ("links", "normal")
+    __eq__, __repr__ = Record.__eq__, Record.__repr__  # value equality, so unhashable
+
+    def __init__(self, links=None, normal=None):
+        self.links = {} if links is None else links
+        self.normal = {} if normal is None else normal
 
 
 def evaluate(

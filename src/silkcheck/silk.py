@@ -22,7 +22,6 @@ reordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 
 from . import rewrite as rw
 from .kernel import (
@@ -43,6 +42,7 @@ from .syntax import (
     NumExpr,
     NumFn,
     Param,
+    Record,
     Sequent,
     SortMismatch,
     Substitution,
@@ -54,6 +54,7 @@ from .syntax import (
     num_eq,
     numeral,
     render,
+    replace,
     subst,
 )
 
@@ -70,14 +71,12 @@ class NotAProof(SilkError):
 # State
 
 
-@dataclass(frozen=True)
-class Top:
+class Top(Record):
     def __str__(self):
         return "T"
 
 
-@dataclass(frozen=True)
-class OpenStep:
+class OpenStep(Record):
     sequent: Sequent
     annotation: NumExpr
 
@@ -87,30 +86,26 @@ class OpenStep:
         return f"{left} |-{{{render(self.annotation)}}} {right}".strip()
 
 
-@dataclass(frozen=True)
-class ClosedStep:
+class ClosedStep(Record):
     sequent: Sequent
 
     def __str__(self):
         return f"[ {self.sequent} ]"
 
 
-@dataclass(frozen=True)
-class EmptyStep:
+class EmptyStep(Record):
     def __str__(self):
         return "[ ]"
 
 
-@dataclass(frozen=True)
-class OpenBase:
+class OpenBase(Record):
     sequent: Sequent
 
     def __str__(self):
         return str(self.sequent)
 
 
-@dataclass(frozen=True)
-class ClosedBase:
+class ClosedBase(Record):
     sequent: Sequent
 
     def __str__(self):
@@ -121,8 +116,7 @@ TOP = Top()
 EMPTY_STEP = EmptyStep()
 
 
-@dataclass(frozen=True)
-class ComponentPair:
+class ComponentPair(Record):
     pid: int
     step: object
     base: object
@@ -133,8 +127,7 @@ class ComponentPair:
         return f"< {self.step} ; {self.base} >"
 
 
-@dataclass(frozen=True)
-class ComponentGroup:
+class ComponentGroup(Record):
     gid: int
     pairs: tuple
     closed: bool = False
@@ -162,8 +155,7 @@ class ComponentGroup:
         return ", ".join(str(p) for p in self.pairs)
 
 
-@dataclass(frozen=True)
-class ComponentCollection:
+class ComponentCollection(Record):
     groups: tuple = ()
     next_gid: int = 1
     closures: int = 0

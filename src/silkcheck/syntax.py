@@ -11,6 +11,14 @@ Every node is hash-consed: constructing a node whose class and fields match
 an existing one returns that node, so structurally equal nodes are the same
 object and == and hash are object identity.
 
+Every record class derives from Record: its fields are the names annotated
+in its class body (after its bases'), a class attribute of a field's name is
+its default, and a record is frozen and compares and hashes by its field
+values, or by identity if its class says eq=False; replace copies one with
+fields changed.  A node class takes exactly its fields, positionally.
+Nothing is generated at import time: dataclasses would compile code for each
+class with exec, most of the start-up of a one-file CLI run.
+
 No traversal recurses per node.  fold is the one post-order pass: render,
 canon_alpha, free_vars, substitution and schema's normal proof run on it.
 canon_num keeps its own loop, as its children are the arguments of a
@@ -36,7 +44,6 @@ expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 
@@ -45,7 +52,69 @@ class SortMismatch(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Nodes
+# Records and nodes
+
+
+_setattr = object.__setattr__
+
+
+def _values(record) -> tuple:
+    return tuple([getattr(record, name) for name in record._fields])
+
+
+class Record:
+    """An immutable record, built as the module docstring describes."""
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, eq=True):
+        cls._fields += tuple(name for name in cls.__annotations__ if name not in cls._fields)
+        cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
+        cls._names = frozenset(cls._fields)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        # Fields are set in field order, so instances share one dict key table.
+        if kwargs or len(args) != len(fields):  # bind keywords and defaults
+            values = self._defaults | kwargs
+            values.update(zip(fields, args))
+            if values.keys() != self._names or len(args) > len(fields) or args and kwargs.keys() & fields[: len(args)]:
+                raise TypeError(f"{type(self).__name__} takes {fields}, got {len(args)} values and {sorted(kwargs)}")
+            for name in fields:
+                _setattr(self, name, values[name])
+            return
+        for name, value in zip(fields, args):
+            _setattr(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return _values(self) == _values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(_values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def replace(record, **changes):
+    """A copy of record with the named fields changed."""
+    cls = type(record)
+    if changes.keys() - cls._fields:
+        raise TypeError(f"{cls.__name__} has no field {sorted(changes.keys() - cls._fields)}")
+    if type(cls) is not type or cls.__init__ is not Record.__init__:  # a node, or its own constructor
+        return cls(*[changes[name] if name in changes else getattr(record, name) for name in cls._fields])
+    copy = object.__new__(cls)
+    for name in cls._fields:
+        _setattr(copy, name, changes[name] if name in changes else getattr(record, name))
+    return copy
 
 
 _NODES: dict = {}
@@ -59,11 +128,16 @@ class _HashConsed(type):
         key = (cls, *fields)
         node = _NODES.get(key)
         if node is None:
-            node = _NODES[key] = super().__call__(*fields)
+            if len(fields) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(fields)}")
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, fields):
+                _setattr(node, name, value)
+            _NODES[key] = node
         return node
 
 
-class Node(metaclass=_HashConsed):
+class Node(Record, eq=False, metaclass=_HashConsed):
     def kids(self) -> tuple:
         return ()
 
@@ -125,13 +199,11 @@ class NumExpr(Node):
     pass
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Zero(NumExpr):
     def _render(self, kids):
         return "0"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Succ(NumExpr):
     prev: NumExpr
 
@@ -144,7 +216,6 @@ class Succ(NumExpr):
         return f"s({kids[0]})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Param(NumExpr):
     name: str
 
@@ -152,7 +223,6 @@ class Param(NumExpr):
         return self.name
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class NumFn(NumExpr):
     """Application of a defined numeric function.
 
@@ -293,7 +363,6 @@ class Term(Node):
     pass
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class FreeVar(Term):
     name: str
 
@@ -301,7 +370,6 @@ class FreeVar(Term):
         return self.name
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class SVar(Term):
     """Schematic variable applied to its numeric index: x[e]."""
 
@@ -315,7 +383,6 @@ class SVar(Term):
         return f"{self.name}[{kids[0]}]"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Fn(Term):
     """Function application; whether the symbol is defined is a property of
     the rewrite theory in play, not of the node."""
@@ -351,7 +418,6 @@ class Formula(Node):
         return 100
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Atom(Formula):
     pred: str
     args: tuple
@@ -370,7 +436,6 @@ class Atom(Formula):
         return f"{self.pred}({', '.join(kids)})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
     body: Formula
 
@@ -384,7 +449,6 @@ class Not(Formula):
         return f"~{_wrap(self.body, kids[0], 40)}"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class And(Formula):
     lhs: Formula
     rhs: Formula
@@ -399,7 +463,6 @@ class And(Formula):
         return f"{_wrap(self.lhs, kids[0], 30)} /\\ {_wrap(self.rhs, kids[1], 31)}"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Or(Formula):
     lhs: Formula
     rhs: Formula
@@ -414,7 +477,6 @@ class Or(Formula):
         return f"{_wrap(self.lhs, kids[0], 20)} \\/ {_wrap(self.rhs, kids[1], 21)}"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Imp(Formula):
     lhs: Formula
     rhs: Formula
@@ -429,7 +491,6 @@ class Imp(Formula):
         return f"{_wrap(self.lhs, kids[0], 11)} -> {_wrap(self.rhs, kids[1], 10)}"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Forall(Formula):
     var: str
     body: Formula
@@ -444,7 +505,6 @@ class Forall(Formula):
         return f"forall {self.var}. {kids[0]}"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Exists(Formula):
     var: str
     body: Formula
@@ -459,7 +519,6 @@ class Exists(Formula):
         return f"exists {self.var}. {kids[0]}"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class OmegaAll(Formula):
     """Universal quantification over the numeric sort; only the emitted
     interpretation formulas use it."""
@@ -487,10 +546,13 @@ def _wrap(f: Formula, s: str, minimum: int) -> str:
 # Sequents
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Sequent:
+class Sequent(Record):
     ante: tuple
     succ: tuple
+
+    def __init__(self, ante, succ):
+        _setattr(self, "ante", ante)
+        _setattr(self, "succ", succ)
 
     def __str__(self):
         left = ", ".join(render(f) for f in self.ante)
@@ -641,8 +703,7 @@ def is_subterm(small: NumExpr, big: NumExpr) -> bool:
 # Substitution
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(Record):
     """Simultaneous replacement of parameter symbols by numeric expressions
     and of free/schematic variables by terms; capture-avoiding with respect
     to individual-sort binders.
@@ -655,23 +716,26 @@ class Substitution:
 
     params: Mapping[str, NumExpr]
     vars: Mapping[str, Node]
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __hash__ = None  # its fields are dicts
 
-    def __post_init__(self):
-        for k, v in self.params.items():
+    def __init__(self, params, vars):
+        for k, v in params.items():
             if not isinstance(v, NumExpr):
                 raise SortMismatch(f"parameter {k} must map to a numeric expression, got {v!r}")
-        for k, v in self.vars.items():
+        for k, v in vars.items():
             if not isinstance(v, (Term, NumExpr)):
                 raise SortMismatch(f"variable {k} must map to a term, got {v!r}")
+        _setattr(self, "params", params)
+        _setattr(self, "vars", vars)
+        _setattr(self, "_memo", {})  # not a field: equality ignores it
 
     def is_empty(self) -> bool:
         return not self.params and not self.vars
 
     def _combine(self, node: Node, kids: tuple) -> Node:
-        """node under self, given its kids under self; fold's combine.  A
-        binder, a leaf, folds its body under self less its name, renamed
-        first if a substituted term would be captured."""
+        """node under self, given its kids under self; fold's combine.  A binder, a leaf, folds its
+        body under self less its name, renamed first if a substituted value would be captured:
+        for an omega binder, a parameter of any value, terms included."""
         cls = type(node)
         if cls is FreeVar:
             return self.vars.get(node.name, node)
@@ -681,18 +745,20 @@ class Substitution:
             var, body = node.var, node.body
             if cls is OmegaAll:
                 inner = Substitution({k: v for k, v in self.params.items() if k != var}, self.vars)
+                free, keys, values = free_params, inner.params, (*inner.params.values(), *inner.vars.values())
             else:
                 inner = Substitution(self.params, {k: v for k, v in self.vars.items() if k != var})
-                ranges = frozenset().union(*[free_vars(v) for v in inner.vars.values()])
-                if var in ranges:
-                    # A key of inner would substitute the fresh name too.
-                    taken = free_vars(body) | ranges | set(inner.vars)
-                    i = 1
-                    while f"{var}{i}" in taken:
-                        i += 1
-                    var = f"{var}{i}"
-                    rename = subst_vars({node.var: FreeVar(var)})
-                    body = fold(body, rename._combine, rename._memo, _BINDERS)
+                free, keys, values = free_vars, inner.vars, inner.vars.values()
+            ranges = frozenset().union(*[free(v) for v in values])
+            if var in ranges:
+                # A key of inner would substitute the fresh name too.
+                taken = free(body) | ranges | set(keys)
+                i = 1
+                while f"{var}{i}" in taken:
+                    i += 1
+                var = f"{var}{i}"
+                rename = subst_param(node.var, Param(var)) if cls is OmegaAll else subst_vars({node.var: FreeVar(var)})
+                body = fold(body, rename._combine, rename._memo, _BINDERS)
             if inner.is_empty():
                 return node
             new_body = fold(body, inner._combine, inner._memo, _BINDERS)

@@ -11,8 +11,6 @@ and forward links.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .kernel import bridge_to
 from .parser import SiLKScript
 from .schema import ProofSchema, SchemaComponent
@@ -30,6 +28,7 @@ from .syntax import (
     Substitution,
     Succ,
     numeral,
+    replace,
     subst,
 )
 

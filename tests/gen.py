@@ -3,7 +3,6 @@ suite and the acceptance gate, the structural signature of a component
 collection that replay tests compare, earlier implementations kept as
 oracles, and a strategy that damages corpus files for the CLI fuzz."""
 
-import dataclasses
 import re
 from contextlib import contextmanager
 
@@ -61,8 +60,10 @@ from silkcheck.syntax import (
     numeral,
     rebuild,
     render,
+    replace,
     sequent_eq,
     subst,
+    subst_param,
     subst_vars,
     walk,
 )
@@ -222,27 +223,47 @@ binder_terms = st.one_of(st.sampled_from(BINDER_NAMES).map(FreeVar), terms)
 binding_formulas = st.builds(
     lambda v, f: Forall(v, And(Atom("P", (FreeVar(v),)), f)), st.sampled_from(BINDER_NAMES), formulas
 )
+# Omega binders bind parameters: n, which the numeric generators draw, and
+# m; their first fresh names are n1 and m1.
+OMEGA_NAMES = ["n", "m"]
+PARAM_KEYS = OMEGA_NAMES + ["n1", "m1"]
+binder_nums = st.one_of(st.sampled_from(OMEGA_NAMES).map(Param), nums)
+omega_formulas = st.recursive(
+    st.one_of(formulas, binding_formulas),
+    lambda ch: st.builds(
+        lambda v, f, g: OmegaAll(v, And(Atom("W^", (Param(v),)), Or(f, g))), st.sampled_from(OMEGA_NAMES), ch, ch
+    ),
+    max_leaves=3,
+)
 
 
 def subst_capture_property(max_examples):
     """subst agrees, up to bound names, with substituting into the formula
-    after every bound name is renamed apart to a name the generators never
-    draw, where no capture can happen; or both raise SortMismatch."""
+    after every bound name, of an individual or an omega binder, is renamed
+    apart to a name the generators never draw, where no capture can happen;
+    or both raise SortMismatch.  Substituted terms may mention parameters
+    that omega binders bind."""
 
-    def outcome(expr, mapping):
+    def outcome(expr, params, mapping):
         try:
-            return subst(expr, subst_vars(mapping))
+            return subst(expr, Substitution(params, mapping))
         except SortMismatch:
             return SortMismatch
 
     @settings(max_examples=max_examples, deadline=None)
     @given(
-        st.one_of(formulas, binding_formulas),
-        st.dictionaries(st.sampled_from(SUBST_KEYS), binder_terms, min_size=1, max_size=4),
+        omega_formulas,
+        st.dictionaries(st.sampled_from(PARAM_KEYS), binder_nums, max_size=3),
+        st.dictionaries(
+            st.sampled_from(SUBST_KEYS),
+            st.one_of(binder_terms, binder_nums.map(lambda e: Fn("f", (e,)))),
+            min_size=1,
+            max_size=4,
+        ),
     )
-    def check(f, mapping):
-        got = outcome(f, mapping)
-        want = outcome(rename_bound(f, (f"v{i}" for i in range(1000))), mapping)
+    def check(f, params, mapping):
+        got = outcome(f, params, mapping)
+        want = outcome(rename_bound(f, (f"v{i}" for i in range(1000))), params, mapping)
         if got is SortMismatch or want is SortMismatch:
             assert got is want
         else:
@@ -319,12 +340,12 @@ def binds_a_schematic_name(f) -> bool:
 
 
 def rename_bound(f, fresh):
-    """f with every individual binder renamed to a name drawn from the
-    iterator fresh, which must not occur in f."""
-    if isinstance(f, (Forall, Exists)):
+    """f with every binder renamed to a name drawn from the iterator fresh,
+    which must not occur in f."""
+    if isinstance(f, (Forall, Exists, OmegaAll)):
         var = next(fresh)
-        body = subst(rename_bound(f.body, fresh), subst_vars({f.var: FreeVar(var)}))
-        return type(f)(var, body)
+        rename = subst_param(f.var, Param(var)) if isinstance(f, OmegaAll) else subst_vars({f.var: FreeVar(var)})
+        return type(f)(var, subst(rename_bound(f.body, fresh), rename))
     if isinstance(f, Atom):
         return f
     return rebuild(f, tuple(rename_bound(k, fresh) for k in f.kids()))
@@ -921,10 +942,9 @@ def identical(a, b) -> bool:
         return a is b
     if isinstance(a, (tuple, list)):
         return type(a) is type(b) and len(a) == len(b) and all(map(identical, a, b))
-    if dataclasses.is_dataclass(a) and not isinstance(a, type):
-        return type(a) is type(b) and all(
-            identical(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a) if f.compare
-        )
+    fields = getattr(a, "_fields", None)  # a record, or a theory or report
+    if fields is not None and not isinstance(a, type):
+        return type(a) is type(b) and all(identical(getattr(a, f), getattr(b, f)) for f in fields)
     return a == b
 
 
@@ -1007,8 +1027,6 @@ def mutated_corpus_files(draw, names):
 def build_proof_pool():
     """Corpus-derived proofs: checked ones, their unrollings, and broken
     variants, each with the setup its check needs."""
-    from dataclasses import replace
-
     from silkcheck import load_schema, load_script
     from silkcheck.kernel import Proof, ax
     from silkcheck.schema import evaluate
@@ -1058,8 +1076,6 @@ def _replace_node(proof, path, new):
 def _mutate(proof, node, path, kind):
     """One semantics-breaking edit at the addressed node, or None when the
     edit does not apply there."""
-    from dataclasses import replace
-
     from silkcheck.kernel import Proof, RuleName
     from silkcheck.syntax import Atom, NumFn, free_params, free_vars, numeral
 

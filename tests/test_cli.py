@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +15,7 @@ from silkcheck.cli import main
 from silkcheck.parser import MAX_BINDER_DEPTH
 from silkcheck.rewrite import DEFAULT_FUEL, FuelExhausted, StuckTerm
 from silkcheck.schema import MatchFailure, evaluate
+from silkcheck.syntax import replace
 
 import gen
 

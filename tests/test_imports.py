@@ -1,8 +1,10 @@
 """Import hygiene of the package sources, read with the standard library's
-``ast``: every module-level import is used, and no function imports
-anything."""
+``ast``: every module-level import is used, no function imports anything
+and nothing imports ``dataclasses``; and what importing the CLI loads."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import silkcheck
@@ -45,3 +47,29 @@ def test_no_import_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom)):
                         local.append((path.stem, fn.name, getattr(node, "module", None), tuple(_bound(node))))
     assert local == []
+
+
+# Start-up: importing the CLI generates no code, so the modules that code
+# generation needs stay unloaded.
+NOT_AT_START_UP = ("dataclasses", "inspect")
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Import):
+                found += [(path.stem, alias.name) for alias in node.names if alias.name.split(".")[0] == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
+                found.append((path.stem, node.module))
+    assert found == []
+
+
+def test_importing_the_cli_loads_no_code_generation():
+    src = str(Path(silkcheck.__file__).parent.parent)
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import silkcheck.cli; "
+        f"print(sorted(set({NOT_AT_START_UP!r}) & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,8 +1,6 @@
 """Mutation suite: every broken input is rejected with a failure that names
 the offending node or step."""
 
-from dataclasses import replace
-
 import pytest
 
 from silkcheck import corpus_path, load_schema, load_script, load_theory
@@ -20,7 +18,7 @@ from silkcheck.parser import parse_formula, parse_numexpr, parse_sequent, parse_
 from silkcheck.rewrite import EquationalTheory, RewriteRule, validate_theory
 from silkcheck.schema import ProofSchema, SchemaComponent, check_schema, evaluate_and_check
 from silkcheck.silk import SiLKScript, check_script
-from silkcheck.syntax import Fn, FreeVar
+from silkcheck.syntax import Fn, FreeVar, replace
 
 
 def _fhat():

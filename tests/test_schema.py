@@ -18,15 +18,13 @@ from silkcheck.schema import (
 )
 from silkcheck.printer import print_proof_tree
 from silkcheck.rewrite import EquationalTheory, FuelExhausted, normalize
-from silkcheck.syntax import SortMismatch, Substitution, numeral, subst
+from silkcheck.syntax import SortMismatch, Substitution, numeral, replace, subst
 from silkcheck.translate import silk_to_schema
 
 import gen
 
 
 def replace_step_link_param(proof, new_param):
-    from dataclasses import replace
-
     if proof.rule is R.LINK:
         return Proof(proof.conclusion, proof.rule, (), replace(proof.data, param=new_param))
     return Proof(
@@ -72,8 +70,6 @@ def test_forward_links_must_point_right(shat):
 
 
 def _retarget(proof, target):
-    from dataclasses import replace
-
     if proof.rule is R.LINK:
         return Proof(proof.conclusion, proof.rule, (), replace(proof.data, target=target))
     return Proof(proof.conclusion, proof.rule, tuple(_retarget(p, target) for p in proof.premises), proof.data)

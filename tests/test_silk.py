@@ -1,7 +1,5 @@
 """Replay semantics of the component-collection calculus."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 
@@ -23,7 +21,7 @@ from silkcheck.silk import (
     check_script,
     leading_group,
 )
-from silkcheck.syntax import SortMismatch, Substitution, numeral, subst
+from silkcheck.syntax import SortMismatch, Substitution, numeral, replace, subst
 
 import gen
 from conftest import SCRIPT_NAMES

@@ -9,6 +9,7 @@ from silkcheck.syntax import (
     FreeVar,
     Not,
     NumFn,
+    OmegaAll,
     Param,
     SortMismatch,
     Substitution,
@@ -74,6 +75,18 @@ def test_capture_avoiding_rename_avoids_the_substitution_domain():
     # renamed binder's variable is substituted as well.
     out = subst(f("forall x. P(x, y)"), subst_vars({"y": t("x"), "x1": t("c")}))
     assert formula_eq(out, f("forall z. P(z, x)"))
+
+
+def test_omega_binder_is_renamed_apart_from_substituted_parameters():
+    # n := m under forall m:omega must not capture m.
+    out = subst(f("forall m:omega. Q^(n + m)"), Substitution({"n": Param("m")}, {}))
+    assert formula_eq(out, f("forall k:omega. Q^(m + k)"))
+    # A term substituted for an individual variable carries parameters too,
+    # and the fresh name avoids the substitution's parameter keys.
+    f_of_m = Fn("f", (Param("m"),))
+    body = lambda x, k: Atom("P", (x, Param(k)))
+    out = subst(OmegaAll("m", body(FreeVar("x"), "m")), Substitution({"m1": numeral(3)}, {"x": f_of_m}))
+    assert formula_eq(out, OmegaAll("k", body(f_of_m, "k"))) and out.var == "m2"
 
 
 def test_one_substitution_reused_across_a_sequent():
