@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import rewrite as rw
-from .kernel import Proof, RuleData, RuleName, RULE_TOKENS
+from .kernel import Proof, RuleData, RuleName, RULE_TOKENS, iter_nodes
 from .schema import ProofSchema, SchemaComponent
 from .syntax import (
     Atom,
@@ -469,17 +469,29 @@ def _head_name(node) -> str | None:
 # Proof files
 
 
+# A rule block and a script step state an inference's witness in one
+# syntax: `key=value` pairs, each key at most once.  A script step reads
+# the keys of a rule block but a link's parameter, and its own.
+_NODE_KEYS = frozenset(
+    {"a", "b", "formula", "term", "eigen", "at", "path", "to", "whole", "target", "param", "terms"}
+)
+_STEP_KEYS = _NODE_KEYS - {"param"} | {"group", "pair", "pair2", "ann", "pattern", "vars", "g", "f"}
 _INT_KEYS = {"a", "b", "group", "pair", "pair2", "target"}
 _QUOTED_KEYS = {"formula": FORMULA, "term": TERM, "param": NUM, "ann": NUM, "g": NUM, "f": NUM}
 
 
-def _parse_kv(ts: TokenStream, keys: frozenset) -> dict:
-    out: dict = {}
+def _parse_kv(ts: TokenStream, keys: frozenset, out: dict | None = None) -> dict:
+    """The witness pairs at ``ts`` whose keys are in ``keys``, added to
+    ``out`` under the field each fills: `at` fills side and idx, any other
+    key the field of its name.  A key already in ``out`` is a parse error."""
+    out = {} if out is None else out
     while True:
         tok = ts.peek()
         if tok.kind != "ident" or tok.text not in keys:
             return out
         key = ts.next().text
+        if ("side" if key == "at" else key) in out:
+            raise ParseError(f"repeated witness key {key!r}", tok.line, tok.col)
         if key == "whole":
             out["whole"] = True
             continue
@@ -542,11 +554,6 @@ def _parse_name_list(ts: TokenStream) -> tuple:
             names.append(ts.expect("ident").text)
     ts.expect_sym(close)
     return tuple(names)
-
-
-_NODE_KEYS = frozenset(
-    {"a", "b", "formula", "term", "eigen", "at", "path", "to", "whole", "target", "param", "terms"}
-)
 
 
 def _parse_proof_node(ts: TokenStream) -> Proof:
@@ -672,19 +679,19 @@ def _schema_file(ts: TokenStream) -> tuple:
 
 
 class SiLKStep(Record):
-    """One parsed script step: a rule of the calculus and its arguments."""
+    """One parsed script step: a rule of the calculus and its arguments.
+    The witness of the inference a rho step applies, and the formula of an
+    axiom step, live in ``data``."""
 
     rule: str
     sequent: Sequent | None = None
     group: int | None = None
     pair: int | None = None
     pair2: int | None = None
-    formula: Formula | None = None
     ann: NumExpr | None = None
     lk_rule: RuleName | None = None
     data: RuleData = RuleData()
-    raw_to: str | None = None
-    to_at: tuple = (1, 1)  # line and column of raw_to in its file
+    to: Token | None = None  # resolved against the premise at replay
     pattern: Sequent | None = None
     vars: tuple = ()
     target: int | None = None
@@ -698,30 +705,6 @@ class SiLKScript(Record):
     theory: rw.EquationalTheory
     steps: tuple
 
-
-_STEP_KEYS = frozenset(
-    {
-        "group",
-        "pair",
-        "pair2",
-        "a",
-        "b",
-        "formula",
-        "term",
-        "eigen",
-        "at",
-        "path",
-        "to",
-        "whole",
-        "pattern",
-        "vars",
-        "target",
-        "g",
-        "f",
-        "terms",
-        "ann",
-    }
-)
 
 _STEP_WORDS = frozenset(
     {"ax1r", "ax2r", "axl", "ccr", "ccl", "br", "rho", "clbc", "cllke", "clsc", "cycle", "call"}
@@ -745,8 +728,7 @@ def _script_file(ts: TokenStream) -> tuple:
         if word in ("ax1r", "ax2r"):
             kv = _parse_kv(ts, _STEP_KEYS)
             seq = _quoted(ts, "sequent", _parse_sequent) if ts.peek().kind == "str" else None
-            kv2 = _parse_kv(ts, _STEP_KEYS)
-            kv.update(kv2)
+            _parse_kv(ts, _STEP_KEYS, kv)
             steps.append(SiLKStep(word, sequent=seq, line=line, **_step_fields(kv)))
             continue
         if word == "rho":
@@ -772,22 +754,11 @@ def _script_file(ts: TokenStream) -> tuple:
 
 
 def _step_fields(kv: dict) -> dict:
-    data_keys = {"a", "b", "side", "idx", "path", "whole", "term", "eigen"}
-    data_kv = {k: v for k, v in kv.items() if k in data_keys}
-    # The embedded inference's formula witness lives in the rule data; the
-    # step-level formula field serves the stepcase axiom.
-    fields: dict = {}
-    for k in ("group", "pair", "pair2", "pattern", "vars", "target", "g", "f", "terms", "ann"):
-        if k in kv:
-            fields[k] = kv[k]
-    if "formula" in kv:
-        fields["formula"] = kv["formula"]
-        data_kv["formula"] = kv["formula"]
-    if "to" in kv:
-        fields["raw_to"] = kv["to"].text
-        fields["to_at"] = (kv["to"].line, kv["to"].col + 1)
-    if data_kv:
-        fields["data"] = RuleData(**data_kv)
+    """A step's witness as SiLKStep fields: a key fills the step's field of
+    that name, else the field of its rule data."""
+    fields = {k: kv.pop(k) for k in kv.keys() & SiLKStep._names}
+    if kv:
+        fields["data"] = RuleData(**kv)
     return fields
 
 
@@ -824,11 +795,7 @@ def _workspace_roots(value, theory) -> list:
     roots = [r.lhs for r in theory.rules] + [r.rhs for r in theory.rules]
 
     def add_proof(proof):
-        stack = [proof]
-        while stack:
-            node = stack.pop()
-            roots.append(node.conclusion)
-            stack.extend(node.premises)
+        roots.extend(node.conclusion for node, _ in iter_nodes(proof))
 
     if isinstance(value, Proof):
         add_proof(value)
@@ -844,8 +811,8 @@ def _workspace_roots(value, theory) -> list:
                 roots.append(step.sequent)
             if step.pattern is not None:
                 roots.append(step.pattern)
-            if step.formula is not None:
-                roots.append(step.formula)
+            if step.data.formula is not None:
+                roots.append(step.data.formula)
     return roots
 
 

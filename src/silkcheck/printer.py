@@ -7,7 +7,7 @@ from .kernel import Proof, RuleData
 from .parser import SiLKScript, SiLKStep
 from .rewrite import EquationalTheory
 from .schema import ProofSchema
-from .syntax import Formula, render
+from .syntax import Formula
 
 
 def print_theory(theory: EquationalTheory) -> str:
@@ -18,33 +18,45 @@ def print_theory(theory: EquationalTheory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _data_fields(data: RuleData) -> str:
+# The witness keys in the order both file writers give them.
+WITNESS_KEYS = (
+    "group", "pair", "pair2", "a", "b", "formula", "term", "eigen", "at", "path", "to", "whole",
+    "ann", "pattern", "vars", "target", "param", "g", "f", "terms",
+)
+_QUOTED = frozenset({"formula", "term", "to", "ann", "pattern", "param", "g", "f"})
+_DATA_FIELD = {"at": "side", "to": "repl"}
+
+
+def _witness(data: RuleData, step: SiLKStep | None = None) -> list:
+    """The `key=value` texts of a rule block's witness, or of a script
+    step's, in WITNESS_KEYS order.  As the reader has it, a key is the
+    step's field of that name, else the rule data's.  Fields left at their
+    defaults are not written, but a step writes the vars of its pattern and
+    the terms of a cycle or call even when they are empty."""
     parts = []
-    if data.a is not None:
-        parts.append(f"a={data.a}")
-    if data.b is not None:
-        parts.append(f"b={data.b}")
-    if data.formula is not None:
-        parts.append(f'formula="{data.formula}"')
-    if data.term is not None:
-        parts.append(f'term="{data.term}"')
-    if data.eigen is not None:
-        parts.append(f"eigen={data.eigen}")
-    if data.side is not None:
-        parts.append(f"at={data.side}.{data.idx}")
-    if data.path:
-        parts.append("path=" + ".".join(str(i) for i in data.path))
-    if data.repl is not None:
-        parts.append(f'to="{data.repl}"')
-    if data.whole:
-        parts.append("whole")
-    if data.target is not None:
-        parts.append(f"target={data.target}")
-    if data.param is not None:
-        parts.append(f'param="{data.param}"')
-    if data.terms:
-        parts.append("terms=(" + ", ".join(render(t) for t in data.terms) + ")")
-    return " ".join(parts)
+    for key in WITNESS_KEYS:
+        if step is not None and key in SiLKStep._names:
+            value = getattr(step, key)
+        else:
+            value = getattr(data, _DATA_FIELD.get(key, key), None)
+        if step is not None and key in ("vars", "terms"):
+            if step.pattern is not None if key == "vars" else step.rule in ("cycle", "call"):
+                parts.append(f"{key} (" + ", ".join(map(str, value)) + ")")
+        elif value is None or value is False or value == ():
+            continue
+        elif key == "whole":
+            parts.append(key)
+        elif key == "at":
+            parts.append(f"at={value}.{data.idx}")
+        elif key == "path":
+            parts.append("path=" + ".".join(map(str, value)))
+        elif key == "terms":
+            parts.append("terms=(" + ", ".join(map(str, value)) + ")")
+        elif key in _QUOTED:
+            parts.append(f'{key}="{value.text if key == "to" and step is not None else value}"')
+        else:
+            parts.append(f"{key}={value}")
+    return parts
 
 
 def print_proof(proof: Proof, indent: int = 0) -> str:
@@ -57,10 +69,7 @@ def print_proof(proof: Proof, indent: int = 0) -> str:
         if isinstance(node, str):
             lines.append(pad + node)
             continue
-        head = f'{pad}{node.rule} "{node.conclusion}"'
-        fields = _data_fields(node.data)
-        if fields:
-            head += " " + fields
+        head = " ".join([f'{pad}{node.rule} "{node.conclusion}"'] + _witness(node.data))
         if node.premises:
             head += " {"
             stack.append(("}", depth))
@@ -97,55 +106,11 @@ def print_schema(schema: ProofSchema, theory_path: str | None = None) -> str:
 
 
 def _step_text(step: SiLKStep) -> str:
-    parts = []
+    head = step.rule
     if step.rule.startswith("rho_"):
-        arity = 2 if step.pair2 is not None else 1
-        parts.append(f"rho {step.rule[4:]} {arity} {step.lk_rule}")
-    else:
-        parts.append(step.rule)
-    if step.sequent is not None:
-        parts.append(f'"{step.sequent}"')
-    if step.group is not None:
-        parts.append(f"group={step.group}")
-    if step.pair is not None:
-        parts.append(f"pair={step.pair}")
-    if step.pair2 is not None:
-        parts.append(f"pair2={step.pair2}")
-    data = step.data
-    if data.a is not None:
-        parts.append(f"a={data.a}")
-    if data.b is not None:
-        parts.append(f"b={data.b}")
-    if step.formula is not None:
-        parts.append(f'formula="{step.formula}"')
-    elif data.formula is not None:
-        parts.append(f'formula="{data.formula}"')
-    if data.term is not None:
-        parts.append(f'term="{data.term}"')
-    if data.eigen is not None:
-        parts.append(f"eigen={data.eigen}")
-    if data.side is not None:
-        parts.append(f"at={data.side}.{data.idx}")
-    if data.path:
-        parts.append("path=" + ".".join(str(i) for i in data.path))
-    if step.raw_to is not None:
-        parts.append(f'to="{step.raw_to}"')
-    elif data.repl is not None:
-        parts.append(f'to="{data.repl}"')
-    if step.ann is not None:
-        parts.append(f'ann="{step.ann}"')
-    if step.pattern is not None:
-        parts.append(f'pattern="{step.pattern}"')
-        parts.append("vars (" + ", ".join(step.vars) + ")")
-    if step.target is not None:
-        parts.append(f"target={step.target}")
-    if step.g is not None:
-        parts.append(f'g="{step.g}"')
-    if step.f is not None:
-        parts.append(f'f="{step.f}"')
-    if step.rule in ("cycle", "call"):
-        parts.append("terms (" + ", ".join(render(t) for t in step.terms) + ")")
-    return " ".join(parts)
+        head = f"rho {step.rule[4:]} {2 if step.pair2 is not None else 1} {step.lk_rule}"
+    sequent = [] if step.sequent is None else [f'"{step.sequent}"']
+    return " ".join([head] + sequent + _witness(step.data, step))
 
 
 def print_script(script: SiLKScript, theory_path: str | None = None) -> str:

@@ -55,6 +55,7 @@ from .syntax import (
     replace,
     split_succs,
     subst,
+    walk,
 )
 
 
@@ -361,16 +362,13 @@ def _instance(template: Proof, sub: Substitution) -> tuple[list, list]:
     """The template's nodes in pre-order as (sequent, rule, data, arity),
     and its link leaves from left to right as (sequent, data) pairs."""
     inst, leaves = [], []
-    stack = [template]
     fn = lambda e: subst(e, sub)
-    while stack:
-        node = stack.pop()
+    for node in walk(template):
         concl = subst(node.conclusion, sub)
         data = _map_data(node.data, fn)
         inst.append((concl, node.rule, data, len(node.premises)))
         if node.rule is RuleName.LINK:
             leaves.append((concl, data))
-        stack.extend(reversed(node.premises))
     return inst, leaves
 
 

@@ -36,7 +36,7 @@ from .kernel import (
     ax,
     bridge_to,
 )
-from .parser import ParseError, SiLKScript, SiLKStep, parse_replacement
+from .parser import _STEP_WORDS, ParseError, SiLKScript, SiLKStep, parse_replacement
 from .syntax import (
     Formula,
     NumExpr,
@@ -202,9 +202,7 @@ def leading_group(collection: ComponentCollection) -> ComponentGroup:
 # Steps
 
 
-_RULES = frozenset(
-    {"ax1r", "ax2r", "axl", "ccr", "ccl", "br", "rho_bc", "rho_sc", "clbc", "cllke", "clsc", "cycle", "call"}
-)
+_RULES = _STEP_WORDS - {"rho"} | {"rho_bc", "rho_sc"}
 
 # The rules that open a stepcase, named as their closed-basecase rejection
 # names them.
@@ -221,9 +219,9 @@ def _open_group(state: ComponentCollection, gid: int | None) -> ComponentGroup:
 
 
 def _axiom_sequent(step: SiLKStep) -> Sequent:
-    s = step.sequent
-    if s is None and step.formula is not None:
-        s = Sequent((step.formula,), (step.formula,))
+    s, formula = step.sequent, step.data.formula
+    if s is None and formula is not None:
+        s = Sequent((formula,), (formula,))
     if s is None:
         raise SilkError("axiom step needs its sequent")
     if len(s.ante) != 1 or len(s.succ) != 1 or not formula_eq(s.ante[0], s.succ[0]):
@@ -235,7 +233,8 @@ def _resolve_rewrite(step: SiLKStep, premise: Sequent) -> RuleData:
     data = step.data
     if step.lk_rule is not RuleName.ERULE or data.repl is not None:
         return data
-    if step.raw_to is None:
+    to = step.to
+    if to is None:
         raise SilkError("rewrite step needs its replacement expression")
     if data.side not in ("L", "R"):
         raise SilkError("rewrite step needs a position")
@@ -247,9 +246,9 @@ def _resolve_rewrite(step: SiLKStep, premise: Sequent) -> RuleData:
     except (IndexError, TypeError) as exc:
         raise SilkError(f"bad rewrite path {data.path}: {exc}") from None
     try:
-        repl = parse_replacement(step.raw_to, isinstance(old, Formula), *step.to_at)
+        repl = parse_replacement(to.text, isinstance(old, Formula), to.line, to.col + 1)
     except ParseError as exc:
-        raise SilkError(f"bad replacement {step.raw_to!r}: {exc}") from None
+        raise SilkError(f"bad replacement {to.text!r}: {exc}") from None
     return replace(data, repl=repl)
 
 
@@ -391,9 +390,10 @@ def apply_step(
         if not isinstance(p.base, ClosedBase):
             raise SilkError(f"{_OPENER[rule]} requires a closed basecase")
         if rule == "axl":
-            if step.formula is None or step.ann is None:
+            formula = step.data.formula
+            if formula is None or step.ann is None:
                 raise SilkError("the stepcase axiom needs a formula and an annotation")
-            opened = Sequent((step.formula,), (step.formula,))
+            opened = Sequent((formula,), (formula,))
             ann, proof = step.ann, ax(opened)
         else:
             target, n, ann = _link_target(state, g, step)

@@ -1,17 +1,19 @@
 """Hypothesis generators over the corpus signatures, shared by the property
 suite and the acceptance gate, the structural signature of a component
 collection that replay tests compare, earlier implementations kept as
-oracles, and a strategy that damages corpus files for the CLI fuzz."""
+oracles, and a strategy that damages corpus files for the CLI fuzz and the
+witness oracles."""
 
 import re
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
 from silkcheck import corpus_path, load_theory
-from silkcheck import parser, schema
-from silkcheck.kernel import Proof, RuleName
+from silkcheck import parser, printer, schema
+from silkcheck.kernel import Proof, RuleData, RuleName
 from silkcheck.parser import (
     _MULTI,
     _RULE_SYMBOLS,
@@ -22,9 +24,13 @@ from silkcheck.parser import (
     SUP,
     TERM,
     ParseError,
+    SiLKStep,
     TokenStream,
     parse_formula,
     parse_numexpr,
+    parse_proof,
+    parse_schema,
+    parse_script,
     parse_sequent,
     parse_term,
     tokenize,
@@ -998,30 +1004,306 @@ def parser_oracle_property(max_examples, sort):
 FUZZ_REPLACEMENTS = ["\u00b2", '"', "{", "}", "9999"]
 _PIECE = re.compile(r"([\w']+|[^\w\s])")
 _LINE = re.compile(r"([^\n]*\n)")
+# A whole witness pair, `key=value`, `vars (...)`, `terms (...)` or `whole`,
+# in group 1; a quoted string, in which none is looked for, otherwise.
+_KEY_UNIT = re.compile(
+    r'"[^"]*"|\b((?:'
+    + "|".join(printer.WITNESS_KEYS)
+    + r""")=(?:"[^"]*"|[\w.']+|\([^)]*\))|(?:vars|terms) ?[(\[][^)\]]*[)\]]|whole)(?![\w=])"""
+)
+# Witness pairs that only the other format reads: a script step's in a rule
+# block, a link's parameter in a script; and `whole`, which ppsnf now writes.
+OTHER_FORMAT_KEYS = {
+    ".lkp": ["group=1", "pair=2", "pair2=1", 'ann="s(n)"', 'pattern="P |- P"', "vars (x)", 'g="n"', 'f="n"'],
+    ".slk": ['param="n"', "whole"],
+}
+OTHER_FORMAT_KEYS[".sch"] = OTHER_FORMAT_KEYS[".lkp"]
+
+
+def _key_units(text: str) -> list:
+    """``text`` split as re.split splits it on a capturing pattern: the
+    witness pairs at the odd places."""
+    parts, last = [], 0
+    for mo in _KEY_UNIT.finditer(text):
+        if mo.group(1):
+            parts += [text[last : mo.start()], mo.group(1)]
+            last = mo.end()
+    return parts + [text[last:]]
 
 
 @st.composite
 def mutated_corpus_files(draw, names):
     """(name, text): a corpus file with one to three of its pieces (words and
-    single other characters), or of its whole lines, deleted, duplicated,
-    swapped with the next one, or, for pieces, replaced by a fuzz
-    replacement or another piece of the file."""
+    single other characters), of its whole lines, or of its witness pairs,
+    deleted, duplicated, swapped with the next one, or, for pieces, replaced
+    by a fuzz replacement or another piece of the file, and for witness
+    pairs, joined by a pair that only the other format reads."""
     name = draw(st.sampled_from(names))
-    lines = draw(st.booleans())
-    parts = (_LINE if lines else _PIECE).split(corpus_path(name).read_text(encoding="utf-8"))
+    text = corpus_path(name).read_text(encoding="utf-8")
+    suffix = name[name.rindex(".") :]
+    mode = draw(st.sampled_from(["pieces", "lines"] + (["keys"] if suffix in OTHER_FORMAT_KEYS else [])))
+    parts = {"pieces": _PIECE.split, "lines": _LINE.split, "keys": _key_units}[mode](text)
     spots = st.sampled_from(range(1, len(parts), 2))
-    edits = ["delete", "duplicate", "swap"] + ([] if lines else ["replace"])
+    edits = ["delete", "duplicate", "swap"] + {"pieces": ["replace"], "lines": [], "keys": ["add"]}[mode]
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         i, edit = draw(spots), draw(st.sampled_from(edits))
         if edit == "delete":
             parts[i] = ""
         elif edit == "duplicate":
-            parts[i] = parts[i] + ("" if lines else " ") + parts[i]
+            parts[i] = parts[i] + ("" if mode == "lines" else " ") + parts[i]
         elif edit == "swap" and i + 2 < len(parts):
             parts[i], parts[i + 2] = parts[i + 2], parts[i]
         elif edit == "replace":
             parts[i] = draw(st.sampled_from(FUZZ_REPLACEMENTS) | st.sampled_from(parts[1::2]))
+        elif edit == "add":
+            parts[i] = parts[i] + " " + draw(st.sampled_from(OTHER_FORMAT_KEYS[suffix]))
     return name, "".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# The witness reader and writers before one of each served both formats.
+
+
+def reference_parse_kv(ts: TokenStream, keys: frozenset) -> dict:
+    out: dict = {}
+    while True:
+        tok = ts.peek()
+        if tok.kind != "ident" or tok.text not in keys:
+            return out
+        key = ts.next().text
+        if key == "whole":
+            out["whole"] = True
+            continue
+        ts.eat_sym("=")
+        if key == "target":
+            tok = ts.peek()
+            if tok.kind == "num":
+                out[key] = int(ts.next().text)
+            else:
+                out[key] = ts.expect("ident").text
+        elif key in parser._INT_KEYS:
+            out[key] = int(ts.expect("num").text)
+        elif key in parser._QUOTED_KEYS:
+            out[key] = parser._quoted(ts, parser._QUOTED_KEYS[key])
+        elif key == "pattern":
+            out[key] = parser._quoted(ts, "sequent", parser._parse_sequent)
+        elif key == "eigen":
+            out[key] = ts.expect("ident").text
+        elif key == "at":
+            side = ts.expect("ident").text
+            if side not in ("L", "R"):
+                ts.fail("positions start with L or R")
+            ts.expect_sym(".")
+            out["side"] = side
+            out["idx"] = int(ts.expect("num").text)
+        elif key == "path":
+            path = [int(ts.expect("num").text)]
+            while ts.eat_sym("."):
+                path.append(int(ts.expect("num").text))
+            out["path"] = tuple(path)
+        elif key == "vars":
+            out["vars"] = parser._parse_name_list(ts)
+        elif key == "terms":
+            close = parser._open_list(ts)
+            terms = []
+            if not ts.at_sym(close):
+                terms.append(parser._parse_expr(ts, TERM))
+                while ts.eat_sym(","):
+                    terms.append(parser._parse_expr(ts, TERM))
+            ts.expect_sym(close)
+            out["terms"] = tuple(terms)
+        else:  # to: resolved against the premise it rewrites, so kept as its token
+            out[key] = ts.expect("str")
+
+
+def reference_step_fields(kv: dict) -> dict:
+    data_keys = {"a", "b", "side", "idx", "path", "whole", "term", "eigen"}
+    data_kv = {k: v for k, v in kv.items() if k in data_keys}
+    # The embedded inference's formula witness lives in the rule data; the
+    # step-level formula field serves the stepcase axiom.
+    fields: dict = {}
+    for k in ("group", "pair", "pair2", "pattern", "vars", "target", "g", "f", "terms", "ann"):
+        if k in kv:
+            fields[k] = kv[k]
+    if "formula" in kv:
+        fields["formula"] = kv["formula"]
+        data_kv["formula"] = kv["formula"]
+    if "to" in kv:
+        fields["raw_to"] = kv["to"].text
+        fields["to_at"] = (kv["to"].line, kv["to"].col + 1)
+    if data_kv:
+        fields["data"] = RuleData(**data_kv)
+    return fields
+
+
+def reference_data_fields(data: RuleData) -> str:
+    parts = []
+    if data.a is not None:
+        parts.append(f"a={data.a}")
+    if data.b is not None:
+        parts.append(f"b={data.b}")
+    if data.formula is not None:
+        parts.append(f'formula="{data.formula}"')
+    if data.term is not None:
+        parts.append(f'term="{data.term}"')
+    if data.eigen is not None:
+        parts.append(f"eigen={data.eigen}")
+    if data.side is not None:
+        parts.append(f"at={data.side}.{data.idx}")
+    if data.path:
+        parts.append("path=" + ".".join(str(i) for i in data.path))
+    if data.repl is not None:
+        parts.append(f'to="{data.repl}"')
+    if data.whole:
+        parts.append("whole")
+    if data.target is not None:
+        parts.append(f"target={data.target}")
+    if data.param is not None:
+        parts.append(f'param="{data.param}"')
+    if data.terms:
+        parts.append("terms=(" + ", ".join(render(t) for t in data.terms) + ")")
+    return " ".join(parts)
+
+
+def reference_step_text(step) -> str:
+    parts = []
+    if step.rule.startswith("rho_"):
+        arity = 2 if step.pair2 is not None else 1
+        parts.append(f"rho {step.rule[4:]} {arity} {step.lk_rule}")
+    else:
+        parts.append(step.rule)
+    if step.sequent is not None:
+        parts.append(f'"{step.sequent}"')
+    if step.group is not None:
+        parts.append(f"group={step.group}")
+    if step.pair is not None:
+        parts.append(f"pair={step.pair}")
+    if step.pair2 is not None:
+        parts.append(f"pair2={step.pair2}")
+    data = step.data
+    if data.a is not None:
+        parts.append(f"a={data.a}")
+    if data.b is not None:
+        parts.append(f"b={data.b}")
+    if step.formula is not None:
+        parts.append(f'formula="{step.formula}"')
+    elif data.formula is not None:
+        parts.append(f'formula="{data.formula}"')
+    if data.term is not None:
+        parts.append(f'term="{data.term}"')
+    if data.eigen is not None:
+        parts.append(f"eigen={data.eigen}")
+    if data.side is not None:
+        parts.append(f"at={data.side}.{data.idx}")
+    if data.path:
+        parts.append("path=" + ".".join(str(i) for i in data.path))
+    if step.raw_to is not None:
+        parts.append(f'to="{step.raw_to}"')
+    elif data.repl is not None:
+        parts.append(f'to="{data.repl}"')
+    if step.ann is not None:
+        parts.append(f'ann="{step.ann}"')
+    if step.pattern is not None:
+        parts.append(f'pattern="{step.pattern}"')
+        parts.append("vars (" + ", ".join(step.vars) + ")")
+    if step.target is not None:
+        parts.append(f"target={step.target}")
+    if step.g is not None:
+        parts.append(f'g="{step.g}"')
+    if step.f is not None:
+        parts.append(f'f="{step.f}"')
+    if step.rule in ("cycle", "call"):
+        parts.append("terms (" + ", ".join(render(t) for t in step.terms) + ")")
+    return " ".join(parts)
+
+
+def _reference_kv(ts: TokenStream, keys: frozenset, out: dict | None = None) -> dict:
+    # A second run of pairs, after an axiom's sequent, updated the first.
+    kv = reference_parse_kv(ts, keys)
+    if out is None:
+        return kv
+    out.update(kv)
+    return out
+
+
+def _reference_fields(kv: dict) -> dict:
+    # The step kept the formula of its rule data a second time, and its
+    # replacement as text and position in place of the token.
+    fields = reference_step_fields(kv)
+    assert fields.pop("formula", None) is fields.get("data", RuleData()).formula
+    if fields.pop("raw_to", None) is not None:
+        del fields["to_at"]
+        fields["to"] = kv["to"]
+    return fields
+
+
+def _reference_step_text(step: SiLKStep) -> str:
+    # The step as the reference writer read it, with the two fields it lost.
+    to = None if step.to is None else step.to.text
+    fields = {name: getattr(step, name) for name in step._fields}
+    return reference_step_text(SimpleNamespace(**fields, formula=step.data.formula, raw_to=to))
+
+
+@contextmanager
+def reference_witness():
+    """Rule blocks and script steps read and write their witnesses with the
+    oracles."""
+    saved = parser._parse_kv, parser._step_fields, printer._witness, printer._step_text
+    parser._parse_kv, parser._step_fields = _reference_kv, _reference_fields
+    printer._witness = lambda data, step=None: [text] if (text := reference_data_fields(data)) else []
+    printer._step_text = _reference_step_text
+    try:
+        yield
+    finally:
+        parser._parse_kv, parser._step_fields, printer._witness, printer._step_text = saved
+
+
+_FORMATS = {
+    ".lkp": (parse_proof, lambda proof, _: printer.print_proof(proof)),
+    ".sch": (parse_schema, printer.print_schema),
+    ".slk": (parse_script, printer.print_script),
+}
+
+
+def _read_and_written(suffix: str, text: str):
+    """The value ``text`` parses to and its printed text, or the parse
+    error's message and position."""
+    parse, write = _FORMATS[suffix]
+    try:
+        value, directive = parse(text)
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.col)
+    return value, write(value, directive)
+
+
+def same_witnesses(suffix: str, text: str) -> bool:
+    """``text`` parses to the very same value and prints to the same bytes,
+    or fails with the same message at the same place, with the one witness
+    reader and writer as with the oracles.  Two differences are intended: a
+    key given twice in one witness is a parse error, where the last value
+    once won, and a script step writes its `whole`, which was dropped."""
+    new = _read_and_written(suffix, text)
+    with reference_witness():
+        old = _read_and_written(suffix, text)
+    if isinstance(new[0], str) and new[0].startswith("repeated witness key"):
+        return not (isinstance(old[0], str) and old[0].startswith("repeated witness key"))
+    if isinstance(new[0], str) or isinstance(old[0], str):
+        return new == old
+    written = new[1].replace(" whole", "") if suffix == ".slk" else new[1]
+    return identical(new[0], old[0]) and written == old[1]
+
+
+def witness_oracle_property(max_examples, names):
+    """The witness reader and writer agree with the oracles on the corpus
+    files ``names`` and on their mutants."""
+
+    @settings(max_examples=max_examples, deadline=None)
+    @given(st.sampled_from(names).map(lambda name: (name, corpus_path(name).read_text())) | mutated_corpus_files(names))
+    def check(case):
+        name, text = case
+        assert same_witnesses(name[name.rindex(".") :], text)
+
+    return check
 
 
 def build_proof_pool():

@@ -885,3 +885,40 @@ def test_repeated_component_clause_is_a_parse_error(capsys, tmp_path, text, wher
     path.write_text(text)
     code, out, err = run(capsys, "check-schema", str(path))
     assert (code, out, err) == (2, "", f"parse error: component phi repeats its {where}\n")
+
+
+# A key given twice in one witness once let its last value win silently:
+# the first case replayed as a proof, the second was checked with a=9.
+@pytest.mark.parametrize(
+    "name, old, new, command, where",
+    [
+        ("silk_fhat.slk", "pair=2 a=0 formula", "pair=2 a=7 a=0 formula", "check-silk", "'a' at 11:38"),
+        ("lk_or_contract.lkp", "a=0 b=1 {", "a=0 a=9 b=1 {", "check-lk", "'a' at 1:23"),
+        ("lk_pi_shat.lkp", 'path=0.1 to="S^0"', 'path=0.1 at=L.0 to="S^0"', "check-lk", "'at' at 3:79"),
+        ("silk_conj_comm.slk", 'group=1 "A |- A"', 'group=1 "A |- A" group=1', "check-silk", "'group' at 3:23"),
+    ],
+    ids=["slk", "lkp", "at", "around-the-sequent"],
+)
+def test_repeated_witness_key_is_a_parse_error(capsys, tmp_path, name, old, new, command, where):
+    text = corpus_path(name).read_text()
+    assert text.count(old) == 1
+    path = tmp_path / name
+    path.write_text(text.replace(old, new))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (2, "", f"parse error: repeated witness key {where}\n")
+
+
+# ppsnf once dropped a step's `whole`, which translate writes back.
+def test_ppsnf_keeps_a_steps_whole(capsys, tmp_path):
+    text = corpus_path("silk_conj_comm.slk").read_text()
+    step = "rho bc 1 /\\:l group=1 pair=1 a=1 b=0"
+    assert text.count(step) == 1
+    source = tmp_path / "whole.slk"
+    source.write_text(text.replace(step, step + " whole"))
+    code, out, err = run(capsys, "ppsnf", str(source))
+    assert (code, err) == (0, "")
+    assert step + " whole" in out.splitlines()
+    printed = tmp_path / "printed.slk"
+    printed.write_text(out)
+    assert run(capsys, "check-silk", str(printed)) == run(capsys, "check-silk", str(source))
+    assert run(capsys, "check-silk", str(source))[0] == 0

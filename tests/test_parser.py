@@ -1,10 +1,12 @@
 """Round trips and parse errors for every file format."""
 
 import contextlib
+import re
+from pathlib import Path
 
 import pytest
 
-from silkcheck import corpus_path
+from silkcheck import corpus_path, parser, printer
 from silkcheck.kernel import iter_nodes
 from silkcheck.parser import (
     FORMULA,
@@ -277,6 +279,74 @@ def test_reference_gives_up_for_depth_where_the_loop_does_not():
     with gen.reference_parser(), pytest.raises(ParseError, match="nested too deep"):
         parse_formula(deep)
     assert gen.same_parse(parse_formula, deep)
+
+
+WITNESS_FILES = SCHEMAS + SCRIPTS + PROOFS
+
+
+@pytest.mark.parametrize("name", WITNESS_FILES)
+def test_corpus_witnesses_read_and_write_as_with_the_reference(name):
+    assert gen.same_witnesses(corpus_path(name).suffix, corpus_path(name).read_text(encoding="utf-8"))
+
+
+def test_witness_reader_and_writer_agree_with_the_reference():
+    gen.witness_oracle_property(300, WITNESS_FILES)()
+
+
+@pytest.mark.parametrize(
+    "suffix, text",
+    [
+        (".lkp", 'c:r "A \\/ A |- A" a=0 a=0 b=1 {\n  ax "A |- A"\n}\n'),
+        (".slk", 'ax1r group=1 "A |- A" group=1\n'),
+        (".slk", 'ax1r "A |- A"\nrho bc 1 E group=1 pair=1 at=R.0 to="B" whole\n'),
+    ],
+    ids=["repeated-key", "repeated-around-the-sequent", "whole"],
+)
+def test_the_intended_witness_differences_pass_the_oracle_check(suffix, text):
+    assert gen.same_witnesses(suffix, text)
+
+
+@pytest.mark.parametrize(
+    "module, name, value",
+    [
+        (printer, "WITNESS_KEYS", printer.WITNESS_KEYS[::-1]),
+        (parser, "_parse_kv", lambda ts, keys, out=None, read=parser._parse_kv: read(ts, keys - {"ann"}, out)),
+        (parser, "_step_fields", lambda kv, fill=parser._step_fields: fill(kv) | {"pair2": kv.get("pair")}),
+    ],
+    ids=["writer-order", "reader-keys", "field-fill"],
+)
+def test_the_witness_oracle_check_sees_a_changed_reader_or_writer(monkeypatch, module, name, value):
+    monkeypatch.setattr(module, name, value)
+    assert not gen.same_witnesses(".slk", corpus_path("silk_fhat.slk").read_text(encoding="utf-8"))
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _witness_table() -> list:
+    """The rows of the README's witness-key table, each a list of cells."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | value form | accepted in | field filled |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            return rows
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def test_readme_witness_table_matches_the_reader_and_writer():
+    rows = _witness_table()
+    keys = [row[0].strip("`") for row in rows]
+    assert keys == list(printer.WITNESS_KEYS)
+    assert {key for key, row in zip(keys, rows) if "`.lkp`" in row[2]} == parser._NODE_KEYS
+    assert {key for key, row in zip(keys, rows) if "`.slk`" in row[2]} == parser._STEP_KEYS
+    for key, row in zip(keys, rows):
+        owners = re.findall(r"`(SiLKStep|RuleData)\.(\w+)`", row[3])
+        assert owners and all(field in getattr(parser, owner)._names for owner, field in owners)
+        # A script key fills the step field of its name, else the rule data's.
+        if key in parser._STEP_KEYS:
+            assert (("SiLKStep", key) in owners) == (key in parser.SiLKStep._names)
 
 
 @pytest.mark.parametrize(
