@@ -30,20 +30,18 @@ from . import rewrite as rw
 from .kernel import Proof, RuleData, RuleName, RULE_TOKENS, iter_nodes
 from .schema import ProofSchema, SchemaComponent
 from .syntax import (
+    CONNECTIVES,
     Atom,
     Exists,
     Fn,
     Forall,
     Formula,
     FreeVar,
-    Imp,
     Node,
     Not,
     NumExpr,
     NumFn,
     OmegaAll,
-    Or,
-    And,
     Param,
     Record,
     Sequent,
@@ -202,12 +200,14 @@ def _no_numeric_exists(tok: Token, var: str, body: Formula):
 
 
 # The infix operators of each sort: precedence, right-associative, builder.
+# A formula's, and its prefix ~, are the connectives syntax declares.
 _INFIX = {
-    FORMULA: {"->": (1, True, Imp), "\\/": (2, False, Or), "/\\": (3, False, And)},
+    FORMULA: {sym: (prec, right, cls) for cls, (sym, prec, right) in CONNECTIVES.items() if cls is not Not},
     TERM: {"+": (1, False, _plus)},
     NUM: {"+": (1, False, _plus)},
     SUP: {},
 }
+_NOT, _NOT_PREC, _ = CONNECTIVES[Not]
 # What a name applied to arguments or to a superscript builds, per sort.
 _APPLY = {FORMULA: Atom, TERM: Fn, NUM: NumFn}
 
@@ -248,10 +248,10 @@ def _parse_expr(ts: TokenStream, sort: str) -> Node:
             pos = ts.pos
             stack.append((0, build, (var,)))
             continue
-        if kind == "sym" and (text == "(" or text == "~" and sort == FORMULA):
+        if kind == "sym" and (text == "(" or text == _NOT and sort == FORMULA):
             pos += 1
-            if text == "~":
-                stack.append((4, Not, ()))
+            if text == _NOT:
+                stack.append((_NOT_PREC, Not, ()))
             else:
                 stack.append((-1, "close", sort, ")", None))
                 sort = NUM if sort == SUP else sort
@@ -470,26 +470,54 @@ def _head_name(node) -> str | None:
 
 
 # A rule block and a script step state an inference's witness in one
-# syntax: `key=value` pairs, each key at most once.  A script step reads
-# the keys of a rule block but a link's parameter, and its own.
-_NODE_KEYS = frozenset(
-    {"a", "b", "formula", "term", "eigen", "at", "path", "to", "whole", "target", "param", "terms"}
-)
-_STEP_KEYS = _NODE_KEYS - {"param"} | {"group", "pair", "pair2", "ann", "pattern", "vars", "g", "f"}
+# syntax: `key=value` pairs, each key at most once, and only keys its rule
+# reads.  The keys each inference rule reads in a rule block:
+_R = RuleName
+_RULE_READS = {
+    _R.AX: frozenset(),
+    **dict.fromkeys(
+        [_R.CUT, _R.AND_L, _R.AND_R, _R.OR_L, _R.OR_R, _R.IMP_L, _R.IMP_R, _R.CONTR_L, _R.CONTR_R],
+        frozenset({"a", "b"}),
+    ),
+    **dict.fromkeys([_R.NEG_L, _R.NEG_R], frozenset({"a"})),
+    **dict.fromkeys([_R.WEAK_L, _R.WEAK_R], frozenset({"formula"})),
+    **dict.fromkeys([_R.FORALL_L, _R.EXISTS_R], frozenset({"a", "formula", "term"})),
+    **dict.fromkeys([_R.FORALL_R, _R.EXISTS_L], frozenset({"a", "formula", "eigen"})),
+    _R.ERULE: frozenset({"at", "path", "to", "whole"}),
+    _R.LINK: frozenset({"target", "param", "terms"}),
+}
+# The keys each script step reads; a rho step also reads those of the
+# inference rule it applies.
+_STEP_READS = {
+    "ax1r": frozenset({"formula"}),
+    "ax2r": frozenset({"group", "formula"}),
+    **dict.fromkeys(["ccr", "ccl", "rho"], frozenset({"group", "pair", "pair2"})),
+    "br": frozenset({"group", "pair"}),
+    "clbc": frozenset({"group", "pair", "pattern", "vars"}),
+    "axl": frozenset({"group", "pair", "formula", "ann"}),
+    "cycle": frozenset({"group", "pair", "terms"}),
+    "call": frozenset({"group", "pair", "target", "g", "f", "terms"}),
+    "cllke": frozenset({"group"}),
+    "clsc": frozenset({"group", "ann"}),
+}
+_WITNESS_KEYS = frozenset().union(*_RULE_READS.values(), *_STEP_READS.values())
 _INT_KEYS = {"a", "b", "group", "pair", "pair2", "target"}
 _QUOTED_KEYS = {"formula": FORMULA, "term": TERM, "param": NUM, "ann": NUM, "g": NUM, "f": NUM}
 
 
-def _parse_kv(ts: TokenStream, keys: frozenset, out: dict | None = None) -> dict:
-    """The witness pairs at ``ts`` whose keys are in ``keys``, added to
-    ``out`` under the field each fills: `at` fills side and idx, any other
-    key the field of its name.  A key already in ``out`` is a parse error."""
+def _parse_kv(ts: TokenStream, rule: str, reads: frozenset, out: dict | None = None) -> dict:
+    """The witness pairs at ``ts``, added to ``out`` under the field each
+    fills: `at` fills side and idx, any other key the field of its name.  A
+    witness key that ``rule`` does not read, or that is already in ``out``,
+    is a parse error."""
     out = {} if out is None else out
     while True:
         tok = ts.peek()
-        if tok.kind != "ident" or tok.text not in keys:
+        if tok.kind != "ident" or tok.text not in _WITNESS_KEYS:
             return out
         key = ts.next().text
+        if key not in reads:
+            raise ParseError(f"{rule} does not read the witness key {key!r}", tok.line, tok.col)
         if ("side" if key == "at" else key) in out:
             raise ParseError(f"repeated witness key {key!r}", tok.line, tok.col)
         if key == "whole":
@@ -584,7 +612,7 @@ def _parse_proof_head(ts: TokenStream) -> tuple:
         ts.fail(f"unknown inference rule {tok.text!r}")
     ts.next()
     seq = _quoted(ts, "sequent", _parse_sequent)
-    kv = _parse_kv(ts, _NODE_KEYS)
+    kv = _parse_kv(ts, tok.text, _RULE_READS[RULE_TOKENS[tok.text]])
     raw_to = kv.pop("to", None)
     if isinstance(kv.get("target"), int):
         kv["target"] = f"g{kv['target']}"
@@ -594,7 +622,7 @@ def _parse_proof_head(ts: TokenStream) -> tuple:
 def _proof_node(tok: Token, seq: Sequent, kv: dict, raw_to: Token | None, premises: list) -> Proof:
     rule = RULE_TOKENS[tok.text]
     data = RuleData(**kv) if kv else RuleData()
-    if rule is RuleName.ERULE and raw_to is not None:
+    if raw_to is not None:  # only a rewrite step reads a replacement
         if not premises:
             raise ParseError("a rewrite step needs its premise before the replacement resolves", tok.line, tok.col)
         side = premises[0].conclusion.ante if data.side == "L" else premises[0].conclusion.succ
@@ -706,11 +734,6 @@ class SiLKScript(Record):
     steps: tuple
 
 
-_STEP_WORDS = frozenset(
-    {"ax1r", "ax2r", "axl", "ccr", "ccl", "br", "rho", "clbc", "cllke", "clsc", "cycle", "call"}
-)
-
-
 def parse_script(text: str) -> tuple:
     """Returns (SiLKScript with a placeholder theory, theory_path or None)."""
     return _parse_text(text, "script", read=_script_file)
@@ -722,13 +745,13 @@ def _script_file(ts: TokenStream) -> tuple:
     while ts.peek().kind != "eof":
         tok = ts.expect("ident")
         word = tok.text
-        if word not in _STEP_WORDS:
+        if word not in _STEP_READS:
             raise ParseError(f"unknown step {word!r}", tok.line, tok.col)
         line = tok.line
         if word in ("ax1r", "ax2r"):
-            kv = _parse_kv(ts, _STEP_KEYS)
+            kv = _parse_kv(ts, word, _STEP_READS[word])
             seq = _quoted(ts, "sequent", _parse_sequent) if ts.peek().kind == "str" else None
-            _parse_kv(ts, _STEP_KEYS, kv)
+            _parse_kv(ts, word, _STEP_READS[word], kv)
             steps.append(SiLKStep(word, sequent=seq, line=line, **_step_fields(kv)))
             continue
         if word == "rho":
@@ -741,14 +764,14 @@ def _script_file(ts: TokenStream) -> tuple:
                 ts.fail(f"unknown inference rule {rtok.text!r}")
             ts.next()
             lk_rule = RULE_TOKENS[rtok.text]
-            kv = _parse_kv(ts, _STEP_KEYS)
+            kv = _parse_kv(ts, f"rho {rtok.text}", _STEP_READS[word] | _RULE_READS[lk_rule])
             if arity == 2 and "pair2" not in kv:
                 raise ParseError("a binary rule names both pairs", rtok.line, rtok.col)
             if arity == 1 and "pair2" in kv:
                 raise ParseError("a unary rule names one pair", rtok.line, rtok.col)
             steps.append(SiLKStep(f"rho_{side}", lk_rule=lk_rule, line=line, **_step_fields(kv)))
             continue
-        kv = _parse_kv(ts, _STEP_KEYS)
+        kv = _parse_kv(ts, word, _STEP_READS[word])
         steps.append(SiLKStep(word, line=line, **_step_fields(kv)))
     return SiLKScript(rw.EMPTY_THEORY, tuple(steps)), theory_path
 

@@ -18,12 +18,15 @@ from __future__ import annotations
 
 from .syntax import (
     Atom,
+    Exists,
     Fn,
+    Forall,
     Formula,
     FreeVar,
     Node,
     NumExpr,
     NumFn,
+    OmegaAll,
     Param,
     Record,
     Sequent,
@@ -115,12 +118,20 @@ class TheoryReport(Record):
 
 
 def _rule_vars(node: Node) -> frozenset:
+    """The parameters, ("p", name), and individual variables, ("v", name),
+    free in node; a binder binds those of its sort in its body."""
     out = set()
-    for sub in walk(node):
-        if isinstance(sub, Param):
-            out.add(("p", sub.name))
-        elif isinstance(sub, FreeVar):
-            out.add(("v", sub.name))
+    stack = [(node, frozenset())]
+    while stack:
+        sub, bound = stack.pop()
+        cls = type(sub)
+        if cls is Param or cls is FreeVar:
+            key = ("p" if cls is Param else "v", sub.name)
+            if key not in bound:
+                out.add(key)
+        elif cls is Forall or cls is Exists or cls is OmegaAll:
+            bound = bound | {("p" if cls is OmegaAll else "v", sub.var)}
+        stack.extend((kid, bound) for kid in sub.kids())
     return frozenset(out)
 
 

@@ -27,7 +27,6 @@ from . import rewrite as rw
 from .kernel import (
     CheckReport,
     Failure,
-    LinkPattern,
     Proof,
     RuleData,
     RuleError,
@@ -36,7 +35,7 @@ from .kernel import (
     ax,
     bridge_to,
 )
-from .parser import _STEP_WORDS, ParseError, SiLKScript, SiLKStep, parse_replacement
+from .parser import _STEP_READS, ParseError, SiLKScript, SiLKStep, parse_replacement
 from .syntax import (
     Formula,
     NumExpr,
@@ -53,7 +52,6 @@ from .syntax import (
     node_at,
     num_eq,
     numeral,
-    render,
     replace,
     subst,
 )
@@ -81,9 +79,7 @@ class OpenStep(Record):
     annotation: NumExpr
 
     def __str__(self):
-        left = ", ".join(render(f) for f in self.sequent.ante)
-        right = ", ".join(render(f) for f in self.sequent.succ)
-        return f"{left} |-{{{render(self.annotation)}}} {right}".strip()
+        return self.sequent.text(f"|-{{{self.annotation}}}")
 
 
 class ClosedStep(Record):
@@ -169,13 +165,6 @@ class ComponentCollection(Record):
     def with_group(self, new: ComponentGroup) -> "ComponentCollection":
         return replace(self, groups=tuple(new if g.gid == new.gid else g for g in self.groups))
 
-    def link_env(self) -> dict:
-        env = {}
-        for g in self.groups:
-            if g.pattern is not None:
-                env[g.link_name()] = LinkPattern(g.pattern, g.pattern_vars)
-        return env
-
     def __str__(self):
         if not self.groups:
             return "(empty)"
@@ -202,7 +191,7 @@ def leading_group(collection: ComponentCollection) -> ComponentGroup:
 # Steps
 
 
-_RULES = _STEP_WORDS - {"rho"} | {"rho_bc", "rho_sc"}
+_RULES = _STEP_READS.keys() - {"rho"} | {"rho_bc", "rho_sc"}
 
 # The rules that open a stepcase, named as their closed-basecase rejection
 # names them.

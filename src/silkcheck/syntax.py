@@ -141,9 +141,6 @@ class Node(Record, eq=False, metaclass=_HashConsed):
     def kids(self) -> tuple:
         return ()
 
-    def _render(self, kids: list) -> str:
-        raise NotImplementedError
-
     def __str__(self) -> str:
         return render(self)
 
@@ -179,7 +176,7 @@ def fold(root, combine, done: dict, leaves=()):
 
 def render(root: Node) -> str:
     """Concrete syntax."""
-    return fold(root, lambda node, kids: node._render(kids), {})
+    return fold(root, _render, {})
 
 
 def walk(root: Node) -> Iterator[Node]:
@@ -200,8 +197,7 @@ class NumExpr(Node):
 
 
 class Zero(NumExpr):
-    def _render(self, kids):
-        return "0"
+    pass
 
 
 class Succ(NumExpr):
@@ -210,17 +206,9 @@ class Succ(NumExpr):
     def kids(self):
         return (self.prev,)
 
-    def _render(self, kids):
-        if kids[0].isdigit():
-            return str(int(kids[0]) + 1)
-        return f"s({kids[0]})"
-
 
 class Param(NumExpr):
     name: str
-
-    def _render(self, kids):
-        return self.name
 
 
 class NumFn(NumExpr):
@@ -235,24 +223,6 @@ class NumFn(NumExpr):
 
     def kids(self):
         return self.args
-
-    def _render(self, kids):
-        if self.sym == "+":
-            right = f"({kids[1]})" if _is_plus(self.args[1]) else kids[1]
-            return f"{kids[0]} + {right}"
-        if self.sym.endswith("^") and len(self.args) == 1:
-            return f"{self.sym}{_sup(self.args[0], kids[0])}"
-        return f"{self.sym}({', '.join(kids)})"
-
-
-def _is_plus(e) -> bool:
-    return isinstance(e, NumFn) and e.sym == "+"
-
-
-def _sup(e, s: str) -> str:
-    if isinstance(e, (Zero, Param)) or numeral_value(e) is not None:
-        return s
-    return f"({s})"
 
 
 ZERO = Zero()
@@ -307,7 +277,7 @@ def split_succs(e: NumExpr) -> tuple[NumExpr | None, int]:
         if isinstance(e, Succ):
             offset += 1
             e = e.prev
-        elif _is_plus(e):
+        elif type(e) is NumFn and e.sym == "+":
             a, b = e.args
             kb = numeral_value(b)
             if kb is not None:
@@ -366,9 +336,6 @@ class Term(Node):
 class FreeVar(Term):
     name: str
 
-    def _render(self, kids):
-        return self.name
-
 
 class SVar(Term):
     """Schematic variable applied to its numeric index: x[e]."""
@@ -378,9 +345,6 @@ class SVar(Term):
 
     def kids(self):
         return (self.index,)
-
-    def _render(self, kids):
-        return f"{self.name}[{kids[0]}]"
 
 
 class Fn(Term):
@@ -393,29 +357,13 @@ class Fn(Term):
     def kids(self):
         return self.args
 
-    def _render(self, kids):
-        if self.sym == "+":
-            right = f"({kids[1]})" if _is_any_plus(self.args[1]) else kids[1]
-            return f"{kids[0]} + {right}"
-        if self.sym.endswith("^"):
-            head = f"{self.sym}{_sup(self.args[0], kids[0])}"
-            if len(kids) == 1:
-                return head
-            return f"{head}({', '.join(kids[1:])})"
-        return f"{self.sym}({', '.join(kids)})"
-
-
-def _is_any_plus(e) -> bool:
-    return (isinstance(e, NumFn) or isinstance(e, Fn)) and e.sym == "+"
-
 
 # ---------------------------------------------------------------------------
 # Formula schemata
 
 
 class Formula(Node):
-    def _prec(self) -> int:
-        return 100
+    pass
 
 
 class Atom(Formula):
@@ -425,28 +373,12 @@ class Atom(Formula):
     def kids(self):
         return self.args
 
-    def _render(self, kids):
-        if self.pred.endswith("^"):
-            head = f"{self.pred}{_sup(self.args[0], kids[0])}"
-            if len(kids) == 1:
-                return head
-            return f"{head}({', '.join(kids[1:])})"
-        if not self.args:
-            return self.pred
-        return f"{self.pred}({', '.join(kids)})"
-
 
 class Not(Formula):
     body: Formula
 
     def kids(self):
         return (self.body,)
-
-    def _prec(self):
-        return 40
-
-    def _render(self, kids):
-        return f"~{_wrap(self.body, kids[0], 40)}"
 
 
 class And(Formula):
@@ -456,12 +388,6 @@ class And(Formula):
     def kids(self):
         return (self.lhs, self.rhs)
 
-    def _prec(self):
-        return 30
-
-    def _render(self, kids):
-        return f"{_wrap(self.lhs, kids[0], 30)} /\\ {_wrap(self.rhs, kids[1], 31)}"
-
 
 class Or(Formula):
     lhs: Formula
@@ -469,12 +395,6 @@ class Or(Formula):
 
     def kids(self):
         return (self.lhs, self.rhs)
-
-    def _prec(self):
-        return 20
-
-    def _render(self, kids):
-        return f"{_wrap(self.lhs, kids[0], 20)} \\/ {_wrap(self.rhs, kids[1], 21)}"
 
 
 class Imp(Formula):
@@ -484,12 +404,6 @@ class Imp(Formula):
     def kids(self):
         return (self.lhs, self.rhs)
 
-    def _prec(self):
-        return 10
-
-    def _render(self, kids):
-        return f"{_wrap(self.lhs, kids[0], 11)} -> {_wrap(self.rhs, kids[1], 10)}"
-
 
 class Forall(Formula):
     var: str
@@ -498,12 +412,6 @@ class Forall(Formula):
     def kids(self):
         return (self.body,)
 
-    def _prec(self):
-        return 5
-
-    def _render(self, kids):
-        return f"forall {self.var}. {kids[0]}"
-
 
 class Exists(Formula):
     var: str
@@ -511,12 +419,6 @@ class Exists(Formula):
 
     def kids(self):
         return (self.body,)
-
-    def _prec(self):
-        return 5
-
-    def _render(self, kids):
-        return f"exists {self.var}. {kids[0]}"
 
 
 class OmegaAll(Formula):
@@ -529,17 +431,56 @@ class OmegaAll(Formula):
     def kids(self):
         return (self.body,)
 
-    def _prec(self):
-        return 5
 
-    def _render(self, kids):
-        return f"forall {self.var}:omega. {kids[0]}"
+_BINDERS = frozenset((Forall, Exists, OmegaAll))
 
 
-def _wrap(f: Formula, s: str, minimum: int) -> str:
-    if f._prec() < minimum:
-        return f"({s})"
-    return s
+# ---------------------------------------------------------------------------
+# Concrete syntax
+
+
+# The formula connectives as the parser reads them and render writes them:
+# spelling, precedence (tightest highest), and whether a binary one groups to
+# the right.  A binder binds loosest, its body extending as far right as it
+# can; any other formula binds tightest.
+CONNECTIVES = {Imp: ("->", 1, True), Or: ("\\/", 2, False), And: ("/\\", 3, False), Not: ("~", 4, False)}
+_PREC = dict.fromkeys(_BINDERS, 0) | {cls: prec for cls, (_, prec, _) in CONNECTIVES.items()}
+_ATOMIC = max(_PREC.values()) + 1
+
+
+def _render(node: Node, kids: tuple) -> str:
+    """render's combine: the text of node from the texts of its kids."""
+    cls = type(node)
+    if cls is Fn or cls is Atom or cls is NumFn:
+        head, args = node.pred if cls is Atom else node.sym, node.args
+        if head == "+":
+            b = args[1]
+            return f"{kids[0]} + ({kids[1]})" if type(b) in (NumFn, Fn) and b.sym == "+" else f"{kids[0]} + {kids[1]}"
+        if head[-1] == "^":
+            # A superscript is bracketed unless it is a parameter or a numeral.
+            bare = type(args[0]) is Param or numeral_value(args[0]) is not None
+            head, kids = head + (kids[0] if bare else f"({kids[0]})"), kids[1:]
+            if not kids:
+                return head
+        elif not kids and cls is Atom:
+            return head
+        return f"{head}({', '.join(kids)})"
+    if cls is Param or cls is FreeVar:
+        return node.name
+    if cls is Succ:
+        return str(int(kids[0]) + 1) if kids[0].isdigit() else f"s({kids[0]})"
+    if cls is Zero:
+        return "0"
+    if cls is SVar:
+        return f"{node.name}[{kids[0]}]"
+    if cls in _BINDERS:
+        return f"{'exists' if cls is Exists else 'forall'} {node.var}{':omega' if cls is OmegaAll else ''}. {kids[0]}"
+    # A connective.  A kid that binds looser than its place allows is
+    # bracketed; the kid on the side it does not group to must bind tighter.
+    sym, prec, right = CONNECTIVES[cls]
+    least = (prec,) if cls is Not else (prec + right, prec + (not right))
+    kids = [s if _PREC.get(type(k), _ATOMIC) >= m else f"({s})" for k, s, m in zip(node.kids(), kids, least)]
+    return sym + kids[0] if cls is Not else f"{kids[0]} {sym} {kids[1]}"
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +495,11 @@ class Sequent(Record):
         _setattr(self, "ante", ante)
         _setattr(self, "succ", succ)
 
-    def __str__(self):
-        left = ", ".join(render(f) for f in self.ante)
-        right = ", ".join(render(f) for f in self.succ)
-        return f"{left} |- {right}".strip()
+    def text(self, turnstile: str = "|-") -> str:
+        left, right = (", ".join(map(render, side)) for side in (self.ante, self.succ))
+        return f"{left} {turnstile} {right}".strip()
+
+    __str__ = text
 
     def __repr__(self):
         return f"<Sequent {self}>"
@@ -771,9 +713,6 @@ class Substitution(Record):
         # Untouched nodes come back as they are, without a lookup in the
         # hash-consing table.
         return node if kids == node.kids() else rebuild(node, kids)
-
-
-_BINDERS = frozenset((Forall, Exists, OmegaAll))
 
 
 def subst_param(name: str, value: NumExpr) -> Substitution:

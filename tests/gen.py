@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 
 from silkcheck import corpus_path, load_theory
 from silkcheck import parser, printer, schema
-from silkcheck.kernel import Proof, RuleData, RuleName
+from silkcheck.kernel import LinkPattern, Proof, RuleData, RuleName
 from silkcheck.parser import (
     _MULTI,
     _RULE_SYMBOLS,
@@ -60,10 +60,12 @@ from silkcheck.syntax import (
     SVar,
     Succ,
     ZERO,
+    Zero,
     canon_alpha,
     formula_eq,
     free_vars,
     numeral,
+    numeral_value,
     rebuild,
     render,
     replace,
@@ -379,6 +381,78 @@ def formula_eq_property(max_examples):
 # and set no cache on a node.
 
 
+# The per-class renderer that syntax's one combine replaced: every node
+# class's _render and every formula class's _prec, with their helpers.
+
+
+def _reference_prec(f: Formula) -> int:
+    return {Not: 40, And: 30, Or: 20, Imp: 10, Forall: 5, Exists: 5, OmegaAll: 5}.get(type(f), 100)
+
+
+def _reference_wrap(f: Formula, s: str, minimum: int) -> str:
+    if _reference_prec(f) < minimum:
+        return f"({s})"
+    return s
+
+
+def _reference_sup(e, s: str) -> str:
+    if isinstance(e, (Zero, Param)) or numeral_value(e) is not None:
+        return s
+    return f"({s})"
+
+
+def _reference_num_fn(self, kids):
+    if self.sym == "+":
+        right = f"({kids[1]})" if isinstance(self.args[1], NumFn) and self.args[1].sym == "+" else kids[1]
+        return f"{kids[0]} + {right}"
+    if self.sym.endswith("^") and len(self.args) == 1:
+        return f"{self.sym}{_reference_sup(self.args[0], kids[0])}"
+    return f"{self.sym}({', '.join(kids)})"
+
+
+def _reference_fn(self, kids):
+    if self.sym == "+":
+        plus = isinstance(self.args[1], (NumFn, Fn)) and self.args[1].sym == "+"
+        right = f"({kids[1]})" if plus else kids[1]
+        return f"{kids[0]} + {right}"
+    if self.sym.endswith("^"):
+        head = f"{self.sym}{_reference_sup(self.args[0], kids[0])}"
+        if len(kids) == 1:
+            return head
+        return f"{head}({', '.join(kids[1:])})"
+    return f"{self.sym}({', '.join(kids)})"
+
+
+def _reference_atom(self, kids):
+    if self.pred.endswith("^"):
+        head = f"{self.pred}{_reference_sup(self.args[0], kids[0])}"
+        if len(kids) == 1:
+            return head
+        return f"{head}({', '.join(kids[1:])})"
+    if not self.args:
+        return self.pred
+    return f"{self.pred}({', '.join(kids)})"
+
+
+_REFERENCE_RENDER = {
+    Zero: lambda self, kids: "0",
+    Succ: lambda self, kids: str(int(kids[0]) + 1) if kids[0].isdigit() else f"s({kids[0]})",
+    Param: lambda self, kids: self.name,
+    NumFn: _reference_num_fn,
+    FreeVar: lambda self, kids: self.name,
+    SVar: lambda self, kids: f"{self.name}[{kids[0]}]",
+    Fn: _reference_fn,
+    Atom: _reference_atom,
+    Not: lambda self, kids: f"~{_reference_wrap(self.body, kids[0], 40)}",
+    And: lambda self, kids: f"{_reference_wrap(self.lhs, kids[0], 30)} /\\ {_reference_wrap(self.rhs, kids[1], 31)}",
+    Or: lambda self, kids: f"{_reference_wrap(self.lhs, kids[0], 20)} \\/ {_reference_wrap(self.rhs, kids[1], 21)}",
+    Imp: lambda self, kids: f"{_reference_wrap(self.lhs, kids[0], 11)} -> {_reference_wrap(self.rhs, kids[1], 10)}",
+    Forall: lambda self, kids: f"forall {self.var}. {kids[0]}",
+    Exists: lambda self, kids: f"exists {self.var}. {kids[0]}",
+    OmegaAll: lambda self, kids: f"forall {self.var}:omega. {kids[0]}",
+}
+
+
 def reference_render(root: Node) -> str:
     memo: dict[int, str] = {}
     stack = [root]
@@ -392,7 +466,7 @@ def reference_render(root: Node) -> str:
         if pending:
             stack.extend(pending)
             continue
-        memo[id(cur)] = cur._render([memo[id(k)] for k in kids])
+        memo[id(cur)] = _REFERENCE_RENDER[type(cur)](cur, [memo[id(k)] for k in kids])
         stack.pop()
     return memo[id(root)]
 
@@ -1217,9 +1291,17 @@ def reference_step_text(step) -> str:
     return " ".join(parts)
 
 
-def _reference_kv(ts: TokenStream, keys: frozenset, out: dict | None = None) -> dict:
-    # A second run of pairs, after an axiom's sequent, updated the first.
-    kv = reference_parse_kv(ts, keys)
+# The keys the reader took in any rule block, and in any script step.
+REFERENCE_NODE_KEYS = frozenset(
+    {"a", "b", "formula", "term", "eigen", "at", "path", "to", "whole", "target", "param", "terms"}
+)
+REFERENCE_STEP_KEYS = REFERENCE_NODE_KEYS - {"param"} | {"group", "pair", "pair2", "ann", "pattern", "vars", "g", "f"}
+
+
+def _reference_kv(ts: TokenStream, rule: str, reads: frozenset, out: dict | None = None) -> dict:
+    # The reader took every key of its format, whatever the rule read.  A
+    # second run of pairs, after an axiom's sequent, updated the first.
+    kv = reference_parse_kv(ts, REFERENCE_NODE_KEYS if rule in parser.RULE_TOKENS else REFERENCE_STEP_KEYS)
     if out is None:
         return kv
     out.update(kv)
@@ -1279,14 +1361,17 @@ def _read_and_written(suffix: str, text: str):
 def same_witnesses(suffix: str, text: str) -> bool:
     """``text`` parses to the very same value and prints to the same bytes,
     or fails with the same message at the same place, with the one witness
-    reader and writer as with the oracles.  Two differences are intended: a
-    key given twice in one witness is a parse error, where the last value
-    once won, and a script step writes its `whole`, which was dropped."""
+    reader and writer as with the oracles.  Three differences are intended:
+    a key given twice in one witness, or a witness key its rule does not
+    read, is a parse error, where the last value once won and the key was
+    kept or ended the witness; and a script step writes its `whole`, which
+    was dropped."""
     new = _read_and_written(suffix, text)
     with reference_witness():
         old = _read_and_written(suffix, text)
-    if isinstance(new[0], str) and new[0].startswith("repeated witness key"):
-        return not (isinstance(old[0], str) and old[0].startswith("repeated witness key"))
+    for intended in ("repeated witness key", "does not read the witness key"):
+        if isinstance(new[0], str) and intended in new[0]:
+            return not (isinstance(old[0], str) and intended in old[0])
     if isinstance(new[0], str) or isinstance(old[0], str):
         return new == old
     written = new[1].replace(" whole", "") if suffix == ".slk" else new[1]
@@ -1304,6 +1389,11 @@ def witness_oracle_property(max_examples, names):
         assert same_witnesses(name[name.rindex(".") :], text)
 
     return check
+
+
+def link_env(collection: ComponentCollection) -> dict:
+    """The link environment of a collection's groups that declared a pattern."""
+    return {g.link_name(): LinkPattern(g.pattern, g.pattern_vars) for g in collection.groups if g.pattern is not None}
 
 
 def build_proof_pool():
@@ -1334,7 +1424,7 @@ def build_proof_pool():
     for name in ("silk_fhat.slk", "silk_wedge_var.slk", "silk_conj_comm.slk"):
         script = load_script(corpus_path(name))
         coll, _, _ = check_script(script)
-        silk_env = coll.link_env()
+        silk_env = link_env(coll)
         for group in coll.groups:
             for pair in group.pairs:
                 pool.append((pair.base_proof, script.theory, silk_env, frozenset()))

@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings
 import silkcheck
 from silkcheck import corpus_path, load_schema, load_script, to_ppsnf
 from silkcheck.cli import main
-from silkcheck.parser import MAX_BINDER_DEPTH
+from silkcheck.parser import MAX_BINDER_DEPTH, parse_script
+from silkcheck.printer import print_script
 from silkcheck.rewrite import DEFAULT_FUEL, FuelExhausted, StuckTerm
 from silkcheck.schema import MatchFailure, evaluate
 from silkcheck.syntax import replace
@@ -908,17 +909,46 @@ def test_repeated_witness_key_is_a_parse_error(capsys, tmp_path, name, old, new,
     assert (code, out, err) == (2, "", f"parse error: repeated witness key {where}\n")
 
 
-# ppsnf once dropped a step's `whole`, which translate writes back.
+# A witness key the rule never reads once passed silently: the axiom was
+# accepted, the `to` of a weakening dropped, the ~:r step replayed.
+@pytest.mark.parametrize(
+    "suffix, text, command, where",
+    [
+        (".lkp", 'ax "A |- A" a=5 formula="B" to="C" target=7\n', "check-lk", "ax does not read the witness key 'a' at 1:13"),
+        (
+            ".lkp",
+            'w:l "B, A |- A" formula="B" to="C" {\n  ax "A |- A"\n}\n',
+            "check-lk",
+            "w:l does not read the witness key 'to' at 1:29",
+        ),
+        (
+            ".slk",
+            'ax1r "A |- A"\nrho bc 1 ~:r group=1 pair=1 a=0 b=3 term="c"\n',
+            "check-silk",
+            "rho ~:r does not read the witness key 'b' at 2:33",
+        ),
+    ],
+    ids=["ax", "to-on-w:l", "rho"],
+)
+def test_unread_witness_key_is_a_parse_error(capsys, tmp_path, suffix, text, command, where):
+    path = tmp_path / f"unread{suffix}"
+    path.write_text(text)
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (2, "", f"parse error: {where}\n")
+
+
+# ppsnf once dropped a step's `whole`, which translate writes back.  Only a
+# rewrite step reads it, and replay rejects it there, so no proof that ppsnf
+# takes carries one: its writer is run on the script as read.
 def test_ppsnf_keeps_a_steps_whole(capsys, tmp_path):
-    text = corpus_path("silk_conj_comm.slk").read_text()
-    step = "rho bc 1 /\\:l group=1 pair=1 a=1 b=0"
+    text = corpus_path("silk_exp.slk").read_text()
+    step = 'rho bc 1 E group=1 pair=1 at=R.0 path=0 to="f^0(0)"'
     assert text.count(step) == 1
     source = tmp_path / "whole.slk"
-    source.write_text(text.replace(step, step + " whole"))
-    code, out, err = run(capsys, "ppsnf", str(source))
-    assert (code, err) == (0, "")
+    source.write_text(text.replace(step, step + " whole").replace("theory_exp.thy", p("theory_exp.thy")))
+    out = print_script(*parse_script(source.read_text()))
     assert step + " whole" in out.splitlines()
     printed = tmp_path / "printed.slk"
     printed.write_text(out)
     assert run(capsys, "check-silk", str(printed)) == run(capsys, "check-silk", str(source))
-    assert run(capsys, "check-silk", str(source))[0] == 0
+    assert "whole-sequent rewrite steps have no forward application" in run(capsys, "check-silk", str(source))[1]

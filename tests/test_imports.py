@@ -1,6 +1,7 @@
 """Import hygiene of the package sources, read with the standard library's
-``ast``: every module-level import is used, no function imports anything
-and nothing imports ``dataclasses``; and what importing the CLI loads."""
+``ast``: every module-level import is used, no function imports anything,
+nothing imports ``dataclasses`` and ``syntax`` imports no module of the
+package; and what importing the CLI loads."""
 
 import ast
 import subprocess
@@ -47,6 +48,18 @@ def test_no_import_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom)):
                         local.append((path.stem, fn.name, getattr(node, "module", None), tuple(_bound(node))))
     assert local == []
+
+
+def test_syntax_imports_no_module_of_the_package():
+    # Every node renders itself through syntax.render, so the writer lives
+    # where the nodes do: syntax sits below every other module.
+    found = []
+    for node in ast.walk(_tree(Path(silkcheck.__file__).parent / "syntax.py")):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "silkcheck"]
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "silkcheck"):
+            found.append("." * node.level + (node.module or ""))
+    assert found == []
 
 
 # Start-up: importing the CLI generates no code, so the modules that code

@@ -297,10 +297,12 @@ def test_witness_reader_and_writer_agree_with_the_reference():
     "suffix, text",
     [
         (".lkp", 'c:r "A \\/ A |- A" a=0 a=0 b=1 {\n  ax "A |- A"\n}\n'),
-        (".slk", 'ax1r group=1 "A |- A" group=1\n'),
+        (".slk", 'ax1r "A |- A"\nax2r group=1 "A |- A" group=1\n'),
         (".slk", 'ax1r "A |- A"\nrho bc 1 E group=1 pair=1 at=R.0 to="B" whole\n'),
+        (".lkp", 'ax "A |- A" a=5\n'),
+        (".slk", 'ax1r "A |- A"\nrho bc 1 ~:r group=1 pair=1 a=0 b=3\n'),
     ],
-    ids=["repeated-key", "repeated-around-the-sequent", "whole"],
+    ids=["repeated-key", "repeated-around-the-sequent", "whole", "unread-key", "unread-by-a-rho-rule"],
 )
 def test_the_intended_witness_differences_pass_the_oracle_check(suffix, text):
     assert gen.same_witnesses(suffix, text)
@@ -310,7 +312,7 @@ def test_the_intended_witness_differences_pass_the_oracle_check(suffix, text):
     "module, name, value",
     [
         (printer, "WITNESS_KEYS", printer.WITNESS_KEYS[::-1]),
-        (parser, "_parse_kv", lambda ts, keys, out=None, read=parser._parse_kv: read(ts, keys - {"ann"}, out)),
+        (parser, "_WITNESS_KEYS", parser._WITNESS_KEYS - {"ann"}),
         (parser, "_step_fields", lambda kv, fill=parser._step_fields: fill(kv) | {"pair2": kv.get("pair")}),
     ],
     ids=["writer-order", "reader-keys", "field-fill"],
@@ -326,7 +328,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def _witness_table() -> list:
     """The rows of the README's witness-key table, each a list of cells."""
     lines = README.read_text(encoding="utf-8").splitlines()
-    start = lines.index("| key | value form | accepted in | field filled |") + 2
+    start = lines.index("| key | value form | read by | field filled |") + 2
     rows = []
     for line in lines[start:]:
         if not line.startswith("|"):
@@ -339,14 +341,13 @@ def test_readme_witness_table_matches_the_reader_and_writer():
     rows = _witness_table()
     keys = [row[0].strip("`") for row in rows]
     assert keys == list(printer.WITNESS_KEYS)
-    assert {key for key, row in zip(keys, rows) if "`.lkp`" in row[2]} == parser._NODE_KEYS
-    assert {key for key, row in zip(keys, rows) if "`.slk`" in row[2]} == parser._STEP_KEYS
+    readers = {str(rule): reads for rule, reads in parser._RULE_READS.items()} | parser._STEP_READS
     for key, row in zip(keys, rows):
+        assert set(re.findall(r"`([^`]+)`", row[2])) == {name for name, reads in readers.items() if key in reads}
         owners = re.findall(r"`(SiLKStep|RuleData)\.(\w+)`", row[3])
         assert owners and all(field in getattr(parser, owner)._names for owner, field in owners)
         # A script key fills the step field of its name, else the rule data's.
-        if key in parser._STEP_KEYS:
-            assert (("SiLKStep", key) in owners) == (key in parser.SiLKStep._names)
+        assert (("SiLKStep", key) in owners) == (key in parser.SiLKStep._names)
 
 
 @pytest.mark.parametrize(

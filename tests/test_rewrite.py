@@ -161,6 +161,16 @@ def test_unbound_rhs_variable_rejected():
     assert not report.ok and "y" in str(report.issues[0])
 
 
+@pytest.mark.parametrize("text", ["pred W(y) == forall z. R(z, y);", "pred V^0 == forall m:omega. Q^(m);"])
+def test_right_side_may_bind_its_own_variables(text):
+    assert validate_theory(parse_theory(text)).ok
+
+
+def test_instantiating_a_binding_right_side_renames_its_binder():
+    theory = parse_theory("pred W(y) == forall z. R(z, y);")
+    assert normalize(parse_formula("forall z. W(z)"), theory).value is parse_formula("forall z. forall z1. R(z1, z)")
+
+
 def test_duplicate_lhs_rejected():
     r = RewriteRule(Fn("fd", (FreeVar("x"),)), FreeVar("x"))
     report = validate_theory(EquationalTheory((r, r)))

@@ -143,7 +143,7 @@ def test_embedded_proofs_stay_coherent(all_scripts):
         state = EMPTY_COLLECTION
         for step in script.steps:
             state = apply_step(state, step, script.theory)
-        env = state.link_env()
+        env = gen.link_env(state)
         for group in state.groups:
             for pair in group.pairs:
                 base_seq = pair.base.sequent

@@ -1,9 +1,20 @@
-from silkcheck import corpus_path, load_schema
+from silkcheck import corpus_path, load_schema, load_theory
 from silkcheck.kernel import iter_nodes
-from silkcheck.parser import parse_formula, parse_sequent, parse_term
+from silkcheck.parser import (
+    _workspace_roots,
+    load_file,
+    parse_formula,
+    parse_proof,
+    parse_schema,
+    parse_script,
+    parse_sequent,
+    parse_term,
+)
 from silkcheck.schema import evaluate
 from silkcheck.syntax import (
+    CONNECTIVES,
     Atom,
+    Exists,
     Fn,
     Forall,
     FreeVar,
@@ -11,6 +22,7 @@ from silkcheck.syntax import (
     NumFn,
     OmegaAll,
     Param,
+    Sequent,
     SortMismatch,
     Substitution,
     Succ,
@@ -23,6 +35,7 @@ from silkcheck.syntax import (
     is_subterm,
     num_eq,
     numeral,
+    render,
     sequent_eq,
     split_succs,
     subst,
@@ -32,6 +45,8 @@ from silkcheck.syntax import (
 )
 
 import pytest
+
+import gen
 
 
 def t(text):
@@ -286,3 +301,42 @@ def test_fold_does_not_open_a_leaf_or_a_finished_node():
         (("Forall", ()), "rhs"),
     )
     assert set(done) == {a, a.lhs, a.rhs}
+
+
+# --- concrete syntax
+
+BINDERS = (Forall, Exists, OmegaAll)
+OPERATORS = (*CONNECTIVES, *BINDERS)
+
+
+def _apply(op, kids):
+    return op("x", *kids) if op in BINDERS else op(*kids)
+
+
+@pytest.mark.parametrize("parent", OPERATORS, ids=lambda op: op.__name__)
+@pytest.mark.parametrize("child", OPERATORS, ids=lambda op: op.__name__)
+def test_every_operator_written_below_any_other_reads_back(parent, child):
+    arity = lambda op: 1 if op is Not or op in BINDERS else 2
+    inner = _apply(child, [Atom("A", ()), Atom("B", ())][: arity(child)])
+    for side in range(arity(parent)):
+        kids = [Atom("C", ())] * arity(parent)
+        kids[side] = inner
+        formula = _apply(parent, kids)
+        assert parse_formula(render(formula)) is formula
+
+
+CORPUS = sorted(path.name for path in corpus_path("theory_shat.thy").parent.iterdir())
+READERS = {".lkp": parse_proof, ".sch": parse_schema, ".slk": parse_script}
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_render_agrees_with_the_per_class_renderer_on_the_corpus(name):
+    path = corpus_path(name)
+    if path.suffix == ".thy":
+        roots = _workspace_roots(None, load_theory(path))
+    else:
+        roots = _workspace_roots(*load_file(path, READERS[path.suffix])[:2])
+    formulas = [f for root in roots for f in (root.formulas() if isinstance(root, Sequent) else (root,))]
+    assert formulas
+    for node in {sub for formula in formulas for sub in walk(formula)}:
+        assert render(node) == gen.reference_render(node)
