@@ -202,9 +202,14 @@ def _cmd_stats(args) -> int:
         schema, theory, _ = load_file(args.file, parse_schema, args.theory, args.fuel)
     rows = []
     memo = UnrollMemo()
+    # The counts of each numeral's proofs, which the memo shares with the
+    # proofs of the next: a range counts only what each numeral adds.
+    known: dict = {}
     for alpha in args.alpha_range:
         trace = evaluate(schema, alpha, theory, memo=memo)
-        rows.append((alpha, count_inferences(trace.expanded), count_inferences(trace.proof)))
+        row = (alpha, count_inferences(trace.expanded, known), count_inferences(trace.proof, known))
+        known[trace.expanded], known[trace.proof] = row[1:]
+        rows.append(row)
     if args.json:
         _emit_json(
             {

@@ -488,14 +488,20 @@ def _check_node(node, theory, env, allowed_link_params, lenient_erule):
     )
 
 
-def count_inferences(proof: Proof) -> dict:
-    """Inference counts by rule, leaves excluded; absent rules count zero."""
+def count_inferences(proof: Proof, known: Mapping | None = None) -> dict:
+    """Inference counts by rule, leaves excluded; absent rules count zero.
+    A subproof that known maps to its counts adds them and is not walked."""
     counts: dict = {}
     stack = [proof]
     while stack:
         node = stack.pop()
+        sub = known and known.get(node)
+        if sub:
+            for key, n in sub.items():
+                counts[key] = counts.get(key, 0) + n
+            continue
         if node.rule not in LEAVES:
-            key = str(node.rule)
+            key = node.rule.value
             counts[key] = counts.get(key, 0) + 1
         stack.extend(node.premises)
     return counts

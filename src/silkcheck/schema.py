@@ -175,7 +175,7 @@ def _link_fault(comp, data, ahead, kind, offset) -> str | None:
         return None if ahead > 0 else f"base links must call later components, not {data.target}"
     if ahead < 0:
         return f"forward links must target later components, not {data.target}"
-    if ahead > 0:
+    if ahead > 0 or data.param is None:  # the kernel reports a missing parameter
         return None
     if not _is_subterm_of_param(data.param, comp.step_param):
         return f"self-link parameter {data.param} is not a subterm of {comp.step_param}"
@@ -311,6 +311,8 @@ def _expand(schema, root, theory, links: dict, records: list) -> Proof:
             comp = schema[data.target]
         except KeyError:
             raise MatchFailure(f"link target {data.target} is not declared") from None
+        if data.param is None:
+            raise MatchFailure(f"link to {data.target} has no parameter expression")
         try:
             value = numeral_value(rw.eval_numeric(data.param, theory))
         except ValueError as exc:  # a parameter other than n outlives the substitution
@@ -402,9 +404,20 @@ def _normal_proof(proof: Proof, theory: rw.EquationalTheory, done: dict) -> Proo
 
     ``done`` maps expanded nodes to their normal forms; a node already in it
     is not normalized again.  Nodes are keys themselves, not their ids,
-    which a node that died could pass on to a new one."""
+    which a node that died could pass on to a new one.
 
-    norm = lambda x: rw.normalize(x, theory).value
+    A sequent or expression whose formulas all have a normal form in the
+    theory's cache takes them from there, as normalizing it would at no
+    fuel; anything else is normalized whole, so fuel is spent as before."""
+    cache = theory._nf_cache
+
+    def norm(x):
+        if type(x) is Sequent:
+            if all(f in cache for f in x.ante) and all(f in cache for f in x.succ):
+                return Sequent(tuple([cache[f] for f in x.ante]), tuple([cache[f] for f in x.succ]))
+        elif x in cache:
+            return cache[x]
+        return rw.normalize(x, theory).value
 
     def combine(cur: Proof, kids: tuple) -> Proof:
         concl = norm(cur.conclusion)

@@ -20,13 +20,13 @@ Nothing is generated at import time: dataclasses would compile code for each
 class with exec, most of the start-up of a one-file CLI run.
 
 No traversal recurses per node.  fold is the one post-order pass: render,
-canon_alpha, free_vars, substitution and schema's normal proof run on it.
-canon_num keeps its own loop, as its children are the arguments of a
-split_succs base, which skips a successor tower in one step; so does
+canon_alpha, free_vars, substitution schedules and schema's normal proof
+run on it.  canon_num keeps its own loop, as its children are the arguments
+of a split_succs base, which skips a successor tower in one step; so does
 rewrite._normalize, whose frames hold head-step targets and spend fuel on
-every trip round a rewrite cycle.  The only recursion is one fold per nested
-binder, from Substitution._combine, and the parser caps binder nesting
-(MAX_BINDER_DEPTH).  So successor towers, long conjunctions and
+every trip round a rewrite cycle.  The only recursion is one _subst per
+nested binder, from Substitution._combine, and the parser caps binder
+nesting (MAX_BINDER_DEPTH).  So successor towers, long conjunctions and
 f(f(...f(0)...)) chains thousands deep never hit the recursion limit.
 
 A binder binds the free and the schematic variables of its name alike, in
@@ -39,7 +39,7 @@ input node in a dict that lives and dies with the Substitution object; there
 is no module-level substitution cache, so results never depend on what an
 earlier call left behind.  Unrolling one link applies one Substitution to the
 whole template, so each distinct template subnode is rebuilt once per
-expansion.
+expansion, and only the template nodes it can change (_schedule).
 """
 
 from __future__ import annotations
@@ -669,14 +669,15 @@ class Substitution(Record):
                 raise SortMismatch(f"variable {k} must map to a term, got {v!r}")
         _setattr(self, "params", params)
         _setattr(self, "vars", vars)
-        _setattr(self, "_memo", {})  # not a field: equality ignores it
+        _setattr(self, "_memo", {})  # not fields: equality ignores them
+        _setattr(self, "_domain", (frozenset(params), frozenset(vars)))
 
     def is_empty(self) -> bool:
         return not self.params and not self.vars
 
     def _combine(self, node: Node, kids: tuple) -> Node:
-        """node under self, given its kids under self; fold's combine.  A binder, a leaf, folds its
-        body under self less its name, renamed first if a substituted value would be captured:
+        """node under self, given its kids under self.  A binder, a leaf, substitutes its body
+        under self less its name, renamed first if a substituted value would be captured:
         for an omega binder, a parameter of any value, terms included."""
         cls = type(node)
         if cls is FreeVar:
@@ -700,10 +701,10 @@ class Substitution(Record):
                     i += 1
                 var = f"{var}{i}"
                 rename = subst_param(node.var, Param(var)) if cls is OmegaAll else subst_vars({node.var: FreeVar(var)})
-                body = fold(body, rename._combine, rename._memo, _BINDERS)
+                body = _subst(body, rename)
             if inner.is_empty():
                 return node
-            new_body = fold(body, inner._combine, inner._memo, _BINDERS)
+            new_body = _subst(body, inner)
             return node if var is node.var and new_body is node.body else cls(var, new_body)
         if cls is SVar and node.name in self.vars:
             repl = self.vars[node.name]
@@ -734,10 +735,38 @@ def subst(x, sub: Substitution):
 
 
 def _subst(e, sub: Substitution):
-    # The memo is fold's table for every call with this sub, and most calls
-    # find their answer there.
-    hit = sub._memo.get(e)
-    return hit if hit is not None else fold(e, sub._combine, sub._memo, _BINDERS)
+    # Most calls find their answer in the memo.  A node off the schedule maps to itself.
+    memo = sub._memo
+    hit = memo.get(e)
+    if hit is not None:
+        return hit
+    for node in _schedule(e, sub._domain):
+        if node not in memo:
+            memo[node] = sub._combine(node, tuple([memo.get(k, k) for k in node.kids()]))
+    return memo.get(e, e)
+
+
+def _schedule(root, domain: tuple) -> list:
+    """In fold's combine order, the subnodes of root that a substitution of
+    the parameter and variable names in domain can change: those over such
+    a name or a binder, a leaf, whose rename depends on the values
+    substituted.  Cached on root, per domain."""
+    cache = root.__dict__.setdefault("_sd", {})
+    if domain not in cache:
+        params, names = domain
+        out = []
+
+        def changes(node, kids) -> bool:
+            cls = type(node)
+            mine = params if cls is Param else names if cls is FreeVar or cls is SVar else ()
+            if True in kids or cls in _BINDERS or (mine and node.name in mine):
+                out.append(node)
+                return True
+            return False
+
+        fold(root, changes, {}, _BINDERS)
+        cache[domain] = out  # only once whole, as another thread may read it
+    return cache[domain]
 
 
 # ---------------------------------------------------------------------------

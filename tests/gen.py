@@ -570,20 +570,30 @@ def _reference_subst(e, sub: Substitution, done: dict):
     return done[e]
 
 
+def _reference_free_params(x) -> frozenset:
+    return frozenset(n.name for n in walk(x) if type(n) is Param)
+
+
 def _reference_subst_binder(f: Formula, sub: Substitution) -> Formula:
+    """An omega binder is renamed apart from the parameters of every
+    substituted value, an individual one from the variables of the
+    substituted terms."""
     var, body = f.var, f.body
     if type(f) is OmegaAll:
         inner = Substitution({k: v for k, v in sub.params.items() if k != var}, sub.vars)
+        free, keys, values = _reference_free_params, inner.params, (*inner.params.values(), *inner.vars.values())
     else:
         inner = Substitution(sub.params, {k: v for k, v in sub.vars.items() if k != var})
-        ranges = frozenset().union(*(reference_free_vars(v) for v in inner.vars.values()))
-        if var in ranges:
-            taken = reference_free_vars(body) | ranges | set(inner.vars)
-            i = 1
-            while f"{var}{i}" in taken:
-                i += 1
-            var = f"{var}{i}"
-            body = _reference_subst(body, subst_vars({f.var: FreeVar(var)}), {})
+        free, keys, values = reference_free_vars, inner.vars, inner.vars.values()
+    ranges = frozenset().union(*(free(v) for v in values))
+    if var in ranges:
+        taken = free(body) | ranges | set(keys)
+        i = 1
+        while f"{var}{i}" in taken:
+            i += 1
+        var = f"{var}{i}"
+        rename = Substitution({f.var: Param(var)}, {}) if type(f) is OmegaAll else subst_vars({f.var: FreeVar(var)})
+        body = _reference_subst(body, rename, {})
     if inner.is_empty():
         return f
     new_body = _reference_subst(body, inner, {})
@@ -655,6 +665,43 @@ def fold_oracle_property(max_examples):
             except SortMismatch:
                 got = SortMismatch
             assert identical(got, want)
+
+    return check
+
+
+def subst_schedule_property(max_examples):
+    """subst gives the very node the reference gives, which visits every
+    node under a fresh memo, when one root meets several substitutions in
+    turn, each with its own domain, so that the root holds a schedule per
+    domain; and the same substitution then gives the reference's node on
+    each kid of the root, from the memo the root left.  The formulas hold
+    omega binders and binders of schematic names; the values often force a
+    rename, and a term for a schematic name raises SortMismatch alike."""
+    keys = SUBST_KEYS + ["x", "y"]
+
+    def outcome(apply, x, sub):
+        try:
+            return apply(x, sub)
+        except SortMismatch:
+            return SortMismatch
+
+    @settings(max_examples=max_examples, deadline=None)
+    @given(
+        omega_formulas,
+        st.lists(
+            st.tuples(
+                st.dictionaries(st.sampled_from(PARAM_KEYS), binder_nums, max_size=2),
+                st.dictionaries(st.sampled_from(keys), st.one_of(binder_terms, binder_nums), max_size=3),
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+    )
+    def check(root, domains):
+        for params, mapping in domains:
+            sub = Substitution(params, mapping)
+            for x in (root, *root.kids()):
+                assert identical(outcome(subst, x, sub), outcome(reference_subst, x, sub))
 
     return check
 

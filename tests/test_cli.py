@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 import silkcheck
 from silkcheck import corpus_path, load_schema, load_script, to_ppsnf
 from silkcheck.cli import main
+from silkcheck.kernel import count_inferences
 from silkcheck.parser import MAX_BINDER_DEPTH, parse_script
 from silkcheck.printer import print_script
 from silkcheck.rewrite import DEFAULT_FUEL, FuelExhausted, StuckTerm
@@ -326,6 +327,14 @@ def test_stats_range_rows_match_single_instances(capsys, name, top):
     assert rows(f"0..{top}") == [rows(f"{a}..{a}")[0] for a in range(top + 1)]
 
 
+@pytest.mark.parametrize("name", ["schema_exp.sch", "schema_fhat.sch", "schema_shat.sch", "schema_svar.sch"])
+def test_stats_range_prints_the_plain_walk_counts(capsys, monkeypatch, name):
+    argv = ("stats", p(name), "--alpha-range", "0..9", "--json")
+    shared = run(capsys, *argv)
+    monkeypatch.setattr(silkcheck.cli, "count_inferences", lambda proof, known=None: count_inferences(proof))
+    assert shared == run(capsys, *argv)
+
+
 def _fresh_evaluations(fuel, top):
     schema, theory = load_schema(corpus_path("schema_shat.sch"), fuel=fuel)
     try:
@@ -390,6 +399,18 @@ def test_link_parameter_that_is_not_ground_reports_error(capsys, tmp_path):
     for argv in (("unroll", "--alpha", "1"), ("unroll", "--alpha", "1", "--check"), ("stats", "--alpha-range", "0..1")):
         code, out, err = run(capsys, argv[0], schema, *argv[1:])
         assert (code, out, err) == (1, "", "error: link to phi: numeric expression f is not ground: ['f']\n")
+
+
+# A link without param= once escaped unroll and stats as an AttributeError,
+# and check-schema reported it twice, the second time as a self-link
+# parameter None.
+def test_link_without_a_parameter_reports_error_once(capsys, tmp_path):
+    schema = _shat_copy(tmp_path, ' param="n"', "")
+    for argv in (("unroll", "--alpha", "1"), ("unroll", "--alpha", "1", "--check"), ("stats", "--alpha-range", "0..1")):
+        code, out, err = run(capsys, argv[0], schema, *argv[1:])
+        assert (code, out, err) == (1, "", "error: link to phi has no parameter expression\n")
+    code, out, err = run(capsys, "check-schema", schema)
+    assert (code, out, err) == (1, "rejected\n  [0.0.0.0.0.0] link: step of phi: link without a parameter expression\n", "")
 
 
 def _long_script() -> str:

@@ -62,3 +62,7 @@ def test_single_mutations_flip_the_verdict():
 
 def test_the_fold_agrees_with_the_loops_it_replaced():
     gen.fold_oracle_property(CASES)()
+
+
+def test_subst_on_its_schedule_gives_the_reference_node():
+    gen.subst_schedule_property(CASES)()

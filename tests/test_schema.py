@@ -358,6 +358,19 @@ def test_undeclared_link_below_a_node_the_kernel_skips_stays_rejected(shat):
 
 
 @pytest.mark.parametrize("name", ["schema_exp.sch", "schema_fhat.sch", "schema_shat.sch", "schema_svar.sch"])
+def test_counts_from_earlier_numerals_agree_with_the_plain_walk(name):
+    # As stats counts a range: the proofs of each numeral are known to the
+    # counts of the next, which share them through the memo.
+    schema, theory = load_schema(corpus_path(name))
+    memo, known = UnrollMemo(), {}
+    for alpha in range(13):
+        trace = evaluate(schema, alpha, theory, memo)
+        for proof in (trace.expanded, trace.proof):
+            known[proof] = count_inferences(proof, known)
+            assert known[proof] == count_inferences(proof)
+
+
+@pytest.mark.parametrize("name", ["schema_exp.sch", "schema_fhat.sch", "schema_shat.sch", "schema_svar.sch"])
 def test_normal_form_agrees_with_the_loop_it_replaced(name):
     # Each evaluation loads its own theory, so no rewrite cache is shared.
     for alpha in range(7):

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 from silkcheck import corpus_path, load_schema, load_theory
 from silkcheck.kernel import iter_nodes
 from silkcheck.parser import (
@@ -13,6 +16,7 @@ from silkcheck.parser import (
 from silkcheck.schema import evaluate
 from silkcheck.syntax import (
     CONNECTIVES,
+    And,
     Atom,
     Exists,
     Fn,
@@ -123,6 +127,45 @@ def test_capture_avoided_alike_at_every_occurrence():
     assert out.ante[0] is out.succ[0]
     assert out.ante[0].var != "x"
     assert formula_eq(out.ante[0], f("forall z. Q(x)"))
+
+
+def test_subst_combines_only_what_it_can_change(monkeypatch):
+    combined = []
+    combine = Substitution._combine
+    monkeypatch.setattr(Substitution, "_combine", lambda sub, node, kids: combined.append(node) or combine(sub, node, kids))
+    sub = Substitution({"n": numeral(5)}, {"x": t("b")})
+    closed = f("P(f(S^3)) -> Q(g(a, 2^(4)))")
+    assert subst(closed, sub) is closed and combined == []
+    # A binder is always combined, its body only where it is open.
+    binder = f("forall x. P(x) -> P(f(x))")
+    assert subst(binder, sub) is binder and combined == [binder]
+    combined.clear()
+    open_ = f("P(f(S^n)) -> Q(a)")
+    subst(open_, sub)
+    assert combined == [node for node in reversed(list(walk(open_))) if "n" in free_params(node)]
+
+
+def test_threads_substituting_one_new_formula_agree():
+    # A schedule is cached on a shared node; no thread may read one that
+    # another thread is still building.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for rnd in range(10):
+            root = Atom("Q", ())
+            for k in range(300):
+                root = And(root, Atom(f"T{rnd}", (Fn("f", (NumFn("+", (Param("n"), numeral(k))),)),)))
+            want = gen.reference_subst(root, subst_param("n", numeral(2)))
+            got = []
+            threads = [threading.Thread(target=lambda: got.append(subst(root, subst_param("n", numeral(2))))) for _ in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+            assert not any(th.is_alive() for th in threads)
+            assert len(got) == 4 and all(x is want for x in got)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_subst_sort_mismatch():
