@@ -20,7 +20,6 @@ from .syntax import (
     Exists,
     Forall,
     Formula,
-    FreeVar,
     Imp,
     Node,
     Not,
@@ -34,9 +33,9 @@ from .syntax import (
     free_params,
     free_vars,
     node_at,
+    open_body,
     replace_at,
     subst,
-    subst_vars,
 )
 
 
@@ -257,39 +256,25 @@ def apply_rule(
             return Sequent((data.formula,) + p.ante, p.succ)
         return Sequent(p.ante, p.succ + (data.formula,))
 
-    if rule in (R.FORALL_L, R.EXISTS_R):
+    if rule in (R.FORALL_L, R.EXISTS_R, R.FORALL_R, R.EXISTS_L):
         (p,) = premises
-        side = p.ante if rule is R.FORALL_L else p.succ
+        left = rule in (R.FORALL_L, R.EXISTS_L)
+        side = p.ante if left else p.succ
         inst = _at(side, data.a, "instantiated formula")
         q = data.formula
-        want = Forall if rule is R.FORALL_L else Exists
+        want = Forall if rule in (R.FORALL_L, R.FORALL_R) else Exists
         _need(isinstance(q, want), "witness formula %s is not a %s", q, want.__name__.lower())
-        _need(data.term is not None, "missing substitution term")
-        expected = subst(q.body, subst_vars({q.var: data.term}))
+        eigen = rule in (R.FORALL_R, R.EXISTS_L)
+        value = data.eigen if eigen else data.term
+        _need(value is not None, "missing eigenvariable" if eigen else "missing substitution term")
         _need(
-            formula_eq(inst, expected),
-            "premise formula %s is not %s instantiated with %s", inst, q, data.term,
+            formula_eq(inst, open_body(q, value)),
+            "premise formula %s is not %s %s %s", inst, q, "at eigenvariable" if eigen else "instantiated with", value,
         )
         new = _put(side, data.a, q)
-        return Sequent(new, p.succ) if rule is R.FORALL_L else Sequent(p.ante, new)
-
-    if rule in (R.FORALL_R, R.EXISTS_L):
-        (p,) = premises
-        side = p.succ if rule is R.FORALL_R else p.ante
-        inst = _at(side, data.a, "instantiated formula")
-        q = data.formula
-        want = Forall if rule is R.FORALL_R else Exists
-        _need(isinstance(q, want), "witness formula %s is not a %s", q, want.__name__.lower())
-        _need(data.eigen is not None, "missing eigenvariable")
-        expected = subst(q.body, subst_vars({q.var: FreeVar(data.eigen)}))
+        concl = Sequent(new, p.succ) if left else Sequent(p.ante, new)
         _need(
-            formula_eq(inst, expected),
-            "premise formula %s is not %s at eigenvariable %s", inst, q, data.eigen,
-        )
-        new = _put(side, data.a, q)
-        concl = Sequent(p.ante, new) if rule is R.FORALL_R else Sequent(new, p.succ)
-        _need(
-            data.eigen not in free_vars(concl),
+            not eigen or data.eigen not in free_vars(concl),
             "eigenvariable %s occurs in the conclusion context", data.eigen,
         )
         return concl

@@ -4,8 +4,8 @@ One lexer serves expressions, theory files, proof files, schema files, and
 script files: a single compiled pattern, `_TOKEN`, matched once per token.
 Expressions embedded in the structured formats are quoted.  One loop reads
 every expression, formula, term or numeric, by precedence climbing over an
-explicit stack, so expressions nest without limit except binders, which
-nest at most MAX_BINDER_DEPTH deep.
+explicit stack, so expressions, binders included, nest without limit; a
+binder closes its body over its name as it is read (syntax.bind).
 
 Conventions the grammar fixes:
   * `n` is the free parameter, everywhere; `s(e)` is the numeric successor;
@@ -47,6 +47,7 @@ from .syntax import (
     Sequent,
     SVar,
     Succ,
+    bind,
     node_at,
     numeral,
     replace,
@@ -182,13 +183,6 @@ PARAM_NAME = "n"
 # The sorts an expression is read in; each names itself in error messages.
 FORMULA, TERM, NUM, SUP = "formula", "term", "numeric expression", "superscript"
 
-# Binders nest at most this deep in one formula.  Substitution recurses once
-# per nested binder (syntax.Substitution._combine folds the body), and this
-# depth keeps it well inside Python's stack; unrolling only instantiates
-# templates, so it never nests binders deeper than its input does.
-MAX_BINDER_DEPTH = 256
-
-
 def _plus(a: Node, b: Node) -> Node:
     if isinstance(a, NumExpr) and isinstance(b, NumExpr):
         return NumFn("+", (a, b))
@@ -226,24 +220,20 @@ def _parse_expr(ts: TokenStream, sort: str) -> Node:
     tokens = ts.tokens
     pos = ts.pos
     stack: list = [(-1, "root")]
-    binders = 0
     while True:
         # One operand: a leaf, or an opening token that pushes its entry and
         # reads on.
         tok = tokens[pos]
         kind, text = tok.kind, tok.text
         if kind == "ident" and sort == FORMULA and text in ("forall", "exists"):
-            binders += 1
-            if binders > MAX_BINDER_DEPTH:
-                raise ParseError(f"binders nested more than {MAX_BINDER_DEPTH} deep", tok.line, tok.col)
             ts.pos = pos + 1
             var = ts.expect("ident").text
-            build = Forall if text == "forall" else Exists
+            build = partial(bind, Forall if text == "forall" else Exists)
             if ts.eat_sym(":"):
                 name = ts.expect("ident")
                 if name.text != "omega":
                     raise ParseError(f"unknown sort {name.text!r}", name.line, name.col)
-                build = OmegaAll if text == "forall" else partial(_no_numeric_exists, tok)
+                build = partial(bind, OmegaAll) if text == "forall" else partial(_no_numeric_exists, tok)
             ts.expect_sym(".")
             pos = ts.pos
             stack.append((0, build, (var,)))
@@ -306,9 +296,7 @@ def _parse_expr(ts: TokenStream, sort: str) -> Node:
                 stack.append((prec, build, (value,)))
                 break
             while stack[-1][0] >= 0:
-                prec, done, args = stack.pop()
-                if prec == 0:
-                    binders -= 1
+                _, done, args = stack.pop()
                 value = done(*args, value)
             frame = stack[-1]
             what = frame[1]

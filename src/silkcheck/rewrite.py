@@ -18,15 +18,12 @@ from __future__ import annotations
 
 from .syntax import (
     Atom,
-    Exists,
     Fn,
-    Forall,
     Formula,
     FreeVar,
     Node,
     NumExpr,
     NumFn,
-    OmegaAll,
     Param,
     Record,
     Sequent,
@@ -38,7 +35,8 @@ from .syntax import (
     free_params,
     numeral,
     numeral_value,
-    rebuild,
+    rebuild_shown,
+    shown_kids,
     split_succs,
     subst,
     walk,
@@ -119,20 +117,9 @@ class TheoryReport(Record):
 
 def _rule_vars(node: Node) -> frozenset:
     """The parameters, ("p", name), and individual variables, ("v", name),
-    free in node; a binder binds those of its sort in its body."""
-    out = set()
-    stack = [(node, frozenset())]
-    while stack:
-        sub, bound = stack.pop()
-        cls = type(sub)
-        if cls is Param or cls is FreeVar:
-            key = ("p" if cls is Param else "v", sub.name)
-            if key not in bound:
-                out.add(key)
-        elif cls is Forall or cls is Exists or cls is OmegaAll:
-            bound = bound | {("p" if cls is OmegaAll else "v", sub.var)}
-        stack.extend((kid, bound) for kid in sub.kids())
-    return frozenset(out)
+    free in node; a bound one is named $h."""
+    kinds = {Param: "p", FreeVar: "v"}
+    return frozenset((kinds[type(n)], n.name) for n in walk(node) if type(n) in kinds and n.name[0] != "$")
 
 
 def validate_theory(theory: EquationalTheory) -> TheoryReport:
@@ -299,7 +286,9 @@ def _normalize(root: Node, theory: EquationalTheory, budget: _Budget) -> Node:
     # Each frame is [node, head-step target]; the target lives in the frame,
     # not in a table keyed by node, because a rewrite cycle revisits the same
     # shared node and every trip around it must open a new frame and spend
-    # fuel.
+    # fuel.  A binder's body is normalized opened under the binder's display
+    # name, which is not free in it, and closed again; a binder that a rule's
+    # right side brings in binds a $-name, so it captures nothing.
     stack = [[root, None]]
     while stack:
         frame = stack[-1]
@@ -313,16 +302,13 @@ def _normalize(root: Node, theory: EquationalTheory, budget: _Budget) -> Node:
             cache[cur] = cache[target]
             stack.pop()
             continue
-        kids = cur.kids()
+        kids = shown_kids(cur)
         pending = [[k, None] for k in kids if k not in cache]
         if pending:
             stack.extend(pending)
             continue
         new_kids = tuple(cache[k] for k in kids)
-        if all(a is b for a, b in zip(kids, new_kids)):
-            reb = cur
-        else:
-            reb = rebuild(cur, new_kids)
+        reb = cur if all(a is b for a, b in zip(kids, new_kids)) else rebuild_shown(cur, new_kids)
         target = _try_head(reb, theory, budget)
         if target is None:
             cache[cur] = reb

@@ -231,7 +231,7 @@ class UnrollMemo:
     are by identity.  The displayed sequent belongs to the key because it
     decides whether the expansion is spliced literally or under a
     whole-sequent rewrite bridge; it enters as its two formula tuples
-    because ``Sequent`` equality ignores formula order and bound names,
+    because ``Sequent`` equality ignores formula order and binders' hints,
     which the splice and the printed figure do not.  ``normal`` maps each
     expanded node to its normal form.
     """
@@ -293,11 +293,13 @@ def _expand(schema, root, theory, links: dict, records: list) -> Proof:
     Links are visited depth first and right to left, so records, fuel
     verdicts and the first error come in the order a last-in-first-out
     worklist gives.  The loop keeps its own stack: a chain of self-links is
-    as deep as the numeral is large.
+    as deep as the numeral is large.  A link instance met again while its
+    own expansion is open would expand without end, so it is a failure.
     """
     # Frames: (key, displayed sequent, first record, instantiated template,
     # link leaves not yet visited, expansions of the visited ones).
     stack: list = []
+    opened = set()  # the keys of the frames on the stack
     fuel = theory.fuel
 
     def visit(concl, data):
@@ -325,6 +327,8 @@ def _expand(schema, root, theory, links: dict, records: list) -> Proof:
             if len(records) > fuel + 1:
                 raise ExpansionsExhausted(fuel)
             return proof
+        if key in opened:
+            raise MatchFailure(f"link to {comp.name} at {value} recurs inside its own expansion")
         var_map = dict(zip(comp.vars, data.terms))
         if value == 0 or comp.step is None:
             sub = Substitution({}, var_map)
@@ -340,6 +344,7 @@ def _expand(schema, root, theory, links: dict, records: list) -> Proof:
         inst, leaves = _instance(template, sub)
         records.append((comp.name, value, data.param))
         stack.append((key, concl, len(records) - 1, inst, leaves, []))
+        opened.add(key)
         return None
 
     result = visit(*root)
@@ -351,6 +356,7 @@ def _expand(schema, root, theory, links: dict, records: list) -> Proof:
                 expanded.append(proof)
             continue
         stack.pop()
+        opened.remove(key)
         proof = _assemble(inst, expanded, concl)
         links[key] = (proof, records, lo, len(records))
         if stack:

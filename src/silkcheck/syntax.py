@@ -20,19 +20,24 @@ Nothing is generated at import time: dataclasses would compile code for each
 class with exec, most of the start-up of a one-file CLI run.
 
 No traversal recurses per node.  fold is the one post-order pass: render,
-canon_alpha, free_vars, substitution schedules and schema's normal proof
+canon_alpha, free names, substitution schedules and schema's normal proof
 run on it.  canon_num keeps its own loop, as its children are the arguments
 of a split_succs base, which skips a successor tower in one step; so does
 rewrite._normalize, whose frames hold head-step targets and spend fuel on
-every trip round a rewrite cycle.  The only recursion is one _subst per
-nested binder, from Substitution._combine, and the parser caps binder
-nesting (MAX_BINDER_DEPTH).  So successor towers, long conjunctions and
-f(f(...f(0)...)) chains thousands deep never hit the recursion limit.
+every trip round a rewrite cycle.  So successor towers, long conjunctions,
+f(f(...f(0)...)) chains and binders thousands deep never hit the recursion
+limit.
 
-A binder binds the free and the schematic variables of its name alike, in
-equality, substitution and free variables.  Equality up to bound names
-compares canonical forms that name each bound variable after its binder's
-height, the most binders nested inside its body.
+Bound variables have canonical names.  A binder's body names its bound
+variable $h, h being the body's height, the most binders nested in it; a
+binder of the individual sort binds the free and the schematic variables of
+that name alike, an omega binder binds the parameter.  No name a user
+writes starts with $, and every binder inside the body is lower, so no
+substitution captures anything and none renames: alpha-variants differ only
+in their hints, the names they were written with, which printing alone
+reads.  bind closes a body over a name and open_body puts a value in for
+the bound variable.  Printing opens a binder under its display name: its
+hint, or the first hint1, hint2, ... not free in its body.
 
 Since nodes are immutable and shared, a Substitution memoizes its result per
 input node in a dict that lives and dies with the Substitution object; there
@@ -44,6 +49,7 @@ expansion, and only the template nodes it can change (_schedule).
 
 from __future__ import annotations
 
+from operator import methodcaller
 from typing import Iterator, Mapping
 
 
@@ -148,12 +154,13 @@ class Node(Record, eq=False, metaclass=_HashConsed):
         return f"<{type(self).__name__} {self}>"
 
 
-def fold(root, combine, done: dict, leaves=()):
+def fold(root, combine, done, leaves=(), kids_of=methodcaller("kids")):
     """The value of root, built bottom-up: every node under root that done
     lacks gets done[node] = combine(node, the tuple of its kids' values),
     kids first, each distinct node once, on an explicit stack.  A node whose
     type is in leaves is combined with no kid values and its kids are not
-    visited.  Any object with a kids() method is a node."""
+    visited.  Any object with a kids() method is a node; kids_of may give
+    other kids."""
     stack = [root]
     while stack:
         cur = stack[-1]
@@ -164,7 +171,7 @@ def fold(root, combine, done: dict, leaves=()):
             done[cur] = combine(cur, ())
             stack.pop()
             continue
-        kids = cur.kids()
+        kids = kids_of(cur)
         pending = [k for k in kids if k not in done]
         if pending:
             stack.extend(pending)
@@ -175,8 +182,8 @@ def fold(root, combine, done: dict, leaves=()):
 
 
 def render(root: Node) -> str:
-    """Concrete syntax."""
-    return fold(root, _render, {})
+    """Concrete syntax; a binder is written under its display name."""
+    return fold(root, _render, {}, (), shown_kids)
 
 
 def walk(root: Node) -> Iterator[Node]:
@@ -405,34 +412,132 @@ class Imp(Formula):
         return (self.lhs, self.rhs)
 
 
-class Forall(Formula):
+class Binder(Formula):
+    """A quantifier: body names its bound variable var, "$h", h being the
+    body's height; hint is the name it was written with.  bind builds one
+    and open_body reads its body."""
+
     var: str
+    hint: str
     body: Formula
 
     def kids(self):
         return (self.body,)
 
 
-class Exists(Formula):
-    var: str
-    body: Formula
-
-    def kids(self):
-        return (self.body,)
+class Forall(Binder):
+    pass
 
 
-class OmegaAll(Formula):
-    """Universal quantification over the numeric sort; only the emitted
-    interpretation formulas use it."""
+class Exists(Binder):
+    pass
 
-    var: str
-    body: Formula
 
-    def kids(self):
-        return (self.body,)
+class OmegaAll(Binder):
+    """Universal quantification over the numeric sort, which binds a
+    parameter; only the emitted interpretation formulas use it."""
 
 
 _BINDERS = frozenset((Forall, Exists, OmegaAll))
+
+
+# Per node, the variable names, schematic ones included, and the parameter
+# names free in it, and its height; each node is folded once.
+_SCOPES: dict = {}
+_NO_NAMES = frozenset()
+
+
+def _scope(node: Node) -> tuple:
+    return fold(node, _names, _SCOPES)
+
+
+def _names(node: Node, kids: tuple) -> tuple:
+    cls = type(node)
+    if cls is FreeVar:
+        return frozenset((node.name,)), _NO_NAMES, 0
+    if cls is Param:
+        return _NO_NAMES, frozenset((node.name,)), 0
+    variables, params, heights = zip(*kids) if kids else ((), (), (0,))
+    variables, params, height = _NO_NAMES.union(*variables), _NO_NAMES.union(*params), max(heights)
+    if cls is SVar:
+        variables |= {node.name}
+    elif cls is OmegaAll:
+        params, height = params - {node.var}, height + 1
+    elif cls in _BINDERS:
+        variables, height = variables - {node.var}, height + 1
+    return variables, params, height
+
+
+def free_names(x) -> tuple:
+    """The variable names, schematic ones included, and the parameter names
+    free in a node or sequent."""
+    scopes = [_scope(f) for f in (x.formulas() if isinstance(x, Sequent) else (x,))]
+    return _NO_NAMES.union(*[s[0] for s in scopes]), _NO_NAMES.union(*[s[1] for s in scopes])
+
+
+def free_vars(x) -> frozenset[str]:
+    """Free individual variables, schematic variable names included, of a
+    node or sequent."""
+    return free_names(x)[0]
+
+
+def free_params(x) -> frozenset[str]:
+    """Free parameter symbols of a node or sequent."""
+    return free_names(x)[1]
+
+
+def _put(cls, body: Formula, name: str, value) -> Formula:
+    """body with value, or the variable named value, for name in the sort a
+    binder cls binds."""
+    if name not in _scope(body)[cls is OmegaAll]:
+        return body
+    if isinstance(value, str):
+        value = Param(value) if cls is OmegaAll else FreeVar(value)
+    return subst(body, Substitution({name: value}, {}) if cls is OmegaAll else Substitution({}, {name: value}))
+
+
+def bind(cls, name: str, body: Formula, hint: str | None = None) -> Binder:
+    """The binder cls over body binding name, hinted name unless hint is
+    given."""
+    var = f"${_scope(body)[2]}"
+    return cls(var, name if hint is None else hint, _put(cls, body, name, var))
+
+
+def open_body(binder: Binder, value) -> Formula:
+    """The body of binder with value, or the variable named value, for its
+    bound variable."""
+    try:
+        return _put(type(binder), binder.body, binder.var, value)
+    except SortMismatch:  # a schematic variable of the bound name met a term
+        raise SortMismatch(f"schematic variable {display_name(binder)} must map to a variable, got {value!r}") from None
+
+
+def display_name(binder: Binder) -> str:
+    """binder's hint, or the first hint1, hint2, ... not free in its body."""
+    taken = _scope(binder.body)[type(binder) is OmegaAll]
+    name, i = binder.hint, 0
+    while name in taken:
+        i += 1
+        name = f"{binder.hint}{i}"
+    return name
+
+
+def shown_kids(node: Node) -> tuple:
+    """The kids of node as printed: a binder's body opened under its
+    display name, cached on the binder."""
+    if type(node) not in _BINDERS:
+        return node.kids()
+    if "_sh" not in node.__dict__:
+        _setattr(node, "_sh", (open_body(node, display_name(node)),))
+    return node._sh
+
+
+def rebuild_shown(node: Node, kids: tuple) -> Node:
+    """node with the kids shown_kids gives replaced by kids: a binder closes
+    the body again over its display name."""
+    if type(node) in _BINDERS:
+        return bind(type(node), display_name(node), kids[0], node.hint)
+    return rebuild(node, kids)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +579,8 @@ def _render(node: Node, kids: tuple) -> str:
     if cls is SVar:
         return f"{node.name}[{kids[0]}]"
     if cls in _BINDERS:
-        return f"{'exists' if cls is Exists else 'forall'} {node.var}{':omega' if cls is OmegaAll else ''}. {kids[0]}"
+        quantifier = "exists" if cls is Exists else "forall"
+        return f"{quantifier} {display_name(node)}{':omega' if cls is OmegaAll else ''}. {kids[0]}"
     # A connective.  A kid that binds looser than its place allows is
     # bracketed; the kid on the side it does not group to must bind tighter.
     sym, prec, right = CONNECTIVES[cls]
@@ -533,31 +639,22 @@ def _side_key(side: tuple) -> frozenset:
 
 
 def canon_alpha(f: Formula) -> Formula:
-    """The alpha-variant of f that names each bound variable $h, h being the
-    height of its binder (the most binders nested inside its body); alpha-
-    variants share it.  It is only compared and hashed, never printed."""
+    """f with every binder's hint blanked; alpha-variants share it.  It is
+    only compared and hashed, never printed."""
     cached = f.__dict__.get("_ca")
     if cached is None:
-        cached = fold(f, _canon_alpha, {}, (Atom,))[0]
-        object.__setattr__(f, "_ca", cached)
+        cached = fold(f, _unhinted, {}, (Atom,))
+        _setattr(f, "_ca", cached)
     return cached
 
 
-def _canon_alpha(f: Formula, kids: tuple) -> tuple:
-    # A subformula's canonical form and its height.  A binder renames its
-    # variable in the canonical body with subst; every binder inside is
-    # lower and named below $h, so the rename captures nothing, and
-    # schematic variables of the bound name are renamed too.
+def _unhinted(f: Formula, kids: tuple) -> Formula:
     cls = type(f)
     if cls is Atom:
-        return f, 0
-    if cls is Forall or cls is Exists or cls is OmegaAll:
-        body, height = kids[0]
-        name = f"${height}"
-        rename = subst_param(f.var, Param(name)) if cls is OmegaAll else subst_vars({f.var: FreeVar(name)})
-        return cls(name, subst(body, rename)), height + 1
-    canon = tuple(k[0] for k in kids)
-    return (f if canon == f.kids() else rebuild(f, canon)), max(k[1] for k in kids)
+        return f
+    if cls in _BINDERS:
+        return cls(f.var, "", kids[0])
+    return f if kids == f.kids() else rebuild(f, kids)
 
 
 def formula_eq(a: Formula, b: Formula) -> bool:
@@ -607,33 +704,11 @@ def rebuild(node: Node, kids: tuple) -> Node:
         return Atom(node.pred, kids)
     if cls in (Not, And, Or, Imp):
         return cls(*kids)
-    if cls in (Forall, Exists, OmegaAll):
-        return cls(node.var, kids[0])
+    if cls in _BINDERS:  # substitution keeps every height
+        return cls(node.var, node.hint, kids[0])
     if not kids:
         return node
     raise TypeError(node)
-
-
-def free_params(x) -> frozenset[str]:
-    """Parameter symbols occurring in a node or sequent."""
-    roots = x.formulas() if isinstance(x, Sequent) else (x,)
-    return frozenset(n.name for r in roots for n in walk(r) if isinstance(n, Param))
-
-
-def free_vars(x) -> frozenset[str]:
-    """Free individual variables (schematic variable names included) of a
-    node or sequent, bottom-up: a binder removes its name from its body's."""
-    roots = x.formulas() if isinstance(x, Sequent) else (x,)
-    done: dict = {}
-    return frozenset().union(*[fold(r, _free_vars, done, (FreeVar, SVar)) for r in roots])
-
-
-def _free_vars(node: Node, kids: tuple) -> frozenset[str]:
-    cls = type(node)
-    if cls is FreeVar or cls is SVar:
-        return frozenset((node.name,))
-    out = frozenset().union(*kids)
-    return out - {node.var} if cls is Forall or cls is Exists else out
 
 
 def is_subterm(small: NumExpr, big: NumExpr) -> bool:
@@ -647,13 +722,13 @@ def is_subterm(small: NumExpr, big: NumExpr) -> bool:
 
 class Substitution(Record):
     """Simultaneous replacement of parameter symbols by numeric expressions
-    and of free/schematic variables by terms; capture-avoiding with respect
-    to individual-sort binders.
+    and of free/schematic variables by terms.  A binder is an ordinary node:
+    the names it binds start with $, which no key or value does (bind and
+    open_body aside, whose keys and values capture nothing).
 
     Each substitution memoizes its results, keyed by the hash-consed input
     node, for as long as the object lives: applying one substitution to
-    every sequent of a proof rebuilds each distinct subnode once.  Binders
-    apply fresh substitutions to their bodies, which keep their own memos.
+    every sequent of a proof rebuilds each distinct subnode once.
     """
 
     params: Mapping[str, NumExpr]
@@ -676,36 +751,12 @@ class Substitution(Record):
         return not self.params and not self.vars
 
     def _combine(self, node: Node, kids: tuple) -> Node:
-        """node under self, given its kids under self.  A binder, a leaf, substitutes its body
-        under self less its name, renamed first if a substituted value would be captured:
-        for an omega binder, a parameter of any value, terms included."""
+        """node under self, given its kids under self."""
         cls = type(node)
         if cls is FreeVar:
             return self.vars.get(node.name, node)
         if cls is Param:
             return self.params.get(node.name, node)
-        if cls is Forall or cls is Exists or cls is OmegaAll:
-            var, body = node.var, node.body
-            if cls is OmegaAll:
-                inner = Substitution({k: v for k, v in self.params.items() if k != var}, self.vars)
-                free, keys, values = free_params, inner.params, (*inner.params.values(), *inner.vars.values())
-            else:
-                inner = Substitution(self.params, {k: v for k, v in self.vars.items() if k != var})
-                free, keys, values = free_vars, inner.vars, inner.vars.values()
-            ranges = frozenset().union(*[free(v) for v in values])
-            if var in ranges:
-                # A key of inner would substitute the fresh name too.
-                taken = free(body) | ranges | set(keys)
-                i = 1
-                while f"{var}{i}" in taken:
-                    i += 1
-                var = f"{var}{i}"
-                rename = subst_param(node.var, Param(var)) if cls is OmegaAll else subst_vars({node.var: FreeVar(var)})
-                body = _subst(body, rename)
-            if inner.is_empty():
-                return node
-            new_body = _subst(body, inner)
-            return node if var is node.var and new_body is node.body else cls(var, new_body)
         if cls is SVar and node.name in self.vars:
             repl = self.vars[node.name]
             if not isinstance(repl, (SVar, FreeVar)):
@@ -716,41 +767,26 @@ class Substitution(Record):
         return node if kids == node.kids() else rebuild(node, kids)
 
 
-def subst_param(name: str, value: NumExpr) -> Substitution:
-    return Substitution({name: value}, {})
-
-
-def subst_vars(mapping: Mapping[str, Node]) -> Substitution:
-    return Substitution({}, dict(mapping))
-
-
 def subst(x, sub: Substitution):
     """Apply a substitution to a numeric expression, term, formula or
     sequent."""
     if sub.is_empty():
         return x
-    if isinstance(x, Sequent):
-        return Sequent(tuple(_subst(f, sub) for f in x.ante), tuple(_subst(f, sub) for f in x.succ))
-    return _subst(x, sub)
-
-
-def _subst(e, sub: Substitution):
-    # Most calls find their answer in the memo.  A node off the schedule maps to itself.
     memo = sub._memo
-    hit = memo.get(e)
-    if hit is not None:
-        return hit
-    for node in _schedule(e, sub._domain):
-        if node not in memo:
-            memo[node] = sub._combine(node, tuple([memo.get(k, k) for k in node.kids()]))
-    return memo.get(e, e)
+    for root in x.formulas() if isinstance(x, Sequent) else (x,):
+        if root not in memo:  # a node off the schedule maps to itself
+            for node in _schedule(root, sub._domain):
+                if node not in memo:
+                    memo[node] = sub._combine(node, tuple([memo.get(k, k) for k in node.kids()]))
+    if isinstance(x, Sequent):
+        return Sequent(tuple([memo.get(f, f) for f in x.ante]), tuple([memo.get(f, f) for f in x.succ]))
+    return memo.get(x, x)
 
 
 def _schedule(root, domain: tuple) -> list:
     """In fold's combine order, the subnodes of root that a substitution of
     the parameter and variable names in domain can change: those over such
-    a name or a binder, a leaf, whose rename depends on the values
-    substituted.  Cached on root, per domain."""
+    a name.  Cached on root, per domain."""
     cache = root.__dict__.setdefault("_sd", {})
     if domain not in cache:
         params, names = domain
@@ -759,12 +795,12 @@ def _schedule(root, domain: tuple) -> list:
         def changes(node, kids) -> bool:
             cls = type(node)
             mine = params if cls is Param else names if cls is FreeVar or cls is SVar else ()
-            if True in kids or cls in _BINDERS or (mine and node.name in mine):
+            if True in kids or (mine and node.name in mine):
                 out.append(node)
                 return True
             return False
 
-        fold(root, changes, {}, _BINDERS)
+        fold(root, changes, {})
         cache[domain] = out  # only once whole, as another thread may read it
     return cache[domain]
 
@@ -774,26 +810,26 @@ def _schedule(root, domain: tuple) -> list:
 
 
 def node_at(root: Node, path: tuple) -> Node:
-    cur = root
-    for i in path:
-        kids = cur.kids()
-        if i >= len(kids):
-            raise IndexError(f"no child {i} at {cur}")
-        cur = kids[i]
-    return cur
+    """The node at path in root as printed: a path into a binder's body
+    addresses the body opened under the binder's display name."""
+    return _spine(root, path)[1]
 
 
-def replace_at(root: Node, path: tuple, new: Node) -> Node:
-    """root with the node at path replaced by new: walk down, then rebuild
-    the spine on the way back up."""
+def _spine(root: Node, path: tuple) -> tuple:
     spine = []
     cur = root
     for i in path:
-        kids = cur.kids()
+        kids = shown_kids(cur)
         if i >= len(kids):
             raise IndexError(f"no child {i} at {cur}")
         spine.append((cur, kids, i))
         cur = kids[i]
-    for node, kids, i in reversed(spine):
-        new = rebuild(node, kids[:i] + (new,) + kids[i + 1 :])
+    return spine, cur
+
+
+def replace_at(root: Node, path: tuple, new: Node) -> Node:
+    """root with the node at path, as node_at reads it, replaced by new:
+    walk down, then rebuild the spine on the way back up."""
+    for node, kids, i in reversed(_spine(root, path)[0]):
+        new = rebuild_shown(node, kids[:i] + (new,) + kids[i + 1 :])
     return new

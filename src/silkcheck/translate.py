@@ -27,6 +27,7 @@ from .syntax import (
     Sequent,
     Substitution,
     Succ,
+    bind,
     numeral,
     replace,
     subst,
@@ -178,7 +179,5 @@ def interpret(collection: ComponentCollection) -> Formula:
             for g in groups
         )
     )
-    lead_all = OmegaAll(
-        "x", interpret_sequent(subst(lead.pattern, Substitution({"n": x}, {})))
-    )
-    return Imp(And(bases, OmegaAll("x", steps)), lead_all)
+    lead_all = bind(OmegaAll, "x", interpret_sequent(subst(lead.pattern, Substitution({"n": x}, {}))))
+    return Imp(And(bases, bind(OmegaAll, "x", steps)), lead_all)

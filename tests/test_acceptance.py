@@ -10,7 +10,7 @@ from silkcheck.kernel import count_inferences
 from silkcheck.parser import parse_formula, parse_sequent
 from silkcheck.schema import check_schema, evaluate, evaluate_and_check
 from silkcheck.silk import check_script, leading_group
-from silkcheck.syntax import And, Imp, OmegaAll, formula_eq
+from silkcheck.syntax import And, Imp, OmegaAll, bind, formula_eq
 from silkcheck.translate import interpret, silk_to_schema, to_ppsnf
 
 import gen
@@ -91,7 +91,7 @@ def test_criterion_2_eleven_step_script_reproduction():
     base = parse_formula("P(0) /\\ (forall x. P(x) -> P(f(x))) -> P(f^0(0))")
     at_x = parse_formula("P(0) /\\ (forall x. P(x) -> P(f(x))) -> P(f^x(0))")
     at_x1 = parse_formula("P(0) /\\ (forall x. P(x) -> P(f(x))) -> P(f^(x + 1)(0))")
-    expected = Imp(And(base, OmegaAll("x", Imp(at_x, at_x1))), OmegaAll("x", at_x))
+    expected = Imp(And(base, bind(OmegaAll, "x", Imp(at_x, at_x1))), bind(OmegaAll, "x", at_x))
     assert formula_eq(interpret(collection), expected)
     _ok(2, "the 11-step script closes to the displayed collection and induction statement")
 

@@ -10,14 +10,11 @@ import builtins
 from pathlib import Path
 
 import silkcheck
-from silkcheck.parser import MAX_BINDER_DEPTH
 
 SOURCES = sorted(Path(silkcheck.__file__).parent.glob("*.py"))
 
-# Substitution substitutes a binder's body under the inner substitution
-# from inside its combine, through _subst, once per nested binder, which the
-# parser caps at MAX_BINDER_DEPTH.
-ALLOWED = {("syntax", "Substitution._combine"): MAX_BINDER_DEPTH, ("syntax", "_subst"): MAX_BINDER_DEPTH}
+# The functions allowed on a call cycle: none.
+ALLOWED: dict = {}
 
 
 def _call_graph(tree) -> dict:

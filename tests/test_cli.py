@@ -13,7 +13,7 @@ import silkcheck
 from silkcheck import corpus_path, load_schema, load_script, to_ppsnf
 from silkcheck.cli import main
 from silkcheck.kernel import count_inferences
-from silkcheck.parser import MAX_BINDER_DEPTH, parse_script
+from silkcheck.parser import parse_script
 from silkcheck.printer import print_script
 from silkcheck.rewrite import DEFAULT_FUEL, FuelExhausted, StuckTerm
 from silkcheck.schema import MatchFailure, evaluate
@@ -381,13 +381,19 @@ def test_check_schema_reports_a_foreign_link_parameter_once(capsys, tmp_path):
     )
 
 
-# A base that links to itself never bottoms out; its error once blamed
-# rewrite steps, though no rewriting ran out.
+# A step that links twice to the instance below unrolls into 2^17 link
+# leaves at 17, one expansion for each, though each instance is built once;
+# the error once blamed rewrite steps, though no rewriting ran out.
 @pytest.mark.parametrize("fuel", [None, "50"])
 def test_link_expansion_fuel_names_the_expansions(capsys, tmp_path, fuel):
-    schema = tmp_path / "loop.sch"
-    schema.write_text('component g1\n  pattern "P |- P"\n{\n  base {\n    link "P |- P" target=g1 param="0"\n  }\n}\n')
-    argv = ["unroll", str(schema), "--alpha", "0"] + (["--fuel", fuel] if fuel else [])
+    schema = tmp_path / "double.sch"
+    link = '      link "P |- P" target=g1 param="n"\n'
+    schema.write_text(
+        'component g1\n  pattern "P |- P"\n  step-param "n + 1"\n{\n  base {\n    ax "P |- P"\n  }\n'
+        f'  step {{\n    cut "P |- P" a=0 b=0 {{\n{link}{link}    }}\n  }}\n}}\n'
+    )
+    assert run(capsys, "check-schema", str(schema)) == (0, "accepted\n", "")
+    argv = ["unroll", str(schema), "--alpha", "17"] + (["--fuel", fuel] if fuel else [])
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: no unrolling within {fuel or DEFAULT_FUEL} link expansions\n")
 
@@ -411,6 +417,26 @@ def test_link_without_a_parameter_reports_error_once(capsys, tmp_path):
         assert (code, out, err) == (1, "", "error: link to phi has no parameter expression\n")
     code, out, err = run(capsys, "check-schema", schema)
     assert (code, out, err) == (1, "rejected\n  [0.0.0.0.0.0] link: step of phi: link without a parameter expression\n", "")
+
+
+# A self-link at the step parameter, n + 1, or a base that links to
+# itself, recurs inside its own expansion; unroll once expanded it until the
+# fuel ran out, 20 s at the default fuel.  The low fuel keeps a regression
+# fast.
+def test_link_that_recurs_inside_its_own_expansion_reports_error(capsys, tmp_path):
+    schema = _shat_copy(tmp_path, 'target=phi param="n"', 'target=phi param="n + 1"')
+    for argv, value in [
+        (("unroll", "--alpha", "1"), 1),
+        (("unroll", "--alpha", "3", "--check"), 3),
+        (("stats", "--alpha-range", "0..2"), 1),
+    ]:
+        code, out, err = run(capsys, argv[0], schema, *argv[1:], "--fuel", "50")
+        assert (code, out, err) == (1, "", f"error: link to phi at {value} recurs inside its own expansion\n")
+    loop = tmp_path / "loop.sch"
+    loop.write_text('component g1\n  pattern "P |- P"\n{\n  base {\n    link "P |- P" target=g1 param="0"\n  }\n}\n')
+    for argv in (("unroll", "--alpha", "0"), ("stats", "--alpha-range", "0..0")):
+        code, out, err = run(capsys, argv[0], str(loop), *argv[1:], "--fuel", "50")
+        assert (code, out, err) == (1, "", "error: link to g1 at 0 recurs inside its own expansion\n")
 
 
 def _long_script() -> str:
@@ -462,11 +488,13 @@ def _nested(opening, leaf, closing, depth=10_000):
     return opening * depth + leaf + closing * depth
 
 
+# Binders once nested at most 256 deep, as substitution recursed once per
+# binder; the cap is gone with the recursion.
 @pytest.mark.parametrize("where", WHERE)
 @pytest.mark.parametrize(
     "formula",
-    [_nested("(", "P", ")", 300), "forall x. " * MAX_BINDER_DEPTH + "P(x)"],
-    ids=["parentheses-300", "binders-at-the-cap"],
+    [_nested("(", "P", ")", 300), "forall x. " * 256 + "P(x)", "forall x. " * 10_000 + "P(x)"],
+    ids=["parentheses-300", "binders-at-the-cap", "binders-10000"],
 )
 def test_deeply_nested_formula_checks(capsys, tmp_path, where, formula):
     argv, _ = _formula_input(tmp_path, where, formula)
@@ -476,12 +504,12 @@ def test_deeply_nested_formula_checks(capsys, tmp_path, where, formula):
 
 @pytest.mark.parametrize("where", WHERE)
 def test_deeply_nested_formula_exits_two(capsys, tmp_path, where):
-    # One binder more than the cap is a parse error at that binder.
-    argv, path = _formula_input(tmp_path, where, "forall x. " * (MAX_BINDER_DEPTH + 1) + "P(x)")
+    # A fault under 10,000 binders is a parse error at the fault; once any
+    # binder past the 256th was.
+    argv, path = _formula_input(tmp_path, where, "forall x. " * 10_000 + "P(x,)")
     code, out, err = run(capsys, *argv)
-    col = path.read_text().index("forall") + 1 + len("forall x. ") * MAX_BINDER_DEPTH
-    assert (code, out) == (2, "")
-    assert err == f"parse error: binders nested more than {MAX_BINDER_DEPTH} deep at 1:{col}\n"
+    col = path.read_text().index("P(x,)") + 5
+    assert (code, out, err) == (2, "", f"parse error: expected a term at 1:{col}\n")
 
 
 def test_deep_link_parameter_is_rejected_not_raised(capsys, tmp_path):

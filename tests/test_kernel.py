@@ -18,8 +18,8 @@ from silkcheck.kernel import (
     check_proof,
     count_inferences,
 )
-from silkcheck.parser import parse_formula, parse_proof, parse_sequent, parse_term
-from silkcheck.syntax import FreeVar, Param, Sequent
+from silkcheck.parser import parse_formula, parse_proof, parse_sequent, parse_term, parse_theory
+from silkcheck.syntax import FreeVar, Param, Sequent, Substitution, subst
 
 
 def f(text):
@@ -192,6 +192,35 @@ def test_erule_forward_checks_equivalence(shat_theory):
         apply_rule(
             R.ERULE, (prem,), RuleData(side="R", idx=0, path=(0,), repl=parse_term("f(f(0))")), shat_theory
         )
+
+
+# A rewrite path may enter a quantifier's body; it addresses the body as it
+# prints, so the replacement names the bound variable as printed.
+def test_erule_path_enters_a_quantifier_body():
+    theory = parse_theory("g(x) == h(x);")
+    rewrite = lambda prem, to: apply_rule(
+        R.ERULE, (prem,), RuleData(side="R", idx=0, path=(0, 0), repl=parse_term(to)), theory
+    )
+    out = rewrite(s("|- forall x. P(g(x))"), "h(x)")
+    assert out.text() == "|- forall x. P(h(x))"
+    # Substituting y := x makes the binder print as x1.
+    renamed = subst(s("|- forall x. P(g(x), y)"), Substitution({}, {"y": FreeVar("x")}))
+    assert renamed.text() == "|- forall x1. P(g(x1), x)"
+    out = rewrite(renamed, "h(x1)")
+    assert out.text() == "|- forall x1. P(h(x1), x)"
+    assert out == s("|- forall z. P(h(z), x)")
+    with pytest.raises(RuleError):
+        rewrite(renamed, "h(x)")
+
+
+def test_erule_path_into_a_quantifier_body_in_a_proof_file():
+    proof, _ = parse_proof(
+        'E "forall x. P(g(x)) |- forall x. P(h(x))" at=R.0 path=0.0 to="h(x)" {\n'
+        '  ax "forall x. P(g(x)) |- forall x. P(g(x))"\n'
+        "}\n"
+    )
+    assert proof.data.repl == parse_term("h(x)")
+    assert check_proof(proof, MODE_LKE, parse_theory("g(x) == h(x);")).accepted
 
 
 def test_link_conclusion_checked():

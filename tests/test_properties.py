@@ -66,3 +66,7 @@ def test_the_fold_agrees_with_the_loops_it_replaced():
 
 def test_subst_on_its_schedule_gives_the_reference_node():
     gen.subst_schedule_property(CASES)()
+
+
+def test_quantifier_rules_give_the_named_verdict():
+    gen.quantifier_rule_property(CASES)()

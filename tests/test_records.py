@@ -38,6 +38,7 @@ from silkcheck.syntax import (
     Substitution,
     Succ,
     Zero,
+    bind,
     numeral,
     replace,
 )
@@ -62,9 +63,9 @@ NODES = {
     "And": lambda: And(A, B),
     "Or": lambda: Or(A, B),
     "Imp": lambda: Imp(A, B),
-    "Forall": lambda: Forall("x", A),
-    "Exists": lambda: Exists("x", A),
-    "OmegaAll": lambda: OmegaAll("m", A),
+    "Forall": lambda: Forall("$0", "x", A),
+    "Exists": lambda: Exists("$0", "x", A),
+    "OmegaAll": lambda: OmegaAll("$0", "m", A),
 }
 # Frozen, compared and hashed by value.
 VALUES = {
@@ -154,8 +155,8 @@ def test_proofs_compare_by_identity():
 def test_sequents_keep_their_own_equality():
     a, b = Sequent((A, B), ()), Sequent((B, A), ())
     assert a == b and hash(a) == hash(b)
-    assert Sequent((Forall("x", Atom("P", (FreeVar("x"),))),), ()) == Sequent(
-        (Forall("y", Atom("P", (FreeVar("y"),))),), ()
+    assert Sequent((bind(Forall, "x", Atom("P", (FreeVar("x"),))),), ()) == Sequent(
+        (bind(Forall, "y", Atom("P", (FreeVar("y"),))),), ()
     )
     assert a != Sequent((A,), ())
 

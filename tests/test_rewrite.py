@@ -30,6 +30,7 @@ from silkcheck.syntax import (
     Succ,
     ZERO,
     Zero,
+    formula_eq,
     numeral,
     numeral_value,
     rebuild,
@@ -167,8 +168,13 @@ def test_right_side_may_bind_its_own_variables(text):
 
 
 def test_instantiating_a_binding_right_side_renames_its_binder():
+    # The right side's binder keeps its hint, z, and prints as z1, as z is
+    # free in its body once the outer binder is opened.
     theory = parse_theory("pred W(y) == forall z. R(z, y);")
-    assert normalize(parse_formula("forall z. W(z)"), theory).value is parse_formula("forall z. forall z1. R(z1, z)")
+    nf = normalize(parse_formula("forall z. W(z)"), theory).value
+    assert str(nf) == "forall z. forall z1. R(z1, z)"
+    assert formula_eq(nf, parse_formula("forall a. forall b. R(b, a)"))
+    assert not formula_eq(nf, parse_formula("forall a. forall b. R(a, b)"))
 
 
 def test_duplicate_lhs_rejected():

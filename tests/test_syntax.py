@@ -31,6 +31,7 @@ from silkcheck.syntax import (
     Substitution,
     Succ,
     ZERO,
+    bind,
     canon_num,
     formula_eq,
     free_params,
@@ -43,8 +44,6 @@ from silkcheck.syntax import (
     sequent_eq,
     split_succs,
     subst,
-    subst_param,
-    subst_vars,
     walk,
 )
 
@@ -69,7 +68,7 @@ def s(text):
 
 
 def test_subst_parameter_instance():
-    out = subst(f("P(alpha + S^n)"), subst_param("n", ZERO))
+    out = subst(f("P(alpha + S^n)"), Substitution({"n": ZERO}, {}))
     assert out == f("P(alpha + S^0)")
 
 
@@ -80,19 +79,19 @@ def test_subst_empty_is_identity():
 
 def test_subst_bound_occurrence_shadows():
     a = f("forall x. P(x) -> P(f(x))")
-    assert subst(a, subst_vars({"x": t("g(y)")})) == a
+    assert subst(a, Substitution({}, {"x": t("g(y)")})) == a
 
 
 def test_subst_capture_avoided():
     a = f("forall x. P(y)")
-    out = subst(a, subst_vars({"y": t("x")}))
+    out = subst(a, Substitution({}, {"y": t("x")}))
     assert formula_eq(out, f("forall z. P(x)"))
 
 
 def test_capture_avoiding_rename_avoids_the_substitution_domain():
-    # The fresh name for x must not be a key of the substitution, or the
-    # renamed binder's variable is substituted as well.
-    out = subst(f("forall x. P(x, y)"), subst_vars({"y": t("x"), "x1": t("c")}))
+    # A renamed binder once took the fresh name x1, a key of the
+    # substitution, which then replaced the bound variable as well.
+    out = subst(f("forall x. P(x, y)"), Substitution({}, {"y": t("x"), "x1": t("c")}))
     assert formula_eq(out, f("forall z. P(z, x)"))
 
 
@@ -100,12 +99,14 @@ def test_omega_binder_is_renamed_apart_from_substituted_parameters():
     # n := m under forall m:omega must not capture m.
     out = subst(f("forall m:omega. Q^(n + m)"), Substitution({"n": Param("m")}, {}))
     assert formula_eq(out, f("forall k:omega. Q^(m + k)"))
-    # A term substituted for an individual variable carries parameters too,
-    # and the fresh name avoids the substitution's parameter keys.
+    # A term substituted for an individual variable carries parameters too;
+    # a renamed binder once took m2, as m1 was a key.
     f_of_m = Fn("f", (Param("m"),))
     body = lambda x, k: Atom("P", (x, Param(k)))
-    out = subst(OmegaAll("m", body(FreeVar("x"), "m")), Substitution({"m1": numeral(3)}, {"x": f_of_m}))
-    assert formula_eq(out, OmegaAll("k", body(f_of_m, "k"))) and out.var == "m2"
+    out = subst(bind(OmegaAll, "m", body(FreeVar("x"), "m")), Substitution({"m1": numeral(3)}, {"x": f_of_m}))
+    assert formula_eq(out, bind(OmegaAll, "k", body(f_of_m, "k")))
+    # It prints under the first name not free in its body.
+    assert str(out) == "forall m1:omega. P(f(m), m1)"
 
 
 def test_one_substitution_reused_across_a_sequent():
@@ -122,10 +123,10 @@ def test_one_substitution_reused_across_a_sequent():
 
 def test_capture_avoided_alike_at_every_occurrence():
     seq = s("forall x. Q(y) |- forall x. Q(y)")
-    sub = subst_vars({"y": t("x")})
+    sub = Substitution({}, {"y": t("x")})
     out = subst(seq, sub)
     assert out.ante[0] is out.succ[0]
-    assert out.ante[0].var != "x"
+    assert str(out.ante[0]) == "forall x1. Q(x)"
     assert formula_eq(out.ante[0], f("forall z. Q(x)"))
 
 
@@ -136,10 +137,10 @@ def test_subst_combines_only_what_it_can_change(monkeypatch):
     sub = Substitution({"n": numeral(5)}, {"x": t("b")})
     closed = f("P(f(S^3)) -> Q(g(a, 2^(4)))")
     assert subst(closed, sub) is closed and combined == []
-    # A binder is always combined, its body only where it is open.
+    # A binder is an ordinary node, and its bound variable, $0, no key.
     binder = f("forall x. P(x) -> P(f(x))")
-    assert subst(binder, sub) is binder and combined == [binder]
-    combined.clear()
+    combined.clear()  # reading the binder closed its body
+    assert subst(binder, sub) is binder and combined == []
     open_ = f("P(f(S^n)) -> Q(a)")
     subst(open_, sub)
     assert combined == [node for node in reversed(list(walk(open_))) if "n" in free_params(node)]
@@ -155,9 +156,10 @@ def test_threads_substituting_one_new_formula_agree():
             root = Atom("Q", ())
             for k in range(300):
                 root = And(root, Atom(f"T{rnd}", (Fn("f", (NumFn("+", (Param("n"), numeral(k))),)),)))
-            want = gen.reference_subst(root, subst_param("n", numeral(2)))
+            want = gen.reference_subst(root, Substitution({"n": numeral(2)}, {}))
             got = []
-            threads = [threading.Thread(target=lambda: got.append(subst(root, subst_param("n", numeral(2))))) for _ in range(4)]
+            apply = lambda: got.append(subst(root, Substitution({"n": numeral(2)}, {})))
+            threads = [threading.Thread(target=apply) for _ in range(4)]
             for th in threads:
                 th.start()
             for th in threads:
@@ -176,13 +178,13 @@ def test_subst_sort_mismatch():
 def test_subst_composition_on_parameter():
     e = f("P(alpha + S^(n + 1))")
     k = t("n + 2")
-    first = subst(subst(e, subst_param("n", k)), subst_param("n", numeral(3)))
-    composed = subst(e, subst_param("n", subst(k, subst_param("n", numeral(3)))))
+    first = subst(subst(e, Substitution({"n": k}, {})), Substitution({"n": numeral(3)}, {}))
+    composed = subst(e, Substitution({"n": subst(k, Substitution({"n": numeral(3)}, {}))}, {}))
     assert first == composed
 
 
 def test_subst_schematic_index():
-    out = subst(t("x[n + 1]"), subst_param("n", numeral(2)))
+    out = subst(t("x[n + 1]"), Substitution({"n": numeral(2)}, {}))
     assert out == t("x[2 + 1]")
 
 
@@ -193,6 +195,9 @@ def test_free_params():
     assert free_params(t("s(n)")) == {"n"}
     assert free_params(numeral(2)) == frozenset()
     assert free_params(f("P(alpha + S^n)")) == {"n"}
+    # An omega binder binds the parameter of its name.
+    assert free_params(f("forall m:omega. Q^(m)")) == frozenset()
+    assert free_params(f("forall m:omega. Q^(m + n)")) == {"n"}
 
 
 def test_free_vars():
@@ -285,7 +290,7 @@ def test_deep_terms_hash_eq_print():
     assert deep is again
     assert hash(deep) == hash(again)
     assert str(Atom("P", (deep,))).count("f(") == 4000
-    assert subst(deep, subst_vars({"q": FreeVar("r")})) is deep
+    assert subst(deep, Substitution({}, {"q": FreeVar("r")})) is deep
 
 
 def test_subst_preserves_sequent_eq():
@@ -297,10 +302,10 @@ def test_subst_preserves_sequent_eq():
 
 
 def test_schematic_variable_renaming():
-    out = subst(t("x[n + 1]"), subst_vars({"x": FreeVar("y")}))
+    out = subst(t("x[n + 1]"), Substitution({}, {"x": FreeVar("y")}))
     assert out == t("y[n + 1]")
     with pytest.raises(SortMismatch):
-        subst(t("x[n]"), subst_vars({"x": t("f(a)")}))
+        subst(t("x[n]"), Substitution({}, {"x": t("f(a)")}))
 
 
 def test_deep_numeric_functions_canonicalize():
@@ -312,7 +317,7 @@ def test_deep_numeric_functions_canonicalize():
     shifted = NumFn("+", (Param("n"), numeral(1)))
     for _ in range(10_000):
         shifted = NumFn("2^", (shifted,))
-    assert num_eq(shifted, subst(deep, subst_param("n", Succ(Param("n")))))
+    assert num_eq(shifted, subst(deep, Substitution({"n": Succ(Param("n"))}, {})))
 
 
 def test_fold_combines_each_distinct_node_once_without_recursing():
@@ -353,7 +358,7 @@ OPERATORS = (*CONNECTIVES, *BINDERS)
 
 
 def _apply(op, kids):
-    return op("x", *kids) if op in BINDERS else op(*kids)
+    return bind(op, "x", *kids) if op in BINDERS else op(*kids)
 
 
 @pytest.mark.parametrize("parent", OPERATORS, ids=lambda op: op.__name__)
@@ -382,4 +387,4 @@ def test_render_agrees_with_the_per_class_renderer_on_the_corpus(name):
     formulas = [f for root in roots for f in (root.formulas() if isinstance(root, Sequent) else (root,))]
     assert formulas
     for node in {sub for formula in formulas for sub in walk(formula)}:
-        assert render(node) == gen.reference_render(node)
+        assert render(node) == gen.reference_render(gen.named(node))

@@ -7,7 +7,7 @@ from silkcheck.kernel import RuleName as R, count_inferences, iter_nodes
 from silkcheck.parser import parse_formula, parse_numexpr, parse_sequent
 from silkcheck.schema import check_schema, evaluate, evaluate_and_check
 from silkcheck.silk import NotAProof, SiLKScript, check_script
-from silkcheck.syntax import OmegaAll, formula_eq
+from silkcheck.syntax import OmegaAll, bind, formula_eq
 from silkcheck.translate import ancestor_map, interpret, silk_to_schema, to_ppsnf
 
 from gen import collection_signature
@@ -130,7 +130,7 @@ def test_interpret_linear_example(fhat_script):
     at_x1 = parse_formula("P(0) /\\ (forall x. P(x) -> P(f(x))) -> P(f^(x + 1)(0))")
     from silkcheck.syntax import And, Imp
 
-    expected = Imp(And(base, OmegaAll("x", Imp(at_x, at_x1))), OmegaAll("x", at_x))
+    expected = Imp(And(base, bind(OmegaAll, "x", Imp(at_x, at_x1))), bind(OmegaAll, "x", at_x))
     assert formula_eq(got, expected)
     assert delta is not None
 
