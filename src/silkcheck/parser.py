@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import rewrite as rw
-from .kernel import Proof, RuleData, RuleName, RULE_TOKENS, iter_nodes
+from .kernel import Proof, RuleData, RuleName, RULE_TOKENS
 from .schema import ProofSchema, SchemaComponent
 from .syntax import (
     CONNECTIVES,
@@ -803,10 +803,17 @@ def check_arities(*roots) -> list:
 
 
 def _workspace_roots(value, theory) -> list:
+    """Every expression of value and its theory: sequents, patterns and the
+    expressions in witnesses."""
     roots = [r.lhs for r in theory.rules] + [r.rhs for r in theory.rules]
 
+    def add_witness(data: RuleData, *more):
+        roots.extend(x for x in (data.formula, data.term, data.repl, data.param, *data.terms, *more) if x is not None)
+
     def add_proof(proof):
-        roots.extend(node.conclusion for node, _ in iter_nodes(proof))
+        for node in walk(proof):
+            roots.append(node.conclusion)
+            add_witness(node.data)
 
     if isinstance(value, Proof):
         add_proof(value)
@@ -818,12 +825,7 @@ def _workspace_roots(value, theory) -> list:
                 add_proof(comp.step)
     elif isinstance(value, SiLKScript):
         for step in value.steps:
-            if step.sequent is not None:
-                roots.append(step.sequent)
-            if step.pattern is not None:
-                roots.append(step.pattern)
-            if step.data.formula is not None:
-                roots.append(step.data.formula)
+            add_witness(step.data, step.sequent, step.pattern, step.ann, step.g, step.f, *step.terms)
     return roots
 
 

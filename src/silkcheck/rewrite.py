@@ -8,10 +8,13 @@ innermost: children are normalized before the head is rewritten.  Numeric
 addition is built in (0 + b -> b, s(a) + b -> s(a + b) and the symmetric
 absorptions), so successor towers and +-numerals meet in one normal form.
 
-The theory carries the fuel, the rewrite-step budget of one normalization,
-and caches normal forms.  Nodes are hash-consed, so the cache is keyed by
-node identity, and it keeps repeated unrollings of the same schema linear
-instead of quadratic.
+The theory carries the fuel and caches each normal form beside its span,
+the cost of the longest chain of dependent rewrite steps it needs: the
+largest span among a node's kids, plus a fired head step's cost (1, or a
+numeral sum's size) and its target's span.  The fuel bounds each formula's
+span, so a cached answer carries its exact cost and no verdict depends on
+what earlier calls left in the cache.  Nodes are hash-consed, so the cache
+is keyed by node identity; it keeps repeated unrollings of one schema linear.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ class EquationalTheory:
     def __init__(self, rules: tuple = (), fuel: int = DEFAULT_FUEL):
         self.rules = tuple(rules)
         self.fuel = fuel
-        self._index, self._nf_cache = {}, {}
+        self._index, self._nf_cache, self._spans = {}, {}, {}  # spans: nonzero only
         for rule in self.rules:
             key = _head_key(rule.lhs)
             if key is not None:
@@ -241,35 +244,24 @@ class NormalizationResult(Record):
         _setattr(self, "steps_used", steps_used)
 
 
-class _Budget:
-    def __init__(self, fuel: int):
-        self.fuel = fuel
-        self.used = 0
-
-    def spend(self, cost: int = 1):
-        self.used += cost
-        if self.used > self.fuel:
-            raise FuelExhausted(self.fuel)
-
-
-def _try_head(node: Node, theory: EquationalTheory, budget: _Budget) -> Node | None:
+def _try_head(node: Node, theory: EquationalTheory) -> tuple | None:
+    """The head step at node, as (target, cost), or None."""
     if isinstance(node, NumFn) and node.sym == "+":
         a, b = node.args
         va, vb = numeral_value(a), numeral_value(b)
         if va is not None and vb is not None:
             # Building the sum costs its size in fuel, so towers cannot grow
-            # past what the budget covers (iterated exponentials otherwise
+            # past what the fuel covers (iterated exponentials otherwise
             # explode long before the step count does).
-            budget.spend(max(va + vb - 1, 0))
-            return numeral(va + vb)
+            return numeral(va + vb), max(va + vb, 1)
         if isinstance(a, Zero):
-            return b
+            return b, 1
         if isinstance(a, Succ):
-            return Succ(NumFn("+", (a.prev, b)))
+            return Succ(NumFn("+", (a.prev, b))), 1
         if isinstance(b, Zero):
-            return a
+            return a, 1
         if isinstance(b, Succ):
-            return Succ(NumFn("+", (a, b.prev)))
+            return Succ(NumFn("+", (a, b.prev))), 1
         return None
     key = _head_key(node)
     if key is None:
@@ -277,67 +269,75 @@ def _try_head(node: Node, theory: EquationalTheory, budget: _Budget) -> Node | N
     for rule in theory._index.get(key, ()):
         binding: dict = {}
         if match(rule.lhs, node, binding):
-            return _instantiate(rule.rhs, binding)
+            return _instantiate(rule.rhs, binding), 1
     return None
 
 
-def _normalize(root: Node, theory: EquationalTheory, budget: _Budget) -> Node:
-    cache = theory._nf_cache
-    # Each frame is [node, head-step target]; the target lives in the frame,
-    # not in a table keyed by node, because a rewrite cycle revisits the same
-    # shared node and every trip around it must open a new frame and spend
-    # fuel.  A binder's body is normalized opened under the binder's display
-    # name, which is not free in it, and closed again; a binder that a rule's
-    # right side brings in binds a $-name, so it captures nothing.
-    stack = [[root, None]]
+def _normalize(root: Node, theory: EquationalTheory) -> tuple:
+    """(normal form, span) of root; FuelExhausted when the span passes the fuel."""
+    cache, spans, fuel = theory._nf_cache, theory._spans, theory.fuel
+    # A frame is [node, cost of the chain that led to it, head-step target,
+    # the node's span up to that target].  The target lives in the frame, not
+    # in a table keyed by node: a rewrite cycle revisits one shared node, and
+    # each trip opens a new frame down a longer chain until the fuel runs out.
+    # A binder's body is normalized opened under its display name (not free in
+    # it) and closed again; a rule's right side binds only $-names: no capture.
+    stack = [[root, 0, None, 0]]
     while stack:
         frame = stack[-1]
-        cur, target = frame
+        cur, chain, target, upto = frame
         if cur in cache:
+            if chain + spans.get(cur, 0) > fuel:
+                raise FuelExhausted(fuel)
             stack.pop()
             continue
-        if target is not None:
-            # The head step was taken on a previous visit; its target has
-            # been fully normalized by now.
-            cache[cur] = cache[target]
-            stack.pop()
-            continue
-        kids = shown_kids(cur)
-        pending = [[k, None] for k in kids if k not in cache]
-        if pending:
-            stack.extend(pending)
-            continue
-        new_kids = tuple(cache[k] for k in kids)
-        reb = cur if all(a is b for a, b in zip(kids, new_kids)) else rebuild_shown(cur, new_kids)
-        target = _try_head(reb, theory, budget)
-        if target is None:
-            cache[cur] = reb
-            cache[reb] = reb
-            stack.pop()
-            continue
-        budget.spend()
-        if target in cache:
-            nf = cache[target]
-            cache[cur] = nf
-            cache[reb] = nf
-            stack.pop()
+        reb = None
+        if target is not None:  # the head step was taken on an earlier visit; its target is normal now
+            nf, span = cache[target], upto + spans.get(target, 0)
         else:
-            frame[1] = target
-            stack.append([target, None])
-    return cache[root]
+            kids = shown_kids(cur)
+            pending = [[k, chain, None, 0] for k in kids if k not in cache]
+            if pending:
+                stack.extend(pending)
+                continue
+            new_kids = tuple([cache[k] for k in kids])
+            reb = cur if new_kids == kids else rebuild_shown(cur, new_kids)  # nodes compare by identity
+            below = max([spans.get(k, 0) for k in kids], default=0)
+            step = _try_head(reb, theory)
+            if step is None:
+                nf, span = reb, below
+            else:
+                target, cost = step
+                if target not in cache:
+                    if chain + below + cost > fuel:
+                        raise FuelExhausted(fuel)
+                    frame[2:] = target, below + cost
+                    stack.append([target, chain + below + cost, None, 0])
+                    continue
+                nf, span = cache[target], below + cost + spans.get(target, 0)
+        if chain + span > fuel:  # so no cached span passes the fuel
+            raise FuelExhausted(fuel)
+        stack.pop()
+        # A span goes in before its form: a thread that finds the form finds it.
+        if span:
+            spans[cur] = span
+        cache[cur] = nf
+        if reb is not None:  # reb's kids are normal: it spans what its head step adds
+            if span > below:
+                spans[reb] = span - below
+            cache[reb] = nf
+    return cache[root], spans.get(root, 0)
 
 
 def normalize(x, theory: EquationalTheory) -> NormalizationResult:
-    """Rewrite to normal form; sequents are normalized formula by formula."""
-    budget = _Budget(theory.fuel)
+    """Rewrite to normal form; sequents are normalized formula by formula.
+    ``steps_used`` is the span, for a sequent the largest of its formulas'."""
     if isinstance(x, Sequent):
-        value: Node | Sequent = Sequent(
-            tuple(_normalize(f, theory, budget) for f in x.ante),
-            tuple(_normalize(f, theory, budget) for f in x.succ),
-        )
-    else:
-        value = _normalize(x, theory, budget)
-    return NormalizationResult(value, budget.used)
+        ante = [_normalize(f, theory) for f in x.ante]
+        succ = [_normalize(f, theory) for f in x.succ]
+        value = Sequent(tuple([nf for nf, _ in ante]), tuple([nf for nf, _ in succ]))
+        return NormalizationResult(value, max([span for _, span in ante + succ], default=0))
+    return NormalizationResult(*_normalize(x, theory))
 
 
 def equivalent(a: Node, b: Node, theory: EquationalTheory) -> bool:

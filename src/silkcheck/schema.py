@@ -266,7 +266,9 @@ def evaluate(
     pass one memo to all of them: ``g@k`` expanded for one numeral is then
     reused inside ``g@k+1`` for the next, and a second call at the same
     numeral returns the first call's proofs.  Trace records and fuel
-    verdicts are the same either way.
+    verdicts are the same either way, and the same as on a fresh theory:
+    the fuel bounds each formula's span, which the theory caches with its
+    normal form.
     """
     if isinstance(alpha, int):
         alpha = numeral(alpha)
@@ -413,8 +415,9 @@ def _normal_proof(proof: Proof, theory: rw.EquationalTheory, done: dict) -> Proo
     which a node that died could pass on to a new one.
 
     A sequent or expression whose formulas all have a normal form in the
-    theory's cache takes them from there, as normalizing it would at no
-    fuel; anything else is normalized whole, so fuel is spent as before."""
+    theory's cache takes them from there: a cached span never exceeds the
+    fuel, so normalizing it would give the same forms and never run out.
+    Anything else is normalized whole."""
     cache = theory._nf_cache
 
     def norm(x):

@@ -243,15 +243,9 @@ def _resolve_rewrite(step: SiLKStep, premise: Sequent) -> RuleData:
 
 def _pattern_instance(pattern: Sequent, n: NumExpr, built: Sequent, case: str, theory) -> Sequent:
     """The pattern at ``n``, which the ``case`` sequent ``built`` must equal
-    up to rewriting.  The normal-form cache is shared by the whole theory, so
-    the side normalized first pays the fuel: a basecase is compared from the
-    instance, a stepcase from the built sequent."""
+    up to rewriting."""
     instance = subst(pattern, Substitution({"n": n}, {}))
-    if case == "basecase":
-        same = rw.sequent_equivalent(instance, built, theory)
-    else:
-        same = rw.sequent_equivalent(built, instance, theory)
-    if not same:
+    if not rw.sequent_equivalent(instance, built, theory):
         raise SilkError(f"{case} {built} is not the pattern instance {instance} up to rewriting")
     return instance
 

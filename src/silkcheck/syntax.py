@@ -786,21 +786,19 @@ def subst(x, sub: Substitution):
 def _schedule(root, domain: tuple) -> list:
     """In fold's combine order, the subnodes of root that a substitution of
     the parameter and variable names in domain can change: those over such
-    a name.  Cached on root, per domain."""
+    a name.  The fold enters no kid free of them.  Cached on root, per
+    domain."""
     cache = root.__dict__.setdefault("_sd", {})
     if domain not in cache:
         params, names = domain
+
+        def over(node) -> bool:
+            variables, free, _ = _scope(node)
+            return not (variables.isdisjoint(names) and free.isdisjoint(params))
+
         out = []
-
-        def changes(node, kids) -> bool:
-            cls = type(node)
-            mine = params if cls is Param else names if cls is FreeVar or cls is SVar else ()
-            if True in kids or (mine and node.name in mine):
-                out.append(node)
-                return True
-            return False
-
-        fold(root, changes, {})
+        if over(root):
+            fold(root, lambda node, kids: out.append(node), {}, (), lambda node: [k for k in node.kids() if over(k)])
         cache[domain] = out  # only once whole, as another thread may read it
     return cache[domain]
 

@@ -9,11 +9,11 @@ from contextlib import contextmanager
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
-from silkcheck import corpus_path, load_theory
+from silkcheck import corpus_path, load_schema, load_theory
 from silkcheck import parser, printer, schema
-from silkcheck.kernel import LinkPattern, Proof, RuleData, RuleName
+from silkcheck.kernel import LinkPattern, Proof, RuleData, RuleName, count_inferences
 from silkcheck.parser import (
     _MULTI,
     _RULE_SYMBOLS,
@@ -35,7 +35,7 @@ from silkcheck.parser import (
     parse_term,
     tokenize,
 )
-from silkcheck.rewrite import EquationalTheory, FuelExhausted, normalize
+from silkcheck.rewrite import EquationalTheory, FuelExhausted, StuckTerm, normalize
 from silkcheck.schema import _map_data
 from silkcheck.silk import ClosedBase, ClosedStep, ComponentCollection, ComponentPair, OpenBase, OpenStep
 from silkcheck.syntax import (
@@ -270,6 +270,43 @@ def idempotence_property(max_examples):
         except FuelExhausted:
             assume(False)
         assert normalize(once, theory).value == once
+
+    return check
+
+
+# The schemata a call history draws from, with the largest alpha drawn.
+HISTORY_SCHEMATA = {"schema_exp.sch": 7, "schema_shat.sch": 25, "schema_fhat.sch": 30}
+
+
+def fuel_history_property(max_examples):
+    """Each call in a random sequence of normalize and evaluate calls on one
+    theory has the verdict, and normalize the steps_used, of the same call
+    on a fresh theory: a fuel verdict never depends on what earlier calls
+    left in the theory's caches."""
+    schemata = {name: load_schema(corpus_path(name)) for name in HISTORY_SCHEMATA}
+    call = st.tuples(st.sampled_from(sorted(HISTORY_SCHEMATA)), st.integers(0, 30), st.booleans())
+
+    def outcome(name, alpha, evaluates, theory):
+        proof_schema = schemata[name][0]
+        try:
+            if evaluates:
+                proof = schema.evaluate(proof_schema, alpha, theory).proof
+                return count_inferences(proof), proof.conclusion
+            pattern = proof_schema.components[0].pattern
+            result = normalize(subst(pattern, Substitution({"n": numeral(alpha)}, {})), theory)
+            return result.value, result.steps_used
+        except (FuelExhausted, StuckTerm) as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=max_examples, deadline=None)
+    @given(st.sampled_from((10, 25, 50, 100, 200, 400)), st.lists(call, max_size=8))
+    @example(100, [("schema_exp.sch", alpha, True) for alpha in range(7)])
+    def check(fuel, calls):
+        shared = {name: EquationalTheory(theory.rules, fuel) for name, (_, theory) in schemata.items()}
+        for name, alpha, evaluates in calls:
+            alpha %= HISTORY_SCHEMATA[name] + 1
+            fresh = EquationalTheory(schemata[name][1].rules, fuel)
+            assert outcome(name, alpha, evaluates, shared[name]) == outcome(name, alpha, evaluates, fresh)
 
     return check
 

@@ -256,6 +256,22 @@ def _corpus_copy(tmp_path, name, old, new):
     return str(edited)
 
 
+# An expression that sits only in a witness is arity-checked at load with
+# the rest of the file, not found out later by replay or the kernel.
+@pytest.mark.parametrize(
+    "name, old, new, clash",
+    [
+        ("silk_wedge_var.slk", "terms (f(c))", "terms (f(c, c))", "function f used with 2 arguments and with 1"),
+        ("silk_exp.slk", 'term="f^n(0)"', 'term="f(f^n(0), 0)"', "function f used with 2 arguments and with 1"),
+        ("lk_pi_shat.lkp", 'to="S^0"', 'to="f(S^0, S^0)"', "function f used with 2 arguments and with 1"),
+    ],
+)
+def test_an_arity_clash_in_a_witness_is_a_parse_error(capsys, tmp_path, name, old, new, clash):
+    command = "check-lk" if name.endswith(".lkp") else "check-silk"
+    code, out, err = run(capsys, command, _corpus_copy(tmp_path, name, old, new))
+    assert (code, out, err) == (2, "", f"parse error: {clash}\n")
+
+
 def _shat_copy(tmp_path, old, new):
     return _corpus_copy(tmp_path, "schema_shat.sch", old, new)
 
@@ -336,9 +352,11 @@ def test_stats_range_prints_the_plain_walk_counts(capsys, monkeypatch, name):
 
 
 def _fresh_evaluations(fuel, top):
-    schema, theory = load_schema(corpus_path("schema_shat.sch"), fuel=fuel)
+    """The verdict of evaluating every alpha up to top, each on a theory
+    loaded for it alone."""
     try:
         for alpha in range(top + 1):
+            schema, theory = load_schema(corpus_path("schema_shat.sch"), fuel=fuel)
             evaluate(schema, alpha, theory)
     except (MatchFailure, FuelExhausted, StuckTerm) as exc:
         return 1, f"error: {exc}\n"
@@ -349,6 +367,21 @@ def _fresh_evaluations(fuel, top):
 def test_stats_range_fuel_verdict_matches_fresh_evaluations(capsys, fuel):
     code, _, err = run(capsys, "stats", p("schema_shat.sch"), "--alpha-range", "0..30", "--fuel", str(fuel))
     assert (code, err) == _fresh_evaluations(fuel, 30)
+
+
+# A stats range once passed at a fuel that its last alpha alone exceeds,
+# because the alphas before it had filled the rewrite cache.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stats", "--alpha-range", "0..6"),
+        ("stats", "--alpha-range", "6..6"),
+        ("unroll", "--alpha", "6"),
+    ],
+)
+def test_a_fuel_verdict_does_not_depend_on_earlier_alphas(capsys, argv):
+    code, _, err = run(capsys, argv[0], p("schema_exp.sch"), *argv[1:], "--fuel", "100")
+    assert (code, err) == (1, "error: no normal form within 100 rewrite steps\n")
 
 
 def test_undeclared_link_target_reports_error(capsys, tmp_path):

@@ -14,6 +14,10 @@ def test_normalize_idempotent():
     gen.idempotence_property(CASES)()
 
 
+def test_fuel_verdicts_do_not_depend_on_call_history():
+    gen.fuel_history_property(CASES)()
+
+
 def test_mode_monotonicity():
     pool = gen.build_proof_pool()
     assert len(pool) > 15

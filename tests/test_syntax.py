@@ -341,6 +341,24 @@ def test_fold_combines_each_distinct_node_once_without_recursing():
     assert fold(chain, lambda node, kids: 1 + sum(kids), {}) == 100_001
 
 
+def test_binding_a_deep_chain_visits_each_node_a_bounded_number_of_times(monkeypatch):
+    # Each binder of forall x. (P(x) /\ forall x. (P(x) /\ ... Q)) closes a
+    # body whose deeper binders are closed already; a substitution of x
+    # must not enter them, or binding the chain is quadratic in its depth.
+    from silkcheck import syntax
+
+    visits = []
+
+    def counting_fold(root, combine, done, *rest):
+        return fold(root, lambda node, kids: visits.append(node) or combine(node, kids), done, *rest)
+
+    monkeypatch.setattr(syntax, "fold", counting_fold)
+    depth = 1000
+    chain = f("forall x. (Pdeepchain(x) /\\ " * depth + "Qdeepchain" + ")" * depth)
+    assert render(chain).count("forall") == depth
+    assert len(visits) < 20 * depth
+
+
 def test_fold_does_not_open_a_leaf_or_a_finished_node():
     a = f("(forall x. P(x)) /\\ Q")
     done = {a.rhs: "rhs"}
