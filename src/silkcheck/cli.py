@@ -228,7 +228,12 @@ def _cmd_stats(args) -> int:
 def _add_common(sub):
     sub.add_argument("file", help="input file")
     sub.add_argument("--theory", help="theory file overriding the file's directive")
-    sub.add_argument("--fuel", type=_natural, default=_default_fuel(), help="rewrite step budget")
+    sub.add_argument(
+        "--fuel",
+        type=_natural,
+        default=_default_fuel(),
+        help="bound on each formula's rewrite span and on link expansions",
+    )
     sub.add_argument("--json", action="store_true", help="machine readable report")
 
 

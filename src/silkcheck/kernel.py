@@ -492,14 +492,4 @@ def count_inferences(proof: Proof, known: Mapping | None = None) -> dict:
     return counts
 
 
-def iter_nodes(proof: Proof):
-    """(node, linked path) pairs in pre-order; see ``flatten_path``."""
-    stack = [(proof, None)]
-    while stack:
-        node, path = stack.pop()
-        yield node, path
-        for i, p in enumerate(node.premises):
-            stack.append((p, (path, i)))
-
-
 RULE_TOKENS = {r.value: r for r in RuleName}

@@ -10,12 +10,15 @@ is visible in the unrolled figure as the final numeral-cleanup step.
 
 Unrolling is one iterative pass that builds frozen proof nodes bottom-up.
 Each link instance, keyed by its target, value, terms, displayed sequent
-and parameter expression, is expanded once per ``UnrollMemo``; a recurring
-instance is the same node, so the unrolled proof is a DAG, and its trace
-records are replayed rather than recomputed.  A memo lives for one
-``evaluate`` call unless the caller passes one to several calls under one
-theory, as ``stats`` does across its range of numerals and ``unroll --check``
-for the unrolling it prints and the one it checks.
+and parameter expression, is expanded and normalized once per
+``UnrollMemo``: its instantiated template gives its expanded nodes and their
+normal forms together.  A recurring instance is the same pair of nodes, so
+both proofs are DAGs, and its trace records are replayed rather than
+recomputed.  The memo also holds each component's base and step compiled
+for instantiation.  A memo lives for one ``evaluate`` call unless the caller
+passes one to several calls under one theory, as ``stats`` does across its
+range of numerals and ``unroll --check`` for the unrolling it prints and the
+one it checks.
 
 The trace keeps both stages: the expanded proof with its rewrite inferences
 intact (what the unrolled figure shows) and the normal form with every
@@ -24,6 +27,8 @@ proof.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from . import rewrite as rw
 from .kernel import (
@@ -37,7 +42,6 @@ from .kernel import (
     RuleName,
     check_proof,
     flatten_path,
-    iter_nodes,
 )
 from .syntax import (
     FreeVar,
@@ -48,7 +52,7 @@ from .syntax import (
     SortMismatch,
     Substitution,
     canon_num,
-    fold,
+    free_names,
     is_subterm,
     numeral,
     numeral_value,
@@ -158,12 +162,15 @@ def _check_links(report, ci, comp, proof, kind, order, offset=0):
     """The link rules that need the component order, which the kernel does
     not see; it rejects an undeclared target and a parameter outside n."""
     i = order[comp.name]
-    for node, path in iter_nodes(proof):
+    stack = [(proof, None)]  # linked paths, as check_proof keeps them
+    while stack:
+        node, path = stack.pop()
         if node.rule is RuleName.LINK and node.data.target in order:
             message = _link_fault(comp, node.data, order[node.data.target] - i, kind, offset)
             if message:
                 where = (ci,) + flatten_path(path)
                 report.failures.append(Failure(where, "link", f"{kind} of {comp.name}: {message}"))
+        stack.extend((p, (path, k)) for k, p in enumerate(node.premises))
 
 
 def _link_fault(comp, data, ahead, kind, offset) -> str | None:
@@ -193,18 +200,8 @@ def _is_subterm_of_param(small, big) -> bool:
 # Evaluation
 
 
-def _map_data(data: RuleData, fn) -> RuleData:
-    """The witness with ``fn`` applied to every expression it carries."""
-    changed = {}
-    for key in ("formula", "term", "repl", "param"):
-        if getattr(data, key) is not None:
-            changed[key] = fn(getattr(data, key))
-    if data.terms:
-        changed["terms"] = tuple(fn(t) for t in data.terms)
-    return replace(data, **changed) if changed else data
-
-
 _WHOLE = RuleData(whole=True)
+_EXPR_KEYS = ("formula", "term", "repl", "param")  # then terms: a witness's expressions in order
 
 
 class UnrollTrace:
@@ -223,25 +220,93 @@ class UnrollMemo:
     """Work that evaluations of one schema, under one theory, share: those
     of a ``stats`` range, or the two of ``unroll --check``.
 
-    ``links`` maps a link instance to ``(proof, records, lo, hi)``: its
-    expanded proof, and the span ``records[lo:hi]`` of trace records its
-    expansion produced.  The key is (target, value, link terms, displayed
-    antecedent, displayed succedent, parameter expression); every part is
-    hash-consed or a tuple of hash-consed nodes, so hashing and comparison
-    are by identity.  The displayed sequent belongs to the key because it
-    decides whether the expansion is spliced literally or under a
-    whole-sequent rewrite bridge; it enters as its two formula tuples
-    because ``Sequent`` equality ignores formula order and binders' hints,
-    which the splice and the printed figure do not.  ``normal`` maps each
-    expanded node to its normal form.
+    ``links`` maps a link instance to ``[expanded, normal, records, lo,
+    hi]``: its expanded proof, the normal form of that proof, and the span
+    ``records[lo:hi]`` of trace records its expansion produced.  The key is
+    (target, value, link terms, displayed antecedent, displayed succedent,
+    parameter expression); every part is hash-consed or a tuple of
+    hash-consed nodes, so hashing and comparison are by identity.  The
+    displayed sequent belongs to the key because it decides whether the
+    expansion is spliced literally or under a whole-sequent rewrite bridge;
+    it enters as its two formula tuples because ``Sequent`` equality ignores
+    formula order and binders' hints, which the splice and the printed
+    figure do not.
+
+    ``templates`` maps each component name to ``[component, base template,
+    (step offset, step template)]``, the templates compiled at first use.
     """
 
-    _fields = ("links", "normal")
+    _fields = ("links", "templates")
     __eq__, __repr__ = Record.__eq__, Record.__repr__  # value equality, so unhashable
 
-    def __init__(self, links=None, normal=None):
+    def __init__(self, links=None, templates=None):
         self.links = {} if links is None else links
-        self.normal = {} if normal is None else normal
+        self.templates = {} if templates is None else templates
+
+
+class _Template:
+    """A base or step proof compiled for instantiation.
+
+    ``exprs`` holds its distinct expressions, each node's conclusion
+    formulas (antecedent first) and then its witness expressions, in
+    pre-order of first occurrence; ``opens`` the indices of those a link's
+    substitution can change.  ``nodes`` lists the nodes in reversed
+    pre-order as (rule, arity, antecedent picker, succedent picker,
+    witness, witness fields, whether a field is open, the conclusion
+    indices met first at this node); a picker takes a sequent side from a
+    list indexed like ``exprs``, and a witness field is (key, index), or
+    ("terms", indices).  ``links`` lists the link leaves in pre-order as
+    (target, parameter index, terms picker, antecedent picker, succedent
+    picker)."""
+
+    __slots__ = ("exprs", "opens", "nodes", "links")
+
+    def __init__(self, proof: Proof, names: frozenset, params: frozenset):
+        exprs, opens, index, pre, links = [], [], {}, [], []
+
+        def changes(e) -> bool:
+            variables, free = free_names(e)
+            return not (variables.isdisjoint(names) and free.isdisjoint(params))
+
+        def at(e) -> int:
+            if e not in index:
+                index[e] = len(exprs)
+                exprs.append(e)
+                if changes(e):
+                    opens.append(index[e])
+            return index[e]
+
+        for node in walk(proof):
+            ante = tuple([at(f) for f in node.conclusion.ante])
+            succ = tuple([at(f) for f in node.conclusion.succ])
+            data = node.data
+            witness = [(key, getattr(data, key)) for key in _EXPR_KEYS if getattr(data, key) is not None]
+            fields = [(key, at(e)) for key, e in witness]
+            if data.terms:
+                fields.append(("terms", tuple([at(t) for t in data.terms])))
+            opened = any(changes(e) for _, e in witness) or any(map(changes, data.terms))
+            pre.append((node.rule, len(node.premises), ante, succ, data, tuple(fields), opened))
+            if node.rule is RuleName.LINK:
+                param = None if data.param is None else index[data.param]
+                terms = tuple([index[t] for t in data.terms])
+                links.append((data.target, param, _picker(terms), _picker(ante), _picker(succ)))
+
+        seen, nodes = set(), []
+        for rule, arity, ante, succ, data, fields, opened in reversed(pre):
+            first = ()
+            if rule is not RuleName.LINK:  # a link leaf's conclusion is its expansion's
+                first = tuple(dict.fromkeys(i for i in ante + succ if i not in seen))
+                seen.update(first)
+            nodes.append((rule, arity, _picker(ante), _picker(succ), data, fields, opened, first))
+        self.exprs, self.opens, self.nodes, self.links = tuple(exprs), tuple(opens), tuple(nodes), tuple(links)
+
+
+def _picker(indices: tuple):
+    """The function that takes the values at ``indices`` of a list, as a tuple."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda values: (values[i],)
+    return itemgetter(*indices) if indices else lambda values: ()
 
 
 def evaluate(
@@ -254,16 +319,17 @@ def evaluate(
 
     Expansion replaces every link leaf by the instantiated base or step of
     its target component, inserting a whole-sequent rewrite bridge whenever
-    the splice is not literal.  One pass builds the expanded proof bottom-up
-    and expands each link instance once, so a subproof that recurs is one
-    shared node and the expanded proof is a DAG (tree walkers still see
-    every occurrence).  Afterwards all sequents are rewritten to normal form
-    and trivial rewrite inferences are removed, leaving the LK proof the
-    evaluation denotes.
+    the splice is not literal.  Each link instance is expanded and
+    normalized in one pass over its instantiated template, which builds its
+    expanded nodes and their normal forms together: every sequent and
+    witness rewritten and trivial rewrite inferences removed, the LK proof
+    the evaluation denotes.  Each instance is built once, so a subproof that
+    recurs is one shared node and both proofs are DAGs (tree walkers still
+    see every occurrence).
 
     ``memo`` defaults to a fresh one that lives for this call.  A caller
     that evaluates the same schema and theory at several numerals may
-    pass one memo to all of them: ``g@k`` expanded for one numeral is then
+    pass one memo to all of them: ``g@k`` built for one numeral is then
     reused inside ``g@k+1`` for the next, and a second call at the same
     numeral returns the first call's proofs.  Trace records and fuel
     verdicts are the same either way, and the same as on a fresh theory:
@@ -277,170 +343,206 @@ def evaluate(
     if not schema.components:
         raise MatchFailure("a proof schema needs at least one component")
     memo = UnrollMemo() if memo is None else memo
+    if not memo.templates:
+        for comp in schema.components:
+            memo.templates.setdefault(comp.name, [comp, None, None])
     trace = UnrollTrace()
 
     lead = schema.components[0]
-    root = (
-        subst(lead.pattern, Substitution({"n": alpha}, {})),
-        RuleData(target=lead.name, param=alpha, terms=tuple(FreeVar(v) for v in lead.vars)),
-    )
-    trace.expanded = _expand(schema, root, theory, memo.links, trace.expansions)
-    trace.proof = _normal_proof(trace.expanded, theory, memo.normal)
+    pattern = subst(lead.pattern, Substitution({"n": alpha}, {}))
+    root = (lead.name, alpha, tuple(FreeVar(v) for v in lead.vars), pattern.ante, pattern.succ)
+    trace.expanded, trace.proof = _expand(root, theory, memo, trace.expansions)[:2]
     return trace
 
 
-def _expand(schema, root, theory, links: dict, records: list) -> Proof:
-    """Expand the link ``root``, a (displayed sequent, link data) pair.
+def _expand(root, theory, memo: UnrollMemo, records: list) -> list:
+    """The ``memo.links`` entry of the link ``root``, given as (target,
+    parameter expression, terms, displayed antecedent, displayed
+    succedent).
 
     Links are visited depth first and right to left, so records, fuel
     verdicts and the first error come in the order a last-in-first-out
     worklist gives.  The loop keeps its own stack: a chain of self-links is
     as deep as the numeral is large.  A link instance met again while its
     own expansion is open would expand without end, so it is a failure.
-    """
-    # Frames: (key, displayed sequent, first record, instantiated template,
-    # link leaves not yet visited, expansions of the visited ones).
+
+    The proofs of the new instances are built once expansion ends, so a
+    rewrite error never precedes an expansion error, and only then does the
+    memo take them, so it holds only whole entries."""
+    # Frames: (key, entry, template, instantiated expressions, displayed
+    # antecedent and succedent, link leaves not yet visited, the visited
+    # ones as (entry, frame), the frame None for an entry an earlier call built).
     stack: list = []
     opened = set()  # the keys of the frames on the stack
-    fuel = theory.fuel
+    closed: dict = {}  # key -> frame
+    links, templates, fuel = memo.links, memo.templates, theory.fuel
 
-    def visit(concl, data):
+    def visit(target, param, terms, ante, succ) -> tuple:
         # Fuel is the number of link expansions.  A fresh link is checked
         # before it expands; a reused one after its records are replayed,
         # which is when a per-expansion check inside the replayed subtree
         # would first have fired.
         if len(records) > fuel:
             raise ExpansionsExhausted(fuel)
+        known = templates.get(target)
+        if known is None:
+            raise MatchFailure(f"link target {target} is not declared")
+        comp = known[0]
+        if param is None:
+            raise MatchFailure(f"link to {target} has no parameter expression")
         try:
-            comp = schema[data.target]
-        except KeyError:
-            raise MatchFailure(f"link target {data.target} is not declared") from None
-        if data.param is None:
-            raise MatchFailure(f"link to {data.target} has no parameter expression")
-        try:
-            value = numeral_value(rw.eval_numeric(data.param, theory))
+            value = numeral_value(rw.eval_numeric(param, theory))
         except ValueError as exc:  # a parameter other than n outlives the substitution
-            raise MatchFailure(f"link to {data.target}: {exc}") from None
-        key = (data.target, value, data.terms, concl.ante, concl.succ, data.param)
-        hit = links.get(key)
+            raise MatchFailure(f"link to {target}: {exc}") from None
+        key = (target, value, terms, ante, succ, param)
+        frame = closed.get(key)
+        hit = links.get(key) if frame is None else frame[1]
         if hit is not None:
-            proof, src, lo, hi = hit
+            _, _, src, lo, hi = hit
             records.extend(src[lo:hi])
             if len(records) > fuel + 1:
                 raise ExpansionsExhausted(fuel)
-            return proof
+            return hit, frame
         if key in opened:
             raise MatchFailure(f"link to {comp.name} at {value} recurs inside its own expansion")
-        var_map = dict(zip(comp.vars, data.terms))
+        var_map = dict(zip(comp.vars, terms))
         if value == 0 or comp.step is None:
             sub = Substitution({}, var_map)
-            template = comp.base
+            if known[1] is None:
+                known[1] = _Template(comp.base, frozenset(comp.vars), frozenset())
+            template = known[1]
         else:
-            offset = comp.step_offset()
+            if known[2] is None:
+                known[2] = (comp.step_offset(), _Template(comp.step, frozenset(comp.vars), frozenset({"n"})))
+            offset, template = known[2]
             if value < offset:
-                raise MatchFailure(
-                    f"link to {comp.name} at {value} cannot match step parameter {comp.step_param}"
-                )
+                raise MatchFailure(f"link to {comp.name} at {value} cannot match step parameter {comp.step_param}")
             sub = Substitution({"n": numeral(value - offset)}, var_map)
-            template = comp.step
-        inst, leaves = _instance(template, sub)
-        records.append((comp.name, value, data.param))
-        stack.append((key, concl, len(records) - 1, inst, leaves, []))
+        vals = _instance(template, sub)
+        records.append((comp.name, value, param))
+        entry = [None, None, records, len(records) - 1, None]
+        frame = (key, entry, template, vals, ante, succ, list(template.links), [])
+        stack.append(frame)
         opened.add(key)
-        return None
+        return entry, frame
 
-    result = visit(*root)
+    result, root_frame = visit(*root)
     while stack:
-        key, concl, lo, inst, leaves, expanded = stack[-1]
+        top = stack[-1]
+        vals, leaves = top[3], top[6]
         if leaves:
-            proof = visit(*leaves.pop())
-            if proof is not None:
-                expanded.append(proof)
+            target, param, terms_of, ante_of, succ_of = leaves.pop()
+            param = None if param is None else vals[param]
+            top[7].append(visit(target, param, terms_of(vals), ante_of(vals), succ_of(vals)))
             continue
         stack.pop()
-        opened.remove(key)
-        proof = _assemble(inst, expanded, concl)
-        links[key] = (proof, records, lo, len(records))
-        if stack:
-            stack[-1][5].append(proof)
-        else:
-            result = proof
+        opened.remove(top[0])
+        top[1][4] = len(records)
+        closed[top[0]] = top
+    # Each build meets the instances below it in the order of a post-order
+    # walk of the expanded proof, last premise first, and builds one it
+    # finds unbuilt before going on.
+    builds = [] if root_frame is None else [_assemble(root_frame, theory)]
+    while builds:
+        try:
+            builds.append(_assemble(next(builds[-1]), theory))
+        except StopIteration:
+            builds.pop()
+    links.update((key, built[1]) for key, built in closed.items())
     return result
 
 
-def _instance(template: Proof, sub: Substitution) -> tuple[list, list]:
-    """The template's nodes in pre-order as (sequent, rule, data, arity),
-    and its link leaves from left to right as (sequent, data) pairs."""
-    inst, leaves = [], []
-    fn = lambda e: subst(e, sub)
-    for node in walk(template):
-        concl = subst(node.conclusion, sub)
-        data = _map_data(node.data, fn)
-        inst.append((concl, node.rule, data, len(node.premises)))
-        if node.rule is RuleName.LINK:
-            leaves.append((concl, data))
-    return inst, leaves
+def _instance(template: _Template, sub: Substitution) -> list:
+    """The template's expressions under ``sub``; only the open ones are
+    substituted, in the order the template lists them."""
+    vals = list(template.exprs)
+    for i in template.opens:
+        vals[i] = subst(vals[i], sub)
+    return vals
 
 
-def _assemble(inst: list, expanded: list, concl: Sequent) -> Proof:
-    """Build the instantiated template bottom-up, with its link leaves
-    replaced by their expansions (given right to left), and splice it under
-    the displayed sequent ``concl``."""
+def _fill(data: RuleData, fields: tuple, value) -> RuleData:
+    """The witness with each expression field ``(key, index)`` set to
+    ``value(index)``, in field order."""
+    return replace(
+        data, **{key: tuple([value(j) for j in i]) if key == "terms" else value(i) for key, i in fields}
+    )
+
+
+def _normal_form(x, theory: rw.EquationalTheory):
+    """The normal form of ``x``, from the theory's cache when it is there:
+    a cached span never exceeds the fuel, so normalizing it would give the
+    same form and never run out."""
+    nf = theory._nf_cache.get(x)
+    return rw.normalize(x, theory).value if nf is None else nf
+
+
+def _normal_node(concl: Sequent, rule: RuleName, kids: tuple, data: RuleData, fields: tuple, nf) -> Proof:
+    """The normal node over normal premises ``kids``, its witness fields
+    rewritten by ``nf``; a rewrite inference that became trivial is spliced
+    away, its witness unrewritten."""
+    if rule is RuleName.ERULE and kids and kids[0].conclusion == concl:
+        # Splice the child, retupled to this node's formula order so
+        # witnesses above keep their positions (witness indices only ever
+        # address premise tuples).
+        child = kids[0]
+        if child.conclusion.ante == concl.ante and child.conclusion.succ == concl.succ:
+            return child
+        return Proof(concl, child.rule, child.premises, child.data)
+    return Proof(concl, rule, kids, _fill(data, fields, nf) if fields else data)
+
+
+def _assemble(frame: tuple, theory):
+    """Build the expanded and the normal proof of the instance of ``frame``
+    into its entry: the template built bottom-up from its instantiated
+    expressions, its link leaves replaced by the expansions visited there
+    (given right to left), spliced under the displayed sequent.
+
+    A generator: it yields the frame of each expansion it meets unbuilt,
+    which the caller builds before resuming it.  Rewriting goes node by
+    node in reversed pre-order, each node's conclusion before its witness,
+    and the bridge's sequent last."""
+    _, entry, template, vals, ante, succ, _, kids = frame
+    nfs = [None] * len(vals)
+
+    def nf(i):
+        if nfs[i] is None:
+            nfs[i] = _normal_form(vals[i], theory)
+        return nfs[i]
+
     # Reversed pre-order puts every node after its premises, the last
     # premise first, so a node's premises are the top ``arity`` values,
     # the first premise on top.
-    values: list = []
-    expanded = iter(expanded)
-    for seq, rule, data, arity in reversed(inst):
-        kids = ()
+    expanded, normal = [], []
+    kids = iter(kids)
+    for rule, arity, ante_of, succ_of, data, fields, opened, first in template.nodes:
+        if rule is RuleName.LINK:
+            kid, kid_frame = next(kids)
+            if kid[1] is None:
+                yield kid_frame
+            expanded.append(kid[0])
+            normal.append(kid[1])
+            continue
+        for i in first:
+            nf(i)
+        ekids = nkids = ()
         if arity:
-            kids = tuple(values[: -arity - 1 : -1])
-            del values[-arity:]
-        values.append(next(expanded) if rule is RuleName.LINK else Proof(seq, rule, kids, data))
-    top = inst[0][0]
-    if top.ante == concl.ante and top.succ == concl.succ:
-        return values[0]
+            ekids, nkids = tuple(expanded[: -arity - 1 : -1]), tuple(normal[: -arity - 1 : -1])
+            del expanded[-arity:], normal[-arity:]
+        concl = Sequent(ante_of(vals), succ_of(vals))
+        expanded.append(Proof(concl, rule, ekids, _fill(data, fields, vals.__getitem__) if opened else data))
+        concl = Sequent(ante_of(nfs), succ_of(nfs))
+        normal.append(_normal_node(concl, rule, nkids, data, fields, nf))
+    top = expanded[0]
+    if top.conclusion.ante == ante and top.conclusion.succ == succ:
+        entry[:2] = top, normal[0]
+        return
     # The spliced subproof ends at an equal-modulo-rewriting sequent (for
     # instance S^(0+1) against S^1); keep the displayed sequent and justify
     # the gap with one whole-sequent rewrite inference.
-    return Proof(concl, RuleName.ERULE, (values[0],), _WHOLE)
-
-
-def _normal_proof(proof: Proof, theory: rw.EquationalTheory, done: dict) -> Proof:
-    """Normalize every sequent and witness, then drop rewrite inferences that
-    became trivial; the result is link-free and redex-free.
-
-    ``done`` maps expanded nodes to their normal forms; a node already in it
-    is not normalized again.  Nodes are keys themselves, not their ids,
-    which a node that died could pass on to a new one.
-
-    A sequent or expression whose formulas all have a normal form in the
-    theory's cache takes them from there: a cached span never exceeds the
-    fuel, so normalizing it would give the same forms and never run out.
-    Anything else is normalized whole."""
-    cache = theory._nf_cache
-
-    def norm(x):
-        if type(x) is Sequent:
-            if all(f in cache for f in x.ante) and all(f in cache for f in x.succ):
-                return Sequent(tuple([cache[f] for f in x.ante]), tuple([cache[f] for f in x.succ]))
-        elif x in cache:
-            return cache[x]
-        return rw.normalize(x, theory).value
-
-    def combine(cur: Proof, kids: tuple) -> Proof:
-        concl = norm(cur.conclusion)
-        if cur.rule is RuleName.ERULE and kids and kids[0].conclusion == concl:
-            # The step became trivial; splice the child, retupled to this
-            # node's formula order so witnesses above keep their positions
-            # (witness indices only ever address premise tuples).
-            child = kids[0]
-            if child.conclusion.ante == concl.ante and child.conclusion.succ == concl.succ:
-                return child
-            return Proof(concl, child.rule, child.premises, child.data)
-        return Proof(concl, cur.rule, kids, _map_data(cur.data, norm))
-
-    return fold(proof, combine, done)
+    concl = Sequent(tuple([_normal_form(f, theory) for f in ante]), tuple([_normal_form(f, theory) for f in succ]))
+    bridge = Proof(Sequent(ante, succ), RuleName.ERULE, (top,), _WHOLE)
+    entry[:2] = bridge, _normal_node(concl, RuleName.ERULE, (normal[0],), _WHOLE, (), nf)
 
 
 def evaluate_and_check(

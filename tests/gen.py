@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 
 from silkcheck import corpus_path, load_schema, load_theory
 from silkcheck import parser, printer, schema
@@ -35,8 +35,7 @@ from silkcheck.parser import (
     parse_term,
     tokenize,
 )
-from silkcheck.rewrite import EquationalTheory, FuelExhausted, StuckTerm, normalize
-from silkcheck.schema import _map_data
+from silkcheck.rewrite import DEFAULT_FUEL, EquationalTheory, FuelExhausted, StuckTerm, eval_numeric, normalize
 from silkcheck.silk import ClosedBase, ClosedStep, ComponentCollection, ComponentPair, OpenBase, OpenStep
 from silkcheck.syntax import (
     And,
@@ -311,6 +310,200 @@ def fuel_history_property(max_examples):
     return check
 
 
+# --- the two-pass unrolling that schema.evaluate replaced, as it last stood:
+# expansion built the expanded proof alone, then one fold over it rewrote
+# every sequent and witness, kept as the oracle of the one-pass build.
+
+
+def _map_data(data: RuleData, fn) -> RuleData:
+    """The witness with ``fn`` applied to every expression it carries."""
+    changed = {}
+    for key in ("formula", "term", "repl", "param"):
+        if getattr(data, key) is not None:
+            changed[key] = fn(getattr(data, key))
+    if data.terms:
+        changed["terms"] = tuple(fn(t) for t in data.terms)
+    return replace(data, **changed) if changed else data
+
+
+def reference_evaluate(proof_schema, alpha, theory: EquationalTheory) -> schema.UnrollTrace:
+    """``schema.evaluate`` with a fresh memo, in two passes."""
+    if isinstance(alpha, int):
+        alpha = numeral(alpha)
+    if numeral_value(alpha) is None:
+        raise schema.MatchFailure(f"evaluation needs a numeral, got {alpha}")
+    if not proof_schema.components:
+        raise schema.MatchFailure("a proof schema needs at least one component")
+    trace = schema.UnrollTrace()
+    lead = proof_schema.components[0]
+    root = (
+        subst(lead.pattern, Substitution({"n": alpha}, {})),
+        RuleData(target=lead.name, param=alpha, terms=tuple(FreeVar(v) for v in lead.vars)),
+    )
+    trace.expanded = _reference_expand(proof_schema, root, theory, {}, trace.expansions)
+    trace.proof = _reference_normal_proof(trace.expanded, theory, {})
+    return trace
+
+
+def _reference_expand(proof_schema, root, theory, links: dict, records: list) -> Proof:
+    stack: list = []
+    opened = set()
+    fuel = theory.fuel
+
+    def visit(concl, data):
+        if len(records) > fuel:
+            raise schema.ExpansionsExhausted(fuel)
+        try:
+            comp = proof_schema[data.target]
+        except KeyError:
+            raise schema.MatchFailure(f"link target {data.target} is not declared") from None
+        if data.param is None:
+            raise schema.MatchFailure(f"link to {data.target} has no parameter expression")
+        try:
+            value = numeral_value(eval_numeric(data.param, theory))
+        except ValueError as exc:
+            raise schema.MatchFailure(f"link to {data.target}: {exc}") from None
+        key = (data.target, value, data.terms, concl.ante, concl.succ, data.param)
+        hit = links.get(key)
+        if hit is not None:
+            proof, src, lo, hi = hit
+            records.extend(src[lo:hi])
+            if len(records) > fuel + 1:
+                raise schema.ExpansionsExhausted(fuel)
+            return proof
+        if key in opened:
+            raise schema.MatchFailure(f"link to {comp.name} at {value} recurs inside its own expansion")
+        var_map = dict(zip(comp.vars, data.terms))
+        if value == 0 or comp.step is None:
+            sub = Substitution({}, var_map)
+            template = comp.base
+        else:
+            offset = comp.step_offset()
+            if value < offset:
+                raise schema.MatchFailure(
+                    f"link to {comp.name} at {value} cannot match step parameter {comp.step_param}"
+                )
+            sub = Substitution({"n": numeral(value - offset)}, var_map)
+            template = comp.step
+        inst, leaves = _reference_instance(template, sub)
+        records.append((comp.name, value, data.param))
+        stack.append((key, concl, len(records) - 1, inst, leaves, []))
+        opened.add(key)
+        return None
+
+    result = visit(*root)
+    while stack:
+        key, concl, lo, inst, leaves, expanded = stack[-1]
+        if leaves:
+            proof = visit(*leaves.pop())
+            if proof is not None:
+                expanded.append(proof)
+            continue
+        stack.pop()
+        opened.remove(key)
+        proof = _reference_assemble(inst, expanded, concl)
+        links[key] = (proof, records, lo, len(records))
+        if stack:
+            stack[-1][5].append(proof)
+        else:
+            result = proof
+    return result
+
+
+def _reference_instance(template: Proof, sub: Substitution) -> tuple[list, list]:
+    inst, leaves = [], []
+    fn = lambda e: subst(e, sub)
+    for node in walk(template):
+        concl = subst(node.conclusion, sub)
+        data = _map_data(node.data, fn)
+        inst.append((concl, node.rule, data, len(node.premises)))
+        if node.rule is RuleName.LINK:
+            leaves.append((concl, data))
+    return inst, leaves
+
+
+def _reference_assemble(inst: list, expanded: list, concl: Sequent) -> Proof:
+    values: list = []
+    expanded = iter(expanded)
+    for seq, rule, data, arity in reversed(inst):
+        kids = ()
+        if arity:
+            kids = tuple(values[: -arity - 1 : -1])
+            del values[-arity:]
+        values.append(next(expanded) if rule is RuleName.LINK else Proof(seq, rule, kids, data))
+    top = inst[0][0]
+    if top.ante == concl.ante and top.succ == concl.succ:
+        return values[0]
+    return Proof(concl, RuleName.ERULE, (values[0],), RuleData(whole=True))
+
+
+def _reference_normal_proof(proof: Proof, theory: EquationalTheory, done: dict) -> Proof:
+    cache = theory._nf_cache
+
+    def norm(x):
+        if type(x) is Sequent:
+            if all(f in cache for f in x.ante) and all(f in cache for f in x.succ):
+                return Sequent(tuple([cache[f] for f in x.ante]), tuple([cache[f] for f in x.succ]))
+        elif x in cache:
+            return cache[x]
+        return normalize(x, theory).value
+
+    def combine(cur: Proof, kids: tuple) -> Proof:
+        concl = norm(cur.conclusion)
+        if cur.rule is RuleName.ERULE and kids and kids[0].conclusion == concl:
+            child = kids[0]
+            if child.conclusion.ante == concl.ante and child.conclusion.succ == concl.succ:
+                return child
+            return Proof(concl, child.rule, child.premises, child.data)
+        return Proof(concl, cur.rule, kids, _map_data(cur.data, norm))
+
+    return fold(proof, combine, done)
+
+
+def unrolling(evaluate, proof_schema, alpha, theory):
+    """What an evaluation shows: both printed trees, their counts and the
+    expansion records, or the type and message of the error it raised."""
+    try:
+        trace = evaluate(proof_schema, alpha, theory)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (
+        printer.print_proof_tree(trace.expanded),
+        printer.print_proof_tree(trace.proof),
+        count_inferences(trace.expanded),
+        count_inferences(trace.proof),
+        trace.expansions,
+    )
+
+
+SCHEMA_FILES = ["schema_exp.sch", "schema_fhat.sch", "schema_shat.sch", "schema_svar.sch"]
+
+
+def reference_evaluate_property(max_examples):
+    """On corpus schemata and their mutants, at 0..5, under the default fuel
+    and a low one, ``schema.evaluate`` shows what the two-pass oracle shows,
+    each on a fresh theory."""
+
+    corpus = st.sampled_from(SCHEMA_FILES).map(lambda name: (name, corpus_path(name).read_text()))
+
+    @settings(max_examples=max_examples, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(corpus | mutated_corpus_files(SCHEMA_FILES))
+    def check(case):
+        _, text = case
+        try:
+            proof_schema, directive = parser.parse_schema(text)
+            rules = load_theory(corpus_path(directive)).rules if directive else ()
+        except (ParseError, OSError):
+            assume(False)
+        for fuel in (DEFAULT_FUEL, 40):
+            for alpha in range(6):
+                new = unrolling(schema.evaluate, proof_schema, alpha, EquationalTheory(rules, fuel))
+                old = unrolling(reference_evaluate, proof_schema, alpha, EquationalTheory(rules, fuel))
+                assert new == old, (text, fuel, alpha)
+
+    return check
+
+
 def monotonicity_property(max_examples, pool):
     from silkcheck.kernel import MODE_LK, MODE_LKE, MODE_LKS, check_proof
 
@@ -570,8 +763,7 @@ def quantifier_rule_property(max_examples):
     return check
 
 
-# --- the post-order loops that syntax.fold and schema._normal_proof
-# replaced, each as it last stood (substitution with the fresh name kept off
+# --- the post-order loops that syntax.fold replaced, each as it last stood (substitution with the fresh name kept off
 # the substitution's domain), kept as oracles, the ones over binders on
 # named formulas.  They keep their own tables and set no cache on a node.
 
@@ -794,44 +986,6 @@ def _reference_subst_binder(f: Formula, sub: Substitution) -> Formula:
         return f
     new_body = _reference_subst(body, inner, {})
     return f if var is f.var and new_body is f.body else type(f)(var, new_body)
-
-
-def reference_normal_proof(proof: Proof, theory: EquationalTheory, done: dict) -> Proof:
-    """A drop-in for ``schema._normal_proof``."""
-    norm = lambda x: normalize(x, theory).value
-
-    stack = [proof]
-    while stack:
-        cur = stack[-1]
-        pending = [k for k in cur.premises if k not in done]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        if cur in done:
-            continue
-        kids = tuple(done[k] for k in cur.premises)
-        concl = norm(cur.conclusion)
-        if cur.rule is RuleName.ERULE and kids and kids[0].conclusion == concl:
-            child = kids[0]
-            if child.conclusion.ante == concl.ante and child.conclusion.succ == concl.succ:
-                done[cur] = child
-            else:
-                done[cur] = Proof(concl, child.rule, child.premises, child.data)
-            continue
-        done[cur] = Proof(concl, cur.rule, kids, _map_data(cur.data, norm))
-    return done[proof]
-
-
-@contextmanager
-def reference_normal_form():
-    """``schema.evaluate`` normalizes its unrolled proof with the oracle."""
-    saved = schema._normal_proof
-    schema._normal_proof = reference_normal_proof
-    try:
-        yield
-    finally:
-        schema._normal_proof = saved
 
 
 def fold_oracle_property(max_examples):
@@ -1626,6 +1780,16 @@ def link_env(collection: ComponentCollection) -> dict:
     return {g.link_name(): LinkPattern(g.pattern, g.pattern_vars) for g in collection.groups if g.pattern is not None}
 
 
+def proof_nodes(proof):
+    """(node, premise indices from the root) pairs of a proof tree, counted
+    with multiplicity, in pre-order with the last premise first."""
+    stack = [(proof, ())]
+    while stack:
+        node, path = stack.pop()
+        yield node, path
+        stack.extend((p, path + (i,)) for i, p in enumerate(node.premises))
+
+
 def build_proof_pool():
     """Corpus-derived proofs: checked ones, their unrollings, and broken
     variants, each with the setup its check needs."""
@@ -1714,7 +1878,7 @@ MUTATION_KINDS = ["drop-premise", "swap-premises", "corrupt-axiom", "capture-eig
 def mutation_fuzz_property(max_examples):
     """Any single mutation of a checked corpus proof flips its verdict."""
     from silkcheck import corpus_path, load_proof, load_schema
-    from silkcheck.kernel import MODE_LKE, MODE_LKS, check_proof, flatten_path, iter_nodes
+    from silkcheck.kernel import MODE_LKE, MODE_LKS, check_proof
     from silkcheck.schema import evaluate
 
     pool = []
@@ -1729,7 +1893,7 @@ def mutation_fuzz_property(max_examples):
         assert check_proof(proof, mode, th, e, allowed, lenient_erule=True).accepted
     # Most (node, kind) pairs admit no mutation; drawing only the ones that
     # do keeps Hypothesis from filtering most of its inputs away.
-    nodes = [(entry, node, flatten_path(path)) for entry in pool for node, path in iter_nodes(entry[0])]
+    nodes = [(entry, node, path) for entry in pool for node, path in proof_nodes(entry[0])]
     sites = [
         (entry, node, path, kind)
         for entry, node, path in nodes

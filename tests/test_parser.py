@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from silkcheck import corpus_path, parser, printer
-from silkcheck.kernel import iter_nodes
 from silkcheck.parser import (
     FORMULA,
     NUM,
@@ -399,7 +398,7 @@ def test_longest_unrolled_fhat_sequent_parses_back_to_itself():
     # read back as the very object the unrolling built.
     schema, theory = load_schema(corpus_path("schema_fhat.sch"))
     proof = evaluate(schema, 1000, theory).proof
-    longest = max((node.conclusion for node, _ in iter_nodes(proof)), key=lambda seq: len(str(seq)))
+    longest = max((node.conclusion for node, _ in gen.proof_nodes(proof)), key=lambda seq: len(str(seq)))
     assert len(str(longest)) > 9000
     again = parse_sequent(str(longest))
     assert gen.identical((again.ante, again.succ), (longest.ante, longest.succ))

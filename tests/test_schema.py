@@ -4,9 +4,11 @@ import tracemalloc
 
 import pytest
 
+import silkcheck.rewrite
+import silkcheck.schema
 from silkcheck import corpus_path, load_schema, load_script
-from silkcheck.kernel import Proof, RuleData, RuleName as R, count_inferences, iter_nodes
-from silkcheck.parser import parse_numexpr, parse_schema, parse_sequent
+from silkcheck.kernel import Proof, RuleData, RuleName as R, count_inferences
+from silkcheck.parser import parse_numexpr, parse_schema, parse_sequent, parse_theory
 from silkcheck.schema import (
     MatchFailure,
     ProofSchema,
@@ -178,13 +180,13 @@ def test_schematic_variable_schema_unrolls():
 
 def test_all_corpus_schemata_normalize_up_to_twelve():
     from silkcheck import corpus_path, load_schema
-    from silkcheck.kernel import RuleName, iter_nodes
+    from silkcheck.kernel import RuleName
 
     for name in ("schema_shat.sch", "schema_svar.sch", "schema_fhat.sch", "schema_exp.sch"):
         schema, theory = load_schema(corpus_path(name))
         for alpha in range(13):
             trace = evaluate(schema, alpha, theory)
-            assert all(n.rule is not RuleName.LINK for n, _ in iter_nodes(trace.proof)), name
+            assert all(n.rule is not RuleName.LINK for n, _ in gen.proof_nodes(trace.proof)), name
 
 
 def _schema_and_theory(name):
@@ -259,7 +261,7 @@ def test_repeated_link_instance_is_one_node(shat):
     # phi@k links to phi@k-1 twice: 2^6 - 1 expansions, 6 instances.
     assert len(trace.expansions) == 63 and len(memo.links) == 6
     assert trace.expansions[1:32] == trace.expansions[32:]
-    imp = next(n for n, _ in iter_nodes(trace.expanded) if n.rule is R.IMP_L)
+    imp = next(n for n, _ in gen.proof_nodes(trace.expanded) if n.rule is R.IMP_L)
     assert imp.premises[0] is imp.premises[1]
     assert count_inferences(trace.expanded)["->:l"] == 31
     # Fuel counts replayed expansions too: the worklist checked before each
@@ -370,14 +372,68 @@ def test_counts_from_earlier_numerals_agree_with_the_plain_walk(name):
             assert known[proof] == count_inferences(proof)
 
 
-@pytest.mark.parametrize("name", ["schema_exp.sch", "schema_fhat.sch", "schema_shat.sch", "schema_svar.sch"])
+@pytest.mark.parametrize("name", gen.SCHEMA_FILES)
 def test_normal_form_agrees_with_the_loop_it_replaced(name):
     # Each evaluation loads its own theory, so no rewrite cache is shared.
     for alpha in range(7):
         schema, theory = load_schema(corpus_path(name))
-        new = evaluate(schema, alpha, theory).proof
+        new = gen.unrolling(evaluate, schema, alpha, theory)
         schema, theory = load_schema(corpus_path(name))
-        with gen.reference_normal_form():
-            old = evaluate(schema, alpha, theory).proof
-        assert count_inferences(new) == count_inferences(old)
-        assert gen.identical(new.conclusion, old.conclusion)
+        assert new == gen.unrolling(gen.reference_evaluate, schema, alpha, theory), alpha
+
+
+def test_rewrite_errors_come_in_the_order_of_a_post_order_walk():
+    # The rule puts a term where a schematic variable's name is, so each
+    # rewrite of g(f(...)) fails with its own message.  A walk of the
+    # expanded proof, last premise first, meets the axiom on g(f(b)) before
+    # the expansion of the link beside it.
+    schema, _ = parse_schema(
+        'component p pattern "P(g(f(a))), Q(n) |- P(g(f(a)))" vars () step-param "s(n)" {\n'
+        '  base { w:l "P(g(f(a))), Q(0) |- P(g(f(a)))" formula="Q(0)" { ax "P(g(f(a))) |- P(g(f(a)))" } }\n'
+        '  step { /\\:r "P(g(f(a))), Q(s(n)) |- P(g(f(a))) /\\ P(g(f(b)))" a=0 b=0 {\n'
+        '    link "P(g(f(a))), Q(n) |- P(g(f(a)))" target=p param="n"\n'
+        '    ax "P(g(f(b))) |- P(g(f(b)))"\n'
+        "  } }\n"
+        "}\n"
+    )
+    rules = parse_theory("g(x) == h(x[0]);").rules
+    error = (SortMismatch, "schematic variable x must map to a variable, got <Fn f(b)>")
+    assert gen.unrolling(evaluate, schema, 1, EquationalTheory(rules)) == error
+    assert gen.unrolling(gen.reference_evaluate, schema, 1, EquationalTheory(rules)) == error
+
+
+def test_evaluate_agrees_with_the_two_pass_oracle_on_mutants():
+    gen.reference_evaluate_property(60)()
+
+
+def test_evaluate_rewrites_each_new_expression_once_and_instantiates_each_instance_once(monkeypatch):
+    # On a fresh theory, every expression that reaches rw.normalize misses
+    # the cache and is an expression of the expanded proof or a link
+    # parameter, and no expression reaches it twice.
+    schema, theory = load_schema(corpus_path("schema_exp.sch"))
+    normalized, instances = [], []
+    real_normalize, real_instance = silkcheck.rewrite.normalize, silkcheck.schema._instance
+
+    def counted_normalize(x, th):
+        assert x not in th._nf_cache
+        normalized.append(x)
+        return real_normalize(x, th)
+
+    def counted_instance(template, sub):
+        instances.append(template)
+        return real_instance(template, sub)
+
+    monkeypatch.setattr(silkcheck.rewrite, "normalize", counted_normalize)
+    monkeypatch.setattr(silkcheck.schema, "_instance", counted_instance)
+    memo = UnrollMemo()
+    trace = evaluate(schema, 8, theory, memo)
+    expressions = set()
+    for node, _ in gen.proof_nodes(trace.expanded):
+        expressions.update(node.conclusion.formulas())
+        for key in ("formula", "term", "repl", "param"):
+            expressions.add(getattr(node.data, key))
+        expressions.update(node.data.terms)
+    params = {param for _, _, param in trace.expansions}
+    assert len(normalized) == len(set(normalized))
+    assert set(normalized) <= expressions | params
+    assert len(instances) == len(memo.links) == len(set(trace.expansions))

@@ -2,7 +2,6 @@ import sys
 import threading
 
 from silkcheck import corpus_path, load_schema, load_theory
-from silkcheck.kernel import iter_nodes
 from silkcheck.parser import (
     _workspace_roots,
     load_file,
@@ -326,7 +325,7 @@ def test_fold_combines_each_distinct_node_once_without_recursing():
     # combines each distinct node once.
     schema, theory = load_schema(corpus_path("schema_exp.sch"))
     proof = evaluate(schema, 8, theory).proof
-    formulas = [f for node, _ in iter_nodes(proof) for f in node.conclusion.formulas()]
+    formulas = [f for node, _ in gen.proof_nodes(proof) for f in node.conclusion.formulas()]
     combined, done = [], {}
     size = lambda node, kids: combined.append(id(node)) or 1 + sum(kids)
     sizes = [fold(f, size, done) for f in formulas]
@@ -334,7 +333,7 @@ def test_fold_combines_each_distinct_node_once_without_recursing():
     distinct = {id(n) for f in formulas for n in walk(f)}
     assert sorted(combined) == sorted(distinct)
     assert 100 * len(distinct) < sum(sizes)
-    assert fold(proof, lambda node, kids: 1 + sum(kids), {}) == sum(1 for _ in iter_nodes(proof))
+    assert fold(proof, lambda node, kids: 1 + sum(kids), {}) == sum(1 for _ in gen.proof_nodes(proof))
     chain = Atom("Q", ())
     for _ in range(100_000):
         chain = Not(chain)

@@ -3,13 +3,14 @@
 import pytest
 
 from silkcheck import corpus_path, load_script
-from silkcheck.kernel import RuleName as R, count_inferences, iter_nodes
+from silkcheck.kernel import RuleName as R, count_inferences
 from silkcheck.parser import parse_formula, parse_numexpr, parse_sequent
 from silkcheck.schema import check_schema, evaluate, evaluate_and_check
 from silkcheck.silk import NotAProof, SiLKScript, check_script
 from silkcheck.syntax import OmegaAll, bind, formula_eq
 from silkcheck.translate import ancestor_map, interpret, silk_to_schema, to_ppsnf
 
+import gen
 from gen import collection_signature
 
 
@@ -85,7 +86,7 @@ def test_translate_exponential_has_forward_link(exp_script):
     schema = silk_to_schema(exp_script)
     assert [c.name for c in schema.components] == ["g2", "g1"]
     lead = schema.components[0]
-    links = [n for n, _ in iter_nodes(lead.step) if n.rule is R.LINK]
+    links = [n for n, _ in gen.proof_nodes(lead.step) if n.rule is R.LINK]
     assert len(links) == 1
     assert links[0].data.target == "g1"
     assert links[0].data.param == parse_numexpr("2^(s(n))")
