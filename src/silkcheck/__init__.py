@@ -7,9 +7,9 @@ from pathlib import Path
 from .kernel import CheckReport, LinkPattern, Proof, RuleData, RuleName, check_proof, count_inferences
 from .parser import ParseError, SiLKScript, SiLKStep, load_proof, load_schema, load_script, load_theory
 from .rewrite import EquationalTheory, RewriteRule, equivalent, eval_numeric, normalize, validate_theory
-from .schema import ProofSchema, SchemaComponent, check_schema, evaluate, evaluate_and_check
+from .schema import ProofSchema, SchemaComponent, check_schema, evaluate, evaluate_and_check, is_subterm
 from .silk import ComponentCollection, apply_step, check_script, leading_group
-from .syntax import Sequent, Substitution, free_params, free_vars, is_subterm, sequent_eq, subst
+from .syntax import Sequent, Substitution, free_params, free_vars, sequent_eq, subst
 from .translate import interpret, silk_to_schema, to_ppsnf
 
 

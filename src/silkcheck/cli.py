@@ -15,7 +15,7 @@ from pathlib import Path
 from . import rewrite as rw
 from .kernel import MODE_LKE, check_proof, count_inferences
 from .parser import ParseError, load_file, parse_proof, parse_schema, parse_script
-from .printer import print_proof_tree, print_schema, print_script, stats_table
+from .printer import print_proof_tree, print_schema, print_script, report_dict, report_text, stats_table, status, where
 from .schema import MatchFailure, UnrollMemo, check_schema, evaluate, evaluate_and_check
 from .silk import NotAProof, SilkError, check_script
 from .syntax import SortMismatch
@@ -37,11 +37,9 @@ def _emit_json(payload: dict):
 
 def _report_exit(report, as_json: bool) -> int:
     if as_json:
-        _emit_json(report.to_dict())
+        _emit_json(report_dict(report))
     else:
-        print(report.status)
-        for f in report.failures:
-            print(f"  {f}")
+        print(report_text(report))
         if report.counts:
             print("inferences:", ", ".join(f"{k}={v}" for k, v in sorted(report.counts.items())))
     return 0 if report.accepted else 1
@@ -69,7 +67,7 @@ def _cmd_check_silk(args) -> int:
     script, _, _ = load_file(args.file, parse_script, args.theory, args.fuel)
     state, verdict, report = check_script(script)
     if args.json:
-        payload = report.to_dict()
+        payload = report_dict(report)
         payload["verdict"] = verdict
         payload["collection"] = str(state)
         _emit_json(payload)
@@ -77,7 +75,7 @@ def _cmd_check_silk(args) -> int:
         print(f"verdict: {verdict}")
         print(f"collection: {state}")
         for f in report.failures:
-            print(f"  step {f.where()}: [{f.rule}] {f.message}")
+            print(f"  step {where(f)}: [{f.rule}] {f.message}")
     return 0 if verdict == "proof" else 1
 
 
@@ -105,7 +103,7 @@ def _cmd_unroll(args) -> int:
         print("inferences:", ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     if args.check:
         report = evaluate_and_check(schema, args.alpha, theory, memo=memo)
-        print(f"check: {report.status}")
+        print(f"check: {status(report)}")
         return 0 if report.accepted else 1
     return 0
 
@@ -164,7 +162,7 @@ def _cmd_interpret(args) -> int:
     if verdict != "proof":
         print(f"not a proof (verdict: {verdict})", file=sys.stderr)
         for f in report.failures:
-            print(f"  step {f.where()}: {f.message}", file=sys.stderr)
+            print(f"  step {where(f)}: {f.message}", file=sys.stderr)
         return 1
     formula = interpret(state)
     if args.json:

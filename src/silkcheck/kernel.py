@@ -121,23 +121,11 @@ class Proof(Record, eq=False):
         _setattr(self, "premises", premises)
         _setattr(self, "data", data)
 
-    def kids(self) -> tuple:  # what syntax.fold walks
+    def kids(self) -> tuple:  # what syntax.walk walks
         return self.premises
 
     def __repr__(self):
         return f"<Proof {self.rule} {self.conclusion}>"
-
-
-def ax(sequent: Sequent) -> Proof:
-    return Proof(sequent, R.AX)
-
-
-def bridge_to(proof: Proof, want: Sequent) -> Proof:
-    """Adapt a proof to an equal-up-to-rewriting end-sequent by one
-    whole-sequent rewrite inference; the identity when already equal."""
-    if proof.conclusion == want:
-        return proof
-    return Proof(want, R.ERULE, (proof,), RuleData(whole=True))
 
 
 class LinkPattern(Record):
@@ -310,12 +298,6 @@ class Failure(Record):
     rule: str
     message: str
 
-    def where(self) -> str:
-        return ".".join(str(i) for i in self.path) if self.path else "root"
-
-    def __str__(self):
-        return f"[{self.where()}] {self.rule}: {self.message}"
-
 
 class CheckReport:
     _fields = ("failures", "counts", "params")
@@ -329,26 +311,6 @@ class CheckReport:
     @property
     def accepted(self) -> bool:
         return not self.failures
-
-    @property
-    def status(self) -> str:
-        return "accepted" if self.accepted else "rejected"
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "status": self.status,
-            "failures": [
-                {"path": f.where(), "rule": f.rule, "message": f.message} for f in self.failures
-            ],
-            "counts": {k: v for k, v in sorted(self.counts.items())},
-            "params": self.params,
-        }
-
-    def __str__(self):
-        lines = [self.status]
-        lines += [f"  {f}" for f in self.failures]
-        return "\n".join(lines)
 
 
 def _allowed_rules(mode: str) -> frozenset:
@@ -490,6 +452,3 @@ def count_inferences(proof: Proof, known: Mapping | None = None) -> dict:
             counts[key] = counts.get(key, 0) + 1
         stack.extend(node.premises)
     return counts
-
-
-RULE_TOKENS = {r.value: r for r in RuleName}

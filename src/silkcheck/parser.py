@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import rewrite as rw
-from .kernel import Proof, RuleData, RuleName, RULE_TOKENS
+from .kernel import Proof, RuleData, RuleName
 from .schema import ProofSchema, SchemaComponent
 from .syntax import (
     CONNECTIVES,
@@ -66,6 +66,7 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Lexer
 
+RULE_TOKENS = {r.value: r for r in RuleName}
 _RULE_SYMBOLS = sorted(
     (tok for tok in RULE_TOKENS if any(c in tok for c in ":\\/~>")),
     key=len,
@@ -851,7 +852,7 @@ def load_file(path: str | Path, parse, theory: str | Path | None = None, fuel: i
         theory = path.parent / directive
     theory = load_theory(theory, fuel) if theory else rw.EquationalTheory((), fuel)
     issues = check_arities(*_workspace_roots(value, theory))
-    issues += [f"theory {issue}" for issue in rw.validate_theory(theory).issues]
+    issues += [f"theory rule {issue.rule_index + 1}: {issue.message}" for issue in rw.validate_theory(theory).issues]
     if issues:
         raise ParseError("; ".join(issues))
     if isinstance(value, SiLKScript):

@@ -1,9 +1,10 @@
 """Writers for every file format, inverse to the parsers, plus the indented
-tree display the CLI uses for unrolled proofs."""
+tree display the CLI uses for unrolled proofs and the text and --json forms
+of check reports."""
 
 from __future__ import annotations
 
-from .kernel import Proof, RuleData
+from .kernel import CheckReport, Failure, Proof, RuleData
 from .parser import SiLKScript, SiLKStep
 from .rewrite import EquationalTheory
 from .schema import ProofSchema
@@ -133,3 +134,32 @@ def stats_table(rows: list) -> str:
         cells += [str(expanded.get(r, 0)) for r in rules]
         out.append("  ".join(c.rjust(w) for c, w in zip(cells, widths)))
     return "\n".join(out)
+
+
+# ---------------------------------------------------------------------------
+# Check reports
+
+
+def status(report: CheckReport) -> str:
+    return "accepted" if report.accepted else "rejected"
+
+
+def where(failure: Failure) -> str:
+    """A failure's path: its premise indices from the root, dotted, or root."""
+    return ".".join(str(i) for i in failure.path) if failure.path else "root"
+
+
+def report_text(report: CheckReport) -> str:
+    """The status, then one indented line per failure."""
+    return "\n".join([status(report)] + [f"  [{where(f)}] {f.rule}: {f.message}" for f in report.failures])
+
+
+def report_dict(report: CheckReport) -> dict:
+    """The report as --json writes it."""
+    return {
+        "format_version": 1,
+        "status": status(report),
+        "failures": [{"path": where(f), "rule": f.rule, "message": f.message} for f in report.failures],
+        "counts": dict(sorted(report.counts.items())),
+        "params": report.params,
+    }

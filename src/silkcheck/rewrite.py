@@ -64,9 +64,6 @@ class RewriteRule(Record):
     rhs: Node
     line: int = 0
 
-    def __str__(self):
-        return f"{self.lhs} == {self.rhs}"
-
 
 def _head_key(node: Node) -> tuple | None:
     if isinstance(node, NumFn):
@@ -105,9 +102,6 @@ EMPTY_THEORY = EquationalTheory()
 class TheoryIssue(Record):
     rule_index: int
     message: str
-
-    def __str__(self):
-        return f"rule {self.rule_index + 1}: {self.message}"
 
 
 class TheoryReport(Record):
@@ -151,10 +145,16 @@ def validate_theory(theory: EquationalTheory) -> TheoryReport:
                 # only defined individual symbols and predicates are barred.
                 if sub_key[0] in ("t", "a") and sub_key in heads:
                     issues.append(TheoryIssue(i, f"defined symbol {sub} occurs inside the argument {arg}"))
-        extra = _rule_vars(rule.rhs) - _rule_vars(rule.lhs)
+        bound = _rule_vars(rule.lhs)
+        extra = _rule_vars(rule.rhs) - bound
         if extra:
             names = ", ".join(sorted(n for _, n in extra))
             issues.append(TheoryIssue(i, f"right side uses variables not bound on the left: {names}"))
+        # A match binds a left-side variable to a term, which a schematic
+        # variable's name cannot become.
+        clash = ", ".join(sorted({n.name for n in walk(rule.rhs) if type(n) is SVar and ("v", n.name) in bound}))
+        if clash:
+            issues.append(TheoryIssue(i, f"right side uses left-side variables as schematic variables: {clash}"))
         for prior in seen_lhs:
             if prior == rule.lhs:
                 issues.append(TheoryIssue(i, f"duplicate left side {rule.lhs}"))

@@ -46,14 +46,14 @@ from .kernel import (
 from .syntax import (
     FreeVar,
     NumExpr,
+    NumFn,
     Param,
     Record,
     Sequent,
     SortMismatch,
     Substitution,
-    canon_num,
+    Succ,
     free_names,
-    is_subterm,
     numeral,
     numeral_value,
     replace,
@@ -109,6 +109,49 @@ class ProofSchema(Record):
 
 
 # ---------------------------------------------------------------------------
+# Numeric expressions modulo s/+
+
+
+def canon_num(e: NumExpr) -> NumExpr:
+    """Canonical form of the +/s fragment: numeral summands become successor
+    applications, so s(n), n+1 and 1+n all coincide.  Built bottom-up: an
+    application's numeric arguments are canonical before it is.  It keeps
+    its own loop rather than syntax.fold's, as its children are the
+    arguments of a split_succs base, which skips a successor tower in one
+    step."""
+    done: dict = {}
+    stack = [e]
+    while stack:
+        cur = stack[-1]
+        base, offset = split_succs(cur)
+        args = base.args if isinstance(base, NumFn) else ()
+        pending = [a for a in args if isinstance(a, NumExpr) and a not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if base is None:
+            done[cur] = numeral(offset)
+            continue
+        if args:
+            base = NumFn(base.sym, tuple(done.get(a, a) for a in args))
+        for _ in range(offset):
+            base = Succ(base)
+        done[cur] = base
+    return done[e]
+
+
+def num_eq(a: NumExpr, b: NumExpr) -> bool:
+    """Equality of numeric expressions modulo the s/+ identification."""
+    return canon_num(a) == canon_num(b)
+
+
+def is_subterm(small: NumExpr, big: NumExpr) -> bool:
+    """Reflexive subterm relation on numeric expressions."""
+    return any(small == sub for sub in walk(big))
+
+
+# ---------------------------------------------------------------------------
 # Well-formedness
 
 
@@ -126,35 +169,30 @@ def check_schema(schema: ProofSchema, theory: rw.EquationalTheory) -> CheckRepor
     order = {c.name: i for i, c in enumerate(schema.components)}
 
     for ci, comp in enumerate(schema.components):
-        if comp.base is None:
-            fail(ci, "component", f"{comp.name} has no base proof")
-            continue
-        base_concl = subst(comp.pattern, Substitution({"n": numeral(0)}, {}))
-        if not comp.base.conclusion == base_concl:
-            fail(ci, "component", f"base of {comp.name} concludes {comp.base.conclusion}, expected {base_concl}")
-        # Translated components justify pattern mismatches with whole-sequent
-        # rewrite bridges, so schema proofs get the lenient witness form.
-        sub_report = check_proof(comp.base, MODE_LKS, theory, env, frozenset(), lenient_erule=True)
-        for f in sub_report.failures:
-            report.failures.append(Failure((ci,) + f.path, f.rule, f"base of {comp.name}: {f.message}"))
-        _check_links(report, ci, comp, comp.base, "base", order)
-
-        if comp.step is None:
-            if comp.step_param is not None:
-                fail(ci, "component", f"{comp.name} declares a step parameter but has no step proof")
-            continue
-        try:
-            offset = comp.step_offset()
-        except MatchFailure as exc:
-            fail(ci, "component", str(exc))
-            continue
-        step_concl = subst(comp.pattern, Substitution({"n": comp.step_param}, {}))
-        if not comp.step.conclusion == step_concl:
-            fail(ci, "component", f"step of {comp.name} concludes {comp.step.conclusion}, expected {step_concl}")
-        sub_report = check_proof(comp.step, MODE_LKS, theory, env, frozenset({"n"}), lenient_erule=True)
-        for f in sub_report.failures:
-            report.failures.append(Failure((ci,) + f.path, f.rule, f"step of {comp.name}: {f.message}"))
-        _check_links(report, ci, comp, comp.step, "step", order, offset)
+        # The base at 0, then the step, if any, at the step parameter n + c.
+        cases = (("base", comp.base, numeral(0), frozenset()), ("step", comp.step, comp.step_param, frozenset({"n"})))
+        for kind, proof, param, allowed in cases:
+            offset = 0
+            if proof is None:
+                if kind == "base":
+                    fail(ci, "component", f"{comp.name} has no base proof")
+                elif param is not None:
+                    fail(ci, "component", f"{comp.name} declares a step parameter but has no step proof")
+                break
+            if kind == "step":
+                try:
+                    offset = comp.step_offset()
+                except MatchFailure as exc:
+                    fail(ci, "component", str(exc))
+                    break
+            concl = subst(comp.pattern, Substitution({"n": param}, {}))
+            if not proof.conclusion == concl:
+                fail(ci, "component", f"{kind} of {comp.name} concludes {proof.conclusion}, expected {concl}")
+            # Translated components justify pattern mismatches with whole-sequent
+            # rewrite bridges, so schema proofs get the lenient witness form.
+            for f in check_proof(proof, MODE_LKS, theory, env, allowed, lenient_erule=True).failures:
+                report.failures.append(Failure((ci,) + f.path, f.rule, f"{kind} of {comp.name}: {f.message}"))
+            _check_links(report, ci, comp, proof, kind, order, offset)
     return report
 
 

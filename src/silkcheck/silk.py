@@ -32,10 +32,9 @@ from .kernel import (
     RuleError,
     RuleName,
     apply_rule,
-    ax,
-    bridge_to,
 )
 from .parser import _STEP_READS, ParseError, SiLKScript, SiLKStep, parse_replacement
+from .schema import num_eq
 from .syntax import (
     Formula,
     NumExpr,
@@ -50,7 +49,6 @@ from .syntax import (
     free_params,
     free_vars,
     node_at,
-    num_eq,
     numeral,
     replace,
     subst,
@@ -196,6 +194,18 @@ _RULES = _STEP_READS.keys() - {"rho"} | {"rho_bc", "rho_sc"}
 # The rules that open a stepcase, named as their closed-basecase rejection
 # names them.
 _OPENER = {"axl": "stepcase work", "cycle": "the cycle rule", "call": "the call rule"}
+
+
+def ax(sequent: Sequent) -> Proof:
+    return Proof(sequent, RuleName.AX)
+
+
+def bridge_to(proof: Proof, want: Sequent) -> Proof:
+    """Adapt a proof to an equal-up-to-rewriting end-sequent by one
+    whole-sequent rewrite inference; the identity when already equal."""
+    if proof.conclusion == want:
+        return proof
+    return Proof(want, RuleName.ERULE, (proof,), RuleData(whole=True))
 
 
 def _open_group(state: ComponentCollection, gid: int | None) -> ComponentGroup:

@@ -20,13 +20,11 @@ Nothing is generated at import time: dataclasses would compile code for each
 class with exec, most of the start-up of a one-file CLI run.
 
 No traversal recurses per node.  fold is the one post-order pass: render,
-canon_alpha, free names, substitution schedules and schema's normal proof
-run on it.  canon_num keeps its own loop, as its children are the arguments
-of a split_succs base, which skips a successor tower in one step; so does
-rewrite._normalize, whose frames hold head-step targets and spend fuel on
-every trip round a rewrite cycle.  So successor towers, long conjunctions,
-f(f(...f(0)...)) chains and binders thousands deep never hit the recursion
-limit.
+canon_alpha, free names and substitution schedules run on it.
+rewrite._normalize keeps its own loop, whose frames hold head-step targets
+and spend fuel on every trip round a rewrite cycle.  So successor towers,
+long conjunctions, f(f(...f(0)...)) chains and binders thousands deep never
+hit the recursion limit.
 
 Bound variables have canonical names.  A binder's body names its bound
 variable $h, h being the body's height, the most binders nested in it; a
@@ -299,37 +297,6 @@ def split_succs(e: NumExpr) -> tuple[NumExpr | None, int]:
             return e, offset
         else:
             return e, offset
-
-
-def canon_num(e: NumExpr) -> NumExpr:
-    """Canonical form of the +/s fragment: numeral summands become successor
-    applications, so s(n), n+1 and 1+n all coincide.  Built bottom-up: an
-    application's numeric arguments are canonical before it is."""
-    done: dict = {}
-    stack = [e]
-    while stack:
-        cur = stack[-1]
-        base, offset = split_succs(cur)
-        args = base.args if isinstance(base, NumFn) else ()
-        pending = [a for a in args if isinstance(a, NumExpr) and a not in done]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        if base is None:
-            done[cur] = numeral(offset)
-            continue
-        if args:
-            base = NumFn(base.sym, tuple(done.get(a, a) for a in args))
-        for _ in range(offset):
-            base = Succ(base)
-        done[cur] = base
-    return done[e]
-
-
-def num_eq(a: NumExpr, b: NumExpr) -> bool:
-    """Equality of numeric expressions modulo the s/+ identification."""
-    return canon_num(a) == canon_num(b)
 
 
 # ---------------------------------------------------------------------------
@@ -709,11 +676,6 @@ def rebuild(node: Node, kids: tuple) -> Node:
     if not kids:
         return node
     raise TypeError(node)
-
-
-def is_subterm(small: NumExpr, big: NumExpr) -> bool:
-    """Reflexive subterm relation on numeric expressions."""
-    return any(small == sub for sub in walk(big))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ and forward links.
 
 from __future__ import annotations
 
-from .kernel import bridge_to
 from .parser import SiLKScript
+from .printer import report_text
 from .schema import ProofSchema, SchemaComponent
-from .silk import ClosedStep, ComponentCollection, EmptyStep, NotAProof, check_script, leading_group
+from .silk import ClosedStep, ComponentCollection, EmptyStep, NotAProof, bridge_to, check_script, leading_group
 from .syntax import (
     And,
     Formula,
@@ -57,7 +57,7 @@ def to_ppsnf(script: SiLKScript) -> SiLKScript:
     the next group starts; idempotent on scripts already in that shape."""
     collection, verdict, report = check_script(script)
     if verdict != "proof":
-        raise NotAProof(f"normal form is defined for proofs only, got {verdict}: {report}")
+        raise NotAProof(f"normal form is defined for proofs only, got {verdict}: {report_text(report)}")
     ancestors = ancestor_map(script)
     closure_of = {g.gid: g.closure_index for g in collection.groups}
     ordered_gids = sorted(ancestors, key=lambda gid: closure_of[gid])

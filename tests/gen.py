@@ -1794,9 +1794,9 @@ def build_proof_pool():
     """Corpus-derived proofs: checked ones, their unrollings, and broken
     variants, each with the setup its check needs."""
     from silkcheck import load_schema, load_script
-    from silkcheck.kernel import Proof, ax
+    from silkcheck.kernel import Proof
     from silkcheck.schema import evaluate
-    from silkcheck.silk import ClosedStep, OpenStep, check_script
+    from silkcheck.silk import ClosedStep, OpenStep, ax, check_script
 
     pool = []
     schema, theory = load_schema(corpus_path("schema_shat.sch"))

@@ -886,6 +886,19 @@ def test_theory_option_is_validated(capsys, tmp_path):
     assert (code, out, err) == (2, "", BAD_THEORY_ERR)
 
 
+def test_theory_rule_naming_a_schematic_variable_after_a_bound_one_is_a_parse_error(capsys, tmp_path):
+    # g(x) == h(x[0]) binds x to a term, which the name of x[0] cannot
+    # become: loading the theory fails before any E step uses the rule.
+    (tmp_path / "t.thy").write_text("g(x) == h(x[0]);\n")
+    path = tmp_path / "a.lkp"
+    path.write_text(
+        'theory "t.thy"\n'
+        'E "P(h(f(a))) |- P(h(f(a)))" at=L.0 path=0 to="g(f(a))" {\n  ax "P(h(f(a))) |- P(h(f(a)))"\n}\n'
+    )
+    err = "parse error: theory rule 1: right side uses left-side variables as schematic variables: x\n"
+    assert run(capsys, "check-lk", str(path), "--mode", "lke") == (2, "", err)
+
+
 # Parse errors inside quoted expressions and theory rules are reported at
 # their place in the file, not in the quoted text.
 @pytest.mark.parametrize(

@@ -1,12 +1,15 @@
 """Import hygiene of the package sources, read with the standard library's
 ``ast``: every module-level import is used, no function imports anything,
-nothing imports ``dataclasses`` and ``syntax`` imports no module of the
-package; and what importing the CLI loads."""
+nothing imports ``dataclasses``, ``syntax`` imports no module of the
+package and the rest of the trusted base only what lies below it; and what
+importing the CLI loads."""
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import silkcheck
 
@@ -50,16 +53,35 @@ def test_no_import_inside_a_function():
     assert local == []
 
 
+def _package_imports(stem: str) -> set:
+    """The modules of the package that module ``stem`` imports, named
+    without the package prefix; ``from . import x`` and ``from silkcheck
+    import x`` count as importing x, and the package itself is ``silkcheck``."""
+    found = set()
+    for node in ast.walk(_tree(Path(silkcheck.__file__).parent / f"{stem}.py")):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["silkcheck" if node.level else "", node.module or ""]))
+            modules = [f"{module}.{alias.name}" for alias in node.names] if module == "silkcheck" else [module]
+        else:
+            continue
+        found |= {m.removeprefix("silkcheck.") for m in modules if m.split(".")[0] == "silkcheck"}
+    return found
+
+
 def test_syntax_imports_no_module_of_the_package():
     # Every node renders itself through syntax.render, so the writer lives
     # where the nodes do: syntax sits below every other module.
-    found = []
-    for node in ast.walk(_tree(Path(silkcheck.__file__).parent / "syntax.py")):
-        if isinstance(node, ast.Import):
-            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "silkcheck"]
-        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "silkcheck"):
-            found.append("." * node.level + (node.module or ""))
-    assert found == []
+    assert _package_imports("syntax") == set()
+
+
+@pytest.mark.parametrize("stem, below", [("rewrite", {"syntax"}), ("kernel", {"syntax", "rewrite"})])
+def test_trusted_base_imports_only_the_modules_below_it(stem, below):
+    # The trusted base is syntax, rewrite and kernel: a kernel verdict reads
+    # no other module, so report text, numeral canon and proof bridging
+    # live with their users.
+    assert _package_imports(stem) <= below
 
 
 # Start-up: importing the CLI generates no code, so the modules that code

@@ -14,11 +14,12 @@ from silkcheck.kernel import (
     RuleError,
     RuleName as R,
     apply_rule,
-    ax,
     check_proof,
     count_inferences,
 )
 from silkcheck.parser import parse_formula, parse_proof, parse_sequent, parse_term, parse_theory
+from silkcheck.printer import report_dict, where
+from silkcheck.silk import ax
 from silkcheck.syntax import FreeVar, Param, Sequent, Substitution, subst
 
 
@@ -89,7 +90,7 @@ def test_check_deterministic(nu):
     proof, theory, env = nu
     a = check_proof(proof, MODE_LKS, theory, env, frozenset({"n"}))
     b = check_proof(proof, MODE_LKS, theory, env, frozenset({"n"}))
-    assert a.to_dict() == b.to_dict()
+    assert report_dict(a) == report_dict(b)
 
 
 def test_count_single_axiom():
@@ -264,7 +265,7 @@ def test_failure_paths_locate_nodes(pi):
     )
     report = check_proof(bad, MODE_LKE, theory)
     assert not report.accepted
-    assert any(fl.where() == "0" for fl in report.failures)
+    assert any(where(fl) == "0" for fl in report.failures)
 
 
 
@@ -301,7 +302,7 @@ def test_failure_path_at_depth_is_the_premise_indices():
     assert len(path) == 6299 and path.count(1) == 150
     report = check_proof(broken, MODE_LK)
     assert [(fl.path, fl.rule) for fl in report.failures] == [(path, "w:r")]
-    assert report.failures[0].where() == ".".join(map(str, path))
+    assert where(report.failures[0]) == ".".join(map(str, path))
 
 def test_cut_round_trips_through_files():
     from silkcheck.parser import parse_proof

@@ -11,13 +11,13 @@ from silkcheck.kernel import (
     Proof,
     RuleData,
     RuleName as R,
-    ax,
     check_proof,
 )
 from silkcheck.parser import parse_formula, parse_numexpr, parse_sequent, parse_term
+from silkcheck.printer import where
 from silkcheck.rewrite import EquationalTheory, RewriteRule, validate_theory
 from silkcheck.schema import ProofSchema, SchemaComponent, check_schema, evaluate_and_check
-from silkcheck.silk import SiLKScript, check_script
+from silkcheck.silk import SiLKScript, ax, check_script
 from silkcheck.syntax import Fn, FreeVar, replace
 
 
@@ -55,7 +55,7 @@ def broken_eigenvariable():
         RuleData(a=0, formula=q, eigen="a"),
     )
     report = check_proof(node, MODE_LK)
-    return report.failures, any(f.where() == "root" and "eigenvariable" in f.message for f in report.failures)
+    return report.failures, any(where(f) == "root" and "eigenvariable" in f.message for f in report.failures)
 
 
 def eigenvariable_renamed_into_context():

@@ -26,6 +26,7 @@ from silkcheck.syntax import (
     NumFn,
     Or,
     Param,
+    SVar,
     Substitution,
     Succ,
     ZERO,
@@ -140,7 +141,7 @@ def test_defined_symbol_inside_pattern_rejected():
     ))
     report = validate_theory(theory)
     assert not report.ok
-    assert any("gd" in str(i) for i in report.issues)
+    assert any("gd" in i.message for i in report.issues)
 
 
 def test_defined_symbols_inside_one_argument_reported_left_to_right():
@@ -150,16 +151,28 @@ def test_defined_symbols_inside_one_argument_reported_left_to_right():
         RewriteRule(Fn("gd", (x,)), x),
         RewriteRule(Fn("hd", (x,)), x),
     ))
-    assert [str(i) for i in validate_theory(theory).issues] == [
-        "rule 1: defined symbol gd(x) occurs inside the argument pair(gd(x), hd(x))",
-        "rule 1: defined symbol hd(x) occurs inside the argument pair(gd(x), hd(x))",
+    assert [(i.rule_index, i.message) for i in validate_theory(theory).issues] == [
+        (0, "defined symbol gd(x) occurs inside the argument pair(gd(x), hd(x))"),
+        (0, "defined symbol hd(x) occurs inside the argument pair(gd(x), hd(x))"),
     ]
 
 
 def test_unbound_rhs_variable_rejected():
     theory = EquationalTheory((RewriteRule(Fn("fd", (FreeVar("x"),)), Fn("g", (FreeVar("y"),))),))
     report = validate_theory(theory)
-    assert not report.ok and "y" in str(report.issues[0])
+    assert not report.ok and "y" in report.issues[0].message
+
+
+def test_left_side_variable_used_as_a_schematic_one_rejected():
+    x = FreeVar("x")
+    clash = RewriteRule(Fn("g", (x,)), Fn("h", (SVar("x", numeral(0)),)))
+    report = validate_theory(EquationalTheory((clash,)))
+    assert [(i.rule_index, i.message) for i in report.issues] == [
+        (0, "right side uses left-side variables as schematic variables: x")
+    ]
+    # A schematic variable of another name is a constant of the rule.
+    other = RewriteRule(Fn("g", (x,)), Fn("h", (SVar("y", numeral(0)), x)))
+    assert validate_theory(EquationalTheory((other,))).ok
 
 
 @pytest.mark.parametrize("text", ["pred W(y) == forall z. R(z, y);", "pred V^0 == forall m:omega. Q^(m);"])
@@ -180,12 +193,12 @@ def test_instantiating_a_binding_right_side_renames_its_binder():
 def test_duplicate_lhs_rejected():
     r = RewriteRule(Fn("fd", (FreeVar("x"),)), FreeVar("x"))
     report = validate_theory(EquationalTheory((r, r)))
-    assert any("duplicate" in str(i) for i in report.issues)
+    assert any("duplicate" in i.message for i in report.issues)
 
 
 def test_numeric_plus_is_reserved():
     theory = EquationalTheory((RewriteRule(NumFn("+", (Param("a"), Param("b"))), Param("a")),))
-    assert any("built in" in str(i) for i in validate_theory(theory).issues)
+    assert any("built in" in i.message for i in validate_theory(theory).issues)
 
 
 def test_bare_variable_lhs_rejected():

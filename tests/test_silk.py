@@ -7,6 +7,7 @@ from silkcheck import corpus_path, load_script
 from silkcheck.kernel import MODE_LKS, check_proof
 from silkcheck.parser import ParseError, parse_formula, parse_script, parse_sequent
 from silkcheck.rewrite import FuelExhausted, StuckTerm
+from silkcheck.schema import num_eq
 from silkcheck.silk import (
     EMPTY_COLLECTION,
     ClosedBase,
@@ -232,7 +233,6 @@ def test_annotation_recorded_at_closure(fhat_script, exp_script):
     # compressed one.
     from silkcheck.parser import parse_numexpr
     from silkcheck.silk import EMPTY_COLLECTION
-    from silkcheck.syntax import num_eq
 
     for script, expected in ((fhat_script, {1: "s(n)"}), (exp_script, {1: "s(n)", 2: "2^(s(n))"})):
         state = EMPTY_COLLECTION

@@ -12,7 +12,7 @@ from silkcheck.parser import (
     parse_sequent,
     parse_term,
 )
-from silkcheck.schema import evaluate
+from silkcheck.schema import canon_num, evaluate, is_subterm, num_eq
 from silkcheck.syntax import (
     CONNECTIVES,
     And,
@@ -31,13 +31,10 @@ from silkcheck.syntax import (
     Succ,
     ZERO,
     bind,
-    canon_num,
     formula_eq,
     free_params,
     fold,
     free_vars,
-    is_subterm,
-    num_eq,
     numeral,
     render,
     sequent_eq,
