@@ -15,7 +15,7 @@ from pathlib import Path
 from . import rewrite as rw
 from .kernel import MODE_LKE, check_proof, count_inferences
 from .parser import ParseError, load_file, parse_proof, parse_schema, parse_script
-from .printer import print_proof_tree, print_schema, print_script, report_dict, report_text, stats_table, status, where
+from .printer import print_proof_tree, print_schema, print_script, report_dict, report_text, stats_table, where
 from .schema import MatchFailure, UnrollMemo, check_schema, evaluate, evaluate_and_check
 from .silk import NotAProof, SilkError, check_script
 from .syntax import SortMismatch
@@ -103,7 +103,7 @@ def _cmd_unroll(args) -> int:
         print("inferences:", ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     if args.check:
         report = evaluate_and_check(schema, args.alpha, theory, memo=memo)
-        print(f"check: {status(report)}")
+        print(f"check: {report_text(report)}")
         return 0 if report.accepted else 1
     return 0
 

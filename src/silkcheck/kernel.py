@@ -148,8 +148,8 @@ def _need(cond: bool, msg: str, *args):
 
 
 def _at(side: tuple, i: int | None, what: str) -> Formula:
-    _need(i is not None, f"missing index for {what}")
-    _need(0 <= i < len(side), f"index {i} out of range for {what}")
+    _need(i is not None, "missing index for %s", what)
+    _need(0 <= i < len(side), "index %s out of range for %s", i, what)
     return side[i]
 
 

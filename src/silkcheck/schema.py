@@ -8,17 +8,18 @@ subproof's end-sequent is not literally the sequent the link displayed, a
 whole-sequent rewrite inference bridges the two; the bottommost such bridge
 is visible in the unrolled figure as the final numeral-cleanup step.
 
-Unrolling is one iterative pass that builds frozen proof nodes bottom-up.
 Each link instance, keyed by its target, value, terms, displayed sequent
-and parameter expression, is expanded and normalized once per
-``UnrollMemo``: its instantiated template gives its expanded nodes and their
-normal forms together.  A recurring instance is the same pair of nodes, so
-both proofs are DAGs, and its trace records are replayed rather than
-recomputed.  The memo also holds each component's base and step compiled
-for instantiation.  A memo lives for one ``evaluate`` call unless the caller
-passes one to several calls under one theory, as ``stats`` does across its
-range of numerals and ``unroll --check`` for the unrolling it prints and the
-one it checks.
+and parameter expression, is unrolled once per ``UnrollMemo`` in three
+passes: expansion instantiates its template, its conclusion formulas are
+normalized, parents before kids, so a kid's come mostly from the cache,
+and its expanded nodes and their normal forms are built together, kids
+first.  A recurring instance is the same pair of nodes, so both proofs are
+DAGs, and its trace records are replayed rather than recomputed.  The memo
+also holds each component's base and step compiled for instantiation.  A
+memo lives for one ``evaluate`` call unless the caller passes one to
+several calls under one theory, as ``stats`` does across its range of
+numerals and ``unroll --check`` for the unrolling it prints and the one it
+checks.
 
 The trace keeps both stages: the expanded proof with its rewrite inferences
 intact (what the unrolled figure shows) and the normal form with every
@@ -97,12 +98,6 @@ class SchemaComponent(Record):
 
 class ProofSchema(Record):
     components: tuple
-
-    def __getitem__(self, name: str) -> SchemaComponent:
-        for c in self.components:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
     def link_env(self) -> dict:
         return {c.name: LinkPattern(c.pattern, c.vars) for c in self.components}
@@ -288,19 +283,20 @@ class _Template:
     ``exprs`` holds its distinct expressions, each node's conclusion
     formulas (antecedent first) and then its witness expressions, in
     pre-order of first occurrence; ``opens`` the indices of those a link's
-    substitution can change.  ``nodes`` lists the nodes in reversed
+    substitution can change; ``concl`` the indices of the conclusion
+    formulas of the nodes other than link leaves, in the order a walk of
+    ``nodes`` first meets them.  ``nodes`` lists the nodes in reversed
     pre-order as (rule, arity, antecedent picker, succedent picker,
-    witness, witness fields, whether a field is open, the conclusion
-    indices met first at this node); a picker takes a sequent side from a
-    list indexed like ``exprs``, and a witness field is (key, index), or
-    ("terms", indices).  ``links`` lists the link leaves in pre-order as
-    (target, parameter index, terms picker, antecedent picker, succedent
-    picker)."""
+    witness, witness fields, whether a field is open); a picker takes a
+    sequent side from a list indexed like ``exprs``, and a witness field is
+    (key, index), or ("terms", indices).  ``links`` lists the link leaves
+    in pre-order as (target, parameter index, terms picker, antecedent
+    picker, succedent picker)."""
 
-    __slots__ = ("exprs", "opens", "nodes", "links")
+    __slots__ = ("exprs", "opens", "concl", "nodes", "links")
 
     def __init__(self, proof: Proof, names: frozenset, params: frozenset):
-        exprs, opens, index, pre, links = [], [], {}, [], []
+        exprs, opens, index, pre, concl, links = [], [], {}, [], [], []
 
         def changes(e) -> bool:
             variables, free = free_names(e)
@@ -323,20 +319,16 @@ class _Template:
             if data.terms:
                 fields.append(("terms", tuple([at(t) for t in data.terms])))
             opened = any(changes(e) for _, e in witness) or any(map(changes, data.terms))
-            pre.append((node.rule, len(node.premises), ante, succ, data, tuple(fields), opened))
-            if node.rule is RuleName.LINK:
+            pre.append((node.rule, len(node.premises), _picker(ante), _picker(succ), data, tuple(fields), opened))
+            if node.rule is RuleName.LINK:  # a link leaf's conclusion is its expansion's
                 param = None if data.param is None else index[data.param]
                 terms = tuple([index[t] for t in data.terms])
                 links.append((data.target, param, _picker(terms), _picker(ante), _picker(succ)))
-
-        seen, nodes = set(), []
-        for rule, arity, ante, succ, data, fields, opened in reversed(pre):
-            first = ()
-            if rule is not RuleName.LINK:  # a link leaf's conclusion is its expansion's
-                first = tuple(dict.fromkeys(i for i in ante + succ if i not in seen))
-                seen.update(first)
-            nodes.append((rule, arity, _picker(ante), _picker(succ), data, fields, opened, first))
-        self.exprs, self.opens, self.nodes, self.links = tuple(exprs), tuple(opens), tuple(nodes), tuple(links)
+            else:
+                concl.append(ante + succ)
+        self.exprs, self.opens, self.links = tuple(exprs), tuple(opens), tuple(links)
+        self.concl = tuple(dict.fromkeys(i for indices in reversed(concl) for i in indices))
+        self.nodes = tuple(reversed(pre))
 
 
 def _picker(indices: tuple):
@@ -357,11 +349,11 @@ def evaluate(
 
     Expansion replaces every link leaf by the instantiated base or step of
     its target component, inserting a whole-sequent rewrite bridge whenever
-    the splice is not literal.  Each link instance is expanded and
-    normalized in one pass over its instantiated template, which builds its
-    expanded nodes and their normal forms together: every sequent and
-    witness rewritten and trivial rewrite inferences removed, the LK proof
-    the evaluation denotes.  Each instance is built once, so a subproof that
+    the splice is not literal.  Each link instance is expanded, its
+    conclusions normalized, and its expanded nodes built together with
+    their normal forms (see ``_expand``): every sequent and witness
+    rewritten and trivial rewrite inferences removed, the LK proof the
+    evaluation denotes.  Each instance is built once, so a subproof that
     recurs is one shared node and both proofs are DAGs (tree walkers still
     see every occurrence).
 
@@ -398,24 +390,30 @@ def _expand(root, theory, memo: UnrollMemo, records: list) -> list:
     parameter expression, terms, displayed antecedent, displayed
     succedent).
 
-    Links are visited depth first and right to left, so records, fuel
+    Three passes over the instances this call meets for the first time.
+    Expansion visits links depth first and right to left, so records, fuel
     verdicts and the first error come in the order a last-in-first-out
     worklist gives.  The loop keeps its own stack: a chain of self-links is
     as deep as the numeral is large.  A link instance met again while its
     own expansion is open would expand without end, so it is a failure.
+    Then the conclusion formulas of each new instance are normalized,
+    parents before kids: a kid's formulas are mostly subterms of its
+    parent's, which the theory's cache then already holds.  Last, each new
+    instance is built in the order its expansion closed, so every kid
+    before its parent.
 
-    The proofs of the new instances are built once expansion ends, so a
-    rewrite error never precedes an expansion error, and only then does the
-    memo take them, so it holds only whole entries."""
-    # Frames: (key, entry, template, instantiated expressions, displayed
-    # antecedent and succedent, link leaves not yet visited, the visited
-    # ones as (entry, frame), the frame None for an entry an earlier call built).
+    Both rewriting passes come after expansion ends, so a rewrite error
+    never precedes an expansion error, and only then does the memo take
+    the new entries, so it holds only whole ones."""
+    # Frames: (entry, template, instantiated expressions, their normal
+    # forms as far as computed, displayed antecedent and succedent, link
+    # leaves not yet visited, the entries of the visited ones).
     stack: list = []
-    opened = set()  # the keys of the frames on the stack
-    closed: dict = {}  # key -> frame
+    closed: list = []  # frames in the order their expansions closed
+    new: dict = {}  # key -> entry, its hi None while its expansion is open
     links, templates, fuel = memo.links, memo.templates, theory.fuel
 
-    def visit(target, param, terms, ante, succ) -> tuple:
+    def visit(target, param, terms, ante, succ) -> list:
         # Fuel is the number of link expansions.  A fresh link is checked
         # before it expands; a reused one after its records are replayed,
         # which is when a per-expansion check inside the replayed subtree
@@ -433,16 +431,15 @@ def _expand(root, theory, memo: UnrollMemo, records: list) -> list:
         except ValueError as exc:  # a parameter other than n outlives the substitution
             raise MatchFailure(f"link to {target}: {exc}") from None
         key = (target, value, terms, ante, succ, param)
-        frame = closed.get(key)
-        hit = links.get(key) if frame is None else frame[1]
+        hit = links.get(key) or new.get(key)
         if hit is not None:
             _, _, src, lo, hi = hit
+            if hi is None:
+                raise MatchFailure(f"link to {comp.name} at {value} recurs inside its own expansion")
             records.extend(src[lo:hi])
             if len(records) > fuel + 1:
                 raise ExpansionsExhausted(fuel)
-            return hit, frame
-        if key in opened:
-            raise MatchFailure(f"link to {comp.name} at {value} recurs inside its own expansion")
+            return hit
         var_map = dict(zip(comp.vars, terms))
         if value == 0 or comp.step is None:
             sub = Substitution({}, var_map)
@@ -458,35 +455,29 @@ def _expand(root, theory, memo: UnrollMemo, records: list) -> list:
             sub = Substitution({"n": numeral(value - offset)}, var_map)
         vals = _instance(template, sub)
         records.append((comp.name, value, param))
-        entry = [None, None, records, len(records) - 1, None]
-        frame = (key, entry, template, vals, ante, succ, list(template.links), [])
-        stack.append(frame)
-        opened.add(key)
-        return entry, frame
+        entry = new[key] = [None, None, records, len(records) - 1, None]
+        stack.append((entry, template, vals, [None] * len(vals), ante, succ, list(template.links), []))
+        return entry
 
-    result, root_frame = visit(*root)
+    result = visit(*root)
     while stack:
         top = stack[-1]
-        vals, leaves = top[3], top[6]
+        vals, leaves = top[2], top[6]
         if leaves:
             target, param, terms_of, ante_of, succ_of = leaves.pop()
             param = None if param is None else vals[param]
             top[7].append(visit(target, param, terms_of(vals), ante_of(vals), succ_of(vals)))
             continue
         stack.pop()
-        opened.remove(top[0])
-        top[1][4] = len(records)
-        closed[top[0]] = top
-    # Each build meets the instances below it in the order of a post-order
-    # walk of the expanded proof, last premise first, and builds one it
-    # finds unbuilt before going on.
-    builds = [] if root_frame is None else [_assemble(root_frame, theory)]
-    while builds:
-        try:
-            builds.append(_assemble(next(builds[-1]), theory))
-        except StopIteration:
-            builds.pop()
-    links.update((key, built[1]) for key, built in closed.items())
+        top[0][4] = len(records)
+        closed.append(top)
+    # A parent closes after its kids, so reversed closing order puts it first.
+    for _, template, vals, nfs, *_ in reversed(closed):
+        for i in template.concl:
+            nfs[i] = _normal_form(vals[i], theory)
+    for frame in closed:
+        _assemble(frame, theory)
+    links.update(new)
     return result
 
 
@@ -533,15 +524,14 @@ def _normal_node(concl: Sequent, rule: RuleName, kids: tuple, data: RuleData, fi
 def _assemble(frame: tuple, theory):
     """Build the expanded and the normal proof of the instance of ``frame``
     into its entry: the template built bottom-up from its instantiated
-    expressions, its link leaves replaced by the expansions visited there
-    (given right to left), spliced under the displayed sequent.
+    expressions and their normal forms, its link leaves replaced by the
+    built entries visited there (given right to left), spliced under the
+    displayed sequent.
 
-    A generator: it yields the frame of each expansion it meets unbuilt,
-    which the caller builds before resuming it.  Rewriting goes node by
-    node in reversed pre-order, each node's conclusion before its witness,
-    and the bridge's sequent last."""
-    _, entry, template, vals, ante, succ, _, kids = frame
-    nfs = [None] * len(vals)
+    The conclusion formulas are already normalized; the witnesses are
+    rewritten node by node in reversed pre-order, and the bridge's sequent
+    last."""
+    entry, template, vals, nfs, ante, succ, _, kids = frame
 
     def nf(i):
         if nfs[i] is None:
@@ -553,16 +543,12 @@ def _assemble(frame: tuple, theory):
     # the first premise on top.
     expanded, normal = [], []
     kids = iter(kids)
-    for rule, arity, ante_of, succ_of, data, fields, opened, first in template.nodes:
+    for rule, arity, ante_of, succ_of, data, fields, opened in template.nodes:
         if rule is RuleName.LINK:
-            kid, kid_frame = next(kids)
-            if kid[1] is None:
-                yield kid_frame
+            kid = next(kids)
             expanded.append(kid[0])
             normal.append(kid[1])
             continue
-        for i in first:
-            nf(i)
         ekids = nkids = ()
         if arity:
             ekids, nkids = tuple(expanded[: -arity - 1 : -1]), tuple(normal[: -arity - 1 : -1])

@@ -57,7 +57,8 @@ def to_ppsnf(script: SiLKScript) -> SiLKScript:
     the next group starts; idempotent on scripts already in that shape."""
     collection, verdict, report = check_script(script)
     if verdict != "proof":
-        raise NotAProof(f"normal form is defined for proofs only, got {verdict}: {report_text(report)}")
+        failures = report_text(report).splitlines()[1:]  # the lines after the status
+        raise NotAProof("\n".join([f"normal form is defined for proofs only, got {verdict}"] + failures))
     ancestors = ancestor_map(script)
     closure_of = {g.gid: g.closure_index for g in collection.groups}
     ordered_gids = sorted(ancestors, key=lambda gid: closure_of[gid])

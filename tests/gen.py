@@ -35,7 +35,15 @@ from silkcheck.parser import (
     parse_term,
     tokenize,
 )
-from silkcheck.rewrite import DEFAULT_FUEL, EquationalTheory, FuelExhausted, StuckTerm, eval_numeric, normalize
+from silkcheck.rewrite import (
+    DEFAULT_FUEL,
+    EquationalTheory,
+    FuelExhausted,
+    StuckTerm,
+    eval_numeric,
+    normalize,
+    validate_theory,
+)
 from silkcheck.silk import ClosedBase, ClosedStep, ComponentCollection, ComponentPair, OpenBase, OpenStep
 from silkcheck.syntax import (
     And,
@@ -349,14 +357,14 @@ def _reference_expand(proof_schema, root, theory, links: dict, records: list) ->
     stack: list = []
     opened = set()
     fuel = theory.fuel
+    components = {c.name: c for c in proof_schema.components}
 
     def visit(concl, data):
         if len(records) > fuel:
             raise schema.ExpansionsExhausted(fuel)
-        try:
-            comp = proof_schema[data.target]
-        except KeyError:
-            raise schema.MatchFailure(f"link target {data.target} is not declared") from None
+        comp = components.get(data.target)
+        if comp is None:
+            raise schema.MatchFailure(f"link target {data.target} is not declared")
         if data.param is None:
             raise schema.MatchFailure(f"link to {data.target} has no parameter expression")
         try:
@@ -499,6 +507,41 @@ def reference_evaluate_property(max_examples):
             for alpha in range(6):
                 new = unrolling(schema.evaluate, proof_schema, alpha, EquationalTheory(rules, fuel))
                 old = unrolling(reference_evaluate, proof_schema, alpha, EquationalTheory(rules, fuel))
+                assert new == old, (text, fuel, alpha)
+
+    return check
+
+
+# Each corpus theory with the schema that reads it.
+THEORY_SCHEMATA = {
+    "theory_exp.thy": "schema_exp.sch",
+    "theory_fhat.thy": "schema_fhat.sch",
+    "theory_shat.thy": "schema_shat.sch",
+}
+
+
+def mutated_theory_property(max_examples):
+    """Under mutants of the corpus theories that pass ``validate_theory``,
+    each with its schema, at 0..4, under the default fuel and a low one,
+    ``schema.evaluate`` shows what the two-pass oracle shows, each on a fresh
+    theory: the order in which unrolling rewrites is not observable."""
+    schemata = {name: load_schema(corpus_path(sch))[0] for name, sch in THEORY_SCHEMATA.items()}
+
+    @settings(
+        max_examples=max_examples, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.filter_too_much]
+    )
+    @given(mutated_corpus_files(sorted(THEORY_SCHEMATA)))
+    def check(case):
+        name, text = case
+        try:
+            rules = parser.parse_theory(text).rules
+        except ParseError:
+            assume(False)
+        assume(validate_theory(EquationalTheory(rules)).ok)
+        for fuel in (DEFAULT_FUEL, 40):
+            for alpha in range(5):
+                new = unrolling(schema.evaluate, schemata[name], alpha, EquationalTheory(rules, fuel))
+                old = unrolling(reference_evaluate, schemata[name], alpha, EquationalTheory(rules, fuel))
                 assert new == old, (text, fuel, alpha)
 
     return check

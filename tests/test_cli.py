@@ -131,6 +131,54 @@ def test_interpret_requires_proof(capsys, tmp_path):
     assert code == 1 and "not a proof" in err
 
 
+# A script that is not a proof once had its verdict stated twice, the
+# second time as the replay report's status: "got derivation: accepted".
+@pytest.mark.parametrize("command", ["ppsnf", "translate", "stats"])
+def test_not_a_proof_states_the_verdict_once(capsys, tmp_path, command):
+    extra = ("--alpha-range", "0..1") if command == "stats" else ()
+    head = "not a proof: normal form is defined for proofs only, got "
+    last = corpus_path("silk_fhat.slk").read_text().splitlines()[-1]
+    derivation = _corpus_copy(tmp_path, "silk_fhat.slk", last, "")
+    assert run(capsys, command, derivation, *extra) == (1, "", head + "derivation\n")
+    line = "rho sc 2 ->:l group=1 pair=2 pair2=1 a=0 b=0"
+    rejected = _corpus_copy(tmp_path, "silk_fhat.slk", line, line.replace("a=0", "a=5"))
+    failure = "  [7] rho_sc: index 5 out of range for antecedent of implication\n"
+    assert run(capsys, command, rejected, *extra) == (1, "", head + "rejected\n" + failure)
+
+
+# A rejected check once printed no reason; its failures follow in the form
+# check-lk prints them.
+def test_unroll_check_says_why_it_rejects(capsys, tmp_path):
+    schema = _corpus_copy(tmp_path, "schema_fhat.sch", "a=0 b=2", "a=0 b=1")
+    code, out, err = run(capsys, "unroll", schema, "--alpha", "2", "--lk", "--check", "--quiet")
+    message = "c:l: contracted formulas differ: forall x. P(x) -> P(f(x)) vs P(0)"
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-3:] == ["check: rejected", f"  [root] {message}", f"  [0.0.0] {message}"]
+
+
+# Rewriting starts only once expansion has ended: P(f^9(a)) needs more than
+# 8 rewrite steps, yet the undeclared target, met after the self-link beside
+# it has expanded whole, is what unroll reports.
+def test_an_expansion_error_comes_before_a_rewrite_error(capsys, tmp_path):
+    schema = tmp_path / "precedence.sch"
+    text = (
+        f'theory "{p("theory_fhat.thy")}"\n'
+        'component g1\n  pattern "P(f^9(a)), Q(n) |- P(f^9(a))"\n  vars ()\n  step-param "s(n)"\n{\n'
+        '  base {\n    w:l "P(f^9(a)), Q(0) |- P(f^9(a))" formula="Q(0)" {\n'
+        '      ax "P(f^9(a)) |- P(f^9(a))"\n    }\n  }\n'
+        '  step {\n    cut "P(f^9(a)), Q(s(n)) |- P(f^9(a))" a=0 b=0 {\n'
+        '      link "Q(s(n)) |- P(f^9(a))" target=nosuch param="n"\n'
+        '      link "P(f^9(a)), Q(n) |- P(f^9(a))" target=g1 param="n"\n'
+        "    }\n  }\n}\n"
+    )
+    for target, message in [
+        ("nosuch", "link target nosuch is not declared"),
+        ("g1", "no normal form within 8 rewrite steps"),
+    ]:
+        schema.write_text(text.replace("target=nosuch", f"target={target}"))
+        assert run(capsys, "unroll", str(schema), "--alpha", "2", "--fuel", "8") == (1, "", f"error: {message}\n")
+
+
 def test_ppsnf_output_is_a_script(capsys):
     code, out, _ = run(capsys, "ppsnf", p("silk_interleaved.slk"))
     assert code == 0
