@@ -12,19 +12,20 @@ Each link instance, keyed by its target, value, terms, displayed sequent
 and parameter expression, is unrolled once per ``UnrollMemo`` in three
 passes: expansion instantiates its template, its conclusion formulas are
 normalized, parents before kids, so a kid's come mostly from the cache,
-and its expanded nodes and their normal forms are built together, kids
-first.  A recurring instance is the same pair of nodes, so both proofs are
-DAGs, and its trace records are replayed rather than recomputed.  The memo
-also holds each component's base and step compiled for instantiation.  A
-memo lives for one ``evaluate`` call unless the caller passes one to
-several calls under one theory, as ``stats`` does across its range of
-numerals and ``unroll --check`` for the unrolling it prints and the one it
-checks.
+and its normal proof is built, kids first.  Its expanded proof is built
+only when a caller first reads it, kids first again, from what the memo
+entry keeps of the instance.  A recurring instance is the same nodes, so
+both proofs are DAGs, and its trace records are replayed rather than
+recomputed.  The memo also holds each component's base and step compiled
+for instantiation.  A memo lives for one ``evaluate`` call unless the
+caller passes one to several calls under one theory, as ``stats`` does
+across its range of numerals and ``unroll --check`` for the unrolling it
+prints and the one it checks.
 
-The trace keeps both stages: the expanded proof with its rewrite inferences
-intact (what the unrolled figure shows) and the normal form with every
-sequent rewritten and trivial rewrite steps collapsed, which is a plain LK
-proof.
+The trace gives both stages: the normal form, with every sequent rewritten
+and trivial rewrite steps collapsed, which is a plain LK proof, and, on
+first read, the expanded proof with its rewrite inferences intact (what
+the unrolled figure shows).
 """
 
 from __future__ import annotations
@@ -71,12 +72,13 @@ class MatchFailure(Exception):
 
 
 class ExpansionsExhausted(rw.FuelExhausted):
-    """Unrolling needs more link expansions than the fuel.  It is a
-    ``FuelExhausted``, so whatever handles fuel handles it, but its message
-    names the expansions, not rewrite steps."""
+    """Unrolling runs out of fuel outside rewriting: it needs more link
+    expansions than the fuel, or its instance is a numeral larger than the
+    fuel.  It is a ``FuelExhausted``, so whatever handles fuel handles it,
+    but its message names what ran out, not rewrite steps."""
 
-    def __init__(self, fuel: int):
-        Exception.__init__(self, f"no unrolling within {fuel} link expansions")
+    def __init__(self, fuel: int, message: str | None = None):
+        Exception.__init__(self, message or f"no unrolling within {fuel} link expansions")
         self.steps = fuel
 
 
@@ -238,15 +240,28 @@ _EXPR_KEYS = ("formula", "term", "repl", "param")  # then terms: a witness's exp
 
 
 class UnrollTrace:
-    """Link expansions performed and both proof stages."""
+    """Link expansions performed and both proof stages.
+
+    ``evaluate`` builds only the normal form, ``proof``.  The expanded
+    proof is built on the first read of ``expanded``, from the memo entry
+    ``entry`` of the unrolled link, and kept in that entry, so a caller
+    that reads only the normal form never builds it, and traces that share
+    a memo entry read the same proof."""
 
     _fields = ("expansions", "expanded", "proof")
     __eq__, __repr__ = Record.__eq__, Record.__repr__  # value equality, so unhashable
 
-    def __init__(self, expansions=None, expanded: Proof | None = None, proof: Proof | None = None):
+    def __init__(self, expansions=None, expanded: Proof | None = None, proof: Proof | None = None, entry=None):
         self.expansions = [] if expansions is None else expansions
-        self.expanded = expanded
+        self._expanded = expanded
         self.proof = proof
+        self._entry = entry
+
+    @property
+    def expanded(self) -> Proof | None:
+        if self._expanded is None and self._entry is not None:
+            self._expanded = _expanded(self._entry)
+        return self._expanded
 
 
 class UnrollMemo:
@@ -254,8 +269,13 @@ class UnrollMemo:
     of a ``stats`` range, or the two of ``unroll --check``.
 
     ``links`` maps a link instance to ``[expanded, normal, records, lo,
-    hi]``: its expanded proof, the normal form of that proof, and the span
-    ``records[lo:hi]`` of trace records its expansion produced.  The key is
+    hi, build]``: its expanded proof, the normal form of that proof, the
+    span ``records[lo:hi]`` of trace records its expansion produced, and
+    what building the expanded proof needs.  The expanded proof is built on
+    first read (see ``UnrollTrace``); until then it is ``None`` and
+    ``build`` is (template, instantiated expressions, displayed antecedent,
+    displayed succedent, the entries of the link leaves, given right to
+    left), and after it ``build`` is ``None``.  The key is
     (target, value, link terms, displayed antecedent, displayed succedent,
     parameter expression); every part is hash-consed or a tuple of
     hash-consed nodes, so hashing and comparison are by identity.  The
@@ -350,12 +370,15 @@ def evaluate(
     Expansion replaces every link leaf by the instantiated base or step of
     its target component, inserting a whole-sequent rewrite bridge whenever
     the splice is not literal.  Each link instance is expanded, its
-    conclusions normalized, and its expanded nodes built together with
-    their normal forms (see ``_expand``): every sequent and witness
-    rewritten and trivial rewrite inferences removed, the LK proof the
-    evaluation denotes.  Each instance is built once, so a subproof that
-    recurs is one shared node and both proofs are DAGs (tree walkers still
-    see every occurrence).
+    conclusions normalized, and its normal proof built (see ``_expand``):
+    every sequent and witness rewritten and trivial rewrite inferences
+    removed, the LK proof the evaluation denotes.  The expanded proof is
+    built when ``trace.expanded`` is first read.  Each instance is built
+    once, so a subproof that recurs is one shared node and both proofs are
+    DAGs (tree walkers still see every occurrence).
+
+    The instance costs fuel as a numeral sum does, its size: a numeral
+    larger than the fuel is ``FuelExhausted`` before anything is built.
 
     ``memo`` defaults to a fresh one that lives for this call.  A caller
     that evaluates the same schema and theory at several numerals may
@@ -366,23 +389,24 @@ def evaluate(
     the fuel bounds each formula's span, which the theory caches with its
     normal form.
     """
-    if isinstance(alpha, int):
-        alpha = numeral(alpha)
-    if numeral_value(alpha) is None:
+    value = alpha if isinstance(alpha, int) else numeral_value(alpha)
+    if value is None:
         raise MatchFailure(f"evaluation needs a numeral, got {alpha}")
     if not schema.components:
         raise MatchFailure("a proof schema needs at least one component")
+    if value > theory.fuel:
+        raise ExpansionsExhausted(theory.fuel, f"instance {value} is larger than the fuel {theory.fuel}")
+    alpha = numeral(value)
     memo = UnrollMemo() if memo is None else memo
     if not memo.templates:
         for comp in schema.components:
             memo.templates.setdefault(comp.name, [comp, None, None])
-    trace = UnrollTrace()
-
+    records: list = []
     lead = schema.components[0]
     pattern = subst(lead.pattern, Substitution({"n": alpha}, {}))
     root = (lead.name, alpha, tuple(FreeVar(v) for v in lead.vars), pattern.ante, pattern.succ)
-    trace.expanded, trace.proof = _expand(root, theory, memo, trace.expansions)[:2]
-    return trace
+    entry = _expand(root, theory, memo, records)
+    return UnrollTrace(records, proof=entry[1], entry=entry)
 
 
 def _expand(root, theory, memo: UnrollMemo, records: list) -> list:
@@ -390,7 +414,8 @@ def _expand(root, theory, memo: UnrollMemo, records: list) -> list:
     parameter expression, terms, displayed antecedent, displayed
     succedent).
 
-    Three passes over the instances this call meets for the first time.
+    Three passes over the instances this call meets for the first time,
+    which build their normal proofs only.
     Expansion visits links depth first and right to left, so records, fuel
     verdicts and the first error come in the order a last-in-first-out
     worklist gives.  The loop keeps its own stack: a chain of self-links is
@@ -399,17 +424,16 @@ def _expand(root, theory, memo: UnrollMemo, records: list) -> list:
     Then the conclusion formulas of each new instance are normalized,
     parents before kids: a kid's formulas are mostly subterms of its
     parent's, which the theory's cache then already holds.  Last, each new
-    instance is built in the order its expansion closed, so every kid
-    before its parent.
+    instance's normal proof is built in the order its expansion closed, so
+    every kid before its parent.
 
     Both rewriting passes come after expansion ends, so a rewrite error
     never precedes an expansion error, and only then does the memo take
     the new entries, so it holds only whole ones."""
-    # Frames: (entry, template, instantiated expressions, their normal
-    # forms as far as computed, displayed antecedent and succedent, link
-    # leaves not yet visited, the entries of the visited ones).
+    # Frames: (entry, instantiated expressions, link leaves not yet
+    # visited, the entries of the visited ones).
     stack: list = []
-    closed: list = []  # frames in the order their expansions closed
+    closed: list = []  # (entry, normal forms as far as computed), in the order expansions closed
     new: dict = {}  # key -> entry, its hi None while its expansion is open
     links, templates, fuel = memo.links, memo.templates, theory.fuel
 
@@ -433,7 +457,7 @@ def _expand(root, theory, memo: UnrollMemo, records: list) -> list:
         key = (target, value, terms, ante, succ, param)
         hit = links.get(key) or new.get(key)
         if hit is not None:
-            _, _, src, lo, hi = hit
+            _, _, src, lo, hi, _ = hit
             if hi is None:
                 raise MatchFailure(f"link to {comp.name} at {value} recurs inside its own expansion")
             records.extend(src[lo:hi])
@@ -453,30 +477,30 @@ def _expand(root, theory, memo: UnrollMemo, records: list) -> list:
             if value < offset:
                 raise MatchFailure(f"link to {comp.name} at {value} cannot match step parameter {comp.step_param}")
             sub = Substitution({"n": numeral(value - offset)}, var_map)
-        vals = _instance(template, sub)
+        vals, kids = _instance(template, sub), []
         records.append((comp.name, value, param))
-        entry = new[key] = [None, None, records, len(records) - 1, None]
-        stack.append((entry, template, vals, [None] * len(vals), ante, succ, list(template.links), []))
+        entry = new[key] = [None, None, records, len(records) - 1, None, (template, vals, ante, succ, kids)]
+        stack.append((entry, vals, list(template.links), kids))
         return entry
 
     result = visit(*root)
     while stack:
-        top = stack[-1]
-        vals, leaves = top[2], top[6]
+        entry, vals, leaves, kids = stack[-1]
         if leaves:
             target, param, terms_of, ante_of, succ_of = leaves.pop()
             param = None if param is None else vals[param]
-            top[7].append(visit(target, param, terms_of(vals), ante_of(vals), succ_of(vals)))
+            kids.append(visit(target, param, terms_of(vals), ante_of(vals), succ_of(vals)))
             continue
         stack.pop()
-        top[0][4] = len(records)
-        closed.append(top)
+        entry[4] = len(records)
+        closed.append((entry, [None] * len(vals)))
     # A parent closes after its kids, so reversed closing order puts it first.
-    for _, template, vals, nfs, *_ in reversed(closed):
+    for entry, nfs in reversed(closed):
+        template, vals = entry[5][:2]
         for i in template.concl:
             nfs[i] = _normal_form(vals[i], theory)
-    for frame in closed:
-        _assemble(frame, theory)
+    for entry, nfs in closed:
+        _assemble(entry, nfs, theory)
     links.update(new)
     return result
 
@@ -521,17 +545,26 @@ def _normal_node(concl: Sequent, rule: RuleName, kids: tuple, data: RuleData, fi
     return Proof(concl, rule, kids, _fill(data, fields, nf) if fields else data)
 
 
-def _assemble(frame: tuple, theory):
-    """Build the expanded and the normal proof of the instance of ``frame``
-    into its entry: the template built bottom-up from its instantiated
-    expressions and their normal forms, its link leaves replaced by the
-    built entries visited there (given right to left), spliced under the
-    displayed sequent.
+def _literal(template: _Template, vals: list, ante: tuple, succ: tuple) -> bool:
+    """Whether an instance's expansion ends literally at its displayed
+    sequent.  The expanded proof's top node ends at the conclusion of the
+    template's root instantiated, also when the root is a link leaf, whose
+    expansion ends at the sequent it displays."""
+    _, _, ante_of, succ_of, *_ = template.nodes[-1]
+    return ante_of(vals) == ante and succ_of(vals) == succ
+
+
+def _assemble(entry: list, nfs: list, theory):
+    """Build the normal proof of the instance of ``entry`` into it: the
+    template built bottom-up from the normal forms ``nfs`` of its
+    instantiated expressions, its link leaves replaced by the normal proofs
+    of their entries, under a whole-sequent rewrite step when the expansion
+    is not spliced literally.
 
     The conclusion formulas are already normalized; the witnesses are
     rewritten node by node in reversed pre-order, and the bridge's sequent
     last."""
-    entry, template, vals, nfs, ante, succ, _, kids = frame
+    template, vals, ante, succ, kids = entry[5]
 
     def nf(i):
         if nfs[i] is None:
@@ -541,32 +574,64 @@ def _assemble(frame: tuple, theory):
     # Reversed pre-order puts every node after its premises, the last
     # premise first, so a node's premises are the top ``arity`` values,
     # the first premise on top.
-    expanded, normal = [], []
+    normal = []
     kids = iter(kids)
-    for rule, arity, ante_of, succ_of, data, fields, opened in template.nodes:
+    for rule, arity, ante_of, succ_of, data, fields, _ in template.nodes:
         if rule is RuleName.LINK:
-            kid = next(kids)
-            expanded.append(kid[0])
-            normal.append(kid[1])
+            normal.append(next(kids)[1])
             continue
-        ekids = nkids = ()
+        premises = ()
         if arity:
-            ekids, nkids = tuple(expanded[: -arity - 1 : -1]), tuple(normal[: -arity - 1 : -1])
-            del expanded[-arity:], normal[-arity:]
-        concl = Sequent(ante_of(vals), succ_of(vals))
-        expanded.append(Proof(concl, rule, ekids, _fill(data, fields, vals.__getitem__) if opened else data))
-        concl = Sequent(ante_of(nfs), succ_of(nfs))
-        normal.append(_normal_node(concl, rule, nkids, data, fields, nf))
-    top = expanded[0]
-    if top.conclusion.ante == ante and top.conclusion.succ == succ:
-        entry[:2] = top, normal[0]
+            premises = tuple(normal[: -arity - 1 : -1])
+            del normal[-arity:]
+        normal.append(_normal_node(Sequent(ante_of(nfs), succ_of(nfs)), rule, premises, data, fields, nf))
+    if _literal(template, vals, ante, succ):
+        entry[1] = normal[0]
         return
     # The spliced subproof ends at an equal-modulo-rewriting sequent (for
-    # instance S^(0+1) against S^1); keep the displayed sequent and justify
-    # the gap with one whole-sequent rewrite inference.
+    # instance S^(0+1) against S^1); the bridge's normal form.
     concl = Sequent(tuple([_normal_form(f, theory) for f in ante]), tuple([_normal_form(f, theory) for f in succ]))
-    bridge = Proof(Sequent(ante, succ), RuleName.ERULE, (top,), _WHOLE)
-    entry[:2] = bridge, _normal_node(concl, RuleName.ERULE, (normal[0],), _WHOLE, (), nf)
+    entry[1] = _normal_node(concl, RuleName.ERULE, (normal[0],), _WHOLE, (), nf)
+
+
+def _expanded(root: list) -> Proof:
+    """The expanded proof of the memo entry ``root``, built into every entry
+    below it that lacks one, kids first, on a stack of its own: a chain of
+    self-links is as deep as the numeral is large.  Each entry's template is
+    built from its instantiated expressions, its link leaves replaced by
+    their entries' expanded proofs, and spliced under the displayed sequent;
+    the entry then drops what only this build needed."""
+    stack = [root]
+    while stack:
+        entry = stack[-1]
+        if entry[0] is not None:
+            stack.pop()
+            continue
+        template, vals, ante, succ, kids = entry[5]
+        missing = [kid for kid in kids if kid[0] is None]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        expanded = []
+        kids = iter(kids)
+        for rule, arity, ante_of, succ_of, data, fields, opened in template.nodes:
+            if rule is RuleName.LINK:
+                expanded.append(next(kids)[0])
+                continue
+            premises = ()
+            if arity:
+                premises = tuple(expanded[: -arity - 1 : -1])
+                del expanded[-arity:]
+            witness = _fill(data, fields, vals.__getitem__) if opened else data
+            expanded.append(Proof(Sequent(ante_of(vals), succ_of(vals)), rule, premises, witness))
+        top = expanded[0]
+        if not _literal(template, vals, ante, succ):
+            # Keep the displayed sequent and justify the gap with one
+            # whole-sequent rewrite inference.
+            top = Proof(Sequent(ante, succ), RuleName.ERULE, (top,), _WHOLE)
+        entry[0], entry[5] = top, None
+    return root[0]
 
 
 def evaluate_and_check(

@@ -342,15 +342,14 @@ def reference_evaluate(proof_schema, alpha, theory: EquationalTheory) -> schema.
         raise schema.MatchFailure(f"evaluation needs a numeral, got {alpha}")
     if not proof_schema.components:
         raise schema.MatchFailure("a proof schema needs at least one component")
-    trace = schema.UnrollTrace()
+    records: list = []
     lead = proof_schema.components[0]
     root = (
         subst(lead.pattern, Substitution({"n": alpha}, {})),
         RuleData(target=lead.name, param=alpha, terms=tuple(FreeVar(v) for v in lead.vars)),
     )
-    trace.expanded = _reference_expand(proof_schema, root, theory, {}, trace.expansions)
-    trace.proof = _reference_normal_proof(trace.expanded, theory, {})
-    return trace
+    expanded = _reference_expand(proof_schema, root, theory, {}, records)
+    return schema.UnrollTrace(records, expanded, _reference_normal_proof(expanded, theory, {}))
 
 
 def _reference_expand(proof_schema, root, theory, links: dict, records: list) -> Proof:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -699,6 +700,53 @@ def test_unroll_check_expands_each_link_instance_once(capsys, monkeypatch, name,
     plain = instances()
     assert plain > alpha
     assert instances("--check") == plain
+
+
+def test_unroll_lk_check_builds_no_expanded_node(capsys, monkeypatch):
+    memos = []
+
+    class Recorded(silkcheck.schema.UnrollMemo):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    def refused(entry):
+        raise AssertionError("an expanded proof was built")
+
+    monkeypatch.setattr(silkcheck.cli, "UnrollMemo", Recorded)
+    monkeypatch.setattr(silkcheck.schema, "_expanded", refused)
+    argv = ["unroll", p("schema_exp.sch"), "--alpha", "6", "--lk", "--check", "--quiet", "--json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out.endswith("check: accepted\n")
+    (memo,) = memos
+    assert memo.links and all(entry[0] is None for entry in memo.links.values())
+
+
+def _bounded_cli(*argv):
+    """The CLI run in a process of its own, bounded in time and in address
+    space, so that work that grows without bound fails rather than hangs."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(silkcheck.__file__).parent.parent)}
+    argv = [sys.executable, "-m", "silkcheck", *argv]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit)
+
+
+# The instance costs fuel as its numeral's size, so an instance above the
+# fuel fails before its successor tower is built; a tall tower once cost
+# time and memory linear in it first, and 10^20 never ended.
+@pytest.mark.parametrize("alpha", ["4", "200000", "99999999999999999999"])
+def test_an_instance_above_the_fuel_fails_at_once(alpha):
+    done = _bounded_cli("unroll", p("schema_exp.sch"), "--alpha", alpha, "--fuel", "3", "--lk", "--quiet")
+    message = f"error: instance {alpha} is larger than the fuel 3\n"
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", message)
+
+
+def test_python_m_silkcheck_runs_the_cli():
+    done = _bounded_cli("--help")
+    assert (done.returncode, done.stderr) == (0, "") and done.stdout.startswith("usage: silkcheck")
 
 
 def _conj(atom, n):

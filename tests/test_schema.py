@@ -1,5 +1,6 @@
 """Schema well-formedness and unrolling, pinned to the worked example."""
 
+import sys
 import tracemalloc
 
 import pytest
@@ -380,6 +381,47 @@ def test_normal_form_agrees_with_the_loop_it_replaced(name):
         new = gen.unrolling(evaluate, schema, alpha, theory)
         schema, theory = load_schema(corpus_path(name))
         assert new == gen.unrolling(gen.reference_evaluate, schema, alpha, theory), alpha
+
+
+@pytest.mark.parametrize("name", gen.SCHEMA_FILES)
+def test_a_late_read_of_the_expanded_proof_agrees_with_the_oracle(name):
+    # Evaluation builds no expanded node; reading the largest instance
+    # first builds the instances the smaller ones share, so the later
+    # reads find some of theirs built and build the rest.
+    schema, theory = load_schema(corpus_path(name))
+    memo = UnrollMemo()
+    traces = [evaluate(schema, alpha, theory, memo) for alpha in range(9)]
+    assert all(entry[0] is None for entry in memo.links.values())
+    for alpha in reversed(range(9)):
+        expanded = traces[alpha].expanded
+        reference = gen.reference_evaluate(schema, alpha, EquationalTheory(theory.rules, theory.fuel))
+        assert print_proof_tree(expanded) == print_proof_tree(reference.expanded), alpha
+        assert count_inferences(expanded) == count_inferences(reference.expanded), alpha
+        assert evaluate(schema, alpha, theory, memo).expanded is expanded
+    assert all(entry[0] is not None and entry[5] is None for entry in memo.links.values())
+
+
+def test_a_late_read_of_a_deep_expanded_proof_needs_no_recursion():
+    schema, theory = load_schema(corpus_path("schema_exp.sch"))
+    trace = evaluate(schema, 12, theory)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        expanded = trace.expanded
+    finally:
+        sys.setrecursionlimit(limit)
+    # The 4,097 g1 self-links at 2^12 nest four nodes each; heights are
+    # keyed by id, as a proof hashes by value, recursively.
+    heights, stack = {}, [expanded]
+    while stack:
+        node = stack[-1]
+        pending = [p for p in node.premises if id(p) not in heights]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        heights[id(node)] = 1 + max((heights[id(p)] for p in node.premises), default=0)
+    assert heights[id(expanded)] > 4 * 4097
 
 
 def test_rewrite_errors_come_in_the_order_of_a_post_order_walk():
