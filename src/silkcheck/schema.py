@@ -9,14 +9,16 @@ whole-sequent rewrite inference bridges the two; the bottommost such bridge
 is visible in the unrolled figure as the final numeral-cleanup step.
 
 Each link instance, keyed by its target, value, terms, displayed sequent
-and parameter expression, is unrolled once per ``UnrollMemo`` in three
-passes: expansion instantiates its template, its conclusion formulas are
-normalized, parents before kids, so a kid's come mostly from the cache,
-and its normal proof is built, kids first.  Its expanded proof is built
-only when a caller first reads it, kids first again, from what the memo
-entry keeps of the instance.  A recurring instance is the same nodes, so
-both proofs are DAGs, and its trace records are replayed rather than
-recomputed.  The memo also holds each component's base and step compiled
+and parameter expression, is unrolled once per ``UnrollMemo`` into one
+record, a ``_LinkInstance``, in three passes: expansion instantiates its
+template, its conclusion formulas are normalized, parents before kids, so
+a kid's come mostly from the cache, and its normal proof is built, kids
+first.  Its expanded proof is built only when a caller first reads it,
+kids first again, from the expressions the record keeps until then.  One
+node loop, ``_build``, builds either proof, given the stage's node
+constructor and its forms of the expressions.  A recurring instance is
+the same nodes, so both proofs are DAGs, and its trace records are
+replayed rather than recomputed.  The memo also holds each component's base and step compiled
 for instantiation.  A memo lives for one ``evaluate`` call unless the
 caller passes one to several calls under one theory, as ``stats`` does
 across its range of numerals and ``unroll --check`` for the unrolling it
@@ -30,7 +32,8 @@ the unrolled figure shows).
 
 from __future__ import annotations
 
-from operator import itemgetter
+from functools import partial
+from operator import attrgetter, itemgetter
 
 from . import rewrite as rw
 from .kernel import (
@@ -55,6 +58,7 @@ from .syntax import (
     SortMismatch,
     Substitution,
     Succ,
+    fold,
     free_names,
     numeral,
     numeral_value,
@@ -243,10 +247,10 @@ class UnrollTrace:
     """Link expansions performed and both proof stages.
 
     ``evaluate`` builds only the normal form, ``proof``.  The expanded
-    proof is built on the first read of ``expanded``, from the memo entry
-    ``entry`` of the unrolled link, and kept in that entry, so a caller
+    proof is built on the first read of ``expanded``, from the instance
+    ``entry`` of the unrolled link, and kept on that instance, so a caller
     that reads only the normal form never builds it, and traces that share
-    a memo entry read the same proof."""
+    an instance read the same proof."""
 
     _fields = ("expansions", "expanded", "proof")
     __eq__, __repr__ = Record.__eq__, Record.__repr__  # value equality, so unhashable
@@ -259,26 +263,17 @@ class UnrollTrace:
 
     @property
     def expanded(self) -> Proof | None:
-        if self._expanded is None and self._entry is not None:
-            self._expanded = _expanded(self._entry)
-        return self._expanded
+        return self._expanded if self._entry is None else _expanded(self._entry)
 
 
 class UnrollMemo:
     """Work that evaluations of one schema, under one theory, share: those
     of a ``stats`` range, or the two of ``unroll --check``.
 
-    ``links`` maps a link instance to ``[expanded, normal, records, lo,
-    hi, build]``: its expanded proof, the normal form of that proof, the
-    span ``records[lo:hi]`` of trace records its expansion produced, and
-    what building the expanded proof needs.  The expanded proof is built on
-    first read (see ``UnrollTrace``); until then it is ``None`` and
-    ``build`` is (template, instantiated expressions, displayed antecedent,
-    displayed succedent, the entries of the link leaves, given right to
-    left), and after it ``build`` is ``None``.  The key is
-    (target, value, link terms, displayed antecedent, displayed succedent,
-    parameter expression); every part is hash-consed or a tuple of
-    hash-consed nodes, so hashing and comparison are by identity.  The
+    ``links`` maps a link instance's key to its ``_LinkInstance``.  The key
+    is (target, value, link terms, displayed antecedent, displayed
+    succedent, parameter expression); every part is hash-consed or a tuple
+    of hash-consed nodes, so hashing and comparison are by identity.  The
     displayed sequent belongs to the key because it decides whether the
     expansion is spliced literally or under a whole-sequent rewrite bridge;
     it enters as its two formula tuples because ``Sequent`` equality ignores
@@ -295,6 +290,25 @@ class UnrollMemo:
     def __init__(self, links=None, templates=None):
         self.links = {} if links is None else links
         self.templates = {} if templates is None else templates
+
+
+class _LinkInstance:
+    """One link instance, unrolled once per memo.
+
+    It keeps its ``template``, the template's expressions instantiated,
+    ``vals``, the sequent ``ante`` |- ``succ`` that the link displays, the
+    instances of its link leaves, ``kids``, right to left, and the span
+    ``records[lo:hi]`` of trace records its expansion produced, ``hi``
+    being None while the expansion is open.  ``normal`` is its normal
+    proof; ``figure`` its expanded proof, the unrolled figure, None until
+    first read, when ``vals`` is dropped."""
+
+    __slots__ = ("template", "vals", "ante", "succ", "kids", "records", "lo", "hi", "normal", "figure")
+
+    def __init__(self, template, vals: list, ante: tuple, succ: tuple, records: list, lo: int):
+        self.template, self.vals, self.ante, self.succ, self.kids = template, vals, ante, succ, []
+        self.records, self.lo, self.hi = records, lo, None
+        self.normal = self.figure = None
 
 
 class _Template:
@@ -373,9 +387,10 @@ def evaluate(
     conclusions normalized, and its normal proof built (see ``_expand``):
     every sequent and witness rewritten and trivial rewrite inferences
     removed, the LK proof the evaluation denotes.  The expanded proof is
-    built when ``trace.expanded`` is first read.  Each instance is built
-    once, so a subproof that recurs is one shared node and both proofs are
-    DAGs (tree walkers still see every occurrence).
+    built by the same node loop, ``_build``, when ``trace.expanded`` is
+    first read.  Each instance is built once, so a subproof that recurs is
+    one shared node and both proofs are DAGs (tree walkers still see every
+    occurrence).
 
     The instance costs fuel as a numeral sum does, its size: a numeral
     larger than the fuel is ``FuelExhausted`` before anything is built.
@@ -405,39 +420,37 @@ def evaluate(
     lead = schema.components[0]
     pattern = subst(lead.pattern, Substitution({"n": alpha}, {}))
     root = (lead.name, alpha, tuple(FreeVar(v) for v in lead.vars), pattern.ante, pattern.succ)
-    entry = _expand(root, theory, memo, records)
-    return UnrollTrace(records, proof=entry[1], entry=entry)
+    inst = _expand(root, theory, memo, records)
+    return UnrollTrace(records, proof=inst.normal, entry=inst)
 
 
-def _expand(root, theory, memo: UnrollMemo, records: list) -> list:
-    """The ``memo.links`` entry of the link ``root``, given as (target,
-    parameter expression, terms, displayed antecedent, displayed
-    succedent).
+def _expand(root, theory, memo: UnrollMemo, records: list) -> _LinkInstance:
+    """The instance of the link ``root``, given as (target, parameter
+    expression, terms, displayed antecedent, displayed succedent).
 
     Three passes over the instances this call meets for the first time,
     which build their normal proofs only.
     Expansion visits links depth first and right to left, so records, fuel
     verdicts and the first error come in the order a last-in-first-out
-    worklist gives.  The loop keeps its own stack: a chain of self-links is
-    as deep as the numeral is large.  A link instance met again while its
-    own expansion is open would expand without end, so it is a failure.
-    Then the conclusion formulas of each new instance are normalized,
-    parents before kids: a kid's formulas are mostly subterms of its
-    parent's, which the theory's cache then already holds.  Last, each new
-    instance's normal proof is built in the order its expansion closed, so
-    every kid before its parent.
+    worklist gives.  The loop keeps its own stack of (instance, link leaves
+    not yet visited): a chain of self-links is as deep as the numeral is
+    large.  A link instance met again while its own expansion is open
+    would expand without end, so it is a failure.  Then the conclusion
+    formulas of each new instance are normalized, parents before kids: a
+    kid's formulas are mostly subterms of its parent's, which the theory's
+    cache then already holds.  Last, each new instance's normal proof is
+    built by ``_build`` in the order its expansion closed, so every kid
+    before its parent.
 
     Both rewriting passes come after expansion ends, so a rewrite error
     never precedes an expansion error, and only then does the memo take
-    the new entries, so it holds only whole ones."""
-    # Frames: (entry, instantiated expressions, link leaves not yet
-    # visited, the entries of the visited ones).
+    the new instances, so it holds only whole ones."""
     stack: list = []
-    closed: list = []  # (entry, normal forms as far as computed), in the order expansions closed
-    new: dict = {}  # key -> entry, its hi None while its expansion is open
+    closed: list = []  # the new instances, in the order their expansions closed
+    new: dict = {}  # key -> instance, its hi None while its expansion is open
     links, templates, fuel = memo.links, memo.templates, theory.fuel
 
-    def visit(target, param, terms, ante, succ) -> list:
+    def visit(target, param, terms, ante, succ) -> _LinkInstance:
         # Fuel is the number of link expansions.  A fresh link is checked
         # before it expands; a reused one after its records are replayed,
         # which is when a per-expansion check inside the replayed subtree
@@ -457,10 +470,9 @@ def _expand(root, theory, memo: UnrollMemo, records: list) -> list:
         key = (target, value, terms, ante, succ, param)
         hit = links.get(key) or new.get(key)
         if hit is not None:
-            _, _, src, lo, hi, _ = hit
-            if hi is None:
+            if hit.hi is None:
                 raise MatchFailure(f"link to {comp.name} at {value} recurs inside its own expansion")
-            records.extend(src[lo:hi])
+            records.extend(hit.records[hit.lo : hit.hi])
             if len(records) > fuel + 1:
                 raise ExpansionsExhausted(fuel)
             return hit
@@ -477,30 +489,34 @@ def _expand(root, theory, memo: UnrollMemo, records: list) -> list:
             if value < offset:
                 raise MatchFailure(f"link to {comp.name} at {value} cannot match step parameter {comp.step_param}")
             sub = Substitution({"n": numeral(value - offset)}, var_map)
-        vals, kids = _instance(template, sub), []
+        vals = _instance(template, sub)
         records.append((comp.name, value, param))
-        entry = new[key] = [None, None, records, len(records) - 1, None, (template, vals, ante, succ, kids)]
-        stack.append((entry, vals, list(template.links), kids))
-        return entry
+        inst = new[key] = _LinkInstance(template, vals, ante, succ, records, len(records) - 1)
+        stack.append((inst, list(template.links)))
+        return inst
 
     result = visit(*root)
     while stack:
-        entry, vals, leaves, kids = stack[-1]
+        inst, leaves = stack[-1]
         if leaves:
             target, param, terms_of, ante_of, succ_of = leaves.pop()
+            vals = inst.vals
             param = None if param is None else vals[param]
-            kids.append(visit(target, param, terms_of(vals), ante_of(vals), succ_of(vals)))
+            inst.kids.append(visit(target, param, terms_of(vals), ante_of(vals), succ_of(vals)))
             continue
         stack.pop()
-        entry[4] = len(records)
-        closed.append((entry, [None] * len(vals)))
+        inst.hi = len(records)
+        closed.append(inst)
     # A parent closes after its kids, so reversed closing order puts it first.
-    for entry, nfs in reversed(closed):
-        template, vals = entry[5][:2]
-        for i in template.concl:
-            nfs[i] = _normal_form(vals[i], theory)
-    for entry, nfs in closed:
-        _assemble(entry, nfs, theory)
+    forms: dict = {}  # instance -> normal forms of its conclusion formulas
+    for inst in reversed(closed):
+        nfs = forms[inst] = [None] * len(inst.vals)
+        for i in inst.template.concl:
+            nfs[i] = _normal_form(inst.vals[i], theory)
+    form = lambda side: tuple([_normal_form(f, theory) for f in side])
+    node = partial(_normal_node, theory)
+    for inst in closed:
+        inst.normal = _build(inst, forms[inst], form, node, attrgetter("normal"))
     links.update(new)
     return result
 
@@ -530,108 +546,69 @@ def _normal_form(x, theory: rw.EquationalTheory):
     return rw.normalize(x, theory).value if nf is None else nf
 
 
-def _normal_node(concl: Sequent, rule: RuleName, kids: tuple, data: RuleData, fields: tuple, nf) -> Proof:
-    """The normal node over normal premises ``kids``, its witness fields
-    rewritten by ``nf``; a rewrite inference that became trivial is spliced
-    away, its witness unrewritten."""
-    if rule is RuleName.ERULE and kids and kids[0].conclusion == concl:
-        # Splice the child, retupled to this node's formula order so
-        # witnesses above keep their positions (witness indices only ever
-        # address premise tuples).
-        child = kids[0]
-        if child.conclusion.ante == concl.ante and child.conclusion.succ == concl.succ:
-            return child
-        return Proof(concl, child.rule, child.premises, child.data)
-    return Proof(concl, rule, kids, _fill(data, fields, nf) if fields else data)
-
-
-def _literal(template: _Template, vals: list, ante: tuple, succ: tuple) -> bool:
-    """Whether an instance's expansion ends literally at its displayed
-    sequent.  The expanded proof's top node ends at the conclusion of the
-    template's root instantiated, also when the root is a link leaf, whose
-    expansion ends at the sequent it displays."""
-    _, _, ante_of, succ_of, *_ = template.nodes[-1]
-    return ante_of(vals) == ante and succ_of(vals) == succ
-
-
-def _assemble(entry: list, nfs: list, theory):
-    """Build the normal proof of the instance of ``entry`` into it: the
-    template built bottom-up from the normal forms ``nfs`` of its
-    instantiated expressions, its link leaves replaced by the normal proofs
-    of their entries, under a whole-sequent rewrite step when the expansion
-    is not spliced literally.
-
-    The conclusion formulas are already normalized; the witnesses are
-    rewritten node by node in reversed pre-order, and the bridge's sequent
-    last."""
-    template, vals, ante, succ, kids = entry[5]
-
-    def nf(i):
-        if nfs[i] is None:
-            nfs[i] = _normal_form(vals[i], theory)
-        return nfs[i]
-
+def _build(inst: _LinkInstance, values: list, form, node, kid_proof) -> Proof:
+    """One stage of the instance's proof: its template built bottom-up,
+    each node by ``node(instantiated expressions, conclusion, rule,
+    premises, witness, witness fields, whether a field is open)`` from the
+    stage's forms ``values`` of the conclusion formulas, each link leaf
+    replaced by ``kid_proof`` of its instance, and all under a whole-sequent
+    rewrite step to the displayed sequent, each side in the stage's
+    ``form``, unless the expansion ends there literally: at the template's
+    root instantiated, also when that root is a link leaf."""
+    vals, built, kids = inst.vals, [], iter(inst.kids)
     # Reversed pre-order puts every node after its premises, the last
     # premise first, so a node's premises are the top ``arity`` values,
     # the first premise on top.
-    normal = []
-    kids = iter(kids)
-    for rule, arity, ante_of, succ_of, data, fields, _ in template.nodes:
+    for rule, arity, ante_of, succ_of, data, fields, opened in inst.template.nodes:
         if rule is RuleName.LINK:
-            normal.append(next(kids)[1])
+            built.append(kid_proof(next(kids)))
             continue
         premises = ()
         if arity:
-            premises = tuple(normal[: -arity - 1 : -1])
-            del normal[-arity:]
-        normal.append(_normal_node(Sequent(ante_of(nfs), succ_of(nfs)), rule, premises, data, fields, nf))
-    if _literal(template, vals, ante, succ):
-        entry[1] = normal[0]
-        return
-    # The spliced subproof ends at an equal-modulo-rewriting sequent (for
-    # instance S^(0+1) against S^1); the bridge's normal form.
-    concl = Sequent(tuple([_normal_form(f, theory) for f in ante]), tuple([_normal_form(f, theory) for f in succ]))
-    entry[1] = _normal_node(concl, RuleName.ERULE, (normal[0],), _WHOLE, (), nf)
+            premises = tuple(built[: -arity - 1 : -1])
+            del built[-arity:]
+        built.append(node(vals, Sequent(ante_of(values), succ_of(values)), rule, premises, data, fields, opened))
+    _, _, ante_of, succ_of, *_ = inst.template.nodes[-1]
+    if ante_of(vals) == inst.ante and succ_of(vals) == inst.succ:
+        return built[0]
+    return node(vals, Sequent(form(inst.ante), form(inst.succ)), RuleName.ERULE, (built[0],), _WHOLE, (), False)
 
 
-def _expanded(root: list) -> Proof:
-    """The expanded proof of the memo entry ``root``, built into every entry
-    below it that lacks one, kids first, on a stack of its own: a chain of
-    self-links is as deep as the numeral is large.  Each entry's template is
-    built from its instantiated expressions, its link leaves replaced by
-    their entries' expanded proofs, and spliced under the displayed sequent;
-    the entry then drops what only this build needed."""
-    stack = [root]
-    while stack:
-        entry = stack[-1]
-        if entry[0] is not None:
-            stack.pop()
-            continue
-        template, vals, ante, succ, kids = entry[5]
-        missing = [kid for kid in kids if kid[0] is None]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        expanded = []
-        kids = iter(kids)
-        for rule, arity, ante_of, succ_of, data, fields, opened in template.nodes:
-            if rule is RuleName.LINK:
-                expanded.append(next(kids)[0])
-                continue
-            premises = ()
-            if arity:
-                premises = tuple(expanded[: -arity - 1 : -1])
-                del expanded[-arity:]
-            witness = _fill(data, fields, vals.__getitem__) if opened else data
-            expanded.append(Proof(Sequent(ante_of(vals), succ_of(vals)), rule, premises, witness))
-        top = expanded[0]
-        if not _literal(template, vals, ante, succ):
-            # Keep the displayed sequent and justify the gap with one
-            # whole-sequent rewrite inference.
-            top = Proof(Sequent(ante, succ), RuleName.ERULE, (top,), _WHOLE)
-        entry[0], entry[5] = top, None
-    return root[0]
+def _normal_node(theory, vals, concl, rule, premises, data, fields, opened) -> Proof:
+    """The normal node over normal premises, its conclusion normal, its
+    witness fields rewritten to normal form; a rewrite inference that
+    became trivial is spliced away, its witness unrewritten."""
+    if rule is RuleName.ERULE and premises and premises[0].conclusion == concl:
+        # Splice the premise, retupled to this node's formula order so
+        # witnesses above keep their positions (witness indices only ever
+        # address premise tuples).
+        child = premises[0]
+        if child.conclusion.ante == concl.ante and child.conclusion.succ == concl.succ:
+            return child
+        return Proof(concl, child.rule, child.premises, child.data)
+    return Proof(concl, rule, premises, _fill(data, fields, lambda i: _normal_form(vals[i], theory)) if fields else data)
+
+
+def _expanded_node(vals, concl, rule, premises, data, fields, opened) -> Proof:
+    """The expanded node: the template's node instantiated."""
+    return Proof(concl, rule, premises, _fill(data, fields, vals.__getitem__) if opened else data)
+
+
+def _expanded(root: _LinkInstance) -> Proof:
+    """The expanded proof of ``root``, built by ``_build`` into every
+    instance below it that lacks one, kids first, by ``fold``: a chain of
+    self-links is as deep as the numeral is large.  Each instance then
+    drops its instantiated expressions, which only this build still
+    needed."""
+
+    def combine(inst, _):
+        # ``tuple`` of a tuple is that tuple: the expanded form of a side.
+        inst.figure, inst.vals = _build(inst, inst.vals, tuple, _expanded_node, attrgetter("figure")), None
+        return inst.figure
+
+    if root.figure is None:
+        fold(root, combine, {}, (), lambda inst: [kid for kid in inst.kids if kid.figure is None])
+    return root.figure
 
 
 def evaluate_and_check(

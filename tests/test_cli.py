@@ -710,16 +710,16 @@ def test_unroll_lk_check_builds_no_expanded_node(capsys, monkeypatch):
             super().__init__()
             memos.append(self)
 
-    def refused(entry):
-        raise AssertionError("an expanded proof was built")
+    def refused(*args):
+        raise AssertionError("an expanded node was built")
 
     monkeypatch.setattr(silkcheck.cli, "UnrollMemo", Recorded)
-    monkeypatch.setattr(silkcheck.schema, "_expanded", refused)
+    monkeypatch.setattr(silkcheck.schema, "_expanded_node", refused)
     argv = ["unroll", p("schema_exp.sch"), "--alpha", "6", "--lk", "--check", "--quiet", "--json"]
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "") and out.endswith("check: accepted\n")
     (memo,) = memos
-    assert memo.links and all(entry[0] is None for entry in memo.links.values())
+    assert memo.links and all(inst.figure is None for inst in memo.links.values())
 
 
 def _bounded_cli(*argv):

@@ -251,7 +251,7 @@ def _double_links(proof):
     return Proof(proof.conclusion, proof.rule, kids, proof.data)
 
 
-def test_repeated_link_instance_is_one_node(shat):
+def test_repeated_link_instance_is_one_node(shat, monkeypatch):
     schema, theory = shat
     comp = schema.components[0]
     twice = ProofSchema(
@@ -262,14 +262,39 @@ def test_repeated_link_instance_is_one_node(shat):
     # phi@k links to phi@k-1 twice: 2^6 - 1 expansions, 6 instances.
     assert len(trace.expansions) == 63 and len(memo.links) == 6
     assert trace.expansions[1:32] == trace.expansions[32:]
+    imp = next(n for n, _ in gen.proof_nodes(trace.proof) if n.rule is R.IMP_L)
+    assert imp.premises[0] is imp.premises[1]
+    built, real_build = [], silkcheck.schema._build
+
+    def counted_build(inst, *stage):
+        built.append(inst)
+        return real_build(inst, *stage)
+
+    monkeypatch.setattr(silkcheck.schema, "_build", counted_build)
     imp = next(n for n, _ in gen.proof_nodes(trace.expanded) if n.rule is R.IMP_L)
     assert imp.premises[0] is imp.premises[1]
+    assert len(built) == 6 and {id(inst) for inst in built} == {id(inst) for inst in memo.links.values()}
+    assert evaluate(twice, 5, theory, memo=memo).expanded is trace.expanded and len(built) == 6
     assert count_inferences(trace.expanded)["->:l"] == 31
     # Fuel counts replayed expansions too: the worklist checked before each
     # of the 63, so 62 is the least fuel that passes.
     with pytest.raises(FuelExhausted):
         evaluate(twice, 5, EquationalTheory(theory.rules, 61))
     assert len(evaluate(twice, 5, EquationalTheory(theory.rules, 62)).expansions) == 63
+
+
+def test_a_failed_evaluation_leaves_a_shared_memo_as_it_was(shat):
+    schema, theory = shat
+    memo = UnrollMemo()
+    theory = EquationalTheory(theory.rules, 20)
+    evaluate(schema, 3, theory, memo)
+    links = dict(memo.links)
+    assert len(links) == 4
+    with pytest.raises(FuelExhausted, match="no normal form within 20 rewrite steps"):
+        evaluate(schema, 12, theory, memo)
+    assert memo.links == links  # instances compare by identity
+    fresh = EquationalTheory(theory.rules, 20)
+    assert _fingerprint(evaluate(schema, 4, theory, memo)) == _fingerprint(evaluate(schema, 4, fresh))
 
 
 def test_undeclared_link_target_is_an_evaluation_failure(shat):
@@ -391,14 +416,14 @@ def test_a_late_read_of_the_expanded_proof_agrees_with_the_oracle(name):
     schema, theory = load_schema(corpus_path(name))
     memo = UnrollMemo()
     traces = [evaluate(schema, alpha, theory, memo) for alpha in range(9)]
-    assert all(entry[0] is None for entry in memo.links.values())
+    assert all(inst.figure is None for inst in memo.links.values())
     for alpha in reversed(range(9)):
         expanded = traces[alpha].expanded
         reference = gen.reference_evaluate(schema, alpha, EquationalTheory(theory.rules, theory.fuel))
         assert print_proof_tree(expanded) == print_proof_tree(reference.expanded), alpha
         assert count_inferences(expanded) == count_inferences(reference.expanded), alpha
         assert evaluate(schema, alpha, theory, memo).expanded is expanded
-    assert all(entry[0] is not None and entry[5] is None for entry in memo.links.values())
+    assert all(inst.figure is not None and inst.vals is None for inst in memo.links.values())
 
 
 def test_a_late_read_of_a_deep_expanded_proof_needs_no_recursion():
