@@ -223,18 +223,6 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _add_common(sub):
-    sub.add_argument("file", help="input file")
-    sub.add_argument("--theory", help="theory file overriding the file's directive")
-    sub.add_argument(
-        "--fuel",
-        type=_natural,
-        default=_default_fuel(),
-        help="bound on each formula's rewrite span and on link expansions",
-    )
-    sub.add_argument("--json", action="store_true", help="machine readable report")
-
-
 # name: (help, handler, options after the common ones), in the order of the
 # top-level help.
 _COMMANDS = {
@@ -278,8 +266,27 @@ _COMMANDS = {
 }
 
 
+def _command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` given the arguments and handler of command ``name``."""
+    _, handler, options = _COMMANDS[name]
+    parser.add_argument("file", help="input file")
+    parser.add_argument("--theory", help="theory file overriding the file's directive")
+    parser.add_argument(
+        "--fuel",
+        type=_natural,
+        default=_default_fuel(),
+        help="bound on each formula's rewrite span and on link expansions",
+    )
+    parser.add_argument("--json", action="store_true", help="machine readable report")
+    for flags, kwargs in options:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(func=handler)
+    return parser
+
+
 def _parser(argv: list) -> argparse.ArgumentParser:
-    """The parser for ``argv``.  When its first word names a command, only
+    """The top-level parser for ``argv``, which reports what main's one
+    command parser leaves to it.  When its first word names a command, only
     that command's parser is built, under the metavar argparse would spell
     from all of them, so usage lines read the same; anything else (help, no
     command, an unknown one, a leading option) gets every command.  It is
@@ -295,19 +302,22 @@ def _parser(argv: list) -> argparse.ArgumentParser:
         names, metavar = _COMMANDS, None
     sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        help_, handler, options = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_)
-        _add_common(p)
-        for flags, kwargs in options:
-            p.add_argument(*flags, **kwargs)
-        p.set_defaults(func=handler)
+        _command(sub.add_parser(name, help=_COMMANDS[name][0]), name)
     return top
 
 
 def main(argv=None) -> int:
+    """Run the command ``argv`` names and return its exit code.  A command's
+    arguments are read by that command's parser alone, which reports its own
+    help and errors as the top-level parser's subparser would; only words it
+    leaves over, or an ``argv`` that names no command, go to ``_parser``."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser(argv).parse_args(argv)
+        args = rest = None
+        if argv and argv[0] in _COMMANDS:
+            args, rest = _command(argparse.ArgumentParser(prog=f"silkcheck {argv[0]}"), argv[0]).parse_known_args(argv[1:])
+        if args is None or rest:
+            args = _parser(argv).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

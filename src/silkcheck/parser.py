@@ -82,24 +82,29 @@ def _symbol(sym: str) -> str:
     return re.escape(sym) + (r"(?![\w'])" if sym[-1].isalnum() else "")
 
 
-# Tried in order at each position, the first alternative that matches wins.
-# Single characters come last among the symbols; none of them can start a
-# string, a numeral or an identifier.  Identifiers with an ASCII start take
-# the fast path; any other character lands in `other`, where tokenize keeps
+# Tried in order at each position, the first alternative that matches wins,
+# and the matches tile the text.  Single characters come last among the
+# symbols; none of them can start a string, a numeral or an identifier.  Any
+# other character is matched alone or with the word it starts; tokenize keeps
 # a word that starts with a letter and reports the rest.
 _TOKEN = re.compile(
     "|".join(
         [
-            r"(?P<newline>\n)",
-            r"(?P<skip>[ \t\r]+|\#[^\n]*)",
-            "(?P<sym>" + "|".join(map(_symbol, _RULE_SYMBOLS + _MULTI)) + f"|[{re.escape(_SINGLE)}])",
-            r'"(?P<str>[^"]*)"',
-            r"(?P<num>[0-9]+)",
-            r"(?P<ident>[A-Za-z_][\w']*)",
-            r"(?P<other>[^\W\d][\w']*|.)",
+            r"\n",
+            r"[ \t\r]+|\#[^\n]*",
+            "|".join(map(_symbol, _RULE_SYMBOLS + _MULTI)) + f"|[{re.escape(_SINGLE)}]",
+            r'"[^"]*"',
+            r"[0-9]+",
+            r"[A-Za-z_][\w']*",
+            r"[^\W\d][\w']*|.",
         ]
     )
 )
+# A match's kind: a symbol by its text, anything else by its first character,
+# a word with a non-ASCII start by whether that is a letter.
+_SYMBOLS = frozenset([*_RULE_SYMBOLS, *_MULTI, *_SINGLE])
+_KIND = {"\n": "newline", '"': "str", **dict.fromkeys(" \t\r#", "skip"), **dict.fromkeys("0123456789", "num")}
+_KIND.update((c, "ident") for c in map(chr, range(128)) if c.isalpha() or c == "_")
 
 
 class Token(NamedTuple):
@@ -109,35 +114,34 @@ class Token(NamedTuple):
     col: int
 
 
+_token = partial(tuple.__new__, Token)  # a Token, skipping the Python-level __new__ of Token(...)
+
+
 def tokenize(text: str, line: int = 1, col: int = 1) -> list:
     """Tokens of ``text``, positioned as if it started at ``line``:``col``
     of its file."""
     out = []
-    line_start = 1 - col
-    for mo in _TOKEN.finditer(text):
-        kind = mo.lastgroup
-        if kind == "skip":
-            continue
-        if kind == "newline":
-            line += 1
-            line_start = mo.end()
-            continue
-        col = mo.start() - line_start + 1
-        value = mo.group(kind)
-        if kind == "other":
-            c = value[0]
-            if not c.isalpha():
-                raise ParseError("unterminated string" if c == '"' else f"stray character {c!r}", line, col)
-            kind = "ident"
-        out.append(Token(kind, value, line, col))
-        if kind == "str" and "\n" in value:
-            line += value.count("\n")
-            line_start = mo.start(kind) + value.rindex("\n") + 1
-    out.append(Token("eof", "", line, len(text) - line_start + 1))
+    pos, base = 0, -col  # the column of offset pos is pos - base
+    for word in _TOKEN.findall(text):
+        kind = "sym" if word in _SYMBOLS else _KIND.get(word[0]) or ("ident" if word[0].isalpha() else None)
+        if kind == "sym" or kind == "ident" or kind == "num":
+            out.append(_token((kind, word, line, pos - base)))
+        elif kind == "newline":
+            line, base = line + 1, pos
+        elif kind == "str" and word != '"':
+            out.append(_token((kind, word[1:-1], line, pos - base)))
+            if "\n" in word:
+                line, base = line + word.count("\n"), pos + word.rindex("\n")
+        elif kind != "skip":
+            raise ParseError("unterminated string" if word == '"' else f"stray character {word[0]!r}", line, pos - base)
+        pos += len(word)
+    out.append(_token(("eof", "", line, pos - base)))
     return out
 
 
 class TokenStream:
+    # next stays on the closing eof; the other readers step past only a token
+    # they asked for, never eof.
     def __init__(self, tokens: list):
         self.tokens = tokens
         self.pos = 0
@@ -146,30 +150,34 @@ class TokenStream:
         return self.tokens[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
 
     def at_sym(self, text: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == "sym" and tok.text == text
 
     def eat_sym(self, text: str) -> bool:
-        if self.at_sym(text):
-            self.next()
-            return True
-        return False
+        tok = self.tokens[self.pos]
+        hit = tok.kind == "sym" and tok.text == text
+        self.pos += hit
+        return hit
 
     def expect_sym(self, text: str) -> Token:
-        if not self.at_sym(text):
-            _expected(repr(text), self.peek())
-        return self.next()
+        tok = self.tokens[self.pos]
+        if tok.kind != "sym" or tok.text != text:
+            _expected(repr(text), tok)
+        self.pos += 1
+        return tok
 
     def expect(self, kind: str) -> Token:
-        if self.peek().kind != kind:
-            _expected(kind, self.peek())
-        return self.next()
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
+            _expected(kind, tok)
+        self.pos += 1
+        return tok
 
     def fail(self, msg: str):
         tok = self.peek()
@@ -350,10 +358,10 @@ def _parse_sequent(ts: TokenStream) -> Sequent:
     return Sequent(tuple(ante), tuple(succ))
 
 
-def _parse_text(text: str, what: str, line: int = 1, col: int = 1, read=None):
-    """Parse all of ``text``, which starts at ``line``:``col`` of its file,
-    with ``read``, by default as an expression of the sort ``what``."""
-    ts = TokenStream(tokenize(text, line, col))
+def _parse_tokens(tokens: list, what: str, read=None):
+    """Parse all of ``tokens`` with ``read``, by default as an expression of
+    the sort ``what``."""
+    ts = TokenStream(tokens)
     value = _parse_expr(ts, what) if read is None else read(ts)
     tok = ts.peek()
     if tok.kind != "eof":
@@ -362,19 +370,19 @@ def _parse_text(text: str, what: str, line: int = 1, col: int = 1, read=None):
 
 
 def parse_numexpr(text: str) -> NumExpr:
-    return _parse_text(text, NUM)
+    return _parse_tokens(tokenize(text), NUM)
 
 
 def parse_term(text: str, line: int = 1, col: int = 1) -> Node:
-    return _parse_text(text, TERM, line, col)
+    return _parse_tokens(tokenize(text, line, col), TERM)
 
 
 def parse_formula(text: str, line: int = 1, col: int = 1) -> Formula:
-    return _parse_text(text, FORMULA, line, col)
+    return _parse_tokens(tokenize(text, line, col), FORMULA)
 
 
 def parse_sequent(text: str) -> Sequent:
-    return _parse_text(text, "sequent", read=_parse_sequent)
+    return _parse_tokens(tokenize(text), "sequent", _parse_sequent)
 
 
 def parse_replacement(text: str, want_formula: bool, line: int = 1, col: int = 1) -> Node:
@@ -383,10 +391,10 @@ def parse_replacement(text: str, want_formula: bool, line: int = 1, col: int = 1
 
 
 def _quoted(ts: TokenStream, what: str, read=None):
-    """The next token, a string, parsed as ``_parse_text`` does; errors
+    """The next token, a string, parsed as ``_parse_tokens`` does; errors
     point into the file."""
     tok = ts.expect("str")
-    return _parse_text(tok.text, what, tok.line, tok.col + 1, read)
+    return _parse_tokens(tokenize(tok.text, tok.line, tok.col + 1), what, read)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +406,7 @@ def parse_theory(text: str, fuel: int = rw.DEFAULT_FUEL) -> rw.EquationalTheory:
     reading when a rule would also parse as a term rewrite."""
     rules = []
     pred_heads: set = set()
-    pending = []  # (line_no, sides, forced_pred); a side is (text, col)
+    pending = []  # (line_no, sides, forced_pred); a side is (text, line_no, col)
     for line_no, raw in enumerate(text.splitlines(), 1):
         code = raw.split("#", 1)[0]
         line = code.strip()
@@ -416,34 +424,36 @@ def parse_theory(text: str, fuel: int = rw.DEFAULT_FUEL) -> rw.EquationalTheory:
         if "==" not in line:
             raise ParseError("a rule needs '=='", line_no, 1)
         lhs_text, rhs_text = line.split("==", 1)
-        sides = (_side(lhs_text, col), _side(rhs_text, col + len(lhs_text) + 2))
+        sides = (_side(lhs_text, line_no, col), _side(rhs_text, line_no, col + len(lhs_text) + 2))
         pending.append((line_no, sides, forced))
 
-    def as_rule(sort, line_no, sides):
-        return tuple(_parse_text(text, sort, line_no, col) for text, col in sides)
+    lexed: dict = {}  # a side's tokens, lexed at its first reading
+
+    def as_rule(sort, sides):
+        return tuple(_parse_tokens(lexed.get(side) or lexed.setdefault(side, tokenize(*side)), sort) for side in sides)
 
     drafts = []
     for line_no, sides, forced in pending:
         if forced:
-            lhs, rhs = as_rule(FORMULA, line_no, sides)
+            lhs, rhs = as_rule(FORMULA, sides)
             pred_heads.add(_head_name(lhs))
         else:
             try:
-                lhs, rhs = as_rule(TERM, line_no, sides)
+                lhs, rhs = as_rule(TERM, sides)
             except ParseError:
-                lhs, rhs = as_rule(FORMULA, line_no, sides)
+                lhs, rhs = as_rule(FORMULA, sides)
                 pred_heads.add(_head_name(lhs))
         drafts.append((line_no, sides, lhs, rhs))
     for line_no, sides, lhs, rhs in drafts:
         if not isinstance(lhs, Formula) and _head_name(lhs) in pred_heads:
-            lhs, rhs = as_rule(FORMULA, line_no, sides)
+            lhs, rhs = as_rule(FORMULA, sides)
         rules.append(rw.RewriteRule(lhs, rhs, line_no))
     return rw.EquationalTheory(tuple(rules), fuel)
 
 
-def _side(text: str, col: int) -> tuple:
-    """One side of a rule without its blanks, and the column it starts at."""
-    return text.strip(), col + len(text) - len(text.lstrip())
+def _side(text: str, line_no: int, col: int) -> tuple:
+    """One side of a rule without its blanks, and the line and column it starts at."""
+    return text.strip(), line_no, col + len(text) - len(text.lstrip())
 
 
 def _head_name(node) -> str | None:
@@ -635,7 +645,7 @@ def _parse_theory_directive(ts: TokenStream) -> str | None:
 
 def parse_proof(text: str) -> tuple:
     """Returns (proof, theory_path or None)."""
-    return _parse_text(text, "proof", read=_proof_file)
+    return _parse_tokens(tokenize(text), "proof", _proof_file)
 
 
 def _proof_file(ts: TokenStream) -> tuple:
@@ -648,7 +658,7 @@ def _proof_file(ts: TokenStream) -> tuple:
 
 
 def parse_schema(text: str) -> tuple:
-    return _parse_text(text, "schema", read=_schema_file)
+    return _parse_tokens(tokenize(text), "schema", _schema_file)
 
 
 def _schema_file(ts: TokenStream) -> tuple:
@@ -725,7 +735,7 @@ class SiLKScript(Record):
 
 def parse_script(text: str) -> tuple:
     """Returns (SiLKScript with a placeholder theory, theory_path or None)."""
-    return _parse_text(text, "script", read=_script_file)
+    return _parse_tokens(tokenize(text), "script", _script_file)
 
 
 def _script_file(ts: TokenStream) -> tuple:
@@ -782,24 +792,30 @@ def check_arities(*roots) -> list:
     """Arity-consistency issues across a workspace's parsed values.
     Defined and uninterpreted symbols share one namespace per kind
     (function, predicate, numeric function), so a name resolves the same way
-    wherever it occurs."""
+    wherever it occurs.  Each distinct node is read once, in pre-order."""
     arities: dict = {}
     issues: list = []
+    seen: set = set()
     for root in roots:
-        for formula in root.formulas() if isinstance(root, Sequent) else (root,):
-            for node in walk(formula):
-                if isinstance(node, Fn):
-                    key = ("function", node.sym)
-                elif isinstance(node, Atom):
-                    key = ("predicate", node.pred)
-                elif isinstance(node, NumFn) and node.sym != "+":
-                    key = ("numeric function", node.sym)
-                else:
-                    continue
-                arity = len(node.args)
-                seen = arities.setdefault(key, arity)
-                if seen != arity:
-                    issues.append(f"{key[0]} {key[1]} used with {arity} arguments and with {seen}")
+        stack = list(reversed(root.formulas() if isinstance(root, Sequent) else (root,)))
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            stack += reversed(node.kids())
+            if isinstance(node, Fn):
+                key = ("function", node.sym)
+            elif isinstance(node, Atom):
+                key = ("predicate", node.pred)
+            elif isinstance(node, NumFn) and node.sym != "+":
+                key = ("numeric function", node.sym)
+            else:
+                continue
+            arity = len(node.args)
+            first = arities.setdefault(key, arity)
+            if first != arity:
+                issues.append(f"{key[0]} {key[1]} used with {arity} arguments and with {first}")
     return issues
 
 

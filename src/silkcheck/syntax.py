@@ -19,7 +19,7 @@ fields changed.  A node class takes exactly its fields, positionally.
 Nothing is generated at import time: dataclasses would compile code for each
 class with exec, most of the start-up of a one-file CLI run.
 
-No traversal recurses per node.  fold is the one post-order pass: render,
+No traversal recurses per node.  fold is the one post-order pass:
 canon_alpha, free names and substitution schedules run on it.
 rewrite._normalize keeps its own loop, whose frames hold head-step targets
 and spend fuel on every trip round a rewrite cycle.  So successor towers,
@@ -180,8 +180,15 @@ def fold(root, combine, done, leaves=(), kids_of=methodcaller("kids")):
 
 
 def render(root: Node) -> str:
-    """Concrete syntax; a binder is written under its display name."""
-    return fold(root, _render, {}, (), shown_kids)
+    """Concrete syntax, binders under their display names: one pass, linear in the text."""
+    out, stack = [], [root]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        else:
+            stack += reversed(_pieces(item))
+    return "".join(out)
 
 
 def walk(root: Node) -> Iterator[Node]:
@@ -520,40 +527,33 @@ _PREC = dict.fromkeys(_BINDERS, 0) | {cls: prec for cls, (_, prec, _) in CONNECT
 _ATOMIC = max(_PREC.values()) + 1
 
 
-def _render(node: Node, kids: tuple) -> str:
-    """render's combine: the text of node from the texts of its kids."""
+def _pieces(node: Node) -> list:
+    """render's step: the text of node as text and kids to write, in order."""
     cls = type(node)
     if cls is Fn or cls is Atom or cls is NumFn:
         head, args = node.pred if cls is Atom else node.sym, node.args
-        if head == "+":
-            b = args[1]
-            return f"{kids[0]} + ({kids[1]})" if type(b) in (NumFn, Fn) and b.sym == "+" else f"{kids[0]} + {kids[1]}"
-        if head[-1] == "^":
-            # A superscript is bracketed unless it is a parameter or a numeral.
-            bare = type(args[0]) is Param or numeral_value(args[0]) is not None
-            head, kids = head + (kids[0] if bare else f"({kids[0]})"), kids[1:]
-            if not kids:
-                return head
-        elif not kids and cls is Atom:
-            return head
-        return f"{head}({', '.join(kids)})"
+        if head == "+":  # a sum on the right is bracketed
+            return [args[0], " + ", *(["(", args[1], ")"] if getattr(args[1], "sym", None) == "+" else args[1:])]
+        if head[-1] != "^":
+            return [head] if not args and cls is Atom else [head, "(", *[p for a in args for p in (", ", a)][1:], ")"]
+        bare = type(args[0]) is Param or numeral_value(args[0]) is not None  # else the superscript is bracketed
+        out = [head, args[0]] if bare else [head, "(", args[0], ")"]
+        return out + ["(", *[p for a in args[1:] for p in (", ", a)][1:], ")"] if args[1:] else out
     if cls is Param or cls is FreeVar:
-        return node.name
-    if cls is Succ:
-        return str(int(kids[0]) + 1) if kids[0].isdigit() else f"s({kids[0]})"
-    if cls is Zero:
-        return "0"
+        return [node.name]
+    if cls is Succ or cls is Zero:
+        return ["s(", node.prev, ")"] if (value := numeral_value(node)) is None else [str(value)]
     if cls is SVar:
-        return f"{node.name}[{kids[0]}]"
+        return [node.name, "[", node.index, "]"]
     if cls in _BINDERS:
         quantifier = "exists" if cls is Exists else "forall"
-        return f"{quantifier} {display_name(node)}{':omega' if cls is OmegaAll else ''}. {kids[0]}"
+        return [f"{quantifier} {display_name(node)}{':omega' if cls is OmegaAll else ''}. ", shown_kids(node)[0]]
     # A connective.  A kid that binds looser than its place allows is
     # bracketed; the kid on the side it does not group to must bind tighter.
     sym, prec, right = CONNECTIVES[cls]
     least = (prec,) if cls is Not else (prec + right, prec + (not right))
-    kids = [s if _PREC.get(type(k), _ATOMIC) >= m else f"({s})" for k, s, m in zip(node.kids(), kids, least)]
-    return sym + kids[0] if cls is Not else f"{kids[0]} {sym} {kids[1]}"
+    kids = [[k] if _PREC.get(type(k), _ATOMIC) >= m else ["(", k, ")"] for k, m in zip(node.kids(), least)]
+    return [sym, *kids[0]] if cls is Not else [*kids[0], f" {sym} ", *kids[1]]
 
 
 # ---------------------------------------------------------------------------

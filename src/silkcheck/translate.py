@@ -54,20 +54,28 @@ def ancestor_map(script: SiLKScript) -> dict:
 
 def to_ppsnf(script: SiLKScript) -> SiLKScript:
     """Reorder a proof so each group is fully built, in closure order, before
-    the next group starts; idempotent on scripts already in that shape."""
-    collection, verdict, report = check_script(script)
+    the next group starts; a script already in that shape comes back as it
+    is."""
+    return _reordered(script, *check_script(script))
+
+
+def _reordered(script: SiLKScript, collection: ComponentCollection, verdict: str, report) -> SiLKScript:
+    """``script`` in construction order, given its replay."""
     if verdict != "proof":
         failures = report_text(report).splitlines()[1:]  # the lines after the status
         raise NotAProof("\n".join([f"normal form is defined for proofs only, got {verdict}"] + failures))
     ancestors = ancestor_map(script)
     closure_of = {g.gid: g.closure_index for g in collection.groups}
     ordered_gids = sorted(ancestors, key=lambda gid: closure_of[gid])
+    order = [i for gid in ordered_gids for i in ancestors[gid]]
     # Group ids are creation ordinals.  Each group's steps start with the
-    # ax1r that creates it, so its new id is its place in the new order.
+    # ax1r that creates it, so its new id is its place in the new order, and
+    # a script whose step order stays keeps its ids too.
+    if order == list(range(len(script.steps))):
+        return script
     remap = {gid: new for new, gid in enumerate(ordered_gids, 1)}
     new_steps = []
-    for i in (i for gid in ordered_gids for i in ancestors[gid]):
-        step = script.steps[i]
+    for step in map(script.steps.__getitem__, order):
         changes = {}
         if step.group is not None:
             changes["group"] = remap[step.group]
@@ -83,16 +91,20 @@ def to_ppsnf(script: SiLKScript) -> SiLKScript:
 
 def silk_to_schema(script: SiLKScript) -> ProofSchema:
     """One schema component per closed group with a non-empty stepcase,
-    leading component first so every call becomes a forward link.
+    leading component first so every call becomes a forward link.  The
+    groups are those of the replay in construction order: the script's own
+    replay, replayed again only when reordering changed the script.
 
     A proof whose leading group closed without a stepcase is an ordinary
     rewrite-extended proof; it is returned as a single component with no
     step, whose evaluation at any numeral is that proof.
     """
-    normal = to_ppsnf(script)
-    collection, verdict, report = check_script(normal)
-    if verdict != "proof":
-        raise NotAProof(f"translation is defined for proofs only, got {verdict}")
+    collection, verdict, report = check_script(script)
+    normal = _reordered(script, collection, verdict, report)
+    if normal is not script:
+        collection, verdict, _ = check_script(normal)
+        if verdict != "proof":
+            raise NotAProof(f"translation is defined for proofs only, got {verdict}")
     lead = leading_group(collection)
     step_param = Succ(Param("n"))
 

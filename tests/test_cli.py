@@ -295,13 +295,14 @@ def test_reversed_alpha_range_exits_two(capsys, spec):
     assert f"{spec!r} is an empty range" in err
 
 
-def _corpus_copy(tmp_path, name, old, new):
-    """A corpus file with one edit, its theory directive made absolute."""
+def _corpus_copy(tmp_path, name, old, new, count=-1):
+    """A corpus file with one edit, made at the first ``count`` places, or at
+    all, and its theory directive made absolute."""
     text = corpus_path(name).read_text()
     assert old in text
     theory = text.split('"')[1]
     edited = tmp_path / name
-    edited.write_text(text.replace(old, new).replace(f'theory "{theory}"', f'theory "{p(theory)}"', 1))
+    edited.write_text(text.replace(old, new, count).replace(f'theory "{theory}"', f'theory "{p(theory)}"', 1))
     return str(edited)
 
 
@@ -319,6 +320,13 @@ def test_an_arity_clash_in_a_witness_is_a_parse_error(capsys, tmp_path, name, ol
     command = "check-lk" if name.endswith(".lkp") else "check-silk"
     code, out, err = run(capsys, command, _corpus_copy(tmp_path, name, old, new))
     assert (code, out, err) == (2, "", f"parse error: {clash}\n")
+
+
+def test_an_arity_clash_is_reported_once_however_often_its_node_occurs(capsys, tmp_path):
+    # P(0, 0) stands on both sides of one axiom: one node, one clash.
+    schema = _corpus_copy(tmp_path, "schema_exp.sch", 'ax "P(0) |- P(0)"', 'ax "P(0, 0) |- P(0, 0)"', 1)
+    code, out, err = run(capsys, "check-schema", schema)
+    assert (code, out, err) == (2, "", "parse error: predicate P used with 2 arguments and with 1\n")
 
 
 def _shat_copy(tmp_path, old, new):

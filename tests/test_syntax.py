@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 from silkcheck import corpus_path, load_schema, load_theory
 from silkcheck.parser import (
@@ -402,3 +403,20 @@ def test_render_agrees_with_the_per_class_renderer_on_the_corpus(name):
     assert formulas
     for node in {sub for formula in formulas for sub in walk(formula)}:
         assert render(node) == gen.reference_render(gen.named(node))
+
+
+def test_rendering_a_deep_term_takes_memory_linear_in_its_text():
+    # The writer keeps pieces of the text, not the text of every subterm:
+    # P(f(...f(0)...)) 4,096 deep is 12,292 characters.
+    term = ZERO
+    for _ in range(4096):
+        term = Fn("f", (term,))
+    atom = Atom("P", (term,))
+    tracemalloc.start()
+    try:
+        text = render(atom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == "P(" + "f(" * 4096 + "0" + ")" * 4097
+    assert peak < 1_000_000

@@ -2,15 +2,17 @@
 
 import pytest
 
-from silkcheck import corpus_path, load_script
+from silkcheck import corpus_path, load_script, translate
+from silkcheck.cli import main
 from silkcheck.kernel import RuleName as R, count_inferences
 from silkcheck.parser import parse_formula, parse_numexpr, parse_sequent
 from silkcheck.schema import check_schema, evaluate, evaluate_and_check
 from silkcheck.silk import NotAProof, SiLKScript, check_script
-from silkcheck.syntax import OmegaAll, bind, formula_eq
+from silkcheck.syntax import OmegaAll, bind, formula_eq, replace
 from silkcheck.translate import ancestor_map, interpret, silk_to_schema, to_ppsnf
 
 import gen
+from conftest import SCRIPT_NAMES
 from gen import collection_signature
 
 
@@ -168,3 +170,27 @@ def test_interpret_instances_follow_the_unrolling(exp_script):
             subst(lead.pattern, Substitution({"n": numeral(alpha)}, {})), exp_script.theory
         ).value
         assert trace.proof.conclusion == want
+
+
+@pytest.mark.parametrize("argv", [["translate"], ["stats", "--alpha-range", "0..3"]], ids=["translate", "stats"])
+@pytest.mark.parametrize("name", SCRIPT_NAMES)
+def test_a_script_in_construction_order_is_replayed_once(monkeypatch, capsys, name, argv):
+    replays = []
+
+    def counted(script):
+        replays.append(script)
+        return check_script(script)
+
+    monkeypatch.setattr(translate, "check_script", counted)
+    command = [argv[0], str(corpus_path(name)), *argv[1:]]
+    assert main(command) == 0
+    once = capsys.readouterr()
+    want = 2 if name == "silk_interleaved.slk" else 1
+    assert len(replays) == want
+    # Against a second replay of every script, reordered or not: the output
+    # is the same.
+    reordered = translate._reordered
+    monkeypatch.setattr(translate, "_reordered", lambda *replay: replace(reordered(*replay)))
+    assert main(command) == 0
+    assert capsys.readouterr() == once
+    assert len(replays) == want + 2
