@@ -198,16 +198,8 @@ def _cmd_stats(args) -> int:
         schema = silk_to_schema(script)
     else:
         schema, theory, _ = load_file(args.file, parse_schema, args.theory, args.fuel)
-    rows = []
     memo = UnrollMemo()
-    # The counts of each numeral's proofs, which the memo shares with the
-    # proofs of the next: a range counts only what each numeral adds.
-    known: dict = {}
-    for alpha in args.alpha_range:
-        trace = evaluate(schema, alpha, theory, memo=memo)
-        row = (alpha, count_inferences(trace.expanded, known), count_inferences(trace.proof, known))
-        known[trace.expanded], known[trace.proof] = row[1:]
-        rows.append(row)
+    rows = [(alpha, *evaluate(schema, alpha, theory, memo=memo).inferences()) for alpha in args.alpha_range]
     if args.json:
         _emit_json(
             {
@@ -284,24 +276,16 @@ def _command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentPar
     return parser
 
 
-def _parser(argv: list) -> argparse.ArgumentParser:
-    """The top-level parser for ``argv``, which reports what main's one
-    command parser leaves to it.  When its first word names a command, only
-    that command's parser is built, under the metavar argparse would spell
-    from all of them, so usage lines read the same; anything else (help, no
-    command, an unknown one, a leading option) gets every command.  It is
-    built on each call, so the --fuel default reads SILK_FUEL each time."""
+def _parser() -> argparse.ArgumentParser:
+    """The top-level parser, with every command, which reports what main's
+    one command parser leaves to it.  It is built on each call, so the
+    --fuel default reads SILK_FUEL each time."""
     top = argparse.ArgumentParser(
         prog="silkcheck",
         description="Check, unroll, normalize, and translate schematic sequent proofs.",
     )
-    if argv and argv[0] in _COMMANDS:
-        names = argv[:1]
-        metavar = "{" + ",".join(_COMMANDS) + "}"
-    else:
-        names, metavar = _COMMANDS, None
-    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
+    sub = top.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
         _command(sub.add_parser(name, help=_COMMANDS[name][0]), name)
     return top
 
@@ -317,7 +301,7 @@ def main(argv=None) -> int:
         if argv and argv[0] in _COMMANDS:
             args, rest = _command(argparse.ArgumentParser(prog=f"silkcheck {argv[0]}"), argv[0]).parse_known_args(argv[1:])
         if args is None or rest:
-            args = _parser(argv).parse_args(argv)
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

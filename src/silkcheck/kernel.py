@@ -12,6 +12,7 @@ Modes: plain LK; LKE adds the rewrite inference; LKS also admits link leaves.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from typing import Mapping
 
 from . import rewrite as rw
@@ -36,6 +37,7 @@ from .syntax import (
     open_body,
     replace_at,
     subst,
+    walk,
 )
 
 
@@ -435,20 +437,7 @@ def _check_node(node, theory, env, allowed_link_params, lenient_erule):
     )
 
 
-def count_inferences(proof: Proof, known: Mapping | None = None) -> dict:
+def count_inferences(proof: Proof) -> Counter:
     """Inference counts by rule, leaves excluded; absent rules count zero.
-    A subproof that known maps to its counts adds them and is not walked."""
-    counts: dict = {}
-    stack = [proof]
-    while stack:
-        node = stack.pop()
-        sub = known and known.get(node)
-        if sub:
-            for key, n in sub.items():
-                counts[key] = counts.get(key, 0) + n
-            continue
-        if node.rule not in LEAVES:
-            key = node.rule.value
-            counts[key] = counts.get(key, 0) + 1
-        stack.extend(node.premises)
-    return counts
+    A shared subproof counts once per occurrence."""
+    return Counter(node.rule.value for node in walk(proof) if node.rule not in LEAVES)

@@ -792,7 +792,8 @@ def check_arities(*roots) -> list:
     """Arity-consistency issues across a workspace's parsed values.
     Defined and uninterpreted symbols share one namespace per kind
     (function, predicate, numeric function), so a name resolves the same way
-    wherever it occurs.  Each distinct node is read once, in pre-order."""
+    wherever it occurs.  Each distinct node is read once, in pre-order, and
+    each distinct issue reported once, where it is first met."""
     arities: dict = {}
     issues: list = []
     seen: set = set()
@@ -816,7 +817,7 @@ def check_arities(*roots) -> list:
             first = arities.setdefault(key, arity)
             if first != arity:
                 issues.append(f"{key[0]} {key[1]} used with {arity} arguments and with {first}")
-    return issues
+    return list(dict.fromkeys(issues))
 
 
 def _workspace_roots(value, theory) -> list:

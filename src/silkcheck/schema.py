@@ -24,14 +24,15 @@ caller passes one to several calls under one theory, as ``stats`` does
 across its range of numerals and ``unroll --check`` for the unrolling it
 prints and the one it checks.
 
-The trace gives both stages: the normal form, with every sequent rewritten
-and trivial rewrite steps collapsed, which is a plain LK proof, and, on
-first read, the expanded proof with its rewrite inferences intact (what
-the unrolled figure shows).
+The trace gives both stages, and their inference counts off the records:
+the normal form, with every sequent rewritten and trivial rewrite steps
+collapsed, which is a plain LK proof, and, on first read, the expanded
+proof with its rewrite inferences intact (the unrolled figure).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 from operator import attrgetter, itemgetter
 
@@ -46,6 +47,7 @@ from .kernel import (
     RuleData,
     RuleName,
     check_proof,
+    count_inferences,
     flatten_path,
 )
 from .syntax import (
@@ -115,31 +117,28 @@ class ProofSchema(Record):
 
 def canon_num(e: NumExpr) -> NumExpr:
     """Canonical form of the +/s fragment: numeral summands become successor
-    applications, so s(n), n+1 and 1+n all coincide.  Built bottom-up: an
-    application's numeric arguments are canonical before it is.  It keeps
-    its own loop rather than syntax.fold's, as its children are the
-    arguments of a split_succs base, which skips a successor tower in one
-    step."""
+    applications, so s(n), n+1 and 1+n all coincide.  Built bottom-up by
+    ``fold``, an expression's kids being the numeric arguments of its
+    split_succs base, which skips a successor tower in one step."""
     done: dict = {}
-    stack = [e]
-    while stack:
-        cur = stack[-1]
+
+    def combine(cur, _):
         base, offset = split_succs(cur)
-        args = base.args if isinstance(base, NumFn) else ()
-        pending = [a for a in args if isinstance(a, NumExpr) and a not in done]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
         if base is None:
-            done[cur] = numeral(offset)
-            continue
-        if args:
-            base = NumFn(base.sym, tuple(done.get(a, a) for a in args))
+            return numeral(offset)
+        if isinstance(base, NumFn) and base.args:
+            base = NumFn(base.sym, tuple(done.get(a, a) for a in base.args))
         for _ in range(offset):
             base = Succ(base)
-        done[cur] = base
-    return done[e]
+        return base
+
+    return fold(e, combine, done, (), _num_args)
+
+
+def _num_args(e: NumExpr) -> list:
+    """The numeric arguments of the split_succs base of ``e``."""
+    base, _ = split_succs(e)
+    return [a for a in base.args if isinstance(a, NumExpr)] if isinstance(base, NumFn) else []
 
 
 def num_eq(a: NumExpr, b: NumExpr) -> bool:
@@ -249,8 +248,8 @@ class UnrollTrace:
     ``evaluate`` builds only the normal form, ``proof``.  The expanded
     proof is built on the first read of ``expanded``, from the instance
     ``entry`` of the unrolled link, and kept on that instance, so a caller
-    that reads only the normal form never builds it, and traces that share
-    an instance read the same proof."""
+    that reads only the normal form or the ``inferences`` never builds it,
+    and traces that share an instance read the same proof."""
 
     _fields = ("expansions", "expanded", "proof")
     __eq__, __repr__ = Record.__eq__, Record.__repr__  # value equality, so unhashable
@@ -263,7 +262,12 @@ class UnrollTrace:
 
     @property
     def expanded(self) -> Proof | None:
-        return self._expanded if self._entry is None else _expanded(self._entry)
+        return self._expanded if self._entry is None else _lazily(self._entry, "figure", _figure)
+
+    def inferences(self) -> tuple:
+        """``count_inferences`` of ``expanded`` and of ``proof``, read off the
+        instance records of an evaluated trace: no expanded node is built."""
+        return _lazily(self._entry, "counts", _tally)
 
 
 class UnrollMemo:
@@ -301,14 +305,21 @@ class _LinkInstance:
     ``records[lo:hi]`` of trace records its expansion produced, ``hi``
     being None while the expansion is open.  ``normal`` is its normal
     proof; ``figure`` its expanded proof, the unrolled figure, None until
-    first read, when ``vals`` is dropped."""
+    first read, when ``vals`` is dropped.  ``bridged`` is 1 when its
+    expansion ends under a whole-sequent rewrite step, ``spliced`` counts
+    the rewrite steps its normal build spliced away, and ``counts`` holds
+    the inference counts of both proofs, None until first read."""
 
-    __slots__ = ("template", "vals", "ante", "succ", "kids", "records", "lo", "hi", "normal", "figure")
+    __slots__ = (
+        "template", "vals", "ante", "succ", "kids", "records", "lo", "hi", "normal", "figure", "bridged", "spliced", "counts"
+    )
 
     def __init__(self, template, vals: list, ante: tuple, succ: tuple, records: list, lo: int):
         self.template, self.vals, self.ante, self.succ, self.kids = template, vals, ante, succ, []
         self.records, self.lo, self.hi = records, lo, None
-        self.normal = self.figure = None
+        self.normal = self.figure = self.counts = None
+        _, _, ante_of, succ_of, *_ = template.nodes[-1]
+        self.bridged, self.spliced = int(ante_of(vals) != ante or succ_of(vals) != succ), 0
 
 
 class _Template:
@@ -325,9 +336,9 @@ class _Template:
     sequent side from a list indexed like ``exprs``, and a witness field is
     (key, index), or ("terms", indices).  ``links`` lists the link leaves
     in pre-order as (target, parameter index, terms picker, antecedent
-    picker, succedent picker)."""
+    picker, succedent picker); ``counts`` its inference counts."""
 
-    __slots__ = ("exprs", "opens", "concl", "nodes", "links")
+    __slots__ = ("exprs", "opens", "concl", "nodes", "links", "counts")
 
     def __init__(self, proof: Proof, names: frozenset, params: frozenset):
         exprs, opens, index, pre, concl, links = [], [], {}, [], [], []
@@ -363,6 +374,7 @@ class _Template:
         self.exprs, self.opens, self.links = tuple(exprs), tuple(opens), tuple(links)
         self.concl = tuple(dict.fromkeys(i for indices in reversed(concl) for i in indices))
         self.nodes = tuple(reversed(pre))
+        self.counts = count_inferences(proof)
 
 
 def _picker(indices: tuple):
@@ -548,14 +560,13 @@ def _normal_form(x, theory: rw.EquationalTheory):
 
 def _build(inst: _LinkInstance, values: list, form, node, kid_proof) -> Proof:
     """One stage of the instance's proof: its template built bottom-up,
-    each node by ``node(instantiated expressions, conclusion, rule,
-    premises, witness, witness fields, whether a field is open)`` from the
-    stage's forms ``values`` of the conclusion formulas, each link leaf
-    replaced by ``kid_proof`` of its instance, and all under a whole-sequent
-    rewrite step to the displayed sequent, each side in the stage's
-    ``form``, unless the expansion ends there literally: at the template's
-    root instantiated, also when that root is a link leaf."""
-    vals, built, kids = inst.vals, [], iter(inst.kids)
+    each node by ``node(instance, conclusion, rule, premises, witness,
+    witness fields, whether a field is open)`` from the stage's forms
+    ``values`` of the conclusion formulas, each link leaf replaced by
+    ``kid_proof`` of its instance, and all under a whole-sequent rewrite
+    step to the displayed sequent, each side in the stage's ``form``, if
+    the instance is ``bridged``."""
+    built, kids = [], iter(inst.kids)
     # Reversed pre-order puts every node after its premises, the last
     # premise first, so a node's premises are the top ``arity`` values,
     # the first premise on top.
@@ -567,48 +578,63 @@ def _build(inst: _LinkInstance, values: list, form, node, kid_proof) -> Proof:
         if arity:
             premises = tuple(built[: -arity - 1 : -1])
             del built[-arity:]
-        built.append(node(vals, Sequent(ante_of(values), succ_of(values)), rule, premises, data, fields, opened))
-    _, _, ante_of, succ_of, *_ = inst.template.nodes[-1]
-    if ante_of(vals) == inst.ante and succ_of(vals) == inst.succ:
+        built.append(node(inst, Sequent(ante_of(values), succ_of(values)), rule, premises, data, fields, opened))
+    if not inst.bridged:
         return built[0]
-    return node(vals, Sequent(form(inst.ante), form(inst.succ)), RuleName.ERULE, (built[0],), _WHOLE, (), False)
+    return node(inst, Sequent(form(inst.ante), form(inst.succ)), RuleName.ERULE, (built[0],), _WHOLE, (), False)
 
 
-def _normal_node(theory, vals, concl, rule, premises, data, fields, opened) -> Proof:
+def _normal_node(theory, inst, concl, rule, premises, data, fields, opened) -> Proof:
     """The normal node over normal premises, its conclusion normal, its
     witness fields rewritten to normal form; a rewrite inference that
-    became trivial is spliced away, its witness unrewritten."""
+    became trivial is spliced away, its witness unrewritten, and counted in
+    the instance's ``spliced``."""
     if rule is RuleName.ERULE and premises and premises[0].conclusion == concl:
         # Splice the premise, retupled to this node's formula order so
         # witnesses above keep their positions (witness indices only ever
         # address premise tuples).
+        inst.spliced += 1
         child = premises[0]
         if child.conclusion.ante == concl.ante and child.conclusion.succ == concl.succ:
             return child
         return Proof(concl, child.rule, child.premises, child.data)
+    vals = inst.vals
     return Proof(concl, rule, premises, _fill(data, fields, lambda i: _normal_form(vals[i], theory)) if fields else data)
 
 
-def _expanded_node(vals, concl, rule, premises, data, fields, opened) -> Proof:
+def _expanded_node(inst, concl, rule, premises, data, fields, opened) -> Proof:
     """The expanded node: the template's node instantiated."""
-    return Proof(concl, rule, premises, _fill(data, fields, vals.__getitem__) if opened else data)
+    return Proof(concl, rule, premises, _fill(data, fields, inst.vals.__getitem__) if opened else data)
 
 
-def _expanded(root: _LinkInstance) -> Proof:
-    """The expanded proof of ``root``, built by ``_build`` into every
-    instance below it that lacks one, kids first, by ``fold``: a chain of
-    self-links is as deep as the numeral is large.  Each instance then
-    drops its instantiated expressions, which only this build still
-    needed."""
+def _lazily(root: _LinkInstance, attr: str, make):
+    """``attr`` of ``root``, set to ``make(instance)`` on every instance
+    below it where it is None, kids first, by ``fold``: a chain of
+    self-links is as deep as the numeral is large."""
+    if getattr(root, attr) is None:
+        missing = lambda inst: [kid for kid in inst.kids if getattr(kid, attr) is None]
+        fold(root, lambda inst, _: setattr(inst, attr, make(inst)), {}, (), missing)
+    return getattr(root, attr)
 
-    def combine(inst, _):
-        # ``tuple`` of a tuple is that tuple: the expanded form of a side.
-        inst.figure, inst.vals = _build(inst, inst.vals, tuple, _expanded_node, attrgetter("figure")), None
-        return inst.figure
 
-    if root.figure is None:
-        fold(root, combine, {}, (), lambda inst: [kid for kid in inst.kids if kid.figure is None])
-    return root.figure
+def _figure(inst: _LinkInstance) -> Proof:
+    """The instance's expanded proof, built by ``_build`` on its kids'; the
+    instance then drops ``vals``, which only this build still needed."""
+    # ``tuple`` of a tuple is that tuple: the expanded form of a side.
+    figure, inst.vals = _build(inst, inst.vals, tuple, _expanded_node, attrgetter("figure")), None
+    return figure
+
+
+def _tally(inst: _LinkInstance) -> tuple:
+    """The inference counts of the instance's expanded and normal proofs:
+    its template's, one ``E`` more if it is bridged, as many fewer in the
+    normal proof as its normal build spliced away, and its kids' counts."""
+    expanded = inst.template.counts + Counter({RuleName.ERULE.value: inst.bridged})
+    normal = expanded - Counter({RuleName.ERULE.value: inst.spliced})
+    for kid in inst.kids:
+        expanded.update(kid.counts[0])
+        normal.update(kid.counts[1])
+    return expanded, normal
 
 
 def evaluate_and_check(

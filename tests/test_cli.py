@@ -329,6 +329,16 @@ def test_an_arity_clash_is_reported_once_however_often_its_node_occurs(capsys, t
     assert (code, out, err) == (2, "", "parse error: predicate P used with 2 arguments and with 1\n")
 
 
+def test_an_arity_clash_is_reported_once_however_many_nodes_show_it(capsys, tmp_path):
+    # f^0() clashes with every distinct f^(n, x) of the schema and its theory.
+    theory = tmp_path / "theory_exp.thy"
+    theory.write_text(corpus_path("theory_exp.thy").read_text().replace("f^0(x) == x;", "f^0() == x;"))
+    code, out, err = run(capsys, "check-schema", p("schema_exp.sch"), "--theory", str(theory))
+    clash = "function f^ used with 2 arguments and with 1"
+    unbound = "theory rule 1: right side uses variables not bound on the left: x"
+    assert (code, out, err) == (2, "", f"parse error: {clash}; {unbound}\n")
+
+
 def _shat_copy(tmp_path, old, new):
     return _corpus_copy(tmp_path, "schema_shat.sch", old, new)
 
@@ -401,11 +411,16 @@ def test_stats_range_rows_match_single_instances(capsys, name, top):
 
 
 @pytest.mark.parametrize("name", ["schema_exp.sch", "schema_fhat.sch", "schema_shat.sch", "schema_svar.sch"])
-def test_stats_range_prints_the_plain_walk_counts(capsys, monkeypatch, name):
-    argv = ("stats", p(name), "--alpha-range", "0..9", "--json")
-    shared = run(capsys, *argv)
-    monkeypatch.setattr(silkcheck.cli, "count_inferences", lambda proof, known=None: count_inferences(proof))
-    assert shared == run(capsys, *argv)
+def test_stats_range_prints_the_plain_walk_counts(capsys, name):
+    # Each row against a walk of both proofs of an evaluation of its own.
+    rows = []
+    for alpha in range(10):
+        schema, theory = load_schema(corpus_path(name))
+        trace = evaluate(schema, alpha, theory)
+        expanded, normal = count_inferences(trace.expanded), count_inferences(trace.proof)
+        rows.append({"alpha": alpha, "expanded": expanded, "normal": normal, "total": sum(expanded.values())})
+    code, out, err = run(capsys, "stats", p(name), "--alpha-range", "0..9", "--json")
+    assert (code, err, json.loads(out)["rows"]) == (0, "", rows)
 
 
 def _fresh_evaluations(fuel, top):
@@ -723,11 +738,17 @@ def test_unroll_lk_check_builds_no_expanded_node(capsys, monkeypatch):
 
     monkeypatch.setattr(silkcheck.cli, "UnrollMemo", Recorded)
     monkeypatch.setattr(silkcheck.schema, "_expanded_node", refused)
-    argv = ["unroll", p("schema_exp.sch"), "--alpha", "6", "--lk", "--check", "--quiet", "--json"]
-    code, out, err = run(capsys, *argv)
-    assert (code, err) == (0, "") and out.endswith("check: accepted\n")
-    (memo,) = memos
-    assert memo.links and all(inst.figure is None for inst in memo.links.values())
+    # argv -> the end of its output; stats counts the expanded proof too.
+    runs = {
+        ("unroll", p("schema_exp.sch"), "--alpha", "6", "--lk", "--check", "--quiet", "--json"): "check: accepted\n",
+        ("stats", p("schema_exp.sch"), "--alpha-range", "0..6", "--json"): "}\n",
+    }
+    for argv, end in runs.items():
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out.endswith(end)
+    assert len(memos) == len(runs)
+    for memo in memos:
+        assert memo.links and all(inst.figure is None for inst in memo.links.values())
 
 
 def _bounded_cli(*argv):

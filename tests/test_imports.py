@@ -108,3 +108,17 @@ def test_importing_the_cli_loads_no_code_generation():
     )
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+# The lines of the trusted base, syntax, rewrite and kernel: a ratchet that
+# moves down as the base shrinks and up only on purpose.
+TRUSTED_BASE_LINES = 1605
+
+
+def test_the_trusted_base_keeps_its_line_count():
+    paths = [Path(silkcheck.__file__).parent / f"{stem}.py" for stem in ("syntax", "rewrite", "kernel")]
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in paths)
+    assert lines == TRUSTED_BASE_LINES, (
+        f"the trusted base has {lines} lines, not {TRUSTED_BASE_LINES}: lower the bound when it shrinks; "
+        "raise it only on purpose, and say so in CHANGES.md"
+    )
