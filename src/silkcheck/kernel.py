@@ -11,7 +11,6 @@ Modes: plain LK; LKE adds the rewrite inference; LKS also admits link leaves.
 
 from __future__ import annotations
 
-import enum
 from collections import Counter
 from typing import Mapping
 
@@ -41,7 +40,12 @@ from .syntax import (
 )
 
 
-class RuleName(enum.Enum):
+class RuleName:
+    """The inference rules, each its own token: a plain string, so reading
+    and hashing one runs no Python code, as an Enum member's do on 3.10 and
+    3.11.  Rules compare with ==, never is: an equal token need not be the
+    same object."""
+
     AX = "ax"
     CUT = "cut"
     AND_L = "/\\:l"
@@ -63,27 +67,22 @@ class RuleName(enum.Enum):
     ERULE = "E"
     LINK = "link"
 
-    def __str__(self):
-        return self.value
-
 
 R = RuleName
+RULES = tuple(rule for name, rule in vars(RuleName).items() if not name.startswith("_"))  # every rule
 _setattr = object.__setattr__  # sets a field in a record's own constructor
 
-ARITY = {
-    R.AX: 0,
-    R.LINK: 0,
-    R.CUT: 2,
-    R.AND_R: 2,
-    R.OR_L: 2,
-    R.IMP_L: 2,
-}
-# every other rule is unary
+ARITY = {R.AX: 0, R.LINK: 0, R.CUT: 2, R.AND_R: 2, R.OR_L: 2, R.IMP_L: 2}  # every other rule is unary
 LEAVES = (R.AX, R.LINK)
 
 MODE_LK = "lk"
 MODE_LKE = "lke"
 MODE_LKS = "lks"
+_ALLOWED = {  # the rules each mode admits
+    MODE_LK: frozenset(RULES) - {R.ERULE, R.LINK},
+    MODE_LKE: frozenset(RULES) - {R.LINK},
+    MODE_LKS: frozenset(RULES),
+}
 
 
 class RuleError(Exception):
@@ -112,10 +111,11 @@ EMPTY_DATA = RuleData()
 
 
 class Proof(Record, eq=False):
+    __slots__ = ("conclusion", "rule", "premises", "data")
     conclusion: Sequent
-    rule: RuleName
-    premises: tuple = ()
-    data: RuleData = EMPTY_DATA
+    rule: str  # a RuleName
+    premises: tuple
+    data: RuleData
 
     def __init__(self, conclusion, rule, premises=(), data=EMPTY_DATA):
         _setattr(self, "conclusion", conclusion)
@@ -165,7 +165,7 @@ def _put(side: tuple, i: int, f: Formula) -> tuple:
 
 
 def apply_rule(
-    rule: RuleName,
+    rule: str,
     premises: tuple,
     data: RuleData,
     theory: rw.EquationalTheory = rw.EMPTY_THEORY,
@@ -174,56 +174,56 @@ def apply_rule(
     n = ARITY.get(rule, 1)
     _need(len(premises) == n, "%s expects %s premises, got %s", rule, n, len(premises))
 
-    if rule is R.CUT:
+    if rule == R.CUT:
         p1, p2 = premises
         a = _at(p1.succ, data.a, "cut formula in first premise")
         b = _at(p2.ante, data.b, "cut formula in second premise")
         _need(formula_eq(a, b), "cut formulas differ: %s vs %s", a, b)
         return Sequent(p1.ante + _drop(p2.ante, data.b), _drop(p1.succ, data.a) + p2.succ)
 
-    if rule is R.AND_L:
+    if rule == R.AND_L:
         (p,) = premises
         a = _at(p.ante, data.a, "first conjunct")
         b = _at(p.ante, data.b, "second conjunct")
         _need(data.a != data.b, "conjunct positions must differ")
         return Sequent(_drop(_put(p.ante, data.a, And(a, b)), data.b), p.succ)
 
-    if rule is R.AND_R:
+    if rule == R.AND_R:
         p1, p2 = premises
         a = _at(p1.succ, data.a, "left conjunct")
         b = _at(p2.succ, data.b, "right conjunct")
         return Sequent(p1.ante + p2.ante, _drop(p1.succ, data.a) + _drop(p2.succ, data.b) + (And(a, b),))
 
-    if rule is R.OR_L:
+    if rule == R.OR_L:
         p1, p2 = premises
         a = _at(p1.ante, data.a, "left disjunct")
         b = _at(p2.ante, data.b, "right disjunct")
         return Sequent((Or(a, b),) + _drop(p1.ante, data.a) + _drop(p2.ante, data.b), p1.succ + p2.succ)
 
-    if rule is R.OR_R:
+    if rule == R.OR_R:
         (p,) = premises
         a = _at(p.succ, data.a, "left disjunct")
         b = _at(p.succ, data.b, "right disjunct")
         _need(data.a != data.b, "disjunct positions must differ")
         return Sequent(p.ante, _drop(_put(p.succ, data.a, Or(a, b)), data.b))
 
-    if rule is R.NEG_L:
+    if rule == R.NEG_L:
         (p,) = premises
         a = _at(p.succ, data.a, "negated formula")
         return Sequent((Not(a),) + p.ante, _drop(p.succ, data.a))
 
-    if rule is R.NEG_R:
+    if rule == R.NEG_R:
         (p,) = premises
         a = _at(p.ante, data.a, "negated formula")
         return Sequent(_drop(p.ante, data.a), p.succ + (Not(a),))
 
-    if rule is R.IMP_L:
+    if rule == R.IMP_L:
         p1, p2 = premises
         a = _at(p1.succ, data.a, "antecedent of implication")
         b = _at(p2.ante, data.b, "consequent of implication")
         return Sequent((Imp(a, b),) + p1.ante + _drop(p2.ante, data.b), _drop(p1.succ, data.a) + p2.succ)
 
-    if rule is R.IMP_R:
+    if rule == R.IMP_R:
         (p,) = premises
         a = _at(p.ante, data.a, "antecedent of implication")
         b = _at(p.succ, data.b, "consequent of implication")
@@ -231,18 +231,18 @@ def apply_rule(
 
     if rule in (R.CONTR_L, R.CONTR_R):
         (p,) = premises
-        side = p.ante if rule is R.CONTR_L else p.succ
+        side = p.ante if rule == R.CONTR_L else p.succ
         a = _at(side, data.a, "contracted formula")
         b = _at(side, data.b, "contracted copy")
         _need(data.a != data.b, "contraction needs two distinct positions")
         _need(formula_eq(a, b), "contracted formulas differ: %s vs %s", a, b)
         new = _drop(side, data.b)
-        return Sequent(new, p.succ) if rule is R.CONTR_L else Sequent(p.ante, new)
+        return Sequent(new, p.succ) if rule == R.CONTR_L else Sequent(p.ante, new)
 
     if rule in (R.WEAK_L, R.WEAK_R):
         (p,) = premises
         _need(data.formula is not None, "weakening needs the added formula")
-        if rule is R.WEAK_L:
+        if rule == R.WEAK_L:
             return Sequent((data.formula,) + p.ante, p.succ)
         return Sequent(p.ante, p.succ + (data.formula,))
 
@@ -269,7 +269,7 @@ def apply_rule(
         )
         return concl
 
-    if rule is R.ERULE:
+    if rule == R.ERULE:
         (p,) = premises
         _need(not data.whole, "whole-sequent rewrite steps have no forward application")
         _need(data.side in ("L", "R"), "rewrite position needs a side")
@@ -315,17 +315,6 @@ class CheckReport:
         return not self.failures
 
 
-def _allowed_rules(mode: str) -> frozenset:
-    base = frozenset(RuleName) - {R.ERULE, R.LINK}
-    if mode == MODE_LK:
-        return base
-    if mode == MODE_LKE:
-        return base | {R.ERULE}
-    if mode == MODE_LKS:
-        return base | {R.ERULE, R.LINK}
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def check_proof(
     proof: Proof,
     mode: str = MODE_LKE,
@@ -340,7 +329,9 @@ def check_proof(
     exceptions.  The report echoes the rewrite parameters so rewrite-step
     verdicts are reproducible.
     """
-    env = env or {}
+    if mode not in _ALLOWED:
+        raise ValueError(f"unknown mode {mode!r}")
+    env, allowed = env or {}, _ALLOWED[mode]
     report = CheckReport(
         params={
             "mode": mode,
@@ -349,9 +340,8 @@ def check_proof(
             "lenient_erule": lenient_erule,
         }
     )
-    allowed = _allowed_rules(mode)
     fail = lambda path, rule, msg: report.failures.append(Failure(flatten_path(path), str(rule), msg))
-    counts: dict = {}
+    counts = report.counts
 
     # Linked paths: copying a tuple per premise is quadratic in the depth.
     stack = [(proof, None)]
@@ -373,7 +363,6 @@ def check_proof(
             fail(path, rule, str(exc))
         for i, premise in enumerate(node.premises):
             stack.append((premise, (path, i)))
-    report.counts = {str(k): v for k, v in counts.items()}
     return report
 
 
@@ -390,7 +379,7 @@ def flatten_path(path) -> tuple:
 def _check_node(node, theory, env, allowed_link_params, lenient_erule):
     rule = node.rule
     concl = node.conclusion
-    if rule is R.AX:
+    if rule == R.AX:
         _need(
             len(concl.ante) == 1 and len(concl.succ) == 1,
             "axiom conclusion must be a single formula on each side",
@@ -400,7 +389,7 @@ def _check_node(node, theory, env, allowed_link_params, lenient_erule):
             "axiom sides differ: %s vs %s", concl.ante[0], concl.succ[0],
         )
         return
-    if rule is R.LINK:
+    if rule == R.LINK:
         data = node.data
         _need(data.target is not None, "link without a target")
         pat = env.get(data.target)
@@ -422,7 +411,7 @@ def _check_node(node, theory, env, allowed_link_params, lenient_erule):
             data.param, sorted(params), sorted(allowed_link_params),
         )
         return
-    if rule is R.ERULE and node.data.whole:
+    if rule == R.ERULE and node.data.whole:
         _need(lenient_erule, "whole-sequent rewrite witness requires the lenient flag")
         (p,) = node.premises
         _need(
@@ -440,4 +429,4 @@ def _check_node(node, theory, env, allowed_link_params, lenient_erule):
 def count_inferences(proof: Proof) -> Counter:
     """Inference counts by rule, leaves excluded; absent rules count zero.
     A shared subproof counts once per occurrence."""
-    return Counter(node.rule.value for node in walk(proof) if node.rule not in LEAVES)
+    return Counter(node.rule for node in walk(proof) if node.rule not in LEAVES)

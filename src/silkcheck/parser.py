@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import rewrite as rw
-from .kernel import Proof, RuleData, RuleName
+from .kernel import RULES, Proof, RuleData, RuleName
 from .schema import ProofSchema, SchemaComponent
 from .syntax import (
     CONNECTIVES,
@@ -66,7 +66,7 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Lexer
 
-RULE_TOKENS = {r.value: r for r in RuleName}
+RULE_TOKENS = {rule: rule for rule in RULES}  # a token read to its RuleName constant
 _RULE_SYMBOLS = sorted(
     (tok for tok in RULE_TOKENS if any(c in tok for c in ":\\/~>")),
     key=len,
@@ -716,7 +716,7 @@ class SiLKStep(Record):
     pair: int | None = None
     pair2: int | None = None
     ann: NumExpr | None = None
-    lk_rule: RuleName | None = None
+    lk_rule: str | None = None  # a RuleName
     data: RuleData = RuleData()
     to: Token | None = None  # resolved against the premise at replay
     pattern: Sequent | None = None

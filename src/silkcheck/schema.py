@@ -203,7 +203,7 @@ def _check_links(report, ci, comp, proof, kind, order, offset=0):
     stack = [(proof, None)]  # linked paths, as check_proof keeps them
     while stack:
         node, path = stack.pop()
-        if node.rule is RuleName.LINK and node.data.target in order:
+        if node.rule == RuleName.LINK and node.data.target in order:
             message = _link_fault(comp, node.data, order[node.data.target] - i, kind, offset)
             if message:
                 where = (ci,) + flatten_path(path)
@@ -365,7 +365,7 @@ class _Template:
                 fields.append(("terms", tuple([at(t) for t in data.terms])))
             opened = any(changes(e) for _, e in witness) or any(map(changes, data.terms))
             pre.append((node.rule, len(node.premises), _picker(ante), _picker(succ), data, tuple(fields), opened))
-            if node.rule is RuleName.LINK:  # a link leaf's conclusion is its expansion's
+            if node.rule == RuleName.LINK:  # a link leaf's conclusion is its expansion's
                 param = None if data.param is None else index[data.param]
                 terms = tuple([index[t] for t in data.terms])
                 links.append((data.target, param, _picker(terms), _picker(ante), _picker(succ)))
@@ -571,7 +571,7 @@ def _build(inst: _LinkInstance, values: list, form, node, kid_proof) -> Proof:
     # premise first, so a node's premises are the top ``arity`` values,
     # the first premise on top.
     for rule, arity, ante_of, succ_of, data, fields, opened in inst.template.nodes:
-        if rule is RuleName.LINK:
+        if rule == RuleName.LINK:
             built.append(kid_proof(next(kids)))
             continue
         premises = ()
@@ -589,7 +589,7 @@ def _normal_node(theory, inst, concl, rule, premises, data, fields, opened) -> P
     witness fields rewritten to normal form; a rewrite inference that
     became trivial is spliced away, its witness unrewritten, and counted in
     the instance's ``spliced``."""
-    if rule is RuleName.ERULE and premises and premises[0].conclusion == concl:
+    if rule == RuleName.ERULE and premises and premises[0].conclusion == concl:
         # Splice the premise, retupled to this node's formula order so
         # witnesses above keep their positions (witness indices only ever
         # address premise tuples).
@@ -629,8 +629,8 @@ def _tally(inst: _LinkInstance) -> tuple:
     """The inference counts of the instance's expanded and normal proofs:
     its template's, one ``E`` more if it is bridged, as many fewer in the
     normal proof as its normal build spliced away, and its kids' counts."""
-    expanded = inst.template.counts + Counter({RuleName.ERULE.value: inst.bridged})
-    normal = expanded - Counter({RuleName.ERULE.value: inst.spliced})
+    expanded = inst.template.counts + Counter({RuleName.ERULE: inst.bridged})
+    normal = expanded - Counter({RuleName.ERULE: inst.spliced})
     for kid in inst.kids:
         expanded.update(kid.counts[0])
         normal.update(kid.counts[1])

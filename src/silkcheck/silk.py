@@ -230,7 +230,7 @@ def _axiom_sequent(step: SiLKStep) -> Sequent:
 
 def _resolve_rewrite(step: SiLKStep, premise: Sequent) -> RuleData:
     data = step.data
-    if step.lk_rule is not RuleName.ERULE or data.repl is not None:
+    if step.lk_rule != RuleName.ERULE or data.repl is not None:
         return data
     to = step.to
     if to is None:

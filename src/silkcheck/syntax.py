@@ -17,7 +17,14 @@ its default, and a record is frozen and compares and hashes by its field
 values, or by identity if its class says eq=False; replace copies one with
 fields changed.  A node class takes exactly its fields, positionally.
 Nothing is generated at import time: dataclasses would compile code for each
-class with exec, most of the start-up of a one-file CLI run.
+class with exec, most of the start-up of a one-file CLI run.  Nodes, sequents
+and kernel proofs are slotted, with no __dict__: a node class's slots are its
+fields (_HashConsed), and Node's hold the caches, set on first use, of
+canon_alpha (_ca), numeral_value (_nv), shown_kids (_sh) and _schedule (_sd),
+as Sequent's _h holds its hash.  Other records keep a dict.  The rules of
+kernel.RuleName are plain strings, not an Enum: on 3.10 and 3.11 every read
+and hash of an Enum member runs Python code, which the kernel pays per
+inference.
 
 No traversal recurses per node.  fold is the one post-order pass:
 canon_alpha, free names and substitution schedules run on it.
@@ -69,6 +76,7 @@ def _values(record) -> tuple:
 class Record:
     """An immutable record, built as the module docstring describes."""
 
+    __slots__ = ()
     _fields: tuple = ()
 
     def __init_subclass__(cls, eq=True):
@@ -126,7 +134,12 @@ _NODES: dict = {}
 
 class _HashConsed(type):
     """Looks a node up by its class and positional fields before building
-    it, so each distinct node exists once per process."""
+    it, so each distinct node exists once per process.  A node class's
+    slots are its fields, the names annotated in its body."""
+
+    def __new__(mcls, name, bases, ns, **kwargs):
+        ns.setdefault("__slots__", tuple(ns.get("__annotations__", ())))
+        return super().__new__(mcls, name, bases, ns, **kwargs)
 
     def __call__(cls, *fields):
         key = (cls, *fields)
@@ -142,6 +155,8 @@ class _HashConsed(type):
 
 
 class Node(Record, eq=False, metaclass=_HashConsed):
+    __slots__ = ("_ca", "_nv", "_sh", "_sd")  # the caches, set on first use
+
     def kids(self) -> tuple:
         return ()
 
@@ -255,24 +270,15 @@ def numeral(k: int) -> NumExpr:
 def numeral_value(e) -> int | None:
     """The integer value of a pure numeral, or None; cached per node so
     repeated queries on successor towers stay linear overall."""
-    chain = []
-    cur = e
-    while isinstance(cur, Succ):
-        cached = cur.__dict__.get("_nv")
-        if cached is not None:
-            break
+    chain, cur = [], e
+    while type(cur) is Succ and getattr(cur, "_nv", None) is None:
         chain.append(cur)
         cur = cur.prev
-    if isinstance(cur, Succ):
-        value = cur.__dict__["_nv"]
-    elif isinstance(cur, Zero):
-        value = 0
-    else:
-        value = -1  # not a numeral
+    value = cur._nv if type(cur) is Succ else 0 if type(cur) is Zero else -1  # -1: not a numeral
     for node in reversed(chain):
         if value >= 0:
             value += 1
-        object.__setattr__(node, "_nv", value)
+        _setattr(node, "_nv", value)
     return value if value >= 0 else None
 
 
@@ -501,7 +507,7 @@ def shown_kids(node: Node) -> tuple:
     display name, cached on the binder."""
     if type(node) not in _BINDERS:
         return node.kids()
-    if "_sh" not in node.__dict__:
+    if getattr(node, "_sh", None) is None:
         _setattr(node, "_sh", (open_body(node, display_name(node)),))
     return node._sh
 
@@ -561,6 +567,7 @@ def _pieces(node: Node) -> list:
 
 
 class Sequent(Record):
+    __slots__ = ("ante", "succ", "_h")
     ante: tuple
     succ: tuple
 
@@ -581,15 +588,13 @@ class Sequent(Record):
         return self.ante + self.succ
 
     def __eq__(self, other):
-        if not isinstance(other, Sequent):
-            return NotImplemented
-        return sequent_eq(self, other)
+        return sequent_eq(self, other) if isinstance(other, Sequent) else NotImplemented
 
     def __hash__(self):
-        h = self.__dict__.get("_h")
+        h = getattr(self, "_h", None)
         if h is None:
             h = hash((_side_key(self.ante), _side_key(self.succ)))
-            object.__setattr__(self, "_h", h)
+            _setattr(self, "_h", h)
         return h
 
 
@@ -608,7 +613,7 @@ def _side_key(side: tuple) -> frozenset:
 def canon_alpha(f: Formula) -> Formula:
     """f with every binder's hint blanked; alpha-variants share it.  It is
     only compared and hashed, never printed."""
-    cached = f.__dict__.get("_ca")
+    cached = getattr(f, "_ca", None)
     if cached is None:
         cached = fold(f, _unhinted, {}, (Atom,))
         _setattr(f, "_ca", cached)
@@ -632,8 +637,6 @@ def formula_eq(a: Formula, b: Formula) -> bool:
 def multiset_eq(xs: tuple, ys: tuple) -> bool:
     if len(xs) != len(ys):
         return False
-    if all(x is y for x, y in zip(xs, ys)):
-        return True
     remaining = list(ys)
     for x in xs:
         cx = canon_alpha(x)
@@ -648,7 +651,7 @@ def multiset_eq(xs: tuple, ys: tuple) -> bool:
 
 def sequent_eq(a: Sequent, b: Sequent) -> bool:
     """Multiset equality of both sides under syntactic formula equality."""
-    if a is b:
+    if a is b or a.ante == b.ante and a.succ == b.succ:  # hash-consed: tuples compare by identity
         return True
     return multiset_eq(a.ante, b.ante) and multiset_eq(a.succ, b.succ)
 
@@ -750,7 +753,9 @@ def _schedule(root, domain: tuple) -> list:
     the parameter and variable names in domain can change: those over such
     a name.  The fold enters no kid free of them.  Cached on root, per
     domain."""
-    cache = root.__dict__.setdefault("_sd", {})
+    cache = getattr(root, "_sd", None)
+    if cache is None:
+        _setattr(root, "_sd", cache := {})
     if domain not in cache:
         params, names = domain
 

@@ -1,5 +1,6 @@
 """The command line surface: exit codes, output shapes, determinism."""
 
+import gc
 import json
 import os
 import resource
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import silkcheck
-from silkcheck import corpus_path, load_schema, load_script, to_ppsnf
+from silkcheck import cli, corpus_path, load_schema, load_script, to_ppsnf
 from silkcheck.cli import main
-from silkcheck.kernel import count_inferences
+from silkcheck.kernel import check_proof, count_inferences
 from silkcheck.parser import parse_script
 from silkcheck.printer import print_script
 from silkcheck.rewrite import DEFAULT_FUEL, FuelExhausted, StuckTerm
@@ -226,6 +227,29 @@ def test_missing_file_exits_two(capsys):
 
 def test_usage_error_exits_two(capsys):
     assert main(["unroll"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code, checks",
+    [
+        (["check-lk", p("lk_pi_shat.lkp")], 0, 1),
+        (["check-lk", p("lk_pi_shat.lkp"), "--mode", "lk"], 1, 1),
+        (["check-lk", "/nonexistent/x.lkp"], 2, 0),
+        (["--help"], 0, 0),
+    ],
+)
+def test_main_raises_the_collector_thresholds_for_its_run_only(capsys, monkeypatch, argv, code, checks):
+    # The bench child and these tests call main many times in one process.
+    during = []
+    monkeypatch.setattr(cli, "check_proof", lambda *a, **k: during.append(gc.get_threshold()) or check_proof(*a, **k))
+    before = gc.get_threshold()
+    gc.set_threshold(321, 7, 9)
+    try:
+        assert main(argv) == code
+        assert gc.get_threshold() == (321, 7, 9)
+    finally:
+        gc.set_threshold(*before)
+    assert during == [cli.GC_THRESHOLD] * checks
 
 
 def test_fuel_env_variable(capsys, monkeypatch):

@@ -89,15 +89,25 @@ def test_trusted_base_imports_only_the_modules_below_it(stem, below):
 NOT_AT_START_UP = ("dataclasses", "inspect")
 
 
-def test_no_module_imports_dataclasses():
+def _imports(path: Path, top: str) -> list:
+    """The modules under ``top`` that the source at ``path`` imports."""
     found = []
-    for path in SOURCES:
-        for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.Import):
-                found += [(path.stem, alias.name) for alias in node.names if alias.name.split(".")[0] == "dataclasses"]
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
-                found.append((path.stem, node.module))
-    assert found == []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == top]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == top:
+            found.append(node.module)
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    assert [(path.stem, module) for path in SOURCES for module in _imports(path, "dataclasses")] == []
+
+
+def test_the_kernel_imports_no_enum():
+    # Every read and hash of an Enum member runs Python code on 3.10 and
+    # 3.11, which the kernel would pay at every inference it checks.
+    assert _imports(Path(silkcheck.__file__).parent / "kernel.py", "enum") == []
 
 
 def test_importing_the_cli_loads_no_code_generation():
@@ -112,7 +122,7 @@ def test_importing_the_cli_loads_no_code_generation():
 
 # The lines of the trusted base, syntax, rewrite and kernel: a ratchet that
 # moves down as the base shrinks and up only on purpose.
-TRUSTED_BASE_LINES = 1605
+TRUSTED_BASE_LINES = 1599
 
 
 def test_the_trusted_base_keeps_its_line_count():

@@ -1,6 +1,9 @@
 """Rule-by-rule checks of the proof kernel, built around the worked
 successor-embedding proofs."""
 
+import sys
+import types
+
 import pytest
 
 from silkcheck import corpus_path, load_proof
@@ -17,10 +20,10 @@ from silkcheck.kernel import (
     check_proof,
     count_inferences,
 )
-from silkcheck.parser import parse_formula, parse_proof, parse_sequent, parse_term, parse_theory
+from silkcheck.parser import RULE_TOKENS, parse_formula, parse_proof, parse_schema, parse_sequent, parse_term, parse_theory
 from silkcheck.printer import report_dict, where
 from silkcheck.silk import ax
-from silkcheck.syntax import FreeVar, Param, Sequent, Substitution, subst
+from silkcheck.syntax import FreeVar, Param, Sequent, Substitution, fold, subst, walk
 
 
 def f(text):
@@ -338,3 +341,35 @@ def test_sort_mismatch_is_a_failure_at_its_node():
     assert [(f.path, f.rule, f.message) for f in report.failures] == [
         ((0,), "forall:l", "schematic variable x must map to a variable, got <Fn f(a)>")
     ]
+
+
+def test_reading_and_hashing_a_rule_runs_no_python_code():
+    # On 3.10 and 3.11 every read and hash of an Enum member runs Python
+    # code, which the kernel would pay at every inference it checks.
+    assert not hasattr(type(R), "__getattr__")
+    assert all(isinstance(type(rule).__hash__, types.WrapperDescriptorType) for rule in RULE_TOKENS.values())
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code.co_name) if event == "call" else None)
+    try:
+        counts = {R.IMP_L: 1}
+        counts[R.IMP_L] += hash(R.CUT) == hash(R.CUT)
+        shown = f"{R.IMP_L}"
+    finally:
+        sys.setprofile(None)
+    assert calls == [] and counts[R.IMP_L] == 2 and shown == "->:l"
+
+
+@pytest.mark.parametrize("mode", [MODE_LK, MODE_LKE, MODE_LKS])
+@pytest.mark.parametrize(
+    "name", ["lk_pi_shat.lkp", "lk_nu_shat.lkp", "lk_exists_rename.lkp", "lk_forall_rename.lkp", "lk_or_contract.lkp"]
+)
+def test_a_rule_is_its_token_whatever_object_spells_it(name, mode):
+    # A rule equal to a RuleName constant but not the same object, as a
+    # caller building proofs may pass, gets the same verdict.
+    proof, theory = load_proof(corpus_path(name))
+    schema, _ = parse_schema(corpus_path("schema_shat.sch").read_text())
+    respelled = lambda node, kids: Proof(node.conclusion, "".join([node.rule[:1], node.rule[1:]]), kids, node.data)
+    copy = fold(proof, respelled, {})
+    assert any(a.rule is not b.rule for a, b in zip(walk(copy), walk(proof)))
+    args = (mode, theory, schema.link_env(), frozenset({"n"}))
+    assert report_dict(check_proof(copy, *args)) == report_dict(check_proof(proof, *args))

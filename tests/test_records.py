@@ -39,8 +39,13 @@ from silkcheck.syntax import (
     Succ,
     Zero,
     bind,
+    canon_alpha,
     numeral,
+    numeral_value,
     replace,
+    shown_kids,
+    subst,
+    walk,
 )
 
 A, B = Atom("A", ()), Atom("B", ())
@@ -209,6 +214,23 @@ def test_generic_constructor_binds_defaults_keywords_and_rejects_the_rest():
     for bad in (lambda: RuleData(1, a=1), lambda: RuleData(nope=1), lambda: Failure((), "ax"), lambda: Top(1)):
         with pytest.raises(TypeError):
             bad()
+
+
+@pytest.mark.parametrize("name", sorted([*NODES, "Proof", "Sequent"]))
+def test_nodes_sequents_and_proofs_have_no_dict(name):
+    # Slots: no dict per object, and reading a field or a cache never builds one.
+    assert not hasattr(FROZEN[name](), "__dict__")
+
+
+def test_the_node_caches_live_in_slots():
+    # Filling every node cache, and a sequent's hash, builds no dict either.
+    body = bind(Forall, "x", Atom("P", (FreeVar("x"), FreeVar("y"), numeral(3))))
+    seq = Sequent((body,), (A,))
+    renamed = subst(seq, Substitution({}, {"y": FreeVar("z")}))
+    assert numeral_value(numeral(3)) == 3 and numeral(3)._nv == 3
+    assert canon_alpha(body) is body._ca and shown_kids(body) is body._sh
+    assert body._sd and hash(seq) == seq._h
+    assert not any(hasattr(x, "__dict__") for x in [seq, renamed, *walk(body), *walk(renamed.ante[0])])
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
