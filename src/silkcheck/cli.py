@@ -124,37 +124,35 @@ def _written_directive(args, directive: str | None) -> str | None:
     return os.path.relpath(base / directive, Path(args.out).parent)
 
 
-def _cmd_ppsnf(args) -> int:
-    script, _, directive = load_file(args.file, parse_script, args.theory, args.fuel)
-    text = print_script(to_ppsnf(script), _written_directive(args, directive))
+def _write(args, text: str, doc: dict) -> int:
+    """``text`` written to the file ``-o`` names, or ``doc`` as JSON under
+    ``--json``, or else ``text`` to stdout."""
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
     elif args.json:
-        _emit_json({"format_version": 1, "steps": [line for line in text.splitlines() if line]})
+        _emit_json(doc)
     else:
         print(text, end="")
     return 0
+
+
+def _cmd_ppsnf(args) -> int:
+    script, _, directive = load_file(args.file, parse_script, args.theory, args.fuel)
+    text = print_script(to_ppsnf(script), _written_directive(args, directive))
+    return _write(args, text, {"format_version": 1, "steps": [line for line in text.splitlines() if line]})
 
 
 def _cmd_translate(args) -> int:
     script, _, directive = load_file(args.file, parse_script, args.theory, args.fuel)
     schema = silk_to_schema(script)
     text = print_schema(schema, _written_directive(args, directive))
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    elif args.json:
-        _emit_json(
-            {
-                "format_version": 1,
-                "components": [c.name for c in schema.components],
-                "schema": text,
-            }
-        )
-    else:
-        print(text, end="")
-    return 0
+    doc = {
+        "format_version": 1,
+        "components": [c.name for c in schema.components],
+        "schema": text,
+    }
+    return _write(args, text, doc)
 
 
 def _cmd_interpret(args) -> int:

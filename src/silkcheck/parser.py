@@ -344,18 +344,32 @@ def _parse_expr(ts: TokenStream, sort: str) -> Node:
 
 
 def _parse_sequent(ts: TokenStream) -> Sequent:
-    ante: list = []
-    if not (ts.at_sym("|-") or ts.at_sym("|-{")):
-        ante.append(_parse_expr(ts, FORMULA))
-        while ts.eat_sym(","):
-            ante.append(_parse_expr(ts, FORMULA))
+    ante = _comma_list(ts, ("|-", "|-{"), _parse_expr, FORMULA)
     ts.expect_sym("|-")
-    succ: list = []
-    if ts.peek().kind != "eof" and not ts.at_sym(")"):
-        succ.append(_parse_expr(ts, FORMULA))
+    return Sequent(ante, _comma_list(ts, ("", ")"), _parse_expr, FORMULA))
+
+
+def _comma_list(ts: TokenStream, ends: tuple, read, *args) -> tuple:
+    """Items separated by commas, each read by ``read(ts, *args)``; none
+    when ``ts`` is at a symbol or at the end of input whose text is in
+    ``ends`` (the end of input's text is "")."""
+    items = []
+    tok = ts.peek()
+    if not ((tok.kind == "sym" or tok.kind == "eof") and tok.text in ends):
+        items.append(read(ts, *args))
         while ts.eat_sym(","):
-            succ.append(_parse_expr(ts, FORMULA))
-    return Sequent(tuple(ante), tuple(succ))
+            items.append(read(ts, *args))
+    return tuple(items)
+
+
+def _vector(ts: TokenStream, read, *args) -> tuple:
+    # Both (x, y) and [x, y] delimit vectors.
+    close = "]" if ts.eat_sym("[") else ")"
+    if close == ")":
+        ts.expect_sym("(")
+    items = _comma_list(ts, (close,), read, *args)
+    ts.expect_sym(close)
+    return items
 
 
 def _parse_tokens(tokens: list, what: str, read=None):
@@ -416,9 +430,8 @@ def parse_theory(text: str, fuel: int = rw.DEFAULT_FUEL) -> rw.EquationalTheory:
             raise ParseError("rule lines end with ';'", line_no, len(raw))
         line = line[:-1]
         col = len(code) - len(code.lstrip()) + 1
-        forced = False
-        if line.startswith("pred "):
-            forced = True
+        forced = line.startswith("pred ")
+        if forced:
             line = line[5:]
             col += 5
         if "==" not in line:
@@ -457,11 +470,8 @@ def _side(text: str, line_no: int, col: int) -> tuple:
 
 
 def _head_name(node) -> str | None:
-    if isinstance(node, (Fn, NumFn)):
-        return node.sym
-    if isinstance(node, Atom):
-        return node.pred
-    return None
+    key = rw.head_key(node)
+    return key and key[1]
 
 
 # ---------------------------------------------------------------------------
@@ -523,12 +533,8 @@ def _parse_kv(ts: TokenStream, rule: str, reads: frozenset, out: dict | None = N
             out["whole"] = True
             continue
         ts.eat_sym("=")
-        if key == "target":
-            tok = ts.peek()
-            if tok.kind == "num":
-                out[key] = int(ts.next().text)
-            else:
-                out[key] = ts.expect("ident").text
+        if key == "target" and ts.peek().kind != "num":  # a target is a name or a group number
+            out[key] = _name(ts)
         elif key in _INT_KEYS:
             out[key] = int(ts.expect("num").text)
         elif key in _QUOTED_KEYS:
@@ -536,7 +542,7 @@ def _parse_kv(ts: TokenStream, rule: str, reads: frozenset, out: dict | None = N
         elif key == "pattern":
             out[key] = _quoted(ts, "sequent", _parse_sequent)
         elif key == "eigen":
-            out[key] = ts.expect("ident").text
+            out[key] = _name(ts)
         elif key == "at":
             side = ts.expect("ident").text
             if side not in ("L", "R"):
@@ -550,37 +556,15 @@ def _parse_kv(ts: TokenStream, rule: str, reads: frozenset, out: dict | None = N
                 path.append(int(ts.expect("num").text))
             out["path"] = tuple(path)
         elif key == "vars":
-            out["vars"] = _parse_name_list(ts)
+            out["vars"] = _vector(ts, _name)
         elif key == "terms":
-            close = _open_list(ts)
-            terms = []
-            if not ts.at_sym(close):
-                terms.append(_parse_expr(ts, TERM))
-                while ts.eat_sym(","):
-                    terms.append(_parse_expr(ts, TERM))
-            ts.expect_sym(close)
-            out["terms"] = tuple(terms)
+            out["terms"] = _vector(ts, _parse_expr, TERM)
         else:  # to: resolved against the premise it rewrites, so kept as its token
             out[key] = ts.expect("str")
 
 
-def _open_list(ts: TokenStream) -> str:
-    # Both (x, y) and [x, y] delimit vectors.
-    if ts.eat_sym("["):
-        return "]"
-    ts.expect_sym("(")
-    return ")"
-
-
-def _parse_name_list(ts: TokenStream) -> tuple:
-    close = _open_list(ts)
-    names = []
-    if not ts.at_sym(close):
-        names.append(ts.expect("ident").text)
-        while ts.eat_sym(","):
-            names.append(ts.expect("ident").text)
-    ts.expect_sym(close)
-    return tuple(names)
+def _name(ts: TokenStream) -> str:
+    return ts.expect("ident").text
 
 
 def _parse_proof_node(ts: TokenStream) -> Proof:
@@ -603,29 +587,37 @@ def _parse_proof_node(ts: TokenStream) -> Proof:
             return node
 
 
-def _parse_proof_head(ts: TokenStream) -> tuple:
+def _rule_token(ts: TokenStream) -> tuple:
+    """The inference rule named at ``ts``, a symbol or a bare word: its
+    token and its RuleName constant."""
     tok = ts.peek()
     if tok.kind != "sym" and tok.kind != "ident":
         ts.fail("expected an inference rule")
     if tok.text not in RULE_TOKENS:
         ts.fail(f"unknown inference rule {tok.text!r}")
     ts.next()
+    return tok, RULE_TOKENS[tok.text]
+
+
+def _parse_proof_head(ts: TokenStream) -> tuple:
+    tok, rule = _rule_token(ts)
     seq = _quoted(ts, "sequent", _parse_sequent)
-    kv = _parse_kv(ts, tok.text, _RULE_READS[RULE_TOKENS[tok.text]])
+    kv = _parse_kv(ts, tok.text, _RULE_READS[rule])
     raw_to = kv.pop("to", None)
     if isinstance(kv.get("target"), int):
         kv["target"] = f"g{kv['target']}"
-    return tok, seq, kv, raw_to
+    return tok, rule, seq, kv, raw_to
 
 
-def _proof_node(tok: Token, seq: Sequent, kv: dict, raw_to: Token | None, premises: list) -> Proof:
-    rule = RULE_TOKENS[tok.text]
+def _proof_node(tok: Token, rule: str, seq: Sequent, kv: dict, raw_to: Token | None, premises: list) -> Proof:
     data = RuleData(**kv) if kv else RuleData()
     if raw_to is not None:  # only a rewrite step reads a replacement
         if not premises:
             raise ParseError("a rewrite step needs its premise before the replacement resolves", tok.line, tok.col)
+        if data.idx is None:
+            raise ParseError("rewrite step needs a position", tok.line, tok.col)
         side = premises[0].conclusion.ante if data.side == "L" else premises[0].conclusion.succ
-        if data.idx is None or not 0 <= data.idx < len(side):
+        if not 0 <= data.idx < len(side):
             raise ParseError(f"rewrite index {data.idx} out of range", tok.line, tok.col)
         try:
             old = node_at(side[data.idx], data.path)
@@ -676,7 +668,7 @@ def _schema_file(ts: TokenStream) -> tuple:
             if key == "pattern":
                 clauses[key] = _quoted(ts, "sequent", _parse_sequent)
             elif key == "vars":
-                clauses[key] = _parse_name_list(ts)
+                clauses[key] = _vector(ts, _name)
             else:
                 ts.expect_sym("-")
                 word2 = ts.expect("ident")
@@ -754,21 +746,20 @@ def _script_file(ts: TokenStream) -> tuple:
             steps.append(SiLKStep(word, sequent=seq, line=line, **_step_fields(kv)))
             continue
         if word == "rho":
-            side = ts.expect("ident").text
-            if side not in ("bc", "sc"):
-                ts.fail("rho steps read: rho (bc|sc) (1|2) rule ...")
-            arity = int(ts.expect("num").text)
-            rtok = ts.peek()
-            if rtok.text not in RULE_TOKENS:
-                ts.fail(f"unknown inference rule {rtok.text!r}")
-            ts.next()
-            lk_rule = RULE_TOKENS[rtok.text]
+            side = ts.expect("ident")
+            if side.text not in ("bc", "sc"):
+                raise ParseError("rho steps read: rho (bc|sc) (1|2) rule ...", side.line, side.col)
+            num = ts.expect("num")
+            arity = int(num.text)
+            if arity not in (1, 2):
+                raise ParseError("rho steps read: rho (bc|sc) (1|2) rule ...", num.line, num.col)
+            rtok, lk_rule = _rule_token(ts)
             kv = _parse_kv(ts, f"rho {rtok.text}", _STEP_READS[word] | _RULE_READS[lk_rule])
             if arity == 2 and "pair2" not in kv:
                 raise ParseError("a binary rule names both pairs", rtok.line, rtok.col)
             if arity == 1 and "pair2" in kv:
                 raise ParseError("a unary rule names one pair", rtok.line, rtok.col)
-            steps.append(SiLKStep(f"rho_{side}", lk_rule=lk_rule, line=line, **_step_fields(kv)))
+            steps.append(SiLKStep(f"rho_{side.text}", lk_rule=lk_rule, line=line, **_step_fields(kv)))
             continue
         kv = _parse_kv(ts, word, _STEP_READS[word])
         steps.append(SiLKStep(word, line=line, **_step_fields(kv)))
@@ -788,6 +779,9 @@ def _step_fields(kv: dict) -> dict:
 # Name resolution
 
 
+_KIND_NAMES = {"t": "function", "a": "predicate", "n": "numeric function"}  # a head key's kind, in messages
+
+
 def check_arities(*roots) -> list:
     """Arity-consistency issues across a workspace's parsed values.
     Defined and uninterpreted symbols share one namespace per kind
@@ -805,18 +799,13 @@ def check_arities(*roots) -> list:
                 continue
             seen.add(node)
             stack += reversed(node.kids())
-            if isinstance(node, Fn):
-                key = ("function", node.sym)
-            elif isinstance(node, Atom):
-                key = ("predicate", node.pred)
-            elif isinstance(node, NumFn) and node.sym != "+":
-                key = ("numeric function", node.sym)
-            else:
+            key = rw.head_key(node)
+            if key is None or key == ("n", "+"):
                 continue
             arity = len(node.args)
             first = arities.setdefault(key, arity)
             if first != arity:
-                issues.append(f"{key[0]} {key[1]} used with {arity} arguments and with {first}")
+                issues.append(f"{_KIND_NAMES[key[0]]} {key[1]} used with {arity} arguments and with {first}")
     return list(dict.fromkeys(issues))
 
 

@@ -65,7 +65,7 @@ class RewriteRule(Record):
     line: int = 0
 
 
-def _head_key(node: Node) -> tuple | None:
+def head_key(node: Node) -> tuple | None:
     if isinstance(node, NumFn):
         return ("n", node.sym)
     if isinstance(node, Fn):
@@ -84,7 +84,7 @@ class EquationalTheory:
         self.fuel = fuel
         self._index, self._nf_cache, self._spans = {}, {}, {}  # spans: nonzero only
         for rule in self.rules:
-            key = _head_key(rule.lhs)
+            key = head_key(rule.lhs)
             if key is not None:
                 self._index.setdefault(key, []).append(rule)
 
@@ -129,7 +129,7 @@ def validate_theory(theory: EquationalTheory) -> TheoryReport:
     heads = theory.defined_heads()
     seen_lhs: list[Node] = []
     for i, rule in enumerate(theory.rules):
-        key = _head_key(rule.lhs)
+        key = head_key(rule.lhs)
         if key is None:
             issues.append(TheoryIssue(i, f"left side {rule.lhs} is not a defined-symbol application"))
             continue
@@ -138,7 +138,7 @@ def validate_theory(theory: EquationalTheory) -> TheoryReport:
             continue
         for arg in rule.lhs.kids():
             for sub in walk(arg):
-                sub_key = _head_key(sub)
+                sub_key = head_key(sub)
                 if sub_key is None or sub_key == ("n", "+"):
                     continue
                 # Numeric superscript expressions are tolerated in patterns;
@@ -206,8 +206,8 @@ def match(pattern: Node, subject: Node, binding: dict) -> bool:
         if isinstance(p, SVar) and isinstance(s, SVar) and p.name == s.name:
             todo.append((p.index, s.index))
             continue
-        key = _head_key(p)
-        if key is None or key != _head_key(s) or len(p.args) != len(s.args):
+        key = head_key(p)
+        if key is None or key != head_key(s) or len(p.args) != len(s.args):
             return False
         todo.extend(zip(p.args, s.args))
     return True
@@ -263,7 +263,7 @@ def _try_head(node: Node, theory: EquationalTheory) -> tuple | None:
         if isinstance(b, Succ):
             return Succ(NumFn("+", (a, b.prev))), 1
         return None
-    key = _head_key(node)
+    key = head_key(node)
     if key is None:
         return None
     for rule in theory._index.get(key, ()):

@@ -11,6 +11,8 @@ and forward links.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .parser import SiLKScript
 from .printer import report_text
 from .schema import ProofSchema, SchemaComponent
@@ -105,58 +107,44 @@ def silk_to_schema(script: SiLKScript) -> ProofSchema:
         collection, verdict, _ = check_script(normal)
         if verdict != "proof":
             raise NotAProof(f"translation is defined for proofs only, got {verdict}")
-    lead = leading_group(collection)
-    step_param = Succ(Param("n"))
-
-    if isinstance(lead.pairs[0].step, EmptyStep):
-        pair = lead.pairs[0]
-        base = bridge_to(pair.base_proof, subst(lead.pattern, Substitution({"n": numeral(0)}, {})))
-        comp = SchemaComponent(lead.link_name(), lead.pattern, lead.pattern_vars, None, base, None)
-        return ProofSchema((comp,))
-
-    kept = [g for g in collection.groups if isinstance(g.pairs[0].step, ClosedStep)]
-    kept.sort(key=lambda g: -g.closure_index)
+    groups = _components(collection)
+    step_param = None if isinstance(groups[0].pairs[0].step, EmptyStep) else Succ(Param("n"))
     components = []
-    for g in kept:
+    for g in groups:
         pair = g.pairs[0]
-        base_want = subst(g.pattern, Substitution({"n": numeral(0)}, {}))
-        step_want = subst(g.pattern, Substitution({"n": step_param}, {}))
-        components.append(
-            SchemaComponent(
-                g.link_name(),
-                g.pattern,
-                g.pattern_vars,
-                step_param,
-                bridge_to(pair.base_proof, base_want),
-                bridge_to(pair.step_proof, step_want),
-            )
-        )
+        base = bridge_to(pair.base_proof, subst(g.pattern, Substitution({"n": numeral(0)}, {})))
+        step = None
+        if step_param is not None:
+            step = bridge_to(pair.step_proof, subst(g.pattern, Substitution({"n": step_param}, {})))
+        components.append(SchemaComponent(g.link_name(), g.pattern, g.pattern_vars, step_param, base, step))
     return ProofSchema(tuple(components))
+
+
+def _components(collection: ComponentCollection) -> list:
+    """The groups a schema component is read off, leading group first: the
+    closed groups with a non-empty stepcase, or only the leading group when
+    it closed without one."""
+    lead = leading_group(collection)
+    if isinstance(lead.pairs[0].step, EmptyStep):
+        return [lead]
+    groups = [g for g in collection.groups if isinstance(g.pairs[0].step, ClosedStep)]
+    return sorted(groups, key=lambda g: -g.closure_index)
 
 
 # ---------------------------------------------------------------------------
 # Interpretation
 
 
-def _conj(formulas: tuple) -> Formula | None:
-    out = None
-    for f in formulas:
-        out = f if out is None else And(out, f)
-    return out
-
-
-def _disj(formulas: tuple) -> Formula | None:
-    out = None
-    for f in formulas:
-        out = f if out is None else Or(out, f)
-    return out
+def _join(op, formulas: tuple) -> Formula | None:
+    """``formulas`` joined by ``op``, nested to the left; None when empty."""
+    return reduce(op, formulas) if formulas else None
 
 
 def interpret_sequent(s: Sequent) -> Formula:
     """The customary reading: conjunction of the antecedent implies the
     disjunction of the succedent, with empty sides elided."""
-    left = _conj(s.ante)
-    right = _disj(s.succ)
+    left = _join(And, s.ante)
+    right = _join(Or, s.succ)
     if left is None and right is None:
         raise NotAProof("the empty sequent has no interpretation")
     if left is None:
@@ -175,22 +163,22 @@ def interpret(collection: ComponentCollection) -> Formula:
     their patterns, quantified over the numeric sort, concluding the
     leading pattern at every numeral.
     """
-    lead = leading_group(collection)
+    groups = _components(collection)
+    lead = groups[0]
     if isinstance(lead.pairs[0].step, EmptyStep):
         return interpret_sequent(lead.pairs[0].base.sequent)
-    groups = [g for g in collection.groups if isinstance(g.pairs[0].step, ClosedStep)]
-    groups.sort(key=lambda g: -g.closure_index)
     x = Param("x")
     x1 = NumFn("+", (x, numeral(1)))
-    bases = _conj(tuple(interpret_sequent(g.pairs[0].base.sequent) for g in groups))
-    steps = _conj(
+    bases = _join(And, tuple(interpret_sequent(g.pairs[0].base.sequent) for g in groups))
+    steps = _join(
+        And,
         tuple(
             Imp(
                 interpret_sequent(subst(g.pattern, Substitution({"n": x}, {}))),
                 interpret_sequent(subst(g.pattern, Substitution({"n": x1}, {}))),
             )
             for g in groups
-        )
+        ),
     )
     lead_all = bind(OmegaAll, "x", interpret_sequent(subst(lead.pattern, Substitution({"n": x}, {}))))
     return Imp(And(bases, bind(OmegaAll, "x", steps)), lead_all)

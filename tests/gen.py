@@ -1602,9 +1602,20 @@ def reference_parse_kv(ts: TokenStream, keys: frozenset) -> dict:
                 path.append(int(ts.expect("num").text))
             out["path"] = tuple(path)
         elif key == "vars":
-            out["vars"] = parser._parse_name_list(ts)
+            close = "]" if ts.eat_sym("[") else ")"
+            if close == ")":
+                ts.expect_sym("(")
+            names = []
+            if not ts.at_sym(close):
+                names.append(ts.expect("ident").text)
+                while ts.eat_sym(","):
+                    names.append(ts.expect("ident").text)
+            ts.expect_sym(close)
+            out["vars"] = tuple(names)
         elif key == "terms":
-            close = parser._open_list(ts)
+            close = "]" if ts.eat_sym("[") else ")"
+            if close == ")":
+                ts.expect_sym("(")
             terms = []
             if not ts.at_sym(close):
                 terms.append(parser._parse_expr(ts, TERM))

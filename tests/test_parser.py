@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from silkcheck import corpus_path, parser, printer
+from silkcheck.kernel import RULES
 from silkcheck.parser import (
     FORMULA,
     NUM,
@@ -170,6 +171,32 @@ def test_unknown_rule_in_rho():
 def test_binary_rho_requires_two_pairs():
     with pytest.raises(ParseError, match="binary"):
         parse_script("rho bc 2 ->:l group=1 pair=1 a=0 b=0")
+
+
+@pytest.mark.parametrize("side, arity, where", [("bc", "0", "1:8"), ("bc", "3", "1:8"), ("sc", "7", "1:8"), ("xx", "1", "1:5")])
+def test_rho_arity_is_one_or_two(side, arity, where):
+    # Reported at the word that breaks the form: the side, else the arity.
+    with pytest.raises(ParseError, match=rf"^rho steps read: rho \(bc\|sc\) \(1\|2\) rule \.\.\. at {where}$"):
+        parse_script(f"rho {side} {arity} ->:r group=1 pair=1 a=0")
+
+
+def test_rho_rule_is_a_bare_token_as_in_a_rule_block():
+    text = corpus_path("silk_conj_comm.slk").read_text().replace("rho bc 2 /\\:r", 'rho bc 2 "/\\:r"')
+    with pytest.raises(ParseError, match="^expected an inference rule at 4:10$"):
+        parse_script(text)
+    with pytest.raises(ParseError, match="^expected an inference rule at 1:1$"):
+        parse_proof('"ax" "A |- A"')
+
+
+def test_every_kernel_rule_has_its_witness_keys():
+    assert set(parser._RULE_READS) == set(RULES)
+
+
+@pytest.mark.parametrize("name, parse, where", [("lk_pi_shat.lkp", parse_proof, "3:1"), ("schema_exp.sch", parse_schema, "13:9")])
+def test_rewrite_block_without_a_position(name, parse, where):
+    text = corpus_path(name).read_text().replace(" at=R.0", "", 1)
+    with pytest.raises(ParseError, match=f"^rewrite step needs a position at {where}$"):
+        parse(text)
 
 
 def test_error_positions_point_into_the_file():
