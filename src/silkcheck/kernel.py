@@ -2,9 +2,10 @@
 
 A proof node stores its claimed conclusion, a rule name, premises, and the
 instantiation witness for the rule (principal positions, substituted term,
-eigenvariable, link target, rewrite position).  Checking recomputes each
-node's conclusion from its premises and witness and compares multisets; the
-checker never searches for principal formulas.
+eigenvariable, link target, rewrite position).  Checking computes each side
+of a node's conclusion from its premises and witness, one function per rule,
+and compares it with the node's own side: the same tuple at once, otherwise
+as multisets.  The checker never searches for principal formulas.
 
 Modes: plain LK; LKE adds the rewrite inference; LKS also admits link leaves.
 """
@@ -32,6 +33,7 @@ from .syntax import (
     formula_eq,
     free_params,
     free_vars,
+    multiset_eq,
     node_at,
     open_body,
     replace_at,
@@ -139,156 +141,169 @@ LinkEnv = Mapping[str, LinkPattern]
 
 
 # ---------------------------------------------------------------------------
-# Forward rule application
+# Forward rule application: one function per rule gives the conclusion's sides
+# (ante, succ) from the premise sequents, one or two, the witness and the
+# theory.  Messages format only on failure: they mention whole sequents, and
+# the happy path must not pay for rendering them.
 
 
-def _need(cond: bool, msg: str, *args):
-    # Messages format lazily; they routinely mention whole sequents and the
-    # happy path must not pay for rendering them.
+def _need(cond: bool, msg: str):
     if not cond:
-        raise RuleError(msg % args if args else msg)
+        raise RuleError(msg)
 
 
 def _at(side: tuple, i: int | None, what: str) -> Formula:
-    _need(i is not None, "missing index for %s", what)
-    _need(0 <= i < len(side), "index %s out of range for %s", i, what)
+    if i is None:
+        raise RuleError(f"missing index for {what}")
+    if not 0 <= i < len(side):
+        raise RuleError(f"index {i} out of range for {what}")
     return side[i]
 
 
-def _drop(side: tuple, *idxs: int) -> tuple:
-    keep = set(idxs)
-    return tuple(f for j, f in enumerate(side) if j not in keep)
+def _same(a: Formula, b: Formula, what: str):
+    if not formula_eq(a, b):
+        raise RuleError(f"{what} differ: {a} vs {b}")
+
+
+def _drop(side: tuple, i: int) -> tuple:
+    return side[:i] + side[i + 1 :]
 
 
 def _put(side: tuple, i: int, f: Formula) -> tuple:
     return side[:i] + (f,) + side[i + 1 :]
 
 
-def apply_rule(
-    rule: str,
-    premises: tuple,
-    data: RuleData,
-    theory: rw.EquationalTheory = rw.EMPTY_THEORY,
-) -> Sequent:
-    """Conclusion of one inference from premise sequents and its witness."""
-    n = ARITY.get(rule, 1)
-    _need(len(premises) == n, "%s expects %s premises, got %s", rule, n, len(premises))
+def _cut(p1, p2, data, theory):
+    a = _at(p1.succ, data.a, "cut formula in first premise")
+    b = _at(p2.ante, data.b, "cut formula in second premise")
+    _same(a, b, "cut formulas")
+    return p1.ante + _drop(p2.ante, data.b), _drop(p1.succ, data.a) + p2.succ
 
-    if rule == R.CUT:
-        p1, p2 = premises
-        a = _at(p1.succ, data.a, "cut formula in first premise")
-        b = _at(p2.ante, data.b, "cut formula in second premise")
-        _need(formula_eq(a, b), "cut formulas differ: %s vs %s", a, b)
-        return Sequent(p1.ante + _drop(p2.ante, data.b), _drop(p1.succ, data.a) + p2.succ)
 
-    if rule == R.AND_L:
-        (p,) = premises
-        a = _at(p.ante, data.a, "first conjunct")
-        b = _at(p.ante, data.b, "second conjunct")
-        _need(data.a != data.b, "conjunct positions must differ")
-        return Sequent(_drop(_put(p.ante, data.a, And(a, b)), data.b), p.succ)
+def _and_l(p, data, theory):
+    a = _at(p.ante, data.a, "first conjunct")
+    b = _at(p.ante, data.b, "second conjunct")
+    _need(data.a != data.b, "conjunct positions must differ")
+    return _drop(_put(p.ante, data.a, And(a, b)), data.b), p.succ
 
-    if rule == R.AND_R:
-        p1, p2 = premises
-        a = _at(p1.succ, data.a, "left conjunct")
-        b = _at(p2.succ, data.b, "right conjunct")
-        return Sequent(p1.ante + p2.ante, _drop(p1.succ, data.a) + _drop(p2.succ, data.b) + (And(a, b),))
 
-    if rule == R.OR_L:
-        p1, p2 = premises
-        a = _at(p1.ante, data.a, "left disjunct")
-        b = _at(p2.ante, data.b, "right disjunct")
-        return Sequent((Or(a, b),) + _drop(p1.ante, data.a) + _drop(p2.ante, data.b), p1.succ + p2.succ)
+def _and_r(p1, p2, data, theory):
+    a = _at(p1.succ, data.a, "left conjunct")
+    b = _at(p2.succ, data.b, "right conjunct")
+    return p1.ante + p2.ante, _drop(p1.succ, data.a) + _drop(p2.succ, data.b) + (And(a, b),)
 
-    if rule == R.OR_R:
-        (p,) = premises
-        a = _at(p.succ, data.a, "left disjunct")
-        b = _at(p.succ, data.b, "right disjunct")
-        _need(data.a != data.b, "disjunct positions must differ")
-        return Sequent(p.ante, _drop(_put(p.succ, data.a, Or(a, b)), data.b))
 
-    if rule == R.NEG_L:
-        (p,) = premises
-        a = _at(p.succ, data.a, "negated formula")
-        return Sequent((Not(a),) + p.ante, _drop(p.succ, data.a))
+def _or_l(p1, p2, data, theory):
+    a = _at(p1.ante, data.a, "left disjunct")
+    b = _at(p2.ante, data.b, "right disjunct")
+    return (Or(a, b),) + _drop(p1.ante, data.a) + _drop(p2.ante, data.b), p1.succ + p2.succ
 
-    if rule == R.NEG_R:
-        (p,) = premises
-        a = _at(p.ante, data.a, "negated formula")
-        return Sequent(_drop(p.ante, data.a), p.succ + (Not(a),))
 
-    if rule == R.IMP_L:
-        p1, p2 = premises
-        a = _at(p1.succ, data.a, "antecedent of implication")
-        b = _at(p2.ante, data.b, "consequent of implication")
-        return Sequent((Imp(a, b),) + p1.ante + _drop(p2.ante, data.b), _drop(p1.succ, data.a) + p2.succ)
+def _or_r(p, data, theory):
+    a = _at(p.succ, data.a, "left disjunct")
+    b = _at(p.succ, data.b, "right disjunct")
+    _need(data.a != data.b, "disjunct positions must differ")
+    return p.ante, _drop(_put(p.succ, data.a, Or(a, b)), data.b)
 
-    if rule == R.IMP_R:
-        (p,) = premises
-        a = _at(p.ante, data.a, "antecedent of implication")
-        b = _at(p.succ, data.b, "consequent of implication")
-        return Sequent(_drop(p.ante, data.a), _put(p.succ, data.b, Imp(a, b)))
 
-    if rule in (R.CONTR_L, R.CONTR_R):
-        (p,) = premises
-        side = p.ante if rule == R.CONTR_L else p.succ
+def _neg_l(p, data, theory):
+    a = _at(p.succ, data.a, "negated formula")
+    return (Not(a),) + p.ante, _drop(p.succ, data.a)
+
+
+def _neg_r(p, data, theory):
+    a = _at(p.ante, data.a, "negated formula")
+    return _drop(p.ante, data.a), p.succ + (Not(a),)
+
+
+def _imp_l(p1, p2, data, theory):
+    a = _at(p1.succ, data.a, "antecedent of implication")
+    b = _at(p2.ante, data.b, "consequent of implication")
+    return (Imp(a, b),) + p1.ante + _drop(p2.ante, data.b), _drop(p1.succ, data.a) + p2.succ
+
+
+def _imp_r(p, data, theory):
+    a = _at(p.ante, data.a, "antecedent of implication")
+    b = _at(p.succ, data.b, "consequent of implication")
+    return _drop(p.ante, data.a), _put(p.succ, data.b, Imp(a, b))
+
+
+def _contraction(left: bool):
+    def contract(p, data, theory):
+        side = p.ante if left else p.succ
         a = _at(side, data.a, "contracted formula")
         b = _at(side, data.b, "contracted copy")
         _need(data.a != data.b, "contraction needs two distinct positions")
-        _need(formula_eq(a, b), "contracted formulas differ: %s vs %s", a, b)
+        _same(a, b, "contracted formulas")
         new = _drop(side, data.b)
-        return Sequent(new, p.succ) if rule == R.CONTR_L else Sequent(p.ante, new)
+        return (new, p.succ) if left else (p.ante, new)
 
-    if rule in (R.WEAK_L, R.WEAK_R):
-        (p,) = premises
+    return contract
+
+
+def _weakening(left: bool):
+    def weaken(p, data, theory):
         _need(data.formula is not None, "weakening needs the added formula")
-        if rule == R.WEAK_L:
-            return Sequent((data.formula,) + p.ante, p.succ)
-        return Sequent(p.ante, p.succ + (data.formula,))
+        return ((data.formula,) + p.ante, p.succ) if left else (p.ante, p.succ + (data.formula,))
 
-    if rule in (R.FORALL_L, R.EXISTS_R, R.FORALL_R, R.EXISTS_L):
-        (p,) = premises
-        left = rule in (R.FORALL_L, R.EXISTS_L)
+    return weaken
+
+
+def _quantifier(want: type, left: bool, eigen: bool):
+    def instantiate(p, data, theory):
         side = p.ante if left else p.succ
         inst = _at(side, data.a, "instantiated formula")
         q = data.formula
-        want = Forall if rule in (R.FORALL_L, R.FORALL_R) else Exists
-        _need(isinstance(q, want), "witness formula %s is not a %s", q, want.__name__.lower())
-        eigen = rule in (R.FORALL_R, R.EXISTS_L)
+        if not isinstance(q, want):
+            raise RuleError(f"witness formula {q} is not a {want.__name__.lower()}")
         value = data.eigen if eigen else data.term
         _need(value is not None, "missing eigenvariable" if eigen else "missing substitution term")
-        _need(
-            formula_eq(inst, open_body(q, value)),
-            "premise formula %s is not %s %s %s", inst, q, "at eigenvariable" if eigen else "instantiated with", value,
-        )
+        if not formula_eq(inst, open_body(q, value)):
+            how = "at eigenvariable" if eigen else "instantiated with"
+            raise RuleError(f"premise formula {inst} is not {q} {how} {value}")
         new = _put(side, data.a, q)
-        concl = Sequent(new, p.succ) if left else Sequent(p.ante, new)
-        _need(
-            not eigen or data.eigen not in free_vars(concl),
-            "eigenvariable %s occurs in the conclusion context", data.eigen,
-        )
+        concl = (new, p.succ) if left else (p.ante, new)
+        if eigen and data.eigen in free_vars(Sequent(*concl)):
+            raise RuleError(f"eigenvariable {data.eigen} occurs in the conclusion context")
         return concl
 
-    if rule == R.ERULE:
-        (p,) = premises
-        _need(not data.whole, "whole-sequent rewrite steps have no forward application")
-        _need(data.side in ("L", "R"), "rewrite position needs a side")
-        side = p.ante if data.side == "L" else p.succ
-        host = _at(side, data.idx, "rewritten formula")
-        _need(data.repl is not None, "missing replacement expression")
-        try:
-            old = node_at(host, data.path)
-            new_host = replace_at(host, data.path, data.repl)
-        except (IndexError, TypeError) as exc:
-            raise RuleError(f"bad rewrite path {data.path}: {exc}") from None
-        _need(
-            rw.equivalent(old, data.repl, theory),
-            "%s and %s are not equal under the theory", old, data.repl,
-        )
-        new = _put(side, data.idx, new_host)
-        return Sequent(new, p.succ) if data.side == "L" else Sequent(p.ante, new)
+    return instantiate
 
-    raise RuleError(f"{rule} cannot be applied forward")
+
+def _rewrite(p, data, theory):
+    _need(not data.whole, "whole-sequent rewrite steps have no forward application")
+    _need(data.side in ("L", "R"), "rewrite position needs a side")
+    side = p.ante if data.side == "L" else p.succ
+    host = _at(side, data.idx, "rewritten formula")
+    _need(data.repl is not None, "missing replacement expression")
+    try:
+        old = node_at(host, data.path)
+        new_host = replace_at(host, data.path, data.repl)
+    except (IndexError, TypeError) as exc:
+        raise RuleError(f"bad rewrite path {data.path}: {exc}") from None
+    if not rw.equivalent(old, data.repl, theory):
+        raise RuleError(f"{old} and {data.repl} are not equal under the theory")
+    new = _put(side, data.idx, new_host)
+    return (new, p.succ) if data.side == "L" else (p.ante, new)
+
+
+_CONCLUSION = {  # every rule but the leaves
+    R.CUT: _cut, R.AND_L: _and_l, R.AND_R: _and_r, R.OR_L: _or_l, R.OR_R: _or_r, R.NEG_L: _neg_l, R.NEG_R: _neg_r,
+    R.IMP_L: _imp_l, R.IMP_R: _imp_r, R.CONTR_L: _contraction(True), R.CONTR_R: _contraction(False),
+    R.WEAK_L: _weakening(True), R.WEAK_R: _weakening(False), R.ERULE: _rewrite,
+    R.FORALL_L: _quantifier(Forall, True, False), R.FORALL_R: _quantifier(Forall, False, True),
+    R.EXISTS_L: _quantifier(Exists, True, True), R.EXISTS_R: _quantifier(Exists, False, False),
+}
+
+
+def apply_rule(rule: str, premises: tuple, data: RuleData, theory: rw.EquationalTheory = rw.EMPTY_THEORY) -> Sequent:
+    """Conclusion of one inference from premise sequents and its witness."""
+    n = ARITY.get(rule, 1)
+    if len(premises) != n:
+        raise RuleError(f"{rule} expects {n} premises, got {len(premises)}")
+    if rule not in _CONCLUSION:
+        raise RuleError(f"{rule} cannot be applied forward")
+    return Sequent(*_CONCLUSION[rule](*premises, data, theory))
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +331,8 @@ class CheckReport:
 
 
 def check_proof(
-    proof: Proof,
-    mode: str = MODE_LKE,
-    theory: rw.EquationalTheory = rw.EMPTY_THEORY,
-    env: LinkEnv | None = None,
-    allowed_link_params: frozenset = frozenset(),
-    lenient_erule: bool = False,
+    proof: Proof, mode: str = MODE_LKE, theory: rw.EquationalTheory = rw.EMPTY_THEORY, env: LinkEnv | None = None,
+    allowed_link_params: frozenset = frozenset(), lenient_erule: bool = False,
 ) -> CheckReport:
     """Verify every node of a proof tree against the rule table.
 
@@ -332,37 +343,33 @@ def check_proof(
     if mode not in _ALLOWED:
         raise ValueError(f"unknown mode {mode!r}")
     env, allowed = env or {}, _ALLOWED[mode]
-    report = CheckReport(
-        params={
-            "mode": mode,
-            "fuel": theory.fuel,
-            "strategy": "leftmost-innermost",
-            "lenient_erule": lenient_erule,
-        }
-    )
-    fail = lambda path, rule, msg: report.failures.append(Failure(flatten_path(path), str(rule), msg))
-    counts = report.counts
+    params = {"mode": mode, "fuel": theory.fuel, "strategy": "leftmost-innermost", "lenient_erule": lenient_erule}
+    report = CheckReport(params=params)
+    failures, counts = report.failures, report.counts
 
     # Linked paths: copying a tuple per premise is quadratic in the depth.
     stack = [(proof, None)]
     while stack:
         node, path = stack.pop()
-        rule = node.rule
+        rule, premises = node.rule, node.premises
         if rule not in LEAVES:
             counts[rule] = counts.get(rule, 0) + 1
-        if rule not in allowed:
-            fail(path, rule, f"rule not permitted in mode {mode}")
-            continue
         want = ARITY.get(rule, 1)
-        if len(node.premises) != want:
-            fail(path, rule, f"expected {want} premises, found {len(node.premises)}")
-            continue
-        try:
-            _check_node(node, theory, env, allowed_link_params, lenient_erule)
-        except (RuleError, SortMismatch, rw.FuelExhausted) as exc:
-            fail(path, rule, str(exc))
-        for i, premise in enumerate(node.premises):
-            stack.append((premise, (path, i)))
+        if rule not in allowed:
+            msg = f"rule not permitted in mode {mode}"
+        elif len(premises) != want:
+            msg = f"expected {want} premises, found {len(premises)}"
+        else:
+            if want:
+                stack.append((premises[0], (path, 0)))
+                if want == 2:
+                    stack.append((premises[1], (path, 1)))
+            try:
+                _check_node(node, theory, env, allowed_link_params, lenient_erule)
+                continue
+            except (RuleError, SortMismatch, rw.FuelExhausted) as exc:
+                msg = str(exc)
+        failures.append(Failure(flatten_path(path), str(rule), msg))
     return report
 
 
@@ -377,53 +384,43 @@ def flatten_path(path) -> tuple:
 
 
 def _check_node(node, theory, env, allowed_link_params, lenient_erule):
-    rule = node.rule
-    concl = node.conclusion
+    """One admitted node of its rule's arity; each computed side must be its own, as a tuple or a multiset."""
+    rule, concl, data = node.rule, node.conclusion, node.data
     if rule == R.AX:
-        _need(
-            len(concl.ante) == 1 and len(concl.succ) == 1,
-            "axiom conclusion must be a single formula on each side",
-        )
-        _need(
-            formula_eq(concl.ante[0], concl.succ[0]),
-            "axiom sides differ: %s vs %s", concl.ante[0], concl.succ[0],
-        )
+        _need(len(concl.ante) == 1 and len(concl.succ) == 1, "axiom conclusion must be a single formula on each side")
+        _same(concl.ante[0], concl.succ[0], "axiom sides")
         return
     if rule == R.LINK:
-        data = node.data
         _need(data.target is not None, "link without a target")
         pat = env.get(data.target)
-        _need(pat is not None, "link target %s is not declared", data.target)
-        _need(
-            len(data.terms) == len(pat.vars),
-            "link to %s carries %s terms for %s variables", data.target, len(data.terms), len(pat.vars),
-        )
+        if pat is None:
+            raise RuleError(f"link target {data.target} is not declared")
+        if len(data.terms) != len(pat.vars):
+            raise RuleError(f"link to {data.target} carries {len(data.terms)} terms for {len(pat.vars)} variables")
         _need(data.param is not None, "link without a parameter expression")
         expected = subst(pat.pattern, Substitution({"n": data.param}, dict(zip(pat.vars, data.terms))))
-        _need(
-            concl == expected,
-            "link conclusion %s differs from declared instance %s", concl, expected,
-        )
+        if not concl == expected:
+            raise RuleError(f"link conclusion {concl} differs from declared instance {expected}")
         params = free_params(data.param)
-        _need(
-            params <= allowed_link_params,
-            "link parameter %s uses parameters %s outside %s",
-            data.param, sorted(params), sorted(allowed_link_params),
-        )
+        if not params <= allowed_link_params:
+            raise RuleError(
+                f"link parameter {data.param} uses parameters {sorted(params)} outside {sorted(allowed_link_params)}"
+            )
         return
-    if rule == R.ERULE and node.data.whole:
+    premises = node.premises
+    if rule == R.ERULE and data.whole:
         _need(lenient_erule, "whole-sequent rewrite witness requires the lenient flag")
-        (p,) = node.premises
-        _need(
-            rw.sequent_equivalent(p.conclusion, concl, theory),
-            "%s and %s have different normal forms", p.conclusion, concl,
-        )
+        (p,) = premises
+        if not rw.sequent_equivalent(p.conclusion, concl, theory):
+            raise RuleError(f"{p.conclusion} and {concl} have different normal forms")
         return
-    computed = apply_rule(rule, tuple(p.conclusion for p in node.premises), node.data, theory)
-    _need(
-        computed == concl,
-        "conclusion %s does not match the rule instance %s", concl, computed,
-    )
+    if len(premises) == 1:
+        ante, succ = _CONCLUSION[rule](premises[0].conclusion, data, theory)
+    else:
+        ante, succ = _CONCLUSION[rule](premises[0].conclusion, premises[1].conclusion, data, theory)
+    same = ante == concl.ante or multiset_eq(ante, concl.ante)
+    if not (same and (succ == concl.succ or multiset_eq(succ, concl.succ))):
+        raise RuleError(f"conclusion {concl} does not match the rule instance {Sequent(ante, succ)}")
 
 
 def count_inferences(proof: Proof) -> Counter:

@@ -544,11 +544,11 @@ def _parse_kv(ts: TokenStream, rule: str, reads: frozenset, out: dict | None = N
         elif key == "eigen":
             out[key] = _name(ts)
         elif key == "at":
-            side = ts.expect("ident").text
-            if side not in ("L", "R"):
-                ts.fail("positions start with L or R")
+            side = ts.expect("ident")
+            if side.text not in ("L", "R"):
+                raise ParseError("positions start with L or R", side.line, side.col)
             ts.expect_sym(".")
-            out["side"] = side
+            out["side"] = side.text
             out["idx"] = int(ts.expect("num").text)
         elif key == "path":
             path = [int(ts.expect("num").text)]

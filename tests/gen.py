@@ -12,8 +12,21 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, assume, example, given, settings
 
 from silkcheck import corpus_path, load_schema, load_theory
-from silkcheck import parser, printer, schema
-from silkcheck.kernel import LinkPattern, Proof, RuleData, RuleName, count_inferences
+from silkcheck import kernel, parser, printer, schema
+from silkcheck.kernel import (
+    ARITY,
+    MODE_LK,
+    MODE_LKE,
+    MODE_LKS,
+    RULES,
+    LinkPattern,
+    Proof,
+    RuleData,
+    RuleError,
+    RuleName,
+    check_proof,
+    count_inferences,
+)
 from silkcheck.parser import (
     _MULTI,
     _RULE_SYMBOLS,
@@ -40,8 +53,10 @@ from silkcheck.rewrite import (
     EquationalTheory,
     FuelExhausted,
     StuckTerm,
+    equivalent,
     eval_numeric,
     normalize,
+    sequent_equivalent,
     validate_theory,
 )
 from silkcheck.silk import ClosedBase, ClosedStep, ComponentCollection, ComponentPair, OpenBase, OpenStep
@@ -74,12 +89,16 @@ from silkcheck.syntax import (
     display_name,
     fold,
     formula_eq,
+    free_params,
     free_vars,
+    node_at,
     numeral,
     numeral_value,
+    open_body,
     rebuild,
     render,
     replace,
+    replace_at,
     sequent_eq,
     shown_kids,
     subst,
@@ -1589,12 +1608,12 @@ def reference_parse_kv(ts: TokenStream, keys: frozenset) -> dict:
             out[key] = parser._quoted(ts, "sequent", parser._parse_sequent)
         elif key == "eigen":
             out[key] = ts.expect("ident").text
-        elif key == "at":
-            side = ts.expect("ident").text
-            if side not in ("L", "R"):
-                ts.fail("positions start with L or R")
+        elif key == "at":  # a bad side is reported at its word
+            side = ts.expect("ident")
+            if side.text not in ("L", "R"):
+                raise ParseError("positions start with L or R", side.line, side.col)
             ts.expect_sym(".")
-            out["side"] = side
+            out["side"] = side.text
             out["idx"] = int(ts.expect("num").text)
         elif key == "path":
             path = [int(ts.expect("num").text)]
@@ -1961,5 +1980,362 @@ def mutation_fuzz_property(max_examples):
         mutated = _mutate(proof, node, path, kind)
         report = check_proof(mutated, mode, th, e, allowed, lenient_erule=True)
         assert not report.accepted
+
+    return check
+
+
+# ---------------------------------------------------------------------------
+# The kernel's node check before each rule's conclusion came from a table and
+# each side was compared in place: forward application as one chain that
+# builds the whole conclusion, compared with sequent_eq.
+
+
+def _ref_need(cond: bool, msg: str, *args):
+    if not cond:
+        raise RuleError(msg % args if args else msg)
+
+
+def _ref_at(side: tuple, i, what: str):
+    _ref_need(i is not None, "missing index for %s", what)
+    _ref_need(0 <= i < len(side), "index %s out of range for %s", i, what)
+    return side[i]
+
+
+def _ref_drop(side: tuple, *idxs: int) -> tuple:
+    keep = set(idxs)
+    return tuple(f for j, f in enumerate(side) if j not in keep)
+
+
+def _ref_put(side: tuple, i: int, f) -> tuple:
+    return side[:i] + (f,) + side[i + 1 :]
+
+
+def reference_apply_rule(rule, premises, data, theory=EquationalTheory(())):
+    R, _need, _at, _drop, _put = RuleName, _ref_need, _ref_at, _ref_drop, _ref_put
+    n = ARITY.get(rule, 1)
+    _need(len(premises) == n, "%s expects %s premises, got %s", rule, n, len(premises))
+
+    if rule == R.CUT:
+        p1, p2 = premises
+        a = _at(p1.succ, data.a, "cut formula in first premise")
+        b = _at(p2.ante, data.b, "cut formula in second premise")
+        _need(formula_eq(a, b), "cut formulas differ: %s vs %s", a, b)
+        return Sequent(p1.ante + _drop(p2.ante, data.b), _drop(p1.succ, data.a) + p2.succ)
+
+    if rule == R.AND_L:
+        (p,) = premises
+        a = _at(p.ante, data.a, "first conjunct")
+        b = _at(p.ante, data.b, "second conjunct")
+        _need(data.a != data.b, "conjunct positions must differ")
+        return Sequent(_drop(_put(p.ante, data.a, And(a, b)), data.b), p.succ)
+
+    if rule == R.AND_R:
+        p1, p2 = premises
+        a = _at(p1.succ, data.a, "left conjunct")
+        b = _at(p2.succ, data.b, "right conjunct")
+        return Sequent(p1.ante + p2.ante, _drop(p1.succ, data.a) + _drop(p2.succ, data.b) + (And(a, b),))
+
+    if rule == R.OR_L:
+        p1, p2 = premises
+        a = _at(p1.ante, data.a, "left disjunct")
+        b = _at(p2.ante, data.b, "right disjunct")
+        return Sequent((Or(a, b),) + _drop(p1.ante, data.a) + _drop(p2.ante, data.b), p1.succ + p2.succ)
+
+    if rule == R.OR_R:
+        (p,) = premises
+        a = _at(p.succ, data.a, "left disjunct")
+        b = _at(p.succ, data.b, "right disjunct")
+        _need(data.a != data.b, "disjunct positions must differ")
+        return Sequent(p.ante, _drop(_put(p.succ, data.a, Or(a, b)), data.b))
+
+    if rule == R.NEG_L:
+        (p,) = premises
+        a = _at(p.succ, data.a, "negated formula")
+        return Sequent((Not(a),) + p.ante, _drop(p.succ, data.a))
+
+    if rule == R.NEG_R:
+        (p,) = premises
+        a = _at(p.ante, data.a, "negated formula")
+        return Sequent(_drop(p.ante, data.a), p.succ + (Not(a),))
+
+    if rule == R.IMP_L:
+        p1, p2 = premises
+        a = _at(p1.succ, data.a, "antecedent of implication")
+        b = _at(p2.ante, data.b, "consequent of implication")
+        return Sequent((Imp(a, b),) + p1.ante + _drop(p2.ante, data.b), _drop(p1.succ, data.a) + p2.succ)
+
+    if rule == R.IMP_R:
+        (p,) = premises
+        a = _at(p.ante, data.a, "antecedent of implication")
+        b = _at(p.succ, data.b, "consequent of implication")
+        return Sequent(_drop(p.ante, data.a), _put(p.succ, data.b, Imp(a, b)))
+
+    if rule in (R.CONTR_L, R.CONTR_R):
+        (p,) = premises
+        side = p.ante if rule == R.CONTR_L else p.succ
+        a = _at(side, data.a, "contracted formula")
+        b = _at(side, data.b, "contracted copy")
+        _need(data.a != data.b, "contraction needs two distinct positions")
+        _need(formula_eq(a, b), "contracted formulas differ: %s vs %s", a, b)
+        new = _drop(side, data.b)
+        return Sequent(new, p.succ) if rule == R.CONTR_L else Sequent(p.ante, new)
+
+    if rule in (R.WEAK_L, R.WEAK_R):
+        (p,) = premises
+        _need(data.formula is not None, "weakening needs the added formula")
+        if rule == R.WEAK_L:
+            return Sequent((data.formula,) + p.ante, p.succ)
+        return Sequent(p.ante, p.succ + (data.formula,))
+
+    if rule in (R.FORALL_L, R.EXISTS_R, R.FORALL_R, R.EXISTS_L):
+        (p,) = premises
+        left = rule in (R.FORALL_L, R.EXISTS_L)
+        side = p.ante if left else p.succ
+        inst = _at(side, data.a, "instantiated formula")
+        q = data.formula
+        want = Forall if rule in (R.FORALL_L, R.FORALL_R) else Exists
+        _need(isinstance(q, want), "witness formula %s is not a %s", q, want.__name__.lower())
+        eigen = rule in (R.FORALL_R, R.EXISTS_L)
+        value = data.eigen if eigen else data.term
+        _need(value is not None, "missing eigenvariable" if eigen else "missing substitution term")
+        _need(
+            formula_eq(inst, open_body(q, value)),
+            "premise formula %s is not %s %s %s", inst, q, "at eigenvariable" if eigen else "instantiated with", value,
+        )
+        new = _put(side, data.a, q)
+        concl = Sequent(new, p.succ) if left else Sequent(p.ante, new)
+        _need(
+            not eigen or data.eigen not in free_vars(concl),
+            "eigenvariable %s occurs in the conclusion context", data.eigen,
+        )
+        return concl
+
+    if rule == R.ERULE:
+        (p,) = premises
+        _need(not data.whole, "whole-sequent rewrite steps have no forward application")
+        _need(data.side in ("L", "R"), "rewrite position needs a side")
+        side = p.ante if data.side == "L" else p.succ
+        host = _at(side, data.idx, "rewritten formula")
+        _need(data.repl is not None, "missing replacement expression")
+        try:
+            old = node_at(host, data.path)
+            new_host = replace_at(host, data.path, data.repl)
+        except (IndexError, TypeError) as exc:
+            raise RuleError(f"bad rewrite path {data.path}: {exc}") from None
+        _need(
+            equivalent(old, data.repl, theory),
+            "%s and %s are not equal under the theory", old, data.repl,
+        )
+        new = _put(side, data.idx, new_host)
+        return Sequent(new, p.succ) if data.side == "L" else Sequent(p.ante, new)
+
+    raise RuleError(f"{rule} cannot be applied forward")
+
+
+def reference_check_node(node, theory, env, allowed_link_params, lenient_erule):
+    R, _need = RuleName, _ref_need
+    rule = node.rule
+    concl = node.conclusion
+    if rule == R.AX:
+        _need(
+            len(concl.ante) == 1 and len(concl.succ) == 1,
+            "axiom conclusion must be a single formula on each side",
+        )
+        _need(
+            formula_eq(concl.ante[0], concl.succ[0]),
+            "axiom sides differ: %s vs %s", concl.ante[0], concl.succ[0],
+        )
+        return
+    if rule == R.LINK:
+        data = node.data
+        _need(data.target is not None, "link without a target")
+        pat = env.get(data.target)
+        _need(pat is not None, "link target %s is not declared", data.target)
+        _need(
+            len(data.terms) == len(pat.vars),
+            "link to %s carries %s terms for %s variables", data.target, len(data.terms), len(pat.vars),
+        )
+        _need(data.param is not None, "link without a parameter expression")
+        expected = subst(pat.pattern, Substitution({"n": data.param}, dict(zip(pat.vars, data.terms))))
+        _need(
+            concl == expected,
+            "link conclusion %s differs from declared instance %s", concl, expected,
+        )
+        params = free_params(data.param)
+        _need(
+            params <= allowed_link_params,
+            "link parameter %s uses parameters %s outside %s",
+            data.param, sorted(params), sorted(allowed_link_params),
+        )
+        return
+    if rule == R.ERULE and node.data.whole:
+        _need(lenient_erule, "whole-sequent rewrite witness requires the lenient flag")
+        (p,) = node.premises
+        _need(
+            sequent_equivalent(p.conclusion, concl, theory),
+            "%s and %s have different normal forms", p.conclusion, concl,
+        )
+        return
+    computed = reference_apply_rule(rule, tuple(p.conclusion for p in node.premises), node.data, theory)
+    _need(
+        sequent_eq(computed, concl),
+        "conclusion %s does not match the rule instance %s", concl, computed,
+    )
+
+
+@contextmanager
+def reference_kernel():
+    """check_proof checks each node with the oracle."""
+    saved = kernel._check_node
+    kernel._check_node = reference_check_node
+    try:
+        yield
+    finally:
+        kernel._check_node = saved
+
+
+def _verdict(run):
+    """What run() shows: its report's verdict, counts and failures, or the
+    exception it raised."""
+    try:
+        report = run()
+    except Exception as exc:  # compared: a different exception is a different outcome
+        return type(exc), str(exc)
+    return report.accepted, report.counts, [(f.path, f.rule, f.message) for f in report.failures]
+
+
+def same_kernel_verdicts(run) -> bool:
+    """run() shows the same with the kernel's node check as with the oracle."""
+    new = _verdict(run)
+    with reference_kernel():
+        old = _verdict(run)
+    return new == old
+
+
+# A link pattern for the link leaves of drawn nodes.
+KERNEL_ENV = {"phi": LinkPattern(Sequent((Atom("P", (FreeVar("alpha"),)),), (Atom("W^", (Param("n"),)),)), ("alpha",))}
+
+
+@st.composite
+def kernel_nodes(draw, theory):
+    """(node, mode, lenient, allowed link parameters): one inference of any
+    rule over axiom leaves.  Its premises are drawn from a pool of a few
+    formulas, among them a quantified formula q and the premise formula of
+    the rule's witness for q, and its positions are mostly in range, so that
+    witnesses often hit; its conclusion is the oracle's (as built, with its
+    sides reversed, with its first antecedent formula replaced, or with a
+    formula added) or another sequent."""
+    rule = draw(st.sampled_from(RULES))
+    quantified = {RuleName.FORALL_L: NForall, RuleName.FORALL_R: NForall, RuleName.EXISTS_L: NExists}
+    cls = quantified.get(rule, NExists) if draw(st.integers(0, 3)) else draw(st.sampled_from([NForall, NExists]))
+    q = close(cls(draw(st.sampled_from(BINDER_NAMES)), draw(named_formulas)))
+    term = draw(st.sampled_from([FreeVar("a"), FreeVar("c")]) | terms)
+    eigen = draw(st.sampled_from(["a", "c", "e", "e"]))
+    try:
+        inst = open_body(q, eigen if rule in (RuleName.FORALL_R, RuleName.EXISTS_L) else term)
+    except SortMismatch:
+        inst = q.body
+    pool = draw(st.lists(formulas, min_size=1, max_size=2)) + [q, inst]
+    side = st.lists(st.sampled_from(pool), min_size=1, max_size=3).map(tuple)
+    arity = ARITY.get(rule, 1)
+    count = draw(st.sampled_from([arity] * 7 + [(arity + 1) % 3]))
+    premises = tuple(Sequent(draw(side), draw(side)) for _ in range(count))
+    planted = {RuleName.CONTR_L: "ante", RuleName.FORALL_L: "ante", RuleName.EXISTS_L: "ante"}
+    planted |= {RuleName.CONTR_R: "succ", RuleName.FORALL_R: "succ", RuleName.EXISTS_R: "succ"}
+    if rule in planted and premises and draw(st.booleans()):  # a contracted pair, a premise formula at 0
+        name = planted[rule]
+        premises = (replace(premises[0], **{name: (inst, inst) + getattr(premises[0], name)}),) + premises[1:]
+    index = st.sampled_from([0, 0, 1, 1, 2, None, None, -1, 7])
+    data = RuleData(
+        a=draw(index),
+        b=draw(index),
+        formula=draw(st.sampled_from([q, q, q, None] + pool)),
+        term=draw(st.sampled_from([term, term, term, None, FreeVar("b")])),
+        eigen=draw(st.sampled_from([eigen, eigen, eigen, None, "b"])),
+        side=draw(st.sampled_from(["L", "R", "R", None, "X"])),
+        idx=draw(index),
+        path=draw(st.sampled_from([(), (), (0,), (0, 0), (1,), (5,)])),
+        repl=draw(st.sampled_from([None, term, FreeVar("a"), numeral(1)])),
+        whole=draw(st.booleans()),
+        target=draw(st.sampled_from(["phi", "phi", None, "psi"])),
+        param=draw(st.sampled_from([Param("n"), numeral(1), NumFn("+", (Param("n"), numeral(1))), None])),
+        terms=draw(st.sampled_from([(FreeVar("a"),), (FreeVar("a"),), (), (FreeVar("a"), FreeVar("b"))])),
+    )
+    if rule == RuleName.ERULE and draw(st.booleans()):
+        try:  # rewrite a subterm to itself, which every theory admits
+            host = (premises[0].ante if data.side == "L" else premises[0].succ)[data.idx]
+            data = replace(data, repl=node_at(host, data.path))
+        except (IndexError, TypeError, AttributeError):
+            pass
+    try:
+        if rule == RuleName.AX:
+            concl = Sequent((pool[0],), (draw(st.sampled_from(pool)),))
+        elif rule == RuleName.LINK:
+            pat = KERNEL_ENV["phi"]
+            concl = subst(pat.pattern, Substitution({"n": data.param}, dict(zip(pat.vars, data.terms))))
+        elif rule == RuleName.ERULE and data.whole:
+            concl = premises[0]
+        else:
+            concl = reference_apply_rule(rule, premises, data, theory)
+    except (RuleError, SortMismatch, FuelExhausted, TypeError, ValueError, IndexError):
+        concl = Sequent(draw(side), draw(side))
+    edit = draw(st.sampled_from(["none", "none", "reverse", "replace", "add", "other"]))
+    if edit == "reverse":
+        concl = Sequent(concl.ante[::-1], concl.succ[::-1])
+    elif edit == "replace" and concl.ante:
+        concl = Sequent((draw(st.sampled_from(pool)),) + concl.ante[1:], concl.succ)
+    elif edit == "add":
+        concl = Sequent(concl.ante, concl.succ + (draw(st.sampled_from(pool)),))
+    elif edit == "other":
+        concl = Sequent(draw(side), draw(side))
+    node = Proof(concl, rule, tuple(Proof(p, RuleName.AX) for p in premises), data)
+    mode = draw(st.sampled_from([MODE_LKS, MODE_LKS, MODE_LKE, MODE_LK]))
+    return node, mode, draw(st.booleans()), draw(st.sampled_from([frozenset({"n"}), frozenset()]))
+
+
+def kernel_oracle_property(max_examples):
+    """On one drawn inference of every rule, check_proof reports what the
+    oracle node check reports: the same verdict, counts and failures."""
+    theory = merged_theory()
+
+    @settings(max_examples=max_examples, deadline=None)
+    @given(kernel_nodes(theory))
+    def check(case):
+        node, mode, lenient, allowed = case
+        assert same_kernel_verdicts(lambda: check_proof(node, mode, theory, KERNEL_ENV, allowed, lenient))
+
+    return check
+
+
+KERNEL_FILES = ["lk_exists_rename.lkp", "lk_forall_rename.lkp", "lk_nu_shat.lkp", "lk_or_contract.lkp", "lk_pi_shat.lkp"]
+KERNEL_FILES += SCHEMA_FILES
+
+
+def kernel_corpus_oracle_property(max_examples):
+    """On the corpus proofs and schemata and their mutants, a proof checked
+    in every mode and a schema checked and unrolled at 0..2 show what they
+    show with the oracle node check."""
+    shat_env = load_schema(corpus_path("schema_shat.sch"))[0].link_env()
+    corpus = st.sampled_from(KERNEL_FILES).map(lambda name: (name, corpus_path(name).read_text()))
+
+    @settings(max_examples=max_examples, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(corpus | mutated_corpus_files(KERNEL_FILES))
+    def check(case):
+        name, text = case
+        parse = parser.parse_proof if name.endswith(".lkp") else parser.parse_schema
+        try:
+            value, directive = parse(text)
+            theory = load_theory(corpus_path(directive)) if directive else EquationalTheory(())
+        except (ParseError, OSError):
+            assume(False)
+        if name.endswith(".lkp"):
+            for mode in (MODE_LK, MODE_LKE, MODE_LKS):
+                for lenient in (False, True):
+                    run = lambda: check_proof(value, mode, theory, shat_env, frozenset({"n"}), lenient)
+                    assert same_kernel_verdicts(run), (text, mode, lenient)
+            return
+        assert same_kernel_verdicts(lambda: schema.check_schema(value, theory)), text
+        for alpha in range(3):
+            assert same_kernel_verdicts(lambda: schema.evaluate_and_check(value, alpha, theory)), (text, alpha)
 
     return check

@@ -8,6 +8,7 @@ import pytest
 
 from silkcheck import corpus_path, load_proof
 from silkcheck.kernel import (
+    ARITY,
     MODE_LK,
     MODE_LKE,
     MODE_LKS,
@@ -239,6 +240,61 @@ def test_conclusion_comparison_is_multiset():
         RuleData(a=0, b=0),
     )
     assert check_proof(reordered, MODE_LK).accepted
+
+
+def test_a_side_that_is_a_permutation_of_the_computed_one_is_accepted():
+    # c:l computes the antecedent A, B and ->:l the succedent C, B; each node
+    # claims the other order.
+    weakened = Proof(s("B, A |- A"), R.WEAK_L, (ax(s("A |- A")),), RuleData(formula=f("B")))
+    weakened = Proof(s("A, B, A |- A"), R.WEAK_L, (weakened,), RuleData(formula=f("A")))
+    contracted = Proof(s("B, A |- A"), R.CONTR_L, (weakened,), RuleData(a=0, b=2))
+    computed = apply_rule(R.CONTR_L, (weakened.conclusion,), RuleData(a=0, b=2))
+    assert computed.ante == (f("A"), f("B")) != contracted.conclusion.ante
+    assert check_proof(contracted, MODE_LK).accepted
+    left = Proof(s("A |- A, C"), R.WEAK_R, (ax(s("A |- A")),), RuleData(formula=f("C")))
+    imp = Proof(s("A -> B, A |- B, C"), R.IMP_L, (left, ax(s("B |- B"))), RuleData(a=0, b=0))
+    computed = apply_rule(R.IMP_L, (left.conclusion, s("B |- B")), RuleData(a=0, b=0))
+    assert computed.succ == (f("C"), f("B")) != imp.conclusion.succ
+    assert check_proof(imp, MODE_LK).accepted
+
+
+@pytest.mark.parametrize(
+    "node, message",
+    [
+        (
+            Proof(s("A |- C"), R.WEAK_L, (ax(s("C |- C")),), RuleData(formula=f("B"))),
+            "conclusion A |- C does not match the rule instance B, C |- C",
+        ),
+        (
+            Proof(s("G |- E"), R.CUT, (ax(s("G |- A")), ax(s("A |- D"))), RuleData(a=0, b=0)),
+            "conclusion G |- E does not match the rule instance G |- D",
+        ),
+    ],
+)
+def test_a_wrong_formula_names_the_claimed_and_the_computed_conclusion(node, message):
+    failures = [fl for fl in check_proof(node, MODE_LK).failures if fl.path == ()]
+    assert [(fl.rule, fl.message) for fl in failures] == [(node.rule, message)]
+
+
+@pytest.mark.parametrize(
+    "rule, premises, data, message",
+    [
+        # The index is read before the formula at it is dropped.
+        (R.NEG_R, ("A |- B",), RuleData(), "missing index for negated formula"),
+        (R.IMP_L, ("G |- A", "B |- D"), RuleData(b=3), "missing index for antecedent of implication"),
+        (R.CONTR_L, ("A, B |- C",), RuleData(a=0, b=0), "contraction needs two distinct positions"),
+        (R.FORALL_L, ("P(t) |- C",), RuleData(a=0, formula=f("exists x. P(x)")), "witness formula exists x. P(x) is not a forall"),
+        (R.CUT, ("G |- A",), RuleData(a=0, b=0), "cut expects 2 premises, got 1"),
+        (R.AX, (), RuleData(), "ax cannot be applied forward"),
+    ],
+)
+def test_a_bad_witness_reports_its_first_error(rule, premises, data, message):
+    with pytest.raises(RuleError) as exc:
+        apply_rule(rule, tuple(map(s, premises)), data)
+    assert str(exc.value) == message
+    if ARITY.get(rule, 1) == len(premises) and premises:
+        node = Proof(s("|-"), rule, tuple(ax(s(p)) for p in premises), data)
+        assert [fl.message for fl in check_proof(node, MODE_LK).failures if fl.path == ()] == [message]
 
 
 def test_arity_failure_is_reported_not_raised():

@@ -180,6 +180,19 @@ def test_rho_arity_is_one_or_two(side, arity, where):
         parse_script(f"rho {side} {arity} ->:r group=1 pair=1 a=0")
 
 
+@pytest.mark.parametrize(
+    "parse, text, where",
+    [
+        (parse_proof, 'E "A |- A" at=X.0 to="B" { ax "A |- A" }', "1:15"),
+        (parse_proof, 'E "A |- A" at=l.0 to="B" { ax "A |- A" }', "1:15"),
+        (parse_script, 'rho bc 1 E group=1 pair=1 at=RL.0 path=0 to="f(0)"', "1:30"),
+    ],
+)
+def test_a_bad_rewrite_side_is_reported_at_its_word(parse, text, where):
+    with pytest.raises(ParseError, match=f"^positions start with L or R at {where}$"):
+        parse(text)
+
+
 def test_rho_rule_is_a_bare_token_as_in_a_rule_block():
     text = corpus_path("silk_conj_comm.slk").read_text().replace("rho bc 2 /\\:r", 'rho bc 2 "/\\:r"')
     with pytest.raises(ParseError, match="^expected an inference rule at 4:10$"):

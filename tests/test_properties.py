@@ -74,3 +74,12 @@ def test_subst_on_its_schedule_gives_the_reference_node():
 
 def test_quantifier_rules_give_the_named_verdict():
     gen.quantifier_rule_property(CASES)()
+
+
+def test_the_kernel_checks_each_inference_as_the_oracle_does():
+    # One inference is cheap to check, so this draws more of them.
+    gen.kernel_oracle_property(2 * CASES)()
+
+
+def test_the_kernel_checks_corpus_mutants_as_the_oracle_does():
+    gen.kernel_corpus_oracle_property(CASES)()
