@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import rewrite as rw
-from .kernel import MODE_LKE, check_proof, count_inferences
+from .kernel import MODE_LKE, check_proof
 from .parser import ParseError, load_file, parse_proof, parse_schema, parse_script
 from .printer import print_proof_tree, print_schema, print_script, report_dict, report_text, stats_table, where
 from .schema import MatchFailure, UnrollMemo, check_schema, evaluate, evaluate_and_check
@@ -85,7 +85,7 @@ def _cmd_unroll(args) -> int:
     memo = UnrollMemo()
     trace = evaluate(schema, args.alpha, theory, memo=memo)
     proof = trace.proof if args.lk else trace.expanded
-    counts = count_inferences(proof)
+    counts = trace.inferences()[1 if args.lk else 0]
     if args.json:
         payload = {
             "format_version": 1,

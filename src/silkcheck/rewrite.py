@@ -15,6 +15,11 @@ numeral sum's size) and its target's span.  The fuel bounds each formula's
 span, so a cached answer carries its exact cost and no verdict depends on
 what earlier calls left in the cache.  Nodes are hash-consed, so the cache
 is keyed by node identity; it keeps repeated unrollings of one schema linear.
+
+Each rule is prepared when its head is first met: its left side compiled
+to match's instructions, numeric patterns split, and its right side's
+schedule kept, which a step fills straight from the match's binding.  A
+numeral is normal on sight: no rule has s or 0 as its head.
 """
 
 from __future__ import annotations
@@ -30,10 +35,13 @@ from .syntax import (
     Param,
     Record,
     Sequent,
+    SortMismatch,
     SVar,
-    Substitution,
     Succ,
+    Term,
     Zero,
+    _schedule,
+    fill,
     formula_eq,
     free_params,
     numeral,
@@ -41,11 +49,11 @@ from .syntax import (
     rebuild_shown,
     shown_kids,
     split_succs,
-    subst,
     walk,
 )
 
 DEFAULT_FUEL = 100_000
+_HEADS = {NumFn: "n", Fn: "t", Atom: "a"}
 _setattr = object.__setattr__  # sets a field in a record's own constructor
 
 
@@ -66,13 +74,8 @@ class RewriteRule(Record):
 
 
 def head_key(node: Node) -> tuple | None:
-    if isinstance(node, NumFn):
-        return ("n", node.sym)
-    if isinstance(node, Fn):
-        return ("t", node.sym)
-    if isinstance(node, Atom):
-        return ("a", node.pred)
-    return None
+    kind = _HEADS.get(type(node))
+    return None if kind is None else (kind, node.pred if kind == "a" else node.sym)
 
 
 class EquationalTheory:
@@ -82,7 +85,7 @@ class EquationalTheory:
     def __init__(self, rules: tuple = (), fuel: int = DEFAULT_FUEL):
         self.rules = tuple(rules)
         self.fuel = fuel
-        self._index, self._nf_cache, self._spans = {}, {}, {}  # spans: nonzero only
+        self._index, self._nf_cache, self._spans, self._ready = {}, {}, {}, {}  # spans: nonzero only
         for rule in self.rules:
             key = head_key(rule.lhs)
             if key is not None:
@@ -127,7 +130,7 @@ def validate_theory(theory: EquationalTheory) -> TheoryReport:
     """
     issues = []
     heads = theory.defined_heads()
-    seen_lhs: list[Node] = []
+    seen_lhs: set = set()  # nodes are hash-consed: equal left sides are one node
     for i, rule in enumerate(theory.rules):
         key = head_key(rule.lhs)
         if key is None:
@@ -138,12 +141,10 @@ def validate_theory(theory: EquationalTheory) -> TheoryReport:
             continue
         for arg in rule.lhs.kids():
             for sub in walk(arg):
-                sub_key = head_key(sub)
-                if sub_key is None or sub_key == ("n", "+"):
-                    continue
                 # Numeric superscript expressions are tolerated in patterns;
                 # only defined individual symbols and predicates are barred.
-                if sub_key[0] in ("t", "a") and sub_key in heads:
+                sub_key = head_key(sub)
+                if sub_key is not None and sub_key[0] != "n" and sub_key in heads:
                     issues.append(TheoryIssue(i, f"defined symbol {sub} occurs inside the argument {arg}"))
         bound = _rule_vars(rule.lhs)
         extra = _rule_vars(rule.rhs) - bound
@@ -155,80 +156,86 @@ def validate_theory(theory: EquationalTheory) -> TheoryReport:
         clash = ", ".join(sorted({n.name for n in walk(rule.rhs) if type(n) is SVar and ("v", n.name) in bound}))
         if clash:
             issues.append(TheoryIssue(i, f"right side uses left-side variables as schematic variables: {clash}"))
-        for prior in seen_lhs:
-            if prior == rule.lhs:
-                issues.append(TheoryIssue(i, f"duplicate left side {rule.lhs}"))
-                break
-        seen_lhs.append(rule.lhs)
+        if rule.lhs in seen_lhs:
+            issues.append(TheoryIssue(i, f"duplicate left side {rule.lhs}"))
+        seen_lhs.add(rule.lhs)
     return TheoryReport(tuple(issues))
 
 
 # ---------------------------------------------------------------------------
 # Matching
 
+_VAR, _NUM, _SVAR, _HEAD = range(4)  # the kinds of match's instructions
 
-def match(pattern: Node, subject: Node, binding: dict) -> bool:
-    """Whether subject instantiates pattern, extending binding.  One worklist
-    of (pattern, subject) pairs; a variable binds on first sight and must
-    recur with an equal value, so the order of the pairs does not matter."""
-    todo = [(pattern, subject)]
+
+def _compile(todo: list) -> tuple:
+    """The instructions for the patterns on the worklist todo, one (op, a, b)
+    per node, in the order match's worklist pops subjects: bind variable a;
+    b successors over a numeral (a None), over parameter a, which binds the
+    rest, or over a head the next instruction reads (a True); schematic
+    variable a; or head a (None: not checked; False: no subject's) with b
+    arguments."""
+    ops = []
     while todo:
-        p, s = todo.pop()
-        if isinstance(p, FreeVar):
-            if not _bind(binding, ("v", p.name), s):
+        p = todo.pop()
+        if isinstance(p, NumExpr):  # k + 1 matches s(n), n + 1 and numerals alike
+            p, offset = split_succs(p)
+            ops.append((_NUM, True if type(p) is NumFn else p, offset))
+            if type(p) is not NumFn:
+                continue
+        if type(p) is FreeVar or type(p) is SVar:
+            ops.append((_VAR, p, 0) if type(p) is FreeVar else (_SVAR, p.name, 0))
+        else:
+            ops.append((_HEAD, head_key(p) or False, len(p.kids())))
+        todo.extend(p.kids())
+    return tuple(ops)
+
+
+def match(pattern, subject: Node, binding: dict) -> bool:
+    """Whether subject instantiates pattern, a node or its instructions,
+    extending binding from the pattern's variable and parameter nodes to
+    their values: a variable binds on first sight and recurs with it."""
+    todo = [subject]
+    for op, a, b in pattern if type(pattern) is tuple else _compile([pattern]):
+        s = todo.pop()
+        if op == _HEAD:
+            if a is not None and head_key(s) != a or len(s.args) != b:
                 return False
+            todo += s.args
             continue
-        if isinstance(p, NumExpr):
-            # Patterns like k + 1 match any expression with at least one
-            # successor, so s(n), n + 1 and numerals all instantiate the
-            # same step rule.
+        if op == _NUM:
             if not isinstance(s, NumExpr):
                 return False
-            p, po = split_succs(p)
-            s, so = split_succs(s)
-            if p is None:
-                if s is None and so == po:
-                    continue
-                return False
-            if isinstance(p, Param):
-                if so < po:
+            s, offset = split_succs(s)
+            if type(a) is not Param:
+                if offset != b or (s is None) != (a is None):
                     return False
-                if s is None:
-                    s = numeral(so - po)
-                else:
-                    for _ in range(so - po):
-                        s = Succ(s)
-                if not _bind(binding, ("p", p.name), s):
-                    return False
+                todo += [s] if a else []
                 continue
-            if so != po:
+            if offset < b:
                 return False
-        if isinstance(p, SVar) and isinstance(s, SVar) and p.name == s.name:
-            todo.append((p.index, s.index))
+            if s is None:
+                s, offset = numeral(offset - b), b
+            for _ in range(offset - b):
+                s = Succ(s)
+        elif op == _SVAR:
+            if type(s) is not SVar or s.name != a:
+                return False
+            todo.append(s.index)
             continue
-        key = head_key(p)
-        if key is None or key != head_key(s) or len(p.args) != len(s.args):
+        if binding.setdefault(a, s) is not s:
             return False
-        todo.extend(zip(p.args, s.args))
     return True
 
 
-def _bind(binding: dict, key: tuple, value: Node) -> bool:
-    if key[0] == "p" and not isinstance(value, NumExpr):
-        return False
-    old = binding.get(key)
-    if old is None:
-        binding[key] = value
-        return True
-    return old == value
-
-
-def _instantiate(rhs: Node, binding: dict) -> Node:
-    sub = Substitution(
-        {name: v for (kind, name), v in binding.items() if kind == "p"},
-        {name: v for (kind, name), v in binding.items() if kind == "v"},
-    )
-    return subst(rhs, sub)
+def _prepare(rule: RewriteRule) -> tuple:
+    """A rule as head steps use it, its head chosen by the index: the
+    instructions for its left side, which check the root's arity only, the
+    variables they bind in binding order, and its right side's schedule."""
+    ops = ((_HEAD, None, len(rule.lhs.args)),) + _compile(list(rule.lhs.args))
+    names = tuple(dict.fromkeys([a for op, a, _ in ops if op == _VAR]))
+    domain = frozenset([a.name for _, a, _ in ops if type(a) is Param]), frozenset([v.name for v in names])
+    return ops, names, _schedule(rule.rhs, domain), rule.rhs
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +271,16 @@ def _try_head(node: Node, theory: EquationalTheory) -> tuple | None:
             return Succ(NumFn("+", (a, b.prev))), 1
         return None
     key = head_key(node)
-    if key is None:
-        return None
-    for rule in theory._index.get(key, ()):
+    rules = theory._ready.get(key)
+    if rules is None:  # _ready holds a head's rules as _prepare leaves them, from its first step
+        rules = theory._ready[key] = [_prepare(rule) for rule in theory._index.get(key, ())]
+    for ops, names, schedule, rhs in rules:
         binding: dict = {}
-        if match(rule.lhs, node, binding):
-            return _instantiate(rule.rhs, binding), 1
+        if match(ops, node, binding):
+            for var in names:
+                if not isinstance(binding[var], (Term, NumExpr)):
+                    raise SortMismatch(f"variable {var.name} must map to a term, got {binding[var]!r}")
+            return fill(rhs, schedule, binding), 1
     return None
 
 
@@ -294,6 +305,8 @@ def _normalize(root: Node, theory: EquationalTheory) -> tuple:
         reb = None
         if target is not None:  # the head step was taken on an earlier visit; its target is normal now
             nf, span = cache[target], upto + spans.get(target, 0)
+        elif (type(cur) is Succ or type(cur) is Zero) and numeral_value(cur) is not None:
+            nf, span = cur, 0  # a numeral is normal: no rule has s or 0 as its head
         else:
             kids = shown_kids(cur)
             pending = [[k, chain, None, 0] for k in kids if k not in cache]

@@ -267,7 +267,8 @@ class UnrollTrace:
     def inferences(self) -> tuple:
         """``count_inferences`` of ``expanded`` and of ``proof``, read off the
         instance records of an evaluated trace: no expanded node is built."""
-        return _lazily(self._entry, "counts", _tally)
+        expanded, spliced = _tally(self._entry)
+        return expanded, expanded - Counter({RuleName.ERULE: spliced})
 
 
 class UnrollMemo:
@@ -307,8 +308,9 @@ class _LinkInstance:
     proof; ``figure`` its expanded proof, the unrolled figure, None until
     first read, when ``vals`` is dropped.  ``bridged`` is 1 when its
     expansion ends under a whole-sequent rewrite step, ``spliced`` counts
-    the rewrite steps its normal build spliced away, and ``counts`` holds
-    the inference counts of both proofs, None until first read."""
+    the rewrite steps its normal build spliced away, and ``counts``, None
+    until the instance is counted as a trace's root, holds the inference
+    counts of its expanded proof and the rewrite steps spliced in it."""
 
     __slots__ = (
         "template", "vals", "ante", "succ", "kids", "records", "lo", "hi", "normal", "figure", "bridged", "spliced", "counts"
@@ -625,16 +627,47 @@ def _figure(inst: _LinkInstance) -> Proof:
     return figure
 
 
-def _tally(inst: _LinkInstance) -> tuple:
-    """The inference counts of the instance's expanded and normal proofs:
-    its template's, one ``E`` more if it is bridged, as many fewer in the
-    normal proof as its normal build spliced away, and its kids' counts."""
-    expanded = inst.template.counts + Counter({RuleName.ERULE: inst.bridged})
-    normal = expanded - Counter({RuleName.ERULE: inst.spliced})
-    for kid in inst.kids:
-        expanded.update(kid.counts[0])
-        normal.update(kid.counts[1])
-    return expanded, normal
+def _tally(root: _LinkInstance) -> tuple:
+    """The inference counts of the root's expanded proof and the rewrite
+    steps spliced out of its normal one: each instance's own (its
+    template's, and one ``E`` if it is bridged) times the number of times it
+    occurs below the root, passed from each instance to its kids once all
+    its parents are done.  An instance counted before, the root of an
+    earlier numeral's trace, counts whole; only the root keeps its counts,
+    not every link of a chain of self-links, which is as deep as the numeral
+    is large."""
+    if root.counts is None:
+        parents, stack = {root: 0}, [root]  # instance -> its links from instances below the root
+        while stack:
+            inst = stack.pop()
+            for kid in inst.kids if inst.counts is None else ():
+                if kid not in parents:
+                    parents[kid] = 0
+                    stack.append(kid)
+                parents[kid] += 1
+        times = dict.fromkeys(parents, 0)
+        times[root], ready = 1, [root]  # ready: instances whose parents are all done
+        weight, bridged, spliced = {}, 0, 0  # weight: template or counted instance -> occurrences
+        while ready:
+            inst = ready.pop()
+            n = times[inst]
+            if inst.counts is not None:
+                weight[inst] = n
+                spliced += n * inst.counts[1]
+                continue
+            for kid in inst.kids:
+                times[kid] += n
+                parents[kid] -= 1
+                if not parents[kid]:
+                    ready.append(kid)
+            weight[inst.template] = weight.get(inst.template, 0) + n
+            bridged, spliced = bridged + n * inst.bridged, spliced + n * inst.spliced
+        expanded = Counter({RuleName.ERULE: bridged})
+        for source, n in weight.items():
+            own = source.counts if type(source) is _Template else source.counts[0]
+            expanded.update({rule: n * k for rule, k in own.items()})
+        root.counts = +expanded, spliced
+    return root.counts
 
 
 def evaluate_and_check(

@@ -45,11 +45,11 @@ the bound variable.  Printing opens a binder under its display name: its
 hint, or the first hint1, hint2, ... not free in its body.
 
 Since nodes are immutable and shared, a Substitution memoizes its result per
-input node in a dict that lives and dies with the Substitution object; there
-is no module-level substitution cache, so results never depend on what an
-earlier call left behind.  Unrolling one link applies one Substitution to the
-whole template, so each distinct template subnode is rebuilt once per
-expansion, and only the template nodes it can change (_schedule).
+input node in a dict that lives and dies with it, so results never depend on
+what an earlier call left behind.  One loop, fill, rebuilds the nodes a
+substitution can change (_schedule), for subst, bind, open_body and rewrite
+steps alike; unrolling one link applies one Substitution to the whole
+template, so each distinct template subnode is rebuilt once per expansion.
 """
 
 from __future__ import annotations
@@ -469,11 +469,15 @@ def free_params(x) -> frozenset[str]:
 def _put(cls, body: Formula, name: str, value) -> Formula:
     """body with value, or the variable named value, for name in the sort a
     binder cls binds."""
-    if name not in _scope(body)[cls is OmegaAll]:
+    omega = cls is OmegaAll
+    if name not in _scope(body)[omega]:
         return body
     if isinstance(value, str):
-        value = Param(value) if cls is OmegaAll else FreeVar(value)
-    return subst(body, Substitution({name: value}, {}) if cls is OmegaAll else Substitution({}, {name: value}))
+        value = Param(value) if omega else FreeVar(value)
+    elif not isinstance(value, NumExpr if omega else (Term, NumExpr)):
+        raise SortMismatch(f"{name} cannot map to {value!r}")  # open_body words it
+    domain = (frozenset((name,)), _NO_NAMES) if omega else (_NO_NAMES, frozenset((name,)))
+    return fill(body, _schedule(body, domain), {(Param if omega else FreeVar)(name): value})
 
 
 def bind(cls, name: str, body: Formula, hint: str | None = None) -> Binder:
@@ -662,17 +666,13 @@ def sequent_eq(a: Sequent, b: Sequent) -> bool:
 
 def rebuild(node: Node, kids: tuple) -> Node:
     cls = type(node)
-    if cls is Succ:
-        return Succ(*kids)
-    if cls is NumFn:
-        return NumFn(node.sym, kids)
-    if cls is SVar:
-        return SVar(node.name, kids[0])
-    if cls is Fn:
-        return Fn(node.sym, kids)
+    if cls is Fn or cls is NumFn:
+        return cls(node.sym, kids)
     if cls is Atom:
         return Atom(node.pred, kids)
-    if cls in (Not, And, Or, Imp):
+    if cls is SVar:
+        return SVar(node.name, kids[0])
+    if cls is Succ or cls in CONNECTIVES:
         return cls(*kids)
     if cls in _BINDERS:  # substitution keeps every height
         return cls(node.var, node.hint, kids[0])
@@ -689,47 +689,32 @@ class Substitution(Record):
     """Simultaneous replacement of parameter symbols by numeric expressions
     and of free/schematic variables by terms.  A binder is an ordinary node:
     the names it binds start with $, which no key or value does (bind and
-    open_body aside, whose keys and values capture nothing).
-
-    Each substitution memoizes its results, keyed by the hash-consed input
-    node, for as long as the object lives: applying one substitution to
-    every sequent of a proof rebuilds each distinct subnode once.
-    """
+    open_body aside, whose keys and values capture nothing).  Its memo of
+    results, keyed by the hash-consed input node, lives with the object: one
+    substitution applied to every sequent of a proof rebuilds each distinct
+    subnode once."""
 
     params: Mapping[str, NumExpr]
     vars: Mapping[str, Node]
     __hash__ = None  # its fields are dicts
 
     def __init__(self, params, vars):
+        memo = {}  # seeded with each parameter and variable node replaced
         for k, v in params.items():
             if not isinstance(v, NumExpr):
                 raise SortMismatch(f"parameter {k} must map to a numeric expression, got {v!r}")
+            memo[Param(k)] = v
         for k, v in vars.items():
             if not isinstance(v, (Term, NumExpr)):
                 raise SortMismatch(f"variable {k} must map to a term, got {v!r}")
+            memo[FreeVar(k)] = v
         _setattr(self, "params", params)
         _setattr(self, "vars", vars)
-        _setattr(self, "_memo", {})  # not fields: equality ignores them
+        _setattr(self, "_memo", memo)  # not fields: equality ignores them
         _setattr(self, "_domain", (frozenset(params), frozenset(vars)))
 
     def is_empty(self) -> bool:
         return not self.params and not self.vars
-
-    def _combine(self, node: Node, kids: tuple) -> Node:
-        """node under self, given its kids under self."""
-        cls = type(node)
-        if cls is FreeVar:
-            return self.vars.get(node.name, node)
-        if cls is Param:
-            return self.params.get(node.name, node)
-        if cls is SVar and node.name in self.vars:
-            repl = self.vars[node.name]
-            if not isinstance(repl, (SVar, FreeVar)):
-                raise SortMismatch(f"schematic variable {node.name} must map to a variable, got {repl!r}")
-            return SVar(repl.name, kids[0])
-        # Untouched nodes come back as they are, without a lookup in the
-        # hash-consing table.
-        return node if kids == node.kids() else rebuild(node, kids)
 
 
 def subst(x, sub: Substitution):
@@ -740,12 +725,29 @@ def subst(x, sub: Substitution):
     memo = sub._memo
     for root in x.formulas() if isinstance(x, Sequent) else (x,):
         if root not in memo:  # a node off the schedule maps to itself
-            for node in _schedule(root, sub._domain):
-                if node not in memo:
-                    memo[node] = sub._combine(node, tuple([memo.get(k, k) for k in node.kids()]))
+            fill(root, _schedule(root, sub._domain), memo)
     if isinstance(x, Sequent):
         return Sequent(tuple([memo.get(f, f) for f in x.ante]), tuple([memo.get(f, f) for f in x.succ]))
     return memo.get(x, x)
+
+
+def fill(root: Node, schedule: list, memo: dict) -> Node:
+    """root under memo, which maps each parameter and variable node replaced
+    to its value: the substitution loop of subst, bind, open_body and rewrite
+    steps.  Each node of root's schedule gets its image in memo, kids first;
+    untouched ones stay as they are, without a hash-consing lookup."""
+    for node in schedule:
+        if node in memo:
+            continue
+        kids = node.kids()
+        new = tuple([memo.get(k, k) for k in kids])
+        if type(node) is SVar and (repl := memo.get(FreeVar(node.name))) is not None:
+            if type(repl) is not SVar and type(repl) is not FreeVar:
+                raise SortMismatch(f"schematic variable {node.name} must map to a variable, got {repl!r}")
+            memo[node] = SVar(repl.name, new[0])
+        else:
+            memo[node] = node if new == kids else rebuild(node, new)
+    return memo.get(root, root)
 
 
 def _schedule(root, domain: tuple) -> list:

@@ -52,9 +52,11 @@ from silkcheck.rewrite import (
     DEFAULT_FUEL,
     EquationalTheory,
     FuelExhausted,
+    NormalizationResult,
     StuckTerm,
     equivalent,
     eval_numeric,
+    head_key,
     normalize,
     sequent_equivalent,
     validate_theory,
@@ -96,11 +98,13 @@ from silkcheck.syntax import (
     numeral_value,
     open_body,
     rebuild,
+    rebuild_shown,
     render,
     replace,
     replace_at,
     sequent_eq,
     shown_kids,
+    split_succs,
     subst,
     walk,
 )
@@ -2337,5 +2341,256 @@ def kernel_corpus_oracle_property(max_examples):
         assert same_kernel_verdicts(lambda: schema.check_schema(value, theory)), text
         for alpha in range(3):
             assert same_kernel_verdicts(lambda: schema.evaluate_and_check(value, alpha, theory)), (text, alpha)
+
+    return check
+
+
+# ---------------------------------------------------------------------------
+# The rewrite step before rules were compiled and filled from their binding:
+# a generic match over the left side for every rule of the head, keyed by
+# ("p", name) and ("v", name), then a Substitution of the right side; and
+# the normalization loop that pushed a frame per successor of a numeral.
+
+
+def reference_match(pattern: Node, subject: Node, binding: dict) -> bool:
+    """Whether subject instantiates pattern, extending binding.  One worklist
+    of (pattern, subject) pairs; a variable binds on first sight and must
+    recur with an equal value, so the order of the pairs does not matter."""
+    todo = [(pattern, subject)]
+    while todo:
+        p, s = todo.pop()
+        if isinstance(p, FreeVar):
+            if not _reference_bind(binding, ("v", p.name), s):
+                return False
+            continue
+        if isinstance(p, NumExpr):
+            if not isinstance(s, NumExpr):
+                return False
+            p, po = split_succs(p)
+            s, so = split_succs(s)
+            if p is None:
+                if s is None and so == po:
+                    continue
+                return False
+            if isinstance(p, Param):
+                if so < po:
+                    return False
+                if s is None:
+                    s = numeral(so - po)
+                else:
+                    for _ in range(so - po):
+                        s = Succ(s)
+                if not _reference_bind(binding, ("p", p.name), s):
+                    return False
+                continue
+            if so != po:
+                return False
+        if isinstance(p, SVar) and isinstance(s, SVar) and p.name == s.name:
+            todo.append((p.index, s.index))
+            continue
+        key = head_key(p)
+        if key is None or key != head_key(s) or len(p.args) != len(s.args):
+            return False
+        todo.extend(zip(p.args, s.args))
+    return True
+
+
+def _reference_bind(binding: dict, key: tuple, value: Node) -> bool:
+    if key[0] == "p" and not isinstance(value, NumExpr):
+        return False
+    old = binding.get(key)
+    if old is None:
+        binding[key] = value
+        return True
+    return old == value
+
+
+def reference_instantiate(rhs: Node, binding: dict) -> Node:
+    """rhs under a binding of reference_match."""
+    sub = Substitution(
+        {name: v for (kind, name), v in binding.items() if kind == "p"},
+        {name: v for (kind, name), v in binding.items() if kind == "v"},
+    )
+    return subst(rhs, sub)
+
+
+def _reference_try_head(node: Node, theory: EquationalTheory) -> tuple | None:
+    if isinstance(node, NumFn) and node.sym == "+":
+        a, b = node.args
+        va, vb = numeral_value(a), numeral_value(b)
+        if va is not None and vb is not None:
+            return numeral(va + vb), max(va + vb, 1)
+        if isinstance(a, Zero):
+            return b, 1
+        if isinstance(a, Succ):
+            return Succ(NumFn("+", (a.prev, b))), 1
+        if isinstance(b, Zero):
+            return a, 1
+        if isinstance(b, Succ):
+            return Succ(NumFn("+", (a, b.prev))), 1
+        return None
+    key = head_key(node)
+    if key is None:
+        return None
+    for rule in theory.rules:
+        binding: dict = {}
+        if head_key(rule.lhs) == key and reference_match(rule.lhs, node, binding):
+            return reference_instantiate(rule.rhs, binding), 1
+    return None
+
+
+def _reference_normalize(root: Node, theory: EquationalTheory, cache: dict, spans: dict) -> tuple:
+    fuel = theory.fuel
+    stack = [[root, 0, None, 0]]
+    while stack:
+        frame = stack[-1]
+        cur, chain, target, upto = frame
+        if cur in cache:
+            if chain + spans.get(cur, 0) > fuel:
+                raise FuelExhausted(fuel)
+            stack.pop()
+            continue
+        reb = None
+        if target is not None:
+            nf, span = cache[target], upto + spans.get(target, 0)
+        else:
+            kids = shown_kids(cur)
+            pending = [[k, chain, None, 0] for k in kids if k not in cache]
+            if pending:
+                stack.extend(pending)
+                continue
+            new_kids = tuple([cache[k] for k in kids])
+            reb = cur if new_kids == kids else rebuild_shown(cur, new_kids)
+            below = max([spans.get(k, 0) for k in kids], default=0)
+            step = _reference_try_head(reb, theory)
+            if step is None:
+                nf, span = reb, below
+            else:
+                target, cost = step
+                if target not in cache:
+                    if chain + below + cost > fuel:
+                        raise FuelExhausted(fuel)
+                    frame[2:] = target, below + cost
+                    stack.append([target, chain + below + cost, None, 0])
+                    continue
+                nf, span = cache[target], below + cost + spans.get(target, 0)
+        if chain + span > fuel:
+            raise FuelExhausted(fuel)
+        stack.pop()
+        if span:
+            spans[cur] = span
+        cache[cur] = nf
+        if reb is not None:
+            if span > below:
+                spans[reb] = span - below
+            cache[reb] = nf
+    return cache[root], spans.get(root, 0)
+
+
+def reference_normalize(x, theory: EquationalTheory) -> NormalizationResult:
+    """normalize as it stood, with caches of its own for the one call."""
+    cache, spans = {}, {}
+    if isinstance(x, Sequent):
+        ante = [_reference_normalize(f, theory, cache, spans) for f in x.ante]
+        succ = [_reference_normalize(f, theory, cache, spans) for f in x.succ]
+        value = Sequent(tuple([nf for nf, _ in ante]), tuple([nf for nf, _ in succ]))
+        return NormalizationResult(value, max([span for _, span in ante + succ], default=0))
+    return NormalizationResult(*_reference_normalize(x, theory, cache, spans))
+
+
+def _normal_outcome(norm, x, rules, fuel):
+    try:
+        result = norm(x, EquationalTheory(rules, fuel))
+        return result.value, result.steps_used
+    except (FuelExhausted, SortMismatch) as exc:
+        return type(exc), str(exc)
+
+
+# A right side that uses a left-side variable as a schematic variable, so a
+# step that binds it to a term fails.
+SCHEMATIC_RULES = "f(x) == h(x[0]);"
+NORMAL_THEORY_FILES = ["theory_bigjunct.thy", "theory_exp.thy", "theory_fhat.thy", "theory_shat.thy", "theory_wedge.thy"]
+
+
+@st.composite
+def normal_rules(draw) -> tuple:
+    """The rules of the merged theory, a corpus theory, one with a schematic
+    right side, or a corpus theory mutated, validated or not."""
+    kind = draw(st.sampled_from(["merged", "corpus", "schematic", "mutated"]))
+    if kind == "merged":
+        return merged_theory().rules
+    if kind == "corpus":
+        return load_theory(corpus_path(draw(st.sampled_from(NORMAL_THEORY_FILES)))).rules
+    if kind == "schematic":
+        return parser.parse_theory(SCHEMATIC_RULES).rules + merged_theory().rules
+    _, text = draw(mutated_corpus_files(NORMAL_THEORY_FILES))
+    try:
+        return parser.parse_theory(text).rules
+    except ParseError:
+        return merged_theory().rules
+
+
+def reference_normalize_property(max_examples):
+    """normalize gives the normal form, steps_used, or exception type and
+    message the rewrite step it replaced gives, each on a fresh theory, for
+    drawn terms, formulas and sequents, under corpus, merged, schematic and
+    mutated theories, at fuels low enough to run out."""
+    tower = Fn("f^", (NumFn("2^", (numeral(5),)), ZERO))
+    exp_rules = load_theory(corpus_path("theory_exp.thy")).rules
+    schematic = parser.parse_theory(SCHEMATIC_RULES).rules
+
+    @settings(max_examples=max_examples, deadline=None)
+    @given(st.one_of(terms, formulas, sequents), normal_rules(), st.sampled_from((3, 10, 40, DEFAULT_FUEL)))
+    @example(tower, exp_rules, 31)
+    @example(tower, exp_rules, 32)
+    @example(Atom("P", (Fn("f", (Fn("f", (FreeVar("a"),)),)),)), schematic, DEFAULT_FUEL)
+    @example(numeral(300), exp_rules, 3)
+    def check(x, rules, fuel):
+        new = _normal_outcome(normalize, x, rules, fuel)
+        assert identical(new, _normal_outcome(reference_normalize, x, rules, fuel)), (x, rules, fuel)
+
+    return check
+
+
+def _reference_height(f: Formula) -> int:
+    """The most binders nested in f."""
+    best, stack = 0, [(f, 0)]
+    while stack:
+        node, depth = stack.pop()
+        depth += isinstance(node, Binder)
+        best = max(best, depth)
+        stack.extend((k, depth) for k in node.kids())
+    return best
+
+
+def _reference_put(cls, body: Formula, name: str, value):
+    """reference_subst of value, or the variable named value, for name in
+    the sort a binder cls binds; body itself if name is not free in it."""
+    if name not in (_reference_free_params if cls is OmegaAll else reference_free_vars)(body):
+        return body
+    if isinstance(value, str):
+        value = Param(value) if cls is OmegaAll else FreeVar(value)
+    return reference_subst(body, Substitution({name: value}, {}) if cls is OmegaAll else Substitution({}, {name: value}))
+
+
+def binder_property(max_examples):
+    """open_body and bind give the very node reference_subst gives, or both
+    raise SortMismatch, on individual and omega binders, whose bodies use
+    what they bind; values of either sort are drawn for both."""
+    binders = st.one_of(binding_formulas, omega_formulas).map(close).filter(lambda f: isinstance(f, Binder))
+
+    @settings(max_examples=max_examples, deadline=None)
+    @given(
+        binders,
+        st.one_of(binder_terms, binder_nums),
+        st.sampled_from(BINDER_NAMES + OMEGA_NAMES),
+        st.sampled_from([Forall, Exists, OmegaAll]),
+    )
+    def check(q, value, name, cls):
+        got = _subst_outcome(open_body, q, value)
+        assert identical(got, _subst_outcome(lambda b, v: _reference_put(type(q), b.body, b.var, v), q, value))
+        var = f"${_reference_height(q)}"
+        want = _subst_outcome(lambda f, n: cls(var, n, _reference_put(cls, f, n, var)), q, name)
+        assert identical(_subst_outcome(lambda f, n: bind(cls, n, f), q, name), want)
 
     return check

@@ -775,6 +775,25 @@ def test_unroll_lk_check_builds_no_expanded_node(capsys, monkeypatch):
         assert memo.links and all(inst.figure is None for inst in memo.links.values())
 
 
+def test_unroll_counts_inferences_without_walking_the_proof(capsys, monkeypatch):
+    # The counts come from the instance records; only the templates, compiled
+    # once per component, are walked, so the walk does not grow with alpha.
+    # Walking the alpha=12 proof reads the premises of 12,289 nodes.
+    calls = []
+    kids = silkcheck.kernel.Proof.kids
+    monkeypatch.setattr(silkcheck.kernel.Proof, "kids", lambda node: calls.append(node) or kids(node))
+    walked = {}
+    for alpha in (12, 13):
+        calls.clear()
+        code, out, err = run(capsys, "unroll", p("schema_exp.sch"), "--alpha", str(alpha), "--lk", "--quiet")
+        walked[alpha] = len(calls)
+        schema, theory = load_schema(corpus_path("schema_exp.sch"))
+        proof = evaluate(schema, alpha, theory).proof
+        counts = ", ".join(f"{k}={v}" for k, v in sorted(count_inferences(proof).items()))
+        assert (code, out, err) == (0, f"inferences: {counts}\n", "")
+    assert walked[12] == walked[13] < 100
+
+
 def _bounded_cli(*argv):
     """The CLI run in a process of its own, bounded in time and in address
     space, so that work that grows without bound fails rather than hangs."""

@@ -83,3 +83,11 @@ def test_the_kernel_checks_each_inference_as_the_oracle_does():
 
 def test_the_kernel_checks_corpus_mutants_as_the_oracle_does():
     gen.kernel_corpus_oracle_property(CASES)()
+
+
+def test_normalize_agrees_with_the_rewrite_step_it_replaced():
+    gen.reference_normalize_property(2 * CASES)()
+
+
+def test_open_body_and_bind_agree_with_the_reference_substitution():
+    gen.binder_property(CASES)()

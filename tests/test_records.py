@@ -179,7 +179,9 @@ def test_equality_ignores_the_memo_and_the_cache():
     sub = UNHASHABLE["Substitution"]()
     sub._memo[A] = B
     assert sub == UNHASHABLE["Substitution"]() == replace(sub)
-    assert replace(sub)._memo == {}  # a copy runs the constructor, with its checks
+    # A copy runs the constructor, with its checks: its memo is a fresh one,
+    # which holds only the nodes the substitution replaces.
+    assert replace(sub)._memo == UNHASHABLE["Substitution"]()._memo and A not in replace(sub)._memo
     with pytest.raises(SortMismatch):
         replace(sub, params={"n": A})
     theory = MUTABLE["EquationalTheory"]()

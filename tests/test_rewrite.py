@@ -6,6 +6,8 @@ unique normal form the oracle finds."""
 
 import pytest
 
+import gen
+import silkcheck.rewrite
 from silkcheck import corpus_path, load_theory
 from silkcheck.parser import parse_formula, parse_term, parse_theory
 from silkcheck.rewrite import (
@@ -81,7 +83,7 @@ def _all_nodes_rewrites(node, theory):
             out.append(Succ(NumFn("+", (a, b.prev))))
     for rule in theory.rules:
         binding = {}
-        if match(rule.lhs, node, binding):
+        if gen.reference_match(rule.lhs, node, binding):
             sub_params = {k[1]: v for k, v in binding.items() if k[0] == "p"}
             sub_vars = {k[1]: v for k, v in binding.items() if k[0] == "v"}
             out.append(subst(rule.rhs, Substitution(sub_params, sub_vars)))
@@ -360,3 +362,18 @@ def test_deep_rule_patterns_match(depth):
     assert normalize(Fn("h", (subject,)), theory).value is Fn("c", ())
     assert normalize(Fn("H", (num_subject,)), theory).value is numeral(3)
     assert not match(Fn("h", (pattern,)), Fn("h", subject.args), {})
+
+
+def test_a_numeral_is_normal_on_sight(monkeypatch, exp):
+    # No rule has s or 0 as its head, so a numeral is its own normal form:
+    # normalizing one tries no head step per successor.
+    tried = []
+    try_head = silkcheck.rewrite._try_head
+    monkeypatch.setattr(silkcheck.rewrite, "_try_head", lambda node, theory: tried.append(node) or try_head(node, theory))
+    result = normalize(numeral(5000), EquationalTheory(exp.rules))
+    assert result.value is numeral(5000) and result.steps_used == 0
+    assert len(tried) <= 1
+    # Under a numeral, a sum is still rewritten, and a numeral inside a term
+    # is normal as it stands.
+    assert normalize(Succ(NumFn("+", (numeral(2), numeral(3)))), EquationalTheory(exp.rules)).value is numeral(6)
+    assert normalize(t("f^(3)(0)"), EquationalTheory(exp.rules)).value is t("f(f(f(0)))")

@@ -405,6 +405,27 @@ def test_counts_from_earlier_numerals_agree_with_the_plain_walk(name):
         assert counts == (count_inferences(trace.expanded), count_inferences(trace.proof))
 
 
+def test_counts_weigh_a_shared_instance_by_its_occurrences():
+    # Both links of the step are one instance, so p@k occurs 2^(a-k) times
+    # in the proofs at a: a count per instance would be far too low.  Every
+    # numeral's root is counted, on one memo, so each count but the first
+    # takes the earlier root whole; the rules' counts carry no zero entry.
+    schema, _ = parse_schema(
+        'component p pattern "Q(n) |- Q(n)" vars () step-param "s(n)" {\n'
+        '  base { ax "Q(0) |- Q(0)" }\n'
+        '  step { cut "Q(s(n)) |- Q(s(n))" a=0 b=0 {\n'
+        '    link "Q(n) |- Q(n)" target=p param="n"\n'
+        '    link "Q(n) |- Q(n)" target=p param="n"\n'
+        "  } }\n"
+        "}\n"
+    )
+    memo = UnrollMemo()
+    for alpha in range(11):
+        trace = evaluate(schema, alpha, EquationalTheory(()), memo)
+        expanded, normal = trace.inferences()
+        assert dict(expanded) == dict(normal) == dict(count_inferences(trace.proof)) == ({"cut": 2**alpha - 1} if alpha else {})
+
+
 @pytest.mark.parametrize("name", gen.SCHEMA_FILES)
 def test_normal_form_agrees_with_the_loop_it_replaced(name):
     # Each evaluation loads its own theory, so no rewrite cache is shared.

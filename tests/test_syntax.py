@@ -47,6 +47,7 @@ from silkcheck.syntax import (
 import pytest
 
 import gen
+import silkcheck.syntax
 
 
 def t(text):
@@ -128,9 +129,12 @@ def test_capture_avoided_alike_at_every_occurrence():
 
 
 def test_subst_combines_only_what_it_can_change(monkeypatch):
+    # The nodes the fill loop is handed, which it combines in that order.
     combined = []
-    combine = Substitution._combine
-    monkeypatch.setattr(Substitution, "_combine", lambda sub, node, kids: combined.append(node) or combine(sub, node, kids))
+    fill = silkcheck.syntax.fill
+    monkeypatch.setattr(
+        silkcheck.syntax, "fill", lambda root, schedule, memo: combined.extend(schedule) or fill(root, schedule, memo)
+    )
     sub = Substitution({"n": numeral(5)}, {"x": t("b")})
     closed = f("P(f(S^3)) -> Q(g(a, 2^(4)))")
     assert subst(closed, sub) is closed and combined == []
