@@ -17,7 +17,7 @@ from . import rewrite as rw
 from .kernel import MODE_LKE, check_proof
 from .parser import ParseError, load_file, parse_proof, parse_schema, parse_script
 from .printer import print_proof_tree, print_schema, print_script, report_dict, report_text, stats_table, where
-from .schema import MatchFailure, UnrollMemo, check_schema, evaluate, evaluate_and_check
+from .schema import EVALUATION_ERRORS, MatchFailure, UnrollMemo, check_schema, evaluate, evaluate_and_check
 from .silk import NotAProof, SilkError, check_script
 from .syntax import SortMismatch
 from .translate import interpret, silk_to_schema, to_ppsnf
@@ -91,7 +91,7 @@ def _cmd_unroll(args) -> int:
             "format_version": 1,
             "alpha": args.alpha,
             "counts": counts,
-            "expansions": len(trace.expansions),
+            "expansions": trace.expansion_count,
             "end_sequent": str(proof.conclusion),
         }
         if not args.quiet:
@@ -192,13 +192,29 @@ def _alpha_range(spec: str) -> range:
 
 
 def _cmd_stats(args) -> int:
+    """Inference counts at each numeral of the range, all unrolled on one
+    memo, and each evaluated once.  The top numeral goes first, so when the
+    lead links to itself every smaller numeral is a memo hit.  If the top
+    fails, the others still run in ascending order, and the first of them
+    to fail, else the top, gives the error: always the smallest failing
+    numeral's.  Counting goes in ascending order, so each root's tally stops
+    at the root counted before it."""
     if args.file.endswith(".slk"):
         script, theory, _ = load_file(args.file, parse_script, args.theory, args.fuel)
         schema = silk_to_schema(script)
     else:
         schema, theory, _ = load_file(args.file, parse_schema, args.theory, args.fuel)
-    memo = UnrollMemo()
-    rows = [(alpha, *evaluate(schema, alpha, theory, memo=memo).inferences()) for alpha in args.alpha_range]
+    memo, alphas, failure = UnrollMemo(), args.alpha_range, None
+    try:
+        traces = {alphas[-1]: evaluate(schema, alphas[-1], theory, memo=memo)}
+    except EVALUATION_ERRORS as exc:
+        # Without its traceback the error holds none of the failed call's frames.
+        traces, failure = {}, exc.with_traceback(None)
+    for alpha in alphas[:-1]:
+        traces[alpha] = evaluate(schema, alpha, theory, memo=memo)
+    if failure is not None:
+        raise failure
+    rows = [(alpha, *traces[alpha].inferences()) for alpha in alphas]
     if args.json:
         _emit_json(
             {

@@ -17,12 +17,14 @@ first.  Its expanded proof is built only when a caller first reads it,
 kids first again, from the expressions the record keeps until then.  One
 node loop, ``_build``, builds either proof, given the stage's node
 constructor and its forms of the expressions.  A recurring instance is
-the same nodes, so both proofs are DAGs, and its trace records are
-replayed rather than recomputed.  The memo also holds each component's base and step compiled
-for instantiation.  A memo lives for one ``evaluate`` call unless the
-caller passes one to several calls under one theory, as ``stats`` does
-across its range of numerals and ``unroll --check`` for the unrolling it
-prints and the one it checks.
+the same nodes, so both proofs are DAGs.  An instance keeps only its own
+trace record and how many records its expansion covers, so a trace's
+records are counted, not copied, and listed only when a caller reads
+them.  The memo also holds each component's base and step compiled for
+instantiation.  A memo lives for one ``evaluate`` call unless the caller
+passes one to several calls under one theory, as ``stats`` does across
+its range of numerals, top numeral first, and ``unroll --check`` for the
+unrolling it prints and the one it checks.
 
 The trace gives both stages, and their inference counts off the records:
 the normal form, with every sequent rewritten and trivial rewrite steps
@@ -75,6 +77,9 @@ class MatchFailure(Exception):
     """A link cannot be expanded: its target is not declared, its parameter
     is not ground, or its numeral cannot be matched against the step
     parameter shape."""
+
+
+EVALUATION_ERRORS = (MatchFailure, SortMismatch, rw.FuelExhausted, rw.StuckTerm)  # what ``evaluate`` reports
 
 
 class ExpansionsExhausted(rw.FuelExhausted):
@@ -249,16 +254,42 @@ class UnrollTrace:
     proof is built on the first read of ``expanded``, from the instance
     ``entry`` of the unrolled link, and kept on that instance, so a caller
     that reads only the normal form or the ``inferences`` never builds it,
-    and traces that share an instance read the same proof."""
+    and traces that share an instance read the same proof.
+
+    ``expansions`` lists one (component, value, parameter) record per link
+    expansion, replayed ones included, in the order expansion met them.
+    An evaluated trace builds the list on first read, from its instances'
+    own records, and ``expansion_count`` is its length without it, so
+    traces kept across a ``stats`` range hold no list that grows with the
+    numeral.  An explicit ``expansions`` list is kept as given."""
 
     _fields = ("expansions", "expanded", "proof")
     __eq__, __repr__ = Record.__eq__, Record.__repr__  # value equality, so unhashable
 
     def __init__(self, expansions=None, expanded: Proof | None = None, proof: Proof | None = None, entry=None):
-        self.expansions = [] if expansions is None else expansions
+        self._expansions = [] if expansions is None and entry is None else expansions
         self._expanded = expanded
         self.proof = proof
         self._entry = entry
+
+    @property
+    def expansions(self) -> list:
+        if self._expansions is None:
+            # Pre-order over each instance's kids in the order expansion
+            # visited them; a shared instance is walked at every occurrence,
+            # where expansion counted its records again.
+            records, stack = [], [self._entry]
+            while stack:
+                inst = stack.pop()
+                records.append(inst.record)
+                stack.extend(reversed(inst.kids))
+            self._expansions = records
+        return self._expansions
+
+    @property
+    def expansion_count(self) -> int:
+        """``len(expansions)``, off the root instance while the list is unbuilt."""
+        return self._entry.size if self._expansions is None else len(self._expansions)
 
     @property
     def expanded(self) -> Proof | None:
@@ -268,12 +299,19 @@ class UnrollTrace:
         """``count_inferences`` of ``expanded`` and of ``proof``, read off the
         instance records of an evaluated trace: no expanded node is built."""
         expanded, spliced = _tally(self._entry)
-        return expanded, expanded - Counter({RuleName.ERULE: spliced})
+        normal = Counter(expanded)
+        if spliced:  # every spliced step is an ``E`` of the expanded proof
+            left = normal.pop(RuleName.ERULE) - spliced
+            if left:
+                normal[RuleName.ERULE] = left
+        return expanded, normal
 
 
 class UnrollMemo:
     """Work that evaluations of one schema, under one theory, share: those
-    of a ``stats`` range, or the two of ``unroll --check``.
+    of a ``stats`` range, or the two of ``unroll --check``.  Each instance
+    is kept once, with its own trace record and record count, however many
+    evaluations reach it.
 
     ``links`` maps a link instance's key to its ``_LinkInstance``.  The key
     is (target, value, link terms, displayed antecedent, displayed
@@ -302,23 +340,25 @@ class _LinkInstance:
 
     It keeps its ``template``, the template's expressions instantiated,
     ``vals``, the sequent ``ante`` |- ``succ`` that the link displays, the
-    instances of its link leaves, ``kids``, right to left, and the span
-    ``records[lo:hi]`` of trace records its expansion produced, ``hi``
-    being None while the expansion is open.  ``normal`` is its normal
-    proof; ``figure`` its expanded proof, the unrolled figure, None until
-    first read, when ``vals`` is dropped.  ``bridged`` is 1 when its
+    instances of its link leaves, ``kids``, right to left, its own trace
+    record (component, value, parameter expression), ``record``, and
+    ``size``, the number of records its expansion covers, its own and its
+    kids' at every occurrence, None while the expansion is open; a trace
+    lists the records by walking the kids.  ``normal`` is its normal proof;
+    ``figure`` its expanded proof, the unrolled figure, None until first
+    read, when ``vals`` is dropped.  ``bridged`` is 1 when its
     expansion ends under a whole-sequent rewrite step, ``spliced`` counts
     the rewrite steps its normal build spliced away, and ``counts``, None
     until the instance is counted as a trace's root, holds the inference
     counts of its expanded proof and the rewrite steps spliced in it."""
 
     __slots__ = (
-        "template", "vals", "ante", "succ", "kids", "records", "lo", "hi", "normal", "figure", "bridged", "spliced", "counts"
+        "template", "vals", "ante", "succ", "kids", "record", "size", "normal", "figure", "bridged", "spliced", "counts"
     )
 
-    def __init__(self, template, vals: list, ante: tuple, succ: tuple, records: list, lo: int):
+    def __init__(self, template, vals: list, ante: tuple, succ: tuple, record: tuple):
         self.template, self.vals, self.ante, self.succ, self.kids = template, vals, ante, succ, []
-        self.records, self.lo, self.hi = records, lo, None
+        self.record, self.size = record, None
         self.normal = self.figure = self.counts = None
         _, _, ante_of, succ_of, *_ = template.nodes[-1]
         self.bridged, self.spliced = int(ante_of(vals) != ante or succ_of(vals) != succ), 0
@@ -411,12 +451,17 @@ def evaluate(
 
     ``memo`` defaults to a fresh one that lives for this call.  A caller
     that evaluates the same schema and theory at several numerals may
-    pass one memo to all of them: ``g@k`` built for one numeral is then
-    reused inside ``g@k+1`` for the next, and a second call at the same
-    numeral returns the first call's proofs.  Trace records and fuel
-    verdicts are the same either way, and the same as on a fresh theory:
-    the fuel bounds each formula's span, which the theory caches with its
-    normal form.
+    pass one memo to all of them: every instance built for one numeral is
+    then reused by the others, in any order, so after the largest numeral
+    of a lead that links to itself each smaller one is a memo hit, and a
+    second call at the same numeral returns the first call's proofs.
+    Trace records and fuel verdicts are the same either way, and the same
+    as on a fresh theory: the fuel bounds each formula's span, which the
+    theory caches with its normal form.  The trace keeps no record list:
+    its instances hold their own records, which ``trace.expansions`` lists
+    on first read, so the memory a shared memo holds grows with the
+    instances it keeps, not with the numerals evaluated.  A failed call
+    leaves the memo as it was.
     """
     value = alpha if isinstance(alpha, int) else numeral_value(alpha)
     if value is None:
@@ -430,15 +475,14 @@ def evaluate(
     if not memo.templates:
         for comp in schema.components:
             memo.templates.setdefault(comp.name, [comp, None, None])
-    records: list = []
     lead = schema.components[0]
     pattern = subst(lead.pattern, Substitution({"n": alpha}, {}))
     root = (lead.name, alpha, tuple(FreeVar(v) for v in lead.vars), pattern.ante, pattern.succ)
-    inst = _expand(root, theory, memo, records)
-    return UnrollTrace(records, proof=inst.normal, entry=inst)
+    inst = _expand(root, theory, memo)
+    return UnrollTrace(proof=inst.normal, entry=inst)
 
 
-def _expand(root, theory, memo: UnrollMemo, records: list) -> _LinkInstance:
+def _expand(root, theory, memo: UnrollMemo) -> _LinkInstance:
     """The instance of the link ``root``, given as (target, parameter
     expression, terms, displayed antecedent, displayed succedent).
 
@@ -449,27 +493,31 @@ def _expand(root, theory, memo: UnrollMemo, records: list) -> _LinkInstance:
     worklist gives.  The loop keeps its own stack of (instance, link leaves
     not yet visited): a chain of self-links is as deep as the numeral is
     large.  A link instance met again while its own expansion is open
-    would expand without end, so it is a failure.  Then the conclusion
-    formulas of each new instance are normalized, parents before kids: a
-    kid's formulas are mostly subterms of its parent's, which the theory's
-    cache then already holds.  Last, each new instance's normal proof is
-    built by ``_build`` in the order its expansion closed, so every kid
-    before its parent.
+    would expand without end, so it is a failure.  The loop counts trace
+    records and keeps none: a fresh instance adds its own, a reused one its
+    ``size``, and an instance's ``size`` is what the count grew by while it
+    was open.  Then the conclusion formulas of each new instance are
+    normalized, parents before kids: a kid's formulas are mostly subterms
+    of its parent's, which the theory's cache then already holds.  Last,
+    each new instance's normal proof is built by ``_build`` in the order
+    its expansion closed, so every kid before its parent.
 
     Both rewriting passes come after expansion ends, so a rewrite error
     never precedes an expansion error, and only then does the memo take
     the new instances, so it holds only whole ones."""
-    stack: list = []
+    stack: list = []  # (instance, link leaves not yet visited, count when it opened)
     closed: list = []  # the new instances, in the order their expansions closed
-    new: dict = {}  # key -> instance, its hi None while its expansion is open
+    new: dict = {}  # key -> instance, its size None while its expansion is open
     links, templates, fuel = memo.links, memo.templates, theory.fuel
+    count = 0  # trace records so far, replayed ones included
 
     def visit(target, param, terms, ante, succ) -> _LinkInstance:
         # Fuel is the number of link expansions.  A fresh link is checked
-        # before it expands; a reused one after its records are replayed,
-        # which is when a per-expansion check inside the replayed subtree
+        # before it expands; a reused one after its records are counted,
+        # which is when a per-expansion check inside the reused subtree
         # would first have fired.
-        if len(records) > fuel:
+        nonlocal count
+        if count > fuel:
             raise ExpansionsExhausted(fuel)
         known = templates.get(target)
         if known is None:
@@ -484,10 +532,10 @@ def _expand(root, theory, memo: UnrollMemo, records: list) -> _LinkInstance:
         key = (target, value, terms, ante, succ, param)
         hit = links.get(key) or new.get(key)
         if hit is not None:
-            if hit.hi is None:
+            if hit.size is None:
                 raise MatchFailure(f"link to {comp.name} at {value} recurs inside its own expansion")
-            records.extend(hit.records[hit.lo : hit.hi])
-            if len(records) > fuel + 1:
+            count += hit.size
+            if count > fuel + 1:
                 raise ExpansionsExhausted(fuel)
             return hit
         var_map = dict(zip(comp.vars, terms))
@@ -504,14 +552,14 @@ def _expand(root, theory, memo: UnrollMemo, records: list) -> _LinkInstance:
                 raise MatchFailure(f"link to {comp.name} at {value} cannot match step parameter {comp.step_param}")
             sub = Substitution({"n": numeral(value - offset)}, var_map)
         vals = _instance(template, sub)
-        records.append((comp.name, value, param))
-        inst = new[key] = _LinkInstance(template, vals, ante, succ, records, len(records) - 1)
-        stack.append((inst, list(template.links)))
+        inst = new[key] = _LinkInstance(template, vals, ante, succ, (comp.name, value, param))
+        stack.append((inst, list(template.links), count))
+        count += 1
         return inst
 
     result = visit(*root)
     while stack:
-        inst, leaves = stack[-1]
+        inst, leaves, start = stack[-1]
         if leaves:
             target, param, terms_of, ante_of, succ_of = leaves.pop()
             vals = inst.vals
@@ -519,7 +567,7 @@ def _expand(root, theory, memo: UnrollMemo, records: list) -> _LinkInstance:
             inst.kids.append(visit(target, param, terms_of(vals), ante_of(vals), succ_of(vals)))
             continue
         stack.pop()
-        inst.hi = len(records)
+        inst.size = count - start
         closed.append(inst)
     # A parent closes after its kids, so reversed closing order puts it first.
     forms: dict = {}  # instance -> normal forms of its conclusion formulas
@@ -662,11 +710,12 @@ def _tally(root: _LinkInstance) -> tuple:
                     ready.append(kid)
             weight[inst.template] = weight.get(inst.template, 0) + n
             bridged, spliced = bridged + n * inst.bridged, spliced + n * inst.spliced
-        expanded = Counter({RuleName.ERULE: bridged})
+        expanded = {RuleName.ERULE: bridged}
         for source, n in weight.items():
             own = source.counts if type(source) is _Template else source.counts[0]
-            expanded.update({rule: n * k for rule, k in own.items()})
-        root.counts = +expanded, spliced
+            for rule, k in own.items():
+                expanded[rule] = expanded.get(rule, 0) + n * k
+        root.counts = Counter({rule: k for rule, k in expanded.items() if k}), spliced
     return root.counts
 
 
@@ -683,7 +732,7 @@ def evaluate_and_check(
     evaluation at the same numeral, the check reuses that proof."""
     try:
         trace = evaluate(schema, alpha, theory, memo)
-    except (MatchFailure, SortMismatch, rw.FuelExhausted, rw.StuckTerm) as exc:
+    except EVALUATION_ERRORS as exc:
         report = CheckReport()
         report.failures.append(Failure((), "evaluate", str(exc)))
         return report

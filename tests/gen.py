@@ -1,9 +1,11 @@
 """Hypothesis generators over the corpus signatures, shared by the property
 suite and the acceptance gate, the structural signature of a component
 collection that replay tests compare, earlier implementations kept as
-oracles, and a strategy that damages corpus files for the CLI fuzz and the
-witness oracles."""
+oracles, a strategy that damages corpus files for the CLI fuzz and the
+witness oracles, and one that varies corpus schemata so that they still
+load, with the per-numeral ``stats`` oracle."""
 
+import json
 import re
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -1581,6 +1583,59 @@ def mutated_corpus_files(draw, names):
         elif edit == "add":
             parts[i] = parts[i] + " " + draw(st.sampled_from(OTHER_FORMAT_KEYS[suffix]))
     return name, "".join(parts)
+
+
+# What a changed spot of a schema file may read: a numeral inside a quoted
+# formula, a step parameter, a link parameter.
+VARIANT_NUMERALS = ["0", "1", "2", "3"]
+VARIANT_STEP_PARAMS = ["s(n)", "n + 1", "n + 2", "s(s(n))", "n"]
+VARIANT_LINK_PARAMS = ["n", "0", "1", "s(n)", "n + 1", "2^n"]
+_QUOTED_SPOT = re.compile(r'(step-param |param=)?"([^"\n]*)"')
+
+
+@st.composite
+def schema_variants(draw, names=SCHEMA_FILES):
+    """(name, text): a corpus schema with one or two of its numerals inside
+    quoted formulas, its step parameters or its link parameters changed.
+    Unlike ``mutated_corpus_files``, most variants still load, so a command
+    on them reaches ``evaluate``, where they change how deep and how wide
+    the unrolling goes and whether it fails."""
+    name = draw(st.sampled_from(names))
+    text = corpus_path(name).read_text(encoding="utf-8")
+    spots = []  # (start, end, what may replace text[start:end])
+    for mo in _QUOTED_SPOT.finditer(text):
+        if mo.group(1):
+            spots.append((*mo.span(2), VARIANT_STEP_PARAMS if mo.group(1) == "step-param " else VARIANT_LINK_PARAMS))
+        else:
+            spots += [(mo.start(2) + k.start(), mo.start(2) + k.end(), VARIANT_NUMERALS) for k in re.finditer(r"\d+", mo.group(2))]
+    for i in sorted(draw(st.lists(st.sampled_from(range(len(spots))), min_size=1, max_size=2, unique=True)), reverse=True):
+        start, end, choices = spots[i]
+        text = text[:start] + draw(st.sampled_from(choices)) + text[end:]
+    return name, text
+
+
+def reference_stats(path, alphas: range, fuel: int | None, as_json: bool) -> tuple:
+    """(exit code, stdout, stderr) of ``stats`` on the schema file ``path``
+    over ``alphas`` (``fuel`` None for the default): each numeral evaluated
+    in ascending order on a theory and a memo of its own, the first failure
+    reported, and the counts read off walks of both proofs."""
+    rows = []
+    try:
+        for alpha in alphas:
+            proof_schema, theory, _ = parser.load_file(path, parse_schema, fuel=DEFAULT_FUEL if fuel is None else fuel)
+            trace = schema.evaluate(proof_schema, alpha, theory)
+            rows.append((alpha, count_inferences(trace.expanded), count_inferences(trace.proof)))
+    except ParseError as exc:
+        return 2, "", f"parse error: {exc}\n"
+    except (schema.MatchFailure, SortMismatch, FuelExhausted, StuckTerm) as exc:
+        return 1, "", f"error: {exc}\n"
+    if not as_json:
+        return 0, printer.stats_table(rows) + "\n", ""
+    doc = {
+        "format_version": 1,
+        "rows": [{"alpha": a, "expanded": ec, "normal": lk, "total": sum(ec.values())} for a, ec, lk in rows],
+    }
+    return 0, json.dumps(doc, indent=2, sort_keys=True) + "\n", ""
 
 
 # ---------------------------------------------------------------------------

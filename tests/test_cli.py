@@ -10,12 +10,13 @@ from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import silkcheck
 from silkcheck import cli, corpus_path, load_schema, load_script, to_ppsnf
 from silkcheck.cli import main
 from silkcheck.kernel import check_proof, count_inferences
-from silkcheck.parser import parse_script
+from silkcheck.parser import ParseError, load_file, parse_schema, parse_script
 from silkcheck.printer import print_script
 from silkcheck.rewrite import DEFAULT_FUEL, FuelExhausted, StuckTerm
 from silkcheck.schema import MatchFailure, evaluate
@@ -478,6 +479,87 @@ def test_stats_range_fuel_verdict_matches_fresh_evaluations(capsys, fuel):
 def test_a_fuel_verdict_does_not_depend_on_earlier_alphas(capsys, argv):
     code, _, err = run(capsys, argv[0], p("schema_exp.sch"), *argv[1:], "--fuel", "100")
     assert (code, err) == (1, "error: no normal form within 100 rewrite steps\n")
+
+
+# stats unrolls its top numeral first; the error it prints is still that of
+# the smallest numeral that fails, whichever failed first.
+@pytest.mark.parametrize(
+    "name, spec, fuel, message",
+    [
+        ("schema_fhat.sch", "0..30", "20", "no normal form within 20 rewrite steps"),
+        ("schema_fhat.sch", "30..30", "20", "instance 30 is larger than the fuel 20"),
+        ("schema_svar.sch", "0..200", "100", "instance 101 is larger than the fuel 100"),
+        ("schema_fhat.sch", "0..20", "20", "no normal form within 20 rewrite steps"),
+    ],
+)
+def test_a_stats_range_reports_its_first_failing_numeral(capsys, name, spec, fuel, message):
+    assert run(capsys, "stats", p(name), "--alpha-range", spec, "--fuel", fuel) == (1, "", f"error: {message}\n")
+
+
+def test_a_stats_range_below_its_first_failing_numeral_passes(capsys):
+    code, out, err = run(capsys, "stats", p("schema_fhat.sch"), "--alpha-range", "0..19", "--fuel", "20")
+    assert (code, len(out.splitlines()), err) == (0, 21, "")
+
+
+TRACED_STATS = """
+import contextlib, io, sys, tracemalloc
+from silkcheck import corpus_path
+from silkcheck.cli import main
+tracemalloc.start()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["stats", str(corpus_path("schema_fhat.sch")), "--alpha-range", sys.argv[1]])
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+
+
+# Each numeral's root once kept the record list of the call that built it,
+# as long as the numeral, so the peak grew with the square of the range:
+# 3.2 times from 0..2000 to 0..4000.
+def test_a_stats_range_peaks_in_memory_linear_in_its_length():
+    env = {**os.environ, "PYTHONPATH": str(Path(silkcheck.__file__).parent.parent)}
+    peaks = []
+    for spec in ("0..2000", "0..4000"):
+        done = subprocess.run([sys.executable, "-c", TRACED_STATS, spec], env=env, capture_output=True, text=True, timeout=120)
+        code, peak = map(int, done.stdout.split())
+        assert (code, done.stderr) == (0, "")
+        peaks.append(peak)
+    assert peaks[1] <= 2.2 * peaks[0], peaks
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    gen.schema_variants(),
+    st.integers(0, 12).flatmap(lambda top: st.tuples(st.integers(0, top), st.just(top))),
+    st.none() | st.integers(5, 200),
+    st.booleans(),
+)
+def test_stats_on_schema_variants_matches_per_numeral_evaluations(capsys, fuzz_dir, case, ends, fuel, as_json):
+    _, text = case
+    path = fuzz_dir / "variant.sch"
+    path.write_text(text, encoding="utf-8")
+    alphas = range(ends[0], ends[1] + 1)
+    argv = ["stats", str(path), "--alpha-range", f"{alphas[0]}..{alphas[-1]}"]
+    argv += ([] if fuel is None else ["--fuel", str(fuel)]) + (["--json"] if as_json else [])
+    assert run(capsys, *argv) == gen.reference_stats(path, alphas, fuel, as_json), text
+
+
+def test_most_schema_variants_load(fuzz_dir):
+    loaded = []
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(gen.schema_variants())
+    def load(case):
+        path = fuzz_dir / "loaded.sch"
+        path.write_text(case[1], encoding="utf-8")
+        try:
+            load_file(path, parse_schema)
+        except ParseError:
+            loaded.append(False)
+        else:
+            loaded.append(True)
+
+    load()
+    assert sum(loaded) >= len(loaded) / 2, (sum(loaded), len(loaded))
 
 
 def test_undeclared_link_target_reports_error(capsys, tmp_path):

@@ -1,10 +1,14 @@
 """Schema well-formedness and unrolling, pinned to the worked example."""
 
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import silkcheck
 import silkcheck.rewrite
 import silkcheck.schema
 from silkcheck import corpus_path, load_schema, load_script
@@ -234,6 +238,39 @@ def test_shared_memo_expands_each_instance_once(shat):
         evaluate(schema, alpha, theory, memo=memo)
     # phi@0 .. phi@top, each expanded once however many ranges reuse it.
     assert len(memo.links) == top + 1
+
+
+TRACED_RANGE = """
+import sys, tracemalloc
+from silkcheck import corpus_path, load_schema
+from silkcheck.schema import UnrollMemo, evaluate
+schema, theory = load_schema(corpus_path("schema_fhat.sch"))
+tracemalloc.start()
+memo = UnrollMemo()
+traces = [evaluate(schema, alpha, theory, memo=memo) for alpha in range(int(sys.argv[1]) + 1)]
+counts = [trace.inferences() for trace in traces]
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+# Each numeral's root instance once kept the record list of the call that
+# built it, so an ascending range on one memo retained memory growing with
+# its square: 3.2 times from 0..2000 to 0..4000.
+def test_a_shared_memo_retains_memory_linear_in_the_range():
+    env = {**os.environ, "PYTHONPATH": str(Path(silkcheck.__file__).parent.parent)}
+    retained = []
+    for top in (2000, 4000):
+        done = subprocess.run([sys.executable, "-c", TRACED_RANGE, str(top)], env=env, capture_output=True, text=True, timeout=120)
+        assert done.stderr == ""
+        retained.append(int(done.stdout))
+    assert retained[1] <= 2.2 * retained[0], retained
+
+
+def test_the_expansion_count_needs_no_record_list(shat):
+    schema, theory = shat
+    trace = evaluate(schema, 40, theory)
+    assert trace.expansion_count == 41 and trace._expansions is None
+    assert len(trace.expansions) == 41 and trace.expansions[0] == ("phi", 40, numeral(40))
 
 
 def test_deep_unrolling_needs_no_recursion():
