@@ -7,6 +7,15 @@ every expression, formula, term or numeric, by precedence climbing over an
 explicit stack, so expressions, binders included, nest without limit; a
 binder closes its body over its name as it is read (syntax.bind).
 
+Each distinct quoted text of a file is lexed and parsed once: the file's
+token stream keeps a memo from each text that parsed to its node, and a
+quoted sequent is looked up formula by formula, split at its one |- and its
+depth-0 commas.  The memo answers only texts that parsed before in the same
+file, and nodes are hash-consed, so a lookup gives the very nodes a fresh
+read gives; a sequent whose text has a comment or does not split into items
+that each parse alone is read whole, so every error is the whole read's, at
+its position.
+
 Conventions the grammar fixes:
   * `n` is the free parameter, everywhere; `s(e)` is the numeric successor;
     decimal literals abbreviate successor towers.
@@ -145,6 +154,7 @@ class TokenStream:
     def __init__(self, tokens: list):
         self.tokens = tokens
         self.pos = 0
+        self.memo: dict = {}  # (sort, text) -> node, for _quoted
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -404,11 +414,51 @@ def parse_replacement(text: str, want_formula: bool, line: int = 1, col: int = 1
     return parse_formula(text, line, col) if want_formula else parse_term(text, line, col)
 
 
-def _quoted(ts: TokenStream, what: str, read=None):
-    """The next token, a string, parsed as ``_parse_tokens`` does; errors
-    point into the file."""
+_BLANK = " \t\r\n"  # what tokenize skips between tokens, outside comments
+
+
+def _quoted(ts: TokenStream, what: str):
+    """The next token, a string, read as an expression of the sort ``what``
+    or as a "sequent", as ``_parse_tokens`` reads it; errors point into the
+    file.  ``ts.memo`` keeps the node of each text that parsed, so a text met
+    again in the file is looked up.  A sequent is looked up formula by
+    formula when its text splits at its one |- and its depth-0 commas into
+    items that each parse alone: their tokens are then the whole text's, so
+    the whole read gives the same nodes.  Any other sequent text is read
+    whole, which raises the whole read's error at its position."""
     tok = ts.expect("str")
-    return _parse_tokens(tokenize(tok.text, tok.line, tok.col + 1), what, read)
+    text, memo = tok.text, ts.memo
+    if what != "sequent":
+        key = what, text.strip(_BLANK)
+        if key not in memo:
+            memo[key] = _parse_tokens(tokenize(text, tok.line, tok.col + 1), what)
+        return memo[key]
+    if "#" not in text and text.count("|-") == 1:  # a comment could hide a comma or the |-
+        try:
+            return Sequent(*[_formulas(memo, side) for side in text.split("|-")])
+        except Exception:  # whatever failed, the whole read below raises its own error
+            pass
+    return _parse_tokens(tokenize(text, tok.line, tok.col + 1), what, _parse_sequent)
+
+
+def _formulas(memo: dict, side: str) -> tuple:
+    """The formulas of one side of a sequent's text, split at its depth-0
+    commas, each looked up in ``memo`` or parsed alone."""
+    items, depth = [], 0
+    for piece in side.split(","):
+        if depth:
+            items[-1] += "," + piece
+        else:
+            items.append(piece)
+        depth += piece.count("(") + piece.count("[") - piece.count(")") - piece.count("]")
+    if len(items) == 1 and not items[0].strip(_BLANK):
+        return ()
+    for i, item in enumerate(items):
+        key = FORMULA, item.strip(_BLANK)
+        if key not in memo:
+            memo[key] = _parse_tokens(tokenize(item), FORMULA)
+        items[i] = memo[key]
+    return tuple(items)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +590,7 @@ def _parse_kv(ts: TokenStream, rule: str, reads: frozenset, out: dict | None = N
         elif key in _QUOTED_KEYS:
             out[key] = _quoted(ts, _QUOTED_KEYS[key])
         elif key == "pattern":
-            out[key] = _quoted(ts, "sequent", _parse_sequent)
+            out[key] = _quoted(ts, "sequent")
         elif key == "eigen":
             out[key] = _name(ts)
         elif key == "at":
@@ -601,7 +651,7 @@ def _rule_token(ts: TokenStream) -> tuple:
 
 def _parse_proof_head(ts: TokenStream) -> tuple:
     tok, rule = _rule_token(ts)
-    seq = _quoted(ts, "sequent", _parse_sequent)
+    seq = _quoted(ts, "sequent")
     kv = _parse_kv(ts, tok.text, _RULE_READS[rule])
     raw_to = kv.pop("to", None)
     if isinstance(kv.get("target"), int):
@@ -614,18 +664,26 @@ def _proof_node(tok: Token, rule: str, seq: Sequent, kv: dict, raw_to: Token | N
     if raw_to is not None:  # only a rewrite step reads a replacement
         if not premises:
             raise ParseError("a rewrite step needs its premise before the replacement resolves", tok.line, tok.col)
-        if data.idx is None:
-            raise ParseError("rewrite step needs a position", tok.line, tok.col)
-        side = premises[0].conclusion.ante if data.side == "L" else premises[0].conclusion.succ
-        if not 0 <= data.idx < len(side):
-            raise ParseError(f"rewrite index {data.idx} out of range", tok.line, tok.col)
-        try:
-            old = node_at(side[data.idx], data.path)
-        except (IndexError, TypeError):
-            raise ParseError(f"rewrite path {data.path} does not address a node", tok.line, tok.col)
-        repl = parse_replacement(raw_to.text, isinstance(old, Formula), raw_to.line, raw_to.col + 1)
-        data = replace(data, repl=repl)
+        data = resolve_rewrite(data, premises[0].conclusion, raw_to)
     return Proof(seq, rule, tuple(premises), data)
+
+
+def resolve_rewrite(data: RuleData, premise: Sequent, to: Token) -> RuleData:
+    """``data`` with its replacement, the text of the `to=` token ``to``,
+    parsed in the sort of the node it replaces in ``premise``: a formula or
+    a term.  Rule blocks and script steps resolve a `to=` here, so a fault
+    has one wording: a bad position is reported at ``to``, a replacement
+    that does not parse where it fails."""
+    if data.idx is None:
+        raise ParseError("rewrite step needs a position", to.line, to.col)
+    side = premise.ante if data.side == "L" else premise.succ
+    if not 0 <= data.idx < len(side):
+        raise ParseError(f"rewrite index {data.idx} out of range", to.line, to.col)
+    try:
+        old = node_at(side[data.idx], data.path)
+    except (IndexError, TypeError):
+        raise ParseError(f"rewrite path {data.path} does not address a node", to.line, to.col) from None
+    return replace(data, repl=parse_replacement(to.text, isinstance(old, Formula), to.line, to.col + 1))
 
 
 def _parse_theory_directive(ts: TokenStream) -> str | None:
@@ -666,7 +724,7 @@ def _schema_file(ts: TokenStream) -> tuple:
             if key in clauses:
                 raise ParseError(f"component {name} repeats its {key.replace('_', '-')}", tok.line, tok.col)
             if key == "pattern":
-                clauses[key] = _quoted(ts, "sequent", _parse_sequent)
+                clauses[key] = _quoted(ts, "sequent")
             elif key == "vars":
                 clauses[key] = _vector(ts, _name)
             else:
@@ -741,7 +799,7 @@ def _script_file(ts: TokenStream) -> tuple:
         line = tok.line
         if word in ("ax1r", "ax2r"):
             kv = _parse_kv(ts, word, _STEP_READS[word])
-            seq = _quoted(ts, "sequent", _parse_sequent) if ts.peek().kind == "str" else None
+            seq = _quoted(ts, "sequent") if ts.peek().kind == "str" else None
             _parse_kv(ts, word, _STEP_READS[word], kv)
             steps.append(SiLKStep(word, sequent=seq, line=line, **_step_fields(kv)))
             continue

@@ -316,9 +316,10 @@ def _normalize(root: Node, theory: EquationalTheory) -> tuple:
             new_kids = tuple([cache[k] for k in kids])
             reb = cur if new_kids == kids else rebuild_shown(cur, new_kids)  # nodes compare by identity
             below = max([spans.get(k, 0) for k in kids], default=0)
-            step = _try_head(reb, theory)
+            # A cached reb took its head step, which added spans[reb]: the same form, span and verdict.
+            step = None if reb in cache else _try_head(reb, theory)
             if step is None:
-                nf, span = reb, below
+                nf, span = cache.get(reb, reb), below + spans.get(reb, 0)
             else:
                 target, cost = step
                 if target not in cache:
@@ -356,8 +357,7 @@ def normalize(x, theory: EquationalTheory) -> NormalizationResult:
 def equivalent(a: Node, b: Node, theory: EquationalTheory) -> bool:
     """Whether the theory proves a == b, decided by joinability of normal
     forms (complete for convergent theories)."""
-    na = normalize(a, theory).value
-    nb = normalize(b, theory).value
+    na, nb = normalize(a, theory).value, normalize(b, theory).value
     if isinstance(na, Formula) and isinstance(nb, Formula):
         return formula_eq(na, nb)
     return na == nb

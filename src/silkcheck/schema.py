@@ -578,7 +578,7 @@ def _expand(root, theory, memo: UnrollMemo) -> _LinkInstance:
     form = lambda side: tuple([_normal_form(f, theory) for f in side])
     node = partial(_normal_node, theory)
     for inst in closed:
-        inst.normal = _build(inst, forms[inst], form, node, attrgetter("normal"))
+        inst.normal = _build(inst, forms.pop(inst), form, node, attrgetter("normal"))  # freed once built
     links.update(new)
     return result
 

@@ -33,10 +33,9 @@ from .kernel import (
     RuleName,
     apply_rule,
 )
-from .parser import _STEP_READS, ParseError, SiLKScript, SiLKStep, parse_replacement
+from .parser import _STEP_READS, ParseError, SiLKScript, SiLKStep, resolve_rewrite
 from .schema import num_eq
 from .syntax import (
-    Formula,
     NumExpr,
     NumFn,
     Param,
@@ -48,7 +47,6 @@ from .syntax import (
     formula_eq,
     free_params,
     free_vars,
-    node_at,
     numeral,
     replace,
     subst,
@@ -232,23 +230,12 @@ def _resolve_rewrite(step: SiLKStep, premise: Sequent) -> RuleData:
     data = step.data
     if step.lk_rule != RuleName.ERULE or data.repl is not None:
         return data
-    to = step.to
-    if to is None:
+    if step.to is None:
         raise SilkError("rewrite step needs its replacement expression")
-    if data.side not in ("L", "R"):
-        raise SilkError("rewrite step needs a position")
-    side = premise.ante if data.side == "L" else premise.succ
-    if data.idx is None or not 0 <= data.idx < len(side):
-        raise SilkError(f"rewrite index {data.idx} out of range")
     try:
-        old = node_at(side[data.idx], data.path)
-    except (IndexError, TypeError) as exc:
-        raise SilkError(f"bad rewrite path {data.path}: {exc}") from None
-    try:
-        repl = parse_replacement(to.text, isinstance(old, Formula), to.line, to.col + 1)
+        return resolve_rewrite(data, premise, step.to)
     except ParseError as exc:
-        raise SilkError(f"bad replacement {to.text!r}: {exc}") from None
-    return replace(data, repl=repl)
+        raise SilkError(str(exc)) from None
 
 
 def _pattern_instance(pattern: Sequent, n: NumExpr, built: Sequent, case: str, theory) -> Sequent:

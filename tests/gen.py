@@ -14,7 +14,7 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, assume, example, given, settings
 
 from silkcheck import corpus_path, load_schema, load_theory
-from silkcheck import kernel, parser, printer, schema
+from silkcheck import kernel, parser, printer, rewrite, schema
 from silkcheck.kernel import (
     ARITY,
     MODE_LK,
@@ -1479,6 +1479,59 @@ def identical(a, b) -> bool:
     return a == b
 
 
+# ---------------------------------------------------------------------------
+# Quoted texts read whole, as before the per-file memo: every one lexed and
+# parsed on its own, a sequent at once.
+
+
+def reference_quoted(ts: TokenStream, what: str):
+    tok = ts.expect("str")
+    read = parser._parse_sequent if what == "sequent" else None
+    return parser._parse_tokens(tokenize(tok.text, tok.line, tok.col + 1), what, read)
+
+
+FILE_READERS = {".lkp": parse_proof, ".sch": parse_schema, ".slk": parse_script}
+
+
+def same_quoted_reads(suffix: str, text: str) -> bool:
+    """The file reader of ``suffix`` gives the very same nodes, or the same
+    error message and position, with the per-file memo as with every quoted
+    text read whole."""
+    read = FILE_READERS[suffix]
+    new = _outcome(read, text)
+    saved, parser._quoted = parser._quoted, reference_quoted
+    try:
+        old = _outcome(read, text)
+    finally:
+        parser._quoted = saved
+    return identical(new, old)
+
+
+@st.composite
+def quoted_sequent_scripts(draw):
+    """(".slk", text): a script of axiom steps over printed sequents and
+    their token mutants, the first one again at the end, and a formula
+    witness over a side of one, so that the memo both fills and answers."""
+    printed = sequents.map(str)
+    texts = draw(st.lists(st.one_of(printed, token_mutants(printed)), min_size=1, max_size=4))
+    item = draw(st.sampled_from(texts)).split("|-")[0].split(",")[0]
+    lines = [f'ax1r "{t}"' for t in texts] + [f'ax1r "{texts[0]}"', f'axl group=1 pair=1 formula="{item}" ann="n"']
+    return ".slk", "\n".join(lines) + "\n"
+
+
+def quoted_memo_property(max_examples, names):
+    """The per-file memo reads every corpus file among ``names`` and their
+    mutants, and scripts of drawn sequents and their token mutants, as the
+    whole reads do."""
+
+    @settings(max_examples=max_examples, deadline=None, derandomize=True)
+    @given(st.one_of(mutated_corpus_files(names).map(lambda c: (c[0][c[0].rindex(".") :], c[1])), quoted_sequent_scripts()))
+    def check(case):
+        assert same_quoted_reads(*case), case
+
+    return check
+
+
 # Tokens an expression mutant may gain: every expression symbol, the
 # binder words and a few names and numerals.
 EXPRESSION_TOKENS = ["(", ")", ",", "^", "+", "~", "->", "/\\", "\\/", "[", "]", ".", ":", "|-"]
@@ -1664,7 +1717,7 @@ def reference_parse_kv(ts: TokenStream, keys: frozenset) -> dict:
         elif key in parser._QUOTED_KEYS:
             out[key] = parser._quoted(ts, parser._QUOTED_KEYS[key])
         elif key == "pattern":
-            out[key] = parser._quoted(ts, "sequent", parser._parse_sequent)
+            out[key] = parser._quoted(ts, "sequent")
         elif key == "eigen":
             out[key] = ts.expect("ident").text
         elif key == "at":  # a bad side is reported at its word
@@ -2551,6 +2604,90 @@ def reference_normalize(x, theory: EquationalTheory) -> NormalizationResult:
         value = Sequent(tuple([nf for nf, _ in ante]), tuple([nf for nf, _ in succ]))
         return NormalizationResult(value, max([span for _, span in ante + succ], default=0))
     return NormalizationResult(*_reference_normalize(x, theory, cache, spans))
+
+
+def reference_normalize_loop(root: Node, theory: EquationalTheory) -> tuple:
+    """rewrite._normalize as it stood before it looked up a rebuilt node's
+    normal form: it takes every head step again, through rewrite._try_head."""
+    cache, spans, fuel = theory._nf_cache, theory._spans, theory.fuel
+    stack = [[root, 0, None, 0]]
+    while stack:
+        frame = stack[-1]
+        cur, chain, target, upto = frame
+        if cur in cache:
+            if chain + spans.get(cur, 0) > fuel:
+                raise FuelExhausted(fuel)
+            stack.pop()
+            continue
+        reb = None
+        if target is not None:
+            nf, span = cache[target], upto + spans.get(target, 0)
+        elif (type(cur) is Succ or type(cur) is Zero) and numeral_value(cur) is not None:
+            nf, span = cur, 0
+        else:
+            kids = shown_kids(cur)
+            pending = [[k, chain, None, 0] for k in kids if k not in cache]
+            if pending:
+                stack.extend(pending)
+                continue
+            new_kids = tuple([cache[k] for k in kids])
+            reb = cur if new_kids == kids else rebuild_shown(cur, new_kids)
+            below = max([spans.get(k, 0) for k in kids], default=0)
+            step = rewrite._try_head(reb, theory)
+            if step is None:
+                nf, span = reb, below
+            else:
+                target, cost = step
+                if target not in cache:
+                    if chain + below + cost > fuel:
+                        raise FuelExhausted(fuel)
+                    frame[2:] = target, below + cost
+                    stack.append([target, chain + below + cost, None, 0])
+                    continue
+                nf, span = cache[target], below + cost + spans.get(target, 0)
+        if chain + span > fuel:
+            raise FuelExhausted(fuel)
+        stack.pop()
+        if span:
+            spans[cur] = span
+        cache[cur] = nf
+        if reb is not None:
+            if span > below:
+                spans[reb] = span - below
+            cache[reb] = nf
+    return cache[root], spans.get(root, 0)
+
+
+def _one_normal_outcome(norm, x, theory):
+    try:
+        return norm(x, theory)
+    except (FuelExhausted, SortMismatch) as exc:
+        return type(exc), str(exc)
+
+
+def normal_lookup_property(max_examples):
+    """rewrite._normalize, which looks a rebuilt node's normal form up,
+    gives the (normal form, span), or the exception type and message, that
+    reference_normalize_loop gives, for a run of drawn terms, formulas and
+    numeric expressions normalized one after the other on one theory each,
+    under corpus, merged, schematic and mutated theories at fuels 0..50,
+    and leaves the same normal forms and spans cached after every call."""
+    exp_rules = load_theory(corpus_path("theory_exp.thy")).rules
+    # The second root rebuilds to the first, whose head step is then looked up.
+    shared = [parse_term("f^2(0)"), parse_term("f^(1 + 1)(0)"), parse_formula("P(f^(s(1))(0)) /\\ P(f^(0 + 2)(0))")]
+
+    @settings(max_examples=max_examples, deadline=None)
+    @given(st.lists(st.one_of(terms, formulas, nums), min_size=1, max_size=6), normal_rules(), st.integers(0, 50))
+    @example(shared, exp_rules, 50)
+    @example(shared, exp_rules, 1)
+    def check(xs, rules, fuel):
+        new, old = EquationalTheory(rules, fuel), EquationalTheory(rules, fuel)
+        for x in xs:
+            got = _one_normal_outcome(rewrite._normalize, x, new)
+            assert identical(got, _one_normal_outcome(reference_normalize_loop, x, old)), (x, rules, fuel)
+            assert new._nf_cache == old._nf_cache and new._spans == old._spans, (x, rules, fuel)
+
+    return check
 
 
 def _normal_outcome(norm, x, rules, fuel):

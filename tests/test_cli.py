@@ -1091,7 +1091,30 @@ def test_malformed_replacement_rejects_the_step(capsys, tmp_path):
     code, out, err = run(capsys, "check-silk", str(path))
     assert code == 1 and not err
     assert out.splitlines()[0] == "verdict: rejected"
-    assert out.splitlines()[-1] == "  step 1: [rho_bc] bad replacement 'f((': expected a term at 3:48"
+    assert out.splitlines()[-1] == "  step 1: [rho_bc] expected a term at 3:48"
+
+
+# A bad rewrite witness and its one message.  On line 2 of both files the
+# rule, E, starts at column 10 and the `to=` string at the same column after
+# it, as ' group=1 pair=1' and ' "P(0) |- P(0)"' are equally long.
+BAD_WITNESSES = [
+    ('path=0 to="f^0(0)"', "rewrite step needs a position at 2:37"),
+    ('at=R.3 path=0 to="f^0(0)"', "rewrite index 3 out of range at 2:44"),
+    ('at=R.0 path=5 to="f^0(0)"', "rewrite path (5,) does not address a node at 2:44"),
+    ('at=R.0 path=0.0.1 to="f^0(0)"', "rewrite path (0, 0, 1) does not address a node at 2:48"),
+    ('at=R.0 path=0 to="f(("', "expected a term at 2:48"),
+]
+
+
+@pytest.mark.parametrize("witness, message", BAD_WITNESSES)
+def test_a_bad_rewrite_witness_reads_alike_in_a_block_and_a_script(capsys, tmp_path, witness, message):
+    block = tmp_path / "bad.lkp"
+    block.write_text(f'# a rule block\n         E "P(0) |- P(0)" {witness} {{ ax "P(0) |- P(0)" }}\n')
+    script = tmp_path / "bad.slk"
+    script.write_text(f'ax1r "P(0) |- P(0)"\nrho bc 1 E group=1 pair=1 {witness}\n')
+    assert run(capsys, "check-lk", str(block)) == (2, "", f"parse error: {message}\n")
+    code, out, err = run(capsys, "check-silk", str(script))
+    assert (code, out.splitlines()[-1], err) == (1, f"  step 1: [rho_bc] {message}", "")
 
 
 @pytest.mark.parametrize("command", ["ppsnf", "translate", "interpret", "stats"])

@@ -205,7 +205,7 @@ def test_every_kernel_rule_has_its_witness_keys():
     assert set(parser._RULE_READS) == set(RULES)
 
 
-@pytest.mark.parametrize("name, parse, where", [("lk_pi_shat.lkp", parse_proof, "3:1"), ("schema_exp.sch", parse_schema, "13:9")])
+@pytest.mark.parametrize("name, parse, where", [("lk_pi_shat.lkp", parse_proof, "3:75"), ("schema_exp.sch", parse_schema, "13:48")])
 def test_rewrite_block_without_a_position(name, parse, where):
     text = corpus_path(name).read_text().replace(" at=R.0", "", 1)
     with pytest.raises(ParseError, match=f"^rewrite step needs a position at {where}$"):
@@ -310,6 +310,57 @@ def test_corpus_parses_as_with_the_reference(name):
     if isinstance(new, EquationalTheory):
         new, old = new.rules, old.rules
     assert gen.identical(new, old)
+
+
+@pytest.mark.parametrize("name", SCHEMAS + SCRIPTS + PROOFS)
+def test_corpus_quoted_texts_read_as_when_read_whole(name):
+    assert gen.same_quoted_reads(corpus_path(name).suffix, corpus_path(name).read_text(encoding="utf-8"))
+
+
+# Sequent texts the memo must not split, or must split at the right commas;
+# each is read in a script whose last step reads it again.
+QUOTED_CASES = [
+    "A, B # , C\n |- A",  # a comment hides a comma
+    "P(0) # x, y |- Q\n, Q |- P(0)",  # a comment hides a comma and a turnstile over two lines
+    "P(f(a, b)), Q(x[n]) |- P(f(a, b))",
+    "forall x. A, B |- B",
+    "forall x. P(x, x), exists y. Q(y) |- forall x. P(x, x)",
+    "A |- B |- C",
+    "A, |- B",
+    " |- ",
+    "A |- ",
+    " , |- A",
+    "A,, B |- A",
+    "P(a, |- b)",
+    "P(a |- b), C",
+    "A |-{ B",
+    "A |- B)",
+    "f(a) |- A",
+    "A |- \u00b2",
+    "P(0) |- P(0), \u000b",
+    "P(\n0) |- P(0)",
+]
+
+
+@pytest.mark.parametrize("text", QUOTED_CASES)
+def test_quoted_sequents_read_as_when_read_whole(text):
+    script = f'ax1r "A |- A"\nax2r group=1 "{text}"\nax2r group=1 "{text}"\naxl formula="{text.split(",")[0]}"\n'
+    assert gen.same_quoted_reads(".slk", script)
+
+
+def test_quoted_texts_read_as_when_read_whole():
+    gen.quoted_memo_property(300, SCHEMAS + SCRIPTS + PROOFS)()
+
+
+def test_each_distinct_quoted_text_is_lexed_once(monkeypatch):
+    # A file is lexed once, each distinct quoted text at most once more (a
+    # sequent's formulas one by one), and each `to=` once as it resolves.
+    text = corpus_path("schema_exp.sch").read_text(encoding="utf-8")
+    calls = []
+    lex = parser.tokenize
+    monkeypatch.setattr(parser, "tokenize", lambda *args: calls.append(args[0]) or lex(*args))
+    parse_schema(text)
+    assert len(calls) <= 1 + len(set(re.findall(r'"([^"]*)"', text)))  # 25; reading each text whole lexes 29 times
 
 
 def test_reference_gives_up_for_depth_where_the_loop_does_not():

@@ -89,5 +89,9 @@ def test_normalize_agrees_with_the_rewrite_step_it_replaced():
     gen.reference_normalize_property(2 * CASES)()
 
 
+def test_normalize_looks_up_what_taking_each_head_step_again_gives():
+    gen.normal_lookup_property(2 * CASES)()
+
+
 def test_open_body_and_bind_agree_with_the_reference_substitution():
     gen.binder_property(CASES)()

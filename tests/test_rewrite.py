@@ -9,6 +9,7 @@ import pytest
 import gen
 import silkcheck.rewrite
 from silkcheck import corpus_path, load_theory
+from silkcheck.cli import main
 from silkcheck.parser import parse_formula, parse_term, parse_theory
 from silkcheck.rewrite import (
     EquationalTheory,
@@ -377,3 +378,16 @@ def test_a_numeral_is_normal_on_sight(monkeypatch, exp):
     # is normal as it stands.
     assert normalize(Succ(NumFn("+", (numeral(2), numeral(3)))), EquationalTheory(exp.rules)).value is numeral(6)
     assert normalize(t("f^(3)(0)"), EquationalTheory(exp.rules)).value is t("f(f(f(0)))")
+
+
+@pytest.mark.parametrize("name, top, most", [("schema_shat.sch", 40, 300), ("schema_fhat.sch", 70, 290)])
+def test_a_rebuilt_node_takes_its_head_step_once(monkeypatch, capsys, name, top, most):
+    # A node rebuilt from normal kids that is already cached has its normal
+    # form looked up, not its head step taken again: a stats range tries
+    # 292 and 288 head steps here, where taking each again tried 610 and 359.
+    tried = []
+    try_head = silkcheck.rewrite._try_head
+    monkeypatch.setattr(silkcheck.rewrite, "_try_head", lambda node, theory: tried.append(node) or try_head(node, theory))
+    assert main(["stats", str(corpus_path(name)), "--alpha-range", f"0..{top}"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == top + 2
+    assert len(tried) <= most

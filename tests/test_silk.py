@@ -275,11 +275,11 @@ REJECTIONS = {
     "axiom without sequent": (["ax1r"], "axiom step needs its sequent"),
     "axiom shape": (['ax1r "A |- B"'], "axiom sequent must be of the shape A |- A, got A |- B"),
     "rewrite without to": (_AX + ["rho bc 1 E group=1 pair=1 at=R.0 path=0"], "rewrite step needs its replacement expression"),
-    "rewrite without position": (_AX + ['rho bc 1 E group=1 pair=1 to="f^0(0)"'], "rewrite step needs a position"),
-    "rewrite index": (_AX + ['rho bc 1 E group=1 pair=1 at=R.3 path=0 to="f^0(0)"'], "rewrite index 3 out of range"),
+    "rewrite without position": (_AX + ['rho bc 1 E group=1 pair=1 to="f^0(0)"'], "rewrite step needs a position at 2:30"),
+    "rewrite index": (_AX + ['rho bc 1 E group=1 pair=1 at=R.3 path=0 to="f^0(0)"'], "rewrite index 3 out of range at 2:44"),
     "rewrite path": (
         _AX + ['rho bc 1 E group=1 pair=1 at=R.0 path=5 to="f^0(0)"'],
-        "bad rewrite path (5,): no child 5 at P(0)",
+        "rewrite path (5,) does not address a node at 2:44",
     ),
     "axl over a stepcase": (_FHAT[:5] + ['axl group=1 pair=1 formula="P(0)" ann="s(n)"'], "pair 1 already has a stepcase"),
     "axl over an open basecase": (
@@ -489,4 +489,4 @@ def test_malformed_replacement_rejects_the_step(fhat_script):
     script, _ = parse_script('ax1r "P(0) |- P(0)"\nrho bc 1 E group=1 pair=1 at=R.0 path=0 to="f(("\n')
     _, verdict, report = check_script(SiLKScript(fhat_script.theory, script.steps))
     assert verdict == "rejected"
-    assert [(f.path, f.message) for f in report.failures] == [((1,), "bad replacement 'f((': expected a term at 2:48")]
+    assert [(f.path, f.message) for f in report.failures] == [((1,), "expected a term at 2:48")]
