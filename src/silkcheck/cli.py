@@ -17,9 +17,8 @@ from . import rewrite as rw
 from .kernel import MODE_LKE, check_proof
 from .parser import ParseError, load_file, parse_proof, parse_schema, parse_script
 from .printer import print_proof_tree, print_schema, print_script, report_dict, report_text, stats_table, where
-from .schema import EVALUATION_ERRORS, MatchFailure, UnrollMemo, check_schema, evaluate, evaluate_and_check
+from .schema import EVALUATION_ERRORS, UnrollMemo, check_schema, evaluate, evaluate_and_check
 from .silk import NotAProof, SilkError, check_script
-from .syntax import SortMismatch
 from .translate import interpret, silk_to_schema, to_ppsnf
 
 
@@ -354,7 +353,7 @@ def _run(argv: list) -> int:
     except NotAProof as exc:
         print(f"not a proof: {exc}", file=sys.stderr)
         return 1
-    except (SilkError, SortMismatch, MatchFailure, rw.FuelExhausted, rw.StuckTerm) as exc:
+    except (SilkError, *EVALUATION_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,18 +18,19 @@ kids first again, from the expressions the record keeps until then.  One
 node loop, ``_build``, builds either proof, given the stage's node
 constructor and its forms of the expressions.  A recurring instance is
 the same nodes, so both proofs are DAGs.  An instance keeps only its own
-trace record and how many records its expansion covers, so a trace's
-records are counted, not copied, and listed only when a caller reads
-them.  The memo also holds each component's base and step compiled for
-instantiation.  A memo lives for one ``evaluate`` call unless the caller
-passes one to several calls under one theory, as ``stats`` does across
-its range of numerals, top numeral first, and ``unroll --check`` for the
-unrolling it prints and the one it checks.
+expansion record and how many records its expansion covers, so records
+are counted, not copied, and listed on each read, kept nowhere.  The memo
+also holds each component's base and step compiled for instantiation.  A
+memo lives for one ``evaluate`` call unless the caller passes one to
+several calls under one theory, as ``stats`` does across its range of
+numerals, top numeral first, and ``unroll --check`` for the unrolling it
+prints and the one it checks.
 
-The trace gives both stages, and their inference counts off the records:
-the normal form, with every sequent rewritten and trivial rewrite steps
-collapsed, which is a plain LK proof, and, on first read, the expanded
-proof with its rewrite inferences intact (the unrolled figure).
+``evaluate`` returns the root instance, which gives both stages and their
+inference counts off the records: the normal form, ``proof``, with every
+sequent rewritten and trivial rewrite steps collapsed, which is a plain LK
+proof, and, on first read, ``expanded``, the proof with its rewrite
+inferences intact (the unrolled figure).
 """
 
 from __future__ import annotations
@@ -247,71 +248,11 @@ _WHOLE = RuleData(whole=True)
 _EXPR_KEYS = ("formula", "term", "repl", "param")  # then terms: a witness's expressions in order
 
 
-class UnrollTrace:
-    """Link expansions performed and both proof stages.
-
-    ``evaluate`` builds only the normal form, ``proof``.  The expanded
-    proof is built on the first read of ``expanded``, from the instance
-    ``entry`` of the unrolled link, and kept on that instance, so a caller
-    that reads only the normal form or the ``inferences`` never builds it,
-    and traces that share an instance read the same proof.
-
-    ``expansions`` lists one (component, value, parameter) record per link
-    expansion, replayed ones included, in the order expansion met them.
-    An evaluated trace builds the list on first read, from its instances'
-    own records, and ``expansion_count`` is its length without it, so
-    traces kept across a ``stats`` range hold no list that grows with the
-    numeral.  An explicit ``expansions`` list is kept as given."""
-
-    _fields = ("expansions", "expanded", "proof")
-    __eq__, __repr__ = Record.__eq__, Record.__repr__  # value equality, so unhashable
-
-    def __init__(self, expansions=None, expanded: Proof | None = None, proof: Proof | None = None, entry=None):
-        self._expansions = [] if expansions is None and entry is None else expansions
-        self._expanded = expanded
-        self.proof = proof
-        self._entry = entry
-
-    @property
-    def expansions(self) -> list:
-        if self._expansions is None:
-            # Pre-order over each instance's kids in the order expansion
-            # visited them; a shared instance is walked at every occurrence,
-            # where expansion counted its records again.
-            records, stack = [], [self._entry]
-            while stack:
-                inst = stack.pop()
-                records.append(inst.record)
-                stack.extend(reversed(inst.kids))
-            self._expansions = records
-        return self._expansions
-
-    @property
-    def expansion_count(self) -> int:
-        """``len(expansions)``, off the root instance while the list is unbuilt."""
-        return self._entry.size if self._expansions is None else len(self._expansions)
-
-    @property
-    def expanded(self) -> Proof | None:
-        return self._expanded if self._entry is None else _lazily(self._entry, "figure", _figure)
-
-    def inferences(self) -> tuple:
-        """``count_inferences`` of ``expanded`` and of ``proof``, read off the
-        instance records of an evaluated trace: no expanded node is built."""
-        expanded, spliced = _tally(self._entry)
-        normal = Counter(expanded)
-        if spliced:  # every spliced step is an ``E`` of the expanded proof
-            left = normal.pop(RuleName.ERULE) - spliced
-            if left:
-                normal[RuleName.ERULE] = left
-        return expanded, normal
-
-
 class UnrollMemo:
     """Work that evaluations of one schema, under one theory, share: those
     of a ``stats`` range, or the two of ``unroll --check``.  Each instance
-    is kept once, with its own trace record and record count, however many
-    evaluations reach it.
+    is kept once, with its own expansion record and record count, however
+    many evaluations reach it.
 
     ``links`` maps a link instance's key to its ``_LinkInstance``.  The key
     is (target, value, link terms, displayed antecedent, displayed
@@ -336,32 +277,70 @@ class UnrollMemo:
 
 
 class _LinkInstance:
-    """One link instance, unrolled once per memo.
+    """One link instance, unrolled once per memo; ``evaluate`` returns the
+    root one.
 
     It keeps its ``template``, the template's expressions instantiated,
     ``vals``, the sequent ``ante`` |- ``succ`` that the link displays, the
-    instances of its link leaves, ``kids``, right to left, its own trace
-    record (component, value, parameter expression), ``record``, and
-    ``size``, the number of records its expansion covers, its own and its
-    kids' at every occurrence, None while the expansion is open; a trace
-    lists the records by walking the kids.  ``normal`` is its normal proof;
-    ``figure`` its expanded proof, the unrolled figure, None until first
-    read, when ``vals`` is dropped.  ``bridged`` is 1 when its
-    expansion ends under a whole-sequent rewrite step, ``spliced`` counts
-    the rewrite steps its normal build spliced away, and ``counts``, None
-    until the instance is counted as a trace's root, holds the inference
-    counts of its expanded proof and the rewrite steps spliced in it."""
+    instances of its link leaves, ``kids``, right to left, its own
+    expansion record (component, value, parameter expression), ``record``,
+    and ``expansion_count``, the number of records its expansion covers,
+    its own and its kids' at every occurrence, None while the expansion is
+    open.  ``proof`` is its normal proof; ``figure`` its expanded proof,
+    the unrolled figure, None until ``expanded`` is first read, when
+    ``vals`` is dropped.  ``bridged`` is 1 when its expansion ends under a
+    whole-sequent rewrite step, ``spliced`` counts the rewrite steps its
+    normal build spliced away, and ``counts``, None until ``inferences`` is
+    first read, holds the inference counts of its expanded proof and the
+    rewrite steps spliced in it."""
 
     __slots__ = (
-        "template", "vals", "ante", "succ", "kids", "record", "size", "normal", "figure", "bridged", "spliced", "counts"
+        "template", "vals", "ante", "succ", "kids", "record", "expansion_count", "proof", "figure", "bridged",
+        "spliced", "counts",
     )
 
     def __init__(self, template, vals: list, ante: tuple, succ: tuple, record: tuple):
         self.template, self.vals, self.ante, self.succ, self.kids = template, vals, ante, succ, []
-        self.record, self.size = record, None
-        self.normal = self.figure = self.counts = None
+        self.record, self.expansion_count = record, None
+        self.proof = self.figure = self.counts = None
         _, _, ante_of, succ_of, *_ = template.nodes[-1]
         self.bridged, self.spliced = int(ante_of(vals) != ante or succ_of(vals) != succ), 0
+
+    @property
+    def expansions(self) -> list:
+        """One record per link expansion, replayed ones included, in the
+        order expansion met them: a pre-order walk over the kids in the
+        order expansion visited them, listed on each read and kept nowhere.
+        A shared instance is walked at every occurrence, where expansion
+        counted its records again."""
+        records, stack = [], [self]
+        while stack:
+            inst = stack.pop()
+            records.append(inst.record)
+            stack.extend(reversed(inst.kids))
+        return records
+
+    @property
+    def expanded(self) -> Proof:
+        """The expanded proof, built on first read with every missing one
+        below it, kids first, by ``fold``: a chain of self-links is as deep
+        as the numeral is large.  Each instance keeps its own, so instances
+        that share a kid read the same proof."""
+        if self.figure is None:
+            missing = lambda inst: [kid for kid in inst.kids if kid.figure is None]
+            fold(self, lambda inst, _: _figure(inst), {}, (), missing)
+        return self.figure
+
+    def inferences(self) -> tuple:
+        """``count_inferences`` of ``expanded`` and of ``proof``, read off the
+        instance records: no expanded node is built."""
+        expanded, spliced = _tally(self)
+        normal = Counter(expanded)
+        if spliced:  # every spliced step is an ``E`` of the expanded proof
+            left = normal.pop(RuleName.ERULE) - spliced
+            if left:
+                normal[RuleName.ERULE] = left
+        return expanded, normal
 
 
 class _Template:
@@ -432,8 +411,9 @@ def evaluate(
     alpha: int | NumExpr,
     theory: rw.EquationalTheory,
     memo: UnrollMemo | None = None,
-) -> UnrollTrace:
-    """Unroll the schema at a numeral.
+) -> _LinkInstance:
+    """Unroll the schema at a numeral: the root ``_LinkInstance``, the
+    instance of the lead component's link at the numeral.
 
     Expansion replaces every link leaf by the instantiated base or step of
     its target component, inserting a whole-sequent rewrite bridge whenever
@@ -441,9 +421,9 @@ def evaluate(
     conclusions normalized, and its normal proof built (see ``_expand``):
     every sequent and witness rewritten and trivial rewrite inferences
     removed, the LK proof the evaluation denotes.  The expanded proof is
-    built by the same node loop, ``_build``, when ``trace.expanded`` is
-    first read.  Each instance is built once, so a subproof that recurs is
-    one shared node and both proofs are DAGs (tree walkers still see every
+    built by the same node loop, ``_build``, when ``expanded`` is first
+    read.  Each instance is built once, so a subproof that recurs is one
+    shared node and both proofs are DAGs (tree walkers still see every
     occurrence).
 
     The instance costs fuel as a numeral sum does, its size: a numeral
@@ -455,13 +435,13 @@ def evaluate(
     then reused by the others, in any order, so after the largest numeral
     of a lead that links to itself each smaller one is a memo hit, and a
     second call at the same numeral returns the first call's proofs.
-    Trace records and fuel verdicts are the same either way, and the same
-    as on a fresh theory: the fuel bounds each formula's span, which the
-    theory caches with its normal form.  The trace keeps no record list:
-    its instances hold their own records, which ``trace.expansions`` lists
-    on first read, so the memory a shared memo holds grows with the
-    instances it keeps, not with the numerals evaluated.  A failed call
-    leaves the memo as it was.
+    Expansion records and fuel verdicts are the same either way, and the
+    same as on a fresh theory: the fuel bounds each formula's span, which
+    the theory caches with its normal form.  No record list is kept:
+    instances hold their own records, which ``expansions`` lists on each
+    read, so the memory a shared memo holds grows with the instances it
+    keeps, not with the numerals evaluated.  A failed call leaves the memo
+    as it was.
     """
     value = alpha if isinstance(alpha, int) else numeral_value(alpha)
     if value is None:
@@ -478,8 +458,7 @@ def evaluate(
     lead = schema.components[0]
     pattern = subst(lead.pattern, Substitution({"n": alpha}, {}))
     root = (lead.name, alpha, tuple(FreeVar(v) for v in lead.vars), pattern.ante, pattern.succ)
-    inst = _expand(root, theory, memo)
-    return UnrollTrace(proof=inst.normal, entry=inst)
+    return _expand(root, theory, memo)
 
 
 def _expand(root, theory, memo: UnrollMemo) -> _LinkInstance:
@@ -493,10 +472,10 @@ def _expand(root, theory, memo: UnrollMemo) -> _LinkInstance:
     worklist gives.  The loop keeps its own stack of (instance, link leaves
     not yet visited): a chain of self-links is as deep as the numeral is
     large.  A link instance met again while its own expansion is open
-    would expand without end, so it is a failure.  The loop counts trace
-    records and keeps none: a fresh instance adds its own, a reused one its
-    ``size``, and an instance's ``size`` is what the count grew by while it
-    was open.  Then the conclusion formulas of each new instance are
+    would expand without end, so it is a failure.  The loop counts
+    expansion records and keeps none: a fresh instance adds its own, a
+    reused one its ``expansion_count``, which is what the count grew by
+    while it was open.  Then the conclusion formulas of each new instance are
     normalized, parents before kids: a kid's formulas are mostly subterms
     of its parent's, which the theory's cache then already holds.  Last,
     each new instance's normal proof is built by ``_build`` in the order
@@ -507,9 +486,9 @@ def _expand(root, theory, memo: UnrollMemo) -> _LinkInstance:
     the new instances, so it holds only whole ones."""
     stack: list = []  # (instance, link leaves not yet visited, count when it opened)
     closed: list = []  # the new instances, in the order their expansions closed
-    new: dict = {}  # key -> instance, its size None while its expansion is open
+    new: dict = {}  # key -> instance, its count None while its expansion is open
     links, templates, fuel = memo.links, memo.templates, theory.fuel
-    count = 0  # trace records so far, replayed ones included
+    count = 0  # expansion records so far, replayed ones included
 
     def visit(target, param, terms, ante, succ) -> _LinkInstance:
         # Fuel is the number of link expansions.  A fresh link is checked
@@ -532,9 +511,9 @@ def _expand(root, theory, memo: UnrollMemo) -> _LinkInstance:
         key = (target, value, terms, ante, succ, param)
         hit = links.get(key) or new.get(key)
         if hit is not None:
-            if hit.size is None:
+            if hit.expansion_count is None:
                 raise MatchFailure(f"link to {comp.name} at {value} recurs inside its own expansion")
-            count += hit.size
+            count += hit.expansion_count
             if count > fuel + 1:
                 raise ExpansionsExhausted(fuel)
             return hit
@@ -567,7 +546,7 @@ def _expand(root, theory, memo: UnrollMemo) -> _LinkInstance:
             inst.kids.append(visit(target, param, terms_of(vals), ante_of(vals), succ_of(vals)))
             continue
         stack.pop()
-        inst.size = count - start
+        inst.expansion_count = count - start
         closed.append(inst)
     # A parent closes after its kids, so reversed closing order puts it first.
     forms: dict = {}  # instance -> normal forms of its conclusion formulas
@@ -578,7 +557,7 @@ def _expand(root, theory, memo: UnrollMemo) -> _LinkInstance:
     form = lambda side: tuple([_normal_form(f, theory) for f in side])
     node = partial(_normal_node, theory)
     for inst in closed:
-        inst.normal = _build(inst, forms.pop(inst), form, node, attrgetter("normal"))  # freed once built
+        inst.proof = _build(inst, forms.pop(inst), form, node, attrgetter("proof"))  # freed once built
     links.update(new)
     return result
 
@@ -657,22 +636,11 @@ def _expanded_node(inst, concl, rule, premises, data, fields, opened) -> Proof:
     return Proof(concl, rule, premises, _fill(data, fields, inst.vals.__getitem__) if opened else data)
 
 
-def _lazily(root: _LinkInstance, attr: str, make):
-    """``attr`` of ``root``, set to ``make(instance)`` on every instance
-    below it where it is None, kids first, by ``fold``: a chain of
-    self-links is as deep as the numeral is large."""
-    if getattr(root, attr) is None:
-        missing = lambda inst: [kid for kid in inst.kids if getattr(kid, attr) is None]
-        fold(root, lambda inst, _: setattr(inst, attr, make(inst)), {}, (), missing)
-    return getattr(root, attr)
-
-
-def _figure(inst: _LinkInstance) -> Proof:
-    """The instance's expanded proof, built by ``_build`` on its kids'; the
-    instance then drops ``vals``, which only this build still needed."""
+def _figure(inst: _LinkInstance) -> None:
+    """Set the instance's expanded proof, built by ``_build`` on its kids';
+    the instance then drops ``vals``, which only this build still needed."""
     # ``tuple`` of a tuple is that tuple: the expanded form of a side.
-    figure, inst.vals = _build(inst, inst.vals, tuple, _expanded_node, attrgetter("figure")), None
-    return figure
+    inst.figure, inst.vals = _build(inst, inst.vals, tuple, _expanded_node, attrgetter("figure")), None
 
 
 def _tally(root: _LinkInstance) -> tuple:
@@ -680,8 +648,8 @@ def _tally(root: _LinkInstance) -> tuple:
     steps spliced out of its normal one: each instance's own (its
     template's, and one ``E`` if it is bridged) times the number of times it
     occurs below the root, passed from each instance to its kids once all
-    its parents are done.  An instance counted before, the root of an
-    earlier numeral's trace, counts whole; only the root keeps its counts,
+    its parents are done.  An instance counted before, an earlier
+    numeral's root, counts whole; only the root keeps its counts,
     not every link of a chain of self-links, which is as deep as the numeral
     is large."""
     if root.counts is None:

@@ -359,8 +359,9 @@ def _map_data(data: RuleData, fn) -> RuleData:
     return replace(data, **changed) if changed else data
 
 
-def reference_evaluate(proof_schema, alpha, theory: EquationalTheory) -> schema.UnrollTrace:
-    """``schema.evaluate`` with a fresh memo, in two passes."""
+def reference_evaluate(proof_schema, alpha, theory: EquationalTheory) -> SimpleNamespace:
+    """``schema.evaluate`` with a fresh memo, in two passes: the
+    ``expansions``, ``expanded`` and ``proof`` it gives."""
     if isinstance(alpha, int):
         alpha = numeral(alpha)
     if numeral_value(alpha) is None:
@@ -374,7 +375,7 @@ def reference_evaluate(proof_schema, alpha, theory: EquationalTheory) -> schema.
         RuleData(target=lead.name, param=alpha, terms=tuple(FreeVar(v) for v in lead.vars)),
     )
     expanded = _reference_expand(proof_schema, root, theory, {}, records)
-    return schema.UnrollTrace(records, expanded, _reference_normal_proof(expanded, theory, {}))
+    return SimpleNamespace(expansions=records, expanded=expanded, proof=_reference_normal_proof(expanded, theory, {}))
 
 
 def _reference_expand(proof_schema, root, theory, links: dict, records: list) -> Proof:

@@ -7,7 +7,7 @@ import pytest
 from silkcheck.kernel import CheckReport, Failure, LinkPattern, Proof, RuleData, RuleName
 from silkcheck.parser import SiLKScript, SiLKStep
 from silkcheck.rewrite import EquationalTheory, NormalizationResult, RewriteRule, TheoryIssue, TheoryReport
-from silkcheck.schema import ProofSchema, SchemaComponent, UnrollMemo, UnrollTrace
+from silkcheck.schema import ProofSchema, SchemaComponent, UnrollMemo
 from silkcheck.silk import (
     ClosedBase,
     ClosedStep,
@@ -103,7 +103,6 @@ UNHASHABLE = {
 MUTABLE = {
     "CheckReport": lambda: CheckReport([Failure((), "ax", "m")], {"ax": 1}, {"fuel": 5}),
     "EquationalTheory": lambda: EquationalTheory(THEORY.rules, 50),
-    "UnrollTrace": lambda: UnrollTrace([("phi", 1)], PROOF, PROOF),
     "UnrollMemo": lambda: UnrollMemo({"k": 1}, {}),
 }
 FROZEN = {
@@ -117,7 +116,7 @@ ALL = {**FROZEN, **MUTABLE}
 
 
 def test_the_table_covers_every_record_class():
-    assert len(ALL) == 42
+    assert len(ALL) == 41
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
