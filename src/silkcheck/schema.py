@@ -645,39 +645,24 @@ def _figure(inst: _LinkInstance) -> None:
 
 def _tally(root: _LinkInstance) -> tuple:
     """The inference counts of the root's expanded proof and the rewrite
-    steps spliced out of its normal one: each instance's own (its
-    template's, and one ``E`` if it is bridged) times the number of times it
-    occurs below the root, passed from each instance to its kids once all
-    its parents are done.  An instance counted before, an earlier
-    numeral's root, counts whole; only the root keeps its counts,
-    not every link of a chain of self-links, which is as deep as the numeral
-    is large."""
+    steps spliced out of its normal one, in one walk over the instance
+    occurrences below the root: each adds its template's counts, one ``E``
+    if it is bridged, and its spliced steps.  An instance counted before,
+    an earlier numeral's root, adds its counts whole and is not entered, so
+    the walk meets at most ``expansion_count`` occurrences.  Only the root
+    keeps its counts, not every link of a chain of self-links, which is as
+    deep as the numeral is large."""
     if root.counts is None:
-        parents, stack = {root: 0}, [root]  # instance -> its links from instances below the root
+        weight, bridged, spliced, stack = {}, 0, 0, [root]  # template or counted instance -> occurrences
         while stack:
             inst = stack.pop()
-            for kid in inst.kids if inst.counts is None else ():
-                if kid not in parents:
-                    parents[kid] = 0
-                    stack.append(kid)
-                parents[kid] += 1
-        times = dict.fromkeys(parents, 0)
-        times[root], ready = 1, [root]  # ready: instances whose parents are all done
-        weight, bridged, spliced = {}, 0, 0  # weight: template or counted instance -> occurrences
-        while ready:
-            inst = ready.pop()
-            n = times[inst]
-            if inst.counts is not None:
-                weight[inst] = n
-                spliced += n * inst.counts[1]
-                continue
-            for kid in inst.kids:
-                times[kid] += n
-                parents[kid] -= 1
-                if not parents[kid]:
-                    ready.append(kid)
-            weight[inst.template] = weight.get(inst.template, 0) + n
-            bridged, spliced = bridged + n * inst.bridged, spliced + n * inst.spliced
+            if inst.counts is None:
+                source = inst.template
+                bridged, spliced = bridged + inst.bridged, spliced + inst.spliced
+                stack.extend(inst.kids)
+            else:
+                source, spliced = inst, spliced + inst.counts[1]
+            weight[source] = weight.get(source, 0) + 1
         expanded = {RuleName.ERULE: bridged}
         for source, n in weight.items():
             own = source.counts if type(source) is _Template else source.counts[0]
@@ -705,9 +690,7 @@ def evaluate_and_check(
         report.failures.append(Failure((), "evaluate", str(exc)))
         return report
     report = check_proof(trace.proof, MODE_LK, theory)
-    lead = schema.components[0]
-    a = numeral(alpha) if isinstance(alpha, int) else alpha
-    expected = rw.normalize(subst(lead.pattern, Substitution({"n": a}, {})), theory).value
+    expected = rw.normalize(Sequent(trace.ante, trace.succ), theory).value
     if not trace.proof.conclusion == expected:
         report.failures.append(
             Failure((), "end-sequent", f"evaluation ends at {trace.proof.conclusion}, expected {expected}")

@@ -1,6 +1,7 @@
 """Schema well-formedness and unrolling, pinned to the worked example."""
 
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -464,25 +465,74 @@ def test_counts_from_earlier_numerals_agree_with_the_plain_walk(name):
         assert counts == (count_inferences(trace.expanded), count_inferences(trace.proof))
 
 
+# A step whose two links are one instance: p@k occurs 2^(a-k) times in the
+# proofs at a.
+DOUBLED_LINK = (
+    'component p pattern "Q(n) |- Q(n)" vars () step-param "s(n)" {\n'
+    '  base { ax "Q(0) |- Q(0)" }\n'
+    '  step { cut "Q(s(n)) |- Q(s(n))" a=0 b=0 {\n'
+    '    link "Q(n) |- Q(n)" target=p param="n"\n'
+    '    link "Q(n) |- Q(n)" target=p param="n"\n'
+    "  } }\n"
+    "}\n"
+)
+
+
 def test_counts_weigh_a_shared_instance_by_its_occurrences():
-    # Both links of the step are one instance, so p@k occurs 2^(a-k) times
-    # in the proofs at a: a count per instance would be far too low.  Every
-    # numeral's root is counted, on one memo, so each count but the first
-    # takes the earlier root whole; the rules' counts carry no zero entry.
-    schema, _ = parse_schema(
-        'component p pattern "Q(n) |- Q(n)" vars () step-param "s(n)" {\n'
-        '  base { ax "Q(0) |- Q(0)" }\n'
-        '  step { cut "Q(s(n)) |- Q(s(n))" a=0 b=0 {\n'
-        '    link "Q(n) |- Q(n)" target=p param="n"\n'
-        '    link "Q(n) |- Q(n)" target=p param="n"\n'
-        "  } }\n"
-        "}\n"
-    )
+    # A count per instance would be far too low.  Every numeral's root is
+    # counted, on one memo, so each count but the first takes the earlier
+    # root whole; the rules' counts carry no zero entry.
+    schema, _ = parse_schema(DOUBLED_LINK)
     memo = UnrollMemo()
     for alpha in range(11):
         trace = evaluate(schema, alpha, EquationalTheory(()), memo)
         expanded, normal = trace.inferences()
         assert dict(expanded) == dict(normal) == dict(count_inferences(trace.proof)) == ({"cut": 2**alpha - 1} if alpha else {})
+
+
+COUNTING_ORDERS = {
+    "descending": lambda top: range(top, -1, -1),
+    "shuffled": lambda top: random.Random(1).sample(range(top + 1), top + 1),
+}
+
+
+@pytest.mark.parametrize("order", COUNTING_ORDERS)
+@pytest.mark.parametrize("name", [*COUNTED_RANGES, "doubled link"])
+def test_counts_do_not_depend_on_the_roots_counted_before(name, order):
+    # A root counted before stops each later root's walk where it occurs.
+    # Counted top first, no root stops it: the doubled link's walk at 10
+    # meets all 2^11 - 1 occurrences.
+    if name == "doubled link":
+        (schema, _), theory, top = parse_schema(DOUBLED_LINK), EquationalTheory(()), 10
+    else:
+        (schema, theory), top = load_schema(corpus_path(name)), COUNTED_RANGES[name]
+    memo, rows = UnrollMemo(), []
+    for alpha in COUNTING_ORDERS[order](top):
+        trace = evaluate(schema, alpha, theory, memo)
+        rows.append((trace, trace.inferences()))
+    for trace, counts in rows:
+        assert counts == (count_inferences(trace.expanded), count_inferences(trace.proof))
+
+
+class _Unwalkable:
+    """Link leaves that fail the test when anything lists them."""
+
+    def __iter__(self):
+        pytest.fail("the count entered a root counted before")
+
+
+def test_counting_does_not_enter_a_root_counted_before():
+    # What keeps a stats range linear: each root's walk stops at the root of
+    # the numeral below it, whose counts it takes whole.
+    schema, theory = load_schema(corpus_path("schema_fhat.sch"))
+    memo = UnrollMemo()
+    below = evaluate(schema, 29, theory, memo)
+    below.inferences()
+    below.kids = _Unwalkable()
+    trace = evaluate(schema, 30, theory, memo)
+    assert below in trace.kids
+    fresh = evaluate(schema, 30, theory)
+    assert trace.inferences() == (count_inferences(fresh.expanded), count_inferences(fresh.proof))
 
 
 @pytest.mark.parametrize("name", gen.SCHEMA_FILES)
