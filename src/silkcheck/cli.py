@@ -184,7 +184,10 @@ def _natural(text: str) -> int:
 def _alpha_range(spec: str) -> range:
     """A..B: both ends instances, with A <= B."""
     lo, _, hi = spec.partition("..")
-    lo, hi = _natural(lo), _natural(hi)
+    try:
+        lo, hi = _natural(lo), _natural(hi)
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"{spec!r} is not a range A..B of non-negative integers") from None
     if hi < lo:
         raise argparse.ArgumentTypeError(f"{spec!r} is an empty range: {hi} is below {lo}")
     return range(lo, hi + 1)

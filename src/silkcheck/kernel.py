@@ -13,7 +13,6 @@ Modes: plain LK; LKE adds the rewrite inference; LKS also admits link leaves.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping
 
 from . import rewrite as rw
 from .syntax import (
@@ -135,9 +134,6 @@ class Proof(Record, eq=False):
 class LinkPattern(Record):
     pattern: Sequent
     vars: tuple = ()
-
-
-LinkEnv = Mapping[str, LinkPattern]
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +327,7 @@ class CheckReport:
 
 
 def check_proof(
-    proof: Proof, mode: str = MODE_LKE, theory: rw.EquationalTheory = rw.EMPTY_THEORY, env: LinkEnv | None = None,
+    proof: Proof, mode: str = MODE_LKE, theory: rw.EquationalTheory = rw.EMPTY_THEORY, env: dict | None = None,
     allowed_link_params: frozenset = frozenset(), lenient_erule: bool = False,
 ) -> CheckReport:
     """Verify every node of a proof tree against the rule table.

@@ -916,7 +916,7 @@ def load_file(path: str | Path, parse, theory: str | Path | None = None, fuel: i
         theory = path.parent / directive
     theory = load_theory(theory, fuel) if theory else rw.EquationalTheory((), fuel)
     issues = check_arities(*_workspace_roots(value, theory))
-    issues += [f"theory rule {issue.rule_index + 1}: {issue.message}" for issue in rw.validate_theory(theory).issues]
+    issues += [f"theory rule {issue.rule_index + 1}: {issue.message}" for issue in rw.validate_theory(theory)]
     if issues:
         raise ParseError("; ".join(issues))
     if isinstance(value, SiLKScript):

@@ -91,9 +91,6 @@ class EquationalTheory:
             if key is not None:
                 self._index.setdefault(key, []).append(rule)
 
-    def defined_heads(self) -> frozenset:
-        return frozenset(self._index)
-
 
 EMPTY_THEORY = EquationalTheory()
 
@@ -107,14 +104,6 @@ class TheoryIssue(Record):
     message: str
 
 
-class TheoryReport(Record):
-    issues: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-
 def _rule_vars(node: Node) -> frozenset:
     """The parameters, ("p", name), and individual variables, ("v", name),
     free in node; a bound one is named $h."""
@@ -122,14 +111,13 @@ def _rule_vars(node: Node) -> frozenset:
     return frozenset((kinds[type(n)], n.name) for n in walk(node) if type(n) in kinds and n.name[0] != "$")
 
 
-def validate_theory(theory: EquationalTheory) -> TheoryReport:
-    """Report rules violating the head/argument shape constraints.
+def validate_theory(theory: EquationalTheory) -> tuple:
+    """The TheoryIssues of rules violating the head/argument shape constraints.
 
     Convergence is assumed, not verified; non-termination surfaces as fuel
     exhaustion at normalization time.
     """
     issues = []
-    heads = theory.defined_heads()
     seen_lhs: set = set()  # nodes are hash-consed: equal left sides are one node
     for i, rule in enumerate(theory.rules):
         key = head_key(rule.lhs)
@@ -144,7 +132,7 @@ def validate_theory(theory: EquationalTheory) -> TheoryReport:
                 # Numeric superscript expressions are tolerated in patterns;
                 # only defined individual symbols and predicates are barred.
                 sub_key = head_key(sub)
-                if sub_key is not None and sub_key[0] != "n" and sub_key in heads:
+                if sub_key is not None and sub_key[0] != "n" and sub_key in theory._index:
                     issues.append(TheoryIssue(i, f"defined symbol {sub} occurs inside the argument {arg}"))
         bound = _rule_vars(rule.lhs)
         extra = _rule_vars(rule.rhs) - bound
@@ -159,7 +147,7 @@ def validate_theory(theory: EquationalTheory) -> TheoryReport:
         if rule.lhs in seen_lhs:
             issues.append(TheoryIssue(i, f"duplicate left side {rule.lhs}"))
         seen_lhs.add(rule.lhs)
-    return TheoryReport(tuple(issues))
+    return tuple(issues)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,10 @@ Nothing is generated at import time: dataclasses would compile code for each
 class with exec, most of the start-up of a one-file CLI run.  Nodes, sequents
 and kernel proofs are slotted, with no __dict__: a node class's slots are its
 fields (_HashConsed), and Node's hold the caches, set on first use, of
-canon_alpha (_ca), numeral_value (_nv), shown_kids (_sh) and _schedule (_sd),
-as Sequent's _h holds its hash.  Other records keep a dict.  The rules of
-kernel.RuleName are plain strings, not an Enum: on 3.10 and 3.11 every read
-and hash of an Enum member runs Python code, which the kernel pays per
-inference.
+canon_alpha (_ca), numeral_value (_nv), shown_kids (_sh) and _schedule (_sd).
+Other records keep a dict.  The rules of kernel.RuleName are plain strings,
+not an Enum: on 3.10 and 3.11 every read and hash of an Enum member runs
+Python code, which the kernel pays per inference.
 
 No traversal recurses per node.  fold is the one post-order pass:
 canon_alpha, free names and substitution schedules run on it.
@@ -571,7 +570,7 @@ def _pieces(node: Node) -> list:
 
 
 class Sequent(Record):
-    __slots__ = ("ante", "succ", "_h")
+    __slots__ = ("ante", "succ")
     ante: tuple
     succ: tuple
 
@@ -595,23 +594,11 @@ class Sequent(Record):
         return sequent_eq(self, other) if isinstance(other, Sequent) else NotImplemented
 
     def __hash__(self):
-        h = getattr(self, "_h", None)
-        if h is None:
-            h = hash((_side_key(self.ante), _side_key(self.succ)))
-            _setattr(self, "_h", h)
-        return h
+        return hash((frozenset(map(canon_alpha, self.ante)), frozenset(map(canon_alpha, self.succ))))
 
 
 # ---------------------------------------------------------------------------
 # Alpha renaming and equality
-
-
-def _side_key(side: tuple) -> frozenset:
-    counts: dict[int, int] = {}
-    for f in side:
-        h = hash(canon_alpha(f))
-        counts[h] = counts.get(h, 0) + 1
-    return frozenset(counts.items())
 
 
 def canon_alpha(f: Formula) -> Formula:

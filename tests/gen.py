@@ -562,7 +562,7 @@ def mutated_theory_property(max_examples):
             rules = parser.parse_theory(text).rules
         except ParseError:
             assume(False)
-        assume(validate_theory(EquationalTheory(rules)).ok)
+        assume(not validate_theory(EquationalTheory(rules)))
         for fuel in (DEFAULT_FUEL, 40):
             for alpha in range(5):
                 new = unrolling(schema.evaluate, schemata[name], alpha, EquationalTheory(rules, fuel))
@@ -678,6 +678,7 @@ def sequent_eq_property(max_examples):
         rng.shuffle(succ)
         shuffled = Sequent(tuple(ante), tuple(succ))
         assert sequent_eq(seq, shuffled) and sequent_eq(shuffled, seq)
+        assert hash(seq) == hash(shuffled)
         extended = Sequent(seq.ante + (Atom("Q", ()),), seq.succ)
         assert not sequent_eq(seq, extended)
 

@@ -313,6 +313,13 @@ def test_negative_or_malformed_alpha_exits_two(capsys, argv):
     assert "non-negative integer" in err
 
 
+@pytest.mark.parametrize("spec", ["3", "3..", "..5", "3...5", "0..-1", "x..1", "1..2..3", ""])
+def test_malformed_alpha_range_names_the_whole_spec(capsys, spec):
+    code, out, err = run(capsys, "stats", p("schema_shat.sch"), "--alpha-range", spec)
+    assert code == 2 and not out
+    assert err.splitlines()[-1].endswith(f"--alpha-range: {spec!r} is not a range A..B of non-negative integers")
+
+
 @pytest.mark.parametrize("spec", ["5..2", "1..0"])
 def test_reversed_alpha_range_exits_two(capsys, spec):
     code, out, err = run(capsys, "stats", p("schema_shat.sch"), "--alpha-range", spec)
@@ -1320,3 +1327,13 @@ def test_ppsnf_keeps_a_steps_whole(capsys, tmp_path):
     printed.write_text(out)
     assert run(capsys, "check-silk", str(printed)) == run(capsys, "check-silk", str(source))
     assert "whole-sequent rewrite steps have no forward application" in run(capsys, "check-silk", str(source))[1]
+
+
+def test_the_readme_library_example_prints_what_interpret_prints(capsys, tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "README.md").read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    example = text.split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", example], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert run(capsys, "interpret", p("silk_exp.slk")) == (0, done.stdout, "")

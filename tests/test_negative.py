@@ -219,8 +219,8 @@ def theory_with_defined_symbol_in_pattern():
         RewriteRule(Fn("fd", (Fn("gd", (x,)),)), x),
         RewriteRule(Fn("gd", (x,)), x),
     ))
-    report = validate_theory(theory)
-    return report.issues, any(i.rule_index == 0 for i in report.issues)
+    issues = validate_theory(theory)
+    return issues, any(i.rule_index == 0 for i in issues)
 
 
 MUTATIONS = [

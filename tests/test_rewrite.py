@@ -128,12 +128,12 @@ def assert_agrees_with_oracle(expr, theory):
 
 
 def test_iterated_junction_theory_is_valid(bigjunct):
-    assert validate_theory(bigjunct).ok
+    assert not validate_theory(bigjunct)
 
 
 def test_all_corpus_theories_valid():
     for name in ("theory_shat.thy", "theory_fhat.thy", "theory_exp.thy", "theory_wedge.thy"):
-        assert validate_theory(load_theory(corpus_path(name))).ok, name
+        assert not validate_theory(load_theory(corpus_path(name))), name
 
 
 def test_defined_symbol_inside_pattern_rejected():
@@ -142,9 +142,7 @@ def test_defined_symbol_inside_pattern_rejected():
         RewriteRule(Fn("fd", (Fn("gd", (x,)),)), x),
         RewriteRule(Fn("gd", (x,)), x),
     ))
-    report = validate_theory(theory)
-    assert not report.ok
-    assert any("gd" in i.message for i in report.issues)
+    assert any("gd" in i.message for i in validate_theory(theory))
 
 
 def test_defined_symbols_inside_one_argument_reported_left_to_right():
@@ -154,7 +152,7 @@ def test_defined_symbols_inside_one_argument_reported_left_to_right():
         RewriteRule(Fn("gd", (x,)), x),
         RewriteRule(Fn("hd", (x,)), x),
     ))
-    assert [(i.rule_index, i.message) for i in validate_theory(theory).issues] == [
+    assert [(i.rule_index, i.message) for i in validate_theory(theory)] == [
         (0, "defined symbol gd(x) occurs inside the argument pair(gd(x), hd(x))"),
         (0, "defined symbol hd(x) occurs inside the argument pair(gd(x), hd(x))"),
     ]
@@ -162,25 +160,25 @@ def test_defined_symbols_inside_one_argument_reported_left_to_right():
 
 def test_unbound_rhs_variable_rejected():
     theory = EquationalTheory((RewriteRule(Fn("fd", (FreeVar("x"),)), Fn("g", (FreeVar("y"),))),))
-    report = validate_theory(theory)
-    assert not report.ok and "y" in report.issues[0].message
+    issues = validate_theory(theory)
+    assert issues and "y" in issues[0].message
 
 
 def test_left_side_variable_used_as_a_schematic_one_rejected():
     x = FreeVar("x")
     clash = RewriteRule(Fn("g", (x,)), Fn("h", (SVar("x", numeral(0)),)))
-    report = validate_theory(EquationalTheory((clash,)))
-    assert [(i.rule_index, i.message) for i in report.issues] == [
+    issues = validate_theory(EquationalTheory((clash,)))
+    assert [(i.rule_index, i.message) for i in issues] == [
         (0, "right side uses left-side variables as schematic variables: x")
     ]
     # A schematic variable of another name is a constant of the rule.
     other = RewriteRule(Fn("g", (x,)), Fn("h", (SVar("y", numeral(0)), x)))
-    assert validate_theory(EquationalTheory((other,))).ok
+    assert not validate_theory(EquationalTheory((other,)))
 
 
 @pytest.mark.parametrize("text", ["pred W(y) == forall z. R(z, y);", "pred V^0 == forall m:omega. Q^(m);"])
 def test_right_side_may_bind_its_own_variables(text):
-    assert validate_theory(parse_theory(text)).ok
+    assert not validate_theory(parse_theory(text))
 
 
 def test_instantiating_a_binding_right_side_renames_its_binder():
@@ -195,18 +193,17 @@ def test_instantiating_a_binding_right_side_renames_its_binder():
 
 def test_duplicate_lhs_rejected():
     r = RewriteRule(Fn("fd", (FreeVar("x"),)), FreeVar("x"))
-    report = validate_theory(EquationalTheory((r, r)))
-    assert any("duplicate" in i.message for i in report.issues)
+    assert any("duplicate" in i.message for i in validate_theory(EquationalTheory((r, r))))
 
 
 def test_numeric_plus_is_reserved():
     theory = EquationalTheory((RewriteRule(NumFn("+", (Param("a"), Param("b"))), Param("a")),))
-    assert any("built in" in i.message for i in validate_theory(theory).issues)
+    assert any("built in" in i.message for i in validate_theory(theory))
 
 
 def test_bare_variable_lhs_rejected():
     theory = EquationalTheory((RewriteRule(FreeVar("x"), FreeVar("x")),))
-    assert not validate_theory(theory).ok
+    assert validate_theory(theory)
 
 
 # --- normalization against the oracle
@@ -346,7 +343,7 @@ def test_equivalent_transitive_on_normalizing_inputs(shat):
 
 
 def test_linear_iteration_theory_has_two_rules(fhat):
-    assert len(fhat.rules) == 2 and validate_theory(fhat).ok
+    assert len(fhat.rules) == 2 and not validate_theory(fhat)
 
 
 @pytest.mark.parametrize("depth", [600, 10_000])
