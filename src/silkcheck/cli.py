@@ -25,10 +25,9 @@ from .translate import interpret, silk_to_schema, to_ppsnf
 def _default_fuel() -> int:
     """SILK_FUEL when it is a non-negative integer, else DEFAULT_FUEL."""
     try:
-        fuel = int(os.environ.get("SILK_FUEL", rw.DEFAULT_FUEL))
-    except ValueError:
+        return _natural(os.environ.get("SILK_FUEL", ""))
+    except argparse.ArgumentTypeError:
         return rw.DEFAULT_FUEL
-    return fuel if fuel >= 0 else rw.DEFAULT_FUEL
 
 
 def _emit_json(payload: dict):
@@ -171,14 +170,11 @@ def _cmd_interpret(args) -> int:
 
 
 def _natural(text: str) -> int:
-    """An instance or a fuel: a non-negative decimal integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
+    """An instance or a fuel: a non-negative decimal integer, written in
+    ASCII digits alone (no sign, blank, underscore or other script)."""
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
-    return value
+    return int(text)
 
 
 def _alpha_range(spec: str) -> range:

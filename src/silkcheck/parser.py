@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from . import rewrite as rw
 from .kernel import RULES, Proof, RuleData, RuleName
-from .schema import ProofSchema, SchemaComponent
+from .schema import ProofSchema, SchemaComponent, replace
 from .syntax import (
     CONNECTIVES,
     Atom,
@@ -59,7 +59,6 @@ from .syntax import (
     bind,
     node_at,
     numeral,
-    replace,
     walk,
 )
 

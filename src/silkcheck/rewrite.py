@@ -297,13 +297,19 @@ def _normalize(root: Node, theory: EquationalTheory) -> tuple:
             nf, span = cur, 0  # a numeral is normal: no rule has s or 0 as its head
         else:
             kids = shown_kids(cur)
-            pending = [[k, chain, None, 0] for k in kids if k not in cache]
-            if pending:
-                stack.extend(pending)
+            for kid in kids:  # a frame whose kids are all cached allocates no pending list
+                if kid not in cache:
+                    stack.extend([[k, chain, None, 0] for k in kids if k not in cache])
+                    break
+            if stack[-1] is not frame:
                 continue
-            new_kids = tuple([cache[k] for k in kids])
-            reb = cur if new_kids == kids else rebuild_shown(cur, new_kids)  # nodes compare by identity
-            below = max([spans.get(k, 0) for k in kids], default=0)
+            if len(kids) == 1:  # a tower's frame reads its one kid, the loop's ``kid``, directly
+                nk = cache[kid]
+                reb, below = cur if nk is kid else rebuild_shown(cur, (nk,)), spans.get(kid, 0)
+            else:
+                new_kids = tuple([cache[k] for k in kids])
+                reb = cur if new_kids == kids else rebuild_shown(cur, new_kids)  # nodes compare by identity
+                below = max([spans.get(k, 0) for k in kids], default=0)
             # A cached reb took its head step, which added spans[reb]: the same form, span and verdict.
             step = None if reb in cache else _try_head(reb, theory)
             if step is None:

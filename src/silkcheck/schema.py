@@ -63,15 +63,30 @@ from .syntax import (
     SortMismatch,
     Substitution,
     Succ,
+    Term,
+    _schedule,
+    fill,
     fold,
     free_names,
     numeral,
     numeral_value,
-    replace,
     split_succs,
     subst,
     walk,
 )
+
+
+def replace(record, **changes):
+    """A copy of record with the named fields changed."""
+    cls = type(record)
+    if changes.keys() - cls._fields:
+        raise TypeError(f"{cls.__name__} has no field {sorted(changes.keys() - cls._fields)}")
+    if type(cls) is not type or cls.__init__ is not Record.__init__:  # a node, or its own constructor
+        return cls(*[changes[name] if name in changes else getattr(record, name) for name in cls._fields])
+    copy = object.__new__(cls)
+    for name in cls._fields:
+        object.__setattr__(copy, name, changes[name] if name in changes else getattr(record, name))
+    return copy
 
 
 class MatchFailure(Exception):
@@ -245,7 +260,10 @@ def _is_subterm_of_param(small, big) -> bool:
 
 
 _WHOLE = RuleData(whole=True)
-_EXPR_KEYS = ("formula", "term", "repl", "param")  # then terms: a witness's expressions in order
+_N = Param("n")  # a step's parameter
+# The expression fields of a witness other than a link's, in field order,
+# with their positions; a link leaf is replaced, so its witness is not rebuilt.
+_EXPR_KEYS = {key: RuleData._fields.index(key) for key in ("formula", "term", "repl")}
 
 
 class UnrollMemo:
@@ -303,7 +321,7 @@ class _LinkInstance:
         self.template, self.vals, self.ante, self.succ, self.kids = template, vals, ante, succ, []
         self.record, self.expansion_count = record, None
         self.proof = self.figure = self.counts = None
-        _, _, ante_of, succ_of, *_ = template.nodes[-1]
+        ante_of, succ_of = template.nodes[-1][2:4]
         self.bridged, self.spliced = int(ante_of(vals) != ante or succ_of(vals) != succ), 0
 
     @property
@@ -348,18 +366,23 @@ class _Template:
 
     ``exprs`` holds its distinct expressions, each node's conclusion
     formulas (antecedent first) and then its witness expressions, in
-    pre-order of first occurrence; ``opens`` the indices of those a link's
-    substitution can change; ``concl`` the indices of the conclusion
-    formulas of the nodes other than link leaves, in the order a walk of
-    ``nodes`` first meets them.  ``nodes`` lists the nodes in reversed
-    pre-order as (rule, arity, antecedent picker, succedent picker,
-    witness, witness fields, whether a field is open); a picker takes a
-    sequent side from a list indexed like ``exprs``, and a witness field is
-    (key, index), or ("terms", indices).  ``links`` lists the link leaves
-    in pre-order as (target, parameter index, terms picker, antecedent
-    picker, succedent picker); ``counts`` its inference counts."""
+    pre-order of first occurrence.  ``plan`` is what instantiation
+    replays: for each expression an instance can change, one that mentions
+    the parameter n (of a step) or a variable of the component, its index,
+    the expression, and its ``syntax._schedule`` under that fixed domain,
+    all computed here, once.  ``concl`` holds the indices of the
+    conclusion formulas of the nodes other than link leaves, in the order
+    a walk of ``nodes`` first meets them.  ``nodes`` lists the nodes in
+    reversed pre-order as (rule, arity, antecedent picker, succedent
+    picker, witness, witness fields, whether a field is open); a picker
+    takes a sequent side from a list indexed like ``exprs``, and the
+    witness fields are () for a witness without expressions, else its
+    field values in field order and its expression fields as (position,
+    index).  ``links`` lists the link leaves in pre-order as (target,
+    parameter index, terms picker, antecedent picker, succedent picker);
+    ``counts`` its inference counts."""
 
-    __slots__ = ("exprs", "opens", "concl", "nodes", "links", "counts")
+    __slots__ = ("exprs", "plan", "concl", "nodes", "links", "counts")
 
     def __init__(self, proof: Proof, names: frozenset, params: frozenset):
         exprs, opens, index, pre, concl, links = [], [], {}, [], [], []
@@ -380,19 +403,20 @@ class _Template:
             ante = tuple([at(f) for f in node.conclusion.ante])
             succ = tuple([at(f) for f in node.conclusion.succ])
             data = node.data
-            witness = [(key, getattr(data, key)) for key in _EXPR_KEYS if getattr(data, key) is not None]
-            fields = [(key, at(e)) for key, e in witness]
-            if data.terms:
-                fields.append(("terms", tuple([at(t) for t in data.terms])))
-            opened = any(changes(e) for _, e in witness) or any(map(changes, data.terms))
-            pre.append((node.rule, len(node.premises), _picker(ante), _picker(succ), data, tuple(fields), opened))
+            witness = [(i, getattr(data, key)) for key, i in _EXPR_KEYS.items() if getattr(data, key) is not None]
+            slots = tuple([(position, at(e)) for position, e in witness])
+            fields = (tuple([getattr(data, key) for key in RuleData._fields]), slots) if slots else ()
+            opened = any(changes(e) for _, e in witness)
+            pre.append((node.rule, len(node.premises), _picker(ante), _picker(succ), data, fields, opened))
             if node.rule == RuleName.LINK:  # a link leaf's conclusion is its expansion's
-                param = None if data.param is None else index[data.param]
-                terms = tuple([index[t] for t in data.terms])
+                param = None if data.param is None else at(data.param)
+                terms = tuple([at(t) for t in data.terms])
                 links.append((data.target, param, _picker(terms), _picker(ante), _picker(succ)))
             else:
                 concl.append(ante + succ)
-        self.exprs, self.opens, self.links = tuple(exprs), tuple(opens), tuple(links)
+        domain = (params, names)
+        self.exprs, self.links = tuple(exprs), tuple(links)
+        self.plan = tuple([(i, exprs[i], _schedule(exprs[i], domain)) for i in opens])
         self.concl = tuple(dict.fromkeys(i for indices in reversed(concl) for i in indices))
         self.nodes = tuple(reversed(pre))
         self.counts = count_inferences(proof)
@@ -491,10 +515,15 @@ def _expand(root, theory, memo: UnrollMemo) -> _LinkInstance:
     count = 0  # expansion records so far, replayed ones included
 
     def visit(target, param, terms, ante, succ) -> _LinkInstance:
-        # Fuel is the number of link expansions.  A fresh link is checked
-        # before it expands; a reused one after its records are counted,
-        # which is when a per-expansion check inside the reused subtree
-        # would first have fired.
+        """The instance of one link, from the memos or new: a new one is
+        its target's base or step template instantiated by ``_instance``,
+        over a memo seeded with n, for a step, and the component's
+        variables, which its plan fills; it builds no ``Substitution``.
+
+        Fuel is the number of link expansions.  A fresh link is checked
+        before it expands; a reused one after its records are counted,
+        which is when a per-expansion check inside the reused subtree
+        would first have fired."""
         nonlocal count
         if count > fuel:
             raise ExpansionsExhausted(fuel)
@@ -517,9 +546,8 @@ def _expand(root, theory, memo: UnrollMemo) -> _LinkInstance:
             if count > fuel + 1:
                 raise ExpansionsExhausted(fuel)
             return hit
-        var_map = dict(zip(comp.vars, terms))
         if value == 0 or comp.step is None:
-            sub = Substitution({}, var_map)
+            seeded = _seed(comp.vars, terms, {})
             if known[1] is None:
                 known[1] = _Template(comp.base, frozenset(comp.vars), frozenset())
             template = known[1]
@@ -529,8 +557,8 @@ def _expand(root, theory, memo: UnrollMemo) -> _LinkInstance:
             offset, template = known[2]
             if value < offset:
                 raise MatchFailure(f"link to {comp.name} at {value} cannot match step parameter {comp.step_param}")
-            sub = Substitution({"n": numeral(value - offset)}, var_map)
-        vals = _instance(template, sub)
+            seeded = _seed(comp.vars, terms, {_N: numeral(value - offset)})
+        vals = _instance(template, seeded)
         inst = new[key] = _LinkInstance(template, vals, ante, succ, (comp.name, value, param))
         stack.append((inst, list(template.links), count))
         count += 1
@@ -550,10 +578,12 @@ def _expand(root, theory, memo: UnrollMemo) -> _LinkInstance:
         closed.append(inst)
     # A parent closes after its kids, so reversed closing order puts it first.
     forms: dict = {}  # instance -> normal forms of its conclusion formulas
+    cached = theory._nf_cache.get
     for inst in reversed(closed):
-        nfs = forms[inst] = [None] * len(inst.vals)
+        vals = inst.vals
+        nfs = forms[inst] = [None] * len(vals)
         for i in inst.template.concl:
-            nfs[i] = _normal_form(inst.vals[i], theory)
+            nfs[i] = cached(vals[i]) or _normal_form(vals[i], theory)
     form = lambda side: tuple([_normal_form(f, theory) for f in side])
     node = partial(_normal_node, theory)
     for inst in closed:
@@ -562,21 +592,36 @@ def _expand(root, theory, memo: UnrollMemo) -> _LinkInstance:
     return result
 
 
-def _instance(template: _Template, sub: Substitution) -> list:
-    """The template's expressions under ``sub``; only the open ones are
-    substituted, in the order the template lists them."""
+def _seed(names: tuple, terms: tuple, memo: dict) -> dict:
+    """``memo`` with each variable of ``names`` mapped to its term, as
+    ``Substitution`` seeds its memo: a later name of the same spelling wins,
+    and a value that is not a term is a ``SortMismatch``."""
+    for name, term in dict(zip(names, terms)).items():
+        if not isinstance(term, (Term, NumExpr)):
+            raise SortMismatch(f"variable {name} must map to a term, got {term!r}")
+        memo[FreeVar(name)] = term
+    return memo
+
+
+def _instance(template: _Template, memo: dict) -> list:
+    """The template's expressions under ``memo``, a seeded substitution
+    memo: its plan replayed, each open expression filled over the schedule
+    the template compiled, in the order the template lists them."""
     vals = list(template.exprs)
-    for i in template.opens:
-        vals[i] = subst(vals[i], sub)
+    for i, expr, schedule in template.plan:
+        vals[i] = fill(expr, schedule, memo)
     return vals
 
 
-def _fill(data: RuleData, fields: tuple, value) -> RuleData:
-    """The witness with each expression field ``(key, index)`` set to
-    ``value(index)``, in field order."""
-    return replace(
-        data, **{key: tuple([value(j) for j in i]) if key == "terms" else value(i) for key, i in fields}
-    )
+def _fill(fields: tuple, value) -> RuleData:
+    """The witness a template node's ``fields`` describe, with each
+    expression field (position, index) set to ``value(index)``, in field
+    order."""
+    args, slots = fields
+    args = list(args)
+    for position, i in slots:
+        args[position] = value(i)
+    return RuleData(*args)
 
 
 def _normal_form(x, theory: rw.EquationalTheory):
@@ -628,12 +673,12 @@ def _normal_node(theory, inst, concl, rule, premises, data, fields, opened) -> P
             return child
         return Proof(concl, child.rule, child.premises, child.data)
     vals = inst.vals
-    return Proof(concl, rule, premises, _fill(data, fields, lambda i: _normal_form(vals[i], theory)) if fields else data)
+    return Proof(concl, rule, premises, _fill(fields, lambda i: _normal_form(vals[i], theory)) if fields else data)
 
 
 def _expanded_node(inst, concl, rule, premises, data, fields, opened) -> Proof:
     """The expanded node: the template's node instantiated."""
-    return Proof(concl, rule, premises, _fill(data, fields, inst.vals.__getitem__) if opened else data)
+    return Proof(concl, rule, premises, _fill(fields, inst.vals.__getitem__) if opened else data)
 
 
 def _figure(inst: _LinkInstance) -> None:

@@ -34,7 +34,7 @@ from .kernel import (
     apply_rule,
 )
 from .parser import _STEP_READS, ParseError, SiLKScript, SiLKStep, resolve_rewrite
-from .schema import num_eq
+from .schema import num_eq, replace
 from .syntax import (
     NumExpr,
     NumFn,
@@ -48,7 +48,6 @@ from .syntax import (
     free_params,
     free_vars,
     numeral,
-    replace,
     subst,
 )
 

@@ -14,8 +14,8 @@ object and == and hash are object identity.
 Every record class derives from Record: its fields are the names annotated
 in its class body (after its bases'), a class attribute of a field's name is
 its default, and a record is frozen and compares and hashes by its field
-values, or by identity if its class says eq=False; replace copies one with
-fields changed.  A node class takes exactly its fields, positionally.
+values, or by identity if its class says eq=False; schema.replace copies
+one with fields changed.  A node class takes exactly its fields, positionally.
 Nothing is generated at import time: dataclasses would compile code for each
 class with exec, most of the start-up of a one-file CLI run.  Nodes, sequents
 and kernel proofs are slotted, with no __dict__: a node class's slots are its
@@ -47,8 +47,8 @@ Since nodes are immutable and shared, a Substitution memoizes its result per
 input node in a dict that lives and dies with it, so results never depend on
 what an earlier call left behind.  One loop, fill, rebuilds the nodes a
 substitution can change (_schedule), for subst, bind, open_body and rewrite
-steps alike; unrolling one link applies one Substitution to the whole
-template, so each distinct template subnode is rebuilt once per expansion.
+steps alike; unrolling one link fills its template's open expressions over
+one seeded memo, so each distinct template subnode is rebuilt once per expansion.
 """
 
 from __future__ import annotations
@@ -113,19 +113,6 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
-
-
-def replace(record, **changes):
-    """A copy of record with the named fields changed."""
-    cls = type(record)
-    if changes.keys() - cls._fields:
-        raise TypeError(f"{cls.__name__} has no field {sorted(changes.keys() - cls._fields)}")
-    if type(cls) is not type or cls.__init__ is not Record.__init__:  # a node, or its own constructor
-        return cls(*[changes[name] if name in changes else getattr(record, name) for name in cls._fields])
-    copy = object.__new__(cls)
-    for name in cls._fields:
-        _setattr(copy, name, changes[name] if name in changes else getattr(record, name))
-    return copy
 
 
 _NODES: dict = {}

@@ -15,7 +15,7 @@ from functools import reduce
 
 from .parser import SiLKScript
 from .printer import report_text
-from .schema import ProofSchema, SchemaComponent
+from .schema import ProofSchema, SchemaComponent, replace
 from .silk import ClosedStep, ComponentCollection, EmptyStep, NotAProof, bridge_to, check_script, leading_group
 from .syntax import (
     And,
@@ -31,7 +31,6 @@ from .syntax import (
     Succ,
     bind,
     numeral,
-    replace,
     subst,
 )
 

@@ -13,8 +13,9 @@ from types import SimpleNamespace
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, assume, example, given, settings
 
-from silkcheck import corpus_path, load_schema, load_theory
-from silkcheck import kernel, parser, printer, rewrite, schema
+from silkcheck import corpus_path, load_schema, load_script, load_theory
+from silkcheck import kernel, parser, printer, rewrite, schema, translate
+from silkcheck.schema import replace
 from silkcheck.kernel import (
     ARITY,
     MODE_LK,
@@ -102,7 +103,6 @@ from silkcheck.syntax import (
     rebuild,
     rebuild_shown,
     render,
-    replace,
     replace_at,
     sequent_eq,
     shown_kids,
@@ -533,6 +533,66 @@ def reference_evaluate_property(max_examples):
                 new = unrolling(schema.evaluate, proof_schema, alpha, EquationalTheory(rules, fuel))
                 old = unrolling(reference_evaluate, proof_schema, alpha, EquationalTheory(rules, fuel))
                 assert new == old, (text, fuel, alpha)
+
+    return check
+
+
+SCRIPT_FILES = sorted(path.name for path in corpus_path("silk_exp.slk").parent.glob("*.slk"))
+
+
+def _variant_schema(case):
+    """The schema a drawn variant's text parses to, or None."""
+    try:
+        return parser.parse_schema(case[1])[0]
+    except ParseError:
+        return None
+
+
+def _outcome_or_mismatch(run):
+    """run(), or the SortMismatch it raised, as (type, message)."""
+    try:
+        return run()
+    except SortMismatch as exc:
+        return SortMismatch, str(exc)
+
+
+def plan_property(max_examples):
+    """An instance's plan, replayed over the memo ``schema._seed`` gives,
+    fills every template expression as ``subst`` does under the
+    Substitution an instance used to build: for the base and step of every
+    component of the corpus schemata, of the corpus scripts' translations
+    and of drawn schema variants, at the numerals 0..12 and drawn variable
+    terms.  A value that is not a term, or a term where a schematic
+    variable needs a variable, is the same SortMismatch, with its message."""
+    fixed = [load_schema(corpus_path(name))[0] for name in SCHEMA_FILES]
+    fixed += [translate.silk_to_schema(load_script(corpus_path(name))) for name in SCRIPT_FILES]
+    sources = st.sampled_from(fixed) | schema_variants().map(_variant_schema)
+    values = st.lists(terms | formulas, min_size=3, max_size=3)
+    shat = fixed[SCHEMA_FILES.index("schema_shat.sch")]  # its components have the variable alpha
+    # A variable named twice takes its last term, and only that one is checked.
+    twice = corpus_path("schema_shat.sch").read_text().replace("vars (alpha)", "vars (alpha, alpha)")
+    twice = parser.parse_schema(twice)[0]
+    atom, var = Atom("P", (ZERO,)), FreeVar("b")
+
+    @settings(max_examples=max_examples, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(sources, st.integers(0, 12), values)
+    @example(shat, 3, [atom, var, var])
+    @example(shat, 12, [Fn("f", (Param("n"),)), atom, atom])
+    @example(twice, 3, [atom, var, var])
+    def check(proof_schema, k, vals):
+        assume(proof_schema is not None)
+        for comp in proof_schema.components:
+            var_map = dict(zip(comp.vars, vals))
+            for proof, numerals in ((comp.base, {}), (comp.step, {"n": numeral(k)})):
+                if proof is None:
+                    continue
+                template = schema._Template(proof, frozenset(comp.vars), frozenset(numerals))
+                seeded = {Param(name): value for name, value in numerals.items()}
+                got = _outcome_or_mismatch(lambda: schema._instance(template, schema._seed(comp.vars, vals, seeded)))
+                want = _outcome_or_mismatch(
+                    lambda: [subst(e, sub) for sub in [Substitution(numerals, var_map)] for e in template.exprs]
+                )
+                assert identical(got, want), (comp.name, k, vals)
 
     return check
 
@@ -2667,23 +2727,54 @@ def _one_normal_outcome(norm, x, theory):
         return type(exc), str(exc)
 
 
-def normal_lookup_property(max_examples):
+def tower_examples() -> list:
+    """(root, rules, fuel) for one-kid towers, f^k(0) under theory_exp and
+    alpha + S^k under theory_shat, each at the fuel its span needs exactly
+    and at one less."""
+    cases = []
+    for name, text in (("theory_exp.thy", "f^{}(0)"), ("theory_shat.thy", "alpha + S^{}")):
+        rules = load_theory(corpus_path(name)).rules
+        for k in (1, 7, 40):
+            root = parse_term(text.format(k))
+            span = normalize(root, EquationalTheory(rules)).steps_used
+            cases += [(root, rules, span), (root, rules, span - 1)]
+    return cases
+
+
+def with_examples(cases):
+    """Decorate a test with one ``example`` per argument tuple of cases."""
+
+    def apply(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+
+    return apply
+
+
+def normal_lookup_property(max_examples, warm=False):
     """rewrite._normalize, which looks a rebuilt node's normal form up,
     gives the (normal form, span), or the exception type and message, that
     reference_normalize_loop gives, for a run of drawn terms, formulas and
     numeric expressions normalized one after the other on one theory each,
     under corpus, merged, schematic and mutated theories at fuels 0..50,
-    and leaves the same normal forms and spans cached after every call."""
+    and leaves the same normal forms and spans cached after every call.
+    With ``warm``, both sides keep one theory per rules and fuel across
+    the examples, so most kids come from the cache."""
     exp_rules = load_theory(corpus_path("theory_exp.thy")).rules
     # The second root rebuilds to the first, whose head step is then looked up.
     shared = [parse_term("f^2(0)"), parse_term("f^(1 + 1)(0)"), parse_formula("P(f^(s(1))(0)) /\\ P(f^(0 + 2)(0))")]
+    theories: dict = {}  # (rules, fuel) -> (new, old), when warm
 
     @settings(max_examples=max_examples, deadline=None)
     @given(st.lists(st.one_of(terms, formulas, nums), min_size=1, max_size=6), normal_rules(), st.integers(0, 50))
     @example(shared, exp_rules, 50)
     @example(shared, exp_rules, 1)
+    @with_examples([([root], rules, fuel) for root, rules, fuel in tower_examples()])
     def check(xs, rules, fuel):
         new, old = EquationalTheory(rules, fuel), EquationalTheory(rules, fuel)
+        if warm:
+            new, old = theories.setdefault((rules, fuel), (new, old))
         for x in xs:
             got = _one_normal_outcome(rewrite._normalize, x, new)
             assert identical(got, _one_normal_outcome(reference_normalize_loop, x, old)), (x, rules, fuel)
@@ -2692,9 +2783,9 @@ def normal_lookup_property(max_examples):
     return check
 
 
-def _normal_outcome(norm, x, rules, fuel):
+def _normal_outcome(norm, x, theory):
     try:
-        result = norm(x, EquationalTheory(rules, fuel))
+        result = norm(x, theory)
         return result.value, result.steps_used
     except (FuelExhausted, SortMismatch) as exc:
         return type(exc), str(exc)
@@ -2724,24 +2815,35 @@ def normal_rules(draw) -> tuple:
         return merged_theory().rules
 
 
-def reference_normalize_property(max_examples):
+def reference_normalize_property(max_examples, warm=False):
     """normalize gives the normal form, steps_used, or exception type and
     message the rewrite step it replaced gives, each on a fresh theory, for
     drawn terms, formulas and sequents, under corpus, merged, schematic and
-    mutated theories, at fuels low enough to run out."""
+    mutated theories, at fuels low enough to run out.  With ``warm``,
+    normalize runs on one theory per rules and fuel, kept across the
+    examples, and the reference still on a fresh one; only theories that
+    validate_theory accepts take part, since under a rule whose right side
+    uses a left-side variable as a schematic variable, whether the step's
+    SortMismatch or FuelExhausted comes first depends on the cache."""
     tower = Fn("f^", (NumFn("2^", (numeral(5),)), ZERO))
     exp_rules = load_theory(corpus_path("theory_exp.thy")).rules
     schematic = parser.parse_theory(SCHEMATIC_RULES).rules
+    theories: dict = {}  # (rules, fuel) -> theory, when warm
 
-    @settings(max_examples=max_examples, deadline=None)
+    @settings(max_examples=max_examples, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(st.one_of(terms, formulas, sequents), normal_rules(), st.sampled_from((3, 10, 40, DEFAULT_FUEL)))
     @example(tower, exp_rules, 31)
     @example(tower, exp_rules, 32)
     @example(Atom("P", (Fn("f", (Fn("f", (FreeVar("a"),)),)),)), schematic, DEFAULT_FUEL)
     @example(numeral(300), exp_rules, 3)
+    @with_examples(tower_examples())
     def check(x, rules, fuel):
-        new = _normal_outcome(normalize, x, rules, fuel)
-        assert identical(new, _normal_outcome(reference_normalize, x, rules, fuel)), (x, rules, fuel)
+        theory = EquationalTheory(rules, fuel)
+        if warm:
+            assume(not validate_theory(theory))
+            theory = theories.setdefault((rules, fuel), theory)
+        new = _normal_outcome(normalize, x, theory)
+        assert identical(new, _normal_outcome(reference_normalize, x, EquationalTheory(rules, fuel))), (x, rules, fuel)
 
     return check
 

@@ -19,10 +19,10 @@ from silkcheck.kernel import check_proof, count_inferences
 from silkcheck.parser import ParseError, load_file, parse_schema, parse_script
 from silkcheck.printer import print_script
 from silkcheck.rewrite import DEFAULT_FUEL, FuelExhausted, StuckTerm
-from silkcheck.schema import MatchFailure, evaluate
-from silkcheck.syntax import replace
+from silkcheck.schema import MatchFailure, evaluate, replace
 
 import gen
+import transcript
 
 
 def run(capsys, *argv):
@@ -313,6 +313,27 @@ def test_negative_or_malformed_alpha_exits_two(capsys, argv):
     assert "non-negative integer" in err
 
 
+NOT_DECIMAL = ["1_0", "+2", " 3", "3 ", "\u0663", "\uff13", "\u00b2"]  # int() takes all but the superscript
+
+
+@pytest.mark.parametrize("text", NOT_DECIMAL)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("unroll", "schema_shat.sch", "--alpha", "{}"),
+        ("check-lk", "lk_pi_shat.lkp", "--fuel", "{}"),
+        ("stats", "schema_shat.sch", "--alpha-range", "{}..3"),
+        ("stats", "schema_shat.sch", "--alpha-range", "0..{}"),
+    ],
+    ids=["alpha", "fuel", "range-start", "range-end"],
+)
+def test_a_number_is_written_in_ascii_decimal_digits(capsys, text, argv):
+    command, name, *rest = argv
+    code, out, err = run(capsys, command, p(name), *[arg.format(text) for arg in rest])
+    assert code == 2 and not out
+    assert "non-negative integer" in err
+
+
 @pytest.mark.parametrize("spec", ["3", "3..", "..5", "3...5", "0..-1", "x..1", "1..2..3", ""])
 def test_malformed_alpha_range_names_the_whole_spec(capsys, spec):
     code, out, err = run(capsys, "stats", p("schema_shat.sch"), "--alpha-range", spec)
@@ -414,7 +435,7 @@ def test_negative_or_malformed_fuel_exits_two(capsys, argv):
     assert "non-negative integer" in err
 
 
-@pytest.mark.parametrize("value", ["-3", "-1", "x"])
+@pytest.mark.parametrize("value", ["-3", "-1", "x", *NOT_DECIMAL])
 def test_negative_or_malformed_fuel_env_falls_back(capsys, monkeypatch, value):
     monkeypatch.setenv("SILK_FUEL", value)
     code, out, _ = run(capsys, "check-lk", p("lk_pi_shat.lkp"), "--json")
@@ -1337,3 +1358,13 @@ def test_the_readme_library_example_prints_what_interpret_prints(capsys, tmp_pat
     done = subprocess.run([sys.executable, "-c", example], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert run(capsys, "interpret", p("silk_exp.slk")) == (0, done.stdout, "")
+
+
+def test_the_corpus_transcript_is_what_was_last_written_on_purpose():
+    # Every corpus file under every command form, with and without --json,
+    # prints what tests/transcript.txt holds; transcript.py says how to
+    # write it again when a change means to alter the output.
+    got = transcript.transcript().encode("utf-8").splitlines(keepends=True)
+    want = (Path(__file__).parent / "transcript.txt").read_bytes().splitlines(keepends=True)
+    differ = [(i + 1, a, b) for i, (a, b) in enumerate(zip(got, want)) if a != b][:3]  # (line, got, want)
+    assert (differ, len(got)) == ([], len(want))

@@ -16,9 +16,9 @@ from silkcheck.kernel import (
 from silkcheck.parser import parse_formula, parse_numexpr, parse_sequent, parse_term
 from silkcheck.printer import where
 from silkcheck.rewrite import EquationalTheory, RewriteRule, validate_theory
-from silkcheck.schema import ProofSchema, SchemaComponent, check_schema, evaluate_and_check
+from silkcheck.schema import ProofSchema, SchemaComponent, check_schema, evaluate_and_check, replace
 from silkcheck.silk import SiLKScript, ax, check_script
-from silkcheck.syntax import Fn, FreeVar, replace
+from silkcheck.syntax import Fn, FreeVar
 
 
 def _fhat():

@@ -85,12 +85,24 @@ def test_the_kernel_checks_corpus_mutants_as_the_oracle_does():
     gen.kernel_corpus_oracle_property(CASES)()
 
 
+def test_an_instance_plan_fills_as_its_substitution_did():
+    gen.plan_property(CASES)()
+
+
 def test_normalize_agrees_with_the_rewrite_step_it_replaced():
     gen.reference_normalize_property(2 * CASES)()
 
 
+def test_normalize_on_a_warm_theory_agrees_with_the_rewrite_step_it_replaced():
+    gen.reference_normalize_property(2 * CASES, warm=True)()
+
+
 def test_normalize_looks_up_what_taking_each_head_step_again_gives():
     gen.normal_lookup_property(2 * CASES)()
+
+
+def test_normalize_on_a_warm_theory_looks_up_what_taking_each_head_step_again_gives():
+    gen.normal_lookup_property(2 * CASES, warm=True)()
 
 
 def test_open_body_and_bind_agree_with_the_reference_substitution():

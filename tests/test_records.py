@@ -7,7 +7,7 @@ import pytest
 from silkcheck.kernel import CheckReport, Failure, LinkPattern, Proof, RuleData, RuleName
 from silkcheck.parser import SiLKScript, SiLKStep
 from silkcheck.rewrite import EquationalTheory, NormalizationResult, RewriteRule, TheoryIssue
-from silkcheck.schema import ProofSchema, SchemaComponent, UnrollMemo
+from silkcheck.schema import ProofSchema, SchemaComponent, UnrollMemo, replace
 from silkcheck.silk import (
     ClosedBase,
     ClosedStep,
@@ -42,7 +42,6 @@ from silkcheck.syntax import (
     canon_alpha,
     numeral,
     numeral_value,
-    replace,
     shown_kids,
     subst,
     walk,

@@ -23,10 +23,11 @@ from silkcheck.schema import (
     check_schema,
     evaluate,
     evaluate_and_check,
+    replace,
 )
 from silkcheck.printer import print_proof_tree
 from silkcheck.rewrite import EquationalTheory, FuelExhausted, normalize
-from silkcheck.syntax import SortMismatch, Substitution, numeral, replace, subst
+from silkcheck.syntax import SortMismatch, Substitution, numeral, subst
 from silkcheck.translate import silk_to_schema
 
 import gen
@@ -629,6 +630,23 @@ def test_evaluate_normalizes_parents_before_kids(monkeypatch):
         evaluate(schema, alpha, theory)
         counts.append(len(calls))
     assert counts[:2] == [133, 517] and counts[2] <= 2100
+
+
+@pytest.mark.parametrize("alpha", [8, 10])
+def test_evaluate_builds_one_substitution_for_the_lead_pattern(monkeypatch, alpha):
+    # Each link instance replays its template's plan over a plain memo, so
+    # the lead pattern's is the one Substitution of an unrolling, where each
+    # instance once built its own (259 at 8, 1,027 at 10).
+    schema, theory = load_schema(corpus_path("schema_exp.sch"))
+    built, init = [], Substitution.__init__
+
+    def counted(self, params, vars):
+        built.append(params)
+        init(self, params, vars)
+
+    monkeypatch.setattr(Substitution, "__init__", counted)
+    trace = evaluate(schema, alpha, theory)
+    assert len(built) == 1 and trace.expansion_count == 2**alpha + 2
 
 
 def test_evaluate_rewrites_each_new_expression_once_and_instantiates_each_instance_once(monkeypatch):

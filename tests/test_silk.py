@@ -7,7 +7,7 @@ from silkcheck import corpus_path, load_script
 from silkcheck.kernel import MODE_LKS, check_proof
 from silkcheck.parser import ParseError, parse_formula, parse_script, parse_sequent
 from silkcheck.rewrite import FuelExhausted, StuckTerm
-from silkcheck.schema import num_eq
+from silkcheck.schema import num_eq, replace
 from silkcheck.silk import (
     EMPTY_COLLECTION,
     ClosedBase,
@@ -22,7 +22,7 @@ from silkcheck.silk import (
     check_script,
     leading_group,
 )
-from silkcheck.syntax import SortMismatch, Substitution, numeral, replace, subst
+from silkcheck.syntax import SortMismatch, Substitution, numeral, subst
 
 import gen
 from conftest import SCRIPT_NAMES

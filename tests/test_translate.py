@@ -6,9 +6,9 @@ from silkcheck import corpus_path, load_script, translate
 from silkcheck.cli import main
 from silkcheck.kernel import RuleName as R, count_inferences
 from silkcheck.parser import parse_formula, parse_numexpr, parse_sequent
-from silkcheck.schema import check_schema, evaluate, evaluate_and_check
+from silkcheck.schema import check_schema, evaluate, evaluate_and_check, replace
 from silkcheck.silk import NotAProof, SiLKScript, check_script
-from silkcheck.syntax import OmegaAll, bind, formula_eq, replace
+from silkcheck.syntax import OmegaAll, bind, formula_eq
 from silkcheck.translate import ancestor_map, interpret, silk_to_schema, to_ppsnf
 
 import gen

@@ -9,6 +9,13 @@ Files are named relative to the corpus directory, so the transcript does not
 depend on where the checkout lies.  Two transcripts made under different
 ``PYTHONHASHSEED`` values must be byte-identical: output that differs
 between them depends on set or dict order of hashed values.
+
+``tests/transcript.txt`` holds the transcript as the command line last
+printed it on purpose, and ``tests/test_cli.py`` rebuilds it in process and
+compares the two byte for byte.  A change that means to alter what a
+command prints writes it again, and says why:
+
+    PYTHONPATH=src python tests/transcript.py tests/transcript.txt
 """
 
 import contextlib
