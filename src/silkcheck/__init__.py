@@ -9,7 +9,7 @@ from .parser import ParseError, SiLKScript, SiLKStep, load_proof, load_schema, l
 from .rewrite import EquationalTheory, RewriteRule, equivalent, eval_numeric, normalize, validate_theory
 from .schema import ProofSchema, SchemaComponent, check_schema, evaluate, evaluate_and_check, is_subterm
 from .silk import ComponentCollection, apply_step, check_script, leading_group
-from .syntax import Sequent, Substitution, free_params, free_vars, sequent_eq, subst
+from .syntax import Sequent, free_params, free_vars, sequent_eq, subst
 from .translate import interpret, silk_to_schema, to_ppsnf
 
 
@@ -33,7 +33,6 @@ __all__ = [
     "Sequent",
     "SiLKScript",
     "SiLKStep",
-    "Substitution",
     "apply_step",
     "check_proof",
     "check_schema",

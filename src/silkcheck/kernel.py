@@ -28,7 +28,6 @@ from .syntax import (
     Record,
     Sequent,
     SortMismatch,
-    Substitution,
     formula_eq,
     free_params,
     free_vars,
@@ -394,7 +393,7 @@ def _check_node(node, theory, env, allowed_link_params, lenient_erule):
         if len(data.terms) != len(pat.vars):
             raise RuleError(f"link to {data.target} carries {len(data.terms)} terms for {len(pat.vars)} variables")
         _need(data.param is not None, "link without a parameter expression")
-        expected = subst(pat.pattern, Substitution({"n": data.param}, dict(zip(pat.vars, data.terms))))
+        expected = subst(pat.pattern, {"n": data.param}, dict(zip(pat.vars, data.terms)))
         if not concl == expected:
             raise RuleError(f"link conclusion {concl} differs from declared instance {expected}")
         params = free_params(data.param)

@@ -298,8 +298,10 @@ def _normalize(root: Node, theory: EquationalTheory) -> tuple:
         else:
             kids = shown_kids(cur)
             for kid in kids:  # a frame whose kids are all cached allocates no pending list
-                if kid not in cache:
-                    stack.extend([[k, chain, None, 0] for k in kids if k not in cache])
+                if kid not in cache:  # a cached kid past the fuel fails in the order a fresh run visits it
+                    stack.extend(
+                        [[k, chain, None, 0] for k in kids if k not in cache or chain + spans.get(k, 0) > fuel]
+                    )
                     break
             if stack[-1] is not frame:
                 continue
@@ -310,6 +312,8 @@ def _normalize(root: Node, theory: EquationalTheory) -> tuple:
                 new_kids = tuple([cache[k] for k in kids])
                 reb = cur if new_kids == kids else rebuild_shown(cur, new_kids)  # nodes compare by identity
                 below = max([spans.get(k, 0) for k in kids], default=0)
+            if chain + below > fuel:  # where a fresh run fails in a kid, before any head step
+                raise FuelExhausted(fuel)
             # A cached reb took its head step, which added spans[reb]: the same form, span and verdict.
             step = None if reb in cache else _try_head(reb, theory)
             if step is None:

@@ -61,15 +61,14 @@ from .syntax import (
     Record,
     Sequent,
     SortMismatch,
-    Substitution,
     Succ,
-    Term,
     _schedule,
     fill,
     fold,
     free_names,
     numeral,
     numeral_value,
+    seed,
     split_succs,
     subst,
     walk,
@@ -206,7 +205,7 @@ def check_schema(schema: ProofSchema, theory: rw.EquationalTheory) -> CheckRepor
                 except MatchFailure as exc:
                     fail(ci, "component", str(exc))
                     break
-            concl = subst(comp.pattern, Substitution({"n": param}, {}))
+            concl = subst(comp.pattern, {"n": param})
             if not proof.conclusion == concl:
                 fail(ci, "component", f"{kind} of {comp.name} concludes {proof.conclusion}, expected {concl}")
             # Translated components justify pattern mismatches with whole-sequent
@@ -260,7 +259,6 @@ def _is_subterm_of_param(small, big) -> bool:
 
 
 _WHOLE = RuleData(whole=True)
-_N = Param("n")  # a step's parameter
 # The expression fields of a witness other than a link's, in field order,
 # with their positions; a link leaf is replaced, so its witness is not rebuilt.
 _EXPR_KEYS = {key: RuleData._fields.index(key) for key in ("formula", "term", "repl")}
@@ -480,7 +478,7 @@ def evaluate(
         for comp in schema.components:
             memo.templates.setdefault(comp.name, [comp, None, None])
     lead = schema.components[0]
-    pattern = subst(lead.pattern, Substitution({"n": alpha}, {}))
+    pattern = subst(lead.pattern, {"n": alpha})
     root = (lead.name, alpha, tuple(FreeVar(v) for v in lead.vars), pattern.ante, pattern.succ)
     return _expand(root, theory, memo)
 
@@ -517,8 +515,8 @@ def _expand(root, theory, memo: UnrollMemo) -> _LinkInstance:
     def visit(target, param, terms, ante, succ) -> _LinkInstance:
         """The instance of one link, from the memos or new: a new one is
         its target's base or step template instantiated by ``_instance``,
-        over a memo seeded with n, for a step, and the component's
-        variables, which its plan fills; it builds no ``Substitution``.
+        over the memo ``seed`` gives for n, for a step, and the component's
+        variables, which must be as many as the link's terms.
 
         Fuel is the number of link expansions.  A fresh link is checked
         before it expands; a reused one after its records are counted,
@@ -547,7 +545,7 @@ def _expand(root, theory, memo: UnrollMemo) -> _LinkInstance:
                 raise ExpansionsExhausted(fuel)
             return hit
         if value == 0 or comp.step is None:
-            seeded = _seed(comp.vars, terms, {})
+            params = {}
             if known[1] is None:
                 known[1] = _Template(comp.base, frozenset(comp.vars), frozenset())
             template = known[1]
@@ -557,8 +555,10 @@ def _expand(root, theory, memo: UnrollMemo) -> _LinkInstance:
             offset, template = known[2]
             if value < offset:
                 raise MatchFailure(f"link to {comp.name} at {value} cannot match step parameter {comp.step_param}")
-            seeded = _seed(comp.vars, terms, {_N: numeral(value - offset)})
-        vals = _instance(template, seeded)
+            params = {"n": numeral(value - offset)}
+        if len(terms) != len(comp.vars):
+            raise MatchFailure(f"link to {target} carries {len(terms)} terms for {len(comp.vars)} variables")
+        vals = _instance(template, seed(params, dict(zip(comp.vars, terms))))
         inst = new[key] = _LinkInstance(template, vals, ante, succ, (comp.name, value, param))
         stack.append((inst, list(template.links), count))
         count += 1
@@ -592,20 +592,9 @@ def _expand(root, theory, memo: UnrollMemo) -> _LinkInstance:
     return result
 
 
-def _seed(names: tuple, terms: tuple, memo: dict) -> dict:
-    """``memo`` with each variable of ``names`` mapped to its term, as
-    ``Substitution`` seeds its memo: a later name of the same spelling wins,
-    and a value that is not a term is a ``SortMismatch``."""
-    for name, term in dict(zip(names, terms)).items():
-        if not isinstance(term, (Term, NumExpr)):
-            raise SortMismatch(f"variable {name} must map to a term, got {term!r}")
-        memo[FreeVar(name)] = term
-    return memo
-
-
 def _instance(template: _Template, memo: dict) -> list:
-    """The template's expressions under ``memo``, a seeded substitution
-    memo: its plan replayed, each open expression filled over the schedule
+    """The template's expressions under ``memo``, a memo ``seed`` gave:
+    its plan replayed, each open expression filled over the schedule
     the template compiled, in the order the template lists them."""
     vals = list(template.exprs)
     for i, expr, schedule in template.plan:

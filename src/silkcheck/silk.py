@@ -42,7 +42,6 @@ from .syntax import (
     Record,
     Sequent,
     SortMismatch,
-    Substitution,
     Succ,
     formula_eq,
     free_params,
@@ -240,7 +239,7 @@ def _resolve_rewrite(step: SiLKStep, premise: Sequent) -> RuleData:
 def _pattern_instance(pattern: Sequent, n: NumExpr, built: Sequent, case: str, theory) -> Sequent:
     """The pattern at ``n``, which the ``case`` sequent ``built`` must equal
     up to rewriting."""
-    instance = subst(pattern, Substitution({"n": n}, {}))
+    instance = subst(pattern, {"n": n})
     if not rw.sequent_equivalent(instance, built, theory):
         raise SilkError(f"{case} {built} is not the pattern instance {instance} up to rewriting")
     return instance
@@ -376,7 +375,7 @@ def apply_step(
             ann, proof = step.ann, ax(opened)
         else:
             target, n, ann = _link_target(state, g, step)
-            opened = subst(target.pattern, Substitution({"n": n}, dict(zip(target.pattern_vars, step.terms))))
+            opened = subst(target.pattern, {"n": n}, dict(zip(target.pattern_vars, step.terms)))
             link = RuleData(target=target.link_name(), param=n, terms=step.terms)
             proof = Proof(opened, RuleName.LINK, (), link)
         return state.with_group(g.with_pair(replace(p, step=OpenStep(opened, ann), step_proof=proof)))

@@ -43,12 +43,13 @@ reads.  bind closes a body over a name and open_body puts a value in for
 the bound variable.  Printing opens a binder under its display name: its
 hint, or the first hint1, hint2, ... not free in its body.
 
-Since nodes are immutable and shared, a Substitution memoizes its result per
-input node in a dict that lives and dies with it, so results never depend on
-what an earlier call left behind.  One loop, fill, rebuilds the nodes a
-substitution can change (_schedule), for subst, bind, open_body and rewrite
-steps alike; unrolling one link fills its template's open expressions over
-one seeded memo, so each distinct template subnode is rebuilt once per expansion.
+Since nodes are immutable and shared, a substitution memoizes its result per
+input node in a dict of its own, which seed starts with each parameter and
+variable node replaced, so results never depend on what an earlier call left
+behind.  One loop, fill, rebuilds the nodes a substitution can change
+(_schedule), for subst, bind, open_body and rewrite steps alike; unrolling one
+link fills its template's open expressions over one seeded memo, so each
+distinct template subnode is rebuilt once per expansion.
 """
 
 from __future__ import annotations
@@ -659,47 +660,35 @@ def rebuild(node: Node, kids: tuple) -> Node:
 # Substitution
 
 
-class Substitution(Record):
-    """Simultaneous replacement of parameter symbols by numeric expressions
-    and of free/schematic variables by terms.  A binder is an ordinary node:
-    the names it binds start with $, which no key or value does (bind and
-    open_body aside, whose keys and values capture nothing).  Its memo of
-    results, keyed by the hash-consed input node, lives with the object: one
-    substitution applied to every sequent of a proof rebuilds each distinct
-    subnode once."""
-
-    params: Mapping[str, NumExpr]
-    vars: Mapping[str, Node]
-    __hash__ = None  # its fields are dicts
-
-    def __init__(self, params, vars):
-        memo = {}  # seeded with each parameter and variable node replaced
-        for k, v in params.items():
-            if not isinstance(v, NumExpr):
-                raise SortMismatch(f"parameter {k} must map to a numeric expression, got {v!r}")
-            memo[Param(k)] = v
-        for k, v in vars.items():
-            if not isinstance(v, (Term, NumExpr)):
-                raise SortMismatch(f"variable {k} must map to a term, got {v!r}")
-            memo[FreeVar(k)] = v
-        _setattr(self, "params", params)
-        _setattr(self, "vars", vars)
-        _setattr(self, "_memo", memo)  # not fields: equality ignores them
-        _setattr(self, "_domain", (frozenset(params), frozenset(vars)))
-
-    def is_empty(self) -> bool:
-        return not self.params and not self.vars
+def seed(params: Mapping[str, NumExpr], vars: Mapping[str, Node]) -> dict:
+    """The memo a substitution starts from: each parameter node of params
+    mapped to its numeric expression and each variable node of vars to its
+    term.  A value of the wrong sort is a SortMismatch."""
+    memo = {}
+    for k, v in params.items():
+        if not isinstance(v, NumExpr):
+            raise SortMismatch(f"parameter {k} must map to a numeric expression, got {v!r}")
+        memo[Param(k)] = v
+    for k, v in vars.items():
+        if not isinstance(v, (Term, NumExpr)):
+            raise SortMismatch(f"variable {k} must map to a term, got {v!r}")
+        memo[FreeVar(k)] = v
+    return memo
 
 
-def subst(x, sub: Substitution):
-    """Apply a substitution to a numeric expression, term, formula or
-    sequent."""
-    if sub.is_empty():
+def subst(x, params: Mapping[str, NumExpr] = {}, vars: Mapping[str, Node] = {}):
+    """A numeric expression, term, formula or sequent with parameter symbols
+    replaced by numeric expressions and free and schematic variables by
+    terms, all at once.  A binder is an ordinary node: the names it binds
+    start with $, which no key or value does (bind and open_body aside,
+    whose keys and values capture nothing).  Its memo, seeded once, rebuilds
+    each distinct subnode of a sequent once."""
+    if not params and not vars:
         return x
-    memo = sub._memo
+    memo, domain = seed(params, vars), (frozenset(params), frozenset(vars))
     for root in x.formulas() if isinstance(x, Sequent) else (x,):
         if root not in memo:  # a node off the schedule maps to itself
-            fill(root, _schedule(root, sub._domain), memo)
+            fill(root, _schedule(root, domain), memo)
     if isinstance(x, Sequent):
         return Sequent(tuple([memo.get(f, f) for f in x.ante]), tuple([memo.get(f, f) for f in x.succ]))
     return memo.get(x, x)

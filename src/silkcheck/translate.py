@@ -27,7 +27,6 @@ from .syntax import (
     Or,
     Param,
     Sequent,
-    Substitution,
     Succ,
     bind,
     numeral,
@@ -111,10 +110,10 @@ def silk_to_schema(script: SiLKScript) -> ProofSchema:
     components = []
     for g in groups:
         pair = g.pairs[0]
-        base = bridge_to(pair.base_proof, subst(g.pattern, Substitution({"n": numeral(0)}, {})))
+        base = bridge_to(pair.base_proof, subst(g.pattern, {"n": numeral(0)}))
         step = None
         if step_param is not None:
-            step = bridge_to(pair.step_proof, subst(g.pattern, Substitution({"n": step_param}, {})))
+            step = bridge_to(pair.step_proof, subst(g.pattern, {"n": step_param}))
         components.append(SchemaComponent(g.link_name(), g.pattern, g.pattern_vars, step_param, base, step))
     return ProofSchema(tuple(components))
 
@@ -173,11 +172,11 @@ def interpret(collection: ComponentCollection) -> Formula:
         And,
         tuple(
             Imp(
-                interpret_sequent(subst(g.pattern, Substitution({"n": x}, {}))),
-                interpret_sequent(subst(g.pattern, Substitution({"n": x1}, {}))),
+                interpret_sequent(subst(g.pattern, {"n": x})),
+                interpret_sequent(subst(g.pattern, {"n": x1})),
             )
             for g in groups
         ),
     )
-    lead_all = bind(OmegaAll, "x", interpret_sequent(subst(lead.pattern, Substitution({"n": x}, {}))))
+    lead_all = bind(OmegaAll, "x", interpret_sequent(subst(lead.pattern, {"n": x})))
     return Imp(And(bases, bind(OmegaAll, "x", steps)), lead_all)

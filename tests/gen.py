@@ -83,10 +83,10 @@ from silkcheck.syntax import (
     Or,
     Param,
     Sequent,
-    Substitution,
     SortMismatch,
     SVar,
     Succ,
+    Term,
     ZERO,
     Zero,
     bind,
@@ -104,6 +104,7 @@ from silkcheck.syntax import (
     rebuild_shown,
     render,
     replace_at,
+    seed,
     sequent_eq,
     shown_kids,
     split_succs,
@@ -325,7 +326,7 @@ def fuel_history_property(max_examples):
                 proof = schema.evaluate(proof_schema, alpha, theory).proof
                 return count_inferences(proof), proof.conclusion
             pattern = proof_schema.components[0].pattern
-            result = normalize(subst(pattern, Substitution({"n": numeral(alpha)}, {})), theory)
+            result = normalize(subst(pattern, {"n": numeral(alpha)}), theory)
             return result.value, result.steps_used
         except (FuelExhausted, StuckTerm) as exc:
             return type(exc), str(exc)
@@ -371,7 +372,7 @@ def reference_evaluate(proof_schema, alpha, theory: EquationalTheory) -> SimpleN
     records: list = []
     lead = proof_schema.components[0]
     root = (
-        subst(lead.pattern, Substitution({"n": alpha}, {})),
+        subst(lead.pattern, {"n": alpha}),
         RuleData(target=lead.name, param=alpha, terms=tuple(FreeVar(v) for v in lead.vars)),
     )
     expanded = _reference_expand(proof_schema, root, theory, {}, records)
@@ -406,9 +407,8 @@ def _reference_expand(proof_schema, root, theory, links: dict, records: list) ->
             return proof
         if key in opened:
             raise schema.MatchFailure(f"link to {comp.name} at {value} recurs inside its own expansion")
-        var_map = dict(zip(comp.vars, data.terms))
         if value == 0 or comp.step is None:
-            sub = Substitution({}, var_map)
+            params = {}
             template = comp.base
         else:
             offset = comp.step_offset()
@@ -416,9 +416,13 @@ def _reference_expand(proof_schema, root, theory, links: dict, records: list) ->
                 raise schema.MatchFailure(
                     f"link to {comp.name} at {value} cannot match step parameter {comp.step_param}"
                 )
-            sub = Substitution({"n": numeral(value - offset)}, var_map)
+            params = {"n": numeral(value - offset)}
             template = comp.step
-        inst, leaves = _reference_instance(template, sub)
+        if len(data.terms) != len(comp.vars):
+            raise schema.MatchFailure(
+                f"link to {data.target} carries {len(data.terms)} terms for {len(comp.vars)} variables"
+            )
+        inst, leaves = _reference_instance(template, params, dict(zip(comp.vars, data.terms)))
         records.append((comp.name, value, data.param))
         stack.append((key, concl, len(records) - 1, inst, leaves, []))
         opened.add(key)
@@ -443,11 +447,11 @@ def _reference_expand(proof_schema, root, theory, links: dict, records: list) ->
     return result
 
 
-def _reference_instance(template: Proof, sub: Substitution) -> tuple[list, list]:
+def _reference_instance(template: Proof, params: dict, vars: dict) -> tuple[list, list]:
     inst, leaves = [], []
-    fn = lambda e: subst(e, sub)
+    fn = lambda e: subst(e, params, vars)
     for node in walk(template):
-        concl = subst(node.conclusion, sub)
+        concl = fn(node.conclusion)
         data = _map_data(node.data, fn)
         inst.append((concl, node.rule, data, len(node.premises)))
         if node.rule is RuleName.LINK:
@@ -557,9 +561,9 @@ def _outcome_or_mismatch(run):
 
 
 def plan_property(max_examples):
-    """An instance's plan, replayed over the memo ``schema._seed`` gives,
-    fills every template expression as ``subst`` does under the
-    Substitution an instance used to build: for the base and step of every
+    """An instance's plan, replayed over the memo ``seed`` gives, fills
+    every template expression as ``subst`` does under the same parameters
+    and variables: for the base and step of every
     component of the corpus schemata, of the corpus scripts' translations
     and of drawn schema variants, at the numerals 0..12 and drawn variable
     terms.  A value that is not a term, or a term where a schematic
@@ -587,11 +591,8 @@ def plan_property(max_examples):
                 if proof is None:
                     continue
                 template = schema._Template(proof, frozenset(comp.vars), frozenset(numerals))
-                seeded = {Param(name): value for name, value in numerals.items()}
-                got = _outcome_or_mismatch(lambda: schema._instance(template, schema._seed(comp.vars, vals, seeded)))
-                want = _outcome_or_mismatch(
-                    lambda: [subst(e, sub) for sub in [Substitution(numerals, var_map)] for e in template.exprs]
-                )
+                got = _outcome_or_mismatch(lambda: schema._instance(template, seed(numerals, var_map)))
+                want = _outcome_or_mismatch(lambda: [subst(e, numerals, var_map) for e in template.exprs])
                 assert identical(got, want), (comp.name, k, vals)
 
     return check
@@ -651,8 +652,8 @@ def subst_composition_property(max_examples):
     @settings(max_examples=max_examples, deadline=None)
     @given(st.one_of(terms, formulas), nums, nums)
     def check(expr, k, m):
-        lhs = subst(subst(expr, Substitution({"n": k}, {})), Substitution({"n": m}, {}))
-        rhs = subst(expr, Substitution({"n": subst(k, Substitution({"n": m}, {}))}, {}))
+        lhs = subst(subst(expr, {"n": k}), {"n": m})
+        rhs = subst(expr, {"n": subst(k, {"n": m})})
         assert lhs == rhs
 
     return check
@@ -681,9 +682,9 @@ omega_formulas = st.recursive(
 )
 
 
-def _subst_outcome(apply, x, sub):
+def _subst_outcome(apply, *args):
     try:
-        return apply(x, sub)
+        return apply(*args)
     except SortMismatch:
         return SortMismatch
 
@@ -719,11 +720,10 @@ def subst_capture_property(max_examples):
         ),
     )
     def check(f, params, mapping):
-        sub = Substitution(params, mapping)
-        got = _subst_outcome(subst, close(f), sub)
-        assert same_up_to_bound_names(got, _subst_outcome(reference_subst, f, sub))
+        got = _subst_outcome(subst, close(f), params, mapping)
+        assert same_up_to_bound_names(got, _subst_outcome(reference_subst, f, params, mapping))
         renamed = rename_bound(f, (f"v{i}" for i in range(1000)))
-        assert same_up_to_bound_names(got, _subst_outcome(reference_subst, renamed, sub))
+        assert same_up_to_bound_names(got, _subst_outcome(reference_subst, renamed, params, mapping))
 
     return check
 
@@ -803,9 +803,10 @@ def binds_a_schematic_name(f) -> bool:
     return any(isinstance(n, SVar) and n.name in bound for n in walk(f))
 
 
-def _renaming(f, var: str) -> Substitution:
-    """The substitution of var for the name the named binder f binds."""
-    return Substitution({f.var: Param(var)}, {}) if type(f) is NOmegaAll else Substitution({}, {f.var: FreeVar(var)})
+def _renaming(f, var: str) -> tuple:
+    """The parameters and variables of the substitution of var for the name
+    the named binder f binds."""
+    return ({f.var: Param(var)}, {}) if type(f) is NOmegaAll else ({}, {f.var: FreeVar(var)})
 
 
 def rename_bound(f, fresh):
@@ -813,7 +814,7 @@ def rename_bound(f, fresh):
     fresh, which must not occur in f."""
     if isinstance(f, NamedBinder):
         var = next(fresh)
-        return type(f)(var, reference_subst(rename_bound(f.body, fresh), _renaming(f, var)))
+        return type(f)(var, reference_subst(rename_bound(f.body, fresh), *_renaming(f, var)))
     if isinstance(f, Atom):
         return f
     return rebuild(f, tuple(rename_bound(k, fresh) for k in f.kids()))
@@ -870,7 +871,7 @@ def quantifier_rule_property(max_examples):
         # The premise formula: the instance, the instance at another term,
         # or another formula.
         at = witness if other is None or isinstance(other, Formula) else other
-        inst = _subst_outcome(reference_subst, q.body, Substitution({}, {q.var: at}))
+        inst = _subst_outcome(reference_subst, q.body, {}, {q.var: at})
         if inst is SortMismatch or isinstance(other, Formula):
             inst = other if isinstance(other, Formula) else q.body
         premise = {side: (inst, *context)}
@@ -883,7 +884,7 @@ def quantifier_rule_property(max_examples):
             got = True
         except (RuleError, SortMismatch):
             got = False
-        want = _subst_outcome(reference_subst, q.body, Substitution({}, {q.var: witness}))
+        want = _subst_outcome(reference_subst, q.body, {}, {q.var: witness})
         ok = want is not SortMismatch and named_eq(inst, want)
         if eigen:
             ok = ok and witness.name not in reference_free_vars(Sequent(**conclusion))
@@ -1007,7 +1008,7 @@ def reference_canon_alpha(f: Formula) -> Formula:
         if isinstance(cur, NamedBinder):
             body, height = done[cur.body]
             name = f"${height}"
-            done[cur] = (cls(name, reference_subst(body, _renaming(cur, name))), height + 1)
+            done[cur] = (cls(name, reference_subst(body, *_renaming(cur, name))), height + 1)
         else:
             canon = tuple(done[k][0] for k in kids)
             height = max(done[k][1] for k in kids)
@@ -1038,22 +1039,25 @@ def reference_free_vars(x) -> frozenset:
     return frozenset().union(*(done[r] for r in roots))
 
 
-def reference_subst(x, sub: Substitution):
-    """Substitution with a memo of its own, not the one ``sub`` carries,
-    that visits every node; a named binder is renamed apart on capture, as
-    the syntax once did, and a syntax binder is an ordinary node."""
-    if sub.is_empty():
+def reference_subst(x, params: dict, vars: dict):
+    """Substitution of params and vars that visits every node; a named
+    binder is renamed apart on capture, as the syntax once did, and a syntax
+    binder is an ordinary node.  A parameter's value that is not numeric, or
+    a variable's that is not a term, is a SortMismatch."""
+    if any(not isinstance(v, NumExpr) for v in params.values()):
+        raise SortMismatch("a parameter must map to a numeric expression")
+    if any(not isinstance(v, (Term, NumExpr)) for v in vars.values()):
+        raise SortMismatch("a variable must map to a term")
+    if not params and not vars:
         return x
     done: dict = {}
     if isinstance(x, Sequent):
-        return Sequent(
-            tuple(_reference_subst(f, sub, done) for f in x.ante), tuple(_reference_subst(f, sub, done) for f in x.succ)
-        )
-    return _reference_subst(x, sub, done)
+        ante = tuple(_reference_subst(f, params, vars, done) for f in x.ante)
+        return Sequent(ante, tuple(_reference_subst(f, params, vars, done) for f in x.succ))
+    return _reference_subst(x, params, vars, done)
 
 
-
-def _reference_subst(e, sub: Substitution, done: dict):
+def _reference_subst(e, params: dict, vars: dict, done: dict):
     stack = [e]
     while stack:
         cur = stack.pop()
@@ -1061,13 +1065,13 @@ def _reference_subst(e, sub: Substitution, done: dict):
             continue
         cls = type(cur)
         if cls is Param:
-            done[cur] = sub.params.get(cur.name, cur)
+            done[cur] = params.get(cur.name, cur)
             continue
         if cls is FreeVar:
-            done[cur] = sub.vars.get(cur.name, cur)
+            done[cur] = vars.get(cur.name, cur)
             continue
         if isinstance(cur, NamedBinder):
-            done[cur] = _reference_subst_binder(cur, sub)
+            done[cur] = _reference_subst_binder(cur, params, vars)
             continue
         kids = cur.kids()
         pending = [k for k in kids if k not in done]
@@ -1076,8 +1080,8 @@ def _reference_subst(e, sub: Substitution, done: dict):
             stack.extend(pending)
             continue
         new_kids = tuple(done[k] for k in kids)
-        if cls is SVar and cur.name in sub.vars:
-            repl = sub.vars[cur.name]
+        if cls is SVar and cur.name in vars:
+            repl = vars[cur.name]
             if not isinstance(repl, (SVar, FreeVar)):
                 raise SortMismatch(f"schematic variable {cur.name} must map to a variable, got {repl!r}")
             done[cur] = SVar(repl.name, new_kids[0])
@@ -1092,17 +1096,17 @@ def _reference_free_params(x) -> frozenset:
     return frozenset(n.name for n in walk(x) if type(n) is Param)
 
 
-def _reference_subst_binder(f: Formula, sub: Substitution) -> Formula:
+def _reference_subst_binder(f: Formula, params: dict, vars: dict) -> Formula:
     """A named omega binder is renamed apart from the parameters of every
     substituted value, an individual one from the variables of the
     substituted terms."""
     var, body = f.var, f.body
     if type(f) is NOmegaAll:
-        inner = Substitution({k: v for k, v in sub.params.items() if k != var}, sub.vars)
-        free, keys, values = _reference_free_params, inner.params, (*inner.params.values(), *inner.vars.values())
+        params = {k: v for k, v in params.items() if k != var}
+        free, keys, values = _reference_free_params, params, (*params.values(), *vars.values())
     else:
-        inner = Substitution(sub.params, {k: v for k, v in sub.vars.items() if k != var})
-        free, keys, values = reference_free_vars, inner.vars, inner.vars.values()
+        vars = {k: v for k, v in vars.items() if k != var}
+        free, keys, values = reference_free_vars, vars, vars.values()
     ranges = frozenset().union(*(free(v) for v in values))
     if var in ranges:
         taken = free(body) | ranges | set(keys)
@@ -1110,10 +1114,10 @@ def _reference_subst_binder(f: Formula, sub: Substitution) -> Formula:
         while f"{var}{i}" in taken:
             i += 1
         var = f"{var}{i}"
-        body = _reference_subst(body, _renaming(f, var), {})
-    if inner.is_empty():
+        body = _reference_subst(body, *_renaming(f, var), {})
+    if not params and not vars:
         return f
-    new_body = _reference_subst(body, inner, {})
+    new_body = _reference_subst(body, params, vars, {})
     return f if var is f.var and new_body is f.body else type(f)(var, new_body)
 
 
@@ -1135,8 +1139,9 @@ def fold_oracle_property(max_examples):
             if isinstance(node, Formula):
                 assert canon_alpha(close(node)) is close_canonical(reference_canon_alpha(node))
         assert free_vars(close(x)) == reference_free_vars(x)
-        for sub in (Substitution({"n": k}, {}), Substitution({}, mapping), Substitution({"n": k}, mapping)):
-            assert same_up_to_bound_names(_subst_outcome(subst, close(x), sub), _subst_outcome(reference_subst, x, sub))
+        for params, vars in (({"n": k}, {}), ({}, mapping), ({"n": k}, mapping)):
+            got = _subst_outcome(subst, close(x), params, vars)
+            assert same_up_to_bound_names(got, _subst_outcome(reference_subst, x, params, vars))
 
     return check
 
@@ -1165,9 +1170,9 @@ def subst_schedule_property(max_examples):
     )
     def check(root, domains):
         for params, mapping in domains:
-            sub = Substitution(params, mapping)
             for x in (root, *root.kids()):
-                assert identical(_subst_outcome(subst, x, sub), _subst_outcome(reference_subst, x, sub))
+                got = _subst_outcome(subst, x, params, mapping)
+                assert identical(got, _subst_outcome(reference_subst, x, params, mapping))
 
     return check
 
@@ -2330,7 +2335,7 @@ def reference_check_node(node, theory, env, allowed_link_params, lenient_erule):
             "link to %s carries %s terms for %s variables", data.target, len(data.terms), len(pat.vars),
         )
         _need(data.param is not None, "link without a parameter expression")
-        expected = subst(pat.pattern, Substitution({"n": data.param}, dict(zip(pat.vars, data.terms))))
+        expected = subst(pat.pattern, {"n": data.param}, dict(zip(pat.vars, data.terms)))
         _need(
             concl == expected,
             "link conclusion %s differs from declared instance %s", concl, expected,
@@ -2446,7 +2451,7 @@ def kernel_nodes(draw, theory):
             concl = Sequent((pool[0],), (draw(st.sampled_from(pool)),))
         elif rule == RuleName.LINK:
             pat = KERNEL_ENV["phi"]
-            concl = subst(pat.pattern, Substitution({"n": data.param}, dict(zip(pat.vars, data.terms))))
+            concl = subst(pat.pattern, {"n": data.param}, dict(zip(pat.vars, data.terms)))
         elif rule == RuleName.ERULE and data.whole:
             concl = premises[0]
         else:
@@ -2518,7 +2523,7 @@ def kernel_corpus_oracle_property(max_examples):
 # ---------------------------------------------------------------------------
 # The rewrite step before rules were compiled and filled from their binding:
 # a generic match over the left side for every rule of the head, keyed by
-# ("p", name) and ("v", name), then a Substitution of the right side; and
+# ("p", name) and ("v", name), then a substitution into the right side; and
 # the normalization loop that pushed a frame per successor of a numeral.
 
 
@@ -2577,11 +2582,11 @@ def _reference_bind(binding: dict, key: tuple, value: Node) -> bool:
 
 def reference_instantiate(rhs: Node, binding: dict) -> Node:
     """rhs under a binding of reference_match."""
-    sub = Substitution(
+    return subst(
+        rhs,
         {name: v for (kind, name), v in binding.items() if kind == "p"},
         {name: v for (kind, name), v in binding.items() if kind == "v"},
     )
-    return subst(rhs, sub)
 
 
 def _reference_try_head(node: Node, theory: EquationalTheory) -> tuple | None:
@@ -2821,10 +2826,10 @@ def reference_normalize_property(max_examples, warm=False):
     drawn terms, formulas and sequents, under corpus, merged, schematic and
     mutated theories, at fuels low enough to run out.  With ``warm``,
     normalize runs on one theory per rules and fuel, kept across the
-    examples, and the reference still on a fresh one; only theories that
-    validate_theory accepts take part, since under a rule whose right side
-    uses a left-side variable as a schematic variable, whether the step's
-    SortMismatch or FuelExhausted comes first depends on the cache."""
+    examples, and the reference still on a fresh one, under every theory
+    drawn: even where a rule's right side uses a left-side variable as a
+    schematic variable, a step's SortMismatch comes where a fresh run meets
+    it, never before a FuelExhausted a cached kid's span decides."""
     tower = Fn("f^", (NumFn("2^", (numeral(5),)), ZERO))
     exp_rules = load_theory(corpus_path("theory_exp.thy")).rules
     schematic = parser.parse_theory(SCHEMATIC_RULES).rules
@@ -2840,7 +2845,6 @@ def reference_normalize_property(max_examples, warm=False):
     def check(x, rules, fuel):
         theory = EquationalTheory(rules, fuel)
         if warm:
-            assume(not validate_theory(theory))
             theory = theories.setdefault((rules, fuel), theory)
         new = _normal_outcome(normalize, x, theory)
         assert identical(new, _normal_outcome(reference_normalize, x, EquationalTheory(rules, fuel))), (x, rules, fuel)
@@ -2866,7 +2870,7 @@ def _reference_put(cls, body: Formula, name: str, value):
         return body
     if isinstance(value, str):
         value = Param(value) if cls is OmegaAll else FreeVar(value)
-    return reference_subst(body, Substitution({name: value}, {}) if cls is OmegaAll else Substitution({}, {name: value}))
+    return reference_subst(body, *(({name: value}, {}) if cls is OmegaAll else ({}, {name: value})))
 
 
 def binder_property(max_examples):

@@ -1037,6 +1037,23 @@ def test_sort_mismatch_is_a_reported_failure(capsys, tmp_path, name, text, argv,
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [("unroll", "--alpha", "3", "--lk", "--check", "--quiet"), ("stats", "--alpha-range", "0..3")],
+    ids=["unroll-check", "stats"],
+)
+def test_a_link_with_more_terms_than_variables_does_not_unroll(capsys, tmp_path, argv):
+    # Unrolling once paired the terms with the variables and dropped the
+    # extra one; it now refuses the link in the words of the kernel.
+    path = tmp_path / "schema_shat.sch"
+    path.write_text(corpus_path("schema_shat.sch").read_text().replace("terms=(alpha)", "terms=(alpha, beta)"))
+    (tmp_path / "theory_shat.thy").write_text(corpus_path("theory_shat.thy").read_text())
+    message = "link to phi carries 2 terms for 1 variables"
+    code, out, _ = run(capsys, "check-schema", str(path))
+    assert code == 1 and out.endswith(f"link: step of phi: {message}\n")
+    assert run(capsys, argv[0], str(path), *argv[1:]) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "command, source, check",
     [("translate", "silk_fhat.slk", "check-schema"), ("ppsnf", "silk_fhat.slk", "check-silk")],
 )

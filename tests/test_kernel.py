@@ -24,7 +24,7 @@ from silkcheck.kernel import (
 from silkcheck.parser import RULE_TOKENS, parse_formula, parse_proof, parse_schema, parse_sequent, parse_term, parse_theory
 from silkcheck.printer import report_dict, where
 from silkcheck.silk import ax
-from silkcheck.syntax import FreeVar, Param, Sequent, Substitution, fold, subst, walk
+from silkcheck.syntax import FreeVar, Param, Sequent, fold, subst, walk
 
 
 def f(text):
@@ -201,7 +201,7 @@ def test_erule_path_enters_a_quantifier_body():
     out = rewrite(s("|- forall x. P(g(x))"), "h(x)")
     assert out.text() == "|- forall x. P(h(x))"
     # Substituting y := x makes the binder print as x1.
-    renamed = subst(s("|- forall x. P(g(x), y)"), Substitution({}, {"y": FreeVar("x")}))
+    renamed = subst(s("|- forall x. P(g(x), y)"), {}, {"y": FreeVar("x")})
     assert renamed.text() == "|- forall x1. P(g(x1), x)"
     out = rewrite(renamed, "h(x1)")
     assert out.text() == "|- forall x1. P(h(x1), x)"

@@ -34,8 +34,6 @@ from silkcheck.syntax import (
     Param,
     SVar,
     Sequent,
-    SortMismatch,
-    Substitution,
     Succ,
     Zero,
     bind,
@@ -95,7 +93,6 @@ VALUES = {
 # Frozen, compared by value, but unhashable: a field holds a dict or a theory.
 UNHASHABLE = {
     "SiLKScript": lambda: SiLKScript(THEORY, (SiLKStep("ax1r", sequent=SEQ),)),
-    "Substitution": lambda: Substitution({"n": numeral(2)}, {"x": FreeVar("y")}),
 }
 # Mutable, compared by value, unhashable.
 MUTABLE = {
@@ -114,7 +111,7 @@ ALL = {**FROZEN, **MUTABLE}
 
 
 def test_the_table_covers_every_record_class():
-    assert len(ALL) == 40
+    assert len(ALL) == 39
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
@@ -173,16 +170,10 @@ def test_records_holding_dicts_compare_by_value_and_do_not_hash(name):
 
 
 def test_equality_ignores_the_memo_and_the_cache():
-    sub = UNHASHABLE["Substitution"]()
-    sub._memo[A] = B
-    assert sub == UNHASHABLE["Substitution"]() == replace(sub)
-    # A copy runs the constructor, with its checks: its memo is a fresh one,
-    # which holds only the nodes the substitution replaces.
-    assert replace(sub)._memo == UNHASHABLE["Substitution"]()._memo and A not in replace(sub)._memo
-    with pytest.raises(SortMismatch):
-        replace(sub, params={"n": A})
+    # A theory's normal forms and its memo of prepared rules are no fields.
     theory = MUTABLE["EquationalTheory"]()
     theory._nf_cache[A] = B
+    theory._ready[("t", "f")] = []
     assert theory == MUTABLE["EquationalTheory"]()
     assert theory != EquationalTheory(THEORY.rules, 51)
 
@@ -225,7 +216,7 @@ def test_the_node_caches_live_in_slots():
     # Filling every node cache builds no dict either.
     body = bind(Forall, "x", Atom("P", (FreeVar("x"), FreeVar("y"), numeral(3))))
     seq = Sequent((body,), (A,))
-    renamed = subst(seq, Substitution({}, {"y": FreeVar("z")}))
+    renamed = subst(seq, {}, {"y": FreeVar("z")})
     assert numeral_value(numeral(3)) == 3 and numeral(3)._nv == 3
     assert canon_alpha(body) is body._ca and shown_kids(body) is body._sh
     assert body._sd
@@ -244,5 +235,4 @@ def test_repr_names_the_fields():
     assert repr(Top()) == "Top()"
     assert repr(CheckReport()) == "CheckReport(failures=[], counts={}, params={})"
     assert repr(EquationalTheory((), 7)) == "EquationalTheory(rules=(), fuel=7)"
-    assert repr(Substitution({"n": Zero()}, {})) == "Substitution(params={'n': <Zero 0>}, vars={})"
     assert repr(A) == "<Atom A>"

@@ -30,7 +30,6 @@ from silkcheck.syntax import (
     Or,
     Param,
     SVar,
-    Substitution,
     Succ,
     ZERO,
     Zero,
@@ -87,7 +86,7 @@ def _all_nodes_rewrites(node, theory):
         if gen.reference_match(rule.lhs, node, binding):
             sub_params = {k[1]: v for k, v in binding.items() if k[0] == "p"}
             sub_vars = {k[1]: v for k, v in binding.items() if k[0] == "v"}
-            out.append(subst(rule.rhs, Substitution(sub_params, sub_vars)))
+            out.append(subst(rule.rhs, sub_params, sub_vars))
     kids = node.kids()
     for i, k in enumerate(kids):
         for red in _all_nodes_rewrites(k, theory):
@@ -312,6 +311,28 @@ def test_fuel_exhaustion_two_rule_cycle():
     ), 25)
     with pytest.raises(FuelExhausted):
         normalize(Fn("g", (FreeVar("c"),)), cycle)
+
+
+# f(x) == h(x[0]) makes a head step at f(0) a SortMismatch.  After S^1
+# and S^2, the kid S^2 of f(S^2) is cached, with the span a fresh run finds
+# past the fuel before it reaches f.  After d(z), the kid d(z) of
+# k(f(0), d(z)) is cached, and a fresh run, which visits the last kid
+# first, finds its span past the fuel before it reaches f(0).
+@pytest.mark.parametrize(
+    "extra, fuel, texts",
+    [
+        (gen.merged_theory().rules, 3, ["S^1", "S^2", "S^3"]),
+        (parse_theory("r(x) == k(f(0), d(x));\nd(x) == e(x);\ne(x) == x;").rules, 2, ["d(z)", "r(z)"]),
+    ],
+    ids=["every-kid-cached", "one-kid-cached"],
+)
+def test_a_cached_kid_past_the_fuel_fails_before_a_sort_mismatch(extra, fuel, texts):
+    rules = parse_theory(gen.SCHEMATIC_RULES).rules + extra
+    warm = EquationalTheory(rules, fuel)
+    for text in texts:
+        got = gen._normal_outcome(normalize, t(text), warm)
+        assert got == gen._normal_outcome(normalize, t(text), EquationalTheory(rules, fuel)), text
+    assert got == (FuelExhausted, f"no normal form within {fuel} rewrite steps")
 
 
 # --- iterated disjunction structure

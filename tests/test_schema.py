@@ -14,7 +14,7 @@ import silkcheck.rewrite
 import silkcheck.schema
 from silkcheck import corpus_path, load_schema, load_script
 from silkcheck.kernel import Proof, RuleData, RuleName as R, count_inferences
-from silkcheck.parser import parse_numexpr, parse_schema, parse_sequent, parse_theory
+from silkcheck.parser import parse_formula, parse_numexpr, parse_schema, parse_sequent, parse_theory
 from silkcheck.schema import (
     MatchFailure,
     ProofSchema,
@@ -27,7 +27,7 @@ from silkcheck.schema import (
 )
 from silkcheck.printer import print_proof_tree
 from silkcheck.rewrite import EquationalTheory, FuelExhausted, normalize
-from silkcheck.syntax import SortMismatch, Substitution, numeral, subst
+from silkcheck.syntax import SortMismatch, numeral, subst
 from silkcheck.translate import silk_to_schema
 
 import gen
@@ -132,7 +132,7 @@ def test_end_sequent_is_normalized_pattern(shat):
     schema, theory = shat
     trace = evaluate(schema, 1, theory)
     want = normalize(
-        subst(schema.components[0].pattern, Substitution({"n": numeral(1)}, {})), theory
+        subst(schema.components[0].pattern, {"n": numeral(1)}), theory
     ).value
     assert trace.proof.conclusion == want
     assert trace.proof.conclusion == parse_sequent(
@@ -411,6 +411,23 @@ def test_sort_mismatch_is_an_evaluation_failure():
     assert evaluate_and_check(schema, 0, theory).accepted
 
 
+def test_a_link_term_that_is_a_formula_is_a_sort_mismatch(shat):
+    # The self-link of shat's step passes the formula P(a) for alpha, which
+    # the parser cannot write; seeding the instance at 0 refuses it.
+    schema, theory = shat
+    (phi,) = schema.components
+
+    def swap(proof):
+        if proof.rule is R.LINK:
+            return Proof(proof.conclusion, proof.rule, (), replace(proof.data, terms=(parse_formula("P(a)"),)))
+        return Proof(proof.conclusion, proof.rule, tuple(map(swap, proof.premises)), proof.data)
+
+    broken = ProofSchema((replace(phi, step=swap(phi.step)),))
+    error = (SortMismatch, "variable alpha must map to a term, got <Atom P(a)>")
+    assert gen.unrolling(evaluate, broken, 1, theory) == error
+    assert gen.unrolling(gen.reference_evaluate, broken, 1, theory) == error
+
+
 def test_check_schema_walks_a_deep_proof_in_linear_memory():
     # A chain of 3,000 cuts whose left premises are axioms: a walk that
     # copies a tuple path per node keeps every pending axiom's full path,
@@ -634,19 +651,14 @@ def test_evaluate_normalizes_parents_before_kids(monkeypatch):
 
 @pytest.mark.parametrize("alpha", [8, 10])
 def test_evaluate_builds_one_substitution_for_the_lead_pattern(monkeypatch, alpha):
-    # Each link instance replays its template's plan over a plain memo, so
-    # the lead pattern's is the one Substitution of an unrolling, where each
-    # instance once built its own (259 at 8, 1,027 at 10).
+    # Each link instance replays its template's plan over the memo ``seed``
+    # gives, so the lead pattern's is the one ``subst`` call of an unrolling,
+    # where each instance once made its own (259 at 8, 1,027 at 10).
     schema, theory = load_schema(corpus_path("schema_exp.sch"))
-    built, init = [], Substitution.__init__
-
-    def counted(self, params, vars):
-        built.append(params)
-        init(self, params, vars)
-
-    monkeypatch.setattr(Substitution, "__init__", counted)
+    calls, real = [], silkcheck.schema.subst
+    monkeypatch.setattr(silkcheck.schema, "subst", lambda x, *args: calls.append(args) or real(x, *args))
     trace = evaluate(schema, alpha, theory)
-    assert len(built) == 1 and trace.expansion_count == 2**alpha + 2
+    assert calls == [({"n": numeral(alpha)},)] and trace.expansion_count == 2**alpha + 2
 
 
 def test_evaluate_rewrites_each_new_expression_once_and_instantiates_each_instance_once(monkeypatch):

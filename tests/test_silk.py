@@ -22,7 +22,7 @@ from silkcheck.silk import (
     check_script,
     leading_group,
 )
-from silkcheck.syntax import SortMismatch, Substitution, numeral, subst
+from silkcheck.syntax import SortMismatch, numeral, subst
 
 import gen
 from conftest import SCRIPT_NAMES
@@ -445,7 +445,7 @@ def _assert_closed_basecases_are_the_pattern_at_zero(state):
         closed = [p.base.sequent for p in g.pairs if isinstance(p.base, ClosedBase)]
         if closed:
             assert g.pattern is not None
-            zero = subst(g.pattern, Substitution({"n": numeral(0)}, {}))
+            zero = subst(g.pattern, {"n": numeral(0)})
             assert all(sequent == zero for sequent in closed)
 
 

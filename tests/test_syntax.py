@@ -28,7 +28,6 @@ from silkcheck.syntax import (
     Param,
     Sequent,
     SortMismatch,
-    Substitution,
     Succ,
     ZERO,
     bind,
@@ -66,63 +65,60 @@ def s(text):
 
 
 def test_subst_parameter_instance():
-    out = subst(f("P(alpha + S^n)"), Substitution({"n": ZERO}, {}))
+    out = subst(f("P(alpha + S^n)"), {"n": ZERO})
     assert out == f("P(alpha + S^0)")
 
 
 def test_subst_empty_is_identity():
     a = f("forall x. P(x) -> P(f(x))")
-    assert subst(a, Substitution({}, {})) is a
+    assert subst(a) is a and subst(a, {}, {}) is a
 
 
 def test_subst_bound_occurrence_shadows():
     a = f("forall x. P(x) -> P(f(x))")
-    assert subst(a, Substitution({}, {"x": t("g(y)")})) == a
+    assert subst(a, {}, {"x": t("g(y)")}) == a
 
 
 def test_subst_capture_avoided():
     a = f("forall x. P(y)")
-    out = subst(a, Substitution({}, {"y": t("x")}))
+    out = subst(a, {}, {"y": t("x")})
     assert formula_eq(out, f("forall z. P(x)"))
 
 
 def test_capture_avoiding_rename_avoids_the_substitution_domain():
     # A renamed binder once took the fresh name x1, a key of the
     # substitution, which then replaced the bound variable as well.
-    out = subst(f("forall x. P(x, y)"), Substitution({}, {"y": t("x"), "x1": t("c")}))
+    out = subst(f("forall x. P(x, y)"), {}, {"y": t("x"), "x1": t("c")})
     assert formula_eq(out, f("forall z. P(z, x)"))
 
 
 def test_omega_binder_is_renamed_apart_from_substituted_parameters():
     # n := m under forall m:omega must not capture m.
-    out = subst(f("forall m:omega. Q^(n + m)"), Substitution({"n": Param("m")}, {}))
+    out = subst(f("forall m:omega. Q^(n + m)"), {"n": Param("m")})
     assert formula_eq(out, f("forall k:omega. Q^(m + k)"))
     # A term substituted for an individual variable carries parameters too;
     # a renamed binder once took m2, as m1 was a key.
     f_of_m = Fn("f", (Param("m"),))
     body = lambda x, k: Atom("P", (x, Param(k)))
-    out = subst(bind(OmegaAll, "m", body(FreeVar("x"), "m")), Substitution({"m1": numeral(3)}, {"x": f_of_m}))
+    out = subst(bind(OmegaAll, "m", body(FreeVar("x"), "m")), {"m1": numeral(3)}, {"x": f_of_m})
     assert formula_eq(out, bind(OmegaAll, "k", body(f_of_m, "k")))
     # It prints under the first name not free in its body.
     assert str(out) == "forall m1:omega. P(f(m), m1)"
 
 
 def test_one_substitution_reused_across_a_sequent():
+    # One memo serves every formula of the sequent; each formula substituted
+    # on its own is the very node the sequent's substitution gives.
     seq = s("A, forall x. P(x, y), Q(y, S^n) |- P(y + S^n, n), Q(y, S^n)")
-    sub = Substitution({"n": numeral(3)}, {"y": t("g(a, 2)")})
-    whole = subst(seq, sub)
-    assert all(subst(a, sub) is b for a, b in zip(seq.formulas(), whole.formulas()))
-    fresh = Substitution({"n": numeral(3)}, {"y": t("g(a, 2)")})
-    assert fresh == sub  # the memo takes no part in comparison
-    again = subst(seq, fresh)
-    assert all(a is b for a, b in zip(whole.formulas(), again.formulas()))
-    assert again == s("A, forall x. P(x, g(a, 2)), Q(g(a, 2), S^3) |- P(g(a, 2) + S^3, 3), Q(g(a, 2), S^3)")
+    params, vars = {"n": numeral(3)}, {"y": t("g(a, 2)")}
+    whole = subst(seq, params, vars)
+    assert all(subst(a, params, vars) is b for a, b in zip(seq.formulas(), whole.formulas()))
+    assert whole == s("A, forall x. P(x, g(a, 2)), Q(g(a, 2), S^3) |- P(g(a, 2) + S^3, 3), Q(g(a, 2), S^3)")
 
 
 def test_capture_avoided_alike_at_every_occurrence():
     seq = s("forall x. Q(y) |- forall x. Q(y)")
-    sub = Substitution({}, {"y": t("x")})
-    out = subst(seq, sub)
+    out = subst(seq, {}, {"y": t("x")})
     assert out.ante[0] is out.succ[0]
     assert str(out.ante[0]) == "forall x1. Q(x)"
     assert formula_eq(out.ante[0], f("forall z. Q(x)"))
@@ -135,15 +131,15 @@ def test_subst_combines_only_what_it_can_change(monkeypatch):
     monkeypatch.setattr(
         silkcheck.syntax, "fill", lambda root, schedule, memo: combined.extend(schedule) or fill(root, schedule, memo)
     )
-    sub = Substitution({"n": numeral(5)}, {"x": t("b")})
+    sub = ({"n": numeral(5)}, {"x": t("b")})
     closed = f("P(f(S^3)) -> Q(g(a, 2^(4)))")
-    assert subst(closed, sub) is closed and combined == []
+    assert subst(closed, *sub) is closed and combined == []
     # A binder is an ordinary node, and its bound variable, $0, no key.
     binder = f("forall x. P(x) -> P(f(x))")
     combined.clear()  # reading the binder closed its body
-    assert subst(binder, sub) is binder and combined == []
+    assert subst(binder, *sub) is binder and combined == []
     open_ = f("P(f(S^n)) -> Q(a)")
-    subst(open_, sub)
+    subst(open_, *sub)
     assert combined == [node for node in reversed(list(walk(open_))) if "n" in free_params(node)]
 
 
@@ -157,9 +153,9 @@ def test_threads_substituting_one_new_formula_agree():
             root = Atom("Q", ())
             for k in range(300):
                 root = And(root, Atom(f"T{rnd}", (Fn("f", (NumFn("+", (Param("n"), numeral(k))),)),)))
-            want = gen.reference_subst(root, Substitution({"n": numeral(2)}, {}))
+            want = gen.reference_subst(root, {"n": numeral(2)}, {})
             got = []
-            apply = lambda: got.append(subst(root, Substitution({"n": numeral(2)}, {})))
+            apply = lambda: got.append(subst(root, {"n": numeral(2)}))
             threads = [threading.Thread(target=apply) for _ in range(4)]
             for th in threads:
                 th.start()
@@ -172,20 +168,26 @@ def test_threads_substituting_one_new_formula_agree():
 
 
 def test_subst_sort_mismatch():
-    with pytest.raises(SortMismatch):
-        Substitution({"n": t("f(alpha)")}, {})
+    # A value of the wrong sort is refused before anything is filled, even
+    # where the name does not occur.
+    with pytest.raises(SortMismatch) as exc:
+        subst(f("P(a)"), {"n": t("f(alpha)")})
+    assert str(exc.value) == "parameter n must map to a numeric expression, got <Fn f(alpha)>"
+    with pytest.raises(SortMismatch) as exc:
+        subst(f("P(a)"), {"n": numeral(1)}, {"a": f("Q(b)")})
+    assert str(exc.value) == "variable a must map to a term, got <Atom Q(b)>"
 
 
 def test_subst_composition_on_parameter():
     e = f("P(alpha + S^(n + 1))")
     k = t("n + 2")
-    first = subst(subst(e, Substitution({"n": k}, {})), Substitution({"n": numeral(3)}, {}))
-    composed = subst(e, Substitution({"n": subst(k, Substitution({"n": numeral(3)}, {}))}, {}))
+    first = subst(subst(e, {"n": k}), {"n": numeral(3)})
+    composed = subst(e, {"n": subst(k, {"n": numeral(3)})})
     assert first == composed
 
 
 def test_subst_schematic_index():
-    out = subst(t("x[n + 1]"), Substitution({"n": numeral(2)}, {}))
+    out = subst(t("x[n + 1]"), {"n": numeral(2)})
     assert out == t("x[2 + 1]")
 
 
@@ -291,22 +293,22 @@ def test_deep_terms_hash_eq_print():
     assert deep is again
     assert hash(deep) == hash(again)
     assert str(Atom("P", (deep,))).count("f(") == 4000
-    assert subst(deep, Substitution({}, {"q": FreeVar("r")})) is deep
+    assert subst(deep, {}, {"q": FreeVar("r")}) is deep
 
 
 def test_subst_preserves_sequent_eq():
     a = s("A, forall x. P(x) |- P(alpha + S^n)")
     b = s("forall y. P(y), A |- P(alpha + S^n)")
     assert sequent_eq(a, b)
-    sub = Substitution({"n": numeral(2)}, {"alpha": FreeVar("beta")})
-    assert sequent_eq(subst(a, sub), subst(b, sub))
+    sub = ({"n": numeral(2)}, {"alpha": FreeVar("beta")})
+    assert sequent_eq(subst(a, *sub), subst(b, *sub))
 
 
 def test_schematic_variable_renaming():
-    out = subst(t("x[n + 1]"), Substitution({}, {"x": FreeVar("y")}))
+    out = subst(t("x[n + 1]"), {}, {"x": FreeVar("y")})
     assert out == t("y[n + 1]")
     with pytest.raises(SortMismatch):
-        subst(t("x[n]"), Substitution({}, {"x": t("f(a)")}))
+        subst(t("x[n]"), {}, {"x": t("f(a)")})
 
 
 def test_deep_numeric_functions_canonicalize():
@@ -318,7 +320,7 @@ def test_deep_numeric_functions_canonicalize():
     shifted = NumFn("+", (Param("n"), numeral(1)))
     for _ in range(10_000):
         shifted = NumFn("2^", (shifted,))
-    assert num_eq(shifted, subst(deep, Substitution({"n": Succ(Param("n"))}, {})))
+    assert num_eq(shifted, subst(deep, {"n": Succ(Param("n"))}))
 
 
 def test_fold_combines_each_distinct_node_once_without_recursing():

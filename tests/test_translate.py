@@ -160,14 +160,14 @@ def test_interpret_instances_follow_the_unrolling(exp_script):
     # The leading pattern instantiated at alpha agrees with the unrolled
     # proof's end-sequent after rewriting.
     from silkcheck.rewrite import normalize
-    from silkcheck.syntax import Substitution, numeral, subst
+    from silkcheck.syntax import numeral, subst
 
     schema = silk_to_schema(exp_script)
     lead = schema.components[0]
     for alpha in range(9):
         trace = evaluate(schema, alpha, exp_script.theory)
         want = normalize(
-            subst(lead.pattern, Substitution({"n": numeral(alpha)}, {})), exp_script.theory
+            subst(lead.pattern, {"n": numeral(alpha)}), exp_script.theory
         ).value
         assert trace.proof.conclusion == want
 
