@@ -14,10 +14,12 @@ record, a ``_LinkInstance``, in three passes: expansion instantiates its
 template, its conclusion formulas are normalized, parents before kids, so
 a kid's come mostly from the cache, and its normal proof is built, kids
 first.  Its expanded proof is built only when a caller first reads it,
-kids first again, from the expressions the record keeps until then.  One
-node loop, ``_build``, builds either proof, given the stage's node
-constructor and its forms of the expressions.  A recurring instance is
-the same nodes, so both proofs are DAGs.  An instance keeps only its own
+kids first again, from the expressions the record keeps until then.  Each
+template is compiled once into the nodes both builds replay, bottom-up:
+``_normal`` builds the normal proof from the normal forms, splicing away
+the rewrite steps that became trivial, and ``_build`` the expanded proof
+from the instantiated expressions.  A recurring instance is the same
+nodes, so both proofs are DAGs.  An instance keeps only its own
 expansion record and how many records its expansion covers, so records
 are counted, not copied, and listed on each read, kept nowhere.  The memo
 also holds each component's base and step compiled for instantiation.  A
@@ -36,8 +38,7 @@ inferences intact (the unrolled figure).
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from . import rewrite as rw
 from .kernel import (
@@ -83,8 +84,9 @@ def replace(record, **changes):
     if type(cls) is not type or cls.__init__ is not Record.__init__:  # a node, or its own constructor
         return cls(*[changes[name] if name in changes else getattr(record, name) for name in cls._fields])
     copy = object.__new__(cls)
-    for name in cls._fields:
-        object.__setattr__(copy, name, changes[name] if name in changes else getattr(record, name))
+    fields = copy.__dict__
+    fields.update(record.__dict__)  # every field, in field order, so the keys stay shared
+    fields.update(changes)
     return copy
 
 
@@ -259,9 +261,9 @@ def _is_subterm_of_param(small, big) -> bool:
 
 
 _WHOLE = RuleData(whole=True)
-# The expression fields of a witness other than a link's, in field order,
-# with their positions; a link leaf is replaced, so its witness is not rebuilt.
-_EXPR_KEYS = {key: RuleData._fields.index(key) for key in ("formula", "term", "repl")}
+# The expression fields of a witness other than a link's, in field order; a
+# link leaf is replaced, so its witness is not rebuilt.
+_EXPR_KEYS = ("formula", "term", "repl")
 
 
 class UnrollMemo:
@@ -344,7 +346,7 @@ class _LinkInstance:
         that share a kid read the same proof."""
         if self.figure is None:
             missing = lambda inst: [kid for kid in inst.kids if kid.figure is None]
-            fold(self, lambda inst, _: _figure(inst), {}, (), missing)
+            fold(self, lambda inst, _: _build(inst), {}, (), missing)
         return self.figure
 
     def inferences(self) -> tuple:
@@ -370,15 +372,14 @@ class _Template:
     the expression, and its ``syntax._schedule`` under that fixed domain,
     all computed here, once.  ``concl`` holds the indices of the
     conclusion formulas of the nodes other than link leaves, in the order
-    a walk of ``nodes`` first meets them.  ``nodes`` lists the nodes in
-    reversed pre-order as (rule, arity, antecedent picker, succedent
-    picker, witness, witness fields, whether a field is open); a picker
-    takes a sequent side from a list indexed like ``exprs``, and the
-    witness fields are () for a witness without expressions, else its
-    field values in field order and its expression fields as (position,
-    index).  ``links`` lists the link leaves in pre-order as (target,
-    parameter index, terms picker, antecedent picker, succedent picker);
-    ``counts`` its inference counts."""
+    a walk of ``nodes`` first meets them.  ``nodes``, the program both
+    builds replay, lists the nodes in reversed pre-order as (rule, arity,
+    antecedent picker, succedent picker, witness, witness slots, whether
+    a slot is open); a picker takes a sequent side from a list indexed
+    like ``exprs``, and the slots are the witness's expression fields, in
+    field order, as (field name, index).  ``links`` lists the link leaves
+    in pre-order as (target, parameter index, terms picker, antecedent
+    picker, succedent picker); ``counts`` its inference counts."""
 
     __slots__ = ("exprs", "plan", "concl", "nodes", "links", "counts")
 
@@ -401,11 +402,10 @@ class _Template:
             ante = tuple([at(f) for f in node.conclusion.ante])
             succ = tuple([at(f) for f in node.conclusion.succ])
             data = node.data
-            witness = [(i, getattr(data, key)) for key, i in _EXPR_KEYS.items() if getattr(data, key) is not None]
-            slots = tuple([(position, at(e)) for position, e in witness])
-            fields = (tuple([getattr(data, key) for key in RuleData._fields]), slots) if slots else ()
+            witness = [(key, getattr(data, key)) for key in _EXPR_KEYS if getattr(data, key) is not None]
+            slots = tuple([(key, at(e)) for key, e in witness])
             opened = any(changes(e) for _, e in witness)
-            pre.append((node.rule, len(node.premises), _picker(ante), _picker(succ), data, fields, opened))
+            pre.append((node.rule, len(node.premises), _picker(ante), _picker(succ), data, slots, opened))
             if node.rule == RuleName.LINK:  # a link leaf's conclusion is its expansion's
                 param = None if data.param is None else at(data.param)
                 terms = tuple([at(t) for t in data.terms])
@@ -443,10 +443,10 @@ def evaluate(
     conclusions normalized, and its normal proof built (see ``_expand``):
     every sequent and witness rewritten and trivial rewrite inferences
     removed, the LK proof the evaluation denotes.  The expanded proof is
-    built by the same node loop, ``_build``, when ``expanded`` is first
-    read.  Each instance is built once, so a subproof that recurs is one
-    shared node and both proofs are DAGs (tree walkers still see every
-    occurrence).
+    built from the same compiled nodes, by ``_build``, when ``expanded``
+    is first read.  Each instance is built once, so a subproof that recurs
+    is one shared node and both proofs are DAGs (tree walkers still see
+    every occurrence).
 
     The instance costs fuel as a numeral sum does, its size: a numeral
     larger than the fuel is ``FuelExhausted`` before anything is built.
@@ -500,7 +500,7 @@ def _expand(root, theory, memo: UnrollMemo) -> _LinkInstance:
     while it was open.  Then the conclusion formulas of each new instance are
     normalized, parents before kids: a kid's formulas are mostly subterms
     of its parent's, which the theory's cache then already holds.  Last,
-    each new instance's normal proof is built by ``_build`` in the order
+    each new instance's normal proof is built by ``_normal`` in the order
     its expansion closed, so every kid before its parent.
 
     Both rewriting passes come after expansion ends, so a rewrite error
@@ -584,10 +584,8 @@ def _expand(root, theory, memo: UnrollMemo) -> _LinkInstance:
         nfs = forms[inst] = [None] * len(vals)
         for i in inst.template.concl:
             nfs[i] = cached(vals[i]) or _normal_form(vals[i], theory)
-    form = lambda side: tuple([_normal_form(f, theory) for f in side])
-    node = partial(_normal_node, theory)
     for inst in closed:
-        inst.proof = _build(inst, forms.pop(inst), form, node, attrgetter("proof"))  # freed once built
+        inst.proof = _normal(inst, forms.pop(inst), theory)  # freed once built
     links.update(new)
     return result
 
@@ -602,17 +600,6 @@ def _instance(template: _Template, memo: dict) -> list:
     return vals
 
 
-def _fill(fields: tuple, value) -> RuleData:
-    """The witness a template node's ``fields`` describe, with each
-    expression field (position, index) set to ``value(index)``, in field
-    order."""
-    args, slots = fields
-    args = list(args)
-    for position, i in slots:
-        args[position] = value(i)
-    return RuleData(*args)
-
-
 def _normal_form(x, theory: rw.EquationalTheory):
     """The normal form of ``x``, from the theory's cache when it is there:
     a cached span never exceeds the fuel, so normalizing it would give the
@@ -621,60 +608,92 @@ def _normal_form(x, theory: rw.EquationalTheory):
     return rw.normalize(x, theory).value if nf is None else nf
 
 
-def _build(inst: _LinkInstance, values: list, form, node, kid_proof) -> Proof:
-    """One stage of the instance's proof: its template built bottom-up,
-    each node by ``node(instance, conclusion, rule, premises, witness,
-    witness fields, whether a field is open)`` from the stage's forms
-    ``values`` of the conclusion formulas, each link leaf replaced by
-    ``kid_proof`` of its instance, and all under a whole-sequent rewrite
-    step to the displayed sequent, each side in the stage's ``form``, if
-    the instance is ``bridged``."""
-    built, kids = [], iter(inst.kids)
+def _witness(data: RuleData, slots: tuple, values: list) -> RuleData:
+    """A copy of the template witness ``data`` with each expression field
+    (name, index) of ``slots`` set to ``values[index]``.  The copy takes
+    the template's dict whole, so it shares its keys, and then its values."""
+    new = object.__new__(RuleData)
+    fields = new.__dict__
+    fields.update(data.__dict__)
+    for name, i in slots:
+        fields[name] = values[i]
+    return new
+
+
+def _normal(inst: _LinkInstance, nfs: list, theory: rw.EquationalTheory) -> Proof:
+    """The instance's normal proof over its kids': its template's nodes
+    built bottom-up from ``nfs``, the normal forms of its expressions,
+    which holds those of the conclusion formulas and takes each witness
+    expression's as it is rewritten, each link leaf replaced by its kid's
+    proof, and all under a whole-sequent rewrite step to the displayed
+    sequent in normal form if the instance is ``bridged``.  A rewrite step
+    that became trivial is spliced away, its witness unrewritten, and
+    counted in the instance's ``spliced``."""
+    vals, built, kids, spliced = inst.vals, [], iter(inst.kids), 0
+    cached = theory._nf_cache.get
     # Reversed pre-order puts every node after its premises, the last
     # premise first, so a node's premises are the top ``arity`` values,
     # the first premise on top.
-    for rule, arity, ante_of, succ_of, data, fields, opened in inst.template.nodes:
+    for rule, arity, ante_of, succ_of, data, slots, _ in inst.template.nodes:
         if rule == RuleName.LINK:
-            built.append(kid_proof(next(kids)))
+            built.append(next(kids).proof)
+            continue
+        ante, succ, premises = ante_of(nfs), succ_of(nfs), ()
+        if arity:
+            premises = tuple(built[: -arity - 1 : -1])
+            del built[-arity:]
+            if rule == RuleName.ERULE and (proof := _spliced(premises[0], ante, succ)) is not None:
+                spliced += 1
+                built.append(proof)
+                continue
+        if slots:
+            for _, i in slots:
+                nfs[i] = cached(vals[i]) or _normal_form(vals[i], theory)
+            data = _witness(data, slots, nfs)
+        built.append(Proof(Sequent(ante, succ), rule, premises, data))
+    proof = built[0]
+    if inst.bridged:
+        ante, succ = (tuple([_normal_form(f, theory) for f in side]) for side in (inst.ante, inst.succ))
+        bridge = _spliced(proof, ante, succ)
+        spliced += bridge is not None
+        proof = Proof(Sequent(ante, succ), RuleName.ERULE, (proof,), _WHOLE) if bridge is None else bridge
+    inst.spliced = spliced
+    return proof
+
+
+def _spliced(child: Proof, ante: tuple, succ: tuple) -> Proof | None:
+    """What a rewrite step concluding ``ante`` |- ``succ`` over ``child``
+    splices to when it is trivial, else None: ``child`` if its sides are
+    these, else ``child`` retupled to them, so witnesses above keep their
+    positions (witness indices only ever address premise tuples)."""
+    below = child.conclusion
+    if below.ante == ante and below.succ == succ:
+        return child
+    concl = Sequent(ante, succ)
+    return Proof(concl, child.rule, child.premises, child.data) if below == concl else None
+
+
+def _build(inst: _LinkInstance) -> None:
+    """Set the instance's expanded proof over its kids': its template's
+    nodes instantiated bottom-up, each link leaf replaced by its kid's
+    figure, and all under a whole-sequent rewrite step to the displayed
+    sequent if the instance is ``bridged``.  The instance then drops
+    ``vals``, which only this build still needed."""
+    vals, built, kids = inst.vals, [], iter(inst.kids)
+    for rule, arity, ante_of, succ_of, data, slots, opened in inst.template.nodes:
+        if rule == RuleName.LINK:
+            built.append(next(kids).figure)
             continue
         premises = ()
         if arity:
             premises = tuple(built[: -arity - 1 : -1])
             del built[-arity:]
-        built.append(node(inst, Sequent(ante_of(values), succ_of(values)), rule, premises, data, fields, opened))
-    if not inst.bridged:
-        return built[0]
-    return node(inst, Sequent(form(inst.ante), form(inst.succ)), RuleName.ERULE, (built[0],), _WHOLE, (), False)
-
-
-def _normal_node(theory, inst, concl, rule, premises, data, fields, opened) -> Proof:
-    """The normal node over normal premises, its conclusion normal, its
-    witness fields rewritten to normal form; a rewrite inference that
-    became trivial is spliced away, its witness unrewritten, and counted in
-    the instance's ``spliced``."""
-    if rule == RuleName.ERULE and premises and premises[0].conclusion == concl:
-        # Splice the premise, retupled to this node's formula order so
-        # witnesses above keep their positions (witness indices only ever
-        # address premise tuples).
-        inst.spliced += 1
-        child = premises[0]
-        if child.conclusion.ante == concl.ante and child.conclusion.succ == concl.succ:
-            return child
-        return Proof(concl, child.rule, child.premises, child.data)
-    vals = inst.vals
-    return Proof(concl, rule, premises, _fill(fields, lambda i: _normal_form(vals[i], theory)) if fields else data)
-
-
-def _expanded_node(inst, concl, rule, premises, data, fields, opened) -> Proof:
-    """The expanded node: the template's node instantiated."""
-    return Proof(concl, rule, premises, _fill(fields, inst.vals.__getitem__) if opened else data)
-
-
-def _figure(inst: _LinkInstance) -> None:
-    """Set the instance's expanded proof, built by ``_build`` on its kids';
-    the instance then drops ``vals``, which only this build still needed."""
-    # ``tuple`` of a tuple is that tuple: the expanded form of a side.
-    inst.figure, inst.vals = _build(inst, inst.vals, tuple, _expanded_node, attrgetter("figure")), None
+        witness = _witness(data, slots, vals) if opened else data
+        built.append(Proof(Sequent(ante_of(vals), succ_of(vals)), rule, premises, witness))
+    figure = built[0]
+    if inst.bridged:
+        figure = Proof(Sequent(inst.ante, inst.succ), RuleName.ERULE, (figure,), _WHOLE)
+    inst.figure, inst.vals = figure, None
 
 
 def _tally(root: _LinkInstance) -> tuple:

@@ -9,7 +9,8 @@ the same node wherever it occurs).
 
 Every node is hash-consed: constructing a node whose class and fields match
 an existing one returns that node, so structurally equal nodes are the same
-object and == and hash are object identity.
+object and == and hash are object identity.  The lookup is an unbounded
+functools.lru_cache over the constructor, so a hit runs no Python code.
 
 Every record class derives from Record: its fields are the names annotated
 in its class body (after its bases'), a class attribute of a field's name is
@@ -54,6 +55,7 @@ distinct template subnode is rebuilt once per expansion.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import methodcaller
 from typing import Iterator, Mapping
 
@@ -116,9 +118,6 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-_NODES: dict = {}
-
-
 class _HashConsed(type):
     """Looks a node up by its class and positional fields before building
     it, so each distinct node exists once per process.  A node class's
@@ -128,16 +127,13 @@ class _HashConsed(type):
         ns.setdefault("__slots__", tuple(ns.get("__annotations__", ())))
         return super().__new__(mcls, name, bases, ns, **kwargs)
 
+    @lru_cache(maxsize=None)  # keyed by (cls, *fields), and by keywords, which the body refuses
     def __call__(cls, *fields):
-        key = (cls, *fields)
-        node = _NODES.get(key)
-        if node is None:
-            if len(fields) != len(cls._fields):
-                raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(fields)}")
-            node = object.__new__(cls)
-            for name, value in zip(cls._fields, fields):
-                _setattr(node, name, value)
-            _NODES[key] = node
+        if len(fields) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(fields)}")
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, fields):
+            _setattr(node, name, value)
         return node
 
 

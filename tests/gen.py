@@ -516,15 +516,27 @@ def unrolling(evaluate, proof_schema, alpha, theory):
 SCHEMA_FILES = ["schema_exp.sch", "schema_fhat.sch", "schema_shat.sch", "schema_svar.sch"]
 
 
+def two_premise_rewrite_base() -> str:
+    """schema_shat.sch with its base's ``w:l`` closed before the ``ax``:
+    the base ``E`` has two premises and the ``w:l`` none.  ``check-schema``
+    rejects it; unrolling splices the ``E`` onto its first premise."""
+    text = corpus_path("schema_shat.sch").read_text()
+    block = 'formula="forall x. P(x) -> P(f(x))" {\n        ax "P(alpha + 0) |- P(alpha + 0)"\n      }'
+    assert text.count(block) == 1
+    return text.replace(block, 'formula="forall x. P(x) -> P(f(x))"\n      ax "P(alpha + 0) |- P(alpha + 0)"')
+
+
 def reference_evaluate_property(max_examples):
     """On corpus schemata and their mutants, at 0..5, under the default fuel
     and a low one, ``schema.evaluate`` shows what the two-pass oracle shows,
-    each on a fresh theory."""
+    each on a fresh theory.  A rewrite step with two premises is spliced as
+    one with one is."""
 
     corpus = st.sampled_from(SCHEMA_FILES).map(lambda name: (name, corpus_path(name).read_text()))
 
     @settings(max_examples=max_examples, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(corpus | mutated_corpus_files(SCHEMA_FILES))
+    @example(("schema_shat.sch", two_premise_rewrite_base()))
     def check(case):
         _, text = case
         try:
@@ -2833,10 +2845,15 @@ def reference_normalize_property(max_examples, warm=False):
     tower = Fn("f^", (NumFn("2^", (numeral(5),)), ZERO))
     exp_rules = load_theory(corpus_path("theory_exp.thy")).rules
     schematic = parser.parse_theory(SCHEMATIC_RULES).rules
+    # After d(z), warm, the frame of k(f(0), d(z)) has an uncached kid whose
+    # head step is a SortMismatch and a cached kid whose span passes fuel 2.
+    one_kid_cached = schematic + parser.parse_theory("r(x) == k(f(0), d(x));\nd(x) == e(x);\ne(x) == x;").rules
     theories: dict = {}  # (rules, fuel) -> theory, when warm
 
     @settings(max_examples=max_examples, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(st.one_of(terms, formulas, sequents), normal_rules(), st.sampled_from((3, 10, 40, DEFAULT_FUEL)))
+    @example(parse_term("d(z)"), one_kid_cached, 2)  # explicit examples run top first
+    @example(parse_term("r(z)"), one_kid_cached, 2)
     @example(tower, exp_rules, 31)
     @example(tower, exp_rules, 32)
     @example(Atom("P", (Fn("f", (Fn("f", (FreeVar("a"),)),)),)), schematic, DEFAULT_FUEL)

@@ -868,10 +868,10 @@ def test_unroll_lk_check_builds_no_expanded_node(capsys, monkeypatch):
             memos.append(self)
 
     def refused(*args):
-        raise AssertionError("an expanded node was built")
+        raise AssertionError("an expanded proof was built")
 
     monkeypatch.setattr(silkcheck.cli, "UnrollMemo", Recorded)
-    monkeypatch.setattr(silkcheck.schema, "_expanded_node", refused)
+    monkeypatch.setattr(silkcheck.schema, "_build", refused)
     # argv -> the end of its output; stats counts the expanded proof too.
     runs = {
         ("unroll", p("schema_exp.sch"), "--alpha", "6", "--lk", "--check", "--quiet", "--json"): "check: accepted\n",

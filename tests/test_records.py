@@ -116,14 +116,14 @@ def test_the_table_covers_every_record_class():
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
 def test_frozen_records_refuse_assignment_and_deletion(name):
-    record = FROZEN[name]()
-    field = record._fields[0] if record._fields else "extra"
-    before = getattr(record, field, "absent")
-    with pytest.raises(AttributeError):
-        setattr(record, field, None)
-    with pytest.raises(AttributeError):
-        delattr(record, field)
-    assert getattr(record, field, "absent") is before
+    for record in (FROZEN[name](), replace(FROZEN[name]())):
+        field = record._fields[0] if record._fields else "extra"
+        before = getattr(record, field, "absent")
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field, "absent") is before
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
@@ -223,11 +223,16 @@ def test_the_node_caches_live_in_slots():
     assert not any(hasattr(x, "__dict__") for x in [seq, renamed, *walk(body), *walk(renamed.ante[0])])
 
 
-@pytest.mark.parametrize("name", sorted(VALUES))
+@pytest.mark.parametrize("name", sorted({**VALUES, **UNHASHABLE}))
 def test_fields_are_set_in_field_order(name):
-    # Instances of one class then share the key table of their dicts.
-    record = VALUES[name]()
-    assert list(vars(record)) == list(record._fields)
+    # Instances of one class then share the key table of their dicts; so do
+    # the copies replace makes, which take the record's dict whole.
+    record = FROZEN[name]()
+    copies = [replace(record)] + [replace(record, **{field: "other"}) for field in record._fields[-1:]]
+    assert copies[0] == record and copies[0] is not record
+    assert all(getattr(copy, record._fields[-1]) == "other" for copy in copies[1:])
+    for each in (record, *copies):
+        assert list(vars(each)) == list(record._fields)
 
 
 def test_repr_names_the_fields():
