@@ -47,10 +47,10 @@ hint, or the first hint1, hint2, ... not free in its body.
 Since nodes are immutable and shared, a substitution memoizes its result per
 input node in a dict of its own, which seed starts with each parameter and
 variable node replaced, so results never depend on what an earlier call left
-behind.  One loop, fill, rebuilds the nodes a substitution can change
-(_schedule), for subst, bind, open_body and rewrite steps alike; unrolling one
-link fills its template's open expressions over one seeded memo, so each
-distinct template subnode is rebuilt once per expansion.
+behind.  fill, the loop of subst, bind, open_body and rewrite steps, runs
+the steps (_schedule, kids and rebuild per node) of what a substitution can
+change; unrolling one link fills its template's open expressions over one
+seeded memo, so each distinct template subnode is rebuilt once per expansion.
 """
 
 from __future__ import annotations
@@ -411,7 +411,7 @@ _NO_NAMES = frozenset()
 
 
 def _scope(node: Node) -> tuple:
-    return fold(node, _names, _SCOPES)
+    return _SCOPES.get(node) or fold(node, _names, _SCOPES)
 
 
 def _names(node: Node, kids: tuple) -> tuple:
@@ -605,23 +605,18 @@ def _unhinted(f: Formula, kids: tuple) -> Formula:
 
 
 def formula_eq(a: Formula, b: Formula) -> bool:
-    """Syntactic equality modulo renaming of bound variables."""
-    return canon_alpha(a) == canon_alpha(b)
+    """Syntactic equality modulo renaming of bound variables, identity first."""
+    return a is b or canon_alpha(a) == canon_alpha(b)
 
 
 def multiset_eq(xs: tuple, ys: tuple) -> bool:
+    """Multiset equality under formula_eq: by identity, as equal nodes are
+    one, and by canonical forms, hash-consed too, only where that fails."""
     if len(xs) != len(ys):
         return False
-    remaining = list(ys)
-    for x in xs:
-        cx = canon_alpha(x)
-        for i, y in enumerate(remaining):
-            if x is y or cx == canon_alpha(y):
-                del remaining[i]
-                break
-        else:
-            return False
-    return True
+    if sorted(map(id, xs)) == sorted(map(id, ys)):
+        return True
+    return sorted([id(canon_alpha(x)) for x in xs]) == sorted([id(canon_alpha(y)) for y in ys])
 
 
 def sequent_eq(a: Sequent, b: Sequent) -> bool:
@@ -629,27 +624,6 @@ def sequent_eq(a: Sequent, b: Sequent) -> bool:
     if a is b or a.ante == b.ante and a.succ == b.succ:  # hash-consed: tuples compare by identity
         return True
     return multiset_eq(a.ante, b.ante) and multiset_eq(a.succ, b.succ)
-
-
-# ---------------------------------------------------------------------------
-# Rebuilding, free symbols
-
-
-def rebuild(node: Node, kids: tuple) -> Node:
-    cls = type(node)
-    if cls is Fn or cls is NumFn:
-        return cls(node.sym, kids)
-    if cls is Atom:
-        return Atom(node.pred, kids)
-    if cls is SVar:
-        return SVar(node.name, kids[0])
-    if cls is Succ or cls in CONNECTIVES:
-        return cls(*kids)
-    if cls in _BINDERS:  # substitution keeps every height
-        return cls(node.var, node.hint, kids[0])
-    if not kids:
-        return node
-    raise TypeError(node)
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +644,48 @@ def seed(params: Mapping[str, NumExpr], vars: Mapping[str, Node]) -> dict:
             raise SortMismatch(f"variable {k} must map to a term, got {v!r}")
         memo[FreeVar(k)] = v
     return memo
+
+
+# A node's step: its image under a memo, whose get it is given, from its kids
+# as _schedule keeps them, a one-kid node's kid alone.  Untouched, it is itself.
+def _one(node, kid, get):  # Succ and Not
+    return node if (new := get(kid, kid)) is kid else type(node)(new)
+
+
+def _arg(node, kid, get):  # an application of one argument
+    return node if (new := get(kid, kid)) is kid else type(node)(node.pred if type(node) is Atom else node.sym, (new,))
+
+
+def _args(node, kids, get):  # a binary connective, or an application
+    new = tuple([get(k, k) for k in kids])
+    if new == kids:
+        return node
+    return cls(*new) if (cls := type(node)) in CONNECTIVES else cls(node.pred if cls is Atom else node.sym, new)
+
+
+def _binder(node, kid, get):  # substitution keeps every height
+    return node if (new := get(kid, kid)) is kid else type(node)(node.var, node.hint, new)
+
+
+def _svar(node, index, get):
+    new, repl = get(index, index), get(FreeVar(node.name), node)
+    if type(repl) is not SVar and type(repl) is not FreeVar:
+        raise SortMismatch(f"schematic variable {node.name} must map to a variable, got {repl!r}")
+    return node if new is index and repl is node else SVar(repl.name, new)
+
+
+_STEPS = dict.fromkeys((Zero, Param, FreeVar), lambda node, kids, get: node) | dict.fromkeys(_BINDERS, _binder)
+_STEPS |= {Succ: _one, Not: _one, SVar: _svar} | dict.fromkeys((And, Or, Imp, Fn, NumFn, Atom), _args)
+
+
+def rebuild(node: Node, kids: tuple) -> Node:
+    """node with its kids replaced by kids."""
+    cls = type(node)
+    if cls is Fn or cls is NumFn or cls is Atom:
+        return cls(node.pred if cls is Atom else node.sym, kids)
+    if cls in _BINDERS or cls is SVar:  # its one kid is its last field; a binder keeps its height
+        return cls(*_values(node)[:-1], kids[0])
+    return cls(*kids) if kids else node  # Succ, a connective, or a leaf
 
 
 def subst(x, params: Mapping[str, NumExpr] = {}, vars: Mapping[str, Node] = {}):
@@ -693,27 +709,20 @@ def subst(x, params: Mapping[str, NumExpr] = {}, vars: Mapping[str, Node] = {}):
 def fill(root: Node, schedule: list, memo: dict) -> Node:
     """root under memo, which maps each parameter and variable node replaced
     to its value: the substitution loop of subst, bind, open_body and rewrite
-    steps.  Each node of root's schedule gets its image in memo, kids first;
-    untouched ones stay as they are, without a hash-consing lookup."""
-    for node in schedule:
-        if node in memo:
-            continue
-        kids = node.kids()
-        new = tuple([memo.get(k, k) for k in kids])
-        if type(node) is SVar and (repl := memo.get(FreeVar(node.name))) is not None:
-            if type(repl) is not SVar and type(repl) is not FreeVar:
-                raise SortMismatch(f"schematic variable {node.name} must map to a variable, got {repl!r}")
-            memo[node] = SVar(repl.name, new[0])
-        else:
-            memo[node] = node if new == kids else rebuild(node, new)
-    return memo.get(root, root)
+    steps.  Each step of root's schedule puts its node's image in memo, kids
+    first; untouched ones stay as they are, without a hash-consing lookup."""
+    get = memo.get
+    for node, kids, make in schedule:
+        if node not in memo:
+            memo[node] = make(node, kids, get)
+    return get(root, root)
 
 
 def _schedule(root, domain: tuple) -> list:
-    """In fold's combine order, the subnodes of root that a substitution of
-    the parameter and variable names in domain can change: those over such
-    a name.  The fold enters no kid free of them.  Cached on root, per
-    domain."""
+    """In fold's combine order, the steps of the subnodes of root that a
+    substitution of the parameter and variable names in domain can change,
+    those over such a name: each node, its kids, and its class's step.  The
+    fold enters no kid free of them.  Cached on root, per domain."""
     cache = getattr(root, "_sd", None)
     if cache is None:
         _setattr(root, "_sd", cache := {})
@@ -724,9 +733,15 @@ def _schedule(root, domain: tuple) -> list:
             variables, free, _ = _scope(node)
             return not (variables.isdisjoint(names) and free.isdisjoint(params))
 
+        def step(node, _):
+            make, kids = _STEPS[type(node)], node.kids()
+            if len(kids) == 1:
+                make, kids = _arg if make is _args else make, kids[0]
+            out.append((node, kids, make))
+
         out = []
         if over(root):
-            fold(root, lambda node, kids: out.append(node), {}, (), lambda node: [k for k in node.kids() if over(k)])
+            fold(root, step, {}, (), lambda node: [k for k in node.kids() if over(k)])
         cache[domain] = out  # only once whole, as another thread may read it
     return cache[domain]
 

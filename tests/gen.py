@@ -6,6 +6,7 @@ witness oracles, and one that varies corpus schemata so that they still
 load, with the per-numeral ``stats`` oracle."""
 
 import json
+import random
 import re
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -740,12 +741,30 @@ def subst_capture_property(max_examples):
     return check
 
 
+def rehinted(f: Formula) -> Formula:
+    """f with every binder's hint renamed: a distinct node if f has a
+    binder, an alpha-variant with f's canonical form."""
+    return fold(f, _rehinted, {})
+
+
+def _rehinted(node, kids):
+    if isinstance(node, Binder):
+        return type(node)(node.var, node.hint + "_", kids[0])
+    return node if kids == node.kids() else rebuild(node, kids)
+
+
 def sequent_eq_property(max_examples):
+    """sequent_eq holds between a sequent and its sides shuffled, each side
+    mixing the formulas themselves with alpha-variants (rehinted), which
+    identity alone cannot match; it fails on one more formula, and on one
+    formula of a side replaced by one that is not alpha-equivalent."""
+
     @settings(max_examples=max_examples, deadline=None)
     @given(sequents, st.randoms(use_true_random=False))
+    @example(parse_sequent("forall x. P(x), forall x. P(x), Q |- exists y. R(y, a)"), random.Random(1))
     def check(seq, rng):
-        ante = list(seq.ante)
-        succ = list(seq.succ)
+        ante = [rehinted(f) if rng.random() < 0.5 else f for f in seq.ante]
+        succ = [rehinted(f) if rng.random() < 0.5 else f for f in seq.succ]
         rng.shuffle(ante)
         rng.shuffle(succ)
         shuffled = Sequent(tuple(ante), tuple(succ))
@@ -753,6 +772,12 @@ def sequent_eq_property(max_examples):
         assert hash(seq) == hash(shuffled)
         extended = Sequent(seq.ante + (Atom("Q", ()),), seq.succ)
         assert not sequent_eq(seq, extended)
+        side = ante if ante else succ
+        if side:
+            i = rng.randrange(len(side))
+            side[i] = Not(side[i])  # never alpha-equivalent to the formula it replaces
+            other = Sequent(tuple(ante), tuple(succ))
+            assert not sequent_eq(seq, other) and not sequent_eq(other, seq)
 
     return check
 
@@ -1180,11 +1205,30 @@ def subst_schedule_property(max_examples):
             max_size=4,
         ),
     )
+    @example(
+        close(Atom("P", (Fn("f", (Fn("f", (Fn("f", (FreeVar("x"),)),)),)),))),  # a tower of one-kid nodes
+        [({}, {"x": FreeVar("b")}), ({"n": numeral(2)}, {"x": Fn("g", (ZERO, Param("n")))})],
+    )
+    @example(close(Atom("W^", (Succ(Succ(Param("n"))),))), [({"n": numeral(3)}, {}), ({"n": Param("m")}, {})])
+    @example(
+        close(NForall("y", Not(Atom("P", (SVar("x", Succ(Param("n"))), FreeVar("y")))))),  # x is free under the binder
+        [({"n": ZERO}, {"x": FreeVar("c")}), ({}, {"x": Fn("f", (ZERO,))})],
+    )
     def check(root, domains):
         for params, mapping in domains:
             for x in (root, *root.kids()):
-                got = _subst_outcome(subst, x, params, mapping)
-                assert identical(got, _subst_outcome(reference_subst, x, params, mapping))
+                want = _subst_outcome(reference_subst, x, params, mapping)
+                got = _outcome_or_mismatch(lambda: subst(x, params, mapping))
+                if want is not SortMismatch:
+                    assert identical(got, want)
+                    continue
+                # The message names a schematic variable mapped to a term,
+                # whichever of them the substitution meets first.
+                assert got in [
+                    (SortMismatch, f"schematic variable {k} must map to a variable, got {v!r}")
+                    for k, v in mapping.items()
+                    if type(v) is not SVar and type(v) is not FreeVar
+                ]
 
     return check
 

@@ -122,7 +122,7 @@ def test_importing_the_cli_loads_no_code_generation():
 
 # The lines of the trusted base, syntax, rewrite and kernel: a ratchet that
 # moves down as the base shrinks and up only on purpose.
-TRUSTED_BASE_LINES = 1563
+TRUSTED_BASE_LINES = 1578
 
 
 def test_the_trusted_base_keeps_its_line_count():

@@ -12,8 +12,9 @@ import pytest
 import silkcheck
 import silkcheck.rewrite
 import silkcheck.schema
+import silkcheck.syntax
 from silkcheck import corpus_path, load_schema, load_script
-from silkcheck.kernel import Proof, RuleData, RuleName as R, count_inferences
+from silkcheck.kernel import MODE_LK, Proof, RuleData, RuleName as R, check_proof, count_inferences
 from silkcheck.parser import parse_formula, parse_numexpr, parse_schema, parse_sequent, parse_theory
 from silkcheck.schema import (
     MatchFailure,
@@ -659,6 +660,20 @@ def test_evaluate_builds_one_substitution_for_the_lead_pattern(monkeypatch, alph
     monkeypatch.setattr(silkcheck.schema, "subst", lambda x, *args: calls.append(args) or real(x, *args))
     trace = evaluate(schema, alpha, theory)
     assert calls == [({"n": numeral(alpha)},)] and trace.expansion_count == 2**alpha + 2
+
+
+def test_unrolling_and_checking_schema_exp_compute_no_canonical_form(monkeypatch):
+    # Equal formulas are one node, so formula_eq and multiset_eq decide by
+    # identity: neither the splices of evaluate nor the kernel's checks of
+    # the normal proof, the c:l nodes whose antecedent the rule reorders
+    # included, compute a canonical form (1,028 and 2,309 at 8 once).
+    schema, theory = load_schema(corpus_path("schema_exp.sch"))
+    calls, real = [], silkcheck.syntax.canon_alpha
+    monkeypatch.setattr(silkcheck.syntax, "canon_alpha", lambda f: calls.append(f) or real(f))
+    trace = evaluate(schema, 8, theory)
+    assert calls == []
+    report = check_proof(trace.proof, MODE_LK, theory)
+    assert report.accepted and report.counts[R.CONTR_L] == 2**8 and calls == []
 
 
 def test_evaluate_rewrites_each_new_expression_once_and_instantiates_each_instance_once(monkeypatch):

@@ -125,11 +125,14 @@ def test_capture_avoided_alike_at_every_occurrence():
 
 
 def test_subst_combines_only_what_it_can_change(monkeypatch):
-    # The nodes the fill loop is handed, which it combines in that order.
+    # The nodes of the steps the fill loop is handed, which it combines in
+    # that order.
     combined = []
     fill = silkcheck.syntax.fill
     monkeypatch.setattr(
-        silkcheck.syntax, "fill", lambda root, schedule, memo: combined.extend(schedule) or fill(root, schedule, memo)
+        silkcheck.syntax,
+        "fill",
+        lambda root, schedule, memo: combined.extend(node for node, _, _ in schedule) or fill(root, schedule, memo),
     )
     sub = ({"n": numeral(5)}, {"x": t("b")})
     closed = f("P(f(S^3)) -> Q(g(a, 2^(4)))")
