@@ -228,7 +228,16 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-# name: (help, handler, options after the common ones), in the order of the
+# The arguments every command takes, before its own; --fuel's default is
+# set on each build (see _defaults).
+_SHARED = [
+    (("file",), {"help": "input file"}),
+    (("--theory",), {"help": "theory file overriding the file's directive"}),
+    (("--fuel",), {"type": _natural, "help": "bound on each formula's rewrite span and on link expansions"}),
+    (("--json",), {"action": "store_true", "help": "machine readable report"}),
+]
+
+# name: (help, handler, options after the shared ones), in the order of the
 # top-level help.
 _COMMANDS = {
     "check-lk": (
@@ -271,22 +280,62 @@ _COMMANDS = {
 }
 
 
+def _defaults(handler) -> dict:
+    """What a command's namespace holds beyond its options: the handler, and
+    the --fuel default, read from SILK_FUEL again on each call."""
+    return {"func": handler, "fuel": _default_fuel()}
+
+
 def _command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     """``parser`` given the arguments and handler of command ``name``."""
     _, handler, options = _COMMANDS[name]
-    parser.add_argument("file", help="input file")
-    parser.add_argument("--theory", help="theory file overriding the file's directive")
-    parser.add_argument(
-        "--fuel",
-        type=_natural,
-        default=_default_fuel(),
-        help="bound on each formula's rewrite span and on link expansions",
-    )
-    parser.add_argument("--json", action="store_true", help="machine readable report")
-    for flags, kwargs in options:
+    for flags, kwargs in _SHARED + options:
         parser.add_argument(*flags, **kwargs)
-    parser.set_defaults(func=handler)
+    parser.set_defaults(**_defaults(handler))
     return parser
+
+
+def _plain(argv: list) -> argparse.Namespace | None:
+    """The namespace the parser of command ``argv[0]`` builds from a plain
+    line, read off the option table; None for any other ``argv``, which only
+    argparse reads and reports on.  A plain line names a command, then gives
+    one file and that command's options, each spelled in full and given at
+    most once, every required one among them; an option's value is the next
+    word, does not start with "-", and passes the option's type and
+    choices, and the file does not start with "-" either."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, options = _COMMANDS[argv[0]]
+    table, args, needed, seen = {}, {}, set(), set()
+    for flags, kwargs in _SHARED + options:
+        dest = next((f for f in flags if f.startswith("--")), flags[0]).lstrip("-").replace("-", "_")
+        table.update(dict.fromkeys(flags, (dest, kwargs)))
+        args[dest] = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        if kwargs.get("required") or not flags[0].startswith("-"):
+            needed.add(dest)
+    args.update(_defaults(handler))
+    words = iter(argv[1:])
+    for word in words:
+        # A word that does not start with "-" is the file.
+        dest, kwargs = table.get(word if word.startswith("-") else "file", (None, None))
+        if dest is None or dest in seen:
+            return None
+        seen.add(dest)
+        if kwargs.get("action") == "store_true":
+            args[dest] = True
+            continue
+        if dest != "file":
+            word = next(words, "-")  # a missing value is refused as "-" is
+        if word.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(word)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        args[dest] = value
+    return argparse.Namespace(**args) if needed <= seen else None
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -323,13 +372,16 @@ def main(argv=None) -> int:
 
 
 def _run(argv: list) -> int:
-    """Run the command ``argv`` names.  A command's arguments are read by
-    that command's parser alone, which reports its own help and errors as
-    the top-level parser's subparser would; only words it leaves over, or
-    an ``argv`` that names no command, go to ``_parser``."""
+    """Run the command ``argv`` names.  A plain line is read off the option
+    table by ``_plain`` into the namespace the command's parser would build,
+    and builds no parser.  Any other line naming a command is read by that
+    command's parser alone, which reports its own help and errors as the
+    top-level parser's subparser would; only words it leaves over, or an
+    ``argv`` that names no command, go to ``_parser``.  So usage, help and
+    error text only ever come from argparse."""
     try:
-        args = rest = None
-        if argv and argv[0] in _COMMANDS:
+        args, rest = _plain(argv), None
+        if args is None and argv and argv[0] in _COMMANDS:
             args, rest = _command(argparse.ArgumentParser(prog=f"silkcheck {argv[0]}"), argv[0]).parse_known_args(argv[1:])
         if args is None or rest:
             args = _parser().parse_args(argv)

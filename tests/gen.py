@@ -2,20 +2,23 @@
 suite and the acceptance gate, the structural signature of a component
 collection that replay tests compare, earlier implementations kept as
 oracles, a strategy that damages corpus files for the CLI fuzz and the
-witness oracles, and one that varies corpus schemata so that they still
-load, with the per-numeral ``stats`` oracle."""
+witness oracles, one that varies corpus schemata so that they still
+load, with the per-numeral ``stats`` oracle, and command lines for the CLI's
+plain reader."""
 
+import argparse
+import io
 import json
 import random
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, assume, example, given, settings
 
 from silkcheck import corpus_path, load_schema, load_script, load_theory
-from silkcheck import kernel, parser, printer, rewrite, schema, translate
+from silkcheck import cli, kernel, parser, printer, rewrite, schema, translate
 from silkcheck.schema import replace
 from silkcheck.kernel import (
     ARITY,
@@ -2953,5 +2956,86 @@ def binder_property(max_examples):
         var = f"${_reference_height(q)}"
         want = _subst_outcome(lambda f, n: cls(var, n, _reference_put(cls, f, n, var)), q, name)
         assert identical(_subst_outcome(lambda f, n: bind(cls, n, f), q, name), want)
+
+    return check
+
+
+# Values drawn for each option that takes one: those a plain line may hold,
+# then those its type or choices refuse, or that start with "-".
+OPTION_VALUES = {
+    "--theory": (["t.thy", "", "x=y"], ["-t.thy", "-"]),
+    "--fuel": (["5", "0"], ["x", "\u0663", "-1"]),
+    "--mode": (["lk", "lks"], ["lkx", "LK"]),
+    "--env": (["e.sch"], ["-e.sch"]),
+    "--alpha": (["3", "0"], ["x", "1.5", "\u0663", "-1"]),
+    "--alpha-range": (["0..2", "2..2"], ["2..1", "a..b", "3", "-1..2"]),
+    "-o": (["out.slk"], ["-out.slk"]),
+}
+# Words no plain line holds: abbreviations, attached values, "--", "-", a
+# negative number, help, and files.
+ODD_ARGV_PIECES = [
+    ["--alp", "1"], ["--jso"], ["--the", "t.thy"], ["--mo", "lk"], ["--l"], ["--alpha-r", "0..1"],
+    ["--alpha=1"], ["--mode=lk"], ["--fuel=3"], ["--json=1"], ["-oout.slk"], ["--out=o.slk"],
+    ["--"], ["-"], ["-1"], ["\u0663"], [""], ["-h"], ["--help"], ["a.sch"], ["b.slk"],
+]
+
+
+def _argv_pieces(options, bad=False) -> list:
+    """Each of ``options`` as words: a flag alone, or a flag and a value it
+    reads, and also one it refuses when ``bad``."""
+    pieces = []
+    for flags, kwargs in options:
+        if kwargs.get("action") == "store_true":
+            pieces += [[flag] for flag in flags]
+        else:
+            good, refused = OPTION_VALUES[flags[0]]
+            pieces += [[flag, value] for flag in flags for value in good + (refused if bad else [])]
+    return pieces
+
+
+@st.composite
+def argvs(draw):
+    """A command and its words: its own options with values they read, its
+    required options and a file, each most of the time, and half of the
+    time one or two more: its own options or any command's, with values
+    they may refuse, or words of ``ODD_ARGV_PIECES``; all in any order, so
+    that about a third of the lines are plain."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    options = cli._SHARED[1:] + cli._COMMANDS[command][2]
+    most = st.sampled_from([True, True, True, False])
+    pieces = draw(st.lists(st.sampled_from(_argv_pieces(options)), max_size=5, unique_by=lambda piece: piece[0]))
+    for option in options:
+        if option[1].get("required") and draw(most):
+            pieces.append(draw(st.sampled_from(_argv_pieces([option]))))
+    if draw(most):
+        pieces.append([draw(st.sampled_from(["a.sch", "b.slk", ""]))])
+    if draw(st.booleans()):
+        every = [option for _, _, own in cli._COMMANDS.values() for option in cli._SHARED[1:] + own]
+        odd = st.sampled_from(_argv_pieces(options, bad=True)) | st.sampled_from(_argv_pieces(every, bad=True) + ODD_ARGV_PIECES)
+        pieces += draw(st.lists(odd, min_size=1, max_size=2))
+    return [command, *(word for piece in draw(st.permutations(pieces)) for word in piece)]
+
+
+def argv_reader_property(max_examples):
+    """The CLI's plain reader refuses an argv, or returns the namespace its
+    command's parser builds from it, with no word left over."""
+
+    @settings(max_examples=max_examples, deadline=None)
+    @given(argvs())
+    @example(["unroll", "a.sch", "--alpha", "3", "--lk", "--check", "--quiet", "--json"])
+    @example(["check-lk", "--mode", "lks", "--env", "e.sch", "--lenient-erule", "a.lkp", "--fuel", "7"])
+    @example(["ppsnf", "a.slk", "-o", "out.slk", "--theory", ""])
+    @example(["stats", "--alpha-range", "0..2", "", "--json"])
+    def check(argv):
+        got = cli._plain(argv)
+        if got is None:
+            return
+        command = cli._command(argparse.ArgumentParser(prog=f"silkcheck {argv[0]}"), argv[0])
+        try:
+            with redirect_stderr(io.StringIO()) as err:
+                want, rest = command.parse_known_args(argv[1:])
+        except SystemExit:
+            raise AssertionError(f"read {argv}, which argparse refuses: {err.getvalue()}") from None
+        assert rest == [] and vars(got) == vars(want), argv
 
     return check

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from silkcheck import corpus_path
+import gen
+from silkcheck import cli, corpus_path
 from silkcheck.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_usage.json")
@@ -40,6 +41,13 @@ ARGVS = [
     ["check-lk", "a.lkp", "--mode", "lkx"],
     ["unroll", "a.sch", "--alpha", "1", "--bogus"],
     ["interpret", "a", "b"],
+    # Lines the plain reader refuses, which argparse alone reads and reports.
+    ["unroll", "a.sch", "--alp", "1"],
+    ["unroll", "a.sch", "--alpha=1"],
+    ["ppsnf", "a.slk", "-oout.slk"],
+    ["check-lk", "a.lkp", "--json", "--json"],
+    ["unroll", "a.sch", "--alpha", "-1"],
+    ["stats", "a.sch", "--alpha-range", "0..2", "--", "b"],
 ]
 
 
@@ -86,8 +94,7 @@ def _count_subparsers(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_a_named_command_builds_only_its_parser(monkeypatch, capsys, command):
+def _count_parsers(monkeypatch):
     progs = []
     init = argparse.ArgumentParser.__init__
 
@@ -96,8 +103,39 @@ def test_a_named_command_builds_only_its_parser(monkeypatch, capsys, command):
         progs.append(self.prog)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    main([command, "/nonexistent/file"])
-    assert progs == [f"silkcheck {command}"]
+    return progs
+
+
+# The options each command requires, with a value they read.
+REQUIRED = {"unroll": ["--alpha", "1"], "stats": ["--alpha-range", "0..1"]}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_named_command_builds_only_its_parser(monkeypatch, capsys, command):
+    # A plain line is read off the option table and builds no parser; a line
+    # the plain reader refuses, an abbreviation or help, is read by the
+    # command's parser alone.
+    plain = [command, "/nonexistent/file", *REQUIRED.get(command, [])]
+    progs = _count_parsers(monkeypatch)
+    assert main(plain) == 2
+    assert progs == []
+    for word, code in (("--jso", 2), ("-h", 0)):
+        assert main([*plain, word]) == code
+        assert progs == [f"silkcheck {command}"]
+        progs.clear()
+
+
+def test_every_option_uses_only_what_the_plain_reader_reads():
+    # A keyword such as nargs or action="append" would make argparse read a
+    # line the reader reads otherwise.
+    for _, _, options in cli._COMMANDS.values():
+        for flags, kwargs in cli._SHARED + options:
+            assert set(kwargs) <= {"type", "choices", "default", "required", "action", "help", "metavar"}, flags
+            assert kwargs.get("action", "store_true") == "store_true", flags
+
+
+def test_the_plain_reader_builds_the_namespace_argparse_builds():
+    gen.argv_reader_property(300)()
 
 
 @pytest.mark.parametrize("argv", [[], ["-h"], ["frob"], ["--bogus", "unroll"]], ids=["none", "-h", "unknown", "option"])
