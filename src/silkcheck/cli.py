@@ -228,8 +228,8 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-# The arguments every command takes, before its own; --fuel's default is
-# set on each build (see _defaults).
+# The arguments every command takes, before its own.  --fuel has no
+# default here: _run reads it from SILK_FUEL on each call.
 _SHARED = [
     (("file",), {"help": "input file"}),
     (("--theory",), {"help": "theory file overriding the file's directive"}),
@@ -280,29 +280,15 @@ _COMMANDS = {
 }
 
 
-def _defaults(handler) -> dict:
-    """What a command's namespace holds beyond its options: the handler, and
-    the --fuel default, read from SILK_FUEL again on each call."""
-    return {"func": handler, "fuel": _default_fuel()}
-
-
-def _command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """``parser`` given the arguments and handler of command ``name``."""
-    _, handler, options = _COMMANDS[name]
-    for flags, kwargs in _SHARED + options:
-        parser.add_argument(*flags, **kwargs)
-    parser.set_defaults(**_defaults(handler))
-    return parser
-
-
 def _plain(argv: list) -> argparse.Namespace | None:
-    """The namespace the parser of command ``argv[0]`` builds from a plain
-    line, read off the option table; None for any other ``argv``, which only
-    argparse reads and reports on.  A plain line names a command, then gives
-    one file and that command's options, each spelled in full and given at
-    most once, every required one among them; an option's value is the next
-    word, does not start with "-", and passes the option's type and
-    choices, and the file does not start with "-" either."""
+    """The namespace ``_parser`` builds from a plain line, less its
+    ``command`` entry, read off the option table; None for any other
+    ``argv``, which only argparse reads and reports on.  A plain line names
+    a command, then gives one file and that command's options, each
+    spelled in full and given at most once, every required one among them;
+    an option's value is the next word, does not start with "-", and passes
+    the option's type and choices, and the file does not start with "-"
+    either."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     _, handler, options = _COMMANDS[argv[0]]
@@ -313,7 +299,7 @@ def _plain(argv: list) -> argparse.Namespace | None:
         args[dest] = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
         if kwargs.get("required") or not flags[0].startswith("-"):
             needed.add(dest)
-    args.update(_defaults(handler))
+    args["func"] = handler
     words = iter(argv[1:])
     for word in words:
         # A word that does not start with "-" is the file.
@@ -339,16 +325,19 @@ def _plain(argv: list) -> argparse.Namespace | None:
 
 
 def _parser() -> argparse.ArgumentParser:
-    """The top-level parser, with every command, which reports what main's
-    one command parser leaves to it.  It is built on each call, so the
-    --fuel default reads SILK_FUEL each time."""
+    """The top-level parser, with a subparser for every command.  It reads
+    every line ``_plain`` refuses, and writes all usage, help and error
+    text."""
     top = argparse.ArgumentParser(
         prog="silkcheck",
         description="Check, unroll, normalize, and translate schematic sequent proofs.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        _command(sub.add_parser(name, help=_COMMANDS[name][0]), name)
+    for name, (text, handler, options) in _COMMANDS.items():
+        parser = sub.add_parser(name, help=text)
+        for flags, kwargs in _SHARED + options:
+            parser.add_argument(*flags, **kwargs)
+        parser.set_defaults(func=handler)
     return top
 
 
@@ -373,20 +362,16 @@ def main(argv=None) -> int:
 
 def _run(argv: list) -> int:
     """Run the command ``argv`` names.  A plain line is read off the option
-    table by ``_plain`` into the namespace the command's parser would build,
-    and builds no parser.  Any other line naming a command is read by that
-    command's parser alone, which reports its own help and errors as the
-    top-level parser's subparser would; only words it leaves over, or an
-    ``argv`` that names no command, go to ``_parser``.  So usage, help and
-    error text only ever come from argparse."""
+    table by ``_plain`` and builds no parser; any other line is read by the
+    top-level parser, so usage, help and error text only ever come from
+    argparse.  A line that gives no --fuel gets SILK_FUEL's, read again on
+    each call."""
     try:
-        args, rest = _plain(argv), None
-        if args is None and argv and argv[0] in _COMMANDS:
-            args, rest = _command(argparse.ArgumentParser(prog=f"silkcheck {argv[0]}"), argv[0]).parse_known_args(argv[1:])
-        if args is None or rest:
-            args = _parser().parse_args(argv)
+        args = _plain(argv) or _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if args.fuel is None:
+        args.fuel = _default_fuel()
     try:
         return args.func(args)
     except ParseError as exc:

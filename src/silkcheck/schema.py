@@ -466,7 +466,7 @@ def evaluate(
     as it was.
     """
     value = alpha if isinstance(alpha, int) else numeral_value(alpha)
-    if value is None:
+    if value is None or value < 0:
         raise MatchFailure(f"evaluation needs a numeral, got {alpha}")
     if not schema.components:
         raise MatchFailure("a proof schema needs at least one component")

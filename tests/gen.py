@@ -6,7 +6,6 @@ witness oracles, one that varies corpus schemata so that they still
 load, with the per-numeral ``stats`` oracle, and command lines for the CLI's
 plain reader."""
 
-import argparse
 import io
 import json
 import random
@@ -3017,8 +3016,9 @@ def argvs(draw):
 
 
 def argv_reader_property(max_examples):
-    """The CLI's plain reader refuses an argv, or returns the namespace its
-    command's parser builds from it, with no word left over."""
+    """The CLI's plain reader refuses an argv, or returns the namespace the
+    top-level parser builds from it, less its ``command`` entry, with no
+    word left over."""
 
     @settings(max_examples=max_examples, deadline=None)
     @given(argvs())
@@ -3030,12 +3030,13 @@ def argv_reader_property(max_examples):
         got = cli._plain(argv)
         if got is None:
             return
-        command = cli._command(argparse.ArgumentParser(prog=f"silkcheck {argv[0]}"), argv[0])
         try:
             with redirect_stderr(io.StringIO()) as err:
-                want, rest = command.parse_known_args(argv[1:])
+                want, rest = cli._parser().parse_known_args(argv)
         except SystemExit:
             raise AssertionError(f"read {argv}, which argparse refuses: {err.getvalue()}") from None
+        assert want.command == argv[0], argv
+        del want.command
         assert rest == [] and vars(got) == vars(want), argv
 
     return check

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import gen
+import transcript
 from silkcheck import cli, corpus_path
 from silkcheck.cli import main
 
@@ -114,15 +115,38 @@ REQUIRED = {"unroll": ["--alpha", "1"], "stats": ["--alpha-range", "0..1"]}
 def test_a_named_command_builds_only_its_parser(monkeypatch, capsys, command):
     # A plain line is read off the option table and builds no parser; a line
     # the plain reader refuses, an abbreviation or help, is read by the
-    # command's parser alone.
+    # top-level parser, which builds every command's subparser.
     plain = [command, "/nonexistent/file", *REQUIRED.get(command, [])]
     progs = _count_parsers(monkeypatch)
     assert main(plain) == 2
     assert progs == []
+    built = _count_subparsers(monkeypatch)
     for word, code in (("--jso", 2), ("-h", 0)):
         assert main([*plain, word]) == code
-        assert progs == [f"silkcheck {command}"]
+        assert progs == ["silkcheck", *(f"silkcheck {name}" for name in COMMANDS)]
+        assert built == list(COMMANDS)
         progs.clear()
+        built.clear()
+
+
+# Lines the benchmark sends, beyond the forms of transcript.py.
+BENCHMARK_LINES = [
+    ["unroll", "schema_exp.sch", "--alpha", "10", "--lk", "--check", "--quiet", "--json"],
+    ["stats", "schema_shat.sch", "--alpha-range", "0..70"],
+    ["check-lk", "lk_nu_shat.lkp", "--mode", "lks", "--env", "schema_shat.sch"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[command, "a.sch", *options, *json] for command, *options in transcript.FORMS for json in ((), ("--json",))]
+    + BENCHMARK_LINES,
+    ids=" ".join,
+)
+def test_the_lines_users_and_the_benchmark_send_are_plain(argv):
+    # A line the plain reader refused would still run, through argparse,
+    # so only this notices a reader that refuses too much.
+    assert cli._plain(argv) is not None
 
 
 def test_every_option_uses_only_what_the_plain_reader_reads():

@@ -385,6 +385,17 @@ def test_empty_schema_is_an_evaluation_failure(shat):
     ]
 
 
+@pytest.mark.parametrize("alpha", [-1, -7, parse_numexpr("m")], ids=["-1", "-7", "m"])
+def test_a_negative_instance_is_an_evaluation_failure_as_a_non_numeral_is(shat, alpha):
+    schema, theory = shat
+    message = f"evaluation needs a numeral, got {alpha}"
+    with pytest.raises(MatchFailure) as raised:
+        evaluate(schema, alpha, theory)
+    assert str(raised.value) == message
+    report = evaluate_and_check(schema, alpha, theory)
+    assert [(f.rule, f.message) for f in report.failures] == [("evaluate", message)]
+
+
 def test_check_with_the_memo_of_an_evaluation_reuses_its_proof(shat):
     schema, theory = shat
     memo = UnrollMemo()
