@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import rewrite as rw
 from .kernel import MODE_LKE, check_proof
-from .parser import ParseError, load_file, parse_proof, parse_schema, parse_script
+from .parser import ParseError, _parsed, load_file, parse_proof, parse_schema, parse_script
 from .printer import print_proof_tree, print_schema, print_script, report_dict, report_text, stats_table, where
 from .schema import EVALUATION_ERRORS, UnrollMemo, check_schema, evaluate, evaluate_and_check
 from .silk import NotAProof, SilkError, check_script
@@ -49,7 +49,10 @@ def _cmd_check_lk(args) -> int:
     env = {}
     allowed = frozenset()
     if args.env:
-        schema, _ = parse_schema(Path(args.env).read_text(encoding="utf-8"))
+        try:
+            schema, _ = _parsed(parse_schema, Path(args.env).read_text(encoding="utf-8"))
+        except ParseError as exc:
+            raise ParseError(f"in --env file {args.env}: {exc}") from None
         env = schema.link_env()
         allowed = frozenset({"n"})
     report = check_proof(proof, args.mode, theory, env, allowed, lenient_erule=args.lenient_erule)

@@ -10,11 +10,19 @@ binder closes its body over its name as it is read (syntax.bind).
 Each distinct quoted text of a file is lexed and parsed once: the file's
 token stream keeps a memo from each text that parsed to its node, and a
 quoted sequent is looked up formula by formula, split at its one |- and its
-depth-0 commas.  The memo answers only texts that parsed before in the same
-file, and nodes are hash-consed, so a lookup gives the very nodes a fresh
-read gives; a sequent whose text has a comment or does not split into items
-that each parse alone is read whole, so every error is the whole read's, at
-its position.
+depth-0 commas.  That memo answers only texts that parsed before in the
+same file, and nodes are hash-consed, so a lookup gives the very nodes a
+fresh read gives; a sequent whose text has a comment or does not split into
+items that each parse alone is read whole, so every error is the whole
+read's, at its position.
+
+Each whole file is parsed once per process: the loaders keep two bounded
+memos, from a parse function and a file's exact text to its parsed value
+(`_parsed`), and from a theory file's exact text to its rules (`_rules`).
+A loader reads its files on every call, so an edited file is seen; parsed
+values are frozen, so a hit gives what a fresh parse builds.  Every load
+still builds a new theory, whose caches start empty, and runs the arity and
+theory checks.
 
 Conventions the grammar fixes:
   * `n` is the free parameter, everywhere; `s(e)` is the numeric successor;
@@ -31,7 +39,7 @@ Conventions the grammar fixes:
 from __future__ import annotations
 
 import re
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -897,8 +905,31 @@ def _workspace_roots(value, theory) -> list:
 # Workspace loading
 
 
+# Distinct texts each memo below keeps, more than the bundled corpus's 17
+# inputs and 5 theories.
+_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _parsed(parse, text: str) -> tuple:
+    """``parse(text)``, read once per process for each parse function and
+    text: (value, directive).  Parsed values are frozen and their nodes
+    hash-consed, so a hit gives what a fresh read builds; a ParseError is
+    raised again on every read, since lru_cache keeps no exception."""
+    return parse(text)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _rules(text: str) -> tuple:
+    """The rules of a theory file's text, read once per process for each text."""
+    return parse_theory(text).rules
+
+
 def load_theory(path: str | Path, fuel: int = rw.DEFAULT_FUEL) -> rw.EquationalTheory:
-    return parse_theory(Path(path).read_text(encoding="utf-8"), fuel)
+    """The theory of the file at ``path`` with the given fuel.  The file is
+    read on every call and its rules are parsed once per distinct text; each
+    call builds a new theory, with caches of its own."""
+    return rw.EquationalTheory(_rules(Path(path).read_text(encoding="utf-8")), fuel)
 
 
 def load_file(path: str | Path, parse, theory: str | Path | None = None, fuel: int = rw.DEFAULT_FUEL) -> tuple:
@@ -908,9 +939,13 @@ def load_file(path: str | Path, parse, theory: str | Path | None = None, fuel: i
     relative to the file, else with no rules.  Raises ParseError when the
     value and its theory disagree on an arity, or when a theory rule breaks
     the shape rewriting needs.  Returns (value, theory, directive); a script
-    comes back bound to the theory."""
+    comes back bound to the theory.
+
+    Both files are read on every call, so an edited file is seen, but a text
+    read before in this process is not parsed again (``_parsed``,
+    ``load_theory``); the arity and theory checks run on every call."""
     path = Path(path)
-    value, directive = parse(path.read_text(encoding="utf-8"))
+    value, directive = _parsed(parse, path.read_text(encoding="utf-8"))
     if not theory and directive:
         theory = path.parent / directive
     theory = load_theory(theory, fuel) if theory else rw.EquationalTheory((), fuel)

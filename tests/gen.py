@@ -3,14 +3,17 @@ suite and the acceptance gate, the structural signature of a component
 collection that replay tests compare, earlier implementations kept as
 oracles, a strategy that damages corpus files for the CLI fuzz and the
 witness oracles, one that varies corpus schemata so that they still
-load, with the per-numeral ``stats`` oracle, and command lines for the CLI's
-plain reader."""
+load, with the per-numeral ``stats`` oracle, command lines for the CLI's
+plain reader, and commands on damaged inputs run on warm and on cleared
+load memos."""
 
 import io
 import json
 import random
 import re
-from contextlib import contextmanager, redirect_stderr
+import tempfile
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from pathlib import Path
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
@@ -3038,5 +3041,67 @@ def argv_reader_property(max_examples):
         assert want.command == argv[0], argv
         del want.command
         assert rest == [] and vars(got) == vars(want), argv
+
+    return check
+
+
+# ---------------------------------------------------------------------------
+# The load memos: a command answers from a file's text alone, whatever texts
+# the process read before.
+
+CORPUS_DIR = corpus_path("schema_shat.sch").parent
+CORPUS_INPUTS = sorted(path.name for path in CORPUS_DIR.iterdir() if path.suffix in (".lkp", ".sch", ".slk"))
+# Command forms per input suffix; {} is the input's path.
+WARM_LOAD_FORMS = {
+    ".lkp": [("check-lk", "{}"), ("check-lk", "{}", "--mode", "lk", "--json")],
+    ".sch": [
+        ("check-schema", "{}"),
+        ("unroll", "{}", "--alpha", "2", "--lk", "--check", "--quiet"),
+        ("check-lk", str(CORPUS_DIR / "lk_nu_shat.lkp"), "--mode", "lks", "--env", "{}"),
+    ],
+    ".slk": [("check-silk", "{}"), ("translate", "{}"), ("interpret", "{}", "--json")],
+}
+
+
+def cli_output(argv) -> tuple:
+    """(exit code, stdout, stderr) of one in-process run of the command line."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def clear_load_memos():
+    parser._parsed.cache_clear()
+    parser._rules.cache_clear()
+
+
+def warm_load_property(max_examples):
+    """One or two commands on a mutant of a corpus input, written with the
+    corpus theories to a directory of its own, print the same exit code,
+    stdout and stderr when the load memos hold the original's text and the
+    mutant's, read from the same path, as when both memos were cleared
+    first.  Outputs are compared, not values: a Proof compares by identity."""
+
+    @settings(max_examples=max_examples, deadline=None, derandomize=True)
+    @given(mutated_corpus_files(CORPUS_INPUTS), st.data())
+    def check(case, data):
+        name, text = case
+        forms = WARM_LOAD_FORMS[name[name.rindex(".") :]]
+        picks = data.draw(st.lists(st.sampled_from(forms), min_size=1, max_size=2, unique=True))
+        with tempfile.TemporaryDirectory() as folder:
+            for theory in CORPUS_DIR.glob("*.thy"):
+                (Path(folder) / theory.name).write_bytes(theory.read_bytes())
+            path = Path(folder) / name
+            argvs = [[arg.format(path) for arg in form] for form in picks]
+            path.write_text(corpus_path(name).read_text(encoding="utf-8"), encoding="utf-8")
+            for argv in argvs:
+                cli_output(argv)
+            path.write_text(text, encoding="utf-8")
+            warm = [cli_output(argv) for argv in argvs]
+            again = [cli_output(argv) for argv in argvs]
+            clear_load_memos()
+            fresh = [cli_output(argv) for argv in argvs]
+        assert warm == again == fresh, case
 
     return check

@@ -274,6 +274,14 @@ def test_check_lk_with_link_environment(capsys):
     assert code == 0 and "accepted" in out
 
 
+def test_a_parse_error_in_the_env_file_names_that_file(capsys, tmp_path):
+    env = tmp_path / "bad.sch"
+    env.write_text("component phi\n")
+    code, out, err = run(capsys, "check-lk", p("lk_nu_shat.lkp"), "--mode", "lks", "--env", str(env))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: in --env file {env}: ") and err.endswith(" at 2:1\n")
+
+
 def test_lenient_flag_gates_whole_sequent_steps(capsys, tmp_path):
     proof = tmp_path / "bridge.lkp"
     proof.write_text(
@@ -748,7 +756,8 @@ def test_deeply_nested_formula_exits_two(capsys, tmp_path, where):
     argv, path = _formula_input(tmp_path, where, "forall x. " * 10_000 + "P(x,)")
     code, out, err = run(capsys, *argv)
     col = path.read_text().index("P(x,)") + 5
-    assert (code, out, err) == (2, "", f"parse error: expected a term at 1:{col}\n")
+    file = f"in --env file {path}: " if where == "env" else ""
+    assert (code, out, err) == (2, "", f"parse error: {file}expected a term at 1:{col}\n")
 
 
 def test_deep_link_parameter_is_rejected_not_raised(capsys, tmp_path):

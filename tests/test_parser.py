@@ -26,7 +26,7 @@ from silkcheck.parser import (
     tokenize,
 )
 from silkcheck.printer import print_proof, print_schema, print_script, print_theory
-from silkcheck.rewrite import EquationalTheory
+from silkcheck.rewrite import EquationalTheory, normalize
 from silkcheck.schema import evaluate
 from silkcheck.silk import check_script
 
@@ -369,6 +369,74 @@ def test_reference_gives_up_for_depth_where_the_loop_does_not():
     with gen.reference_parser(), pytest.raises(ParseError, match="nested too deep"):
         parse_formula(deep)
     assert gen.same_parse(parse_formula, deep)
+
+
+# The load memos: each input text and theory text is parsed once per
+# process, and a command answers from the files as they read now.
+
+
+def test_a_warm_load_memo_prints_what_a_cleared_one_prints():
+    gen.warm_load_property(100)()
+
+
+def test_the_load_memos_are_keyed_on_content_not_path(tmp_path):
+    script, theory = tmp_path / "silk_fhat.slk", tmp_path / "theory_fhat.thy"
+    text, rules = (corpus_path(path.name).read_text(encoding="utf-8") for path in (script, theory))
+    argv = ["check-silk", str(script)]
+    script.write_text(text, encoding="utf-8")
+    theory.write_text(rules, encoding="utf-8")
+    proof = gen.cli_output(argv)
+    assert proof[0] == 0
+
+    def warm_and_cleared():
+        warm = gen.cli_output(argv)
+        gen.clear_load_memos()
+        assert gen.cli_output(argv) == warm
+        return warm
+
+    # A script that stops before its last step is a derivation, not a proof.
+    script.write_text(text[: text.rindex("clsc")], encoding="utf-8")
+    assert warm_and_cleared()[0] == 1
+    script.write_text(text, encoding="utf-8")
+    assert gen.cli_output(argv) == proof
+    # Without f^0(x) == x the base case's rewrite step is refused.
+    theory.write_text(rules.replace("f^0(x) == x;", ""), encoding="utf-8")
+    assert warm_and_cleared()[0] == 1
+
+
+def test_a_failed_read_is_not_kept(tmp_path):
+    bad_schema, bad_theory = tmp_path / "bad.sch", tmp_path / "bad.thy"
+    bad_schema.write_text("component phi\n", encoding="utf-8")
+    bad_theory.write_text("f(x) == ;\n", encoding="utf-8")
+    gen.clear_load_memos()
+    for argv, sizes in [
+        (["check-schema", str(bad_schema)], (0, 0)),
+        (["check-lk", str(corpus_path("lk_pi_shat.lkp")), "--theory", str(bad_theory)], (1, 0)),
+    ]:
+        first = gen.cli_output(argv)
+        assert first[0] == 2 and first[2].startswith("parse error: ")
+        assert (parser._parsed.cache_info().currsize, parser._rules.cache_info().currsize) == sizes
+        assert gen.cli_output(argv) == first
+        assert (parser._parsed.cache_info().currsize, parser._rules.cache_info().currsize) == sizes
+
+
+def test_the_load_memos_are_bounded():
+    gen.clear_load_memos()
+    for i in range(parser._MEMO_SIZE + 1):
+        parser._parsed(parse_proof, f'ax "P{i} |- P{i}"\n')
+        parser._rules(f"f{i}(x) == x;\n")
+    for memo in (parser._parsed, parser._rules):
+        assert memo.cache_info().currsize == memo.cache_info().maxsize == parser._MEMO_SIZE
+
+
+def test_load_theory_builds_a_new_theory_on_every_call():
+    path = corpus_path("theory_shat.thy")
+    first = load_theory(path)
+    assert normalize(parse_term("S^2"), first).value == parse_term("f(f(0))")
+    assert first._nf_cache and first._ready
+    second = load_theory(path, 7)
+    assert second is not first and second.rules is first.rules and second.fuel == 7
+    assert second._nf_cache == second._ready == second._spans == {}
 
 
 WITNESS_FILES = SCHEMAS + SCRIPTS + PROOFS
